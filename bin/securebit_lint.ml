@@ -820,20 +820,27 @@ let all_cmd =
                       ());
                ])
              [ 1; 2; 3 ]));
+    (* One traced run per engine mode, every pair diffed.  The presets
+       have 80-400 nodes, so the sparse and sharded loops drain two to
+       seven 62-id words per round. *)
     timed "determinism" (fun () ->
         check_entries
-          (List.map
+          (List.concat_map
              (fun (name, spec) ->
-               match Determinism.check_spec ~max_rounds:20_000 spec with
-               | Determinism.Deterministic { rounds } ->
-                 (Printf.sprintf "%s: deterministic over %d rounds" name rounds, false, None)
-               | Determinism.Diverged _ as outcome ->
-                 let message = Determinism.outcome_to_string outcome in
-                 ( Printf.sprintf "%s: %s" name message,
-                   true,
-                   Some
-                     (Json.Obj
-                        [ ("check", Json.String name); ("message", Json.String message) ]) ))
+               List.map
+                 (fun ((la, lb), outcome) ->
+                   let check = Printf.sprintf "%s [%s vs %s]" name la lb in
+                   match outcome with
+                   | Determinism.Deterministic { rounds } ->
+                     (Printf.sprintf "%s: deterministic over %d rounds" check rounds, false, None)
+                   | Determinism.Diverged _ ->
+                     let message = Determinism.outcome_to_string outcome in
+                     ( Printf.sprintf "%s: %s" check message,
+                       true,
+                       Some
+                         (Json.Obj
+                            [ ("check", Json.String check); ("message", Json.String message) ]) ))
+                 (Determinism.check_modes ~max_rounds:20_000 [ `Dense; `Sparse; `Sharded 2 ] spec))
              Scenario.presets));
     let results = List.rev !results in
     let failed = List.exists (fun r -> r.ar_failed) results in
@@ -868,7 +875,8 @@ let all_cmd =
        ~doc:
          "Run every analyzer — source, share and alloc lint behind one shared parse of the tree, \
           scenario lint over the bundled presets, the quick model-check budget, the voting \
-          checker and the determinism diff — reporting per-analyzer wall times and failing if \
+          checker and the dense/sparse/sharded:2 determinism diff over the presets — reporting \
+          per-analyzer wall times and failing if \
           any analyzer fails.")
     Term.(const run $ json_arg $ baseline_arg $ paths_arg)
 

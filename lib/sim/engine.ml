@@ -67,6 +67,33 @@ let fingerprint_observation = function
 let fingerprint_packed slot_fp p =
   if p = 0 then 0 else if p land 3 = 1 then 1 else slot_fp.(p lsr 2)
 
+(* Word sets: ids packed [Bitvec.bits_per_word] to an int, the sparse loops'
+   per-round "who runs this phase" sets. *)
+let word_set n = Array.make ((n + Bitvec.bits_per_word - 1) / Bitvec.bits_per_word) 0
+
+let set_add set i =
+  let w = i / Bitvec.bits_per_word in
+  set.(w) <- set.(w) lor (1 lsl (i mod Bitvec.bits_per_word))
+
+(* Ascending drain: [step ctx i r] on every member [i] of [set], lowest id
+   first — the dense loop's 0..n-1 order, so loss draws, capture ties,
+   slot order and tap order are unchanged — at a cost of one test per
+   word plus one call per member.  [~clear] empties the set as it goes. *)
+let rec drain_word step ctx base w r =
+  if w <> 0 then begin
+    step ctx (base + Bitvec.lowest_bit w) r;
+    drain_word step ctx base (w land (w - 1)) r
+  end
+
+let drain step ctx ~clear set r =
+  for wi = 0 to Array.length set - 1 do
+    let w = set.(wi) in
+    if w <> 0 then begin
+      if clear then set.(wi) <- 0;
+      drain_word step ctx (wi * Bitvec.bits_per_word) w r
+    end
+  done
+
 (* One tile of a sharded run: a disjoint slice of the machines plus every
    piece of per-round state the serial sparse loop keeps globally, sized to
    the tile and touched only by the tile's own domain between barriers.
@@ -76,9 +103,8 @@ type 'm tile = {
   t_id : int;
   members : int array;
   cal : Calendar.t;  (* wakeup rounds -> local indices *)
-  stamp : int array;
-  mutable pre : int;
-  mutable pre_next : int;
+  sets : int array array;  (* the serial loop's parity word sets, over local indices *)
+  mutable stamps : int;  (* next-round stamps, as in the serial loop *)
   mutable t_pending : int;
   completed : bool array;
   (* channel scratch, mirroring the serial per-receiver aggregates *)
@@ -93,11 +119,11 @@ type 'm tile = {
   (* phase-A output: this tile's transmitters (ascending) and payloads *)
   tx_ids : int array;
   txs : 'm slots;
-  (* merged-slot activity words for this tile: bit m set iff merged
-     transmitter m has a link into the tile.  Written by the coordinator
-     during the merge, consumed and cleared by the tile in phase B — the
-     halo exchange is whole words, not per-transmission lists. *)
-  halo : Bitvec.t;
+  (* merged-slot word set for this tile: bit m set iff merged transmitter
+     m has a link into the tile.  Written by the coordinator during the
+     merge, drained and cleared by the tile in phase B — the halo exchange
+     is whole words, not per-transmission lists. *)
+  halo : int array;
   (* machines polled this round, for tap fingerprint resets *)
   polled : int array;
   mutable n_polled : int;
@@ -323,56 +349,50 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(st
            contract covers r or a transmission reached it; the contract
            promises that in all other rounds act returns Silent without
            side effects and observe of the implied Silence is a no-op;
-         - scheduled machines are processed in ascending id, like the dense
-           0..n-1 sweep, so loss draws, capture ties and tap transmitter
-           order are identical;
+         - scheduled machines are processed in ascending id (see [drain]),
+           like the dense 0..n-1 sweep, so loss draws, capture ties and tap
+           transmitter order are identical;
          - the stop conditions (waiters, idle cut-off, strided stop_when)
            are evaluated for skipped rounds exactly as the dense loop would
            have, including the call count of the stateful stop_when;
          - a tap sees one digest per round, skipped rounds fingerprinting
            as uniform silence. *)
       let cal = Calendar.create ~capacity:(2 * (n + 1)) () in
-      let sched_stamp = Array.make (max 1 n) (-1) in
+      (* Word sets by round parity: [sets.(r land 1)] holds round r's
+         scheduled machines, then also its touched receivers; the last
+         drain of the round empties it.  Parity only drifts over skipped
+         rounds, and then both sets are empty. *)
+      let sets = [| word_set n; word_set n |] in
       (* Machines stamped directly for the very next round, bypassing the
          heap.  Inside a relevant TDMA interval a machine wakes six rounds
          in a row; paying a pop + push per poll would cost more than the
          act/observe calls the sparse loop saves, so only wakeups that
-         actually jump ahead go through the calendar. *)
-      let pre = ref 0 in
-      let pre_next = ref 0 in
+         actually jump ahead go through the calendar.  [stamps] counts the
+         stamps for the next round to run; it is reset as a round starts. *)
+      let stamps = ref 0 in
       let schedule_machine i q =
         let na = machines.(i).next_active q in
         let na = if na < q then q else na in
         if na < cap then begin
           if na = q then begin
-            (* [q] is always the round after the one being processed, so a
-               same-round wakeup is a stamp for the next iteration. *)
-            if sched_stamp.(i) <> q then begin
-              sched_stamp.(i) <- q;
-              incr pre_next
-            end
+            (* [q] is always the round after the one being processed (or
+               0 at start-up), so a same-round wakeup is a stamp for the
+               next iteration. *)
+            set_add sets.(q land 1) i;
+            incr stamps
           end
           else Calendar.add cal na i
         end
       in
       for i = 0 to n - 1 do
-        let na = machines.(i).next_active 0 in
-        if na <= 0 then begin
-          if sched_stamp.(i) <> 0 then begin
-            sched_stamp.(i) <- 0;
-            incr pre_next
-          end
-        end
-        else if na < cap then Calendar.add cal na i
+        schedule_machine i 0
       done;
       (* Round 0 always executes: the dense loop's first Phase 3 scans all
          machines, recording construction-time deliveries (sources, liars). *)
-      if cap > 0 && n > 0 && sched_stamp.(0) <> 0 then begin
-        sched_stamp.(0) <- 0;
-        incr pre_next
+      if cap > 0 && n > 0 then begin
+        set_add sets.(0) 0;
+        incr stamps
       end;
-      pre := !pre_next;
-      pre_next := 0;
       let completed = Array.make (max 1 n) false in
       let check_complete i r =
         if not completed.(i) then begin
@@ -384,62 +404,63 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(st
           | None -> ()
         end
       in
+      let act_step () i r =
+        match machines.(i).act r with
+        | Silent -> ()
+        | Transmit payload -> fan_out i payload
+      in
+      let observe_step () i r =
+        let p = obs_packed.(i) in
+        if tap <> None then begin
+          tap_fp.(i) <- fingerprint_packed slot_fp p;
+          polled.(!n_polled) <- i;
+          incr n_polled
+        end;
+        match machines.(i).observe_packed with
+        | Some f -> f r p slots
+        | None -> machines.(i).observe r (observation_of_packed slots p)
+      in
+      (* A poll can change any machine state, so its wakeup is re-asked
+         after every poll — e.g. an epidemic relay that just received the
+         packet now wants its own slot. *)
+      let finish_step () i r =
+        check_complete i r;
+        schedule_machine i (r + 1)
+      in
       let process_round r =
-        (* Drain this round's wakeups; the stamp array both dedupes multiple
-           calendar entries per machine and drives the ascending-id sweeps
-           below. *)
+        let cur = sets.(r land 1) in
+        stamps := 0;
+        (* Drain this round's wakeups into the word set, which also dedupes
+           multiple calendar entries per machine. *)
         while (not (Calendar.is_empty cal)) && Calendar.min_key cal = r do
-          sched_stamp.(Calendar.pop_min cal) <- r
+          set_add cur (Calendar.pop_min cal)
         done;
         (* Phase 1 over the scheduled machines only. *)
-        for i = 0 to n - 1 do
-          if sched_stamp.(i) = r then begin
-            match machines.(i).act r with
-            | Silent -> ()
-            | Transmit payload -> fan_out i payload
-          end
-        done;
+        drain act_step () ~clear:false cur r;
         let any_tx = slots.count > 0 in
-        (* Phase 2 restricted to scheduled machines and touched receivers;
-           everyone else observes the silence implied by the contract. *)
+        (* Phases 2 and 3 over scheduled machines and touched receivers;
+           everyone else observes the silence implied by the contract.
+           Round 0 also checks every machine for construction-time
+           deliveries. *)
         Channel.resolve_packed channel ~touched ~n_touched:!n_touched ~sum_power ~n_decodable
           ~best_power ~best_slot ~out:obs_packed;
-        for i = 0 to n - 1 do
-          if sched_stamp.(i) = r || has_rx.(i) then begin
-            let p = obs_packed.(i) in
-            if tap <> None then begin
-              tap_fp.(i) <- fingerprint_packed slot_fp p;
-              polled.(!n_polled) <- i;
-              incr n_polled
-            end;
-            match machines.(i).observe_packed with
-            | Some f -> f r p slots
-            | None -> machines.(i).observe r (observation_of_packed slots p)
-          end
+        for k = 0 to !n_touched - 1 do
+          set_add cur touched.(k)
         done;
-        (* Phase 3 + rescheduling over the polled set (all machines in round
-           0, for construction-time deliveries), before the channel scratch
-           is cleared so [has_rx] still marks the touched receivers.  A poll
-           can change any machine state, so its wakeup is re-asked after
-           every poll — e.g. an epidemic relay that just received the packet
-           now wants its own slot. *)
-        for i = 0 to n - 1 do
-          if sched_stamp.(i) = r || has_rx.(i) then begin
-            check_complete i r;
-            schedule_machine i (r + 1)
-          end
-          else if r = 0 then check_complete i 0
-        done;
+        drain observe_step () ~clear:false cur r;
+        drain finish_step () ~clear:true cur r;
+        if r = 0 then
+          for i = 0 to n - 1 do
+            check_complete i 0
+          done;
         if any_tx then begin
           last_tx := r;
           incr active_rounds
-        end;
-        pre := !pre_next;
-        pre_next := 0
+        end
       in
       while (not !stopping) && !round < cap do
         let target =
-          if !pre > 0 then !round
+          if !stamps > 0 then !round
           else if Calendar.is_empty cal then cap
           else min cap (Calendar.min_key cal)
         in
@@ -491,7 +512,7 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(st
      Determinism: the only RNG consumer (loss) runs serially on the
      coordinator in the serial draw order; per-receiver float accumulation
      and capture tie-breaks see transmitters in the same ascending order as
-     the serial sweep; and machines are only ever touched by their owning
+     the serial drain; and machines are only ever touched by their owning
      tile, in ascending id within the tile.  Cross-tile visibility is by
      barrier only: tiles write before a barrier what others read after it. *)
   let run_sharded tiles tile_of =
@@ -545,9 +566,8 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(st
         t_id;
         members = m;
         cal = Calendar.create ~capacity:(2 * (len + 1)) ();
-        stamp = Array.make (max 1 len) (-1);
-        pre = 0;
-        pre_next = 0;
+        sets = [| word_set len; word_set len |];
+        stamps = 0;
         t_pending = !t_pending;
         completed = Array.make (max 1 len) false;
         sum_power = Array.make (max 1 len) 0.0;
@@ -560,42 +580,32 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(st
         n_touched = 0;
         tx_ids = Array.make (max 1 len) 0;
         txs = { payloads = [||]; count = 0 };
-        halo = Bitvec.create n false;
+        halo = word_set n;
         polled = Array.make (if tap = None then 0 else len) 0;
         n_polled = 0;
       }
     in
     let tile_arr = Array.init tiles tile_make in
+    let schedule_tile t li q =
+      let na = machines.(t.members.(li)).next_active q in
+      let na = if na < q then q else na in
+      if na < cap then begin
+        if na = q then begin
+          set_add t.sets.(q land 1) li;
+          t.stamps <- t.stamps + 1
+        end
+        else Calendar.add t.cal na li
+      end
+    in
     (* Initial scheduling, tile by tile: the serial init in member order. *)
-    Array.iter
-      (fun t ->
-        Array.iteri
-          (fun li i ->
-            let na = machines.(i).next_active 0 in
-            if na <= 0 then begin
-              if t.stamp.(li) <> 0 then begin
-                t.stamp.(li) <- 0;
-                t.pre_next <- t.pre_next + 1
-              end
-            end
-            else if na < cap then Calendar.add t.cal na li)
-          t.members)
-      tile_arr;
+    Array.iter (fun t -> Array.iteri (fun li _ -> schedule_tile t li 0) t.members) tile_arr;
     (* Round 0 always executes (construction-time deliveries): force-stamp
        machine 0 in whichever tile owns it, like the serial loop does. *)
     if cap > 0 && n > 0 then begin
       let t = tile_arr.(tile_of.(0)) in
-      let li = local_ix.(0) in
-      if t.stamp.(li) <> 0 then begin
-        t.stamp.(li) <- 0;
-        t.pre_next <- t.pre_next + 1
-      end
+      set_add t.sets.(0) local_ix.(0);
+      t.stamps <- t.stamps + 1
     end;
-    Array.iter
-      (fun t ->
-        t.pre <- t.pre_next;
-        t.pre_next <- 0)
-      tile_arr;
     (* Merged transmissions of the current round, globally ascending;
        written by the coordinator between B1 and B2.  [slots.count] is the
        merged count. *)
@@ -611,28 +621,28 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(st
        -1 to shut the team down. *)
     let cmd = ref 0 in
     let team = Shard.Team.create ~tiles in
+    let tile_act t li r =
+      let i = t.members.(li) in
+      match machines.(i).act r with
+      | Silent -> ()
+      | Transmit payload ->
+        broadcasts.(i) <- broadcasts.(i) + 1;
+        t.tx_ids.(t.txs.count) <- i;
+        slots_push t.txs (Array.length t.members) payload
+    in
     let phase_a t r =
+      let cur = t.sets.(r land 1) in
+      t.stamps <- 0;
       while (not (Calendar.is_empty t.cal)) && Calendar.min_key t.cal = r do
-        t.stamp.(Calendar.pop_min t.cal) <- r
+        set_add cur (Calendar.pop_min t.cal)
       done;
       t.txs.count <- 0;
-      let m = t.members in
-      for li = 0 to Array.length m - 1 do
-        if t.stamp.(li) = r then begin
-          let i = m.(li) in
-          match machines.(i).act r with
-          | Silent -> ()
-          | Transmit payload ->
-            broadcasts.(i) <- broadcasts.(i) + 1;
-            t.tx_ids.(t.txs.count) <- i;
-            slots_push t.txs (Array.length m) payload
-        end
-      done
+      drain tile_act t ~clear:false cur r
     in
     let merge_and_draw () =
       (* Tiles partition the ids and each tile's list is ascending, so a
          cursor merge yields the global ascending transmitter order the
-         serial Phase-1 sweep produces.  Each merged slot also marks the
+         serial Phase-1 drain produces.  Each merged slot also marks the
          halo word bit of every tile its CSR row reaches. *)
       slots.count <- 0;
       Array.fill merge_cursor 0 tiles 0;
@@ -661,7 +671,7 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(st
           slots_push slots n payload;
           for td = 0 to tiles - 1 do
             let cell = (i * tiles) + td in
-            if seg_off.(cell + 1) > seg_off.(cell) then Bitvec.set tile_arr.(td).halo slot true
+            if seg_off.(cell + 1) > seg_off.(cell) then set_add tile_arr.(td).halo slot
           done;
           merge_cursor.(merge_scratch.(0)) <- c + 1
         end
@@ -694,83 +704,65 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(st
         | None -> ()
       end
     in
-    let schedule_tile t li q =
-      let na = machines.(t.members.(li)).next_active q in
-      let na = if na < q then q else na in
-      if na < cap then begin
-        if na = q then begin
-          if t.stamp.(li) <> q then begin
-            t.stamp.(li) <- q;
-            t.pre_next <- t.pre_next + 1
+    (* Fan-in of merged slot [m] into this tile: the row's in-tile slice in
+       original order. *)
+    let tile_fan_in t m _r =
+      let cell = (mtx_ids.(m) * tiles) + t.t_id in
+      for s = seg_off.(cell) to seg_off.(cell + 1) - 1 do
+        let k = seg_orig.(s) in
+        let power = out_pow.(k) in
+        let lr = local_ix.(out_rcv.(k)) in
+        if not t.has_rx.(lr) then begin
+          t.has_rx.(lr) <- true;
+          t.touched.(t.n_touched) <- lr;
+          t.n_touched <- t.n_touched + 1
+        end;
+        t.sum_power.(lr) <- t.sum_power.(lr) +. power;
+        let lost_link = power >= 1.0 && loss > 0.0 && Bytes.get lost k <> '\000' in
+        if power >= 1.0 && not lost_link then begin
+          t.n_decodable.(lr) <- t.n_decodable.(lr) + 1;
+          if power > t.best_power.(lr) then begin
+            t.best_power.(lr) <- power;
+            t.best_slot.(lr) <- m
           end
         end
-        else Calendar.add t.cal na li
-      end
+      done
+    in
+    let tile_observe t li r =
+      let i = t.members.(li) in
+      let p = t.obs_packed.(li) in
+      if tap <> None then begin
+        tap_fp.(i) <- fingerprint_packed slot_fp p;
+        t.polled.(t.n_polled) <- i;
+        t.n_polled <- t.n_polled + 1
+      end;
+      match machines.(i).observe_packed with
+      | Some f -> f r p slots
+      | None -> machines.(i).observe r (observation_of_packed slots p)
+    in
+    let tile_finish t li r =
+      check_complete t li r;
+      schedule_tile t li (r + 1)
     in
     let phase_b t r =
       (* Fan-in over the slots named by this tile's halo words: slot bits
-         ascending (= merged transmitters ascending), each row's in-tile
-         slice in original order, so per-receiver sums, capture ties and
-         loss lookups match the serial fan-out bit for bit.  Words the
-         round never touched are skipped and stay zero; touched words are
-         cleared on the way out. *)
-      for wi = 0 to Bitvec.word_count t.halo - 1 do
-        let word = Bitvec.word t.halo wi in
-        if word <> 0 then begin
-          let base = wi * Bitvec.bits_per_word in
-          for b = 0 to Bitvec.bits_per_word - 1 do
-            if (word lsr b) land 1 = 1 then begin
-              let m = base + b in
-              let i = mtx_ids.(m) in
-              let cell = (i * tiles) + t.t_id in
-              for s = seg_off.(cell) to seg_off.(cell + 1) - 1 do
-                let k = seg_orig.(s) in
-                let power = out_pow.(k) in
-                let lr = local_ix.(out_rcv.(k)) in
-                if not t.has_rx.(lr) then begin
-                  t.has_rx.(lr) <- true;
-                  t.touched.(t.n_touched) <- lr;
-                  t.n_touched <- t.n_touched + 1
-                end;
-                t.sum_power.(lr) <- t.sum_power.(lr) +. power;
-                let lost_link = power >= 1.0 && loss > 0.0 && Bytes.get lost k <> '\000' in
-                if power >= 1.0 && not lost_link then begin
-                  t.n_decodable.(lr) <- t.n_decodable.(lr) + 1;
-                  if power > t.best_power.(lr) then begin
-                    t.best_power.(lr) <- power;
-                    t.best_slot.(lr) <- m
-                  end
-                end
-              done
-            end
-          done;
-          Bitvec.set_range t.halo ~pos:base ~len:(min Bitvec.bits_per_word (n - base)) false
-        end
-      done;
+         ascending (= merged transmitters ascending), so per-receiver sums,
+         capture ties and loss lookups match the serial fan-out bit for
+         bit.  The drain leaves the halo words zero. *)
+      drain tile_fan_in t ~clear:true t.halo r;
       Channel.resolve_packed channel ~touched:t.touched ~n_touched:t.n_touched
         ~sum_power:t.sum_power ~n_decodable:t.n_decodable ~best_power:t.best_power
         ~best_slot:t.best_slot ~out:t.obs_packed;
-      let m = t.members in
-      for li = 0 to Array.length m - 1 do
-        if t.stamp.(li) = r || t.has_rx.(li) then begin
-          let p = t.obs_packed.(li) in
-          if tap <> None then begin
-            tap_fp.(m.(li)) <- fingerprint_packed slot_fp p;
-            t.polled.(t.n_polled) <- m.(li);
-            t.n_polled <- t.n_polled + 1
-          end;
-          match machines.(m.(li)).observe_packed with
-          | Some f -> f r p slots
-          | None -> machines.(m.(li)).observe r (observation_of_packed slots p)
-        end
+      let cur = t.sets.(r land 1) in
+      for k = 0 to t.n_touched - 1 do
+        set_add cur t.touched.(k)
       done;
-      for li = 0 to Array.length m - 1 do
-        if t.stamp.(li) = r || t.has_rx.(li) then begin
-          check_complete t li r;
-          schedule_tile t li (r + 1)
-        end
-        else if r = 0 then check_complete t li 0
-      done;
+      drain tile_observe t ~clear:false cur r;
+      drain tile_finish t ~clear:true cur r;
+      if r = 0 then
+        for li = 0 to Array.length t.members - 1 do
+          check_complete t li 0
+        done;
       for k = 0 to t.n_touched - 1 do
         let lr = t.touched.(k) in
         t.sum_power.(lr) <- 0.0;
@@ -780,9 +772,7 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(st
         t.obs_packed.(lr) <- 0;
         t.has_rx.(lr) <- false
       done;
-      t.n_touched <- 0;
-      t.pre <- t.pre_next;
-      t.pre_next <- 0
+      t.n_touched <- 0
     in
     let worker p =
       let t = tile_arr.(p) in
@@ -802,9 +792,7 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(st
       done
     in
     let next_target () =
-      let pre_total = ref 0 in
-      Array.iter (fun t -> pre_total := !pre_total + t.pre) tile_arr;
-      if !pre_total > 0 then !round
+      if Array.exists (fun t -> t.stamps > 0) tile_arr then !round
       else begin
         let mn = ref cap in
         Array.iter

@@ -25,7 +25,7 @@ type 'm slots = { mutable payloads : 'm array; mutable count : int }
 (** The current round's transmissions in global ascending-transmitter
     order, reused across rounds.  Packed observers decode a clear code [p]
     as [payloads.(Channel.Packed.slot p)].  Only the first [count] entries
-    are meaningful, and only during the observe sweep of the round. *)
+    are meaningful, and only during the observe phase of the round. *)
 
 type 'm machine = {
   act : int -> 'm action;  (** called once per polled round with the round number *)

@@ -142,16 +142,27 @@ let popcount t =
   done;
   !total
 
+(* [w land (-w)] isolates the lowest set bit as 2^k with k < 62; the powers
+   2^0 .. 2^65 are pairwise distinct mod 67 (2 is a primitive root), so
+   this table maps the residue back to k. *)
+let ctz_table =
+  let t = Array.make 67 0 in
+  for k = 0 to bits_per_word - 1 do
+    t.((1 lsl k) mod 67) <- k
+  done;
+  t
+
+let lowest_bit w = ctz_table.((w land (-w)) mod 67)
+
+let rec iter_word f base w =
+  if w <> 0 then begin
+    f (base + lowest_bit w);
+    iter_word f base (w land (w - 1))
+  end
+
 let iter_set f t =
   for w = 0 to Array.length t.words - 1 do
-    let word = t.words.(w) in
-    if word <> 0 then begin
-      let base = w * bits_per_word in
-      let lim = min bits_per_word (t.len - base) in
-      for b = 0 to lim - 1 do
-        if (word lsr b) land 1 = 1 then f (base + b)
-      done
-    end
+    iter_word f (w * bits_per_word) t.words.(w)
   done
 
 let set_range t ~pos ~len b =

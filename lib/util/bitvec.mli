@@ -54,7 +54,13 @@ val popcount : t -> int
 (** Number of set bits. *)
 
 val iter_set : (int -> unit) -> t -> unit
-(** [iter_set f t] calls [f] on each set index in ascending order. *)
+(** [iter_set f t] calls [f] on each set index in ascending order, in
+    O(words + set bits). *)
+
+val lowest_bit : int -> int
+(** [lowest_bit w] is the index of the lowest set bit of the non-zero word
+    [w] (bits [0 .. bits_per_word - 1]); [w land (w - 1)] clears it.  The
+    building block of every ascending walk over raw words. *)
 
 val set : t -> int -> bool -> unit
 (** In-place single-bit update. *)

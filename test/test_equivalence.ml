@@ -11,10 +11,12 @@
    tile assignments (the sharded engine must not depend on the cut). *)
 
 let small_spec ~protocol ~faults ~seed ~n =
+  (* 8x8 up to 50 nodes, then grown to keep the density of 50 nodes on 8x8. *)
+  let side = 8.0 *. sqrt (float_of_int (max n 50) /. 50.0) in
   {
     Scenario.default with
-    Scenario.map_w = 8.0;
-    map_h = 8.0;
+    Scenario.map_w = side;
+    map_h = side;
     deployment = Scenario.Uniform n;
     radius = 4.0;
     message = Bitvec.of_string "101";
@@ -92,6 +94,19 @@ let matrix_case (pname, protocol) (fname, faults) =
       let seed = String.fold_left (fun h c -> (h * 131) + Char.code c) 7 name land 0xFFFF in
       check_equivalent name (small_spec ~protocol ~faults ~seed ~n:50))
 
+(* The sparse and sharded loops visit machines through per-round word sets
+   of 62 ids each; n = 50 fits in one word.  These sizes are not multiples
+   of 62, so every drain crosses word boundaries and ends on a partial
+   word (in the sharded run, per tile too). *)
+let multi_word_sizes = [ 150; 187; 163; 200; 155 ]
+
+let multi_word_case i (pname, protocol) =
+  let n = List.nth multi_word_sizes i in
+  let name = Printf.sprintf "%s/n=%d" pname n in
+  Alcotest.test_case name `Quick (fun () ->
+      let seed = String.fold_left (fun h c -> (h * 131) + Char.code c) 13 name land 0xFFFF in
+      check_equivalent name (small_spec ~protocol ~faults:(Scenario.Lying 0.1) ~seed ~n))
+
 (* Packed vs boxed observation path: [Engine.boxed_machine] strips every
    machine's packed observer, forcing the engine's variant-observation
    bridge.  Both paths must be byte-identical per protocol per engine
@@ -130,7 +145,7 @@ let prop_random_scenarios =
     QCheck.(
       quad (int_bound 100_000) (int_range 0 (List.length protocols - 1))
         (int_range 0 (List.length fault_models - 1))
-        (int_range 25 60))
+        (int_range 25 200))
     (fun (seed, p, f, n) ->
       let pname, protocol = List.nth protocols p in
       let fname, faults = List.nth fault_models f in
@@ -149,7 +164,7 @@ let prop_random_scenarios =
 let prop_random_partition =
   QCheck.Test.make ~name:"sharded byte-identical under arbitrary tile assignments" ~count:10
     QCheck.(
-      quad (int_bound 100_000) (int_bound 100_000) (int_range 2 6) (int_range 25 60))
+      quad (int_bound 100_000) (int_bound 100_000) (int_range 2 6) (int_range 25 200))
     (fun (seed, tile_seed, tiles, n) ->
       let protocol = List.nth protocols (seed mod List.length protocols) |> snd in
       let faults = List.nth fault_models (tile_seed mod List.length fault_models) |> snd in
@@ -166,6 +181,7 @@ let () =
     [
       ( "protocol x fault matrix",
         List.concat_map (fun p -> List.map (matrix_case p) fault_models) protocols );
+      ("multi-word node counts", List.mapi multi_word_case protocols);
       ( "packed vs boxed observations",
         List.concat_map (fun p -> List.map (packed_case p) packed_modes) protocols );
       ("lossy channel", [ Alcotest.test_case "nw1 under loss" `Quick test_lossy_channel ]);

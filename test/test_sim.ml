@@ -548,6 +548,53 @@ let test_engine_sparse_skips_idle_rounds () =
        (fun (_, o) -> match o with Channel.Clear _ -> true | o -> o = Channel.Silence)
        dense_obs)
 
+(* The sparse loop's poll set, on a line long enough to span three 62-id
+   words: [act] runs exactly on the scheduled machines, [observe] exactly
+   on scheduled ∪ touched in ascending id, and a construction-time
+   delivery by a machine that is never polled still completes at round 0.
+   The periodic wakers sit on both sides of the first word boundary (61,
+   62) and at the last id of the second word (123). *)
+let test_engine_poll_set_contract () =
+  let n = 130 and cap = 30 in
+  let topology = line_topology n 1.0 1.5 in
+  let wakers = [ 61; 62; 123 ] and deliverer = 100 in
+  let acts = ref [] and observes = ref [] in
+  let machine i =
+    let waker = List.mem i wakers in
+    {
+      Engine.act =
+        (fun r ->
+          acts := (r, i) :: !acts;
+          if waker && r mod 10 = 0 then Engine.Transmit i else Engine.Silent);
+      observe = (fun r _ -> observes := (r, i) :: !observes);
+      observe_packed = None;
+      delivered = (fun () -> if i = deliverer then Some (Bitvec.of_string "1") else None);
+      next_active = (if waker then fun r -> (r + 4) / 5 * 5 else Engine.never_active);
+    }
+  in
+  (* Node 0 waits forever, so the run lasts [cap] rounds. *)
+  let waiters = Array.init n (fun i -> i = 0) in
+  let result =
+    Engine.run ~mode:`Sparse ~topology ~machines:(Array.init n machine) ~waiters ~cap ()
+  in
+  let in_round log r =
+    List.rev (List.filter_map (fun (q, i) -> if q = r then Some i else None) !log)
+  in
+  for r = 0 to cap - 1 do
+    (* Machine 0 is stamped for round 0, which always executes. *)
+    let scheduled = (if r = 0 then [ 0 ] else []) @ if r mod 5 = 0 then wakers else [] in
+    let touched = if r mod 10 = 0 then List.concat_map (fun i -> [ i - 1; i + 1 ]) wakers else [] in
+    let label what = Printf.sprintf "%s at round %d" what r in
+    Alcotest.(check (list int)) (label "act") scheduled (in_round acts r);
+    Alcotest.(check (list int))
+      (label "observe, ascending")
+      (List.sort_uniq Int.compare (scheduled @ touched))
+      (in_round observes r)
+  done;
+  Alcotest.(check int) "never-polled deliverer completes at round 0" 0
+    result.Engine.completion_round.(deliverer);
+  Alcotest.(check int) "ran to the cap" cap result.Engine.rounds_used
+
 (* The engine's flat-aggregate channel resolution must agree with the
    reference Channel.resolve on arbitrary receiver configurations. *)
 let prop_engine_matches_reference =
@@ -642,6 +689,7 @@ let () =
           Alcotest.test_case "stop_when custom stride" `Quick test_engine_stop_stride;
           Alcotest.test_case "sparse mode skips idle rounds" `Quick
             test_engine_sparse_skips_idle_rounds;
+          Alcotest.test_case "sparse poll set across words" `Quick test_engine_poll_set_contract;
         ] );
       ("properties", List.map (fun t -> QCheck_alcotest.to_alcotest ~long:false t) qtests);
     ]

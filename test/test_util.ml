@@ -256,7 +256,12 @@ let test_bitvec_iter_set () =
   let seen = ref [] in
   Bitvec.iter_set (fun i -> seen := i :: !seen) v;
   Alcotest.(check (list int)) "ascending set indices" expected (List.rev !seen);
-  Bitvec.iter_set (fun _ -> Alcotest.fail "no bits set") (Bitvec.create w false)
+  Bitvec.iter_set (fun _ -> Alcotest.fail "no bits set") (Bitvec.create w false);
+  for k = 0 to w - 1 do
+    Alcotest.(check int) "lowest_bit of a single bit" k (Bitvec.lowest_bit (1 lsl k));
+    Alcotest.(check int) "lowest_bit below the top bit" k
+      (Bitvec.lowest_bit ((1 lsl k) lor (1 lsl (w - 1))))
+  done
 
 let test_bitvec_blit () =
   let check_blit ~src_pos ~dst_pos ~len name =
@@ -279,28 +284,25 @@ let test_bitvec_blit () =
 
 let prop_bitvec_word_ops_match_naive =
   (* set_range/popcount/iter_set against the naive per-bit model, at
-     lengths clustered around the word boundary. *)
-  QCheck.Test.make ~name:"word-level ops match per-bit model" ~count:200
-    QCheck.(triple (int_range 0 (3 * 62)) (int_range 0 (3 * 62)) (int_range 0 (3 * 62)))
-    (fun (len, a, b) ->
+     lengths clustered around the word boundary.  The sparse base pattern
+     sets only bit 0, the word-edge bits 61 and 62, and the last bit of
+     the (possibly partial) last word, so iter_set's lowest-bit walk must
+     hit each edge exactly. *)
+  QCheck.Test.make ~name:"word-level ops match per-bit model" ~count:300
+    QCheck.(
+      quad bool (int_range 0 (3 * 62)) (int_range 0 (3 * 62)) (int_range 0 (3 * 62)))
+    (fun (sparse, len, a, b) ->
       let pos = min a b mod max 1 (max 1 len) in
       let sublen = min (len - pos) (max a b mod max 1 (max 1 len)) in
-      let v = Bitvec.init len (fun i -> i mod 7 < 3) in
+      let sublen = if sparse then sublen / 8 else sublen in
+      let base i = if sparse then List.mem i [ 0; 61; 62; len - 1 ] else i mod 7 < 3 in
+      let v = Bitvec.init len base in
       if len > 0 && sublen >= 0 then Bitvec.set_range v ~pos ~len:sublen true;
-      let model i = (i >= pos && i < pos + sublen && len > 0) || i mod 7 < 3 in
-      let pops = ref 0 and iter_ok = ref true in
-      let last = ref (-1) in
-      Bitvec.iter_set
-        (fun i ->
-          if i <= !last || not (model i) then iter_ok := false;
-          last := i;
-          incr pops)
-        v;
-      let expected = ref 0 in
-      for i = 0 to len - 1 do
-        if model i then incr expected
-      done;
-      !iter_ok && !pops = !expected && Bitvec.popcount v = !expected)
+      let model i = (i >= pos && i < pos + sublen && len > 0) || base i in
+      let seen = ref [] in
+      Bitvec.iter_set (fun i -> seen := i :: !seen) v;
+      let expected = List.filter model (List.init len Fun.id) in
+      List.rev !seen = expected && Bitvec.popcount v = List.length expected)
 
 (* --- Calendar ---------------------------------------------------------- *)
 
