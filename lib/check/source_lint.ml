@@ -27,8 +27,7 @@ let codes =
   ]
 
 (* Audited-sound uses.  The protocol [progress] counters (multi_path,
-   neighbor_watch, certified_propagation) fold a commutative sum or
-   count; the engine's fingerprint hashes an explicit canonical encoding;
+   certified_propagation) fold a commutative sum or count; the engine's fingerprint hashes an explicit canonical encoding;
    the bench table folds into a list it immediately sorts; the pool's
    sanitizer digest is compared only against another digest of the same
    in-memory representation within one process, so representation
@@ -45,7 +44,6 @@ let codes =
 let allowlist_located =
   [
     (("lib/core/multi_path.ml", "hashtbl-order"), __LINE__);
-    (("lib/core/neighbor_watch.ml", "hashtbl-order"), __LINE__);
     (("lib/core/certified_propagation.ml", "hashtbl-order"), __LINE__);
     (("lib/sim/engine.ml", "poly-hash"), __LINE__);
     (("lib/sim/shard.ml", "domain-outside-run"), __LINE__);

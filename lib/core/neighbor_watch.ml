@@ -128,12 +128,13 @@ let role_receiving = 3
 let role_passive = 4  (* catch-up fired: stay silent for the rest of the interval *)
 
 type state = {
-  my_slot : int;
-  is_source : bool;
+  id : Node.id;
+  send_slot : int;  (** own square's slot; the source sends in slot 0 instead *)
   listen_by_slot : Vote.stream option array;  (** slot -> provider stream, O(1) *)
   committed : Buffer.t;  (** '0'/'1' chars *)
   mutable sender : One_hop.Sender.t;
   streams : Vote.stream array;
+  stream_slots : int array;  (** the slot each of [streams] is heard in *)
   vote : Vote.t;  (** the frontier tally (see {!Vote}) *)
   mutable role : int;  (** one of the [role_*] codes *)
   tb_sender : Two_bit.Sender.t;
@@ -142,6 +143,13 @@ type state = {
   mutable send_parity : bool;  (** the parity bit of the current 2Bit send *)
   mutable rx_stream : Vote.stream option;  (** stream listened to while receiving *)
   mutable cur_interval : int;
+  mutable needy_from : int;
+  mutable needy_at : int;
+      (** wake cache: no interval in [\[needy_from, needy_at)] needs a poll,
+          and [needy_at] does ([max_int]: none ever does); see {!needy} *)
+  progress : int array;
+      (** the context's per-node progress array; this machine writes only
+          slot [id] *)
   mutable failures : int;
   mutable liar_attempts : int;
       (** [> 0]: a lying device that will abandon its fake message and
@@ -165,6 +173,10 @@ type ctx = {
   schedule : Schedule.t;
   source : Node.id;
   states : (Node.id, state) Hashtbl.t;
+  progress : int array;
+      (** per node: committed bits plus stream bits received.  Each
+          machine writes only its own slot, so sharded tiles never write
+          one cell from two domains (a shared counter would race). *)
 }
 
 let make_ctx config ~topology ~source =
@@ -175,7 +187,15 @@ let make_ctx config ~topology ~source =
       ~height:(deployment.Deployment.height +. 1e-6)
   in
   let schedule = Schedule.for_squares squares ~radius:config.radius in
-  { config; topology; squares; schedule; source; states = Hashtbl.create 64 }
+  {
+    config;
+    topology;
+    squares;
+    schedule;
+    source;
+    states = Hashtbl.create 64;
+    progress = Array.make (Topology.size topology) 0;
+  }
 
 let schedule ctx = ctx.schedule
 let squares ctx = ctx.squares
@@ -187,6 +207,7 @@ let committed_bit s i = Buffer.nth s.committed i = '1'
 
 let commit_bit s bit =
   Buffer.add_char s.committed (if bit then '1' else '0');
+  s.progress.(s.id) <- s.progress.(s.id) + 1;
   (* Committed bits are what the node's square is allowed to forward.  The
      non-pipelined ablation (DESIGN.md) holds bits back until the whole
      message has been committed — the "natural" store-and-forward layering
@@ -216,11 +237,7 @@ let delivered s =
 let setup_interval ctx s interval =
   s.cur_interval <- interval;
   let slot = Schedule.active_slot ctx.schedule ~interval in
-  let sending_here =
-    if s.is_source then slot = Schedule.source_slot
-    else slot = s.my_slot
-  in
-  if sending_here then begin
+  if slot = s.send_slot then begin
     if One_hop.Sender.has_current s.sender then begin
       let parity = One_hop.Sender.current_parity s.sender in
       s.role <- role_sending;
@@ -246,6 +263,7 @@ let setup_interval ctx s interval =
    with it. *)
 let liar_give_up s =
   s.liar_attempts <- 0;
+  s.progress.(s.id) <- s.progress.(s.id) - committed_len s;
   Buffer.clear s.committed;
   s.sender <- One_hop.Sender.create ();
   s.failures <- 0;
@@ -281,8 +299,16 @@ let finish_interval s =
     if Two_bit.Receiver.finished r && not (Two_bit.Receiver.veto_seen r) then begin
       match s.rx_stream with
       | Some stream ->
-        One_hop.Receiver.push_two_bit (Vote.receiver stream)
-          ~parity:(Two_bit.Receiver.bit1 r) ~data:(Two_bit.Receiver.bit2 r);
+        let rx = Vote.receiver stream in
+        let before = One_hop.Receiver.received rx in
+        One_hop.Receiver.push_two_bit rx ~parity:(Two_bit.Receiver.bit1 r)
+          ~data:(Two_bit.Receiver.bit2 r);
+        if One_hop.Receiver.received rx > before then begin
+          s.progress.(s.id) <- s.progress.(s.id) + 1;
+          (* The stream's parity flipped and [try_commit] may queue bits
+             for sending: both decide future wakes (see [needy]). *)
+          s.needy_from <- max_int
+        end;
         try_commit s
       | None -> ()
     end
@@ -325,6 +351,79 @@ let observe_activity ctx s round activity =
 
 let observe ctx s round obs = observe_activity ctx s round (Channel.is_activity obs)
 
+(* --- wakeup contract: quiet intervals --------------------------------- *)
+
+let odd_stream stream = One_hop.Receiver.received (Vote.receiver stream) land 1 = 1
+
+(* An interval needs polls only if the machine sends in it (own slot, a
+   current bit queued) or receives in it on a stream at an odd index, where
+   silence reads as the pair <0,0> and is accepted (DESIGN.md deviation 12).
+   In every other interval — idle, blocking with nothing to send, receiving
+   at an even index — an all-silent interval leaves the machine as it found
+   it: [setup_interval], run lazily at the first poll, re-arms the 2Bit
+   sub-machine to exactly the state the silent phases would have left, and
+   the <0,0> such a receiver would push has the wrong parity, is rejected,
+   and makes [try_commit] a no-op.  Those machines wait for a reception,
+   which the engine always delivers.
+
+   [needy ctx s interval] is the first needy interval >= [interval], or
+   [max_int], from a cache so that a call is O(1).  Invariant: the answer
+   depends only on [has_current] and on each listened stream's parity, and
+   no interval in [needy_from, needy_at) is needy.  Only an accepted stream
+   push (with the commits [try_commit] queues after it) can make an
+   earlier interval needy, so that is the one place that clears the cache.
+   Every other change — an advance, a catch-up skip (both triggers keep
+   [has_current] true), a liar's give-up — happens inside an interval the
+   machine sends in, which is [needy_at] itself, and its next call asks
+   for a later interval, which recomputes. *)
+let needy ctx s interval =
+  if interval < s.needy_from || interval > s.needy_at then begin
+    (* Intervals from [interval] to the next one of each needy slot. *)
+    let cycle = Schedule.cycle ctx.schedule in
+    let base = interval mod cycle in
+    let best =
+      ref
+        (if One_hop.Sender.has_current s.sender then (s.send_slot - base + cycle) mod cycle
+         else max_int)
+    in
+    for k = 0 to Array.length s.streams - 1 do
+      let slot = s.stream_slots.(k) in
+      if slot <> s.send_slot && odd_stream s.streams.(k) then begin
+        let d = (slot - base + cycle) mod cycle in
+        if d < !best then best := d
+      end
+    done;
+    s.needy_from <- interval;
+    s.needy_at <- (if !best = max_int then max_int else interval + !best)
+  end;
+  s.needy_at
+
+(* Once set up in an interval, the role decides: a sender, or a receiver
+   on an odd stream, runs to the end; a receiver or blocker that has seen
+   activity stays awake to answer it (acks, veto relay, veto) and, for the
+   receiver, to see phase 4 and finish; idle and passive roles do not. *)
+let engaged s =
+  if s.role = role_sending then true
+  else if s.role = role_receiving then begin
+    let r = s.tb_receiver in
+    Two_bit.Receiver.bit1 r || Two_bit.Receiver.bit2 r || Two_bit.Receiver.veto_seen r
+    || match s.rx_stream with Some stream -> odd_stream stream | None -> false
+  end
+  else if s.role = role_blocking then Two_bit.Blocker.saw_data s.tb_blocker
+  else false
+
+let next_active ctx s round =
+  let interval = Schedule.interval_of_round round in
+  if interval = s.cur_interval && engaged s then round
+  else begin
+    (* Set up in this interval but not engaged: the rest of it is quiet. *)
+    let from = if interval = s.cur_interval then interval + 1 else interval in
+    let at = needy ctx s from in
+    if at = interval then round
+    else if at = max_int then max_int
+    else Schedule.first_round_of_interval at
+  end
+
 (* --- construction ---------------------------------------------------- *)
 
 let machine ?initial_commit ctx id role =
@@ -355,22 +454,15 @@ let machine ?initial_commit ctx id role =
       | Some _ -> ())
     listen streams;
   let my_slot = Schedule.slot_of ctx.schedule my_square in
-  (* Wakeup contract: the machine does something other than idle exactly
-     in the intervals of its own sending slot (the source sends in slot 0
-     instead of its square's) and of the slots it listens to; everywhere
-     else [setup_interval] would pick [Idle], which ignores the channel. *)
-  let relevant = Array.make (Schedule.cycle ctx.schedule) false in
-  relevant.(if is_source then Schedule.source_slot else my_slot) <- true;
-  Array.iteri (fun slot stream -> if stream <> None then relevant.(slot) <- true) listen_by_slot;
-  let next_active = Schedule.next_relevant_round ctx.schedule ~relevant in
   let s =
     {
-      my_slot;
-      is_source;
+      id;
+      send_slot = (if is_source then Schedule.source_slot else my_slot);
       listen_by_slot;
       committed = Buffer.create 16;
       sender = One_hop.Sender.create ();
       streams = stream_arr;
+      stream_slots = Array.of_list (List.map fst listen);
       vote = Vote.create ~votes:config.votes;
       role = role_idle;
       tb_sender = Two_bit.Sender.create ~b1:false ~b2:false;
@@ -379,6 +471,9 @@ let machine ?initial_commit ctx id role =
       send_parity = false;
       rx_stream = None;
       cur_interval = -1;
+      needy_from = max_int;
+      needy_at = max_int;
+      progress = ctx.progress;
       failures = 0;
       liar_attempts = (match role with Liar _ -> 3 | Source _ | Relay -> 0);
       msg_len = config.msg_len;
@@ -386,6 +481,7 @@ let machine ?initial_commit ctx id role =
       pipelined = config.pipelined;
     }
   in
+  ctx.progress.(id) <- 0;
   begin
     match role with
     | Source message | Liar message ->
@@ -410,18 +506,33 @@ let machine ?initial_commit ctx id role =
         (fun round code _slots ->
           observe_activity ctx s round (Channel.Packed.is_activity code));
     delivered = (fun () -> delivered s);
-    next_active;
+    next_active = (fun round -> next_active ctx s round);
   }
 
-let committed_bits ctx id =
+let state_of ctx id fn =
   match Hashtbl.find_opt ctx.states id with
-  | None -> invalid_arg "Neighbor_watch.committed_bits: unknown node"
-  | Some s -> Bitvec.init (committed_len s) (committed_bit s)
+  | None -> invalid_arg ("Neighbor_watch." ^ fn ^ ": unknown node")
+  | Some s -> s
 
-let progress ctx =
-  Hashtbl.fold
-    (fun _ s acc ->
-      Array.fold_left
-        (fun acc st -> acc + One_hop.Receiver.received (Vote.receiver st))
-        (acc + committed_len s) s.streams)
-    ctx.states 0
+let committed_bits ctx id =
+  let s = state_of ctx id "committed_bits" in
+  Bitvec.init (committed_len s) (committed_bit s)
+
+let stream_counts ctx id =
+  let s = state_of ctx id "stream_counts" in
+  List.init (Array.length s.streams) (fun k ->
+      (s.stream_slots.(k), One_hop.Receiver.received (Vote.receiver s.streams.(k))))
+
+let unsent_bits ctx id =
+  let s = state_of ctx id "unsent_bits" in
+  One_hop.Sender.total s.sender - One_hop.Sender.sent s.sender
+
+(* One pass over n ints: the stall detector calls this every
+   [stop_stride] rounds, executed or skipped, so on a large quiet network
+   it is a large share of a run's work. *)
+let progress (ctx : ctx) =
+  let total = ref 0 in
+  for i = 0 to Array.length ctx.progress - 1 do
+    total := !total + ctx.progress.(i)
+  done;
+  !total

@@ -105,17 +105,39 @@ type role =
   | Liar of Bitvec.t  (** runs the protocol pre-committed to a fake message *)
 
 val machine : ?initial_commit:Bitvec.t -> ctx -> Node.id -> role -> Msg.t Engine.machine
-(** The engine machine for one node.  [Source]/[Liar] payloads must have
-    length [msg_len].  [initial_commit] pre-seeds a [Relay] with a prefix
-    it committed earlier (epoch hand-over in mobile runs, see {!Mobile});
-    commitment is a local fact, so it survives re-clustering. *)
+(** The engine machine for one node (one per node per context).
+    [Source]/[Liar] payloads must have length [msg_len].  [initial_commit]
+    pre-seeds a [Relay] with a prefix it committed earlier (epoch
+    hand-over in mobile runs, see {!Mobile}); commitment is a local fact,
+    so it survives re-clustering.
+
+    Wakeup contract (quiet intervals): an interval needs polls only if the
+    node sends in it — its own slot, with a bit queued — or listens in it
+    on a stream whose received count is odd, where a silent interval reads
+    as the pair ⟨0,0⟩ and is accepted.  A node that is idle, blocking with
+    nothing to send, or receiving at an even index is woken only by a
+    reception; once it has seen activity in an interval it stays awake to
+    the interval's end. *)
 
 val committed_bits : ctx -> Node.id -> Bitvec.t
 (** Prefix committed so far by a node built with [machine] (for tests and
     progress inspection).  Requires that the node's machine exists. *)
 
+val stream_counts : ctx -> Node.id -> (int * int) list
+(** [(slot, bits received)] for every stream a node listens to: one per
+    adjacent square, in that square's slot, plus the source's in slot 0
+    if the node senses the source.  For tests and progress inspection,
+    like {!committed_bits}. *)
+
+val unsent_bits : ctx -> Node.id -> int
+(** Bits queued on a node's outgoing square stream and not yet confirmed;
+    [0] means it has nothing to send in its own slot. *)
+
 val progress : ctx -> int
-(** Monotone progress counter over all machines of this context: total
-    committed bits plus total stream bits received.  When it stops growing
-    for a long time the network is wedged (e.g. honest square members
-    permanently vetoing liars) and a simulation can be cut short. *)
+(** Progress counter over all machines of this context: total committed
+    bits plus total stream bits received.  When it stops changing for a
+    long time the network is wedged (e.g. honest square members
+    permanently vetoing liars) and a simulation can be cut short.  Not
+    monotone: a liar that gives up clears its committed prefix, which
+    lowers the count.  O(n) over a flat per-node array that each machine
+    updates in O(1) for its own node. *)

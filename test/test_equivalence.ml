@@ -33,8 +33,7 @@ let small_spec ~protocol ~faults ~seed ~n =
 let bits =
   Alcotest.testable (fun fmt b -> Format.pp_print_string fmt (Bitvec.to_string b)) Bitvec.equal
 
-let check_same_results name label (a : Scenario.result) (b : Scenario.result) =
-  let d = a.Scenario.engine and s = b.Scenario.engine in
+let check_same_engine name label (d : Engine.result) (s : Engine.result) =
   let check what = Alcotest.(check what) in
   check Alcotest.int (name ^ ": rounds_used " ^ label) d.Engine.rounds_used s.Engine.rounds_used;
   check Alcotest.bool (name ^ ": hit_cap " ^ label) d.Engine.hit_cap s.Engine.hit_cap;
@@ -50,6 +49,9 @@ let check_same_results name label (a : Scenario.result) (b : Scenario.result) =
     Alcotest.(array (option bits))
     (name ^ ": delivered bits " ^ label)
     d.Engine.delivered s.Engine.delivered
+
+let check_same_results name label (a : Scenario.result) (b : Scenario.result) =
+  check_same_engine name label a.Scenario.engine b.Scenario.engine
 
 let check_same_trace name label ref_trace trace =
   match Determinism.diff ref_trace trace with
@@ -138,6 +140,79 @@ let test_lossy_channel () =
   in
   check_equivalent "nw1/lossy" spec
 
+(* NeighborWatchRB assembled from its public constructors, for paths
+   [Scenario.run] never takes.  [make ctx rng source i] builds node [i]'s
+   machine, or returns [None] for a non-NW device (jammer), which is then
+   built from [rng] as well; each engine mode gets a fresh context and a
+   fresh rng from the same seed. *)
+let nw_direct ~config ~seed ~make mode =
+  let n = 150 in
+  let deployment = Deployment.uniform (Rng.create seed) ~n ~width:10.0 ~height:10.0 in
+  let topology = Topology.build deployment (Propagation.friis config.Neighbor_watch.radius) in
+  let source = Deployment.center_node deployment in
+  let ctx = Neighbor_watch.make_ctx config ~topology ~source in
+  let rng = Rng.create (seed + 1) in
+  let machines = Array.init n (make ctx rng source) in
+  let waiters = Array.init n (fun i -> i <> source && Option.is_some machines.(i)) in
+  let machines =
+    Array.map
+      (function
+        | Some m -> m
+        | None ->
+          Jammer.veto_jammer ~rng:(Rng.split rng) ~budget:(Budget.create 1_000) ~probability:0.2)
+      machines
+  in
+  let cycle_rounds =
+    Schedule.cycle (Neighbor_watch.schedule ctx) * Schedule.rounds_per_interval
+  in
+  let tap, finish = Determinism.collector () in
+  let result =
+    Engine.run ~mode ~tap ~idle_stop:((3 * cycle_rounds) + 64) ~topology ~machines ~waiters
+      ~cap:20_000 ()
+  in
+  (finish (), result)
+
+let check_direct name run =
+  let dense_trace, dense = run `Dense in
+  List.iter
+    (fun (label, mode) ->
+      let trace, result = run mode in
+      check_same_trace name label dense_trace trace;
+      check_same_engine name label dense result)
+    [ ("dense/sparse", `Sparse); ("dense/sharded", `Sharded 3) ]
+
+let message = Bitvec.of_string "1011"
+
+(* The mobile hand-over: relays start an epoch already committed to a
+   prefix of the message (every length from none to all of it), so their
+   squares have bits to send before hearing anything.  [Mobile.run] runs
+   this path in [`Sparse] only. *)
+let test_initial_commit () =
+  let config = Neighbor_watch.default_config ~radius:3.0 ~msg_len:(Bitvec.length message) in
+  check_direct "nw/initial_commit"
+    (nw_direct ~config ~seed:21 ~make:(fun ctx _ source i ->
+         if i = source then Some (Neighbor_watch.machine ctx i (Neighbor_watch.Source message))
+         else
+           let initial_commit = Bitvec.sub message ~pos:0 ~len:(i mod (Bitvec.length message + 1)) in
+           Some (Neighbor_watch.machine ~initial_commit ctx i Neighbor_watch.Relay)))
+
+(* One node in twenty a veto jammer with budget to outlast the broadcast,
+   against a square catch-up threshold of two failures: trigger (b) skips
+   fire throughout the run (some 180 of them; a small budget would be
+   spent before the broadcast leaves the source's square). *)
+let test_catchup_under_veto_jam () =
+  let config =
+    {
+      (Neighbor_watch.default_config ~radius:3.0 ~msg_len:(Bitvec.length message)) with
+      Neighbor_watch.catchup_failures = 2;
+    }
+  in
+  check_direct "nw/catchup_under_veto_jam"
+    (nw_direct ~config ~seed:22 ~make:(fun ctx rng source i ->
+         if i = source then Some (Neighbor_watch.machine ctx i (Neighbor_watch.Source message))
+         else if Rng.int rng 20 = 0 then None
+         else Some (Neighbor_watch.machine ctx i Neighbor_watch.Relay)))
+
 (* Randomized scenarios: any protocol, any fault model, lossy or ideal
    channel, arbitrary seed, deployment size and tile count. *)
 let prop_random_scenarios =
@@ -185,6 +260,11 @@ let () =
       ( "packed vs boxed observations",
         List.concat_map (fun p -> List.map (packed_case p) packed_modes) protocols );
       ("lossy channel", [ Alcotest.test_case "nw1 under loss" `Quick test_lossy_channel ]);
+      ( "direct NW assembly",
+        [
+          Alcotest.test_case "initial_commit hand-over" `Quick test_initial_commit;
+          Alcotest.test_case "catch-up (b) under veto jam" `Quick test_catchup_under_veto_jam;
+        ] );
       ( "properties",
         List.map
           (fun t -> QCheck_alcotest.to_alcotest ~long:false t)

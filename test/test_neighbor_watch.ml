@@ -290,6 +290,284 @@ let test_square_side_must_reach_neighbors () =
   Alcotest.(check bool) "2R side degrades" true
     (sb.Scenario.completion_rate < sg.Scenario.completion_rate)
 
+(* --- wakeup contract and progress (direct API) ------------------------ *)
+
+(* NW by hand on a 150-node uniform deployment, so tests can reach the
+   context and hook every machine.  [role i] picks each non-source node's
+   device; each call builds a fresh context and jammer rng. *)
+let assemble ~seed ~role =
+  let n = 150 and radius = 3.0 in
+  let deployment = Deployment.uniform (Rng.create seed) ~n ~width:10.0 ~height:10.0 in
+  let topology = Topology.build deployment (Propagation.friis radius) in
+  let source = Deployment.center_node deployment in
+  let config = Neighbor_watch.default_config ~radius ~msg_len:(Bitvec.length message) in
+  let ctx = Neighbor_watch.make_ctx config ~topology ~source in
+  let fake = Scenario.fake_message message in
+  let jam_rng = Rng.create (seed + 1) in
+  let roles = Array.init n (fun i -> if i = source then `Source else role i) in
+  let machines =
+    Array.mapi
+      (fun i -> function
+        | `Source -> Neighbor_watch.machine ctx i (Neighbor_watch.Source message)
+        | `Relay -> Neighbor_watch.machine ctx i Neighbor_watch.Relay
+        | `Liar -> Neighbor_watch.machine ctx i (Neighbor_watch.Liar fake)
+        | `Jammer ->
+          (* budget to outlast the broadcast, which a 60-blip jammer does not *)
+          Jammer.veto_jammer ~rng:(Rng.split jam_rng) ~budget:(Budget.create 1_000)
+            ~probability:0.2)
+      roles
+  in
+  let waiters = Array.map (fun r -> r = `Relay) roles in
+  let cycle_rounds =
+    Schedule.cycle (Neighbor_watch.schedule ctx) * Schedule.rounds_per_interval
+  in
+  (ctx, topology, roles, machines, waiters, cycle_rounds)
+
+(* [on_poll i r] runs before every observe (one per poll), [on_transmit i r]
+   after every transmitting act. *)
+let hook_polls ?(on_transmit = fun _ _ -> ()) ~on_poll i (m : Msg.t Engine.machine) =
+  {
+    m with
+    Engine.act =
+      (fun r ->
+        let a = m.Engine.act r in
+        (match a with Engine.Transmit _ -> on_transmit i r | Engine.Silent -> ());
+        a);
+    observe =
+      (fun r o ->
+        on_poll i r;
+        m.Engine.observe r o);
+    observe_packed =
+      Option.map
+        (fun f r p slots ->
+          on_poll i r;
+          f r p slots)
+        m.Engine.observe_packed;
+  }
+
+(* Quiet intervals: a node with nothing to send and every stream at an even
+   index sleeps until a transmission reaches it, a node on an odd-index
+   stream is polled through that slot's whole interval, and rounds in which
+   nothing needs a poll are skipped outright. *)
+let test_quiet_interval_polls () =
+  let ctx, topology, _, machines, waiters, cycle_rounds =
+    assemble ~seed:5 ~role:(fun _ -> `Relay)
+  in
+  let n = Array.length machines in
+  let { Graph.out_off; out_rcv; _ } = Graph.csr (Topology.graph topology) in
+  let polled = Hashtbl.create 4096 in
+  (* This round's transmitters (acts precede observes within a round), and
+     the nodes they reached, rebuilt at the first poll of each round. *)
+  let tx_round = ref (-1) and transmitters = ref [] in
+  let reach_round = ref (-1) and reached = Array.make n false in
+  let last_reached = Array.make n (-1) in
+  let quiet_checked = ref 0 and violations = ref [] in
+  let executed = ref 0 in
+  let on_transmit i r =
+    if !tx_round <> r then begin
+      tx_round := r;
+      transmitters := []
+    end;
+    transmitters := i :: !transmitters
+  in
+  let quiet i =
+    Neighbor_watch.unsent_bits ctx i = 0
+    && List.for_all (fun (_, count) -> count land 1 = 0) (Neighbor_watch.stream_counts ctx i)
+  in
+  let on_poll i r =
+    if !reach_round <> r then begin
+      reach_round := r;
+      incr executed;
+      Array.fill reached 0 n false;
+      if !tx_round = r then
+        List.iter
+          (fun t ->
+            for k = out_off.(t) to out_off.(t + 1) - 1 do
+              reached.(out_rcv.(k)) <- true
+            done)
+          !transmitters
+    end;
+    Hashtbl.replace polled (i, r) ();
+    (* Round 0 always runs node 0 (construction-time deliveries); after
+       that, a quiet node not yet reached in this interval has no reason
+       to be polled unless something reaches it now. *)
+    let interval_start = Schedule.first_round_of_interval (Schedule.interval_of_round r) in
+    if r > 0 && last_reached.(i) < interval_start && quiet i then begin
+      incr quiet_checked;
+      if not reached.(i) then violations := (i, r) :: !violations
+    end;
+    if reached.(i) then last_reached.(i) <- r
+  in
+  let machines = Array.mapi (hook_polls ~on_transmit ~on_poll) machines in
+  let cycle = Schedule.cycle (Neighbor_watch.schedule ctx) in
+  (* Before each interval (at the tap of the round ending the previous
+     one), note every node whose stream on the interval's slot is odd. *)
+  let odd_listeners = ref [] in
+  let tap (d : Engine.round_digest) =
+    if Schedule.phase_of_round d.Engine.round = Schedule.rounds_per_interval - 1 then begin
+      let interval = Schedule.interval_of_round d.Engine.round + 1 in
+      let slot = interval mod cycle in
+      for i = 0 to n - 1 do
+        match List.assoc_opt slot (Neighbor_watch.stream_counts ctx i) with
+        | Some count when count land 1 = 1 -> odd_listeners := (i, interval) :: !odd_listeners
+        | Some _ | None -> ()
+      done
+    end
+  in
+  let result =
+    Engine.run ~mode:`Sparse ~tap ~idle_stop:((3 * cycle_rounds) + 64) ~topology ~machines
+      ~waiters ~cap:50_000 ()
+  in
+  let rounds_used = result.Engine.rounds_used in
+  Alcotest.(check bool) "quiet polls were checked" true (!quiet_checked > 0);
+  (match !violations with
+  | [] -> ()
+  | (i, r) :: _ ->
+    Alcotest.failf "%d quiet poll(s) with no transmission reaching the node, e.g. node %d in round %d"
+      (List.length !violations) i r);
+  let odd_checked = ref 0 in
+  List.iter
+    (fun (i, interval) ->
+      let first = Schedule.first_round_of_interval interval in
+      if first + Schedule.rounds_per_interval <= rounds_used then begin
+        incr odd_checked;
+        for r = first to first + Schedule.rounds_per_interval - 1 do
+          if not (Hashtbl.mem polled (i, r)) then
+            Alcotest.failf "node %d listens on an odd stream in interval %d but was not polled in round %d"
+              i interval r
+        done
+      end)
+    !odd_listeners;
+  Alcotest.(check bool) "odd-stream intervals were checked" true (!odd_checked > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "rounds with a poll (%d) fewer than rounds used (%d)" !executed rounds_used)
+    true (!executed < rounds_used)
+
+(* Deterministic work gate: one honest uniform-disk NW cell at n = 2 000
+   and target degree 12 (the S1 campaign's cell shape, as scale-sparse
+   runs it at n = 10^4), with Scenario.run's idle cut-off and stall
+   detector.  Polls and executed rounds are exact counts of the seeded
+   simulation, so they gate without a wall-clock band: either growing past
+   1.2x its measured value fails.  Measured: 7 449 polls in 636 executed
+   rounds of the run's 3 536. *)
+let measured_polls = 7_449
+let measured_executed_rounds = 636
+
+let test_poll_budget () =
+  let spec =
+    Scale_sweep.cell_spec
+      ~base:{ Scenario.default with message = Bitvec.of_string "10"; seed = 1 }
+      ~klass:Scale_sweep.Uniform_radio ~nodes:2_000 ~density:12.0
+  in
+  let n = 2_000 in
+  let deployment =
+    Deployment.uniform (Rng.split (Rng.create spec.Scenario.seed)) ~n ~width:spec.Scenario.map_w
+      ~height:spec.Scenario.map_h
+  in
+  let topology = Topology.build deployment (Propagation.disk_l2 spec.Scenario.radius) in
+  let source = Deployment.center_node deployment in
+  let msg = spec.Scenario.message in
+  let config =
+    Neighbor_watch.default_config ~radius:spec.Scenario.radius ~msg_len:(Bitvec.length msg)
+  in
+  let ctx = Neighbor_watch.make_ctx config ~topology ~source in
+  let polls = ref 0 and executed = ref 0 and last = ref (-1) in
+  let on_poll _ r =
+    incr polls;
+    if r <> !last then begin
+      last := r;
+      incr executed
+    end
+  in
+  let machines =
+    Array.init n (fun i ->
+        hook_polls ~on_poll i
+          (Neighbor_watch.machine ctx i
+             (if i = source then Neighbor_watch.Source msg else Neighbor_watch.Relay)))
+  in
+  let cycle_rounds =
+    Schedule.cycle (Neighbor_watch.schedule ctx) * Schedule.rounds_per_interval
+  in
+  let stop_when =
+    let last_progress = ref (-1) and flat = ref 0 in
+    fun () ->
+      let p = Neighbor_watch.progress ctx in
+      if p <> !last_progress then begin
+        last_progress := p;
+        flat := 0
+      end
+      else incr flat;
+      !flat >= max 1 (25 * cycle_rounds / 96)
+  in
+  let _ =
+    Engine.run ~mode:`Sparse ~idle_stop:((3 * cycle_rounds) + 64) ~stop_when ~topology ~machines
+      ~waiters:(Array.init n (fun i -> i <> source))
+      ~cap:spec.Scenario.cap ()
+  in
+  let within what measured actual =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s %d within 1.2x of the measured %d" what actual measured)
+      true
+      (float_of_int actual <= 1.2 *. float_of_int measured)
+  in
+  within "polls" measured_polls !polls;
+  within "executed rounds" measured_executed_rounds !executed
+
+(* The flat progress array against the fold the library used to run over
+   its state table (committed bits plus received stream bits, summed over
+   every machine built), at every stall-detector call.  Lying matters: a
+   liar's give-up clears its committed prefix and lowers the count. *)
+let progress_oracle_case (label, role) (mname, mode) =
+  Alcotest.test_case (label ^ "/" ^ mname) `Quick (fun () ->
+      let ctx, topology, roles, machines, waiters, cycle_rounds = assemble ~seed:9 ~role in
+      let reference () =
+        let total = ref 0 in
+        Array.iteri
+          (fun i r ->
+            if r <> `Jammer then
+              total :=
+                !total
+                + Bitvec.length (Neighbor_watch.committed_bits ctx i)
+                + List.fold_left (fun acc (_, count) -> acc + count) 0
+                    (Neighbor_watch.stream_counts ctx i))
+          roles;
+        !total
+      in
+      let calls = ref 0 and mismatches = ref [] in
+      let stop_when () =
+        incr calls;
+        let flat = Neighbor_watch.progress ctx and folded = reference () in
+        if flat <> folded then mismatches := (!calls, flat, folded) :: !mismatches;
+        false
+      in
+      let _ =
+        Engine.run ~mode ~stop_stride:12 ~stop_when ~idle_stop:((3 * cycle_rounds) + 64)
+          ~topology ~machines ~waiters ~cap:20_000 ()
+      in
+      Alcotest.(check bool) "stop_when was called" true (!calls > 10);
+      (match !mismatches with
+      | [] -> ()
+      | (call, flat, folded) :: _ ->
+        Alcotest.failf "progress %d but the fold says %d (stop_when call %d)" flat folded call);
+      if label = "lying" then begin
+        let gave_up = ref false in
+        Array.iteri
+          (fun i r ->
+            if r = `Liar
+               && not (Bitvec.equal (Neighbor_watch.committed_bits ctx i)
+                         (Scenario.fake_message message))
+            then gave_up := true)
+          roles;
+        Alcotest.(check bool) "some liar gave up" true !gave_up
+      end)
+
+let progress_specs =
+  [
+    ("honest", fun _ -> `Relay);
+    ("lying", fun i -> if i mod 8 = 3 then `Liar else `Relay);
+    ("jamming", fun i -> if i mod 10 = 7 then `Jammer else `Relay);
+  ]
+
 let () =
   Alcotest.run "neighbor_watch"
     [
@@ -325,4 +603,15 @@ let () =
             test_pipelining_beats_store_and_forward;
           Alcotest.test_case "square side sizing" `Quick test_square_side_must_reach_neighbors;
         ] );
+      ( "wakeup contract",
+        [
+          Alcotest.test_case "quiet intervals: who is polled when" `Quick
+            test_quiet_interval_polls;
+          Alcotest.test_case "poll budget at n = 2000" `Quick test_poll_budget;
+        ] );
+      ( "progress oracle",
+        List.concat_map
+          (fun spec ->
+            List.map (progress_oracle_case spec) [ ("sparse", `Sparse); ("sharded", `Sharded 3) ])
+          progress_specs );
     ]
