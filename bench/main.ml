@@ -291,9 +291,6 @@ let () =
                         raise (Arg.Bad (Printf.sprintf "--classes %s (expected uniform or expander)" other)))
                     (String.split_on_char ',' s) }),
         "C,C,...  (scale) graph classes: uniform, expander" );
-      ( "--tiles",
-        Arg.Int (fun k -> campaign := { !campaign with Campaign.tiles = k }),
-        "K  (scale) engine tiles; 1 = the serial sparse loop" );
       ( "--warm",
         Arg.Int (fun k -> campaign := { !campaign with Campaign.warm = k }),
         "K  (scale) warm runs per cell on the cold run's topology" );
@@ -309,9 +306,6 @@ let () =
             campaign :=
               { !campaign with Campaign.mem_ceiling_words = Some (int_of_float (mw *. 1e6)) }),
         "MWORDS  (scale) fail if any run peaks above this many million heap words" );
-      ( "--check",
-        Arg.Unit (fun () -> campaign := { !campaign with Campaign.check = true }),
-        " (scale) re-run each campaign run on the serial engine and diff the traces" );
       ( "--dry-run",
         Arg.Unit (fun () -> campaign := { !campaign with Campaign.dry_run = true }),
         " (scale) print the planned runs and execute nothing" );
@@ -321,7 +315,7 @@ let () =
     (fun anon -> anons := !anons @ [ anon ])
     "bench/main.exe [--scale quick|paper] [--jobs N] [--only e1,e2,...] [--json PATH]\n\
      bench/main.exe compare BASE.json [CURRENT.json]\n\
-     bench/main.exe scale [--nodes N,N] [--density D,D] [--tiles K] [--dry-run] ...";
+     bench/main.exe scale [--nodes N,N] [--density D,D] [--warm K] [--dry-run] ...";
   match !anons with
   | [ "scale" ] -> (
     match Campaign.run !campaign with

@@ -350,13 +350,6 @@ let scale_cmd =
       & opt classes_conv Campaign.default.Campaign.classes
       & info [ "classes" ] ~docv:"C,C,..." ~doc:"Graph classes: uniform, expander.")
   in
-  let tiles_arg =
-    Arg.(
-      value
-      & opt int Campaign.default.Campaign.tiles
-      & info [ "tiles"; "domains" ] ~docv:"K"
-          ~doc:"Engine tiles (domains); 1 runs the serial sparse loop.")
-  in
   let warm_arg =
     Arg.(
       value
@@ -382,19 +375,11 @@ let scale_cmd =
       & info [ "mem-ceiling" ] ~docv:"MWORDS"
           ~doc:"Fail if any run's peak major heap exceeds this many million words.")
   in
-  let check_arg =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Re-run every campaign run on the serial sparse engine and fail unless the \
-             round-by-round traces are byte-identical.")
-  in
   let dry_run_arg =
     Arg.(value & flag & info [ "dry-run" ] ~doc:"Print the planned runs and execute nothing.")
   in
-  let run label nodes density adversaries classes protocol tiles seed cap warm message out
-      mem_ceiling check dry_run =
+  let run label nodes density adversaries classes protocol seed cap warm message out
+      mem_ceiling dry_run =
     let config =
       {
         Campaign.label;
@@ -403,14 +388,12 @@ let scale_cmd =
         adversaries;
         classes;
         protocol;
-        tiles;
         seed;
         cap;
         warm;
         message;
         out_dir = out;
         mem_ceiling_words = Option.map (fun mw -> int_of_float (mw *. 1e6)) mem_ceiling;
-        check;
         dry_run;
       }
     in
@@ -424,11 +407,11 @@ let scale_cmd =
     (Cmd.info "scale"
        ~doc:
          "Run a scale campaign: sweep node count x density x adversary mix over uniform-radio \
-          and expander graphs on the sharded engine, with cold/warm runs and archived results.")
+          and expander graphs, with cold/warm runs and archived results.")
     Term.(
       const run $ label_arg $ nodes_list_arg $ density_arg $ adversaries_arg $ classes_arg
-      $ protocol_arg $ tiles_arg $ seed_arg $ cap_arg $ warm_arg $ message_arg $ out_arg
-      $ mem_ceiling_arg $ check_arg $ dry_run_arg)
+      $ protocol_arg $ seed_arg $ cap_arg $ warm_arg $ message_arg $ out_arg $ mem_ceiling_arg
+      $ dry_run_arg)
 
 (* --- topo --------------------------------------------------------------- *)
 

@@ -416,7 +416,7 @@ let lint_alloc_cmd =
     (Cmd.info "alloc"
        ~doc:
          "Hot-path allocation inventory: walk the approximate call graph from the annotated hot \
-          roots (engine round phases, shard phases, channel resolution, voting kernels), classify \
+          roots (engine round phases, channel resolution, voting kernels), classify \
           every syntactic allocation site and diff the per-root per-class counts against the \
           committed golden inventory.  A class a hot root did not previously allocate is an \
           error; count growth is a warning.  Pairs with the dynamic words/active-round gate in \
@@ -571,7 +571,7 @@ let check_determinism_cmd =
       & opt (some string) None
       & info [ "modes" ] ~docv:"M1,M2,..."
           ~doc:
-            "Comma-separated engine modes to cross-check (dense, sparse, sharded:K); one traced \
+            "Comma-separated engine modes to cross-check (dense, sparse); one traced \
              run per mode, every pair diffed.  Default: run each scenario twice in the default \
              mode.")
   in
@@ -585,12 +585,12 @@ let check_determinism_cmd =
           match Determinism.mode_of_label label with
           | Some mode -> mode
           | None ->
-            Printf.eprintf "unknown engine mode %s (expected dense, sparse or sharded:K)\n" label;
+            Printf.eprintf "unknown engine mode %s (expected dense or sparse)\n" label;
             exit 2)
         labels
     in
     if modes = [] then begin
-      Printf.eprintf "--modes needs at least one mode (dense, sparse or sharded:K)\n";
+      Printf.eprintf "--modes needs at least one mode (dense or sparse)\n";
       exit 2
     end;
     modes
@@ -821,8 +821,8 @@ let all_cmd =
                ])
              [ 1; 2; 3 ]));
     (* One traced run per engine mode, every pair diffed.  The presets
-       have 80-400 nodes, so the sparse and sharded loops drain two to
-       seven 62-id words per round. *)
+       have 80-400 nodes, so the sparse loop drains two to seven 62-id
+       words per round. *)
     timed "determinism" (fun () ->
         check_entries
           (List.concat_map
@@ -840,7 +840,7 @@ let all_cmd =
                        Some
                          (Json.Obj
                             [ ("check", Json.String check); ("message", Json.String message) ]) ))
-                 (Determinism.check_modes ~max_rounds:20_000 [ `Dense; `Sparse; `Sharded 2 ] spec))
+                 (Determinism.check_modes ~max_rounds:20_000 [ `Dense; `Sparse ] spec))
              Scenario.presets));
     let results = List.rev !results in
     let failed = List.exists (fun r -> r.ar_failed) results in
@@ -875,7 +875,7 @@ let all_cmd =
        ~doc:
          "Run every analyzer — source, share and alloc lint behind one shared parse of the tree, \
           scenario lint over the bundled presets, the quick model-check budget, the voting \
-          checker and the dense/sparse/sharded:2 determinism diff over the presets — reporting \
+          checker and the dense/sparse determinism diff over the presets — reporting \
           per-analyzer wall times and failing if \
           any analyzer fails.")
     Term.(const run $ json_arg $ baseline_arg $ paths_arg)

@@ -150,7 +150,7 @@ let assign_machines ~n ~source ~byzantine ~faults ~fake ~adversary_machine make 
       end
       else make i Role_relay)
 
-let run ?tap ?(mode = (`Sparse : Engine.mode)) ?tile_of ?topology ?(boxed = false) spec =
+let run ?tap ?(mode = (`Sparse : Engine.mode)) ?topology ?(boxed = false) spec =
   let rng = Rng.create spec.seed in
   (* The split order is part of the deterministic contract: it must stay
      fixed — and the splits must happen — whether or not a prebuilt
@@ -305,7 +305,7 @@ let run ?tap ?(mode = (`Sparse : Engine.mode)) ?tile_of ?topology ?(boxed = fals
       end
   in
   let engine =
-    Engine.run ~mode ~rng:channel_rng ~channel:spec.channel ~idle_stop ~stop_when ?tap ?tile_of
+    Engine.run ~mode ~rng:channel_rng ~channel:spec.channel ~idle_stop ~stop_when ?tap
       ~topology ~machines ~waiters ~cap:spec.cap ()
   in
   { spec; topology; source; honest; fake; engine }

@@ -91,17 +91,14 @@ type result = {
 val run :
   ?tap:(Engine.round_digest -> unit) ->
   ?mode:Engine.mode ->
-  ?tile_of:int array ->
   ?topology:Topology.t ->
   ?boxed:bool ->
   spec ->
   result
 (** [tap] is forwarded to {!Engine.run}: one digest per executed round.
     [mode] selects the engine loop (default [`Sparse]; results are
-    mode-independent — the equivalence suite holds all loops, including
-    every [`Sharded] tile count, byte-identical — so [`Dense] is only
-    interesting as the reference and [`Sharded] as the parallel engine).
-    [tile_of] is forwarded to {!Engine.run} (sharded runs only).
+    mode-independent — the equivalence suite holds both loops
+    byte-identical — so [`Dense] is only interesting as the reference).
     [topology], if given, skips the deployment build and runs on the
     supplied topology instead: it must be the very topology this spec
     builds (campaign warm rounds reuse the cold round's); the rng split

@@ -10,8 +10,8 @@
 
    1. {b call graph} — {!Callgraph.build}/{!Callgraph.reachable} collects
       every let-bound function in the tree and walks the approximate call
-      graph from the {!hot_roots} (engine round phases, shard phases A/B,
-      channel resolution, the voting kernels);
+      graph from the {!hot_roots} (engine round phases, channel
+      resolution, the voting kernels);
    2. {b classification} — every syntactic allocation in a reachable
       function body is classified (closure / boxed-float / tuple / ref /
       list / array / string / partial-application);
@@ -85,15 +85,13 @@ let has_errors diags = List.exists (fun d -> d.severity = Lint.Error) diags
 
 (* --- hot roots ----------------------------------------------------------- *)
 
-(* The annotated hot paths: per-active-round work in each engine loop,
-   shard phases A/B, channel resolution, and the per-observation voting
-   kernels.  Root names are {!Callgraph.reachable} patterns (qualified
-   suffixes), grouped so the inventory reads per hot path, not per
-   function. *)
+(* The annotated hot paths: per-active-round work in the engine loop,
+   channel resolution, and the per-observation voting kernels.  Root
+   names are {!Callgraph.reachable} patterns (qualified suffixes), grouped
+   so the inventory reads per hot path, not per function. *)
 let hot_roots =
   [
     ("engine-round", [ "Engine.process_round"; "Engine.fan_out" ]);
-    ("shard-phase", [ "Engine.phase_a"; "Engine.phase_b"; "Engine.merge_and_draw" ]);
     ("channel-resolve", [ "Channel.resolve"; "Channel.resolve_packed" ]);
     ("voting-index", [ "Voting.Index.add"; "Voting.Index.decide"; "Voting.Tally.add" ]);
     ("neighbor-vote", [ "Neighbor_watch.Vote.poll"; "Neighbor_watch.Vote.advance_agreement" ]);

@@ -1,11 +1,11 @@
 (** Hot-path allocation inventory.
 
     Walks the approximate interprocedural call graph ({!Callgraph}) from
-    the annotated {!hot_roots} — the engine's active-round phases, the
-    shard phases A/B, channel resolution, and the voting kernels —
-    classifies every syntactic allocation site in the reachable
-    functions, and diffs the per-root, per-class counts against the
-    committed golden inventory ([ALLOC_baseline.json]):
+    the annotated {!hot_roots} — the engine's active-round phases,
+    channel resolution, and the voting kernels — classifies every
+    syntactic allocation site in the reachable functions, and diffs the
+    per-root, per-class counts against the committed golden inventory
+    ([ALLOC_baseline.json]):
 
     - a class a hot root did not previously allocate → {b error}
       ([new-alloc-class]);

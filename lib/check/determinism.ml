@@ -40,14 +40,14 @@ let diff (first : trace) (second : trace) =
   in
   go 0
 
-let capture_spec ?max_rounds ?mode ?tile_of ?boxed spec =
+let capture_spec ?max_rounds ?mode ?boxed spec =
   let spec =
     match max_rounds with
     | Some cap -> { spec with Scenario.cap = min spec.Scenario.cap cap }
     | None -> spec
   in
   let tap, finish = collector () in
-  let result = Scenario.run ~tap ?mode ?tile_of ?boxed spec in
+  let result = Scenario.run ~tap ?mode ?boxed spec in
   (finish (), result)
 
 let check_spec ?max_rounds ?mode spec =
@@ -58,16 +58,11 @@ let check_spec ?max_rounds ?mode spec =
 let mode_label : Engine.mode -> string = function
   | `Dense -> "dense"
   | `Sparse -> "sparse"
-  | `Sharded tiles -> Printf.sprintf "sharded:%d" tiles
 
 let mode_of_label label =
   match String.lowercase_ascii label with
   | "dense" -> Some `Dense
   | "sparse" -> Some `Sparse
-  | s when String.starts_with ~prefix:"sharded:" s -> (
-    match int_of_string_opt (String.sub s 8 (String.length s - 8)) with
-    | Some tiles when tiles >= 1 -> Some (`Sharded tiles)
-    | Some _ | None -> None)
   | _ -> None
 
 (* Mode-equivalence check: capture one trace per requested engine mode and

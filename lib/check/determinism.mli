@@ -27,16 +27,13 @@ val diff : trace -> trace -> outcome
 val capture_spec :
   ?max_rounds:int ->
   ?mode:Engine.mode ->
-  ?tile_of:int array ->
   ?boxed:bool ->
   Scenario.spec ->
   trace * Scenario.result
 (** One traced run.  [max_rounds] lowers the round cap so that checking
     stays cheap on large scenarios.  [mode] picks the engine loop
     (default sparse); rounds the sparse loop skips appear in the trace as
-    all-silent digests, so traces are comparable across modes.  [tile_of]
-    overrides the sharded modes' tile assignment (forwarded to
-    {!Scenario.run}), for properties quantifying over partitions.
+    all-silent digests, so traces are comparable across modes.
     [boxed] disables the machines' packed observation fast path
     (forwarded to {!Scenario.run}), for packed-vs-variant equivalence. *)
 
@@ -44,11 +41,11 @@ val check_spec : ?max_rounds:int -> ?mode:Engine.mode -> Scenario.spec -> outcom
 (** Two traced runs of the same spec, diffed. *)
 
 val mode_label : Engine.mode -> string
-(** ["dense"], ["sparse"], ["sharded:K"]. *)
+(** ["dense"], ["sparse"]. *)
 
 val mode_of_label : string -> Engine.mode option
 (** Inverse of {!mode_label} (case-insensitive); [None] on unknown
-    spellings or a non-positive tile count. *)
+    spellings. *)
 
 val check_modes :
   ?max_rounds:int -> Engine.mode list -> Scenario.spec -> ((string * string) * outcome) list

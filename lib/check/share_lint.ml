@@ -1,11 +1,10 @@
 (* Domain-safety lint: which mutable state could a task handed to the
    deterministic job pool share with another domain?
 
-   The sharding campaign (ROADMAP: run spatial tiles of one simulation on
-   separate Domains) is gated on knowing that the closures executed by
-   [Pool.map_array]/[Pool.map_list]/[Domain.spawn] touch no unsynchronized
-   mutable state.  This pass answers that question statically, on the whole
-   tree at once:
+   The byte-identical [--jobs N] guarantee rests on the closures executed
+   by [Pool.map_array]/[Pool.map_list]/[Domain.spawn] touching no
+   unsynchronized mutable state.  This pass answers that question
+   statically, on the whole tree at once:
 
    1. {b inventory} — every module's escaping mutable state: top-level
       [ref]/[Array.make]/[Hashtbl.create]/[Buffer.create]-style bindings
@@ -294,14 +293,15 @@ let lint_parsed parsed_files =
       diags := { severity = severity_of code; file; line; code; message } :: !diags
   in
   (* Layer policy: lib/core and lib/sim keep no module-level mutable state
-     (sharding the engine requires those layers to be re-entrant). *)
+     (the pool runs whole trials through those layers on several domains at
+     once, so they must be re-entrant). *)
   List.iter
     (fun g ->
       if List.exists (fun dir -> Lint.in_dir dir g.gfile) state_free_dirs then
         emit ~file:g.gfile ~line:g.gline "global-mutable-core"
           (Printf.sprintf
-             "top-level mutable binding %s (%s): %s must be state-free at toplevel so engine \
-              shards can run on separate domains"
+             "top-level mutable binding %s (%s): %s must be state-free at toplevel so pool \
+              workers can run trials on separate domains"
              g.gname (kind_label g.gkind)
              (String.concat " and " state_free_dirs)))
     all_globals;

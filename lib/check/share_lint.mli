@@ -1,10 +1,9 @@
 (** Domain-safety lint: static analysis of mutable state shared between
     pool tasks.
 
-    The byte-identical [--jobs N] guarantee (and the planned intra-run
-    engine sharding) requires that closures executed on worker domains by
-    {!Pool.map_array}/{!Pool.map_list}/[Domain.spawn] touch no
-    unsynchronized mutable state.  This pass checks that property over the
+    The byte-identical [--jobs N] guarantee requires that closures
+    executed on worker domains by {!Pool.map_array}/{!Pool.map_list}/
+    [Domain.spawn] touch no unsynchronized mutable state.  This pass checks that property over the
     whole tree at once, purely syntactically (compiler-libs parsetree, no
     typing):
 
@@ -17,7 +16,7 @@
       captured non-[Atomic] mutable binding) without synchronization;
     - {b layer policy}: any top-level mutable binding in lib/core or
       lib/sim is an error outright — those layers must be re-entrant for
-      engine shards to run on separate domains.
+      pool workers to run trials through them on separate domains.
 
     Limits (documented, shared with {!Source_lint}'s philosophy): analysis
     is per-file, so a task calling [M.helper] which internally touches

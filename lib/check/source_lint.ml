@@ -31,13 +31,9 @@ let codes =
    the bench table folds into a list it immediately sorts; the pool's
    sanitizer digest is compared only against another digest of the same
    in-memory representation within one process, so representation
-   dependence cannot flip a verdict.  shard.ml is the one sanctioned home
-   for intra-run parallelism outside lib/run: its barrier totally orders
-   every cross-tile access (the equivalence suite holds all tile counts
-   byte-identical to the serial engines), and its single Atomic is a
-   write-once failure slot read only after the final barrier.  The lint
-   front end times its own analyzers (`securebit_lint all` prints
-   per-analyzer wall seconds), which is reporting, not protocol logic.
+   dependence cannot flip a verdict.  The lint front end times its own
+   analyzers (`securebit_lint all` prints per-analyzer wall seconds),
+   which is reporting, not protocol logic.
 
    Each entry records its own definition line so a stale audit's
    diagnostic can point back here instead of at the audited file. *)
@@ -46,7 +42,6 @@ let allowlist_located =
     (("lib/core/multi_path.ml", "hashtbl-order"), __LINE__);
     (("lib/core/certified_propagation.ml", "hashtbl-order"), __LINE__);
     (("lib/sim/engine.ml", "poly-hash"), __LINE__);
-    (("lib/sim/shard.ml", "domain-outside-run"), __LINE__);
     (("bench/main.ml", "hashtbl-order"), __LINE__);
     (("lib/run/pool.ml", "poly-hash"), __LINE__);
     (("bin/securebit_lint.ml", "wall-clock"), __LINE__);

@@ -44,12 +44,10 @@ let make_ctx config ~topology ~source =
 let schedule ctx = ctx.schedule
 let cycle ctx = Schedule.cycle ctx.schedule
 let cycle_rounds ctx = cycle ctx * ctx.config.slot_rounds
-(* Derived from the states instead of a counter the machines would bump:
-   commits can land on different engine tiles in the same round, and a
-   shared increment would race.  The count includes construction-time
-   commitments (source, liars) the old counter skipped — a constant offset
-   the stall detector, which only watches for change, cannot see.  The fold
-   is a commutative count, so table order does not matter. *)
+(* Derived from the states.  The count includes construction-time
+   commitments (source, liars) — a constant offset the stall detector,
+   which only watches for change, cannot see.  The fold is a commutative
+   count, so table order does not matter. *)
 let progress ctx =
   Hashtbl.fold (fun _ s acc -> if s.committed <> None then acc + 1 else acc) ctx.states 0
 

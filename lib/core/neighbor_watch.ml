@@ -175,8 +175,7 @@ type ctx = {
   states : (Node.id, state) Hashtbl.t;
   progress : int array;
       (** per node: committed bits plus stream bits received.  Each
-          machine writes only its own slot, so sharded tiles never write
-          one cell from two domains (a shared counter would race). *)
+          machine writes only its own slot. *)
 }
 
 let make_ctx config ~topology ~source =

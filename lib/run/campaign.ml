@@ -10,14 +10,12 @@ type config = {
   adversaries : string list;
   classes : klass list;
   protocol : Scenario.protocol;
-  tiles : int;
   seed : int;
   cap : int;
   warm : int;
   message : string;
   out_dir : string option;
   mem_ceiling_words : int option;
-  check : bool;
   dry_run : bool;
 }
 
@@ -31,14 +29,12 @@ let default =
     adversaries = [ "honest"; "lying" ];
     classes = all_classes;
     protocol = Scenario.Neighbor_watch { votes = 1 };
-    tiles = 1;
     seed = 42;
     cap = 2_000_000;
     warm = 1;
     message = "1011";
     out_dir = None;
     mem_ceiling_words = None;
-    check = false;
     dry_run = false;
   }
 
@@ -79,8 +75,7 @@ let spec_of_cell config cell =
   Scale_sweep.cell_spec ~base ~klass:cell.klass ~nodes:cell.nodes ~density:cell.density
 
 let validate config =
-  if config.tiles < 1 then Error "tiles must be >= 1"
-  else if config.warm < 0 then Error "warm rounds must be >= 0"
+  if config.warm < 0 then Error "warm rounds must be >= 0"
   else if config.node_counts = [] || List.exists (fun n -> n <= 0) config.node_counts then
     Error "node counts must be a non-empty list of positive ints"
   else if config.densities = [] || List.exists (fun d -> d <= 0.0) config.densities then
@@ -150,7 +145,6 @@ let json_of_executed config e =
       ("density", Json.Float e.planned.cell.density);
       ("adversary", Json.String e.planned.cell.adversary);
       ("phase", Json.String (phase_name e.planned.phase));
-      ("tiles", Json.Int config.tiles);
       ("seed", Json.Int config.seed);
       ("wall_seconds", Json.Float e.wall_seconds);
       ("rounds", Json.Int e.rounds);
@@ -187,7 +181,6 @@ let archive config executed =
           [
             ("schema", Json.String "securebit-campaign-manifest/1");
             ("label", Json.String config.label);
-            ("tiles", Json.Int config.tiles);
             ("runs", Json.List (List.map (fun e -> Json.String e.planned.run_id) executed));
           ]
       in
@@ -197,39 +190,18 @@ let archive config executed =
 
 (* --- execution ---------------------------------------------------------- *)
 
-let mode config : Engine.mode = if config.tiles > 1 then `Sharded config.tiles else `Sparse
-
-exception Check_failed of string
-
 (* One cell: a cold run (builds the deployment and topology) then [warm]
    runs reusing the cold topology, so the cold/warm delta isolates the
-   deployment-build and CSR-cache cost from the steady-state engine rate.
-   Under [--check] every run is re-executed on the serial sparse loop and
-   the round-by-round channel traces are diffed — the campaign-sized
-   version of the equivalence suite's byte-identity guarantee. *)
+   deployment-build and CSR-cache cost from the steady-state engine rate. *)
 let execute_cell config cell plans =
   let spec = spec_of_cell config cell in
   let topology = ref None in
   List.map
     (fun planned ->
-      let collect = if config.check then Some (Determinism.collector ()) else None in
-      let tap = Option.map fst collect in
       let t0 = Unix.gettimeofday () in
-      let result = Scenario.run ?tap ~mode:(mode config) ?topology:!topology spec in
+      let result = Scenario.run ~mode:`Sparse ?topology:!topology spec in
       let wall_seconds = Unix.gettimeofday () -. t0 in
       if !topology = None then topology := Some result.Scenario.topology;
-      Option.iter
-        (fun (_, trace_of) ->
-          let ref_tap, ref_trace = Determinism.collector () in
-          ignore (Scenario.run ~tap:ref_tap ~mode:`Sparse ?topology:!topology spec);
-          match Determinism.diff (trace_of ()) (ref_trace ()) with
-          | Determinism.Deterministic _ -> ()
-          | Determinism.Diverged _ as outcome ->
-            raise
-              (Check_failed
-                 (Printf.sprintf "%s: sharded and sparse traces differ: %s" planned.run_id
-                    (Determinism.outcome_to_string outcome))))
-        collect;
       let summary = Scenario.summarize result in
       let peak_heap_words = (Gc.quick_stat ()).Gc.top_heap_words in
       {
@@ -270,9 +242,8 @@ let render executed =
 let render_plan config plans =
   let buf = Buffer.create 256 in
   Buffer.add_string buf
-    (Printf.sprintf "campaign %s: %d runs (tiles=%d, seed=%d, warm=%d%s%s)\n" config.label
-       (List.length plans) config.tiles config.seed config.warm
-       (if config.check then ", check" else "")
+    (Printf.sprintf "campaign %s: %d runs (seed=%d, warm=%d%s)\n" config.label
+       (List.length plans) config.seed config.warm
        (match config.out_dir with
        | Some d -> Printf.sprintf ", out=%s" (Filename.concat d config.label)
        | None -> ""));
@@ -297,7 +268,7 @@ let run config =
     print_string (render_plan config plans);
     if config.dry_run then Ok ([], false)
     else begin
-      match
+      let executed =
         List.concat_map
           (fun (cell, cell_plans) ->
             let executed = execute_cell config cell cell_plans in
@@ -309,22 +280,19 @@ let run config =
               executed;
             executed)
           (cells_of_plan plans)
-      with
-      | executed ->
-        print_string (render executed);
-        Option.iter (Printf.printf "results archived to %s\n%!") (archive config executed);
-        let over_ceiling =
-          match config.mem_ceiling_words with
-          | None -> []
-          | Some ceiling ->
-            List.filter (fun e -> e.peak_heap_words > ceiling) executed
-        in
-        List.iter
-          (fun e ->
-            Printf.printf "OVER CEILING: %s peaked at %d words (ceiling %d)\n" e.planned.run_id
-              e.peak_heap_words
-              (Option.get config.mem_ceiling_words))
-          over_ceiling;
-        Ok (executed, over_ceiling <> [])
-      | exception Check_failed message -> Error message
+      in
+      print_string (render executed);
+      Option.iter (Printf.printf "results archived to %s\n%!") (archive config executed);
+      let over_ceiling =
+        match config.mem_ceiling_words with
+        | None -> []
+        | Some ceiling -> List.filter (fun e -> e.peak_heap_words > ceiling) executed
+      in
+      List.iter
+        (fun e ->
+          Printf.printf "OVER CEILING: %s peaked at %d words (ceiling %d)\n" e.planned.run_id
+            e.peak_heap_words
+            (Option.get config.mem_ceiling_words))
+        over_ceiling;
+      Ok (executed, over_ceiling <> [])
     end

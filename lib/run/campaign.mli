@@ -2,8 +2,8 @@
 
     Sweeps node count × target density × adversary mix over two graph
     classes — geometric uniform deployments under a disk radio, and
-    synthetic expanders — timing one broadcast per cell on the sharded
-    engine.  Each cell runs once cold (deployment + topology build
+    synthetic expanders — timing one broadcast per cell on the sparse
+    engine loop.  Each cell runs once cold (deployment + topology build
     included) and [warm] more times on the cold run's cached topology, so
     the cold/warm delta isolates setup cost from the steady-state engine
     rate.  Results can be archived as one labelled JSON file per run plus
@@ -22,7 +22,6 @@ type config = {
   adversaries : string list;  (** subset of {!known_adversaries} *)
   classes : klass list;
   protocol : Scenario.protocol;
-  tiles : int;  (** engine tiles; 1 = the serial sparse loop *)
   seed : int;
   cap : int;  (** engine round cap *)
   warm : int;  (** warm runs per cell after the cold one *)
@@ -31,9 +30,6 @@ type config = {
   mem_ceiling_words : int option;
       (** any run peaking above this many major-heap words fails the
           campaign (reported after the table) *)
-  check : bool;
-      (** re-run every campaign run on the serial sparse loop and fail
-          unless the round traces are byte-identical *)
   dry_run : bool;  (** print the plan and execute nothing *)
 }
 
@@ -85,5 +81,4 @@ val render : executed list -> string
 val run : config -> (executed list * bool, string) result
 (** Print the plan, execute it (unless [dry_run]), print the table,
     archive if configured.  [Ok (runs, failed)] where [failed] means some
-    run peaked over [mem_ceiling_words]; [Error] on bad config or a
-    [check] divergence. *)
+    run peaked over [mem_ceiling_words]; [Error] on bad config. *)

@@ -74,22 +74,18 @@ val never_active : int -> int
 val silent_machine : 'm machine
 (** A machine that never transmits and never delivers (crashed device). *)
 
-type mode = [ `Dense | `Sparse | `Sharded of int ]
+type mode = [ `Dense | `Sparse ]
 (** [`Sparse] (the default): calendar-driven wakeup loop.  [`Dense]: the
-    reference loop polling all machines every round.  [`Sharded tiles]:
-    the sparse loop cut into [tiles] disjoint tiles of machines, one
-    domain each, exchanging boundary transmissions at a deterministic
-    per-round barrier (tile count clamped to the node count; 1 tile falls
-    back to [`Sparse]).  All three produce byte-identical results —
-    including tap traces — for machines honouring the
-    {!machine.next_active} contract; the mode is purely a performance
-    choice. *)
+    reference loop polling all machines every round.  Both produce
+    byte-identical results — including tap traces — for machines
+    honouring the {!machine.next_active} contract; the mode is purely a
+    performance choice. *)
 
 type result = {
   rounds_used : int;  (** rounds executed before stopping *)
   active_rounds : int;
       (** rounds in which at least one machine transmitted; mode-independent
-          (the sparse loops skip only all-silent rounds), and the denominator
+          (the sparse loop skips only all-silent rounds), and the denominator
           of the allocation-rate gate (minor words / active round) *)
   hit_cap : bool;  (** true when stopped by the round cap *)
   delivered : Bitvec.t option array;  (** per-node accepted message *)
@@ -124,7 +120,6 @@ val run :
   ?stop_stride:int ->
   ?idle_stop:int ->
   ?tap:(round_digest -> unit) ->
-  ?tile_of:int array ->
   topology:Topology.t ->
   machines:'m machine array ->
   waiters:bool array ->
@@ -133,16 +128,11 @@ val run :
   result
 (** Run until every node marked in [waiters] has delivered (or [stop_when]
     returns true, polled every [stop_stride] rounds — default 96, chosen to
-    keep progress-based cut-offs off the per-round hot path), or until
-    [cap] rounds.
+    keep progress-based cut-offs off the per-round hot path; it must be at
+    least 1), or until [cap] rounds.
     [mode] selects the loop implementation (default [`Sparse]); results
     are identical, so the choice is purely a performance one, but pass it
     explicitly — the source lint flags call sites that leave it implicit.
-    [tile_of], meaningful only with [`Sharded tiles], overrides the
-    {!Shard.partition} tile assignment: one entry per node, each in
-    [0 .. tiles - 1] (after clamping to the node count).  Any assignment
-    yields byte-identical results; only load balance and halo traffic
-    change.  Ignored by the serial modes.
     [tap], if given, receives one [round_digest] per executed round (after
     all observations of that round were delivered); rounds the sparse loop
     skips produce all-silent digests, so traces are mode-independent;
@@ -155,4 +145,5 @@ val run :
     experiments.  Choose it of at least two full schedule cycles.
     [channel] defaults to [Channel.ideal].  [rng] is needed whenever the
     channel has losses.  [machines] and [waiters] must have one entry per
-    node of the topology. *)
+    node of the topology.  Raises [Invalid_argument] on a size mismatch or
+    a [stop_stride] below 1. *)

@@ -19,9 +19,7 @@ let size t = Array.length t.rx
    results bit for bit.  Built on first demand and cached: repeated
    [Engine.run] calls over one topology (equivalence captures, warm
    campaign rounds, mobility epochs re-using a topology) stop paying the
-   O(links) rebuild.  The cache is initialized from whichever single
-   domain first runs the graph — engine shards only ever read it after
-   the coordinator has forced it. *)
+   O(links) rebuild. *)
 let csr t =
   match t.csr_cache with
   | Some c -> c

@@ -36,8 +36,7 @@ type t = {
 
 val csr : t -> csr
 (** The cached CSR fan-out view of [sensed], built on first demand.  Safe
-    to call from exactly one domain at a time; the sharded engine forces it
-    on the coordinator before spawning workers. *)
+    to call from exactly one domain at a time. *)
 
 val make : sensed:link array array -> rx:Node.id array array -> t
 (** Copy, sort and validate the rows.  Raises [Invalid_argument] on

@@ -46,9 +46,8 @@ val pp : Format.formatter -> t -> unit
 (** {2 Word-level access and scratch mutation}
 
     The representation packs {!bits_per_word} bits to a word.  The mutating
-    operations below exist for engine-owned scratch buffers (the sharded
-    engine's per-tile activity words); values handed to protocol code are
-    still treated as immutable. *)
+    operations below are for scratch buffers; values handed to protocol
+    code are still treated as immutable. *)
 
 val popcount : t -> int
 (** Number of set bits. *)

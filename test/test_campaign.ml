@@ -3,8 +3,7 @@
    peak-heap ceiling gate. *)
 
 (* A campaign small enough to execute in well under a second per run but
-   still covering both graph classes, a warm phase, sharding, and the
-   trace check against the serial engine. *)
+   still covering both graph classes and a warm phase. *)
 let tiny config =
   {
     config with
@@ -13,10 +12,8 @@ let tiny config =
     densities = [ 8.0 ];
     adversaries = [ "honest" ];
     classes = Campaign.all_classes;
-    tiles = 2;
     warm = 1;
     message = "1";
-    check = true;
   }
 
 let run_exn config =
@@ -58,7 +55,7 @@ let test_plan_shape () =
 let test_archive () =
   let out_dir = Filename.temp_file "campaign" "" in
   Sys.remove out_dir;
-  let config = { (tiny Campaign.default) with Campaign.out_dir = Some out_dir; check = false } in
+  let config = { (tiny Campaign.default) with Campaign.out_dir = Some out_dir } in
   let executed, _ = run_exn config in
   let dir = Filename.concat out_dir config.Campaign.label in
   List.iter
@@ -93,14 +90,13 @@ let test_validation () =
     | Ok _ -> Alcotest.fail ("accepted " ^ message)
     | Error _ -> ()
   in
-  bad "tiles 0" { (tiny Campaign.default) with Campaign.tiles = 0 };
   bad "unknown adversary" { (tiny Campaign.default) with Campaign.adversaries = [ "gremlin" ] };
   bad "empty node counts" { (tiny Campaign.default) with Campaign.node_counts = [] };
   bad "negative warm" { (tiny Campaign.default) with Campaign.warm = -1 }
 
 let test_mem_ceiling_fails () =
   (* One word is below any real peak, so the gate must trip. *)
-  let config = { (tiny Campaign.default) with Campaign.mem_ceiling_words = Some 1; check = false } in
+  let config = { (tiny Campaign.default) with Campaign.mem_ceiling_words = Some 1 } in
   let _, failed = run_exn config in
   Alcotest.(check bool) "one-word ceiling trips" true failed
 

@@ -1,14 +1,12 @@
-(* Dense/sparse/sharded engine equivalence.
+(* Dense/sparse engine equivalence.
 
-   The wakeup-driven sparse loop and the domain-sharded loop are only
-   allowed to exist because they are byte-identical to the dense
-   reference: same delivered bits, same completion rounds, same broadcast
-   counts, same stop round, and the same round-by-round channel trace
-   (skipped rounds appearing as the all-silent digests they are).  This
-   suite drives all three loops over the full protocol x fault-model
-   matrix plus a lossy-channel case; QCheck properties do the same over
-   randomized scenarios, randomized tile counts, and fully randomized
-   tile assignments (the sharded engine must not depend on the cut). *)
+   The wakeup-driven sparse loop is only allowed to exist because it is
+   byte-identical to the dense reference: same delivered bits, same
+   completion rounds, same broadcast counts, same stop round, and the same
+   round-by-round channel trace (skipped rounds appearing as the
+   all-silent digests they are).  This suite drives both loops over the
+   full protocol x fault-model matrix plus a lossy-channel case; a QCheck
+   property does the same over randomized scenarios. *)
 
 let small_spec ~protocol ~faults ~seed ~n =
   (* 8x8 up to 50 nodes, then grown to keep the density of 50 nodes on 8x8. *)
@@ -59,19 +57,13 @@ let check_same_trace name label ref_trace trace =
   | Determinism.Diverged _ as o ->
     Alcotest.failf "%s: %s traces differ: %s" name label (Determinism.outcome_to_string o)
 
-(* Three-way equivalence: dense is the reference; sparse and a sharded run
-   (with the given tile count, or a tile-assignment override) must match
-   it in trace and in every result field. *)
-let check_equivalent ?tile_of ?(tiles = 3) name spec =
+(* Dense is the reference; the sparse run must match it in trace and in
+   every result field. *)
+let check_equivalent name spec =
   let dense_trace, dense = Determinism.capture_spec ~mode:`Dense spec in
   let sparse_trace, sparse = Determinism.capture_spec ~mode:`Sparse spec in
-  let sharded_trace, sharded =
-    Determinism.capture_spec ~mode:(`Sharded tiles) ?tile_of spec
-  in
   check_same_trace name "dense/sparse" dense_trace sparse_trace;
-  check_same_trace name "dense/sharded" dense_trace sharded_trace;
-  check_same_results name "dense/sparse" dense sparse;
-  check_same_results name "dense/sharded" dense sharded
+  check_same_results name "dense/sparse" dense sparse
 
 let protocols =
   [
@@ -96,10 +88,9 @@ let matrix_case (pname, protocol) (fname, faults) =
       let seed = String.fold_left (fun h c -> (h * 131) + Char.code c) 7 name land 0xFFFF in
       check_equivalent name (small_spec ~protocol ~faults ~seed ~n:50))
 
-(* The sparse and sharded loops visit machines through per-round word sets
-   of 62 ids each; n = 50 fits in one word.  These sizes are not multiples
-   of 62, so every drain crosses word boundaries and ends on a partial
-   word (in the sharded run, per tile too). *)
+(* The sparse loop visits machines through per-round word sets of 62 ids
+   each; n = 50 fits in one word.  These sizes are not multiples of 62, so
+   every drain crosses word boundaries and ends on a partial word. *)
 let multi_word_sizes = [ 150; 187; 163; 200; 155 ]
 
 let multi_word_case i (pname, protocol) =
@@ -113,7 +104,7 @@ let multi_word_case i (pname, protocol) =
    machine's packed observer, forcing the engine's variant-observation
    bridge.  Both paths must be byte-identical per protocol per engine
    mode — the packed encoding is an optimization, never a semantic. *)
-let packed_modes = [ ("dense", `Dense); ("sparse", `Sparse); ("sharded", `Sharded 3) ]
+let packed_modes = [ ("dense", `Dense); ("sparse", `Sparse) ]
 
 let packed_case (pname, protocol) (mname, mode) =
   let name = pname ^ "/" ^ mname in
@@ -125,10 +116,9 @@ let packed_case (pname, protocol) (mname, mode) =
       check_same_trace name "packed/boxed" packed_trace boxed_trace;
       check_same_results name "packed/boxed" packed boxed)
 
-(* Loss draws happen during Phase-1 fan-out — serially on the coordinator
-   in the sharded rounds — so the CSR link order, the restriction of
-   fan-out to scheduled transmitters, and the tile merge must not perturb
-   the RNG stream. *)
+(* Loss draws happen during Phase-1 fan-out, so the CSR link order and the
+   restriction of fan-out to scheduled transmitters must not perturb the
+   RNG stream. *)
 let test_lossy_channel () =
   let spec =
     {
@@ -174,12 +164,9 @@ let nw_direct ~config ~seed ~make mode =
 
 let check_direct name run =
   let dense_trace, dense = run `Dense in
-  List.iter
-    (fun (label, mode) ->
-      let trace, result = run mode in
-      check_same_trace name label dense_trace trace;
-      check_same_engine name label dense result)
-    [ ("dense/sparse", `Sparse); ("dense/sharded", `Sharded 3) ]
+  let trace, result = run `Sparse in
+  check_same_trace name "dense/sparse" dense_trace trace;
+  check_same_engine name "dense/sparse" dense result
 
 let message = Bitvec.of_string "1011"
 
@@ -214,7 +201,7 @@ let test_catchup_under_veto_jam () =
          else Some (Neighbor_watch.machine ctx i Neighbor_watch.Relay)))
 
 (* Randomized scenarios: any protocol, any fault model, lossy or ideal
-   channel, arbitrary seed, deployment size and tile count. *)
+   channel, arbitrary seed and deployment size. *)
 let prop_random_scenarios =
   QCheck.Test.make ~name:"all engine modes byte-identical on random scenarios" ~count:12
     QCheck.(
@@ -228,27 +215,7 @@ let prop_random_scenarios =
       let spec =
         if seed mod 2 = 0 then { spec with Scenario.channel = Channel.realistic } else spec
       in
-      let tiles = 2 + (seed mod 4) in
-      check_equivalent ~tiles (Printf.sprintf "%s/%s seed %d n %d" pname fname seed n) spec;
-      true)
-
-(* Any tile assignment, same bytes: the sharded engine's determinism must
-   not depend on the partition heuristic, so compare the serial reference
-   against a uniformly random (unbalanced, non-contiguous, possibly
-   empty-tiled) assignment. *)
-let prop_random_partition =
-  QCheck.Test.make ~name:"sharded byte-identical under arbitrary tile assignments" ~count:10
-    QCheck.(
-      quad (int_bound 100_000) (int_bound 100_000) (int_range 2 6) (int_range 25 200))
-    (fun (seed, tile_seed, tiles, n) ->
-      let protocol = List.nth protocols (seed mod List.length protocols) |> snd in
-      let faults = List.nth fault_models (tile_seed mod List.length fault_models) |> snd in
-      let spec = small_spec ~protocol ~faults ~seed ~n in
-      let tile_rng = Rng.create tile_seed in
-      let tile_of = Array.init n (fun _ -> Rng.int tile_rng tiles) in
-      check_equivalent ~tiles ~tile_of
-        (Printf.sprintf "random partition seed %d tiles %d n %d" seed tiles n)
-        spec;
+      check_equivalent (Printf.sprintf "%s/%s seed %d n %d" pname fname seed n) spec;
       true)
 
 let () =
@@ -268,5 +235,5 @@ let () =
       ( "properties",
         List.map
           (fun t -> QCheck_alcotest.to_alcotest ~long:false t)
-          [ prop_random_scenarios; prop_random_partition ] );
+          [ prop_random_scenarios ] );
     ]

@@ -612,6 +612,6 @@ let () =
       ( "progress oracle",
         List.concat_map
           (fun spec ->
-            List.map (progress_oracle_case spec) [ ("sparse", `Sparse); ("sharded", `Sharded 3) ])
+            List.map (progress_oracle_case spec) [ ("sparse", `Sparse); ("dense", `Dense) ])
           progress_specs );
     ]

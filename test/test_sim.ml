@@ -484,6 +484,25 @@ let test_engine_stop_stride () =
   in
   Alcotest.(check int) "custom stride honoured" 7 result.Engine.rounds_used
 
+(* A stride below 1 used to divide by zero (0) or, in the sparse loop,
+   step the stride walk backwards forever (-1). *)
+let test_engine_stop_stride_rejected () =
+  let topology = line_topology 2 1.0 1.5 in
+  let machines = [| Engine.silent_machine; Engine.silent_machine |] in
+  List.iter
+    (fun (label, mode) ->
+      List.iter
+        (fun stop_stride ->
+          Alcotest.check_raises
+            (Printf.sprintf "%s, stride %d" label stop_stride)
+            (Invalid_argument "Engine.run: stop_stride must be >= 1")
+            (fun () ->
+              ignore
+                (Engine.run ~mode ~stop_when:(fun () -> false) ~stop_stride ~topology ~machines
+                   ~waiters:[| true; true |] ~cap:1000 ())))
+        [ 0; -1 ])
+    [ ("dense", `Dense); ("sparse", `Sparse) ]
+
 (* The point of the sparse loop: a machine with a periodic wakeup contract
    is polled only in the rounds it declared, and a contract-silent
    listener is woken only when a transmission actually reaches it — yet
@@ -687,6 +706,8 @@ let () =
           Alcotest.test_case "round cap" `Quick test_engine_cap;
           Alcotest.test_case "stop_when polling" `Quick test_engine_stop_when;
           Alcotest.test_case "stop_when custom stride" `Quick test_engine_stop_stride;
+          Alcotest.test_case "stop_stride below 1 rejected" `Quick
+            test_engine_stop_stride_rejected;
           Alcotest.test_case "sparse mode skips idle rounds" `Quick
             test_engine_sparse_skips_idle_rounds;
           Alcotest.test_case "sparse poll set across words" `Quick test_engine_poll_set_contract;

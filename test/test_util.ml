@@ -203,8 +203,7 @@ let prop_bitvec_list_roundtrip =
     (fun bits -> Bitvec.to_list (Bitvec.of_list bits) = bits)
 
 (* Word-level scratch API.  [w] is one word of bits, so [w + k] lengths
-   and positions straddle the packed-word boundary the engine's halo
-   buffers exercise. *)
+   and positions straddle the packed-word boundary. *)
 let w = Bitvec.bits_per_word
 
 let test_bitvec_popcount () =
