@@ -202,10 +202,11 @@ let lint ~name (spec : Scenario.spec) =
           (Printf.sprintf "%dx%d lattice is degenerate (need at least 2x2)" width height)
   end;
   (* --- channel --------------------------------------------------------- *)
-  if spec.channel.Channel.loss_prob < 0.0 || spec.channel.Channel.loss_prob >= 1.0 then
+  (* Written so that NaN fails: every comparison with NaN is false. *)
+  if not (spec.channel.Channel.loss_prob >= 0.0 && spec.channel.Channel.loss_prob < 1.0) then
     emit Error "channel.loss_prob" "channel"
       (Printf.sprintf "loss probability %g outside [0, 1)" spec.channel.Channel.loss_prob);
-  if spec.channel.Channel.capture_ratio < 1.0 then
+  if not (spec.channel.Channel.capture_ratio >= 1.0) then
     emit Error "channel.capture_ratio" "channel"
       (Printf.sprintf "capture ratio %g < 1 decodes weaker-than-interference signals"
          spec.channel.Channel.capture_ratio);

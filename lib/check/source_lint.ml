@@ -26,10 +26,10 @@ let codes =
     "parse-error";
   ]
 
-(* Audited-sound uses.  The protocol [progress] counters (multi_path,
-   certified_propagation) fold a commutative sum or count; the engine's fingerprint hashes an explicit canonical encoding;
-   the bench table folds into a list it immediately sorts; the pool's
-   sanitizer digest is compared only against another digest of the same
+(* Audited-sound uses.  Certified_propagation's [progress] counter folds
+   a commutative count; the engine's fingerprint hashes an explicit
+   canonical encoding; the bench table folds into a list it immediately
+   sorts; the pool's sanitizer digest is compared only against another digest of the same
    in-memory representation within one process, so representation
    dependence cannot flip a verdict.  The lint front end times its own
    analyzers (`securebit_lint all` prints per-analyzer wall seconds),
@@ -39,7 +39,6 @@ let codes =
    diagnostic can point back here instead of at the audited file. *)
 let allowlist_located =
   [
-    (("lib/core/multi_path.ml", "hashtbl-order"), __LINE__);
     (("lib/core/certified_propagation.ml", "hashtbl-order"), __LINE__);
     (("lib/sim/engine.ml", "poly-hash"), __LINE__);
     (("bench/main.ml", "hashtbl-order"), __LINE__);

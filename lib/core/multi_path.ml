@@ -26,6 +26,7 @@ let role_blocking = 2
 let role_receiving = 3
 
 type state = {
+  id : Node.id;
   pos : Point.t;
   my_slot : int;
   relay_heard : bool;
@@ -51,7 +52,10 @@ type ctx = {
   schedule : Schedule.t;
   source : Node.id;
   codec : Frame.codec;
-  states : (Node.id, state) Hashtbl.t;
+  states : state option array;  (** by node id: the last machine built for it *)
+  progress : int array;
+      (** by node id: committed bits plus stream bits received, kept in
+          O(1) per change by the node's own machine *)
 }
 
 let make_ctx config ~topology ~source =
@@ -70,7 +74,16 @@ let make_ctx config ~topology ~source =
       ~coord_range:(Topology.sense_reach topology)
       ~coord_step:config.coord_step
   in
-  { config; topology; schedule; source; codec; states = Hashtbl.create 64 }
+  let n = Topology.size topology in
+  {
+    config;
+    topology;
+    schedule;
+    source;
+    codec;
+    states = Array.make n None;
+    progress = Array.make n 0;
+  }
 
 let schedule ctx = ctx.schedule
 
@@ -82,9 +95,13 @@ let committed_bit s i = Buffer.nth s.committed i = '1'
 let push_frame ctx s frame =
   Bitvec.fold_left (fun () bit -> One_hop.Sender.push s.sender bit) () (Frame.encode ctx.codec frame)
 
+let add_committed ctx s bit =
+  Buffer.add_char s.committed (if bit then '1' else '0');
+  ctx.progress.(s.id) <- ctx.progress.(s.id) + 1
+
 let commit_bit ctx s bit =
   let index = committed_len s in
-  Buffer.add_char s.committed (if bit then '1' else '0');
+  add_committed ctx s bit;
   if s.enqueue_commits then push_frame ctx s (Frame.Commit { index; value = bit })
 
 let rec try_commit ctx s =
@@ -208,8 +225,10 @@ let finish_interval ctx s =
     if Two_bit.Receiver.finished r && not (Two_bit.Receiver.veto_seen r) then begin
       match s.rx_peer with
       | Some peer ->
+        let before = One_hop.Receiver.received peer.stream in
         One_hop.Receiver.push_two_bit peer.stream ~parity:(Two_bit.Receiver.bit1 r)
           ~data:(Two_bit.Receiver.bit2 r);
+        ctx.progress.(s.id) <- ctx.progress.(s.id) + One_hop.Receiver.received peer.stream - before;
         parse_frames ctx s peer
       | None -> ()
     end
@@ -282,6 +301,7 @@ let machine ctx id role =
   let next_active = Schedule.next_relevant_round ctx.schedule ~relevant in
   let s =
     {
+      id;
       pos;
       my_slot;
       relay_heard = (match role with Liar _ -> false | Source _ | Relay -> true);
@@ -301,13 +321,14 @@ let machine ctx id role =
       cur_interval = -1;
     }
   in
+  ctx.progress.(id) <- 0;
   begin
     match role with
     | Source message ->
       assert (Bitvec.length message = config.msg_len);
       Bitvec.fold_left
         (fun () bit ->
-          Buffer.add_char s.committed (if bit then '1' else '0');
+          add_committed ctx s bit;
           push_frame ctx s (Frame.Source bit))
         () message
     | Liar message ->
@@ -315,7 +336,7 @@ let machine ctx id role =
       Bitvec.fold_left (fun () bit -> commit_bit ctx s bit) () message
     | Relay -> ()
   end;
-  Hashtbl.replace ctx.states id s;
+  ctx.states.(id) <- Some s;
   {
     Engine.act = (fun round -> act ctx s round);
     observe = (fun round obs -> observe ctx s round obs);
@@ -327,15 +348,17 @@ let machine ctx id role =
     next_active;
   }
 
-let committed_bits ctx id =
-  match Hashtbl.find_opt ctx.states id with
-  | None -> invalid_arg "Multi_path.committed_bits: unknown node"
-  | Some s -> Bitvec.init (committed_len s) (committed_bit s)
+let state_of ctx id what =
+  match ctx.states.(id) with
+  | None -> invalid_arg ("Multi_path." ^ what ^ ": unknown node")
+  | Some s -> s
 
-let progress ctx =
-  Hashtbl.fold
-    (fun _ s acc ->
-      Array.fold_left
-        (fun acc peer -> acc + One_hop.Receiver.received peer.stream)
-        (acc + committed_len s) s.peers)
-    ctx.states 0
+let committed_bits ctx id =
+  let s = state_of ctx id "committed_bits" in
+  Bitvec.init (committed_len s) (committed_bit s)
+
+let stream_counts ctx id =
+  let s = state_of ctx id "stream_counts" in
+  List.map (fun p -> (p.peer_id, One_hop.Receiver.received p.stream)) (Array.to_list s.peers)
+
+let progress ctx = Array.fold_left ( + ) 0 ctx.progress

@@ -41,8 +41,16 @@ type role = Source of Bitvec.t | Relay | Liar of Bitvec.t
 
 val machine : ctx -> Node.id -> role -> Msg.t Engine.machine
 val committed_bits : ctx -> Node.id -> Bitvec.t
+(** Prefix committed so far by a node built with [machine].  Raises
+    [Invalid_argument] for a node without a machine. *)
+
+val stream_counts : ctx -> Node.id -> (Node.id * int) list
+(** [(peer, bits received)] for every sensed peer's 1Hop stream, in
+    sensed order.  For tests and progress inspection, like
+    {!committed_bits}. *)
 
 val progress : ctx -> int
-(** Monotone progress counter (committed bits plus stream bits received),
-    used to cut wedged simulations short; see
-    {!Neighbor_watch.progress}. *)
+(** Monotone progress counter over all machines of this context: total
+    committed bits plus total stream bits received.  Used to cut wedged
+    simulations short; see {!Neighbor_watch.progress}.  O(n) over a flat
+    per-node array that each machine updates in O(1) for its own node. *)

@@ -29,7 +29,12 @@ type params = {
 }
 
 val ideal : params
-(** No capture, no loss: the analytic model. *)
+(** No capture, no loss: the analytic model's collision rule.  A receiver
+    decodes iff exactly one sensed transmission reaches it and that one
+    is decodable; any other sensed activity reads busy.  The sparse engine
+    resolves this channel by counting coverage per receiver word instead
+    of summing powers, wherever {!Graph.csr} built word entries for the
+    topology (they exist only where the two rules agree). *)
 
 val realistic : params
 (** Capture ratio 3.0 (≈5 dB) and 1% packet loss: the WSNet-like setup. *)

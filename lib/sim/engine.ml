@@ -94,18 +94,42 @@ let drain step ~clear set r =
     end
   done
 
+(* Per-bit steps of the collision-count fan-in, at top level so that a
+   round builds no closure.  [stamp_slots] records [slot] as the first
+   decodable transmission of every receiver in [w] (ids [base + bit]);
+   [write_codes] writes the packed code of every receiver in [covered]:
+   clear at its stamped slot if it is in [clear], busy otherwise. *)
+let rec stamp_slots first base w slot =
+  if w <> 0 then begin
+    first.(base + Bitvec.lowest_bit w) <- slot;
+    stamp_slots first base (w land (w - 1)) slot
+  end
+
+let rec write_codes out first base covered clear =
+  if covered <> 0 then begin
+    let b = Bitvec.lowest_bit covered in
+    out.(base + b) <-
+      (if (clear lsr b) land 1 = 1 then Channel.Packed.clear first.(base + b)
+       else Channel.Packed.busy);
+    write_codes out first base (covered land (covered - 1)) clear
+  end
+
 let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(stop_stride = 96)
     ?idle_stop ?tap ~topology ~machines ~waiters ~cap () =
   let n = Topology.size topology in
   if Array.length machines <> n || Array.length waiters <> n then
     invalid_arg "Engine.run: machines/waiters size mismatch";
   if stop_stride < 1 then invalid_arg "Engine.run: stop_stride must be >= 1";
+  if Float.is_nan channel.Channel.loss_prob || Float.is_nan channel.Channel.capture_ratio then
+    invalid_arg "Engine.run: NaN channel parameter";
+  if channel.Channel.loss_prob > 0.0 && Option.is_none rng then
+    invalid_arg "Engine.run: loss_prob > 0 requires an rng";
   let broadcasts = Array.make n 0 in
   let completion_round = Array.make n (-1) in
   (* Outgoing links in CSR form, built once per topology and cached on the
      graph (receivers descending within each row — see Graph.csr): repeated
      runs over one topology stop paying the O(links) rebuild. *)
-  let { Graph.out_off; out_rcv; out_pow } = Graph.csr (Topology.graph topology) in
+  let { Graph.out_off; out_rcv; out_pow; words } = Graph.csr (Topology.graph topology) in
   let loss = channel.Channel.loss_prob in
   let pending = ref 0 in
   Array.iter (fun w -> if w then incr pending) waiters;
@@ -120,7 +144,8 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(st
      signal, and the signal counts, so the hot loop allocates nothing.
      [Channel.resolve_packed] turns the aggregates into packed codes;
      equivalence with the reference [Channel.resolve] is covered by a
-     property test. *)
+     property test.  [obs_packed] holds silence outside a round's
+     resolve-to-observe window: observing a code resets it. *)
   let sum_power = Array.make n 0.0 in
   let n_decodable = Array.make n 0 in
   let best_power = Array.make n 0.0 in
@@ -145,7 +170,9 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(st
      record can be built outside the hot functions without a per-round
      cons list. *)
   let tap_tx = match tap with None -> [||] | Some _ -> Array.make (max 1 n) 0 in
-  let fan_out i payload =
+  (* A transmission enters the round: counted, given the next slot, and
+     fingerprinted for the tap. *)
+  let push_slot i payload =
     broadcasts.(i) <- broadcasts.(i) + 1;
     let slot = slots.count in
     if tap <> None then begin
@@ -153,6 +180,10 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(st
       slot_fp.(slot) <- fingerprint_payload payload
     end;
     slots_push slots n payload;
+    slot
+  in
+  let fan_out i payload =
+    let slot = push_slot i payload in
     for k = out_off.(i) to out_off.(i + 1) - 1 do
       let receiver = out_rcv.(k) and power = out_pow.(k) in
       if not has_rx.(receiver) then begin
@@ -163,10 +194,7 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(st
       sum_power.(receiver) <- sum_power.(receiver) +. power;
       let lost =
         power >= 1.0 && loss > 0.0
-        &&
-        match rng with
-        | Some r -> Rng.bernoulli r loss
-        | None -> invalid_arg "Engine.run: loss_prob > 0 requires an rng"
+        && match rng with Some r -> Rng.bernoulli r loss | None -> false (* checked at entry *)
       in
       if power >= 1.0 && not lost then begin
         n_decodable.(receiver) <- n_decodable.(receiver) + 1;
@@ -184,7 +212,6 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(st
       n_decodable.(i) <- 0;
       best_power.(i) <- 0.0;
       best_slot.(i) <- 0;
-      obs_packed.(i) <- 0;
       has_rx.(i) <- false
     done;
     n_touched := 0;
@@ -220,6 +247,7 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(st
         ~best_power ~best_slot ~out:obs_packed;
       for i = 0 to n - 1 do
         let p = obs_packed.(i) in
+        obs_packed.(i) <- Channel.Packed.silence;
         if tap <> None then tap_fp.(i) <- fingerprint_packed slot_fp p;
         match machines.(i).observe_packed with
         | Some f -> f r p slots
@@ -367,13 +395,67 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(st
         | None -> ()
       end
     in
+    (* Collision-count fan-in.  On a collision-only channel (no capture,
+       no loss) a receiver decodes iff exactly one sensed link reaches it
+       and that link decodes.  Where [Graph.csr] built word entries, which
+       it does only where this count rule equals [Channel.resolve_packed]'s
+       float rule, the loop counts coverage to two per word instead of
+       summing powers per link: [once] and [twice] hold the receivers
+       reached at least once and twice, [dec] those reached through a
+       decodable link, and [best_slot] the slot of each receiver's first
+       decodable transmission.  [resolve_words] consumes the counters
+       through the stack of words touched, so a round costs the words it
+       touched, never ⌈n/62⌉. *)
+    let counted =
+      match words with
+      | Some rows when channel.Channel.capture_ratio = infinity && loss = 0.0 -> Some rows
+      | Some _ | None -> None
+    in
+    let counter () = if Option.is_some counted then word_set n else [||] in
+    let once = counter () and twice = counter () and dec = counter () in
+    let words_touched = counter () and n_words_touched = ref 0 in
+    let fan_out_words { Graph.word_off; word_idx; word_sensed; word_dec } i payload =
+      let slot = push_slot i payload in
+      for k = word_off.(i) to word_off.(i + 1) - 1 do
+        let w = word_idx.(k) and m = word_sensed.(k) and d = word_dec.(k) in
+        let o = once.(w) in
+        if o = 0 then begin
+          words_touched.(!n_words_touched) <- w;
+          incr n_words_touched
+        end;
+        twice.(w) <- twice.(w) lor (o land m);
+        once.(w) <- o lor m;
+        dec.(w) <- dec.(w) lor d;
+        let fresh = d land lnot o in
+        if fresh <> 0 then stamp_slots best_slot (w * Bitvec.bits_per_word) fresh slot
+      done
+    in
+    (* Covered exactly once, through a decodable link: clear; covered at
+       all: busy.  The covered words join the round's drain set. *)
+    let resolve_words cur =
+      for k = 0 to !n_words_touched - 1 do
+        let w = words_touched.(k) in
+        let o = once.(w) in
+        write_codes obs_packed best_slot (w * Bitvec.bits_per_word) o
+          (o land lnot twice.(w) land dec.(w));
+        cur.(w) <- cur.(w) lor o;
+        once.(w) <- 0;
+        twice.(w) <- 0;
+        dec.(w) <- 0
+      done;
+      n_words_touched := 0
+    in
     let act_step i r =
       match machines.(i).act r with
       | Silent -> ()
-      | Transmit payload -> fan_out i payload
+      | Transmit payload -> (
+        match counted with
+        | Some rows -> fan_out_words rows i payload
+        | None -> fan_out i payload)
     in
     let observe_step i r =
       let p = obs_packed.(i) in
+      obs_packed.(i) <- Channel.Packed.silence;
       if tap <> None then begin
         tap_fp.(i) <- fingerprint_packed slot_fp p;
         polled.(!n_polled) <- i;
@@ -405,11 +487,14 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(st
          everyone else observes the silence implied by the contract.
          Round 0 also checks every machine for construction-time
          deliveries. *)
-      Channel.resolve_packed channel ~touched ~n_touched:!n_touched ~sum_power ~n_decodable
-        ~best_power ~best_slot ~out:obs_packed;
-      for k = 0 to !n_touched - 1 do
-        set_add cur touched.(k)
-      done;
+      if Option.is_some counted then resolve_words cur
+      else begin
+        Channel.resolve_packed channel ~touched ~n_touched:!n_touched ~sum_power ~n_decodable
+          ~best_power ~best_slot ~out:obs_packed;
+        for k = 0 to !n_touched - 1 do
+          set_add cur touched.(k)
+        done
+      end;
       drain observe_step ~clear:false cur r;
       drain finish_step ~clear:true cur r;
       if r = 0 then

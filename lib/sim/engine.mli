@@ -144,6 +144,12 @@ val run :
     never make progress again — e.g. disconnected nodes in the crash
     experiments.  Choose it of at least two full schedule cycles.
     [channel] defaults to [Channel.ideal].  [rng] is needed whenever the
-    channel has losses.  [machines] and [waiters] must have one entry per
-    node of the topology.  Raises [Invalid_argument] on a size mismatch or
-    a [stop_stride] below 1. *)
+    channel has losses.  On a collision-only channel (infinite capture
+    ratio, no loss) the [`Sparse] loop resolves receptions by counting
+    coverage over {!Graph.csr}'s word entries where the topology has them,
+    and by the per-link power sums of {!Channel.resolve_packed} elsewhere;
+    [`Dense] always sums powers, so the mode-equivalence suite holds the
+    two rules identical.  [machines] and [waiters] must have one entry per
+    node of the topology.  Raises [Invalid_argument] at entry on a size
+    mismatch, a [stop_stride] below 1, a NaN [loss_prob] or
+    [capture_ratio], or a positive [loss_prob] without [rng]. *)

@@ -1,6 +1,18 @@
 type link = { peer : Node.id; power : float }
 
-type csr = { out_off : int array; out_rcv : int array; out_pow : float array }
+type words = {
+  word_off : int array;
+  word_idx : int array;
+  word_sensed : int array;
+  word_dec : int array;
+}
+
+type csr = {
+  out_off : int array;
+  out_rcv : int array;
+  out_pow : float array;
+  words : words option;
+}
 
 type t = {
   sensed : link array array;
@@ -19,34 +31,99 @@ let size t = Array.length t.rx
    results bit for bit.  Built on first demand and cached: repeated
    [Engine.run] calls over one topology (equivalence captures, warm
    campaign rounds, mobility epochs re-using a topology) stop paying the
-   O(links) rebuild. *)
+   O(links) rebuild.
+
+   The same rows as word entries: each run of a row's receivers that share
+   a [Bitvec.bits_per_word]-id word becomes one (word, sensed mask,
+   decodable mask) entry, so a collision-only fan-in ORs one mask per
+   entry instead of summing one power per link.  An infinite power
+   (co-located Friis nodes) goes in the sensed mask only: the float rule
+   reads a lone one as busy, since infinity minus itself is NaN.  The
+   entries are built only where both hold:
+   - the density gate: at most half as many entries as links.  Sparse
+     rows (expanders, large low-degree maps) keep the link walk, and their
+     heap carries no second copy of the rows;
+   - the exactness guard.  The count rule (clear iff exactly one sensed
+     link, and it decodes) equals [Channel.resolve_packed]'s float rule
+     only if no float sum can swallow a sensed power.  Summing k <= d
+     powers of at most [p_max] errs by at most (k-1)k · p_max · 2^-52,
+     and the float rule calls an interference of 1e-12 or less zero, so
+     the smallest sensed power must exceed 1e-12 plus d² · p_max · 2^-52
+     (the + 2 is slack for the final subtraction's rounding). *)
 let csr t =
   match t.csr_cache with
   | Some c -> c
   | None ->
-    let n = size t in
-    let out_off = Array.make (n + 1) 0 in
-    Array.iter
-      (fun links ->
-        Array.iter (fun { peer; _ } -> out_off.(peer + 1) <- out_off.(peer + 1) + 1) links)
-      t.sensed;
+    let n = size t and bits = Bitvec.bits_per_word in
+    (* Pass 1: row lengths and entries per row (a row meets its receivers
+       in word order, so an entry starts wherever the word changes). *)
+    let out_off = Array.make (n + 1) 0 and word_off = Array.make (n + 1) 0 in
+    let last_word = Array.make (max 1 n) (-1) in
+    for receiver = 0 to n - 1 do
+      let row = t.sensed.(receiver) and w = receiver / bits in
+      for j = 0 to Array.length row - 1 do
+        let peer = row.(j).peer in
+        out_off.(peer + 1) <- out_off.(peer + 1) + 1;
+        if last_word.(peer) <> w then begin
+          last_word.(peer) <- w;
+          word_off.(peer + 1) <- word_off.(peer + 1) + 1
+        end
+      done
+    done;
     for i = 1 to n do
-      out_off.(i) <- out_off.(i) + out_off.(i - 1)
+      out_off.(i) <- out_off.(i) + out_off.(i - 1);
+      word_off.(i) <- word_off.(i) + word_off.(i - 1)
     done;
-    let links_total = out_off.(n) in
-    let out_rcv = Array.make (max 1 links_total) 0 in
-    let out_pow = Array.make (max 1 links_total) 0.0 in
+    let links = out_off.(n) in
+    let dense = 2 * word_off.(n) <= links in
+    let entries = if dense then word_off.(n) else 0 in
+    (* Pass 2: fill the rows, receivers descending, and the entries where
+       the gate passed. *)
+    let out_rcv = Array.make (max 1 links) 0 in
+    let out_pow = Array.make (max 1 links) 0.0 in
+    let word_idx = Array.make (max 1 entries) 0 in
+    let word_sensed = Array.make (max 1 entries) 0 in
+    let word_dec = Array.make (max 1 entries) 0 in
     let cursor = Array.init n (fun i -> out_off.(i)) in
+    (* [entry.(i)]: the entry of row i being filled. *)
+    let entry = if dense then Array.init n (fun i -> word_off.(i) - 1) else [||] in
+    Array.fill last_word 0 (Array.length last_word) (-1);
     for receiver = n - 1 downto 0 do
-      Array.iter
-        (fun { peer; power } ->
-          let k = cursor.(peer) in
-          out_rcv.(k) <- receiver;
-          out_pow.(k) <- power;
-          cursor.(peer) <- k + 1)
-        t.sensed.(receiver)
+      let w = receiver / bits and bit = 1 lsl (receiver mod bits) in
+      let row = t.sensed.(receiver) in
+      for j = 0 to Array.length row - 1 do
+        let { peer; power } = row.(j) in
+        let k = cursor.(peer) in
+        out_rcv.(k) <- receiver;
+        out_pow.(k) <- power;
+        cursor.(peer) <- k + 1;
+        if dense then begin
+          if last_word.(peer) <> w then begin
+            last_word.(peer) <- w;
+            entry.(peer) <- entry.(peer) + 1;
+            word_idx.(entry.(peer)) <- w
+          end;
+          let e = entry.(peer) in
+          word_sensed.(e) <- word_sensed.(e) lor bit;
+          if power >= 1.0 && power < infinity then word_dec.(e) <- word_dec.(e) lor bit
+        end
+      done
     done;
-    let c = { out_off; out_rcv; out_pow } in
+    (* The guard, over the filled powers. *)
+    let exact () =
+      let d = Array.fold_left (fun acc row -> max acc (Array.length row)) 0 t.sensed in
+      let p_min = ref infinity and p_max = ref 0.0 in
+      for k = 0 to links - 1 do
+        let power = out_pow.(k) in
+        if power < !p_min then p_min := power;
+        if power > !p_max && power < infinity then p_max := power
+      done;
+      !p_min > 1e-12 +. (float_of_int ((d * d) + 2) *. !p_max *. epsilon_float)
+    in
+    let words =
+      if dense && exact () then Some { word_off; word_idx; word_sensed; word_dec } else None
+    in
+    let c = { out_off; out_rcv; out_pow; words } in
     t.csr_cache <- Some c;
     c
 
@@ -66,20 +143,28 @@ let validate t =
         (fun { peer; power } ->
           if peer < 0 || peer >= n then invalid_arg "Graph: link peer out of range";
           if peer = i then invalid_arg "Graph: self-loop";
-          if power < 0.0 then invalid_arg "Graph: negative link power";
+          if Float.is_nan power then invalid_arg "Graph: NaN link power";
+          if power <= 0.0 then invalid_arg "Graph: non-positive link power";
           if seen.(peer) = i then invalid_arg "Graph: duplicate link";
           seen.(peer) <- i)
         row)
     t.sensed;
-  (* Every decodable peer must also be sensed: rx is the power >= 1.0
-     sub-relation of sensed. *)
+  (* rx is exactly the power >= 1.0 part of sensed: the engine decodes by
+     power and [can_decode] reads rx, so the two must agree. *)
   Array.iteri
     (fun i row ->
-      Array.iter
-        (fun peer ->
-          if not (Array.exists (fun l -> l.peer = peer) t.sensed.(i)) then
-            invalid_arg "Graph: rx edge missing from sensed")
-        row)
+      let links = t.sensed.(i) in
+      Array.iteri
+        (fun k peer ->
+          if k > 0 && row.(k - 1) = peer then invalid_arg "Graph: duplicate rx edge";
+          match Array.find_opt (fun l -> l.peer = peer) links with
+          | None -> invalid_arg "Graph: rx edge missing from sensed"
+          | Some l -> if l.power < 1.0 then invalid_arg "Graph: rx edge below decode power")
+        row;
+      let decodable =
+        Array.fold_left (fun acc l -> if l.power >= 1.0 then acc + 1 else acc) 0 links
+      in
+      if decodable <> Array.length row then invalid_arg "Graph: decodable link missing from rx")
     t.rx;
   t
 

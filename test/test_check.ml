@@ -117,6 +117,19 @@ let test_lint_catches_bad_specs () =
   Alcotest.(check bool) "cap diagnostic is an error" true
     (Lint.has_errors (lint { d with cap = 0 }))
 
+(* NaN compares false against everything, so a range check written as
+   "below or above" lets it through. *)
+let test_lint_nan_channel () =
+  let d = Scenario.default in
+  let lint channel = Lint.lint ~name:"nan" { d with channel } in
+  Alcotest.(check bool) "NaN loss_prob" true
+    (has_code "channel" (lint { Channel.ideal with Channel.loss_prob = nan }));
+  Alcotest.(check bool) "NaN capture_ratio" true
+    (has_code "channel" (lint { Channel.ideal with Channel.capture_ratio = nan }));
+  Alcotest.(check bool) "it is an error" true
+    (Lint.has_errors (lint { Channel.ideal with Channel.loss_prob = nan }));
+  Alcotest.(check bool) "the ideal channel stays clean" false (has_code "channel" (lint Channel.ideal))
+
 let test_lint_byz_tolerance_warning () =
   (* 600 nodes on a 20x20 map with R=4: ~75 devices per neighbourhood, so
      40% liars vastly exceeds the ceil(R/2)^2 - 1 = 3 bound. *)
@@ -781,6 +794,7 @@ let () =
           Alcotest.test_case "presets are clean" `Quick test_lint_presets_clean;
           Alcotest.test_case "default is clean" `Quick test_lint_default_clean;
           Alcotest.test_case "bad specs are caught" `Quick test_lint_catches_bad_specs;
+          Alcotest.test_case "NaN channel parameters" `Quick test_lint_nan_channel;
           Alcotest.test_case "byz-tolerance warning" `Quick test_lint_byz_tolerance_warning;
           Alcotest.test_case "diagnostic rendering" `Quick test_lint_diagnostic_rendering;
         ] );

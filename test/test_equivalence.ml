@@ -200,6 +200,242 @@ let test_catchup_under_veto_jam () =
          else if Rng.int rng 20 = 0 then None
          else Some (Neighbor_watch.machine ctx i Neighbor_watch.Relay)))
 
+(* --- collision-count fan-in ---------------------------------------------
+
+   On a collision-only channel the sparse loop resolves from
+   [Graph.csr]'s word entries by counting coverage, while the dense loop
+   always sums powers per link.  So a Dense-vs-Sparse trace diff checks
+   the count rule against the float rule, on topologies chosen to sit on
+   the rule's edges. *)
+
+(* Every node alone in turn, then every ordered pair, then pseudo-random
+   subsets of about one node in eight. *)
+let pattern n r i =
+  if r < n then i = r
+  else if r < n + (n * n) then
+    let q = r - n in
+    i = q / n || i = q mod n
+  else ((i * 73_856_093) lxor (r * 19_349_663)) land 7 = 0
+
+let pattern_rounds n = n + (n * n) + 200
+
+(* Transmit by [pattern], poll every round, observe nothing: the trace
+   digests record what each radio resolved. *)
+let chatter n i =
+  {
+    Engine.act = (fun r -> if pattern n r i then Engine.Transmit i else Engine.Silent);
+    observe = (fun _ _ -> ());
+    observe_packed = Some (fun _ _ _ -> ());
+    delivered = (fun () -> None);
+    next_active = Engine.always_active;
+  }
+
+let chatter_trace ?rng ?(channel = Channel.ideal) topology mode =
+  let n = Topology.size topology in
+  let tap, finish = Determinism.collector () in
+  let rng = Option.map Rng.create rng in
+  let result =
+    Engine.run ~mode ?rng ~channel ~tap ~topology ~machines:(Array.init n (chatter n))
+      ~waiters:(Array.make n true) ~cap:(pattern_rounds n) ()
+  in
+  (finish (), result)
+
+(* Dense vs Sparse over the chatter pattern; returns the trace. *)
+let check_chatter ?rng ?channel name topology =
+  let dense_trace, dense = chatter_trace ?rng ?channel topology `Dense in
+  let sparse_trace, sparse = chatter_trace ?rng ?channel topology `Sparse in
+  check_same_trace name "dense/sparse" dense_trace sparse_trace;
+  check_same_engine name "dense/sparse" dense sparse;
+  sparse_trace
+
+(* The round in which exactly [a] and [b] transmit ([a = b]: [a] alone). *)
+let pair_round n a b = if a = b then a else n + (a * n) + b
+
+let fingerprint_at (trace : Determinism.trace) ~round ~node =
+  trace.(round).Engine.observations.(node)
+
+(* A complete graph on six nodes at power 1.0 except the link node 0
+   senses node 1 by. *)
+let complete_with ~power01 =
+  let n = 6 in
+  let sensed =
+    Array.init n (fun i ->
+        Array.of_list
+          (List.filter_map
+             (fun j ->
+               if j = i then None
+               else Some { Graph.peer = j; power = (if i = 0 && j = 1 then power01 else 1.0) })
+             (List.init n Fun.id)))
+  in
+  let rx =
+    Array.map
+      (fun row ->
+        Array.of_list
+          (List.filter_map
+             (fun { Graph.peer; power } -> if power >= 1.0 then Some peer else None)
+             (Array.to_list row)))
+      sensed
+  in
+  let nodes = Array.init n (fun i -> Node.make i (Point.make (float_of_int i) 0.0)) in
+  Topology.synthetic ~family:"complete"
+    { Deployment.width = float_of_int n; height = 1.0; nodes }
+    (Graph.make ~sensed ~rx)
+
+(* A 1e-13 link beside a decodable one: the float rule calls the 1e-13
+   interference zero (tolerance 1e-12) and decodes, the count rule would
+   read busy. *)
+let weak_link () = complete_with ~power01:1e-13
+
+(* A 10^17 : 1 spread: 10^17 + 1 rounds to 10^17, so the float rule decodes
+   node 1 over node 2 and the count rule would read busy. *)
+let wide_spread () = complete_with ~power01:1e17
+
+(* [n] nodes uniform on a [side]-square under Friis R = 4, with node
+   [twin + 1] moved onto node [twin] when given. *)
+let friis_map ?twin ~seed ~n ~side () =
+  let deployment = Deployment.uniform (Rng.create seed) ~n ~width:side ~height:side in
+  let deployment =
+    match twin with
+    | None -> deployment
+    | Some a ->
+      let nodes = Array.copy deployment.Deployment.nodes in
+      nodes.(a + 1) <- Node.make (a + 1) nodes.(a).Node.pos;
+      { deployment with Deployment.nodes }
+  in
+  Topology.build deployment (Propagation.friis 4.0)
+
+let has_words topology = Option.is_some (Graph.csr (Topology.graph topology)).Graph.words
+
+(* The gate and the guard recomputed from the sensed rows. *)
+let gate_and_guard topology =
+  let sensed = Topology.sensed topology in
+  let n = Array.length sensed in
+  let words_of = Array.make n [] in
+  let links = ref 0 and d = ref 0 and p_min = ref infinity and p_max = ref 0.0 in
+  Array.iteri
+    (fun receiver row ->
+      d := max !d (Array.length row);
+      Array.iter
+        (fun { Graph.peer; power } ->
+          incr links;
+          words_of.(peer) <- (receiver / Bitvec.bits_per_word) :: words_of.(peer);
+          p_min := Float.min !p_min power;
+          if power < infinity then p_max := Float.max !p_max power)
+        row)
+    sensed;
+  let entries =
+    Array.fold_left (fun acc ws -> acc + List.length (List.sort_uniq Int.compare ws)) 0 words_of
+  in
+  let gate = 2 * entries <= !links in
+  let guard =
+    !p_min > 1e-12 +. (float_of_int ((!d * !d) + 2) *. !p_max *. epsilon_float)
+  in
+  (gate, guard)
+
+(* Built word entries must restate the link rows: per transmitter, the
+   sensed masks are its receivers and the decodable masks those at a
+   finite power of at least 1.0. *)
+let check_entries_match_links name topology =
+  let { Graph.out_off; out_rcv; out_pow; words } = Graph.csr (Topology.graph topology) in
+  match words with
+  | None -> Alcotest.failf "%s: no word entries" name
+  | Some { Graph.word_off; word_idx; word_sensed; word_dec } ->
+    for i = 0 to Array.length out_off - 2 do
+      let from_links keep =
+        List.sort Int.compare
+          (List.filter_map
+             (fun k -> if keep out_pow.(k) then Some out_rcv.(k) else None)
+             (List.init (out_off.(i + 1) - out_off.(i)) (fun j -> out_off.(i) + j)))
+      in
+      let from_words masks =
+        List.sort Int.compare
+          (List.concat_map
+             (fun e ->
+               List.filter_map
+                 (fun b ->
+                   if (masks.(e) lsr b) land 1 = 1 then
+                     Some ((word_idx.(e) * Bitvec.bits_per_word) + b)
+                   else None)
+                 (List.init Bitvec.bits_per_word Fun.id))
+             (List.init (word_off.(i + 1) - word_off.(i)) (fun j -> word_off.(i) + j)))
+      in
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s: node %d sensed" name i)
+        (from_links (fun _ -> true))
+        (from_words word_sensed);
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s: node %d decodable" name i)
+        (from_links (fun p -> p >= 1.0 && p < infinity))
+        (from_words word_dec)
+    done
+
+let test_word_rows_built_when_due () =
+  let dense = friis_map ~seed:3 ~n:40 ~side:4.0 () in
+  let expander = Graphs.expander (Rng.create 5) ~n:1000 ~degree:8 in
+  List.iter
+    (fun (name, topology, expect_gate, expect_guard) ->
+      let gate, guard = gate_and_guard topology in
+      Alcotest.(check (pair bool bool)) (name ^ ": gate and guard") (expect_gate, expect_guard)
+        (gate, guard);
+      Alcotest.(check bool) (name ^ ": word entries built") (gate && guard) (has_words topology))
+    [
+      ("dense Friis map", dense, true, true);
+      ("expander", expander, false, true);
+      ("1e-13 link", weak_link (), true, false);
+      ("1e17 spread", wide_spread (), true, false);
+    ];
+  check_entries_match_links "dense Friis map" dense
+
+(* Co-located Friis nodes sense each other at infinite power.  Alone, the
+   float rule reads busy (infinity minus infinity is NaN); so must the
+   count rule, which keeps infinite links out of the decodable mask. *)
+let test_colocated_pair () =
+  let n = 40 and twin = 10 in
+  let topology = friis_map ~twin ~seed:3 ~n ~side:4.0 () in
+  Alcotest.(check bool) "word entries built" true (has_words topology);
+  Alcotest.(check bool) "the pair links at infinite power" true
+    (Array.exists
+       (fun { Graph.peer; power } -> peer = twin && power = infinity)
+       (Topology.sensed topology).(twin + 1));
+  let trace = check_chatter "co-located pair" topology in
+  let alone = pair_round n twin twin in
+  Alcotest.(check int) "the twin hears a lone infinite link as busy" 1
+    (fingerprint_at trace ~round:alone ~node:(twin + 1));
+  Alcotest.(check bool) "a third node decodes it" true
+    (Array.exists (fun fp -> fp >= 2) trace.(alone).Engine.observations)
+
+(* The guarded topologies keep the link walk, so node 0 decodes node 1
+   over node 2 in both loops. *)
+let test_guarded_topology (name, make) () =
+  let topology = make () in
+  Alcotest.(check bool) (name ^ ": no word entries") false (has_words topology);
+  let trace = check_chatter name topology in
+  Alcotest.(check bool) (name ^ ": node 0 decodes under the float rule") true
+    (fingerprint_at trace ~round:(pair_round 6 1 2) ~node:0 >= 2)
+
+(* Capture and loss need the power sums: a realistic channel over a
+   topology with word entries still takes the link walk. *)
+let test_realistic_dense_map () =
+  let topology = friis_map ~seed:4 ~n:40 ~side:4.0 () in
+  Alcotest.(check bool) "word entries built" true (has_words topology);
+  ignore (check_chatter ~rng:11 ~channel:Channel.realistic "realistic" topology)
+
+(* Receivers on both sides of the first two word boundaries. *)
+let test_word_boundaries () =
+  let n = 130 in
+  let topology = friis_map ~seed:6 ~n ~side:3.5 () in
+  Alcotest.(check bool) "word entries built" true (has_words topology);
+  let trace = check_chatter "word boundaries" topology in
+  List.iter
+    (fun node ->
+      let seen p = Array.exists (fun d -> p d.Engine.observations.(node)) trace in
+      Alcotest.(check bool) (Printf.sprintf "node %d decodes" node) true (seen (fun fp -> fp >= 2));
+      Alcotest.(check bool)
+        (Printf.sprintf "node %d reads busy" node)
+        true
+        (seen (fun fp -> fp = 1)))
+    [ 61; 62; 123; 124 ]
+
 (* Randomized scenarios: any protocol, any fault model, lossy or ideal
    channel, arbitrary seed and deployment size. *)
 let prop_random_scenarios =
@@ -231,6 +467,18 @@ let () =
         [
           Alcotest.test_case "initial_commit hand-over" `Quick test_initial_commit;
           Alcotest.test_case "catch-up (b) under veto jam" `Quick test_catchup_under_veto_jam;
+        ] );
+      ( "collision-count fan-in",
+        [
+          Alcotest.test_case "word entries built when gate and guard allow" `Quick
+            test_word_rows_built_when_due;
+          Alcotest.test_case "co-located Friis pair" `Quick test_colocated_pair;
+          Alcotest.test_case "1e-13 link beside a decodable one" `Quick
+            (test_guarded_topology ("1e-13 link", weak_link));
+          Alcotest.test_case "1e17 power spread" `Quick
+            (test_guarded_topology ("1e17 spread", wide_spread));
+          Alcotest.test_case "realistic channel on a dense map" `Quick test_realistic_dense_map;
+          Alcotest.test_case "receivers at word boundaries" `Quick test_word_boundaries;
         ] );
       ( "properties",
         List.map

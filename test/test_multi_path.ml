@@ -120,6 +120,63 @@ let test_progress_and_committed_bits () =
       (Bitvec.to_string (Multi_path.committed_bits ctx i))
   done
 
+(* The flat progress array against the fold the library used to run over
+   its state table (committed bits plus received stream bits, summed over
+   every machine built), at every stall-detector call.  Liars commit their
+   fake message at construction, so the lying runs start above zero. *)
+let progress_oracle_case (label, liar) (mname, mode) =
+  Alcotest.test_case (label ^ "/" ^ mname) `Quick (fun () ->
+      let n = 60 and radius = 2.0 in
+      let deployment = Deployment.uniform (Rng.create 17) ~n ~width:6.0 ~height:6.0 in
+      let topology = Topology.build deployment (Propagation.friis radius) in
+      let source = Deployment.center_node deployment in
+      let config =
+        {
+          (Multi_path.default_config ~radius ~tolerance:1 ~msg_len:(Bitvec.length message)) with
+          Multi_path.heard_relay_limit = Some 3;
+        }
+      in
+      let ctx = Multi_path.make_ctx config ~topology ~source in
+      let fake = Scenario.fake_message message in
+      let machines =
+        Array.init n (fun i ->
+            if i = source then Multi_path.machine ctx i (Multi_path.Source message)
+            else if liar i then Multi_path.machine ctx i (Multi_path.Liar fake)
+            else Multi_path.machine ctx i Multi_path.Relay)
+      in
+      let reference () =
+        let total = ref 0 in
+        for i = 0 to n - 1 do
+          total :=
+            !total
+            + Bitvec.length (Multi_path.committed_bits ctx i)
+            + List.fold_left (fun acc (_, count) -> acc + count) 0 (Multi_path.stream_counts ctx i)
+        done;
+        !total
+      in
+      let calls = ref 0 and mismatches = ref [] and last = ref 0 in
+      let stop_when () =
+        incr calls;
+        let flat = Multi_path.progress ctx and folded = reference () in
+        if flat <> folded then mismatches := (!calls, flat, folded) :: !mismatches;
+        last := flat;
+        false
+      in
+      let waiters = Array.init n (fun i -> i <> source && not (liar i)) in
+      let _ =
+        Engine.run ~mode ~stop_stride:12 ~stop_when ~topology ~machines ~waiters ~cap:20_000 ()
+      in
+      Alcotest.(check bool) "stop_when was called" true (!calls > 10);
+      (match !mismatches with
+      | [] -> ()
+      | (call, flat, folded) :: _ ->
+        Alcotest.failf "progress %d but the fold says %d (stop_when call %d)" flat folded call);
+      (* Every honest node commits the message, and every link carries
+         stream bits: the counter saw more than the construction commits. *)
+      Alcotest.(check bool) "streams were received" true (!last > n * Bitvec.length message))
+
+let progress_specs = [ ("honest", fun _ -> false); ("lying", fun i -> i mod 12 = 5) ]
+
 let test_sources_beyond_range_need_votes () =
   (* Sanity on the voting path: nodes outside the source's sense range can
      only commit through COMMIT/HEARD quorums, and they do. *)
@@ -162,4 +219,9 @@ let () =
           Alcotest.test_case "t=2 resists light lying" `Quick test_tolerance_resists_light_lying;
           Alcotest.test_case "relay cap reduces traffic" `Quick test_relay_cap_reduces_traffic;
         ] );
+      ( "progress oracle",
+        List.concat_map
+          (fun spec ->
+            List.map (progress_oracle_case spec) [ ("sparse", `Sparse); ("dense", `Dense) ])
+          progress_specs );
     ]

@@ -191,6 +191,64 @@ let test_topology_sorted_rows_and_lookup () =
 
 (* --- Schedule ------------------------------------------------------------- *)
 
+(* Graph.make rejects every row set the engine and [can_decode] would
+   read differently, one case per rejection.  [links] are (receiver,
+   sender, power) triples on three nodes; [rx] lists (receiver, sender). *)
+let graph_of ~links ~rx =
+  let n = 3 in
+  Graph.make
+    ~sensed:
+      (Array.init n (fun i ->
+           Array.of_list
+             (List.filter_map
+                (fun (r, peer, power) -> if r = i then Some { Graph.peer; power } else None)
+                links)))
+    ~rx:
+      (Array.init n (fun i ->
+           Array.of_list (List.filter_map (fun (r, peer) -> if r = i then Some peer else None) rx)))
+
+let graph_rejections =
+  [
+    ("peer out of range", [ (0, 3, 1.0) ], [ (0, 3) ], "Graph: link peer out of range");
+    ("self-loop", [ (0, 0, 1.0) ], [ (0, 0) ], "Graph: self-loop");
+    ("duplicate link", [ (0, 1, 0.5); (0, 1, 0.5) ], [], "Graph: duplicate link");
+    ("NaN power", [ (0, 1, nan) ], [], "Graph: NaN link power");
+    ("zero power", [ (0, 1, 0.0) ], [], "Graph: non-positive link power");
+    ("negative power", [ (0, 1, -1.0) ], [], "Graph: non-positive link power");
+    ( "rx edge not sensed",
+      [ (0, 1, 1.0) ],
+      [ (0, 1); (0, 2) ],
+      "Graph: rx edge missing from sensed" );
+    ("rx edge at power 0.5", [ (0, 1, 0.5) ], [ (0, 1) ], "Graph: rx edge below decode power");
+    ("duplicate rx edge", [ (0, 1, 1.0) ], [ (0, 1); (0, 1) ], "Graph: duplicate rx edge");
+    ( "power-2.0 link missing from rx",
+      [ (0, 1, 2.0) ],
+      [],
+      "Graph: decodable link missing from rx" );
+  ]
+
+let graph_rejection_case (label, links, rx, message) =
+  Alcotest.test_case label `Quick (fun () ->
+      Alcotest.check_raises label (Invalid_argument message) (fun () ->
+          ignore (graph_of ~links ~rx)))
+
+let test_graph_row_count_mismatch () =
+  Alcotest.check_raises "two sensed rows, three rx rows"
+    (Invalid_argument "Graph: sensed/rx row count mismatch") (fun () ->
+      ignore (Graph.make ~sensed:[| [||]; [||] |] ~rx:[| [||]; [||]; [||] |]))
+
+(* What the rejections leave: weak sensed links, decodable ones in rx,
+   and co-located nodes' infinite power. *)
+let test_graph_make_accepts () =
+  let g =
+    graph_of
+      ~links:[ (0, 1, 0.5); (0, 2, 2.0); (1, 0, 1.0); (2, 1, infinity) ]
+      ~rx:[ (0, 2); (1, 0); (2, 1) ]
+  in
+  Alcotest.(check bool) "decodes the power-2.0 link" true (Graph.can_decode g ~rx:0 ~tx:2);
+  Alcotest.(check bool) "only senses the power-0.5 link" false (Graph.can_decode g ~rx:0 ~tx:1);
+  Alcotest.(check bool) "decodes the infinite link" true (Graph.can_decode g ~rx:2 ~tx:1)
+
 let test_schedule_phases () =
   Alcotest.(check int) "rounds per interval" 6 Schedule.rounds_per_interval;
   Alcotest.(check int) "interval" 2 (Schedule.interval_of_round 13);
@@ -503,6 +561,35 @@ let test_engine_stop_stride_rejected () =
         [ 0; -1 ])
     [ ("dense", `Dense); ("sparse", `Sparse) ]
 
+(* Bad channels fail at entry, not at the first decodable fan-out (which
+   may never come: here nobody transmits). *)
+let test_engine_bad_channel_rejected () =
+  let topology = line_topology 2 1.0 1.5 in
+  let machines = [| Engine.silent_machine; Engine.silent_machine |] in
+  let cases =
+    [
+      ( "lossy without an rng",
+        { Channel.ideal with Channel.loss_prob = 0.1 },
+        "Engine.run: loss_prob > 0 requires an rng" );
+      ( "NaN loss_prob",
+        { Channel.ideal with Channel.loss_prob = nan },
+        "Engine.run: NaN channel parameter" );
+      ( "NaN capture_ratio",
+        { Channel.ideal with Channel.capture_ratio = nan },
+        "Engine.run: NaN channel parameter" );
+    ]
+  in
+  List.iter
+    (fun (mname, mode) ->
+      List.iter
+        (fun (label, channel, message) ->
+          Alcotest.check_raises (mname ^ ", " ^ label) (Invalid_argument message) (fun () ->
+              ignore
+                (Engine.run ~mode ~channel ~topology ~machines ~waiters:[| true; true |]
+                   ~cap:10 ())))
+        cases)
+    [ ("dense", `Dense); ("sparse", `Sparse) ]
+
 (* The point of the sparse loop: a machine with a periodic wakeup contract
    is polled only in the rounds it declared, and a contract-silent
    listener is woken only when a transmission actually reaches it — yet
@@ -685,6 +772,10 @@ let () =
           Alcotest.test_case "can_decode" `Quick test_topology_can_decode;
           Alcotest.test_case "sorted rows and lookup" `Quick test_topology_sorted_rows_and_lookup;
         ] );
+      ( "graph validation",
+        Alcotest.test_case "valid rows accepted" `Quick test_graph_make_accepts
+        :: Alcotest.test_case "row count mismatch" `Quick test_graph_row_count_mismatch
+        :: List.map graph_rejection_case graph_rejections );
       ( "schedule",
         [
           Alcotest.test_case "phases" `Quick test_schedule_phases;
@@ -708,6 +799,8 @@ let () =
           Alcotest.test_case "stop_when custom stride" `Quick test_engine_stop_stride;
           Alcotest.test_case "stop_stride below 1 rejected" `Quick
             test_engine_stop_stride_rejected;
+          Alcotest.test_case "bad channel rejected at entry" `Quick
+            test_engine_bad_channel_rejected;
           Alcotest.test_case "sparse mode skips idle rounds" `Quick
             test_engine_sparse_skips_idle_rounds;
           Alcotest.test_case "sparse poll set across words" `Quick test_engine_poll_set_contract;
