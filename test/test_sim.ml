@@ -772,7 +772,7 @@ let () =
           Alcotest.test_case "can_decode" `Quick test_topology_can_decode;
           Alcotest.test_case "sorted rows and lookup" `Quick test_topology_sorted_rows_and_lookup;
         ] );
-      ( "graph validation",
+      ( "graph",
         Alcotest.test_case "valid rows accepted" `Quick test_graph_make_accepts
         :: Alcotest.test_case "row count mismatch" `Quick test_graph_row_count_mismatch
         :: List.map graph_rejection_case graph_rejections );
