@@ -20,10 +20,165 @@
                                        shared parse of the tree, with
                                        per-analyzer wall times.
 
-   `dune build @lint` runs `all`.  `--json` emits machine-readable
-   diagnostics for CI and editors. *)
+   Each analyzer is one function below returning diagnostics or pass/fail
+   check lines; the subcommands print them through one report path, and
+   `all` runs the same functions from one list.  `dune build @lint` runs
+   `all`.  `--json` emits machine-readable diagnostics for CI and
+   editors. *)
 
 open Cmdliner
+
+(* --- what an analyzer returns, and the one report path ------------------ *)
+
+(* A verifier's pass/fail line, printed as [label: line]; a failure also
+   carries the message --json reports. *)
+type check = { label : string; line : string; failure : string option }
+
+let holds label line = { label; line; failure = None }
+let violated label message = { label; line = "VIOLATION\n" ^ message; failure = Some message }
+
+type outcome = Diags of Diagnostics.diagnostic list | Checks of check list
+
+type report = {
+  failed : bool;
+  errors : int;
+  warnings : int;
+  items : Json.t list;  (* machine form: diagnostics, or the failed checks *)
+  lines : string list;  (* human form *)
+}
+
+(* [strict] also fails on warnings. *)
+let summarize ?(strict = false) = function
+  | Diags ds ->
+    let warnings = Diagnostics.count Warning ds in
+    {
+      failed = Diagnostics.has_errors ds || (strict && warnings > 0);
+      errors = Diagnostics.count Error ds;
+      warnings;
+      items = List.map Diagnostics.to_json ds;
+      lines = List.map Diagnostics.to_string ds;
+    }
+  | Checks cs ->
+    let failures =
+      List.filter_map
+        (fun c ->
+          Option.map
+            (fun m -> Json.Obj [ ("check", Json.String c.label); ("message", Json.String m) ])
+            c.failure)
+        cs
+    in
+    {
+      failed = failures <> [];
+      errors = List.length failures;
+      warnings = 0;
+      items = failures;
+      lines = List.map (fun c -> c.label ^ ": " ^ c.line) cs;
+    }
+
+let print_json fields = print_string (Json.to_string_pretty (Json.Obj fields))
+
+(* Text: the report's lines, then [summary: ok|FAILED].  JSON: [head],
+   the error count, [tail], then the diagnostics.  Exit 1 on failure. *)
+let report ?(json = false) ?summary ?(head = []) ?(tail = []) r =
+  if json then
+    print_json
+      (head @ [ ("errors", Json.Int r.errors) ] @ tail @ [ ("diagnostics", Json.List r.items) ])
+  else begin
+    List.iter print_endline r.lines;
+    Option.iter (fun s -> Printf.printf "%s: %s\n" s (if r.failed then "FAILED" else "ok")) summary
+  end;
+  if r.failed then exit 1
+
+(* --- the analyzers --------------------------------------------------------- *)
+
+let read paths =
+  List.map
+    (fun path -> (path, In_channel.with_open_bin path In_channel.input_all))
+    (Callgraph.source_files paths)
+
+(* A source analyzer over the shared parse ({!Callgraph.parse}) of the
+   tree; each reports the files that did not parse. *)
+let source_lint lint (parsed, errors) = Diags (Diagnostics.sort (errors @ lint parsed))
+
+let alloc ~baseline tree =
+  let golden = Alloc_lint.load_golden baseline in
+  source_lint (fun parsed -> Alloc_lint.lint ~golden_name:baseline ~golden parsed) tree
+
+let scenario targets = Diags (List.concat_map (fun (name, spec) -> Lint.lint ~name spec) targets)
+
+let twobit ~impl ~budget ~receivers ~msg_len =
+  let verdict label = function
+    | Model_check.Pass { configurations } ->
+      holds label
+        (Printf.sprintf "ok — %d adversary configurations, all invariants hold" configurations)
+    | Model_check.Fail ce -> violated label (Model_check.counterexample_to_string ce)
+  in
+  let frame =
+    verdict
+      (Printf.sprintf "2Bit frame  (budget %d, %d receivers)" budget receivers)
+      (Model_check.check_two_bit ~impl ~receivers ~budget ())
+  in
+  let stream =
+    verdict
+      (Printf.sprintf "1Hop stream (budget %d, %d-bit messages)" budget msg_len)
+      (Model_check.check_one_hop ~impl ~msg_len ~budget ())
+  in
+  Checks [ frame; stream ]
+
+let vote ~seeded radii =
+  let mp_impl, nw_impl =
+    if seeded then (Vote_check.mp_seeded, Vote_check.nw_seeded)
+    else (Vote_check.mp_reference, Vote_check.nw_reference)
+  in
+  let verdict label = function
+    | Vote_check.Pass { configurations; states } ->
+      holds label
+        (Printf.sprintf
+           "ok — %d Byzantine configurations, %d checked states, all invariants hold"
+           configurations states)
+    | Vote_check.Fail ce -> violated label (Vote_check.counterexample_to_string ce)
+  in
+  Checks
+    (List.concat_map
+       (fun r ->
+         let nw votes =
+           verdict
+             (Printf.sprintf "NeighborWatchRB vote  (R=%d, %d-voting)" r votes)
+             (Vote_check.check_neighbor_watch ~impl:nw_impl ~votes ~radius:r ())
+         in
+         let mp =
+           verdict
+             (Printf.sprintf "MultiPathRB quorum    (R=%d, t=%d)" r
+                (Bounds.multi_path_tolerance ~radius:r))
+             (Vote_check.check_multi_path ~impl:mp_impl ~radius:r ())
+         in
+         let nw1 = nw 1 in
+         [ mp; nw1; nw 2 ])
+       radii)
+
+(* [modes = None] runs each scenario twice in the default mode; [Some ms]
+   runs once per mode and diffs every pair. *)
+let determinism ~max_rounds modes targets =
+  let verdict label = function
+    | Determinism.Deterministic { rounds } ->
+      holds label (Printf.sprintf "deterministic over %d rounds" rounds)
+    | Determinism.Diverged _ as outcome ->
+      let message = Determinism.outcome_to_string outcome in
+      { label; line = message; failure = Some message }
+  in
+  Checks
+    (List.concat_map
+       (fun (name, spec) ->
+         match modes with
+         | None -> [ verdict name (Determinism.check_spec ~max_rounds spec) ]
+         | Some modes ->
+           List.map
+             (fun ((la, lb), outcome) ->
+               verdict (Printf.sprintf "%s [%s vs %s]" name la lb) outcome)
+             (Determinism.check_modes ~max_rounds modes spec))
+       targets)
+
+(* --- shared arguments ------------------------------------------------------ *)
 
 let json_arg =
   Arg.(
@@ -33,7 +188,14 @@ let json_arg =
           "Emit diagnostics as JSON on stdout instead of text.  Exit status is unchanged: \
            non-zero iff any error-severity finding.")
 
-let known_scenarios () = String.concat ", " (List.map fst Scenario.presets)
+let paths_arg =
+  Arg.(
+    value
+    & pos_all string [ "lib"; "bin"; "bench"; "examples"; "test" ]
+    & info [] ~docv:"PATH"
+        ~doc:"Files or directories to analyze (default: lib bin bench examples test).")
+
+let seed_violation_arg ~doc = Arg.(value & flag & info [ "seed-violation" ] ~doc)
 
 let resolve_targets all names =
   if all || names = [] then Scenario.presets
@@ -43,7 +205,8 @@ let resolve_targets all names =
         match Scenario.preset name with
         | Some spec -> (name, spec)
         | None ->
-          Printf.eprintf "unknown scenario %s (known: %s)\n" name (known_scenarios ());
+          Printf.eprintf "unknown scenario %s (known: %s)\n" name
+            (String.concat ", " (List.map fst Scenario.presets));
           exit 2)
       names
 
@@ -56,17 +219,10 @@ let names_arg =
     & pos_all string []
     & info [] ~docv:"SCENARIO" ~doc:"Preset scenario names; omit for all presets.")
 
-(* --- lint scenario ----------------------------------------------------- *)
+let analyzer name = ("analyzer", Json.String name)
+let count key n = (key, Json.Int n)
 
-let scenario_diag_json (d : Lint.diagnostic) =
-  Json.Obj
-    [
-      ("severity", Json.String (Lint.severity_label d.severity));
-      ("scenario", Json.String d.scenario);
-      ("field", Json.String d.field);
-      ("code", Json.String d.code);
-      ("message", Json.String d.message);
-    ]
+(* --- lint scenario ----------------------------------------------------- *)
 
 let lint_scenario_cmd =
   let strict_arg =
@@ -74,34 +230,23 @@ let lint_scenario_cmd =
   in
   let run all strict json names =
     let targets = resolve_targets all names in
-    let failed = ref false in
-    let all_diags = ref [] in
-    List.iter
-      (fun (name, spec) ->
-        let diags = Lint.lint ~name spec in
-        all_diags := !all_diags @ diags;
-        if not json then List.iter (fun d -> print_endline (Lint.diagnostic_to_string d)) diags;
-        if Lint.has_errors diags || (strict && Lint.count Lint.Warning diags > 0) then
-          failed := true
-        else if not json then
-          if diags = [] then Printf.printf "%s: ok\n" name
-          else Printf.printf "%s: ok (%d diagnostic(s))\n" name (List.length diags))
-      targets;
-    if json then
-      print_string
-        (Json.to_string_pretty
-           (Json.Obj
-              [
-                ("analyzer", Json.String "scenario-lint");
-                ("scenarios", Json.Int (List.length targets));
-                ("errors", Json.Int (Lint.count Lint.Error !all_diags));
-                ("warnings", Json.Int (Lint.count Lint.Warning !all_diags));
-                ("diagnostics", Json.List (List.map scenario_diag_json !all_diags));
-              ]))
-    else
-      Printf.printf "linted %d scenario(s): %s\n" (List.length targets)
-        (if !failed then "FAILED" else "ok");
-    if !failed then exit 1
+    let r = summarize ~strict (scenario targets) in
+    (* Text names each scenario that passes after its diagnostics. *)
+    let lines =
+      List.concat_map
+        (fun ((name, _) as target) ->
+          let one = summarize ~strict (scenario [ target ]) in
+          let n = List.length one.lines in
+          if one.failed then one.lines
+          else if n = 0 then [ name ^ ": ok" ]
+          else one.lines @ [ Printf.sprintf "%s: ok (%d diagnostic(s))" name n ])
+        targets
+    in
+    report ~json
+      ~summary:(Printf.sprintf "linted %d scenario(s)" (List.length targets))
+      ~head:[ analyzer "scenario-lint"; count "scenarios" (List.length targets) ]
+      ~tail:[ count "warnings" r.warnings ]
+      { r with lines }
   in
   Cmd.v
     (Cmd.info "scenario"
@@ -112,46 +257,14 @@ let lint_scenario_cmd =
 
 (* --- lint source -------------------------------------------------------- *)
 
-let source_diag_json (d : Source_lint.diagnostic) =
-  Json.Obj
-    [
-      ("severity", Json.String (Lint.severity_label d.severity));
-      ("file", Json.String d.file);
-      ("line", Json.Int d.line);
-      ("code", Json.String d.code);
-      ("message", Json.String d.message);
-    ]
-
 let lint_source_cmd =
-  let paths_arg =
-    Arg.(
-      value
-      & pos_all string [ "lib"; "bin"; "bench"; "examples"; "test" ]
-      & info [] ~docv:"PATH"
-          ~doc:"Files or directories to lint (default: lib bin bench examples test).")
-  in
   let run json paths =
-    let files = Source_lint.source_files paths in
-    let diags = Source_lint.lint_paths paths in
-    if json then
-      print_string
-        (Json.to_string_pretty
-           (Json.Obj
-              [
-                ("analyzer", Json.String "source-lint");
-                ("files", Json.Int (List.length files));
-                ( "errors",
-                  Json.Int
-                    (List.length (List.filter (fun d -> d.Source_lint.severity = Lint.Error) diags))
-                );
-                ("diagnostics", Json.List (List.map source_diag_json diags));
-              ]))
-    else begin
-      List.iter (fun d -> print_endline (Source_lint.diagnostic_to_string d)) diags;
-      Printf.printf "linted %d file(s): %s\n" (List.length files)
-        (if Source_lint.has_errors diags then "FAILED" else "ok")
-    end;
-    if Source_lint.has_errors diags then exit 1
+    let files = read paths in
+    let n = List.length files in
+    report ~json
+      ~summary:(Printf.sprintf "linted %d file(s)" n)
+      ~head:[ analyzer "source-lint"; count "files" n ]
+      (summarize (source_lint Source_lint.lint (Callgraph.parse files)))
   in
   Cmd.v
     (Cmd.info "source"
@@ -163,31 +276,59 @@ let lint_source_cmd =
 
 (* --- lint share --------------------------------------------------------- *)
 
-let share_diag_json (d : Share_lint.diagnostic) =
-  Json.Obj
-    [
-      ("severity", Json.String (Lint.severity_label d.severity));
-      ("file", Json.String d.file);
-      ("line", Json.Int d.line);
-      ("code", Json.String d.code);
-      ("message", Json.String d.message);
-    ]
+let print_inventory ~json ~files (inv : Share_lint.inventory) =
+  if json then
+    print_json
+      [
+        analyzer "share-lint-inventory";
+        count "files" files;
+        ( "globals",
+          Json.List
+            (List.map
+               (fun (g : Share_lint.global) ->
+                 Json.Obj
+                   [
+                     ("module", Json.String g.gmodule);
+                     ("file", Json.String g.gfile);
+                     ("line", Json.Int g.gline);
+                     ("name", Json.String g.gname);
+                     ("kind", Json.String (Share_lint.kind_label g.gkind));
+                   ])
+               inv.globals) );
+        ( "mutable_fields",
+          Json.List
+            (List.map
+               (fun (f : Share_lint.mutable_field) ->
+                 Json.Obj
+                   [
+                     ("module", Json.String f.fmodule);
+                     ("file", Json.String f.ffile);
+                     ("line", Json.Int f.fline);
+                     ("type", Json.String f.ftype);
+                     ("field", Json.String f.ffield);
+                   ])
+               inv.fields) );
+      ]
+  else begin
+    List.iter
+      (fun (g : Share_lint.global) ->
+        Printf.printf "%s:%d: global %s.%s (%s)\n" g.gfile g.gline g.gmodule g.gname
+          (Share_lint.kind_label g.gkind))
+      inv.globals;
+    List.iter
+      (fun (f : Share_lint.mutable_field) ->
+        Printf.printf "%s:%d: mutable field %s.%s.%s\n" f.ffile f.fline f.fmodule f.ftype f.ffield)
+      inv.fields;
+    Printf.printf "inventoried %d file(s): %d mutable global(s), %d mutable field(s)\n" files
+      (List.length inv.globals) (List.length inv.fields)
+  end
 
 let lint_share_cmd =
-  let paths_arg =
-    Arg.(
-      value
-      & pos_all string [ "lib"; "bin"; "bench"; "examples"; "test" ]
-      & info [] ~docv:"PATH"
-          ~doc:"Files or directories to analyze (default: lib bin bench examples test).")
-  in
   let seed_violation_arg =
-    Arg.(
-      value & flag
-      & info [ "seed-violation" ]
-          ~doc:
-            "Analyze a bundled two-module demo that shares a Hashtbl cache, a ref counter and a \
-             captured Buffer across pool tasks, to demonstrate the diagnostics.")
+    seed_violation_arg
+      ~doc:
+        "Analyze a bundled two-module demo that shares a Hashtbl cache, a ref counter and a \
+         captured Buffer across pool tasks, to demonstrate the diagnostics."
   in
   let inventory_arg =
     Arg.(
@@ -198,90 +339,15 @@ let lint_share_cmd =
              record fields per module) instead of diagnostics.  Always exits 0.")
   in
   let run json seed_violation inventory paths =
-    let files =
-      if seed_violation then List.map fst Share_lint.seed_violation_files
-      else Source_lint.source_files paths
-    in
-    if inventory then begin
-      let inv =
-        if seed_violation then Share_lint.inventory_strings Share_lint.seed_violation_files
-        else Share_lint.inventory_paths paths
-      in
-      if json then
-        print_string
-          (Json.to_string_pretty
-             (Json.Obj
-                [
-                  ("analyzer", Json.String "share-lint-inventory");
-                  ("files", Json.Int (List.length files));
-                  ( "globals",
-                    Json.List
-                      (List.map
-                         (fun (g : Share_lint.global) ->
-                           Json.Obj
-                             [
-                               ("module", Json.String g.gmodule);
-                               ("file", Json.String g.gfile);
-                               ("line", Json.Int g.gline);
-                               ("name", Json.String g.gname);
-                               ("kind", Json.String (Share_lint.kind_label g.gkind));
-                             ])
-                         inv.Share_lint.globals) );
-                  ( "mutable_fields",
-                    Json.List
-                      (List.map
-                         (fun (f : Share_lint.mutable_field) ->
-                           Json.Obj
-                             [
-                               ("module", Json.String f.fmodule);
-                               ("file", Json.String f.ffile);
-                               ("line", Json.Int f.fline);
-                               ("type", Json.String f.ftype);
-                               ("field", Json.String f.ffield);
-                             ])
-                         inv.Share_lint.fields) );
-                ]))
-      else begin
-        List.iter
-          (fun (g : Share_lint.global) ->
-            Printf.printf "%s:%d: global %s.%s (%s)\n" g.gfile g.gline g.gmodule g.gname
-              (Share_lint.kind_label g.gkind))
-          inv.Share_lint.globals;
-        List.iter
-          (fun (f : Share_lint.mutable_field) ->
-            Printf.printf "%s:%d: mutable field %s.%s.%s\n" f.ffile f.fline f.fmodule f.ftype
-              f.ffield)
-          inv.Share_lint.fields;
-        Printf.printf "inventoried %d file(s): %d mutable global(s), %d mutable field(s)\n"
-          (List.length files)
-          (List.length inv.Share_lint.globals)
-          (List.length inv.Share_lint.fields)
-      end
-    end
-    else begin
-      let diags =
-        if seed_violation then Share_lint.seed_violation () else Share_lint.lint_paths paths
-      in
-      if json then
-        print_string
-          (Json.to_string_pretty
-             (Json.Obj
-                [
-                  ("analyzer", Json.String "share-lint");
-                  ("files", Json.Int (List.length files));
-                  ( "errors",
-                    Json.Int
-                      (List.length
-                         (List.filter (fun d -> d.Share_lint.severity = Lint.Error) diags)) );
-                  ("diagnostics", Json.List (List.map share_diag_json diags));
-                ]))
-      else begin
-        List.iter (fun d -> print_endline (Share_lint.diagnostic_to_string d)) diags;
-        Printf.printf "analyzed %d file(s): %s\n" (List.length files)
-          (if Share_lint.has_errors diags then "FAILED" else "ok")
-      end;
-      if Share_lint.has_errors diags then exit 1
-    end
+    let files = if seed_violation then Share_lint.seed_violation_files else read paths in
+    let n = List.length files in
+    let ((parsed, _) as tree) = Callgraph.parse files in
+    if inventory then print_inventory ~json ~files:n (Share_lint.inventory parsed)
+    else
+      report ~json
+        ~summary:(Printf.sprintf "analyzed %d file(s)" n)
+        ~head:[ analyzer "share-lint"; count "files" n ]
+        (summarize (source_lint Share_lint.lint tree))
   in
   Cmd.v
     (Cmd.info "share"
@@ -294,57 +360,17 @@ let lint_share_cmd =
 
 (* --- lint alloc ---------------------------------------------------------- *)
 
-let alloc_diag_json (d : Alloc_lint.diagnostic) =
-  Json.Obj
-    [
-      ("severity", Json.String (Lint.severity_label d.severity));
-      ("file", Json.String d.file);
-      ("line", Json.Int d.line);
-      ("code", Json.String d.code);
-      ("message", Json.String d.message);
-    ]
-
 let alloc_allow_json (a : Alloc_lint.allow) =
   Json.Obj
     [
       ("file", Json.String a.al_file);
       ("class", Json.String a.al_class);
-      ("fn", (match a.al_fn with Some f -> Json.String f | None -> Json.Null));
+      ("fn", match a.al_fn with Some f -> Json.String f | None -> Json.Null);
       ("line", Json.Int a.al_line);
       ("why", Json.String a.al_why);
     ]
 
-let alloc_report ~json ~files_count ~baseline diags =
-  let errors = List.length (List.filter (fun d -> d.Alloc_lint.severity = Lint.Error) diags) in
-  let warnings = List.length (List.filter (fun d -> d.Alloc_lint.severity = Lint.Warning) diags) in
-  if json then
-    print_string
-      (Json.to_string_pretty
-         (Json.Obj
-            [
-              ("analyzer", Json.String "alloc-lint");
-              ("files", Json.Int files_count);
-              ("baseline", Json.String baseline);
-              ("errors", Json.Int errors);
-              ("warnings", Json.Int warnings);
-              ("allowlist", Json.List (List.map alloc_allow_json Alloc_lint.allowlist));
-              ("diagnostics", Json.List (List.map alloc_diag_json diags));
-            ]))
-  else begin
-    List.iter (fun d -> print_endline (Alloc_lint.diagnostic_to_string d)) diags;
-    Printf.printf "analyzed %d file(s) against %s: %s\n" files_count baseline
-      (if Alloc_lint.has_errors diags then "FAILED" else "ok")
-  end;
-  if Alloc_lint.has_errors diags then exit 1
-
 let lint_alloc_cmd =
-  let paths_arg =
-    Arg.(
-      value
-      & pos_all string [ "lib"; "bin"; "bench"; "examples"; "test" ]
-      & info [] ~docv:"PATH"
-          ~doc:"Files or directories to analyze (default: lib bin bench examples test).")
-  in
   let baseline_arg =
     Arg.(
       value
@@ -375,42 +401,53 @@ let lint_alloc_cmd =
              diffing — the per-site audit trail behind an inventory count.  Always exits 0.")
   in
   let seed_violation_arg =
-    Arg.(
-      value & flag
-      & info [ "seed-violation" ]
-          ~doc:
-            "Analyze a bundled fake hot loop that boxes floats, closes over a variable and builds \
-             throwaway lists per round, diffed against an empty golden inventory, to demonstrate \
-             the diagnostics.")
+    seed_violation_arg
+      ~doc:
+        "Analyze a bundled fake hot loop that boxes floats, closes over a variable and builds \
+         throwaway lists per round, diffed against an empty golden inventory, to demonstrate \
+         the diagnostics."
   in
+  let tree_sites paths = Alloc_lint.sites (fst (Callgraph.parse (read paths))) in
   let run json baseline write inventory sites seed_violation paths =
+    let report_alloc ~files ~baseline outcome =
+      let r = summarize outcome in
+      report ~json
+        ~summary:(Printf.sprintf "analyzed %d file(s) against %s" files baseline)
+        ~head:[ analyzer "alloc-lint"; count "files" files; ("baseline", Json.String baseline) ]
+        ~tail:
+          [
+            count "warnings" r.warnings;
+            ("allowlist", Json.List (List.map alloc_allow_json Alloc_lint.allowlist));
+          ]
+        r
+    in
     if seed_violation then
-      alloc_report ~json
-        ~files_count:(List.length Alloc_lint.seed_violation_files)
-        ~baseline:"(empty golden)" (Alloc_lint.seed_violation ())
+      report_alloc
+        ~files:(List.length Alloc_lint.seed_violation_files)
+        ~baseline:"(empty golden)"
+        (Diags (Alloc_lint.seed_violation ()))
     else if sites then
       List.iter
         (fun (s : Alloc_lint.site) ->
           Printf.printf "%s:%d: %s %s %s\n" s.site_file s.site_line
             (Alloc_lint.class_label s.site_class)
             s.site_root s.site_fn)
-        (Alloc_lint.sites_paths paths)
+        (tree_sites paths)
     else if write || inventory then begin
-      let inv = Alloc_lint.inventory_paths paths in
+      let inv = Alloc_lint.inventory_of_sites (tree_sites paths) in
       let text = Json.to_string_pretty (Alloc_lint.json_of_inventory inv) in
       if write then begin
-        let oc = open_out baseline in
-        output_string oc text;
-        output_char oc '\n';
-        close_out oc;
+        Out_channel.with_open_text baseline (fun oc ->
+            output_string oc text;
+            output_char oc '\n');
         Printf.printf "wrote %s (%d hot root(s))\n" baseline (List.length inv)
       end
       else print_endline text
     end
-    else
-      alloc_report ~json
-        ~files_count:(List.length (Source_lint.source_files paths))
-        ~baseline (Alloc_lint.lint_paths ~golden_path:baseline paths)
+    else begin
+      let files = read paths in
+      report_alloc ~files:(List.length files) ~baseline (alloc ~baseline (Callgraph.parse files))
+    end
   in
   Cmd.v
     (Cmd.info "alloc"
@@ -432,15 +469,6 @@ let lint_group =
 
 (* --- check twobit ------------------------------------------------------ *)
 
-let report_outcome label = function
-  | Model_check.Pass { configurations } ->
-    Printf.printf "%s: ok — %d adversary configurations, all invariants hold\n" label
-      configurations;
-    true
-  | Model_check.Fail counterexample ->
-    Printf.printf "%s: VIOLATION\n%s\n" label (Model_check.counterexample_to_string counterexample);
-    false
-
 let check_twobit_cmd =
   let budget_arg =
     Arg.(
@@ -456,30 +484,15 @@ let check_twobit_cmd =
       & info [ "msg-len" ] ~docv:"L" ~doc:"Message length for the 1Hop stream check.")
   in
   let seed_violation_arg =
-    Arg.(
-      value & flag
-      & info [ "seed-violation" ]
-          ~doc:
-            "Use a deliberately broken receiver (deaf to the veto round) to demonstrate a \
-             counterexample trace.")
+    seed_violation_arg
+      ~doc:
+        "Use a deliberately broken receiver (deaf to the veto round) to demonstrate a \
+         counterexample trace."
   in
   let run budget receivers msg_len seed_violation =
     let impl = if seed_violation then Model_check.faulty_skip_veto else Model_check.reference in
-    match
-      let frame =
-        report_outcome
-          (Printf.sprintf "2Bit frame  (budget %d, %d receivers)" budget receivers)
-          (Model_check.check_two_bit ~impl ~receivers ~budget ())
-      in
-      let stream =
-        report_outcome
-          (Printf.sprintf "1Hop stream (budget %d, %d-bit messages)" budget msg_len)
-          (Model_check.check_one_hop ~impl ~msg_len ~budget ())
-      in
-      frame && stream
-    with
-    | true -> ()
-    | false -> exit 1
+    match twobit ~impl ~budget ~receivers ~msg_len with
+    | outcome -> report (summarize outcome)
     | exception Invalid_argument msg ->
       Printf.eprintf "invalid arguments: %s\n" msg;
       exit 2
@@ -494,15 +507,6 @@ let check_twobit_cmd =
 
 (* --- check vote --------------------------------------------------------- *)
 
-let report_vote label = function
-  | Vote_check.Pass { configurations; states } ->
-    Printf.printf "%s: ok — %d Byzantine configurations, %d checked states, all invariants hold\n"
-      label configurations states;
-    true
-  | Vote_check.Fail ce ->
-    Printf.printf "%s: VIOLATION\n%s\n" label (Vote_check.counterexample_to_string ce);
-    false
-
 let check_vote_cmd =
   let radius_arg =
     Arg.(
@@ -511,15 +515,13 @@ let check_vote_cmd =
           ~doc:"Neighbourhood radius 1-3 to check (default: all three).")
   in
   let seed_violation_arg =
-    Arg.(
-      value & flag
-      & info [ "seed-violation" ]
-          ~doc:
-            "Plant a quorum off-by-one (MultiPathRB commits at t instead of t+1 pieces of \
-             evidence, NeighborWatchRB commits one vote early) to demonstrate a counterexample \
-             trace.")
+    seed_violation_arg
+      ~doc:
+        "Plant a quorum off-by-one (MultiPathRB commits at t instead of t+1 pieces of \
+         evidence, NeighborWatchRB commits one vote early) to demonstrate a counterexample \
+         trace."
   in
-  let run radius seed_violation =
+  let run radius seeded =
     let radii =
       match radius with
       | 0 -> [ 1; 2; 3 ]
@@ -528,24 +530,7 @@ let check_vote_cmd =
         Printf.eprintf "radius %d out of range (the checker enumerates radii 1-3)\n" r;
         exit 2
     in
-    let mp_impl = if seed_violation then Vote_check.mp_seeded else Vote_check.mp_reference in
-    let nw_impl = if seed_violation then Vote_check.nw_seeded else Vote_check.nw_reference in
-    let ok = ref true in
-    List.iter
-      (fun r ->
-        let tally label outcome = if not (report_vote label outcome) then ok := false in
-        tally
-          (Printf.sprintf "MultiPathRB quorum    (R=%d, t=%d)" r
-             (Bounds.multi_path_tolerance ~radius:r))
-          (Vote_check.check_multi_path ~impl:mp_impl ~radius:r ());
-        tally
-          (Printf.sprintf "NeighborWatchRB vote  (R=%d, 1-voting)" r)
-          (Vote_check.check_neighbor_watch ~impl:nw_impl ~votes:1 ~radius:r ());
-        tally
-          (Printf.sprintf "NeighborWatchRB vote  (R=%d, 2-voting)" r)
-          (Vote_check.check_neighbor_watch ~impl:nw_impl ~votes:2 ~radius:r ()))
-      radii;
-    if not !ok then exit 1
+    report (summarize (vote ~seeded radii))
   in
   Cmd.v
     (Cmd.info "vote"
@@ -597,31 +582,7 @@ let check_determinism_cmd =
   in
   let run all max_rounds modes names =
     let targets = resolve_targets all names in
-    let modes = Option.map parse_modes modes in
-    let failed = ref false in
-    List.iter
-      (fun (name, spec) ->
-        match modes with
-        | None -> (
-          match Determinism.check_spec ~max_rounds spec with
-          | Determinism.Deterministic { rounds } ->
-            Printf.printf "%s: deterministic over %d rounds\n" name rounds
-          | Determinism.Diverged _ as outcome ->
-            Printf.printf "%s: %s\n" name (Determinism.outcome_to_string outcome);
-            failed := true)
-        | Some modes ->
-          List.iter
-            (fun ((la, lb), outcome) ->
-              match outcome with
-              | Determinism.Deterministic { rounds } ->
-                Printf.printf "%s [%s vs %s]: deterministic over %d rounds\n" name la lb rounds
-              | Determinism.Diverged _ ->
-                Printf.printf "%s [%s vs %s]: %s\n" name la lb
-                  (Determinism.outcome_to_string outcome);
-                failed := true)
-            (Determinism.check_modes ~max_rounds modes spec))
-      targets;
-    if !failed then exit 1
+    report (summarize (determinism ~max_rounds (Option.map parse_modes modes) targets))
   in
   Cmd.v
     (Cmd.info "determinism"
@@ -639,74 +600,12 @@ let check_group =
 
 (* --- all ----------------------------------------------------------------- *)
 
-(* One umbrella run of every analyzer: the three source analyzers (source,
-   share, alloc) share a single read+parse of the tree instead of parsing
-   it three times, and each analyzer's wall time is reported so CI logs
-   show where `dune build @lint` spends its budget. *)
-
-type analyzer_result = {
-  ar_name : string;
-  ar_wall : float;
-  ar_failed : bool;
-  ar_errors : int;
-  ar_warnings : int;
-  ar_diags : Json.t list;  (* machine form, analyzer-specific shape *)
-  ar_lines : string list;  (* human form *)
-}
-
-let analyzer_json r =
-  Json.Obj
-    [
-      ("name", Json.String r.ar_name);
-      ("wall_seconds", Json.Float r.ar_wall);
-      ("failed", Json.Bool r.ar_failed);
-      ("errors", Json.Int r.ar_errors);
-      ("warnings", Json.Int r.ar_warnings);
-      ("diagnostics", Json.List r.ar_diags);
-    ]
-
-(* A pass/fail check entry: its report line, whether it failed, and the
-   JSON diagnostic to emit when it did. *)
-let check_entries entries =
-  let fails = List.filter (fun (_, failed, _) -> failed) entries in
-  ( fails <> [],
-    List.length fails,
-    0,
-    List.filter_map (fun (_, _, json) -> json) entries,
-    List.map (fun (line, _, _) -> line) entries )
-
-let model_entry label outcome =
-  match outcome with
-  | Model_check.Pass { configurations } ->
-    (Printf.sprintf "%s: ok — %d adversary configurations" label configurations, false, None)
-  | Model_check.Fail ce ->
-    let message = Model_check.counterexample_to_string ce in
-    ( Printf.sprintf "%s: VIOLATION\n%s" label message,
-      true,
-      Some (Json.Obj [ ("check", Json.String label); ("message", Json.String message) ]) )
-
-let vote_entry label outcome =
-  match outcome with
-  | Vote_check.Pass { configurations; states } ->
-    ( Printf.sprintf "%s: ok — %d configurations, %d states" label configurations states,
-      false,
-      None )
-  | Vote_check.Fail ce ->
-    let message = Vote_check.counterexample_to_string ce in
-    ( Printf.sprintf "%s: VIOLATION\n%s" label message,
-      true,
-      Some (Json.Obj [ ("check", Json.String label); ("message", Json.String message) ]) )
-
+(* Every analyzer once, the source ones behind one shared parse of the
+   tree, with each analyzer's wall time so CI logs show where `dune build
+   @lint` spends its budget.  The verifiers run the quick settings: the
+   exhaustive budget-3 model check, radii 1-3 and the dense/sparse
+   determinism diff over the presets (80-400 nodes). *)
 let all_cmd =
-  let paths_arg =
-    Arg.(
-      value
-      & pos_all string [ "lib"; "bin"; "bench"; "examples"; "test" ]
-      & info [] ~docv:"PATH"
-          ~doc:
-            "Files or directories for the source analyzers (default: lib bin bench examples \
-             test).")
-  in
   let baseline_arg =
     Arg.(
       value
@@ -715,157 +614,62 @@ let all_cmd =
           ~doc:"Golden allocation inventory for the alloc analyzer.")
   in
   let run json baseline paths =
-    let files = Source_lint.source_files paths in
-    let contents = List.map (fun path -> (path, Callgraph.read_file path)) files in
-    let parsed, parse_errors =
-      List.fold_left
-        (fun (parsed, errors) (path, text) ->
-          match Callgraph.parse_string ~path text with
-          | Ok structure -> ((path, structure) :: parsed, errors)
-          | Error line -> (parsed, (path, line) :: errors))
-        ([], []) contents
+    let contents = read paths in
+    let files = List.length contents in
+    let tree = Callgraph.parse contents in
+    let analyzers =
+      [
+        ("source", fun () -> source_lint Source_lint.lint tree);
+        ("share", fun () -> source_lint Share_lint.lint tree);
+        ("alloc", fun () -> alloc ~baseline tree);
+        ("scenario", fun () -> scenario Scenario.presets);
+        ( "twobit",
+          fun () -> twobit ~impl:Model_check.reference ~budget:3 ~receivers:2 ~msg_len:2 );
+        ("vote", fun () -> vote ~seeded:false [ 1; 2; 3 ]);
+        ( "determinism",
+          fun () -> determinism ~max_rounds:20_000 (Some [ `Dense; `Sparse ]) Scenario.presets );
+      ]
     in
-    let parsed = List.rev parsed and parse_errors = List.rev parse_errors in
-    let results = ref [] in
-    let timed name f =
-      let t0 = Unix.gettimeofday () in
-      let failed, errors, warnings, diags, lines = f () in
-      results :=
-        {
-          ar_name = name;
-          ar_wall = Unix.gettimeofday () -. t0;
-          ar_failed = failed;
-          ar_errors = errors;
-          ar_warnings = warnings;
-          ar_diags = diags;
-          ar_lines = lines;
-        }
-        :: !results
+    let results =
+      List.map
+        (fun (name, analyze) ->
+          let t0 = Unix.gettimeofday () in
+          let r = summarize (analyze ()) in
+          (name, Unix.gettimeofday () -. t0, r))
+        analyzers
     in
-    timed "source" (fun () ->
-        let per_file =
-          List.map (fun (path, structure) -> Source_lint.lint_structure_used ~path structure) parsed
-        in
-        let diags =
-          List.map
-            (fun (path, line) ->
-              {
-                Source_lint.severity = Lint.Error;
-                file = path;
-                line;
-                code = "parse-error";
-                message = "file does not parse as an OCaml implementation";
-              })
-            parse_errors
-          @ List.concat_map fst per_file
-          @ Source_lint.unused_diagnostics ~used:(List.concat_map snd per_file) ~files
-        in
-        ( Source_lint.has_errors diags,
-          List.length (List.filter (fun d -> d.Source_lint.severity = Lint.Error) diags),
-          List.length (List.filter (fun d -> d.Source_lint.severity = Lint.Warning) diags),
-          List.map source_diag_json diags,
-          List.map Source_lint.diagnostic_to_string diags ));
-    timed "share" (fun () ->
-        let diags = Share_lint.lint_structures parsed in
-        ( Share_lint.has_errors diags,
-          List.length (List.filter (fun d -> d.Share_lint.severity = Lint.Error) diags),
-          List.length (List.filter (fun d -> d.Share_lint.severity = Lint.Warning) diags),
-          List.map share_diag_json diags,
-          List.map Share_lint.diagnostic_to_string diags ));
-    timed "alloc" (fun () ->
-        let diags =
-          Alloc_lint.lint_structures ~golden_name:baseline
-            ~golden:(Alloc_lint.load_golden baseline) parsed
-        in
-        ( Alloc_lint.has_errors diags,
-          List.length (List.filter (fun d -> d.Alloc_lint.severity = Lint.Error) diags),
-          List.length (List.filter (fun d -> d.Alloc_lint.severity = Lint.Warning) diags),
-          List.map alloc_diag_json diags,
-          List.map Alloc_lint.diagnostic_to_string diags ));
-    timed "scenario" (fun () ->
-        let diags =
-          List.concat_map (fun (name, spec) -> Lint.lint ~name spec) Scenario.presets
-        in
-        ( Lint.has_errors diags,
-          Lint.count Lint.Error diags,
-          Lint.count Lint.Warning diags,
-          List.map scenario_diag_json diags,
-          List.map Lint.diagnostic_to_string diags ));
-    (* Quick model-check budget: exhaustive for budget 3, the same cell the
-       standalone @lint rule always ran. *)
-    timed "twobit" (fun () ->
-        check_entries
-          [
-            model_entry "2Bit frame (budget 3, 2 receivers)"
-              (Model_check.check_two_bit ~impl:Model_check.reference ~receivers:2 ~budget:3 ());
-            model_entry "1Hop stream (budget 3, 2-bit messages)"
-              (Model_check.check_one_hop ~impl:Model_check.reference ~msg_len:2 ~budget:3 ());
-          ]);
-    timed "vote" (fun () ->
-        check_entries
-          (List.concat_map
-             (fun radius ->
-               [
-                 vote_entry
-                   (Printf.sprintf "MultiPathRB quorum (R=%d, t=%d)" radius
-                      (Bounds.multi_path_tolerance ~radius))
-                   (Vote_check.check_multi_path ~impl:Vote_check.mp_reference ~radius ());
-                 vote_entry
-                   (Printf.sprintf "NeighborWatchRB vote (R=%d, 1-voting)" radius)
-                   (Vote_check.check_neighbor_watch ~impl:Vote_check.nw_reference ~votes:1 ~radius
-                      ());
-                 vote_entry
-                   (Printf.sprintf "NeighborWatchRB vote (R=%d, 2-voting)" radius)
-                   (Vote_check.check_neighbor_watch ~impl:Vote_check.nw_reference ~votes:2 ~radius
-                      ());
-               ])
-             [ 1; 2; 3 ]));
-    (* One traced run per engine mode, every pair diffed.  The presets
-       have 80-400 nodes, so the sparse loop drains two to seven 62-id
-       words per round. *)
-    timed "determinism" (fun () ->
-        check_entries
-          (List.concat_map
-             (fun (name, spec) ->
-               List.map
-                 (fun ((la, lb), outcome) ->
-                   let check = Printf.sprintf "%s [%s vs %s]" name la lb in
-                   match outcome with
-                   | Determinism.Deterministic { rounds } ->
-                     (Printf.sprintf "%s: deterministic over %d rounds" check rounds, false, None)
-                   | Determinism.Diverged _ ->
-                     let message = Determinism.outcome_to_string outcome in
-                     ( Printf.sprintf "%s: %s" check message,
-                       true,
-                       Some
-                         (Json.Obj
-                            [ ("check", Json.String check); ("message", Json.String message) ]) ))
-                 (Determinism.check_modes ~max_rounds:20_000 [ `Dense; `Sparse ] spec))
-             Scenario.presets));
-    let results = List.rev !results in
-    let failed = List.exists (fun r -> r.ar_failed) results in
+    let failed = List.exists (fun (_, _, r) -> r.failed) results in
     if json then
-      print_string
-        (Json.to_string_pretty
-           (Json.Obj
-              [
-                ("analyzer", Json.String "all");
-                ("files", Json.Int (List.length files));
-                ("analyzers", Json.List (List.map analyzer_json results));
-                ("failed", Json.Bool failed);
-              ]))
+      print_json
+        [
+          analyzer "all";
+          count "files" files;
+          ( "analyzers",
+            Json.List
+              (List.map
+                 (fun (name, wall, r) ->
+                   Json.Obj
+                     [
+                       ("name", Json.String name);
+                       ("wall_seconds", Json.Float wall);
+                       ("failed", Json.Bool r.failed);
+                       count "errors" r.errors;
+                       count "warnings" r.warnings;
+                       ("diagnostics", Json.List r.items);
+                     ])
+                 results) );
+          ("failed", Json.Bool failed);
+        ]
     else begin
       List.iter
-        (fun r ->
-          Printf.printf "== %-12s %6.2fs  %s" r.ar_name r.ar_wall
-            (if r.ar_failed then "FAILED" else "ok");
-          if r.ar_errors > 0 || r.ar_warnings > 0 then
-            Printf.printf " (%d error(s), %d warning(s))" r.ar_errors r.ar_warnings;
+        (fun (name, wall, r) ->
+          Printf.printf "== %-12s %6.2fs  %s" name wall (if r.failed then "FAILED" else "ok");
+          if r.errors > 0 || r.warnings > 0 then
+            Printf.printf " (%d error(s), %d warning(s))" r.errors r.warnings;
           print_newline ();
-          List.iter (fun line -> Printf.printf "   %s\n" line) r.ar_lines)
+          List.iter (fun line -> Printf.printf "   %s\n" line) r.lines)
         results;
-      Printf.printf "all: %d analyzer(s) over %d file(s): %s\n" (List.length results)
-        (List.length files)
+      Printf.printf "all: %d analyzer(s) over %d file(s): %s\n" (List.length results) files
         (if failed then "FAILED" else "ok")
     end;
     if failed then exit 1
@@ -876,8 +680,7 @@ let all_cmd =
          "Run every analyzer — source, share and alloc lint behind one shared parse of the tree, \
           scenario lint over the bundled presets, the quick model-check budget, the voting \
           checker and the dense/sparse determinism diff over the presets — reporting \
-          per-analyzer wall times and failing if \
-          any analyzer fails.")
+          per-analyzer wall times and failing if any analyzer fails.")
     Term.(const run $ json_arg $ baseline_arg $ paths_arg)
 
 let () =

@@ -57,31 +57,16 @@ type site = {
   site_fn : string;  (* qualified function, e.g. "Engine.process_round" *)
 }
 
-type diagnostic = {
-  severity : Lint.severity;
-  file : string;
-  line : int;
-  code : string;
-  message : string;
-}
-
 let codes =
   [
     "new-alloc-class"; "alloc-count-growth"; "alloc-count-shrink"; "baseline-missing";
     "unused-allowlist"; "parse-error";
   ]
 
-let severity_of = function
-  | "alloc-count-growth" -> Lint.Warning
-  | "alloc-count-shrink" -> Lint.Info
-  | _ -> Lint.Error
-
-let pp_diagnostic fmt d =
-  Format.fprintf fmt "%s:%d: %s: %s [%s]" d.file d.line (Lint.severity_label d.severity) d.message
-    d.code
-
-let diagnostic_to_string d = Format.asprintf "%a" pp_diagnostic d
-let has_errors diags = List.exists (fun d -> d.severity = Lint.Error) diags
+let severity_of : string -> Diagnostics.severity = function
+  | "alloc-count-growth" -> Warning
+  | "alloc-count-shrink" -> Info
+  | _ -> Error
 
 (* --- hot roots ----------------------------------------------------------- *)
 
@@ -119,7 +104,7 @@ let allowlist_file = "lib/check/alloc_lint.ml"
 let allowlist : allow list = []
 
 let allow_matches allow site =
-  Lint.path_matches ~entry:allow.al_file site.site_file
+  Diagnostics.path_matches ~entry:allow.al_file site.site_file
   && allow.al_class = class_label site.site_class
   && match allow.al_fn with None -> true | Some fn -> fn = site.site_fn
 
@@ -314,7 +299,8 @@ let refresh_hint = "refresh the golden inventory (see README: alloc-baseline ref
 let diff ~golden_name ~golden ~sites current =
   let diags = ref [] in
   let emit ~file ~line code message =
-    diags := { severity = severity_of code; file; line; code; message } :: !diags
+    diags :=
+      { Diagnostics.severity = severity_of code; loc = Line (file, line); code; message } :: !diags
   in
   let first_site root label =
     List.find_opt (fun s -> s.site_root = root && class_label s.site_class = label) sites
@@ -358,114 +344,43 @@ let diff ~golden_name ~golden ~sites current =
 
 let default_golden_name = "ALLOC_baseline.json"
 
-let finish ?roots ~golden_name ~golden ~parse_errors ~linted parsed =
+let baseline_missing ~golden_name message =
+  [
+    {
+      Diagnostics.severity = Error;
+      loc = Line (golden_name, 0);
+      code = "baseline-missing";
+      message;
+    };
+  ]
+
+let lint ?roots ?(golden_name = default_golden_name) ~golden parsed =
   let sites, used = sites_of_parsed ?roots parsed in
-  (* An entry is stale only when its target file was actually linted this
-     run — partial-tree invocations must not flag audits they never
-     exercised (same contract as [Lint.unused_allowlist]). *)
-  let was_linted entry = List.exists (fun path -> Lint.path_matches ~entry:entry.al_file path) linted in
+  let entry a = (a.al_file, a.al_class, a.al_line) in
   let unused =
-    List.filter_map
-      (fun entry ->
-        if List.memq entry used || not (was_linted entry) then None
-        else
-          Some
-            {
-              severity = Lint.Error;
-              file = allowlist_file;
-              line = entry.al_line;
-              code = "unused-allowlist";
-              message =
-                Printf.sprintf
-                  "allowlist entry (%s, %s) suppressed no site; delete the stale audit at %s:%d"
-                  entry.al_file entry.al_class allowlist_file entry.al_line;
-            })
-      allowlist
+    Diagnostics.unused_allowlist ~file:allowlist_file ~linted:(List.map fst parsed)
+      ~used:(List.map entry used) (List.map entry allowlist)
   in
   let golden_diags =
     match golden with
     | None ->
-      [
-        {
-          severity = Lint.Error;
-          file = golden_name;
-          line = 0;
-          code = "baseline-missing";
-          message =
-            "no golden allocation inventory; generate one with securebit_lint lint alloc \
-             --write-baseline";
-        };
-      ]
+      baseline_missing ~golden_name
+        "no golden allocation inventory; generate one with securebit_lint lint alloc \
+         --write-baseline"
     | Some json -> (
       match inventory_of_json json with
       | Ok golden -> diff ~golden_name ~golden ~sites (inventory_of_sites sites)
       | Error message ->
-        [
-          {
-            severity = Lint.Error;
-            file = golden_name;
-            line = 0;
-            code = "baseline-missing";
-            message = Printf.sprintf "golden inventory unreadable: %s" message;
-          };
-        ])
+        baseline_missing ~golden_name (Printf.sprintf "golden inventory unreadable: %s" message))
   in
-  List.sort
-    (fun a b ->
-      match String.compare a.file b.file with 0 -> Int.compare a.line b.line | c -> c)
-    (parse_errors @ unused @ golden_diags)
+  Diagnostics.sort (unused @ golden_diags)
 
-let lint_strings ?roots ?(golden_name = default_golden_name) ~golden files =
-  let parsed, parse_errors =
-    List.fold_left
-      (fun (parsed, errors) (path, contents) ->
-        match Callgraph.parse_string ~path contents with
-        | Ok structure -> ((path, structure) :: parsed, errors)
-        | Error line ->
-          ( parsed,
-            {
-              severity = Lint.Error;
-              file = path;
-              line;
-              code = "parse-error";
-              message = "file does not parse as an OCaml implementation";
-            }
-            :: errors ))
-      ([], []) files
-  in
-  finish ?roots ~golden_name ~golden ~parse_errors:(List.rev parse_errors)
-    ~linted:(List.map fst files) (List.rev parsed)
-
-let lint_structures ?roots ?(golden_name = default_golden_name) ~golden parsed =
-  finish ?roots ~golden_name ~golden ~parse_errors:[] ~linted:(List.map fst parsed) parsed
-
-let sites_strings ?roots files =
-  let parsed =
-    List.filter_map
-      (fun (path, contents) ->
-        match Callgraph.parse_string ~path contents with
-        | Ok structure -> Some (path, structure)
-        | Error _ -> None)
-      files
-  in
-  fst (sites_of_parsed ?roots parsed)
-
-let inventory_strings ?roots files = inventory_of_sites (sites_strings ?roots files)
-
-let with_contents paths =
-  List.map (fun path -> (path, Callgraph.read_file path)) (Source_lint.source_files paths)
+let sites ?roots parsed = fst (sites_of_parsed ?roots parsed)
 
 let load_golden path =
-  match Callgraph.read_file path with
+  match In_channel.with_open_bin path In_channel.input_all with
   | contents -> ( match Json.of_string contents with Ok json -> Some json | Error _ -> Some Json.Null)
   | exception Sys_error _ -> None
-
-let lint_paths ?roots ~golden_path paths =
-  lint_strings ?roots ~golden_name:golden_path ~golden:(load_golden golden_path)
-    (with_contents paths)
-
-let inventory_paths ?roots paths = inventory_strings ?roots (with_contents paths)
-let sites_paths ?roots paths = sites_strings ?roots (with_contents paths)
 
 (* --- seed violation ------------------------------------------------------ *)
 
@@ -489,4 +404,5 @@ let seed_violation_roots = [ ("demo-round", [ "Hot_demo.process_round" ]) ]
 let empty_golden = Json.Obj [ ("schema", Json.String schema); ("roots", Json.List []) ]
 
 let seed_violation () =
-  lint_strings ~roots:seed_violation_roots ~golden:(Some empty_golden) seed_violation_files
+  lint ~roots:seed_violation_roots ~golden:(Some empty_golden)
+    (fst (Callgraph.parse seed_violation_files))

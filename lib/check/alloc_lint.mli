@@ -43,14 +43,6 @@ type site = {
   site_fn : string;  (** qualified function, e.g. ["Engine.process_round"] *)
 }
 
-type diagnostic = {
-  severity : Lint.severity;
-  file : string;
-  line : int;
-  code : string;
-  message : string;
-}
-
 val codes : string list
 (** Every stable diagnostic code this pass can emit; pinned by a golden
     test. *)
@@ -70,12 +62,10 @@ type allow = {
 val allowlist : allow list
 val allowlist_file : string
 
-val sites_of_parsed :
-  ?roots:(string * string list) list ->
-  (string * Parsetree.structure) list ->
-  site list * allow list
-(** All classified reachable sites (allowlist already applied) plus the
-    allowlist entries that fired.  [roots] defaults to {!hot_roots}. *)
+val sites : ?roots:(string * string list) list -> (string * Parsetree.structure) list -> site list
+(** Every classified allocation site reachable from [roots] (default
+    {!hot_roots}), allowlist already applied — the per-site view behind
+    an inventory count. *)
 
 val inventory_of_sites : site list -> (string * (string * int) list) list
 (** Distinct (file, line, class) sites counted per root per class,
@@ -88,66 +78,28 @@ val json_of_inventory : (string * (string * int) list) list -> Json.t
 
 val inventory_of_json : Json.t -> ((string * (string * int) list) list, string) result
 
-val diff :
-  golden_name:string ->
-  golden:(string * (string * int) list) list ->
-  sites:site list ->
-  (string * (string * int) list) list ->
-  diagnostic list
-(** Diff a current inventory against the golden one; [sites] locates the
-    diagnostics (first surviving site of the offending class). *)
-
 val default_golden_name : string
 
-val lint_strings :
-  ?roots:(string * string list) list ->
-  ?golden_name:string ->
-  golden:Json.t option ->
-  (string * string) list ->
-  diagnostic list
-(** The full pass over in-memory files: parse, walk, classify, apply the
-    allowlist, diff against [golden] ([None] = missing baseline, an
-    error), report stale allowlist entries.  Sorted by file then line. *)
-
-val lint_structures :
+val lint :
   ?roots:(string * string list) list ->
   ?golden_name:string ->
   golden:Json.t option ->
   (string * Parsetree.structure) list ->
-  diagnostic list
-(** {!lint_strings} on already-parsed files — `securebit_lint all` feeds
-    every source analyzer from one shared parse of the tree (parse
-    failures are surfaced by that shared pass, not here). *)
-
-val inventory_strings :
-  ?roots:(string * string list) list -> (string * string) list -> (string * (string * int) list) list
-(** Just the current inventory (for [--write-baseline]). *)
+  Diagnostics.diagnostic list
+(** The full pass over parsed files (see {!Callgraph.parse}): walk,
+    classify, apply the allowlist, diff against [golden] ([None] =
+    missing baseline, an error; located at [golden_name]), report stale
+    allowlist entries.  Sorted by file, then line. *)
 
 val load_golden : string -> Json.t option
 (** Read a golden inventory: [None] when the file cannot be read (missing
     baseline), [Some Json.Null] when it exists but is not JSON (reported
-    as unreadable by {!lint_strings}). *)
-
-val lint_paths :
-  ?roots:(string * string list) list -> golden_path:string -> string list -> diagnostic list
-(** {!lint_strings} over the [.ml] files under the given paths, loading
-    the golden inventory from [golden_path]. *)
-
-val inventory_paths :
-  ?roots:(string * string list) list -> string list -> (string * (string * int) list) list
-
-val sites_paths : ?roots:(string * string list) list -> string list -> site list
-(** The individual classified sites behind {!inventory_paths}, allowlist
-    already applied — the per-site view for auditing a count change. *)
+    as unreadable by {!lint}). *)
 
 val seed_violation_files : (string * string) list
 (** A fake hot module whose round function boxes floats, closes over a
     variable and builds throwaway lists. *)
 
-val seed_violation : unit -> diagnostic list
-(** {!lint_strings} of the demo against an empty golden inventory: every
-    class fires as [new-alloc-class]. *)
-
-val has_errors : diagnostic list -> bool
-val pp_diagnostic : Format.formatter -> diagnostic -> unit
-val diagnostic_to_string : diagnostic -> string
+val seed_violation : unit -> Diagnostics.diagnostic list
+(** {!lint} of the demo against an empty golden inventory: every class
+    fires as [new-alloc-class]. *)

@@ -1,8 +1,9 @@
 (* Approximate interprocedural call graph over the repo's Parsetree.
 
    Factored out of [Share_lint] so the source-level analyzers share one
-   vocabulary of expression helpers (reference/write extraction, binding
-   summaries) and one reachability engine:
+   parse of the tree, one vocabulary of expression helpers
+   (reference/write extraction, binding summaries) and one reachability
+   engine:
 
    - [Share_lint] asks the {e same-file} question: starting from a task
      expression handed to a pool primitive, which module-level mutable
@@ -135,18 +136,42 @@ let pattern_var (p : Parsetree.pattern) =
   in
   go p
 
-let parse_string ~path contents =
-  let lexbuf = Lexing.from_string contents in
-  Location.init lexbuf path;
-  match Parse.implementation lexbuf with
-  | structure -> Ok structure
-  | exception _ -> Error lexbuf.Lexing.lex_curr_p.Lexing.pos_lnum
+(* --- the shared parse ------------------------------------------------------ *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+(* Dangling paths (an explicitly named file that does not exist) are
+   skipped rather than raised on — editors and scripts pass paths that may
+   have just been deleted. *)
+let rec collect acc path =
+  if not (Sys.file_exists path) then acc
+  else if Sys.is_directory path then
+    Array.fold_left
+      (fun acc entry ->
+        if entry = "" || entry.[0] = '_' || entry.[0] = '.' then acc
+        else collect acc (Filename.concat path entry))
+      acc (Sys.readdir path)
+  else if Filename.check_suffix path ".ml" then path :: acc
+  else acc
+
+let source_files paths = List.sort String.compare (List.fold_left collect [] paths)
+
+(* Every source analyzer lints the output of this one parse, which is the
+   only place a parse-error diagnostic is built. *)
+let parse files =
+  List.partition_map
+    (fun (path, contents) ->
+      let lexbuf = Lexing.from_string contents in
+      Location.init lexbuf path;
+      match Parse.implementation lexbuf with
+      | structure -> Either.Left (path, structure)
+      | exception _ ->
+        Either.Right
+          {
+            Diagnostics.severity = Error;
+            loc = Line (path, lexbuf.Lexing.lex_curr_p.Lexing.pos_lnum);
+            code = "parse-error";
+            message = "file does not parse as an OCaml implementation";
+          })
+    files
 
 (* --- binding summaries and same-file reachability ------------------------ *)
 
@@ -260,8 +285,6 @@ let fns_of_structure ~path structure =
 
 let build parsed_files =
   { fns = List.concat_map (fun (path, structure) -> fns_of_structure ~path structure) parsed_files }
-
-let functions t = t.fns
 
 (* A qualified name [q] matches a reference or root [r] when it is [r]
    itself or ends in ".r" — "Index.add" written inside voting.ml matches

@@ -1,11 +1,12 @@
 (** Approximate interprocedural call graph over the repo's Parsetree.
 
-    The shared machinery behind the source-level analyzers: expression
-    helpers (reference and mutation extraction), per-binding capture
-    summaries, the same-file transitive-reachability engine that
-    {!Share_lint}'s task analysis runs on (preserved byte-for-byte from
-    its original in-lint form), and the whole-tree function inventory
-    that {!Alloc_lint} walks from its annotated hot roots.
+    The shared machinery behind the source-level analyzers: the one
+    parse of the tree they all lint, expression helpers (reference and
+    mutation extraction), per-binding capture summaries, the same-file
+    transitive-reachability engine that {!Share_lint}'s task analysis
+    runs on (preserved byte-for-byte from its original in-lint form), and
+    the whole-tree function inventory that {!Alloc_lint} walks from its
+    annotated hot roots.
 
     Everything is purely syntactic — [Parse.implementation], no typing.
     Unqualified references resolve to same-file bindings of that name
@@ -13,6 +14,20 @@
     whose module-qualified name ends in the reference ("Index.add"
     reaches "Voting.Index.add").  Higher-order flow, functors and
     shadowing are invisible; clients stay conservative accordingly. *)
+
+(** {1 The shared parse} *)
+
+val source_files : string list -> string list
+(** The [.ml] files under the given files/directories (recursive,
+    skipping [_build]-style and hidden directories), in sorted order.
+    Dangling paths are skipped, not raised on. *)
+
+val parse :
+  (string * string) list -> (string * Parsetree.structure) list * Diagnostics.diagnostic list
+(** Parse [(path, contents)] files: the parsed ones in input order, and
+    one [parse-error] diagnostic per file that fails, at the line where
+    parsing stopped.  Every source analyzer lints this one parse, and no
+    other code builds a [parse-error]. *)
 
 (** {1 Expression helpers} *)
 
@@ -30,35 +45,15 @@ val head_ident : Parsetree.expression -> string option
 val iter_expr : (Parsetree.expression -> unit) -> Parsetree.expression -> unit
 (** Apply [f] to every subexpression (prefix order). *)
 
-val refs_of_expr : Parsetree.expression -> string list
-(** All value-path references, as dotted strings. *)
-
-val bound_names_of_expr : Parsetree.expression -> string list
-(** Every value name bound anywhere inside: parameters, let patterns,
-    match cases, for-loop indices. *)
-
-val writer_heads : string list
-(** Function heads treated as mutation sites ([:=], [incr],
-    [Array.set], [Hashtbl.replace], ...). *)
-
-val is_writer : string -> bool
-
 type write = { target : string; wline : int }
 (** One syntactic mutation: the head identifier being mutated and the
     line of the mutating expression. *)
-
-val writes_of_expr : Parsetree.expression -> write list
 
 val is_function : Parsetree.expression -> bool
 (** Is this (after {!peel}) a syntactic function? *)
 
 val pattern_var : Parsetree.pattern -> string option
 (** The variable a simple (possibly constrained) pattern binds. *)
-
-val parse_string : path:string -> string -> (Parsetree.structure, int) result
-(** Parse an implementation; [Error line] on syntax errors. *)
-
-val read_file : string -> string
 
 (** {1 Binding summaries and same-file reachability} *)
 
@@ -95,8 +90,6 @@ type t
 val build : (string * Parsetree.structure) list -> t
 (** Inventory every let-bound function (any depth) of the parsed files,
     qualified by enclosing module path, in encounter order. *)
-
-val functions : t -> fn_info list
 
 val resolve : t -> file:string -> string -> fn_info list
 (** All functions a reference written in [file] may denote: same-file

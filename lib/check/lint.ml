@@ -3,25 +3,6 @@
    geometry preconditions (lib/geometry/squares.ml), and plain parameter
    sanity — before a single simulation round runs. *)
 
-type severity = Error | Warning | Info
-
-type diagnostic = {
-  severity : severity;
-  scenario : string;
-  field : string;
-  code : string;
-  message : string;
-}
-
-let severity_label (s : severity) =
-  match s with Error -> "error" | Warning -> "warning" | Info -> "info"
-
-let pp_diagnostic fmt d =
-  Format.fprintf fmt "%s.%s: %s: %s [%s]" d.scenario d.field (severity_label d.severity) d.message
-    d.code
-
-let diagnostic_to_string d = Format.asprintf "%a" pp_diagnostic d
-
 (* Every code the linter can emit, in rough emission order.  Pinned by the
    golden test in test/test_check.ml: renaming or dropping a code is a
    breaking change for anything filtering [securebit_lint --json] output. *)
@@ -46,44 +27,6 @@ let codes =
     "byz-tolerance";
     "non-geometric-bound";
   ]
-let count severity diags = List.length (List.filter (fun d -> d.severity = severity) diags)
-let has_errors diags = List.exists (fun d -> d.severity = Error) diags
-
-(* --- path matching and allowlist hygiene, shared by the source-level
-   passes (Source_lint, Share_lint) --------------------------------------- *)
-
-let starts_with ~prefix s =
-  String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
-
-let ends_with ~suffix s =
-  let ls = String.length suffix and l = String.length s in
-  l >= ls && String.sub s (l - ls) ls = suffix
-
-(* Is [path] inside directory [dir] (given relative to the repo root)?
-   Matches both "lib/run/pool.ml" and absolute/sandboxed spellings. *)
-let in_dir dir path =
-  starts_with ~prefix:(dir ^ "/") path
-  ||
-  let needle = "/" ^ dir ^ "/" in
-  let ln = String.length needle and lp = String.length path in
-  let rec scan i = i + ln <= lp && (String.sub path i ln = needle || scan (i + 1)) in
-  scan 0
-
-let path_matches ~entry path = path = entry || ends_with ~suffix:("/" ^ entry) path
-
-let allowlist_entry allowlist path code =
-  List.find_opt (fun (f, c) -> c = code && path_matches ~entry:f path) allowlist
-
-(* An allowlist entry that suppresses nothing is itself a defect: stale
-   entries hide future regressions behind an audit that no longer applies.
-   Only entries whose file was actually visited are reported, so linting a
-   subtree does not accuse entries for files outside it. *)
-let unused_allowlist ~allowlist ~used ~files =
-  List.filter
-    (fun (entry_file, code) ->
-      List.exists (fun path -> path_matches ~entry:entry_file path) files
-      && not (List.exists (fun (f, c) -> f = entry_file && c = code) used))
-    allowlist
 
 (* Nominal device count; for [Grid_holes] an upper-bound estimate (the
    generator may reject some removals to preserve connectivity). *)
@@ -118,7 +61,11 @@ let int_radius (spec : Scenario.spec) = max 1 (int_of_float (Float.round spec.ra
 
 let lint ~name (spec : Scenario.spec) =
   let diags = ref [] in
-  let emit severity field code message = diags := { severity; scenario = name; field; code; message } :: !diags in
+  (* Every float range check is written as [not (in range)], so that NaN
+     fails it: each comparison with NaN is false. *)
+  let emit severity field code message =
+    diags := { Diagnostics.severity; loc = Field (name, field); code; message } :: !diags
+  in
   (* The analytic preconditions below (square-partition sizing, Koo's
      impossibility, the per-neighbourhood tolerance bounds) are stated for
      the radio model on the square map; on an explicit graph family they
@@ -134,10 +81,10 @@ let lint ~name (spec : Scenario.spec) =
   in
   (* --- map, radio, message, engine caps ------------------------------ *)
   if geometric then begin
-    if spec.map_w <= 0.0 || spec.map_h <= 0.0 then
+    if not (spec.map_w > 0.0 && spec.map_h > 0.0) then
       emit Error "map_w" "map-dims"
         (Printf.sprintf "map is %gx%g; both sides must be positive" spec.map_w spec.map_h);
-    if spec.radius <= 0.0 then
+    if not (spec.radius > 0.0) then
       emit Error "radius" "radius"
         (Printf.sprintf "broadcast range %g must be positive" spec.radius)
     else if spec.radius >= Float.min spec.map_w spec.map_h && spec.map_w > 0.0 then
@@ -162,7 +109,7 @@ let lint ~name (spec : Scenario.spec) =
       if n <= 0 then emit Error "deployment" "deployment" "no devices deployed";
       if clusters <= 0 then
         emit Error "deployment.clusters" "deployment" "clustered deployment needs >= 1 cluster";
-      if stddev <= 0.0 then
+      if not (stddev > 0.0) then
         emit Error "deployment.stddev" "deployment" "cluster scatter stddev must be positive";
       if clusters > n && n > 0 then
         emit Warning "deployment.clusters" "deployment"
@@ -186,7 +133,7 @@ let lint ~name (spec : Scenario.spec) =
     | Scenario.Triangulated { cols; rows; jitter } ->
       if cols < 1 || rows < 1 then
         emit Error "deployment" "deployment" "triangulation needs at least one cell";
-      if jitter < 0.0 then
+      if not (jitter >= 0.0) then
         emit Error "deployment.jitter" "deployment" "jitter must be non-negative"
       else if jitter >= 0.25 then
         emit Warning "deployment.jitter" "deployment"
@@ -202,7 +149,6 @@ let lint ~name (spec : Scenario.spec) =
           (Printf.sprintf "%dx%d lattice is degenerate (need at least 2x2)" width height)
   end;
   (* --- channel --------------------------------------------------------- *)
-  (* Written so that NaN fails: every comparison with NaN is false. *)
   if not (spec.channel.Channel.loss_prob >= 0.0 && spec.channel.Channel.loss_prob < 1.0) then
     emit Error "channel.loss_prob" "channel"
       (Printf.sprintf "loss probability %g outside [0, 1)" spec.channel.Channel.loss_prob);
@@ -232,7 +178,7 @@ let lint ~name (spec : Scenario.spec) =
           | Some side -> side
           | None -> Squares.simulation_side ~radius:spec.radius
         in
-        if side <= 0.0 then
+        if not (side > 0.0) then
           emit Error "square_side" "square-geometry"
             (Printf.sprintf "square side %g must be positive" side)
         else begin
@@ -312,7 +258,7 @@ let lint ~name (spec : Scenario.spec) =
   end;
   (* --- fault model vs the analytic tolerance bounds -------------------- *)
   let check_fraction field fraction =
-    if fraction < 0.0 || fraction > 1.0 then
+    if not (fraction >= 0.0 && fraction <= 1.0) then
       emit Error field "fraction" (Printf.sprintf "fraction %g outside [0, 1]" fraction)
     else if fraction > 0.5 then
       emit Warning field "fraction"
@@ -322,11 +268,12 @@ let lint ~name (spec : Scenario.spec) =
     match spec.faults with
     | Scenario.No_faults -> ()
     | Scenario.Crash fraction -> check_fraction "faults.fraction" fraction
-    | Scenario.Jamming { fraction; budget; probability } ->
+    | Scenario.Jamming { fraction; budget; probability }
+    | Scenario.Selective_jam { fraction; budget; probability } ->
       check_fraction "faults.fraction" fraction;
       if budget < 0 then
         emit Info "faults.budget" "budget" "negative budget: jammers never run out of broadcasts";
-      if probability < 0.0 || probability > 1.0 then
+      if not (probability >= 0.0 && probability <= 1.0) then
         emit Error "faults.probability" "probability"
           (Printf.sprintf "jamming probability %g outside [0, 1]" probability)
       else if probability = 0.0 && budget <> 0 then
@@ -366,17 +313,5 @@ let lint ~name (spec : Scenario.spec) =
               "the epidemic baseline is unauthenticated: any lying device corrupts deliveries"
         end
       end
-    | Scenario.Selective_jam { fraction; budget; probability } ->
-      check_fraction "faults.fraction" fraction;
-      if budget < 0 then
-        emit Info "faults.budget" "budget" "negative budget: jammers never run out of broadcasts";
-      if probability < 0.0 || probability > 1.0 then
-        emit Error "faults.probability" "probability"
-          (Printf.sprintf "jamming probability %g outside [0, 1]" probability)
-      else if probability = 0.0 && budget <> 0 then
-        emit Info "faults.probability" "probability" "jamming probability 0: the jammers never fire"
   end;
   List.rev !diags
-
-let lint_presets () =
-  List.map (fun (name, spec) -> (name, lint ~name spec)) Scenario.presets

@@ -10,65 +10,16 @@
       adjacent watch squares must be in mutual decode range, squares should
       be expected non-empty;
     - {b sanity}: map dimensions, radii, message, channel parameters,
-      round caps, jammer budgets and probabilities.
+      round caps, jammer budgets and probabilities.  Every float range
+      check rejects NaN.
 
-    Diagnostics carry a severity, a source location (scenario name +
-    offending field) and a stable short code. *)
-
-type severity = Error | Warning | Info
-
-type diagnostic = {
-  severity : severity;
-  scenario : string;  (** scenario name (the "file" of the location) *)
-  field : string;  (** offending spec field, e.g. ["faults.fraction"] *)
-  code : string;  (** stable short code, e.g. ["byz-tolerance"] *)
-  message : string;
-}
+    Each diagnostic is located at [scenario.field] (a
+    {!Diagnostics.Field}) and carries a stable short code. *)
 
 val codes : string list
 (** Every stable diagnostic code this linter can emit.  Part of the
     machine-readable interface ([securebit_lint lint scenario --json]);
     pinned by a golden test. *)
 
-val lint : name:string -> Scenario.spec -> diagnostic list
+val lint : name:string -> Scenario.spec -> Diagnostics.diagnostic list
 (** All diagnostics for one spec, in field order. *)
-
-val lint_presets : unit -> (string * diagnostic list) list
-(** [lint] over every bundled {!Scenario.presets} entry. *)
-
-val has_errors : diagnostic list -> bool
-val count : severity -> diagnostic list -> int
-
-(** {1 Path matching and allowlist hygiene}
-
-    Shared by the source-level passes ({!Source_lint}, {!Share_lint}):
-    their allowlists are [(file suffix, code)] pairs, and an entry that
-    suppresses zero diagnostics is itself an error so stale audits cannot
-    rot in place. *)
-
-val starts_with : prefix:string -> string -> bool
-val ends_with : suffix:string -> string -> bool
-
-val in_dir : string -> string -> bool
-(** [in_dir dir path]: is [path] inside [dir] (repo-root relative), under
-    both "lib/run/pool.ml" and absolute/sandboxed spellings? *)
-
-val path_matches : entry:string -> string -> bool
-(** Does an allowlist [entry] (repo-relative file path) name [path]? *)
-
-val allowlist_entry : (string * string) list -> string -> string -> (string * string) option
-(** [allowlist_entry allowlist path code]: the entry suppressing [code] at
-    [path], if any. *)
-
-val unused_allowlist :
-  allowlist:(string * string) list ->
-  used:(string * string) list ->
-  files:string list ->
-  (string * string) list
-(** Entries whose file is among [files] but which matched no diagnostic
-    ([used] is the list of entries that fired).  These should be reported
-    as errors by the caller. *)
-
-val severity_label : severity -> string
-val pp_diagnostic : Format.formatter -> diagnostic -> unit
-val diagnostic_to_string : diagnostic -> string

@@ -55,36 +55,20 @@ type mutable_field = {
 
 type inventory = { globals : global list; fields : mutable_field list }
 
-type diagnostic = {
-  severity : Lint.severity;
-  file : string;
-  line : int;
-  code : string;
-  message : string;
-}
-
 let codes =
   [ "global-mutable-core"; "shared-mutable"; "capture-mutates"; "unused-allowlist"; "parse-error" ]
 
 (* Audited-sound uses.  The pool's own workers write disjoint result/stat
    slots (index-partitioned, never the same cell from two domains); the
    test suite deliberately builds racy tasks to prove the sanitizer fires;
-   the committed fixture is the static half of that same proof. *)
+   the committed fixture is the static half of that same proof.  Each
+   entry records its definition line, where a stale audit is reported. *)
 let allowlist =
   [
-    ("lib/run/pool.ml", "capture-mutates");
-    ("test/test_run.ml", "capture-mutates");
-    ("test/fixtures/racy_counter.ml", "shared-mutable");
+    ("lib/run/pool.ml", "capture-mutates", __LINE__);
+    ("test/test_run.ml", "capture-mutates", __LINE__);
+    ("test/fixtures/racy_counter.ml", "shared-mutable", __LINE__);
   ]
-
-let severity_of _code = Lint.Error
-
-let pp_diagnostic fmt d =
-  Format.fprintf fmt "%s:%d: %s: %s [%s]" d.file d.line (Lint.severity_label d.severity) d.message
-    d.code
-
-let diagnostic_to_string d = Format.asprintf "%a" pp_diagnostic d
-let has_errors diags = List.exists (fun d -> d.severity = Lint.Error) diags
 
 (* --- expression helpers -------------------------------------------------- *)
 
@@ -253,8 +237,6 @@ let facts_of_structure ~path structure =
     fsites = List.rev !sites;
   }
 
-let parse_string = Callgraph.parse_string
-
 (* --- capture analysis ---------------------------------------------------- *)
 
 (* Transitive same-file reachability from a task entry — the engine is
@@ -278,7 +260,7 @@ let split_qualified name =
 
 let state_free_dirs = [ "lib/core"; "lib/sim" ]
 
-let lint_parsed parsed_files =
+let lint parsed_files =
   let facts = List.map (fun (path, structure) -> facts_of_structure ~path structure) parsed_files in
   let all_globals = List.concat_map (fun f -> f.ftoplevel) facts in
   let find_global ~md ~name =
@@ -287,17 +269,17 @@ let lint_parsed parsed_files =
   let diags = ref [] in
   let used = ref [] in
   let emit ~file ~line code message =
-    match Lint.allowlist_entry allowlist file code with
+    match Diagnostics.allowed allowlist file code with
     | Some entry -> if not (List.mem entry !used) then used := entry :: !used
     | None ->
-      diags := { severity = severity_of code; file; line; code; message } :: !diags
+      diags := { Diagnostics.severity = Error; loc = Line (file, line); code; message } :: !diags
   in
   (* Layer policy: lib/core and lib/sim keep no module-level mutable state
      (the pool runs whole trials through those layers on several domains at
      once, so they must be re-entrant). *)
   List.iter
     (fun g ->
-      if List.exists (fun dir -> Lint.in_dir dir g.gfile) state_free_dirs then
+      if List.exists (fun dir -> Diagnostics.in_dir dir g.gfile) state_free_dirs then
         emit ~file:g.gfile ~line:g.gline "global-mutable-core"
           (Printf.sprintf
              "top-level mutable binding %s (%s): %s must be state-free at toplevel so pool \
@@ -377,76 +359,17 @@ let lint_parsed parsed_files =
             writes)
         f.fsites)
     facts;
-  (!diags, !used)
+  Diagnostics.sort
+    (!diags
+    @ Diagnostics.unused_allowlist ~file:"lib/check/share_lint.ml"
+        ~linted:(List.map fst parsed_files) ~used:!used allowlist)
 
-let finish ~parse_errors ~linted parsed =
-  let diags, used = lint_parsed parsed in
-  let unused =
-    List.map
-      (fun (entry_file, code) ->
-        {
-          severity = Lint.Error;
-          file = entry_file;
-          line = 0;
-          code = "unused-allowlist";
-          message =
-            Printf.sprintf
-              "allowlist entry (%s, %s) suppressed no diagnostic; delete the stale audit"
-              entry_file code;
-        })
-      (Lint.unused_allowlist ~allowlist ~used ~files:linted)
-  in
-  List.sort
-    (fun a b ->
-      match String.compare a.file b.file with 0 -> Int.compare a.line b.line | c -> c)
-    (parse_errors @ diags @ unused)
-
-let lint_strings files =
-  let parsed, parse_errors =
-    List.fold_left
-      (fun (parsed, errors) (path, contents) ->
-        match parse_string ~path contents with
-        | Ok structure -> ((path, structure) :: parsed, errors)
-        | Error line ->
-          ( parsed,
-            {
-              severity = Lint.Error;
-              file = path;
-              line;
-              code = "parse-error";
-              message = "file does not parse as an OCaml implementation";
-            }
-            :: errors ))
-      ([], []) files
-  in
-  finish ~parse_errors ~linted:(List.map fst files) (List.rev parsed)
-
-(* Shared-parse entry for `securebit_lint all`: like {!lint_strings} on
-   already-parsed files (parse failures were surfaced by the shared
-   pass). *)
-let lint_structures parsed = finish ~parse_errors:[] ~linted:(List.map fst parsed) parsed
-
-let inventory_strings files =
-  let facts =
-    List.filter_map
-      (fun (path, contents) ->
-        match parse_string ~path contents with
-        | Ok structure -> Some (facts_of_structure ~path structure)
-        | Error _ -> None)
-      files
-  in
+let inventory parsed =
+  let facts = List.map (fun (path, structure) -> facts_of_structure ~path structure) parsed in
   {
     globals = List.concat_map (fun f -> f.ftoplevel) facts;
     fields = List.concat_map (fun f -> f.ffields) facts;
   }
-
-let read_file = Callgraph.read_file
-
-let with_contents paths =
-  List.map (fun path -> (path, read_file path)) (Source_lint.source_files paths)
-
-let lint_paths paths = lint_strings (with_contents paths)
-let inventory_paths paths = inventory_strings (with_contents paths)
 
 (* --- seed violation ------------------------------------------------------ *)
 
@@ -480,5 +403,3 @@ let seed_violation_files =
       \       + !hits)\n\
       \    specs\n" );
   ]
-
-let seed_violation () = lint_strings seed_violation_files

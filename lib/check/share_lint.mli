@@ -52,47 +52,25 @@ type mutable_field = {
 
 type inventory = { globals : global list; fields : mutable_field list }
 
-type diagnostic = {
-  severity : Lint.severity;
-  file : string;
-  line : int;
-  code : string;
-  message : string;
-}
-
 val codes : string list
 (** Every stable code this pass can emit; pinned by a golden test. *)
 
-val allowlist : (string * string) list
-(** Audited [(file, code)] suppressions.  Hygiene is enforced: an entry
-    that suppresses nothing is reported as [unused-allowlist]. *)
+val allowlist : (string * string * int) list
+(** Audited [(file, code, definition line)] suppressions.  Hygiene is
+    enforced: an entry that suppresses nothing is reported as
+    [unused-allowlist] at its definition line in
+    [lib/check/share_lint.ml]. *)
 
-val lint_strings : (string * string) list -> diagnostic list
-(** [lint_strings [(path, contents); ...]]: lint a whole tree given as
-    in-memory files.  The cross-module global inventory is built from
-    exactly these files, so the file set should be the full tree. *)
+val lint : (string * Parsetree.structure) list -> Diagnostics.diagnostic list
+(** Lint a whole tree of parsed files (see {!Callgraph.parse}).  The
+    cross-module global inventory is built from exactly these files, so
+    the file set should be the full tree.  Sorted by file, then line. *)
 
-val lint_paths : string list -> diagnostic list
-(** Expand directories via {!Source_lint.source_files}, read, lint. *)
-
-val lint_structures : (string * Parsetree.structure) list -> diagnostic list
-(** {!lint_strings} on already-parsed files — `securebit_lint all` feeds
-    every source analyzer from one shared parse of the tree (parse
-    failures are surfaced by that shared pass, not here). *)
-
-val inventory_strings : (string * string) list -> inventory
-val inventory_paths : string list -> inventory
+val inventory : (string * Parsetree.structure) list -> inventory
 (** The escaping-mutable-state inventory alone (no capture analysis);
     [--inventory] output. *)
 
-val seed_violation : unit -> diagnostic list
-(** Lint a bundled two-module demo tree that violates all three rules
+val seed_violation_files : (string * string) list
+(** A bundled two-module demo tree that violates all three rules
     ([global-mutable-core], [shared-mutable], [capture-mutates]) — the
     [--seed-violation] self-check proving the analyzer fires. *)
-
-val seed_violation_files : (string * string) list
-(** The demo tree itself, for tests. *)
-
-val has_errors : diagnostic list -> bool
-val pp_diagnostic : Format.formatter -> diagnostic -> unit
-val diagnostic_to_string : diagnostic -> string

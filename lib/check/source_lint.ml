@@ -5,14 +5,6 @@
    aliasing can hide a use from it; the rules target the spellings that
    actually appear in idiomatic code. *)
 
-type diagnostic = {
-  severity : Lint.severity;
-  file : string;
-  line : int;
-  code : string;
-  message : string;
-}
-
 let codes =
   [
     "hashtbl-order";
@@ -37,29 +29,16 @@ let codes =
 
    Each entry records its own definition line so a stale audit's
    diagnostic can point back here instead of at the audited file. *)
-let allowlist_located =
+let allowlist =
   [
-    (("lib/core/certified_propagation.ml", "hashtbl-order"), __LINE__);
-    (("lib/sim/engine.ml", "poly-hash"), __LINE__);
-    (("bench/main.ml", "hashtbl-order"), __LINE__);
-    (("lib/run/pool.ml", "poly-hash"), __LINE__);
-    (("bin/securebit_lint.ml", "wall-clock"), __LINE__);
+    ("lib/core/certified_propagation.ml", "hashtbl-order", __LINE__);
+    ("lib/sim/engine.ml", "poly-hash", __LINE__);
+    ("bench/main.ml", "hashtbl-order", __LINE__);
+    ("lib/run/pool.ml", "poly-hash", __LINE__);
+    ("bin/securebit_lint.ml", "wall-clock", __LINE__);
   ]
 
-let allowlist = List.map fst allowlist_located
-let allowlist_file = "lib/check/source_lint.ml"
-
-let severity_of _code = Lint.Error
-
-let pp_diagnostic fmt d =
-  Format.fprintf fmt "%s:%d: %s: %s [%s]" d.file d.line (Lint.severity_label d.severity) d.message
-    d.code
-
-let diagnostic_to_string d = Format.asprintf "%a" pp_diagnostic d
-let has_errors diags = List.exists (fun d -> d.severity = Lint.Error) diags
-
-let starts_with = Lint.starts_with
-let in_dir = Lint.in_dir
+let in_dir = Diagnostics.in_dir
 
 (* The rule table: a referenced value path either is clean or maps to a
    diagnostic.  [exempt] carves out the directories where the construct is
@@ -85,12 +64,14 @@ let classify ident =
         ident ^ " reads the wall clock; protocol logic is round-driven (timing belongs under \
                  lib/run/ or bench/)" )
   | _ ->
-    if starts_with ~prefix:"Random." ident then
+    if String.starts_with ~prefix:"Random." ident then
       Some
         ( "ambient-random",
           ident ^ " draws from the ambient generator; simulations must use the splittable, \
                    explicitly seeded Rng" )
-    else if starts_with ~prefix:"Domain." ident || starts_with ~prefix:"Atomic." ident then
+    else if
+      String.starts_with ~prefix:"Domain." ident || String.starts_with ~prefix:"Atomic." ident
+    then
       Some
         ( "domain-outside-run",
           ident ^ ": parallelism is confined to the deterministic job pool in lib/run/" )
@@ -130,23 +111,20 @@ let module_code head =
         "module " ^ head ^ ": parallelism is confined to the deterministic job pool in lib/run/" )
   | _ -> None
 
-(* Lint one already-parsed file, also reporting which allowlist entries
-   suppressed something — {!lint_paths} needs that to enforce allowlist
-   hygiene, and `securebit_lint all` feeds every analyzer from one shared
-   parse of the tree. *)
-let lint_structure_used ~path structure =
+(* Lint one parsed file, also reporting which allowlist entries
+   suppressed something: {!lint} needs that for allowlist hygiene. *)
+let lint_structure ~path structure =
   let diags = ref [] in
   let used = ref [] in
   let emit code message (loc : Location.t) =
     if not (exempt code path) then
-      match Lint.allowlist_entry allowlist path code with
+      match Diagnostics.allowed allowlist path code with
       | Some entry -> if not (List.mem entry !used) then used := entry :: !used
       | None ->
         diags :=
           {
-            severity = severity_of code;
-            file = path;
-            line = loc.Location.loc_start.Lexing.pos_lnum;
+            Diagnostics.severity = Error;
+            loc = Line (path, loc.Location.loc_start.Lexing.pos_lnum);
             code;
             message;
           }
@@ -189,71 +167,11 @@ let lint_structure_used ~path structure =
     }
   in
   iterator.structure iterator structure;
-  (List.sort (fun a b -> Int.compare a.line b.line) (List.rev !diags), !used)
+  (List.rev !diags, !used)
 
-let lint_string_used ~path contents =
-  match Callgraph.parse_string ~path contents with
-  | Error line ->
-    ( [
-        {
-          severity = Lint.Error;
-          file = path;
-          line;
-          code = "parse-error";
-          message = "file does not parse as an OCaml implementation";
-        };
-      ],
-      [] )
-  | Ok structure -> lint_structure_used ~path structure
-
-let lint_string ~path contents = fst (lint_string_used ~path contents)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let lint_file path = lint_string ~path (read_file path)
-
-(* Dangling paths (an explicitly named file that does not exist) are
-   skipped rather than raised on — editors and scripts pass paths that may
-   have just been deleted. *)
-let rec collect acc path =
-  if not (Sys.file_exists path) then acc
-  else if Sys.is_directory path then
-    Array.fold_left
-      (fun acc entry ->
-        if entry = "" || entry.[0] = '_' || entry.[0] = '.' then acc
-        else collect acc (Filename.concat path entry))
-      acc (Sys.readdir path)
-  else if Filename.check_suffix path ".ml" then path :: acc
-  else acc
-
-let source_files paths = List.sort String.compare (List.fold_left collect [] paths)
-
-(* Stale-audit diagnostics point at the entry's own definition line in
-   this module (that is the line to delete), naming the audited
-   (file, code) pair in the message. *)
-let unused_diagnostics ~used ~files =
-  List.map
-    (fun ((entry_file, code) as entry) ->
-      let line = match List.assoc_opt entry allowlist_located with Some l -> l | None -> 0 in
-      {
-        severity = Lint.Error;
-        file = allowlist_file;
-        line;
-        code = "unused-allowlist";
-        message =
-          Printf.sprintf
-            "allowlist entry (%s, %s) suppressed no diagnostic; delete the stale audit at %s:%d"
-            entry_file code allowlist_file line;
-      })
-    (Lint.unused_allowlist ~allowlist ~used ~files)
-
-let lint_paths paths =
-  let files = source_files paths in
-  let results = List.map (fun path -> lint_string_used ~path (read_file path)) files in
-  let diags = List.concat_map fst results in
-  let used = List.concat_map snd results in
-  diags @ unused_diagnostics ~used ~files
+let lint parsed =
+  let results = List.map (fun (path, structure) -> lint_structure ~path structure) parsed in
+  Diagnostics.sort
+    (List.concat_map fst results
+    @ Diagnostics.unused_allowlist ~file:"lib/check/source_lint.ml" ~linted:(List.map fst parsed)
+        ~used:(List.concat_map snd results) allowlist)

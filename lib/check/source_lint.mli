@@ -29,73 +29,27 @@
       production call sites must say which loop they mean rather than
       silently follow the default;
     - [unused-allowlist]: an {!allowlist} entry that suppressed no
-      diagnostic during a {!lint_paths} run over its file — stale audits
-      are themselves errors so they cannot rot in place;
-    - [parse-error]: the file failed to parse.
+      diagnostic during a {!lint} run over its file — stale audits are
+      themselves errors so they cannot rot in place;
+    - [parse-error]: the file failed to parse (reported by the shared
+      {!Callgraph.parse}).
 
-    Findings at locations listed in {!allowlist} (file suffix, code) are
-    suppressed: those are the audited, order-insensitive uses.
-    [wall-clock] and [engine-mode] are additionally exempt under [test/]
-    (test timers, equivalence fixtures). *)
-
-type diagnostic = {
-  severity : Lint.severity;
-  file : string;
-  line : int;
-  code : string;  (** stable short code, e.g. ["hashtbl-order"] *)
-  message : string;
-}
+    Findings at locations listed in {!allowlist} are suppressed: those
+    are the audited, order-insensitive uses.  [wall-clock] and
+    [engine-mode] are additionally exempt under [test/] (test timers,
+    equivalence fixtures). *)
 
 val codes : string list
 (** Every code this pass can emit, for golden tests. *)
 
-val allowlist : (string * string) list
-(** [(file suffix, code)] pairs suppressed as audited-sound, e.g.
-    commutative [Hashtbl.fold]s and the engine's explicit fingerprint
-    hash. *)
+val allowlist : (string * string * int) list
+(** [(file suffix, code, definition line)] entries suppressed as
+    audited-sound, e.g. commutative [Hashtbl.fold]s and the engine's
+    explicit fingerprint hash.  A stale entry's diagnostic points at its
+    definition line in [lib/check/source_lint.ml]. *)
 
-val allowlist_located : ((string * string) * int) list
-(** Each {!allowlist} entry with its definition line in
-    {!allowlist_file}; stale-entry diagnostics point there — that is the
-    line to delete. *)
-
-val allowlist_file : string
-(** ["lib/check/source_lint.ml"]. *)
-
-val lint_structure_used :
-  path:string -> Parsetree.structure -> diagnostic list * (string * string) list
-(** Lint one already-parsed file.  `securebit_lint all` feeds every
-    source analyzer from a single shared parse of the tree through
-    this. *)
-
-val lint_string : path:string -> string -> diagnostic list
-(** Lint source [contents] as if read from [path] (path-based exemptions
-    and allowlists apply).  Used by tests to check fixtures without
-    touching the filesystem. *)
-
-val lint_string_used : path:string -> string -> diagnostic list * (string * string) list
-(** {!lint_string} plus the allowlist entries that suppressed at least one
-    finding in this file — the input to {!Lint.unused_allowlist}. *)
-
-val lint_file : string -> diagnostic list
-
-val source_files : string list -> string list
-(** The [.ml] files {!lint_paths} would visit, in sorted order.  Dangling
-    paths are skipped, not raised on. *)
-
-val lint_paths : string list -> diagnostic list
-(** Lint every [.ml] file under the given files/directories (recursive,
-    skipping [_build]-style and hidden directories), in sorted path order;
-    then append one [unused-allowlist] error per {!allowlist} entry whose
-    file was visited but which suppressed nothing (located at the entry's
-    own definition line via {!allowlist_located}). *)
-
-val unused_diagnostics :
-  used:(string * string) list -> files:string list -> diagnostic list
-(** The stale-audit errors {!lint_paths} appends, exposed so a shared-
-    parse driver can run the per-file pass itself and still enforce
-    allowlist hygiene. *)
-
-val has_errors : diagnostic list -> bool
-val pp_diagnostic : Format.formatter -> diagnostic -> unit
-val diagnostic_to_string : diagnostic -> string
+val lint : (string * Parsetree.structure) list -> Diagnostics.diagnostic list
+(** Lint parsed files (see {!Callgraph.parse}); path-based exemptions and
+    the allowlist apply, and every allowlist entry whose file was linted
+    but which suppressed nothing is an [unused-allowlist] error.  Sorted
+    by file, then line. *)

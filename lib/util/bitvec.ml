@@ -2,8 +2,8 @@
    canonical values (padding bits above [len] are always zero), so
    structural equality and hashing on the record coincide with bit-string
    equality — code that compared the old [bool array] representation
-   polymorphically keeps working.  The scratch-mutation entry points at the
-   bottom are for engine-owned buffers only; every other operation copies. *)
+   polymorphically keeps working.  [set] mutates only vectors under
+   construction; every exposed operation copies. *)
 
 type t = { len : int; words : int array }
 
@@ -129,19 +129,6 @@ let digest ~size m =
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 
-(* --- word-level operations and scratch mutation ------------------------ *)
-
-let popcount t =
-  let total = ref 0 in
-  for w = 0 to Array.length t.words - 1 do
-    let x = ref t.words.(w) in
-    while !x <> 0 do
-      x := !x land (!x - 1);
-      incr total
-    done
-  done;
-  !total
-
 (* [w land (-w)] isolates the lowest set bit as 2^k with k < 62; the powers
    2^0 .. 2^65 are pairwise distinct mod 67 (2 is a primitive root), so
    this table maps the residue back to k. *)
@@ -153,60 +140,3 @@ let ctz_table =
   t
 
 let lowest_bit w = ctz_table.((w land (-w)) mod 67)
-
-let rec iter_word f base w =
-  if w <> 0 then begin
-    f (base + lowest_bit w);
-    iter_word f base (w land (w - 1))
-  end
-
-let iter_set f t =
-  for w = 0 to Array.length t.words - 1 do
-    iter_word f (w * bits_per_word) t.words.(w)
-  done
-
-let set_range t ~pos ~len b =
-  if pos < 0 || len < 0 || pos + len > t.len then invalid_arg "Bitvec.set_range";
-  if len > 0 then begin
-    let hi = pos + len in
-    let w0 = pos / bits_per_word and w1 = (hi - 1) / bits_per_word in
-    for w = w0 to w1 do
-      let lo_bit = if w = w0 then pos mod bits_per_word else 0 in
-      let hi_bit = if w = w1 then ((hi - 1) mod bits_per_word) + 1 else bits_per_word in
-      let mask =
-        if hi_bit - lo_bit = bits_per_word then word_mask
-        else ((1 lsl (hi_bit - lo_bit)) - 1) lsl lo_bit
-      in
-      if b then t.words.(w) <- t.words.(w) lor mask
-      else t.words.(w) <- t.words.(w) land lnot mask
-    done
-  end
-
-let blit ~src ~src_pos ~dst ~dst_pos ~len =
-  if
-    src_pos < 0 || dst_pos < 0 || len < 0 || src_pos + len > src.len
-    || dst_pos + len > dst.len
-  then invalid_arg "Bitvec.blit";
-  if src_pos mod bits_per_word = 0 && dst_pos mod bits_per_word = 0 then begin
-    (* Word-aligned fast path: copy whole words, then the ragged tail. *)
-    let full = len / bits_per_word in
-    Array.blit src.words (src_pos / bits_per_word) dst.words (dst_pos / bits_per_word) full;
-    (* A full-word copy into the last destination word may drag along
-       padding bits from the source; the tail loop below only touches the
-       ragged remainder, so re-trim the destination. *)
-    for i = full * bits_per_word to len - 1 do
-      set dst (dst_pos + i) (get src (src_pos + i))
-    done;
-    trim dst
-  end
-  else if src == dst && dst_pos > src_pos then
-    for i = len - 1 downto 0 do
-      set dst (dst_pos + i) (get src (src_pos + i))
-    done
-  else
-    for i = 0 to len - 1 do
-      set dst (dst_pos + i) (get src (src_pos + i))
-    done
-
-let word_count t = Array.length t.words
-let word t w = t.words.(w)

@@ -43,37 +43,15 @@ val digest : size:int -> t -> t
 
 val pp : Format.formatter -> t -> unit
 
-(** {2 Word-level access and scratch mutation}
+(** {2 Word-level helpers}
 
-    The representation packs {!bits_per_word} bits to a word.  The mutating
-    operations below are for scratch buffers; values handed to protocol
-    code are still treated as immutable. *)
-
-val popcount : t -> int
-(** Number of set bits. *)
-
-val iter_set : (int -> unit) -> t -> unit
-(** [iter_set f t] calls [f] on each set index in ascending order, in
-    O(words + set bits). *)
+    The representation packs {!bits_per_word} bits to a word; the engine
+    packs its own id sets the same way. *)
 
 val lowest_bit : int -> int
 (** [lowest_bit w] is the index of the lowest set bit of the non-zero word
     [w] (bits [0 .. bits_per_word - 1]); [w land (w - 1)] clears it.  The
     building block of every ascending walk over raw words. *)
 
-val set : t -> int -> bool -> unit
-(** In-place single-bit update. *)
-
-val set_range : t -> pos:int -> len:int -> bool -> unit
-(** In-place fill of [len] bits starting at [pos]. *)
-
-val blit : src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> unit
-(** Bit-range copy; word-blits when both positions are word-aligned. *)
-
 val bits_per_word : int
 (** Bits packed per word (62). *)
-
-val word_count : t -> int
-val word : t -> int -> int
-(** [word t k] is the raw [k]-th word, low bit = index [k * bits_per_word].
-    Padding bits above [length t] are always zero. *)

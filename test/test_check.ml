@@ -6,6 +6,18 @@ let contains ~affix s =
   let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
   n = 0 || go 0
 
+let codes diags = List.map (fun (d : Diagnostics.diagnostic) -> d.code) diags
+
+let file_line (d : Diagnostics.diagnostic) =
+  match d.loc with
+  | Line (file, line) -> (file, line)
+  | Field _ -> Alcotest.fail "expected a file:line location"
+
+(* Lint in-memory files through the shared parse, as securebit_lint does. *)
+let lint_files lint files =
+  let parsed, errors = Callgraph.parse files in
+  Diagnostics.sort (errors @ lint parsed)
+
 (* --- model checker: the reference machines satisfy every invariant ------- *)
 
 let configurations = function
@@ -68,30 +80,30 @@ let test_skip_veto_stream_counterexample () =
 
 (* --- scenario linter ----------------------------------------------------- *)
 
-let has_code code diags = List.exists (fun d -> d.Lint.code = code) diags
+let has_code code diags = List.mem code (codes diags)
 
 let test_lint_presets_clean () =
-  let reports = Lint.lint_presets () in
+  let reports = List.map (fun (name, spec) -> (name, Lint.lint ~name spec)) Scenario.presets in
   Alcotest.(check bool) "all presets linted" true (List.length reports >= 6);
   List.iter
     (fun (name, diags) ->
-      Alcotest.(check int) (name ^ " has no errors") 0 (Lint.count Lint.Error diags);
+      Alcotest.(check int) (name ^ " has no errors") 0 (Diagnostics.count Error diags);
       (* dual_mode_digest deliberately overruns the plain NeighborWatchRB
          bound (the demo shows dual-mode containment beyond it), so it is
          allowed exactly the byz-tolerance warning and nothing else. *)
       if name = "dual_mode_digest" then
         List.iter
-          (fun d ->
-            if d.Lint.severity = Lint.Warning then
-              Alcotest.(check string) (name ^ " warning is byz-tolerance") "byz-tolerance"
-                d.Lint.code)
+          (fun (d : Diagnostics.diagnostic) ->
+            if d.severity = Warning then
+              Alcotest.(check string) (name ^ " warning is byz-tolerance") "byz-tolerance" d.code)
           diags
-      else Alcotest.(check int) (name ^ " has no warnings") 0 (Lint.count Lint.Warning diags))
+      else
+        Alcotest.(check int) (name ^ " has no warnings") 0 (Diagnostics.count Warning diags))
     reports
 
 let test_lint_default_clean () =
   Alcotest.(check bool) "default spec has no errors" false
-    (Lint.has_errors (Lint.lint ~name:"default" Scenario.default))
+    (Diagnostics.has_errors (Lint.lint ~name:"default" Scenario.default))
 
 let test_lint_catches_bad_specs () =
   let d = Scenario.default in
@@ -115,33 +127,52 @@ let test_lint_catches_bad_specs () =
           }));
   (* All of the above are Errors, not mere Warnings. *)
   Alcotest.(check bool) "cap diagnostic is an error" true
-    (Lint.has_errors (lint { d with cap = 0 }))
+    (Diagnostics.has_errors (lint { d with cap = 0 }))
 
 (* NaN compares false against everything, so a range check written as
-   "below or above" lets it through. *)
-let test_lint_nan_channel () =
+   "below or above" lets it through.  A NaN fault fraction would otherwise
+   round to zero Byzantine devices and silently run an honest network. *)
+let test_lint_nan_parameters () =
   let d = Scenario.default in
-  let lint channel = Lint.lint ~name:"nan" { d with channel } in
-  Alcotest.(check bool) "NaN loss_prob" true
-    (has_code "channel" (lint { Channel.ideal with Channel.loss_prob = nan }));
-  Alcotest.(check bool) "NaN capture_ratio" true
-    (has_code "channel" (lint { Channel.ideal with Channel.capture_ratio = nan }));
-  Alcotest.(check bool) "it is an error" true
-    (Lint.has_errors (lint { Channel.ideal with Channel.loss_prob = nan }));
-  Alcotest.(check bool) "the ideal channel stays clean" false (has_code "channel" (lint Channel.ideal))
+  let nan_error name code spec =
+    Alcotest.(check bool) (name ^ " is a " ^ code ^ " error") true
+      (List.exists
+         (fun (d : Diagnostics.diagnostic) -> d.code = code && d.severity = Error)
+         (Lint.lint ~name:"nan" spec))
+  in
+  nan_error "NaN loss_prob" "channel"
+    { d with channel = { Channel.ideal with Channel.loss_prob = nan } };
+  nan_error "NaN capture_ratio" "channel"
+    { d with channel = { Channel.ideal with Channel.capture_ratio = nan } };
+  nan_error "NaN map_w" "map-dims" { d with map_w = nan };
+  nan_error "NaN map_h" "map-dims" { d with map_h = nan };
+  nan_error "NaN radius" "radius" { d with radius = nan };
+  nan_error "NaN square_side" "square-geometry" { d with square_side = Some nan };
+  nan_error "Lying NaN" "fraction" { d with faults = Scenario.Lying nan };
+  nan_error "Crash NaN" "fraction" { d with faults = Scenario.Crash nan };
+  nan_error "NaN jamming probability" "probability"
+    { d with faults = Scenario.Jamming { fraction = 0.1; budget = 5; probability = nan } };
+  nan_error "NaN selective jamming probability" "probability"
+    { d with faults = Scenario.Selective_jam { fraction = 0.1; budget = 5; probability = nan } };
+  nan_error "NaN cluster stddev" "deployment"
+    { d with deployment = Scenario.Clustered { n = 600; clusters = 4; stddev = nan } };
+  nan_error "NaN triangulation jitter" "deployment"
+    { d with deployment = Scenario.Triangulated { cols = 10; rows = 10; jitter = nan } };
+  Alcotest.(check bool) "the default spec stays clean" false
+    (Diagnostics.has_errors (Lint.lint ~name:"nan" d))
 
 let test_lint_byz_tolerance_warning () =
   (* 600 nodes on a 20x20 map with R=4: ~75 devices per neighbourhood, so
      40% liars vastly exceeds the ceil(R/2)^2 - 1 = 3 bound. *)
   let diags = Lint.lint ~name:"overrun" { Scenario.default with faults = Scenario.Lying 0.4 } in
   Alcotest.(check bool) "byz-tolerance warning fires" true (has_code "byz-tolerance" diags);
-  Alcotest.(check bool) "it is a warning, not an error" false (Lint.has_errors diags)
+  Alcotest.(check bool) "it is a warning, not an error" false (Diagnostics.has_errors diags)
 
 let test_lint_diagnostic_rendering () =
   match Lint.lint ~name:"render" { Scenario.default with cap = 0 } with
   | [] -> Alcotest.fail "expected a diagnostic"
   | d :: _ ->
-    let s = Lint.diagnostic_to_string d in
+    let s = Diagnostics.to_string d in
     Alcotest.(check bool) "names the scenario" true (contains ~affix:"render" s);
     Alcotest.(check bool) "names the field" true (contains ~affix:"cap" s);
     Alcotest.(check bool) "states the severity" true (contains ~affix:"error" s)
@@ -209,20 +240,21 @@ let test_vote_neighbor_watch_seeded () =
 
 (* --- source lint ---------------------------------------------------------- *)
 
-let source_codes diags = List.map (fun d -> d.Source_lint.code) diags
+let source_lint ~path contents = lint_files Source_lint.lint [ (path, contents) ]
+let source_codes ~path contents = codes (source_lint ~path contents)
 
 let test_source_lint_fixtures () =
   let hashtbl_fixture =
     "let report tbl =\n  Hashtbl.iter (fun k v -> Printf.printf \"%d %d\\n\" k v) tbl\n"
   in
   Alcotest.(check (list string)) "Hashtbl.iter into output is flagged" [ "hashtbl-order" ]
-    (source_codes (Source_lint.lint_string ~path:"lib/analysis/report.ml" hashtbl_fixture));
+    (source_codes ~path:"lib/analysis/report.ml" hashtbl_fixture);
   let random_fixture = "let jitter () = Random.int 10\n" in
-  (match Source_lint.lint_string ~path:"lib/core/noise.ml" random_fixture with
+  (match source_lint ~path:"lib/core/noise.ml" random_fixture with
   | [ d ] ->
-    Alcotest.(check string) "unseeded Random is flagged" "ambient-random" d.Source_lint.code;
-    Alcotest.(check int) "line number" 1 d.Source_lint.line;
-    Alcotest.(check bool) "it is an error" true (d.Source_lint.severity = Lint.Error)
+    Alcotest.(check string) "unseeded Random is flagged" "ambient-random" d.code;
+    Alcotest.(check int) "line number" 1 (snd (file_line d));
+    Alcotest.(check bool) "it is an error" true (d.severity = Error)
   | diags -> Alcotest.failf "expected one diagnostic, got %d" (List.length diags));
   let clean_fixture =
     "let tally tbl =\n\
@@ -232,103 +264,117 @@ let test_source_lint_fixtures () =
   (* Hashtbl.fold is still flagged (sorting after does not make the fold
      deterministic for non-commutative accumulators) unless allowlisted. *)
   Alcotest.(check (list string)) "fold flagged outside the allowlist" [ "hashtbl-order" ]
-    (source_codes (Source_lint.lint_string ~path:"lib/analysis/tally.ml" clean_fixture));
+    (source_codes ~path:"lib/analysis/tally.ml" clean_fixture);
   Alcotest.(check (list string)) "same text allowlisted in bench/main.ml" []
-    (source_codes (Source_lint.lint_string ~path:"bench/main.ml" clean_fixture));
+    (source_codes ~path:"bench/main.ml" clean_fixture);
   Alcotest.(check (list string)) "typed comparators are clean" []
-    (source_codes
-       (Source_lint.lint_string ~path:"lib/core/sorting.ml"
-          "let xs = List.sort Float.compare [ 1.0; 2.0 ]\n"))
+    (source_codes ~path:"lib/core/sorting.ml" "let xs = List.sort Float.compare [ 1.0; 2.0 ]\n")
 
 let test_source_lint_exemptions () =
   let wall_clock = "let stamp () = Unix.gettimeofday ()\n" in
   Alcotest.(check (list string)) "wall clock flagged in protocol code" [ "wall-clock" ]
-    (source_codes (Source_lint.lint_string ~path:"lib/core/clock.ml" wall_clock));
+    (source_codes ~path:"lib/core/clock.ml" wall_clock);
   Alcotest.(check (list string)) "wall clock allowed under lib/run/" []
-    (source_codes (Source_lint.lint_string ~path:"lib/run/wall.ml" wall_clock));
+    (source_codes ~path:"lib/run/wall.ml" wall_clock);
   Alcotest.(check (list string)) "wall clock allowed under bench/" []
-    (source_codes (Source_lint.lint_string ~path:"bench/timing.ml" wall_clock));
+    (source_codes ~path:"bench/timing.ml" wall_clock);
   let atomics = "let counter = Atomic.make 0\n" in
   Alcotest.(check (list string)) "atomics flagged outside lib/run/" [ "domain-outside-run" ]
-    (source_codes (Source_lint.lint_string ~path:"lib/sim/counter.ml" atomics));
-  Alcotest.(check (list string)) "atomics allowed in the job pool" []
-    (source_codes (Source_lint.lint_string ~path:"lib/run/pool.ml" atomics))
+    (source_codes ~path:"lib/sim/counter.ml" atomics);
+  (* lib/run/pool.ml itself carries a poly-hash audit that this one-line
+     stand-in no longer exercises; the Atomic use is what must pass. *)
+  Alcotest.(check (list string)) "atomics allowed in the job pool" [ "unused-allowlist" ]
+    (source_codes ~path:"lib/run/pool.ml" atomics)
 
 let test_source_lint_engine_mode () =
   let bare = "let r = Engine.run ~topology ~machines ~waiters ~cap:100 ()\n" in
-  (match Source_lint.lint_string ~path:"lib/analysis/driver.ml" bare with
+  (match source_lint ~path:"lib/analysis/driver.ml" bare with
   | [ d ] ->
-    Alcotest.(check string) "Engine.run without ~mode is flagged" "engine-mode" d.Source_lint.code;
-    Alcotest.(check int) "line number" 1 d.Source_lint.line
+    Alcotest.(check string) "Engine.run without ~mode is flagged" "engine-mode" d.code;
+    Alcotest.(check int) "line number" 1 (snd (file_line d))
   | diags -> Alcotest.failf "expected one diagnostic, got %d" (List.length diags));
   let pinned = "let r = Engine.run ~mode:`Sparse ~topology ~machines ~waiters ~cap:100 ()\n" in
   Alcotest.(check (list string)) "explicit ~mode is clean" []
-    (source_codes (Source_lint.lint_string ~path:"lib/analysis/driver.ml" pinned));
+    (source_codes ~path:"lib/analysis/driver.ml" pinned);
   let forwarded = "let r ?mode () = Engine.run ?mode ~topology ~machines ~waiters ~cap:100 ()\n" in
   Alcotest.(check (list string)) "forwarding ?mode is clean" []
-    (source_codes (Source_lint.lint_string ~path:"lib/analysis/driver.ml" forwarded));
+    (source_codes ~path:"lib/analysis/driver.ml" forwarded);
   Alcotest.(check (list string)) "the dense/sparse harness under lib/check is exempt" []
-    (source_codes (Source_lint.lint_string ~path:"lib/check/equivalence.ml" bare));
+    (source_codes ~path:"lib/check/equivalence.ml" bare);
   (* Only applications are flagged: naming the function (to pass it along)
      does not commit to a mode at that point. *)
   Alcotest.(check (list string)) "a bare reference is clean" []
-    (source_codes (Source_lint.lint_string ~path:"lib/analysis/driver.ml" "let f = Engine.run\n"))
+    (source_codes ~path:"lib/analysis/driver.ml" "let f = Engine.run\n")
 
+(* The shared parse is the one place a parse-error is built; every source
+   analyzer reports what it found. *)
 let test_source_lint_parse_error () =
-  match Source_lint.lint_string ~path:"lib/broken.ml" "let let let" with
-  | [ d ] -> Alcotest.(check string) "parse error code" "parse-error" d.Source_lint.code
+  match source_lint ~path:"lib/broken.ml" "let let let" with
+  | [ d ] ->
+    Alcotest.(check string) "parse error code" "parse-error" d.code;
+    Alcotest.(check (pair string int)) "located in the file" ("lib/broken.ml", 1) (file_line d)
   | diags -> Alcotest.failf "expected one diagnostic, got %d" (List.length diags)
 
 let test_source_lint_dangling_paths () =
   Alcotest.(check (list string)) "dangling paths are skipped, not raised on" []
-    (Source_lint.source_files [ "no/such/dir"; "also/missing.ml" ])
+    (Callgraph.source_files [ "no/such/dir"; "also/missing.ml" ])
 
 (* --- allowlist hygiene ----------------------------------------------------- *)
 
 let test_unused_allowlist_helper () =
-  let allowlist = [ ("lib/a.ml", "x"); ("lib/b.ml", "y") ] in
-  Alcotest.(check (list (pair string string)))
-    "an entry that suppressed nothing is reported"
-    [ ("lib/b.ml", "y") ]
-    (Lint.unused_allowlist ~allowlist
-       ~used:[ ("lib/a.ml", "x") ]
-       ~files:[ "lib/a.ml"; "lib/b.ml" ]);
+  let allowlist = [ ("lib/a.ml", "x", 10); ("lib/b.ml", "y", 11) ] in
+  let stale ~used ~linted =
+    List.map file_line
+      (Diagnostics.unused_allowlist ~file:"lib/check/demo.ml" ~linted ~used allowlist)
+  in
+  Alcotest.(check (list (pair string int)))
+    "an entry that suppressed nothing is reported at its definition line"
+    [ ("lib/check/demo.ml", 11) ]
+    (stale ~used:[ ("lib/a.ml", "x", 10) ] ~linted:[ "lib/a.ml"; "lib/b.ml" ]);
   (* Entries whose file was not visited are not judged: linting one file
      must not condemn the rest of the allowlist. *)
-  Alcotest.(check (list (pair string string)))
+  Alcotest.(check (list (pair string int)))
     "entries outside the visited file set are not judged" []
-    (Lint.unused_allowlist ~allowlist ~used:[] ~files:[ "lib/other.ml" ]);
+    (stale ~used:[] ~linted:[ "lib/other.ml" ]);
   (* Suffix matching: the visited path may be absolute. *)
-  Alcotest.(check (list (pair string string)))
+  Alcotest.(check (list (pair string int)))
     "suffix-matched files count as visited"
-    [ ("lib/a.ml", "x") ]
-    (Lint.unused_allowlist ~allowlist ~used:[] ~files:[ "/sandbox/repo/lib/a.ml" ])
+    [ ("lib/check/demo.ml", 10) ]
+    (stale ~used:[] ~linted:[ "/sandbox/repo/lib/a.ml" ])
+
+let definition_line allowlist file code =
+  match List.find_opt (fun (f, c, _) -> f = file && c = code) allowlist with
+  | Some (_, _, line) -> line
+  | None -> Alcotest.failf "no allowlist entry (%s, %s)" file code
 
 let test_source_lint_allowlist_use_tracking () =
   (* bench/main.ml has a hashtbl-order allowlist entry; a fold uses it... *)
   let fold = "let t tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []\n" in
-  let diags, used = Source_lint.lint_string_used ~path:"bench/main.ml" fold in
-  Alcotest.(check int) "suppressed" 0 (List.length diags);
-  Alcotest.(check (list (pair string string)))
-    "entry recorded as used"
-    [ ("bench/main.ml", "hashtbl-order") ]
-    used;
-  (* ...and clean contents leave it unused. *)
-  let diags, used = Source_lint.lint_string_used ~path:"bench/main.ml" "let x = 1\n" in
-  Alcotest.(check int) "nothing flagged" 0 (List.length diags);
-  Alcotest.(check (list (pair string string))) "nothing used" [] used
+  Alcotest.(check (list string)) "suppressed, and the entry counts as used" []
+    (source_codes ~path:"bench/main.ml" fold);
+  (* ...and clean contents leave it stale, reported where it is defined. *)
+  match source_lint ~path:"bench/main.ml" "let x = 1\n" with
+  | [ d ] ->
+    Alcotest.(check string) "stale audit is an error" "unused-allowlist" d.code;
+    Alcotest.(check (pair string int))
+      "located at the entry's definition"
+      ( "lib/check/source_lint.ml",
+        definition_line Source_lint.allowlist "bench/main.ml" "hashtbl-order" )
+      (file_line d)
+  | diags -> Alcotest.failf "expected one diagnostic, got %d" (List.length diags)
 
 (* --- share lint ------------------------------------------------------------ *)
 
-let share_codes diags = List.map (fun d -> d.Share_lint.code) diags
+let share_lint files = lint_files Share_lint.lint files
+let share_codes files = codes (share_lint files)
 
 let test_share_lint_seed_violation () =
-  let diags = Share_lint.seed_violation () in
-  Alcotest.(check bool) "the demo fails the lint" true (Share_lint.has_errors diags);
+  let diags = share_lint Share_lint.seed_violation_files in
+  Alcotest.(check bool) "the demo fails the lint" true (Diagnostics.has_errors diags);
   Alcotest.(check (list string))
     "all three rules fire on the bundled demo"
     [ "capture-mutates"; "global-mutable-core"; "shared-mutable" ]
-    (List.sort_uniq String.compare (share_codes diags));
+    (List.sort_uniq String.compare (codes diags));
   (* The cross-module half: the task lives in lib/analysis but reaches the
      sim-layer cache, so the diagnostic must name the foreign global. *)
   let contains needle haystack =
@@ -338,16 +384,16 @@ let test_share_lint_seed_violation () =
   in
   Alcotest.(check bool) "cross-module capture names the foreign global" true
     (List.exists
-       (fun d ->
-         d.Share_lint.code = "shared-mutable"
-         && d.Share_lint.file = "lib/analysis/seed_sweep.ml"
-         && contains "Seed_cache.cache" d.Share_lint.message)
+       (fun (d : Diagnostics.diagnostic) ->
+         d.code = "shared-mutable"
+         && fst (file_line d) = "lib/analysis/seed_sweep.ml"
+         && contains "Seed_cache.cache" d.message)
        diags)
 
 let test_share_lint_clean_and_atomic () =
   let clean = "let sweep specs = Pool.map_array ~jobs:4 (fun spec -> 2 * spec) specs\n" in
   Alcotest.(check (list string)) "a self-contained task is clean" []
-    (share_codes (Share_lint.lint_strings [ ("lib/analysis/sweep.ml", clean) ]));
+    (share_codes [ ("lib/analysis/sweep.ml", clean) ]);
   (* Atomics are the sanctioned cross-domain cell: inventoried, never
      flagged. *)
   let atomic =
@@ -356,25 +402,23 @@ let test_share_lint_clean_and_atomic () =
     \  Pool.map_array ~jobs:4 (fun spec -> Atomic.incr hits; 2 * spec) specs\n"
   in
   Alcotest.(check (list string)) "an Atomic-mediated counter is clean" []
-    (share_codes (Share_lint.lint_strings [ ("lib/run/sweep.ml", atomic) ]))
+    (share_codes [ ("lib/run/sweep.ml", atomic) ])
 
 let test_share_lint_global_mutable_core () =
   let cache = "let cache = Hashtbl.create 16\nlet lookup k = Hashtbl.find_opt cache k\n" in
-  (match Share_lint.lint_strings [ ("lib/sim/cache.ml", cache) ] with
+  (match share_lint [ ("lib/sim/cache.ml", cache) ] with
   | [ d ] ->
-    Alcotest.(check string) "toplevel mutable state in lib/sim" "global-mutable-core"
-      d.Share_lint.code;
-    Alcotest.(check int) "line of the binding" 1 d.Share_lint.line
+    Alcotest.(check string) "toplevel mutable state in lib/sim" "global-mutable-core" d.code;
+    Alcotest.(check int) "line of the binding" 1 (snd (file_line d))
   | diags -> Alcotest.failf "expected one diagnostic, got %d" (List.length diags));
   (* The same binding outside the state-free layers is inventoried but only
      an error if a pool task reaches it. *)
   Alcotest.(check (list string)) "mutable module state outside core/sim is tolerated" []
-    (share_codes (Share_lint.lint_strings [ ("lib/analysis/cache.ml", cache) ]));
+    (share_codes [ ("lib/analysis/cache.ml", cache) ]);
   (* A function that merely allocates a fresh table per call is not module
      state. *)
   Alcotest.(check (list string)) "per-call allocation is not a global" []
-    (share_codes
-       (Share_lint.lint_strings [ ("lib/sim/fresh.ml", "let create n = Hashtbl.create n\n") ]))
+    (share_codes [ ("lib/sim/fresh.ml", "let create n = Hashtbl.create n\n") ])
 
 let test_share_lint_reaches_named_helpers () =
   (* The task itself is innocent; the helper it calls mutates module
@@ -384,9 +428,8 @@ let test_share_lint_reaches_named_helpers () =
      let bump n = total := !total + n\n\
      let sweep specs = Pool.map_array ~jobs:2 (fun s -> bump s; s) specs\n"
   in
-  (match Share_lint.lint_strings [ ("lib/analysis/sweep.ml", src) ] with
-  | [ d ] ->
-    Alcotest.(check string) "reached through the helper" "shared-mutable" d.Share_lint.code
+  (match share_lint [ ("lib/analysis/sweep.ml", src) ] with
+  | [ d ] -> Alcotest.(check string) "reached through the helper" "shared-mutable" d.code
   | diags -> Alcotest.failf "expected one diagnostic, got %d" (List.length diags));
   (* Same helper handed to the pool by name instead of inside a lambda. *)
   let named =
@@ -397,7 +440,7 @@ let test_share_lint_reaches_named_helpers () =
      let sweep specs = Pool.map_array ~jobs:2 bump specs\n"
   in
   Alcotest.(check (list string)) "named task functions are analyzed" [ "shared-mutable" ]
-    (share_codes (Share_lint.lint_strings [ ("lib/analysis/named.ml", named) ]))
+    (share_codes [ ("lib/analysis/named.ml", named) ])
 
 let test_share_lint_racy_fixture () =
   (* The committed fixture, linted under a production path so the audited
@@ -406,31 +449,38 @@ let test_share_lint_racy_fixture () =
     In_channel.with_open_bin "fixtures/racy_counter.ml" In_channel.input_all
   in
   Alcotest.(check (list string)) "the racy fixture is flagged statically" [ "shared-mutable" ]
-    (share_codes (Share_lint.lint_strings [ ("lib/analysis/racy_counter.ml", contents) ]));
+    (share_codes [ ("lib/analysis/racy_counter.ml", contents) ]);
   (* At its committed path the entry suppresses the finding — and is
      therefore used, so no unused-allowlist complaint either. *)
   Alcotest.(check (list string)) "allowlisted at its committed path" []
-    (share_codes (Share_lint.lint_strings [ ("test/fixtures/racy_counter.ml", contents) ]))
+    (share_codes [ ("test/fixtures/racy_counter.ml", contents) ])
 
 let test_share_lint_unused_allowlist () =
   (* lib/run/pool.ml carries a capture-mutates audit; contents that no
-     longer exercise it must surface the stale entry. *)
-  match Share_lint.lint_strings [ ("lib/run/pool.ml", "let x = 1\n") ] with
+     longer exercise it must surface the stale entry, at the line that
+     defines it (the line to delete), not in the audited file. *)
+  match share_lint [ ("lib/run/pool.ml", "let x = 1\n") ] with
   | [ d ] ->
-    Alcotest.(check string) "stale audit is an error" "unused-allowlist" d.Share_lint.code
+    Alcotest.(check string) "stale audit is an error" "unused-allowlist" d.code;
+    let file, line = file_line d in
+    Alcotest.(check string) "located in the allowlist module" "lib/check/share_lint.ml" file;
+    Alcotest.(check bool) "at a real line" true (line > 0);
+    Alcotest.(check int) "at the entry's definition"
+      (definition_line Share_lint.allowlist "lib/run/pool.ml" "capture-mutates")
+      line
   | diags -> Alcotest.failf "expected one diagnostic, got %d" (List.length diags)
 
 let test_share_lint_parse_error () =
-  match Share_lint.lint_strings [ ("lib/broken.ml", "let let let") ] with
-  | [ d ] -> Alcotest.(check string) "parse error code" "parse-error" d.Share_lint.code
+  match share_lint [ ("lib/broken.ml", "let let let") ] with
+  | [ d ] -> Alcotest.(check string) "parse error code" "parse-error" d.code
   | diags -> Alcotest.failf "expected one diagnostic, got %d" (List.length diags)
 
 (* --- callgraph ------------------------------------------------------------ *)
 
 let parse_exn ~path contents =
-  match Callgraph.parse_string ~path contents with
-  | Ok structure -> structure
-  | Error line -> Alcotest.failf "%s:%d: fixture does not parse" path line
+  match Callgraph.parse [ (path, contents) ] with
+  | [ (_, structure) ], [] -> structure
+  | _ -> Alcotest.failf "%s: fixture does not parse" path
 
 (* A family of programs with the write hidden behind a helper chain of
    varying depth, handed to the pool either in a lambda or by name.  The
@@ -459,9 +509,7 @@ let test_callgraph_matches_share_lint_verdicts () =
       let src = chain_program ~named ~writes depth in
       let path = "lib/analysis/chain.ml" in
       let share_flags =
-        List.exists
-          (fun d -> d.Share_lint.code = "shared-mutable")
-          (Share_lint.lint_strings [ (path, src) ])
+        List.mem "shared-mutable" (share_codes [ (path, src) ])
       in
       let graph = Callgraph.build [ (path, parse_exn ~path src) ] in
       let reached = Callgraph.reachable graph ~roots:[ "Chain.sweep" ] in
@@ -483,8 +531,9 @@ let test_callgraph_matches_share_lint_verdicts () =
 
 (* --- alloc lint ----------------------------------------------------------- *)
 
-let alloc_codes diags =
-  List.sort_uniq String.compare (List.map (fun d -> d.Alloc_lint.code) diags)
+let alloc_codes diags = List.sort_uniq String.compare (codes diags)
+let alloc_lint ?roots ~golden files =
+  lint_files (fun parsed -> Alloc_lint.lint ?roots ~golden parsed) files
 
 let empty_golden =
   Json.Obj [ ("schema", Json.String Alloc_lint.schema); ("roots", Json.List []) ]
@@ -499,31 +548,33 @@ let boxy_files () =
 
 let test_alloc_seed_violation () =
   let diags = Alloc_lint.seed_violation () in
-  Alcotest.(check bool) "the demo fails the lint" true (Alloc_lint.has_errors diags);
+  Alcotest.(check bool) "the demo fails the lint" true (Diagnostics.has_errors diags);
   Alcotest.(check (list string)) "every diagnostic is a new hot-path class"
     [ "new-alloc-class" ] (alloc_codes diags);
   List.iter
     (fun cls ->
       Alcotest.(check bool) (cls ^ " fires on the demo") true
-        (List.exists (fun d -> contains ~affix:("class " ^ cls) d.Alloc_lint.message) diags))
+        (List.exists
+           (fun (d : Diagnostics.diagnostic) -> contains ~affix:("class " ^ cls) d.message)
+           diags))
     [ "boxed-float"; "closure"; "list"; "tuple" ]
 
 (* The acceptance bar for the analyzer: an injected hot-path boxed-float
    allocation (the committed fixture) must come back as a new-alloc-class
    error, located in the offending file. *)
 let test_alloc_boxy_fixture () =
-  let diags = Alloc_lint.lint_strings ~roots:boxy_roots ~golden:(Some empty_golden) (boxy_files ()) in
-  Alcotest.(check bool) "the fixture fails the lint" true (Alloc_lint.has_errors diags);
+  let diags = alloc_lint ~roots:boxy_roots ~golden:(Some empty_golden) (boxy_files ()) in
+  Alcotest.(check bool) "the fixture fails the lint" true (Diagnostics.has_errors diags);
   List.iter
     (fun cls ->
       Alcotest.(check bool) (cls ^ " flagged as a new class") true
         (List.exists
-           (fun d ->
-             d.Alloc_lint.severity = Lint.Error
-             && d.Alloc_lint.code = "new-alloc-class"
-             && d.Alloc_lint.file = "lib/sim/boxy_hot_loop.ml"
-             && d.Alloc_lint.line > 0
-             && contains ~affix:("class " ^ cls) d.Alloc_lint.message)
+           (fun (d : Diagnostics.diagnostic) ->
+             let file, line = file_line d in
+             d.severity = Error && d.code = "new-alloc-class"
+             && file = "lib/sim/boxy_hot_loop.ml"
+             && line > 0
+             && contains ~affix:("class " ^ cls) d.message)
            diags))
     [ "boxed-float"; "closure"; "list" ]
 
@@ -533,23 +584,24 @@ let test_alloc_boxy_fixture () =
    every class the flat-state engine rewrite eliminated. *)
 let test_alloc_boxy_observe_path () =
   let roots = [ ("boxy-observe", [ "Boxy_hot_loop.observe_boxy" ]) ] in
-  let diags = Alloc_lint.lint_strings ~roots ~golden:(Some empty_golden) (boxy_files ()) in
-  Alcotest.(check bool) "the observe path fails the lint" true (Alloc_lint.has_errors diags);
+  let diags = alloc_lint ~roots ~golden:(Some empty_golden) (boxy_files ()) in
+  Alcotest.(check bool) "the observe path fails the lint" true (Diagnostics.has_errors diags);
   List.iter
     (fun cls ->
       Alcotest.(check bool) (cls ^ " flagged on the observe path") true
         (List.exists
-           (fun d ->
-             d.Alloc_lint.severity = Lint.Error
-             && d.Alloc_lint.code = "new-alloc-class"
-             && d.Alloc_lint.file = "lib/sim/boxy_hot_loop.ml"
-             && contains ~affix:("class " ^ cls) d.Alloc_lint.message)
+           (fun (d : Diagnostics.diagnostic) ->
+             d.severity = Error && d.code = "new-alloc-class"
+             && fst (file_line d) = "lib/sim/boxy_hot_loop.ml"
+             && contains ~affix:("class " ^ cls) d.message)
            diags))
     [ "closure"; "tuple"; "ref"; "list" ]
 
 let test_alloc_inventory_roundtrip_and_diff () =
   let files = boxy_files () in
-  let inv = Alloc_lint.inventory_strings ~roots:boxy_roots files in
+  let inv =
+    Alloc_lint.inventory_of_sites (Alloc_lint.sites ~roots:boxy_roots (fst (Callgraph.parse files)))
+  in
   Alcotest.(check bool) "the fixture has an inventory" true (inv <> []);
   (* JSON roundtrip is lossless. *)
   (match Alloc_lint.inventory_of_json (Alloc_lint.json_of_inventory inv) with
@@ -558,9 +610,7 @@ let test_alloc_inventory_roundtrip_and_diff () =
   (* Linted against its own inventory the fixture is clean... *)
   Alcotest.(check (list string)) "clean against its own inventory" []
     (alloc_codes
-       (Alloc_lint.lint_strings ~roots:boxy_roots
-          ~golden:(Some (Alloc_lint.json_of_inventory inv))
-          files));
+       (alloc_lint ~roots:boxy_roots ~golden:(Some (Alloc_lint.json_of_inventory inv)) files));
   let tweak f =
     List.map
       (fun (root, classes) ->
@@ -570,32 +620,32 @@ let test_alloc_inventory_roundtrip_and_diff () =
   (* ...a golden one boxed-float site short makes growth a warning, not an
      error... *)
   let grown =
-    Alloc_lint.lint_strings ~roots:boxy_roots
+    alloc_lint ~roots:boxy_roots
       ~golden:(Some (Alloc_lint.json_of_inventory (tweak (fun n -> n - 1))))
       files
   in
   Alcotest.(check (list string)) "count growth is a warning" [ "alloc-count-growth" ]
     (alloc_codes grown);
-  Alcotest.(check bool) "growth alone does not fail the lint" false (Alloc_lint.has_errors grown);
+  Alcotest.(check bool) "growth alone does not fail the lint" false
+    (Diagnostics.has_errors grown);
   (* ...and a golden with one extra site nudges toward a refresh. *)
   let shrunk =
-    Alloc_lint.lint_strings ~roots:boxy_roots
+    alloc_lint ~roots:boxy_roots
       ~golden:(Some (Alloc_lint.json_of_inventory (tweak (fun n -> n + 1))))
       files
   in
   Alcotest.(check (list string)) "count shrink is an info nudge" [ "alloc-count-shrink" ]
     (alloc_codes shrunk);
-  Alcotest.(check bool) "shrink does not fail the lint" false (Alloc_lint.has_errors shrunk)
+  Alcotest.(check bool) "shrink does not fail the lint" false (Diagnostics.has_errors shrunk)
 
 let test_alloc_missing_baseline () =
-  (match Alloc_lint.lint_strings ~roots:boxy_roots ~golden:None (boxy_files ()) with
+  (match alloc_lint ~roots:boxy_roots ~golden:None (boxy_files ()) with
   | [ d ] ->
-    Alcotest.(check string) "missing baseline is an error" "baseline-missing" d.Alloc_lint.code;
-    Alcotest.(check bool) "it is an error" true (d.Alloc_lint.severity = Lint.Error)
+    Alcotest.(check string) "missing baseline is an error" "baseline-missing" d.code;
+    Alcotest.(check bool) "it is an error" true (d.severity = Error)
   | diags -> Alcotest.failf "expected one diagnostic, got %d" (List.length diags));
-  match Alloc_lint.lint_strings ~roots:boxy_roots ~golden:(Some Json.Null) (boxy_files ()) with
-  | [ d ] ->
-    Alcotest.(check string) "unreadable baseline is an error" "baseline-missing" d.Alloc_lint.code
+  match alloc_lint ~roots:boxy_roots ~golden:(Some Json.Null) (boxy_files ()) with
+  | [ d ] -> Alcotest.(check string) "unreadable baseline is an error" "baseline-missing" d.code
   | diags -> Alcotest.failf "expected one diagnostic, got %d" (List.length diags)
 
 let test_alloc_unused_allowlist () =
@@ -604,32 +654,29 @@ let test_alloc_unused_allowlist () =
      every entry as stale, located at its definition line in the
      allowlist module itself. *)
   let diags =
-    Alloc_lint.lint_strings ~golden:(Some empty_golden)
-      [ ("lib/sim/engine.ml", "let process_round x = x + 1\n") ]
+    alloc_lint ~golden:(Some empty_golden) [ ("lib/sim/engine.ml", "let process_round x = x + 1\n") ]
   in
-  let stale = List.filter (fun d -> d.Alloc_lint.code = "unused-allowlist") diags in
+  let stale = List.filter (fun (d : Diagnostics.diagnostic) -> d.code = "unused-allowlist") diags in
   Alcotest.(check int) "every committed audit is stale on the fake tree"
     (List.length Alloc_lint.allowlist) (List.length stale);
   List.iter
     (fun d ->
-      Alcotest.(check string) "located in the allowlist module" Alloc_lint.allowlist_file
-        d.Alloc_lint.file;
-      Alcotest.(check bool) "at its definition line" true (d.Alloc_lint.line > 0))
+      let file, line = file_line d in
+      Alcotest.(check string) "located in the allowlist module" Alloc_lint.allowlist_file file;
+      Alcotest.(check bool) "at its definition line" true (line > 0))
     stale;
   (* Linting a tree that never visits the audited file judges nothing. *)
   Alcotest.(check (list string)) "unvisited files are not judged" []
     (alloc_codes
-       (Alloc_lint.lint_strings ~golden:(Some empty_golden)
-          [ ("lib/analysis/other.ml", "let x = 1\n") ]))
+       (alloc_lint ~golden:(Some empty_golden) [ ("lib/analysis/other.ml", "let x = 1\n") ]))
 
 let test_alloc_parse_error () =
   match
     List.filter
-      (fun d -> d.Alloc_lint.code = "parse-error")
-      (Alloc_lint.lint_strings ~roots:boxy_roots ~golden:(Some empty_golden)
-         [ ("lib/broken.ml", "let let let") ])
+      (fun (d : Diagnostics.diagnostic) -> d.code = "parse-error")
+      (alloc_lint ~roots:boxy_roots ~golden:(Some empty_golden) [ ("lib/broken.ml", "let let let") ])
   with
-  | [ d ] -> Alcotest.(check string) "parse error located" "lib/broken.ml" d.Alloc_lint.file
+  | [ d ] -> Alcotest.(check string) "parse error located" "lib/broken.ml" (fst (file_line d))
   | diags -> Alcotest.failf "expected one parse error, got %d" (List.length diags)
 
 (* --- golden diagnostic codes ---------------------------------------------- *)
@@ -794,7 +841,7 @@ let () =
           Alcotest.test_case "presets are clean" `Quick test_lint_presets_clean;
           Alcotest.test_case "default is clean" `Quick test_lint_default_clean;
           Alcotest.test_case "bad specs are caught" `Quick test_lint_catches_bad_specs;
-          Alcotest.test_case "NaN channel parameters" `Quick test_lint_nan_channel;
+          Alcotest.test_case "NaN parameters" `Quick test_lint_nan_parameters;
           Alcotest.test_case "byz-tolerance warning" `Quick test_lint_byz_tolerance_warning;
           Alcotest.test_case "diagnostic rendering" `Quick test_lint_diagnostic_rendering;
         ] );

@@ -202,106 +202,15 @@ let prop_bitvec_list_roundtrip =
     QCheck.(small_list bool)
     (fun bits -> Bitvec.to_list (Bitvec.of_list bits) = bits)
 
-(* Word-level scratch API.  [w] is one word of bits, so [w + k] lengths
-   and positions straddle the packed-word boundary. *)
-let w = Bitvec.bits_per_word
-
-let test_bitvec_popcount () =
-  Alcotest.(check int) "empty" 0 (Bitvec.popcount Bitvec.empty);
-  Alcotest.(check int) "mixed" 3 (Bitvec.popcount (Bitvec.of_string "101001"));
-  Alcotest.(check int) "all ones across words" (w + 5) (Bitvec.popcount (Bitvec.create (w + 5) true));
-  Alcotest.(check int) "all zeros across words" 0 (Bitvec.popcount (Bitvec.create (w + 5) false))
-
-let test_bitvec_set () =
-  let v = Bitvec.create (w + 3) false in
-  Bitvec.set v 0 true;
-  Bitvec.set v (w - 1) true;
-  Bitvec.set v w true;
-  (* last bit of word 0, first bit of word 1 *)
-  Alcotest.(check bool) "bit 0" true (Bitvec.get v 0);
-  Alcotest.(check bool) "bit w-1" true (Bitvec.get v (w - 1));
-  Alcotest.(check bool) "bit w" true (Bitvec.get v w);
-  Alcotest.(check bool) "bit w+1 untouched" false (Bitvec.get v (w + 1));
-  Alcotest.(check int) "popcount" 3 (Bitvec.popcount v);
-  Bitvec.set v w false;
-  Alcotest.(check bool) "cleared" false (Bitvec.get v w);
-  Alcotest.(check int) "popcount after clear" 2 (Bitvec.popcount v)
-
-let test_bitvec_set_range () =
-  (* Fill straddling the word boundary, then clear a sub-range of it. *)
-  let v = Bitvec.create (2 * w) false in
-  Bitvec.set_range v ~pos:(w - 3) ~len:6 true;
-  Alcotest.(check int) "filled" 6 (Bitvec.popcount v);
-  for i = 0 to (2 * w) - 1 do
-    Alcotest.(check bool)
-      (Printf.sprintf "bit %d" i)
-      (i >= w - 3 && i < w + 3)
-      (Bitvec.get v i)
-  done;
-  Bitvec.set_range v ~pos:(w - 1) ~len:2 false;
-  Alcotest.(check int) "partially cleared" 4 (Bitvec.popcount v);
-  (* Whole-word fill keeps padding above [length] canonical (digest and
-     equal rely on it); equality with a freshly built vector checks that. *)
-  let u = Bitvec.create (w + 7) false in
-  Bitvec.set_range u ~pos:0 ~len:(w + 7) true;
-  Alcotest.(check bool) "full fill = create true" true (Bitvec.equal u (Bitvec.create (w + 7) true));
-  Bitvec.set_range u ~pos:0 ~len:0 false;
-  Alcotest.(check bool) "empty range is a no-op" true (Bitvec.equal u (Bitvec.create (w + 7) true))
-
-let test_bitvec_iter_set () =
-  let v = Bitvec.create (2 * w) false in
-  let expected = [ 0; 5; w - 1; w; w + 9; (2 * w) - 1 ] in
-  List.iter (fun i -> Bitvec.set v i true) expected;
-  let seen = ref [] in
-  Bitvec.iter_set (fun i -> seen := i :: !seen) v;
-  Alcotest.(check (list int)) "ascending set indices" expected (List.rev !seen);
-  Bitvec.iter_set (fun _ -> Alcotest.fail "no bits set") (Bitvec.create w false);
+(* [lowest_bit] on every single-bit word, alone and below the top bit of
+   a word. *)
+let test_bitvec_lowest_bit () =
+  let w = Bitvec.bits_per_word in
   for k = 0 to w - 1 do
     Alcotest.(check int) "lowest_bit of a single bit" k (Bitvec.lowest_bit (1 lsl k));
     Alcotest.(check int) "lowest_bit below the top bit" k
       (Bitvec.lowest_bit ((1 lsl k) lor (1 lsl (w - 1))))
   done
-
-let test_bitvec_blit () =
-  let check_blit ~src_pos ~dst_pos ~len name =
-    let src = Bitvec.init (2 * w) (fun i -> i mod 3 = 0) in
-    let dst = Bitvec.init (2 * w) (fun i -> i mod 5 = 0) in
-    let reference =
-      Bitvec.init (2 * w) (fun i ->
-          if i >= dst_pos && i < dst_pos + len then (i - dst_pos + src_pos) mod 3 = 0
-          else i mod 5 = 0)
-    in
-    Bitvec.blit ~src ~src_pos ~dst ~dst_pos ~len;
-    Alcotest.(check bool) name true (Bitvec.equal dst reference)
-  in
-  (* Word-aligned fast path, unaligned, boundary-straddling, empty. *)
-  check_blit ~src_pos:0 ~dst_pos:w ~len:w "aligned word copy";
-  check_blit ~src_pos:0 ~dst_pos:0 ~len:(2 * w) "aligned full copy";
-  check_blit ~src_pos:3 ~dst_pos:(w - 2) ~len:7 "unaligned straddling copy";
-  check_blit ~src_pos:(w - 1) ~dst_pos:1 ~len:(w + 1) "long unaligned copy";
-  check_blit ~src_pos:5 ~dst_pos:9 ~len:0 "empty copy is a no-op"
-
-let prop_bitvec_word_ops_match_naive =
-  (* set_range/popcount/iter_set against the naive per-bit model, at
-     lengths clustered around the word boundary.  The sparse base pattern
-     sets only bit 0, the word-edge bits 61 and 62, and the last bit of
-     the (possibly partial) last word, so iter_set's lowest-bit walk must
-     hit each edge exactly. *)
-  QCheck.Test.make ~name:"word-level ops match per-bit model" ~count:300
-    QCheck.(
-      quad bool (int_range 0 (3 * 62)) (int_range 0 (3 * 62)) (int_range 0 (3 * 62)))
-    (fun (sparse, len, a, b) ->
-      let pos = min a b mod max 1 (max 1 len) in
-      let sublen = min (len - pos) (max a b mod max 1 (max 1 len)) in
-      let sublen = if sparse then sublen / 8 else sublen in
-      let base i = if sparse then List.mem i [ 0; 61; 62; len - 1 ] else i mod 7 < 3 in
-      let v = Bitvec.init len base in
-      if len > 0 && sublen >= 0 then Bitvec.set_range v ~pos ~len:sublen true;
-      let model i = (i >= pos && i < pos + sublen && len > 0) || base i in
-      let seen = ref [] in
-      Bitvec.iter_set (fun i -> seen := i :: !seen) v;
-      let expected = List.filter model (List.init len Fun.id) in
-      List.rev !seen = expected && Bitvec.popcount v = List.length expected)
 
 (* --- Calendar ---------------------------------------------------------- *)
 
@@ -414,7 +323,6 @@ let qtests =
     prop_linear_fit_recovers_line;
     prop_bitvec_int_roundtrip;
     prop_bitvec_list_roundtrip;
-    prop_bitvec_word_ops_match_naive;
     prop_calendar_drains_sorted;
   ]
 
@@ -455,11 +363,7 @@ let () =
           Alcotest.test_case "ops" `Quick test_bitvec_ops;
           Alcotest.test_case "digest deterministic" `Quick test_bitvec_digest_deterministic;
           Alcotest.test_case "digest separates" `Quick test_bitvec_digest_separates;
-          Alcotest.test_case "popcount" `Quick test_bitvec_popcount;
-          Alcotest.test_case "set across word boundary" `Quick test_bitvec_set;
-          Alcotest.test_case "set_range across word boundary" `Quick test_bitvec_set_range;
-          Alcotest.test_case "iter_set ascending" `Quick test_bitvec_iter_set;
-          Alcotest.test_case "blit aligned and unaligned" `Quick test_bitvec_blit;
+          Alcotest.test_case "lowest_bit" `Quick test_bitvec_lowest_bit;
         ] );
       ( "calendar",
         [
