@@ -1,31 +1,10 @@
-(* Benchmark harness.
+(* Bechamel microbenchmarks: one [Test.make] per experiment id (a
+   miniature instance of that table's inner simulation) and one per
+   protocol primitive, printed as one OLS time-per-run table.
 
-   Running this executable:
-
-   1. executes every registered experiment — the paper's tables and
-      figures (Section 6), the Theorem 5 running-time sweeps, and the
-      DESIGN.md ablations — at Quick scale by default, or at the paper's
-      parameters with `--scale paper` (MultiPathRB at paper scale is very
-      slow, exactly as the paper reports); `--jobs N` runs the trial cells
-      on N domains with output byte-identical to `--jobs 1`;
-   2. writes the structured results (per-experiment wall time, rows,
-      aggregates, fit slopes) to BENCH_results.json (`--json PATH` to
-      move it);
-   3. runs a Bechamel microbenchmark suite with one [Test.make] per
-      experiment id (a miniature instance of that table's inner
-      simulation) and one per protocol primitive (skipped when `--only`
-      narrows the run or `--no-micro` is given).
-
-   Perf-regression mode:
-
-     bench/main.exe compare BASE.json [CURRENT.json]
-
-   diffs two results files (CURRENT defaults to BENCH_results.json),
-   prints per-experiment speedups, and exits 1 when any experiment is
-   more than 20% slower than the baseline.  `--compare BASE.json` does
-   the same against the freshly produced results after a normal run.
-   The committed BENCH_baseline.json (quick scale, --jobs 1) is the
-   baseline the @ci alias compares against. *)
+   The registry benchmark that regenerates the paper's tables and writes
+   BENCH_results.json is `securebit_cli bench`; `securebit_cli compare`
+   gates a results file against BENCH_baseline.json. *)
 
 open Bechamel
 open Toolkit
@@ -178,8 +157,8 @@ let microbenchmarks () =
     (fun test ->
       let raw = Benchmark.all cfg instances test in
       let results = Analyze.all ols (List.hd instances) raw in
-      (* Rows in kernel-name order, not unspecified hash order: the table
-         feeds BENCH_results.json comparisons and must be stable. *)
+      (* Rows in kernel-name order, not unspecified hash order, so two
+         runs' tables line up row for row. *)
       let rows =
         List.sort
           (fun (a, _) (b, _) -> String.compare a b)
@@ -206,144 +185,11 @@ let microbenchmarks () =
     tests;
   Table.print table
 
-(* Print a comparison report and turn regressions into exit code 1. *)
-let finish_compare = function
-  | Error message ->
-    prerr_endline message;
-    exit 2
-  | Ok (report, any_regression) ->
-    print_string report;
-    if any_regression then exit 1
-
 let () =
-  let options = ref { (Bench.default_options ()) with json_path = Some "BENCH_results.json" } in
-  let compare_base = ref None in
-  let no_micro = ref false in
-  let campaign = ref Campaign.default in
-  let anons = ref [] in
-  let set_scale s =
-    match String.lowercase_ascii s with
-    | "quick" -> options := { !options with scale = Experiment.Quick }
-    | "paper" -> options := { !options with scale = Experiment.Paper }
-    | other -> raise (Arg.Bad (Printf.sprintf "--scale %s (expected quick or paper)" other))
-  in
-  let add_only ids =
-    options :=
-      { !options with only = !options.only @ String.split_on_char ',' ids }
-  in
-  let speclist =
-    [
-      ( "--scale",
-        Arg.String set_scale,
-        "SCALE  quick (default) or paper; overrides the deprecated FULL=1 env var" );
-      ("--jobs", Arg.Int (fun n -> options := { !options with jobs = n }), "N  worker domains");
-      ( "--only",
-        Arg.String add_only,
-        "IDS  comma-separated experiment ids to run (also skips microbenchmarks)" );
-      ( "--json",
-        Arg.String (fun p -> options := { !options with json_path = Some p }),
-        "PATH  results file (default BENCH_results.json)" );
-      ("--no-json", Arg.Unit (fun () -> options := { !options with json_path = None }), " skip the results file");
-      ("--no-micro", Arg.Set no_micro, " skip the Bechamel microbenchmark suite");
-      ( "--profile",
-        Arg.Unit (fun () -> options := { !options with profile = true }),
-        " record per-experiment Gc allocation deltas and rounds/s (plus per-worker stats) into \
-         the results JSON (ignored by compare)" );
-      ( "--sanitize",
-        Arg.Unit (fun () -> options := { !options with sanitize = true }),
-        " re-run each experiment's trials sequentially and fail on any divergence from the \
-         parallel results (dynamic --jobs N determinism check; no-op at --jobs 1)" );
-      ( "--compare",
-        Arg.String (fun p -> compare_base := Some p),
-        "BASE.json  after the run, diff wall times against this baseline; exit 1 on a >20% \
-         regression" );
-      (* `scale` campaign options (ignored without the scale subcommand). *)
-      ( "--nodes",
-        Arg.String
-          (fun s ->
-            campaign :=
-              { !campaign with
-                Campaign.node_counts = List.map int_of_string (String.split_on_char ',' s) }),
-        "N,N,...  (scale) node counts to sweep" );
-      ( "--density",
-        Arg.String
-          (fun s ->
-            campaign :=
-              { !campaign with
-                Campaign.densities = List.map float_of_string (String.split_on_char ',' s) }),
-        "D,D,...  (scale) target average degrees to sweep" );
-      ( "--adversaries",
-        Arg.String
-          (fun s ->
-            campaign := { !campaign with Campaign.adversaries = String.split_on_char ',' s }),
-        "A,A,...  (scale) adversary mixes: honest, crash, lying, jam" );
-      ( "--classes",
-        Arg.String
-          (fun s ->
-            campaign :=
-              { !campaign with
-                Campaign.classes =
-                  List.map
-                    (function
-                      | "uniform" -> Campaign.Uniform_radio
-                      | "expander" -> Campaign.Expander_synthetic
-                      | other ->
-                        raise (Arg.Bad (Printf.sprintf "--classes %s (expected uniform or expander)" other)))
-                    (String.split_on_char ',' s) }),
-        "C,C,...  (scale) graph classes: uniform, expander" );
-      ( "--warm",
-        Arg.Int (fun k -> campaign := { !campaign with Campaign.warm = k }),
-        "K  (scale) warm runs per cell on the cold run's topology" );
-      ( "--label",
-        Arg.String (fun l -> campaign := { !campaign with Campaign.label = l }),
-        "NAME  (scale) campaign label / archive subdirectory" );
-      ( "--out",
-        Arg.String (fun d -> campaign := { !campaign with Campaign.out_dir = Some d }),
-        "DIR  (scale) archive one JSON per run plus a manifest under DIR/label/" );
-      ( "--mem-ceiling",
-        Arg.Float
-          (fun mw ->
-            campaign :=
-              { !campaign with Campaign.mem_ceiling_words = Some (int_of_float (mw *. 1e6)) }),
-        "MWORDS  (scale) fail if any run peaks above this many million heap words" );
-      ( "--dry-run",
-        Arg.Unit (fun () -> campaign := { !campaign with Campaign.dry_run = true }),
-        " (scale) print the planned runs and execute nothing" );
-    ]
-  in
-  Arg.parse speclist
-    (fun anon -> anons := !anons @ [ anon ])
-    "bench/main.exe [--scale quick|paper] [--jobs N] [--only e1,e2,...] [--json PATH]\n\
-     bench/main.exe compare BASE.json [CURRENT.json]\n\
-     bench/main.exe scale [--nodes N,N] [--density D,D] [--warm K] [--dry-run] ...";
-  match !anons with
-  | [ "scale" ] -> (
-    match Campaign.run !campaign with
-    | Ok (_, failed) -> if failed then exit 1
-    | Error message ->
-      prerr_endline message;
-      exit 2)
-  | "scale" :: _ ->
-    prerr_endline "scale takes no further positional arguments";
+  if Array.length Sys.argv > 1 then begin
+    prerr_endline
+      "bench/main.exe runs the Bechamel microbenchmarks and takes no arguments; \
+       the registry benchmark is `securebit_cli bench`";
     exit 2
-  | [ "compare"; base ] ->
-    finish_compare (Bench.compare_files ~base ~current:"BENCH_results.json" ())
-  | [ "compare"; base; current ] -> finish_compare (Bench.compare_files ~base ~current ())
-  | "compare" :: _ ->
-    prerr_endline "compare takes a baseline file and an optional current file";
-    exit 2
-  | anon :: _ ->
-    prerr_endline (Printf.sprintf "unexpected argument %s" anon);
-    exit 2
-  | [] -> (
-    let t0 = Unix.gettimeofday () in
-    match Bench.run !options with
-    | Error message ->
-      prerr_endline message;
-      exit 2
-    | Ok outcomes ->
-      if !options.only = [] && not !no_micro then microbenchmarks ();
-      Printf.printf "\ntotal wall time: %.1fs\n%!" (Unix.gettimeofday () -. t0);
-      Option.iter
-        (fun base -> finish_compare (Bench.compare_outcomes ~base outcomes))
-        !compare_base)
+  end;
+  microbenchmarks ()

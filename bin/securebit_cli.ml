@@ -6,6 +6,10 @@
                      A1–A5, bounds, mobile, or `all`);
    `securebit bench` runs the registered experiments and writes the JSON
                      results file;
+   `securebit compare` checks one results file against a baseline one and
+                     exits 1 when a gate's limit is exceeded;
+   `securebit scale` runs a scale campaign (node count x density x
+                     adversary mix over two graph classes);
    `securebit topo`  prints topology statistics of a deployment. *)
 
 open Cmdliner
@@ -171,28 +175,26 @@ let run_cmd =
 (* --- fig ---------------------------------------------------------------- *)
 
 let jobs_arg =
+  let workers =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok n
+      | Some _ | None -> Error (`Msg (Printf.sprintf "%S is not a worker count of at least 1" s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
   Arg.(
     value
-    & opt int 1
+    & opt workers 1
     & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Run trial cells on N worker domains.")
-
-let scale_conv = Arg.enum [ ("quick", Experiment.Quick); ("paper", Experiment.Paper) ]
 
 let scale_arg =
   Arg.(
     value
-    & opt (some scale_conv) None
-    & info [ "scale" ] ~docv:"SCALE"
-        ~doc:
-          "Experiment scale: quick or paper. Defaults to quick (or to paper when \
-           the deprecated FULL=1 environment variable is set).")
+    & opt (enum [ ("quick", Experiment.Quick); ("paper", Experiment.Paper) ]) Experiment.Quick
+    & info [ "scale" ] ~docv:"SCALE" ~doc:"Experiment scale: quick (the default) or paper.")
 
 let fig_cmd =
-  let full_arg =
-    Arg.(
-      value & flag
-      & info [ "full" ] ~doc:"Use the paper-scale parameters (slow); same as --scale paper.")
-  in
   let csv_arg =
     Arg.(value & flag & info [ "csv" ] ~doc:"Emit tables as CSV instead of aligned text.")
   in
@@ -202,12 +204,7 @@ let fig_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"ID" ~doc:"Experiment id: e1..e8, a1..a5, bounds, mobile or all.")
   in
-  let run full scale csv jobs id =
-    let scale =
-      match scale with
-      | Some scale -> scale
-      | None -> if full then Experiment.Paper else Figures.scale_of_env ()
-    in
+  let run scale csv jobs id =
     let show job =
       let outcome = Runner.run_job ~jobs ~scale job in
       if csv then print_string (Table.to_csv outcome.Runner.table)
@@ -233,7 +230,7 @@ let fig_cmd =
   in
   Cmd.v
     (Cmd.info "fig" ~doc:"Regenerate a table/figure of the paper's evaluation.")
-    Term.(const run $ full_arg $ scale_arg $ csv_arg $ jobs_arg $ id_arg)
+    Term.(const run $ scale_arg $ csv_arg $ jobs_arg $ id_arg)
 
 (* --- bench --------------------------------------------------------------- *)
 
@@ -253,22 +250,14 @@ let bench_cmd =
   let no_json_arg =
     Arg.(value & flag & info [ "no-json" ] ~doc:"Skip the JSON results file.")
   in
-  let compare_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "compare" ] ~docv:"BASE.json"
-          ~doc:
-            "After the run, diff per-experiment wall times against this baseline results \
-             file and exit non-zero if any experiment regressed by more than 20%.")
-  in
   let profile_arg =
     Arg.(
       value & flag
       & info [ "profile" ]
           ~doc:
             "Record per-experiment Gc allocation deltas and rounds-per-second into the \
-             results JSON (baseline comparisons ignore them).")
+             results JSON, where $(b,compare) gates the heap peak and the words per \
+             active round.")
   in
   let sanitize_arg =
     Arg.(
@@ -279,22 +268,11 @@ let bench_cmd =
              any result diverges — the dynamic check of the --jobs N determinism guarantee.  \
              No-op at --jobs 1.")
   in
-  let run scale jobs only json_path no_json compare_base profile sanitize =
-    let scale = match scale with Some scale -> scale | None -> Figures.scale_of_env () in
+  let run scale jobs only json_path no_json profile sanitize =
     let only = List.concat_map (String.split_on_char ',') only in
     let json_path = if no_json then None else json_path in
     match Bench.run { Bench.scale; jobs; only; json_path; profile; sanitize } with
-    | Ok outcomes ->
-      Option.iter
-        (fun base ->
-          match Bench.compare_outcomes ~base outcomes with
-          | Error message ->
-            prerr_endline message;
-            exit 2
-          | Ok (report, any_regression) ->
-            print_string report;
-            if any_regression then exit 1)
-        compare_base
+    | Ok _ -> ()
     | Error message ->
       prerr_endline message;
       exit 1
@@ -305,8 +283,32 @@ let bench_cmd =
          "Run the registered experiments (optionally domain-parallel) and write \
           the JSON results file.")
     Term.(
-      const run $ scale_arg $ jobs_arg $ only_arg $ json_arg $ no_json_arg $ compare_arg
-      $ profile_arg $ sanitize_arg)
+      const run $ scale_arg $ jobs_arg $ only_arg $ json_arg $ no_json_arg $ profile_arg
+      $ sanitize_arg)
+
+(* --- compare ------------------------------------------------------------ *)
+
+let compare_cmd =
+  let file n docv =
+    Arg.(required & pos n (some string) None & info [] ~docv ~doc:"A bench results file.")
+  in
+  let run base current =
+    match Bench.compare ~base ~current with
+    | Error message ->
+      prerr_endline message;
+      exit 2
+    | Ok checks ->
+      print_string (Bench.render checks);
+      if List.exists (fun c -> c.Bench.verdict = Bench.Over) checks then exit 1
+  in
+  Cmd.v
+    (Cmd.info "compare"
+       ~doc:
+         "Check a bench results file against a baseline one: wall time may grow 20% (runs \
+          under 0.05 s on both sides are never flagged), the profiled heap peak 50% \
+          (rounded up to 100 000 words) and the words per active round 20% (rounded up). \
+          Exits 1 when a limit is exceeded.")
+    Term.(const run $ file 0 "BASE" $ file 1 "CURRENT")
 
 (* --- scale -------------------------------------------------------------- *)
 
@@ -339,10 +341,13 @@ let scale_cmd =
       & info [ "adversaries" ] ~docv:"A,A,..."
           ~doc:
             (Printf.sprintf "Adversary mixes to sweep (known: %s)."
-               (String.concat ", " Campaign.known_adversaries)))
+               (String.concat ", " Scale_sweep.known_adversaries)))
   in
   let classes_conv =
-    Arg.(list (enum [ ("uniform", Campaign.Uniform_radio); ("expander", Campaign.Expander_synthetic) ]))
+    Arg.(
+      list
+        (enum
+           [ ("uniform", Scale_sweep.Uniform_radio); ("expander", Scale_sweep.Expander_synthetic) ]))
   in
   let classes_arg =
     Arg.(
@@ -437,4 +442,4 @@ let topo_cmd =
 let () =
   let doc = "authenticated broadcast in radio networks (SPAA 2010 reproduction)" in
   let info = Cmd.info "securebit" ~version:"1.0.0" ~doc in
-  exit (Cmd.eval (Cmd.group info [ run_cmd; fig_cmd; bench_cmd; scale_cmd; topo_cmd ]))
+  exit (Cmd.eval (Cmd.group info [ run_cmd; fig_cmd; bench_cmd; compare_cmd; scale_cmd; topo_cmd ]))

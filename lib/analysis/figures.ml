@@ -1,12 +1,5 @@
 type scale = Experiment.scale = Quick | Paper
 
-(* Deprecated fallback: the explicit `--scale quick|paper` CLI flag is the
-   supported switch; FULL=1 is honoured for old scripts. *)
-let scale_of_env () =
-  match Sys.getenv_opt "FULL" with
-  | Some "" | Some "0" | None -> Quick
-  | Some _ -> Paper
-
 let pick scale ~quick ~paper = match scale with Quick -> quick | Paper -> paper
 
 let protocol_name = function

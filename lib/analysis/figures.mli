@@ -12,11 +12,6 @@
 
 type scale = Experiment.scale = Quick | Paper
 
-val scale_of_env : unit -> scale
-(** Deprecated fallback for the pre-flag interface: [Paper] when the
-    environment variable [FULL] is set to a non-empty value other than
-    ["0"], else [Quick].  New code should pass [--scale quick|paper]. *)
-
 val protocol_name : Scenario.protocol -> string
 
 val relay_limit : scale -> tolerance:int -> int option

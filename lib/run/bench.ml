@@ -7,16 +7,6 @@ type options = {
   sanitize : bool;
 }
 
-let default_options () =
-  {
-    scale = Figures.scale_of_env ();
-    jobs = 1;
-    only = [];
-    json_path = None;
-    profile = false;
-    sanitize = false;
-  }
-
 let selection only =
   match only with
   | [] -> Ok Registry.all
@@ -44,375 +34,6 @@ let write_json path json =
   let oc = open_out path in
   output_string oc (Json.to_string_pretty json);
   close_out oc
-
-(* --- wall-time comparison ("bench compare") ---------------------------- *)
-
-let regression_tolerance = 0.20
-(** A run counts as regressed when it is more than this fraction slower
-    than the baseline. *)
-
-let noise_floor = 0.05
-(** Experiments where both sides run faster than this (seconds) are too
-    short to time reliably; they are reported but never flagged. *)
-
-type comparison = {
-  cmp_id : string;
-  base_seconds : float option;  (** [None]: experiment absent from the baseline *)
-  current_seconds : float option;  (** [None]: experiment absent from the current run *)
-}
-
-let speedup c =
-  match (c.base_seconds, c.current_seconds) with
-  | Some b, Some cur when cur > 0.0 -> Some (b /. cur)
-  | Some _, Some _ | Some _, None | None, Some _ | None, None -> None
-
-let regressed ?(tolerance = regression_tolerance) c =
-  match (c.base_seconds, c.current_seconds) with
-  | Some b, Some cur ->
-    (b >= noise_floor || cur >= noise_floor) && cur > b *. (1.0 +. tolerance)
-  | Some _, None | None, Some _ | None, None -> false
-
-(* --- peak-memory ceilings ---------------------------------------------- *)
-
-type memory_check = { mem_id : string; ceiling_words : int; peak_words : int option }
-
-let memory_exceeded m =
-  match m.peak_words with Some peak -> peak > m.ceiling_words | None -> false
-
-let int_member name json =
-  Option.bind (Json.member name json) Json.to_float_opt |> Option.map int_of_float
-
-(* Committed per-experiment ceilings out of a baseline file: optional
-   [max_heap_words] per experiment entry, so the baseline can gate memory
-   without every historical file growing one. *)
-let heap_ceilings_of_results json =
-  match Json.member "experiments" json |> Option.map Json.to_list_opt with
-  | Some (Some experiments) ->
-    List.filter_map
-      (fun e ->
-        match (Option.bind (Json.member "id" e) Json.to_string_opt, int_member "max_heap_words" e) with
-        | Some id, Some ceiling -> Some (id, ceiling)
-        | _ -> None)
-      experiments
-  | Some None | None -> []
-
-(* Measured peaks out of a current run: [profile.top_heap_words], present
-   only when the run was profiled. *)
-let heap_peaks_of_results json =
-  match Json.member "experiments" json |> Option.map Json.to_list_opt with
-  | Some (Some experiments) ->
-    List.filter_map
-      (fun e ->
-        match
-          ( Option.bind (Json.member "id" e) Json.to_string_opt,
-            Option.bind (Json.member "profile" e) (int_member "top_heap_words") )
-        with
-        | Some id, Some peak -> Some (id, peak)
-        | _ -> None)
-      experiments
-  | Some None | None -> []
-
-(* --- allocation-rate ceilings ------------------------------------------ *)
-
-type alloc_check = {
-  al_id : string;
-  ceiling_words_per_round : float;
-  base_rate : float option;  (* baseline measured words/active-round, if profiled *)
-  rate : float option;  (* measured words/active-round; None: not profiled *)
-}
-
-let alloc_exceeded a =
-  match a.rate with Some rate -> rate > a.ceiling_words_per_round | None -> false
-
-(* Committed per-experiment allocation-rate ceilings: optional
-   [max_words_per_active_round] per baseline entry, mirroring the
-   [max_heap_words] peak-heap mechanism. *)
-let alloc_ceilings_of_results json =
-  match Json.member "experiments" json |> Option.map Json.to_list_opt with
-  | Some (Some experiments) ->
-    List.filter_map
-      (fun e ->
-        match
-          ( Option.bind (Json.member "id" e) Json.to_string_opt,
-            Option.bind (Json.member "max_words_per_active_round" e) Json.to_float_opt )
-        with
-        | Some id, Some ceiling -> Some (id, ceiling)
-        | _ -> None)
-      experiments
-  | Some None | None -> []
-
-(* Measured rates out of a current run: [profile.words_per_active_round],
-   present only when the run was profiled. *)
-let alloc_rates_of_results json =
-  match Json.member "experiments" json |> Option.map Json.to_list_opt with
-  | Some (Some experiments) ->
-    List.filter_map
-      (fun e ->
-        match
-          ( Option.bind (Json.member "id" e) Json.to_string_opt,
-            Option.bind (Json.member "profile" e) (fun p ->
-                Option.bind (Json.member "words_per_active_round" p) Json.to_float_opt) )
-        with
-        | Some id, Some rate -> Some (id, rate)
-        | _ -> None)
-      experiments
-  | Some None | None -> []
-
-let alloc_checks ?(base_rates = []) ~ceilings ~rates () =
-  List.map
-    (fun (id, ceiling_words_per_round) ->
-      {
-        al_id = id;
-        ceiling_words_per_round;
-        base_rate = List.assoc_opt id base_rates;
-        rate = List.assoc_opt id rates;
-      })
-    ceilings
-
-(* Relative words/active-round change vs the baseline's measured rate:
-   negative is an allocation-rate win. *)
-let alloc_delta a =
-  match (a.base_rate, a.rate) with
-  | Some b, Some r when b > 0.0 -> Some ((r -. b) /. b)
-  | _ -> None
-
-let render_alloc checks =
-  if checks = [] then ""
-  else begin
-    let table =
-      Table.create ~title:"allocation-rate ceiling check (minor words / active round)"
-        ~columns:
-          [ "experiment"; "ceiling (w/round)"; "base (w/round)"; "measured (w/round)"; "delta"; "verdict" ]
-    in
-    List.iter
-      (fun a ->
-        Table.add_row table
-          [
-            a.al_id;
-            Table.cell_f ~decimals:0 a.ceiling_words_per_round;
-            (match a.base_rate with Some r -> Table.cell_f ~decimals:0 r | None -> "-");
-            (match a.rate with Some r -> Table.cell_f ~decimals:0 r | None -> "-");
-            (match alloc_delta a with
-            | Some d -> Printf.sprintf "%+.1f%%" (100.0 *. d)
-            | None -> "-");
-            (match a.rate with
-            | Some r when r > a.ceiling_words_per_round -> "OVER CEILING"
-            | Some _ -> "ok"
-            | None -> "not profiled");
-          ])
-      checks;
-    Table.render table
-  end
-
-let memory_checks ~ceilings ~peaks =
-  List.map
-    (fun (id, ceiling_words) ->
-      { mem_id = id; ceiling_words; peak_words = List.assoc_opt id peaks })
-    ceilings
-
-let render_memory checks =
-  if checks = [] then ""
-  else begin
-    let table =
-      Table.create ~title:"peak-heap ceiling check"
-        ~columns:[ "experiment"; "ceiling (Mw)"; "peak (Mw)"; "verdict" ]
-    in
-    List.iter
-      (fun m ->
-        let mw w = Table.cell_f ~decimals:1 (float_of_int w /. 1e6) in
-        Table.add_row table
-          [
-            m.mem_id;
-            mw m.ceiling_words;
-            (match m.peak_words with Some p -> mw p | None -> "-");
-            (match m.peak_words with
-            | Some p when p > m.ceiling_words -> "OVER CEILING"
-            | Some _ -> "ok"
-            | None -> "not profiled");
-          ])
-      checks;
-    Table.render table
-  end
-
-let wall_times_of_results json =
-  match Json.member "experiments" json |> Option.map Json.to_list_opt with
-  | Some (Some experiments) ->
-    let entry e =
-      match
-        ( Option.bind (Json.member "id" e) Json.to_string_opt,
-          Option.bind (Json.member "wall_seconds" e) Json.to_float_opt )
-      with
-      | Some id, Some seconds -> Ok (id, seconds)
-      | Some id, None -> Error (Printf.sprintf "experiment %s has no wall_seconds" id)
-      | None, _ -> Error "experiment entry without an id"
-    in
-    List.fold_left
-      (fun acc e ->
-        match (acc, entry e) with
-        | Ok entries, Ok entry -> Ok (entry :: entries)
-        | (Error _ as e), _ | _, (Error _ as e) -> e)
-      (Ok []) experiments
-    |> Result.map List.rev
-  | Some None | None -> Error "no \"experiments\" list (not a securebit-bench results file?)"
-
-let load_results path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | contents -> (
-    match Json.of_string contents with
-    | Ok json -> Ok json
-    | Error message -> Error (Printf.sprintf "%s: %s" path message))
-  | exception Sys_error message -> Error message
-
-let load_wall_times path = Result.bind (load_results path) wall_times_of_results
-
-(* Pair the two runs up, keeping the current run's order; baseline-only
-   experiments are appended so nothing disappears silently. *)
-let compare_wall_times ~base ~current =
-  let of_current (id, seconds) =
-    { cmp_id = id; base_seconds = List.assoc_opt id base; current_seconds = Some seconds }
-  in
-  let removed (id, seconds) =
-    if List.mem_assoc id current then None
-    else Some { cmp_id = id; base_seconds = Some seconds; current_seconds = None }
-  in
-  List.map of_current current @ List.filter_map removed base
-
-let render_comparison ?(tolerance = regression_tolerance) comparisons =
-  let table =
-    Table.create ~title:"wall-time comparison vs baseline"
-      ~columns:[ "experiment"; "base (s)"; "current (s)"; "speedup"; "verdict" ]
-  in
-  let cell = function Some seconds -> Table.cell_f ~decimals:3 seconds | None -> "-" in
-  List.iter
-    (fun c ->
-      let verdict =
-        match (c.base_seconds, c.current_seconds) with
-        | None, _ -> "new"
-        | _, None -> "removed"
-        | Some _, Some _ when regressed ~tolerance c ->
-          Printf.sprintf "REGRESSED (>%.0f%%)" (100.0 *. tolerance)
-        | Some b, Some cur when b < noise_floor && cur < noise_floor -> "below noise floor"
-        | Some _, Some _ -> "ok"
-      in
-      Table.add_row table
-        [
-          c.cmp_id;
-          cell c.base_seconds;
-          cell c.current_seconds;
-          (match speedup c with Some s -> Printf.sprintf "%.2fx" s | None -> "-");
-          verdict;
-        ])
-    comparisons;
-  let total side =
-    List.fold_left (fun acc c -> acc +. Option.value ~default:0.0 (side c)) 0.0 comparisons
-  in
-  let base_total = total (fun c -> c.base_seconds) in
-  let current_total = total (fun c -> c.current_seconds) in
-  Table.add_row table
-    [
-      "total";
-      Table.cell_f ~decimals:3 base_total;
-      Table.cell_f ~decimals:3 current_total;
-      (if current_total > 0.0 then Printf.sprintf "%.2fx" (base_total /. current_total) else "-");
-      "";
-    ];
-  Table.render table
-
-let regressions ?tolerance comparisons = List.filter (regressed ?tolerance) comparisons
-
-(* Shared driver for the two compare entry points: report text plus whether
-   anything failed (callers turn that into a non-zero exit).  A compare
-   fails on a wall-time regression, a peak-heap ceiling breach, or an
-   allocation-rate (words/active-round) ceiling breach; a ceiling the
-   current run did not measure (no [--profile]) is reported as a warning,
-   never a failure, so unprofiled comparisons still gate wall time
-   alone. *)
-let compare_against ?tolerance ?(peaks = []) ?(alloc_rates = []) ~base current =
-  match load_results base with
-  | Error message -> Error (Printf.sprintf "baseline %s: %s" base message)
-  | Ok base_json -> (
-    match wall_times_of_results base_json with
-    | Error message -> Error (Printf.sprintf "baseline %s: %s" base message)
-    | Ok base_times ->
-      let comparisons = compare_wall_times ~base:base_times ~current in
-      let regressed = regressions ?tolerance comparisons in
-      let checks = memory_checks ~ceilings:(heap_ceilings_of_results base_json) ~peaks in
-      let exceeded = List.filter memory_exceeded checks in
-      let unmeasured = List.filter (fun m -> m.peak_words = None) checks in
-      let allocs =
-        alloc_checks
-          ~base_rates:(alloc_rates_of_results base_json)
-          ~ceilings:(alloc_ceilings_of_results base_json) ~rates:alloc_rates ()
-      in
-      let alloc_over = List.filter alloc_exceeded allocs in
-      let alloc_unmeasured = List.filter (fun a -> a.rate = None) allocs in
-      let names of_what items = String.concat ", " (List.map of_what items) in
-      let report =
-        render_comparison ?tolerance comparisons
-        ^ (match regressed with
-          | [] -> "no wall-time regressions\n"
-          | some ->
-            Printf.sprintf "%d experiment(s) regressed: %s\n" (List.length some)
-              (names (fun c -> c.cmp_id) some))
-        ^ render_memory checks
-        ^ (match exceeded with
-          | [] when checks <> [] -> "no peak-heap ceilings exceeded\n"
-          | [] -> ""
-          | some ->
-            Printf.sprintf "%d experiment(s) over peak-heap ceiling: %s\n" (List.length some)
-              (names (fun m -> m.mem_id) some))
-        ^ (match unmeasured with
-          | [] -> ""
-          | some ->
-            Printf.sprintf
-              "warning: %d ceiling(s) not checked (current run lacks --profile data): %s\n"
-              (List.length some)
-              (names (fun m -> m.mem_id) some))
-        ^ render_alloc allocs
-        ^ (match alloc_over with
-          | [] when allocs <> [] -> "no allocation-rate ceilings exceeded\n"
-          | [] -> ""
-          | some ->
-            Printf.sprintf "%d experiment(s) over words/active-round ceiling: %s\n"
-              (List.length some)
-              (names (fun a -> a.al_id) some))
-        ^
-        match alloc_unmeasured with
-        | [] -> ""
-        | some ->
-          Printf.sprintf
-            "warning: %d allocation ceiling(s) not checked (current run lacks --profile data): \
-             %s\n"
-            (List.length some)
-            (names (fun a -> a.al_id) some)
-      in
-      Ok (report, regressed <> [] || exceeded <> [] || alloc_over <> []))
-
-let compare_files ?tolerance ~base ~current () =
-  match load_results current with
-  | Error message -> Error (Printf.sprintf "current %s: %s" current message)
-  | Ok current_json -> (
-    match wall_times_of_results current_json with
-    | Error message -> Error (Printf.sprintf "current %s: %s" current message)
-    | Ok current_times ->
-      compare_against ?tolerance
-        ~peaks:(heap_peaks_of_results current_json)
-        ~alloc_rates:(alloc_rates_of_results current_json)
-        ~base current_times)
-
-let compare_outcomes ?tolerance ~base outcomes =
-  let profiled of_profile =
-    List.filter_map
-      (fun o ->
-        Option.map
-          (fun (p : Runner.profile) -> (o.Runner.job.Experiment.id, of_profile p))
-          o.Runner.profile)
-      outcomes
-  in
-  let peaks = profiled (fun p -> p.Runner.top_heap_words) in
-  let alloc_rates = profiled (fun p -> p.Runner.words_per_active_round) in
-  compare_against ?tolerance ~peaks ~alloc_rates ~base
-    (List.map (fun o -> (o.Runner.job.Experiment.id, o.Runner.wall_seconds)) outcomes)
 
 let run options =
   match selection options.only with
@@ -449,3 +70,154 @@ let run options =
         Printf.printf "results written to %s\n%!" path)
       options.json_path;
     Ok outcomes
+
+(* --- compare ------------------------------------------------------------ *)
+
+type gate = {
+  field : string list;
+  limit : float -> float option;
+  floor : float;
+  decimals : int;
+}
+
+(* Wall time gets 20% headroom, and runs under 0.05 s on both sides are
+   too short to time.  The heap peak is machine-sensitive and gets 50%,
+   rounded up to the next 100 000 words.  Words per active round is a
+   deterministic function of the seeded simulation, so its limit is a
+   tight 20% rounded up to a whole word; the tables that never transmit
+   (rate 0) get none. *)
+let gates =
+  [
+    {
+      field = [ "wall_seconds" ];
+      limit = (fun base -> Some (1.2 *. base));
+      floor = 0.05;
+      decimals = 3;
+    };
+    {
+      field = [ "profile"; "top_heap_words" ];
+      limit = (fun base -> Some (Float.ceil (1.5 *. base /. 1e5) *. 1e5));
+      floor = 0.0;
+      decimals = 0;
+    };
+    {
+      field = [ "profile"; "words_per_active_round" ];
+      limit = (fun base -> if base > 0.0 then Some (Float.ceil (1.2 *. base)) else None);
+      floor = 0.0;
+      decimals = 1;
+    };
+  ]
+
+type verdict = Within | Below_floor | Over | New | Not_run | Not_profiled
+
+type check = {
+  id : string;
+  gate : gate;
+  base : float option;
+  limit : float option;
+  current : float option;
+  verdict : verdict;
+}
+
+let value gate entry =
+  List.fold_left (fun json key -> Option.bind json (Json.member key)) (Some entry) gate.field
+  |> Fun.flip Option.bind Json.to_float_opt
+
+let check ~id ~base_entry ~current_entry gate =
+  let base = Option.bind base_entry (value gate) in
+  let current = Option.bind current_entry (value gate) in
+  let limit = Option.bind base gate.limit in
+  let verdict =
+    match (base, limit, current_entry, current) with
+    | _, _, _, Some _ when base_entry = None -> Some New
+    | _, None, _, _ -> None
+    | _, Some _, None, _ -> Some Not_run
+    | _, Some _, Some _, None -> Some Not_profiled
+    | Some b, Some _, _, Some c when b < gate.floor && c < gate.floor -> Some Below_floor
+    | _, Some l, _, Some c -> Some (if c > l then Over else Within)
+  in
+  Option.map (fun verdict -> { id; gate; base; limit; current; verdict }) verdict
+
+(* The experiment entries of a results file, by id in file order.  Every
+   entry must carry its wall time, so only profile fields can be missing. *)
+let experiments path =
+  let ( let* ) = Result.bind in
+  let* json =
+    match In_channel.with_open_text path In_channel.input_all with
+    | contents -> Result.map_error (Printf.sprintf "%s: %s" path) (Json.of_string contents)
+    | exception Sys_error message -> Error message
+  in
+  let entry e =
+    match Option.bind (Json.member "id" e) Json.to_string_opt with
+    | None -> Error (path ^ ": experiment entry without an id")
+    | Some id when Option.bind (Json.member "wall_seconds" e) Json.to_float_opt = None ->
+      Error (Printf.sprintf "%s: experiment %s has no wall_seconds" path id)
+    | Some id -> Ok (id, e)
+  in
+  match Option.bind (Json.member "experiments" json) Json.to_list_opt with
+  | None -> Error (path ^ ": no \"experiments\" list (not a securebit-bench results file?)")
+  | Some entries ->
+    List.fold_right
+      (fun e acc ->
+        let* rest = acc in
+        let* entry = entry e in
+        Ok (entry :: rest))
+      entries (Ok [])
+
+let compare ~base ~current =
+  match (experiments base, experiments current) with
+  | Error message, _ -> Error ("baseline " ^ message)
+  | _, Error message -> Error ("current " ^ message)
+  | Ok base, Ok current ->
+    let not_run = List.filter (fun (id, _) -> not (List.mem_assoc id current)) base in
+    Ok
+      (List.concat_map
+         (fun (id, _) ->
+           List.filter_map
+             (check ~id ~base_entry:(List.assoc_opt id base)
+                ~current_entry:(List.assoc_opt id current))
+             gates)
+         (current @ not_run))
+
+let verdict_name = function
+  | Within -> "ok"
+  | Below_floor -> "below noise floor"
+  | Over -> "OVER LIMIT"
+  | New -> "new"
+  | Not_run -> "not run"
+  | Not_profiled -> "not profiled"
+
+let render checks =
+  let table =
+    Table.create ~title:"bench compare (limits derived from the baseline)"
+      ~columns:[ "experiment"; "gate"; "base"; "limit"; "current"; "change"; "verdict" ]
+  in
+  let row c = c.id ^ " " ^ String.concat "." c.gate.field in
+  List.iter
+    (fun c ->
+      let cell = function Some v -> Table.cell_f ~decimals:c.gate.decimals v | None -> "-" in
+      Table.add_row table
+        [
+          c.id;
+          String.concat "." c.gate.field;
+          cell c.base;
+          cell c.limit;
+          cell c.current;
+          (match (c.base, c.current) with
+          | Some b, Some v when b > 0.0 -> Printf.sprintf "%+.1f%%" (100.0 *. (v -. b) /. b)
+          | _ -> "-");
+          verdict_name c.verdict;
+        ])
+    checks;
+  let rows verdict = List.map row (List.filter (fun c -> c.verdict = verdict) checks) in
+  Table.render table
+  ^ (match rows Over with
+    | [] -> "no limits exceeded\n"
+    | over ->
+      Printf.sprintf "%d limit(s) exceeded: %s\n" (List.length over) (String.concat ", " over))
+  ^
+  match rows Not_profiled with
+  | [] -> ""
+  | unchecked ->
+    Printf.sprintf "warning: %d limit(s) not checked (current run lacks --profile data): %s\n"
+      (List.length unchecked) (String.concat ", " unchecked)

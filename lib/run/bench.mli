@@ -1,6 +1,7 @@
-(** Shared driver behind `bench/main.exe` and `securebit_cli bench`: select
-    registry jobs, execute them (possibly domain-parallel), print each
-    table as it completes, and optionally write the JSON results file. *)
+(** The registry benchmark behind [securebit_cli bench] and
+    [securebit_cli compare]: select registry jobs, execute them (possibly
+    domain-parallel), print each table as it completes, optionally write
+    the JSON results file, and gate one results file against another. *)
 
 type options = {
   scale : Experiment.scale;
@@ -10,151 +11,66 @@ type options = {
   profile : bool;
       (** record {!Runner.profile} counters (allocation deltas, rounds/s,
           per-worker GC stats) per job, printed after each table and
-          embedded in the JSON; [bench compare] ignores them *)
+          embedded in the JSON, where {!compare} gates them *)
   sanitize : bool;
       (** re-run each job's trials sequentially after the parallel pass and
           fail on any divergence ({!Pool.Nondeterministic}); the dynamic
           [--jobs N] determinism check *)
 }
 
-val default_options : unit -> options
-(** Sequential, every job, no JSON, no profiling; scale from
-    {!Figures.scale_of_env} (the deprecated [FULL] fallback). *)
-
 val selection : string list -> (Experiment.job list, string) result
 (** Resolve ids against {!Registry.all} (canonical order kept); [Error]
     names any unknown ids. *)
-
-val scale_name : Experiment.scale -> string
 
 val run : options -> (Runner.outcome list, string) result
 (** Run the selected jobs, printing tables, fits, notes and per-job wall
     times; write [json_path] if given.  [Error] on unknown ids. *)
 
-(** {1 Comparison (["bench compare"])}
+(** {1 Comparison}
 
-    Diffs two [BENCH_results.json] files (or a fresh run against one) and
-    reports per-experiment speedups; anything more than
-    {!regression_tolerance} slower than the baseline is a regression,
-    which callers turn into a non-zero exit so perf regressions fail the
-    build.  Baseline entries may also carry a [max_heap_words] peak-heap
-    ceiling and/or a [max_words_per_active_round] allocation-rate ceiling;
-    when the current run was profiled, a peak or a minor-allocation rate
-    above its ceiling fails the compare the same way a wall-time
-    regression does. *)
+    A gate reads one number out of each experiment entry of a results file
+    and sets its limit from the baseline's own value of that number, so a
+    baseline file holds measurements only. *)
 
-val regression_tolerance : float
-(** Default regression threshold: 0.20 (20% slower fails). *)
-
-val noise_floor : float
-(** Runs where both sides finish under this many seconds are never flagged
-    — too short to time reliably. *)
-
-type comparison = {
-  cmp_id : string;
-  base_seconds : float option;  (** [None]: absent from the baseline *)
-  current_seconds : float option;  (** [None]: absent from the current run *)
+type gate = {
+  field : string list;  (** path to the number in an experiment entry *)
+  limit : float -> float option;
+      (** the limit a baseline value sets; [None]: the experiment is not
+          gated on this field *)
+  floor : float;  (** a row where both sides are below this is never flagged *)
+  decimals : int;  (** report precision *)
 }
 
-val speedup : comparison -> float option
-(** [base / current]; [None] when either side is missing. *)
+val gates : gate list
+(** [wall_seconds]: 1.2 × base, with a 0.05 s floor;
+    [profile.top_heap_words]: 1.5 × base, rounded up to the next 100 000
+    words; [profile.words_per_active_round]: ⌈1.2 × base⌉ where the base
+    is above 0. *)
 
-val regressed : ?tolerance:float -> comparison -> bool
+type verdict =
+  | Within
+  | Below_floor
+  | Over  (** the only failing verdict *)
+  | New  (** the experiment is absent from the baseline *)
+  | Not_run  (** the experiment is absent from the current file *)
+  | Not_profiled  (** the current entry lacks the field: a warning *)
 
-type memory_check = {
-  mem_id : string;
-  ceiling_words : int;  (** committed [max_heap_words] from the baseline *)
-  peak_words : int option;
-      (** measured [profile.top_heap_words]; [None] when the current run
-          was not profiled — reported as a warning, never a failure *)
+type check = {
+  id : string;
+  gate : gate;
+  base : float option;
+  limit : float option;
+  current : float option;
+  verdict : verdict;
 }
 
-val memory_exceeded : memory_check -> bool
-(** True iff a measured peak is above its ceiling. *)
+val compare : base:string -> current:string -> (check list, string) result
+(** Read two results files and check the current one against every gate:
+    one check per (experiment, gate) where the baseline sets a limit, plus
+    [New] rows for the experiments the baseline lacks.  Experiments come
+    in current-file order, then the baseline's experiments the current
+    file lacks.  [Error] names an unreadable or malformed file. *)
 
-type alloc_check = {
-  al_id : string;
-  ceiling_words_per_round : float;
-      (** committed [max_words_per_active_round] from the baseline *)
-  base_rate : float option;
-      (** the baseline's own measured [profile.words_per_active_round],
-          when the baseline was a profiled run — the reference for the
-          delta column *)
-  rate : float option;
-      (** measured [profile.words_per_active_round]; [None] when the
-          current run was not profiled — reported as a warning, never a
-          failure *)
-}
-
-val alloc_exceeded : alloc_check -> bool
-(** True iff a measured allocation rate is above its ceiling. *)
-
-val alloc_delta : alloc_check -> float option
-(** Relative words/active-round change vs the baseline's measured rate
-    ([(rate - base_rate) / base_rate]); negative is a win.  [None] unless
-    both sides were profiled. *)
-
-val wall_times_of_results : Json.t -> ((string * float) list, string) result
-(** Per-experiment wall seconds out of a parsed results file. *)
-
-val heap_ceilings_of_results : Json.t -> (string * int) list
-(** Per-experiment [max_heap_words] ceilings out of a parsed baseline;
-    experiments without one are simply absent. *)
-
-val heap_peaks_of_results : Json.t -> (string * int) list
-(** Per-experiment [profile.top_heap_words] peaks out of a parsed results
-    file; absent for runs made without [--profile]. *)
-
-val alloc_ceilings_of_results : Json.t -> (string * float) list
-(** Per-experiment [max_words_per_active_round] ceilings out of a parsed
-    baseline; experiments without one are simply absent. *)
-
-val alloc_rates_of_results : Json.t -> (string * float) list
-(** Per-experiment [profile.words_per_active_round] rates out of a parsed
-    results file; absent for runs made without [--profile]. *)
-
-val memory_checks :
-  ceilings:(string * int) list -> peaks:(string * int) list -> memory_check list
-(** One check per ceiling, paired with the matching peak if measured. *)
-
-val alloc_checks :
-  ?base_rates:(string * float) list ->
-  ceilings:(string * float) list ->
-  rates:(string * float) list ->
-  unit ->
-  alloc_check list
-(** One check per allocation ceiling, paired with the measured rate if
-    profiled; [base_rates] supplies the baseline's own measured rates for
-    the delta column. *)
-
-val render_memory : memory_check list -> string
-(** ASCII ceiling-check table; empty string when there are no ceilings. *)
-
-val render_alloc : alloc_check list -> string
-(** ASCII allocation-rate ceiling table; empty string when there are no
-    ceilings. *)
-
-val load_results : string -> (Json.t, string) result
-(** Read and parse a results file. *)
-
-val load_wall_times : string -> ((string * float) list, string) result
-
-val compare_wall_times :
-  base:(string * float) list -> current:(string * float) list -> comparison list
-(** Current-run order first, then baseline-only experiments. *)
-
-val render_comparison : ?tolerance:float -> comparison list -> string
-
-val regressions : ?tolerance:float -> comparison list -> comparison list
-
-val compare_files :
-  ?tolerance:float -> base:string -> current:string -> unit -> (string * bool, string) result
-(** [Ok (report, failed)] where [failed] is any wall-time regression,
-    peak-heap ceiling breach, or words/active-round allocation-rate
-    ceiling breach; [Error] on unreadable/invalid files. *)
-
-val compare_outcomes :
-  ?tolerance:float -> base:string -> Runner.outcome list -> (string * bool, string) result
-(** Compare a just-finished run against a baseline file; profiled
-    outcomes also have their peaks and allocation rates gated against
-    baseline ceilings. *)
+val render : check list -> string
+(** One table row per check, then a line naming the [Over] rows and a
+    warning naming the [Not_profiled] ones. *)

@@ -1,14 +1,9 @@
-type klass = Scale_sweep.klass = Uniform_radio | Expander_synthetic
-
-let klass_name = Scale_sweep.klass_name
-let all_classes = Scale_sweep.all_classes
-
 type config = {
   label : string;
   node_counts : int list;
   densities : float list;
   adversaries : string list;
-  classes : klass list;
+  classes : Scale_sweep.klass list;
   protocol : Scenario.protocol;
   seed : int;
   cap : int;
@@ -27,7 +22,7 @@ let default =
     node_counts = [ 1_000; 4_000 ];
     densities = [ 12.0; 40.0 ];
     adversaries = [ "honest"; "lying" ];
-    classes = all_classes;
+    classes = Scale_sweep.all_classes;
     protocol = Scenario.Neighbor_watch { votes = 1 };
     seed = 42;
     cap = 2_000_000;
@@ -38,27 +33,24 @@ let default =
     dry_run = false;
   }
 
-let known_adversaries = Scale_sweep.known_adversaries
-let faults_of_adversary = Scale_sweep.faults_of_adversary
-
 type phase = Cold | Warm of int
 
 let phase_name = function Cold -> "cold" | Warm k -> Printf.sprintf "warm%d" k
 
-type cell = { klass : klass; nodes : int; density : float; adversary : string }
+type cell = { klass : Scale_sweep.klass; nodes : int; density : float; adversary : string }
 
 type planned = { run_id : string; cell : cell; phase : phase }
 
 let run_id_of cell phase =
   Printf.sprintf "n%d-d%g-%s-%s-%s" cell.nodes cell.density cell.adversary
-    (klass_name cell.klass) (phase_name phase)
+    (Scale_sweep.klass_name cell.klass) (phase_name phase)
 
 (* The cell geometry lives in {!Scale_sweep.cell_spec}, shared with the
    registered S1 experiment, so a campaign run and the registry row of
    the same cell simulate the same spec. *)
 let spec_of_cell config cell =
   let faults =
-    match faults_of_adversary cell.adversary with
+    match Scale_sweep.faults_of_adversary cell.adversary with
     | Some faults -> faults
     | None -> invalid_arg (Printf.sprintf "Campaign: unknown adversary %s" cell.adversary)
   in
@@ -76,13 +68,14 @@ let spec_of_cell config cell =
 
 let validate config =
   if config.warm < 0 then Error "warm rounds must be >= 0"
+  else if config.cap < 1 then Error "round cap must be >= 1"
   else if config.node_counts = [] || List.exists (fun n -> n <= 0) config.node_counts then
     Error "node counts must be a non-empty list of positive ints"
   else if config.densities = [] || List.exists (fun d -> d <= 0.0) config.densities then
     Error "densities must be a non-empty list of positive numbers"
   else if config.classes = [] then Error "at least one graph class"
   else begin
-    match List.filter (fun a -> faults_of_adversary a = None) config.adversaries with
+    match List.filter (fun a -> Scale_sweep.faults_of_adversary a = None) config.adversaries with
     | [] when config.adversaries <> [] -> Ok ()
     | [] -> Error "at least one adversary mix"
     | unknown ->
@@ -90,7 +83,7 @@ let validate config =
         (Printf.sprintf "unknown adversary mix%s: %s (known: %s)"
            (if List.length unknown > 1 then "es" else "")
            (String.concat ", " unknown)
-           (String.concat " " known_adversaries))
+           (String.concat " " Scale_sweep.known_adversaries))
   end
 
 (* The full sweep in execution order: every (class, n, density, adversary)
@@ -140,7 +133,7 @@ let json_of_executed config e =
       ("schema", Json.String "securebit-campaign/1");
       ("run_id", Json.String e.planned.run_id);
       ("label", Json.String config.label);
-      ("class", Json.String (klass_name e.planned.cell.klass));
+      ("class", Json.String (Scale_sweep.klass_name e.planned.cell.klass));
       ("nodes", Json.Int e.planned.cell.nodes);
       ("density", Json.Float e.planned.cell.density);
       ("adversary", Json.String e.planned.cell.adversary);

@@ -1,4 +1,4 @@
-(** Scale campaign driver (["bench/main.exe scale"], ["securebit scale"]).
+(** Scale campaign driver ([securebit_cli scale]).
 
     Sweeps node count × target density × adversary mix over two graph
     classes — geometric uniform deployments under a disk radio, and
@@ -8,22 +8,17 @@
     the cold/warm delta isolates setup cost from the steady-state engine
     rate.  Results can be archived as one labelled JSON file per run plus
     a manifest, and a peak-heap ceiling turns memory growth into a
-    failing exit the same way [bench compare] gates the registry. *)
-
-type klass = Scale_sweep.klass = Uniform_radio | Expander_synthetic
-
-val klass_name : klass -> string
-val all_classes : klass list
+    failing exit the same way {!Bench.compare} gates the registry. *)
 
 type config = {
   label : string;  (** archive subdirectory and report heading *)
   node_counts : int list;
   densities : float list;  (** target average degree per node count *)
-  adversaries : string list;  (** subset of {!known_adversaries} *)
-  classes : klass list;
+  adversaries : string list;  (** subset of {!Scale_sweep.known_adversaries} *)
+  classes : Scale_sweep.klass list;
   protocol : Scenario.protocol;
   seed : int;
-  cap : int;  (** engine round cap *)
+  cap : int;  (** engine round cap, at least 1 *)
   warm : int;  (** warm runs per cell after the cold one *)
   message : string;  (** broadcast payload bits *)
   out_dir : string option;  (** archive under [out_dir/label/], if given *)
@@ -37,16 +32,11 @@ val default : config
 (** A small smoke sweep every machine finishes in seconds per run;
     callers scale node counts up explicitly. *)
 
-val known_adversaries : string list
-(** ["honest"; "crash"; "lying"; "jam"]. *)
-
-val faults_of_adversary : string -> Scenario.faults option
-
 type phase = Cold | Warm of int
 
 val phase_name : phase -> string
 
-type cell = { klass : klass; nodes : int; density : float; adversary : string }
+type cell = { klass : Scale_sweep.klass; nodes : int; density : float; adversary : string }
 
 type planned = { run_id : string; cell : cell; phase : phase }
 

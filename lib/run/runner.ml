@@ -129,8 +129,7 @@ let run_job ?(jobs = 1) ?(profile = false) ?(sanitize = false) ~scale (job : Exp
           active_rounds;
           (* Allocation rate of the hot loop: coordinator minor words over
              transmission-carrying rounds (exact at --jobs 1, like the
-             other top-level deltas); [bench compare] gates this against
-             committed [max_words_per_active_round] ceilings. *)
+             other top-level deltas); [Bench.gates] holds its limit. *)
           words_per_active_round =
             (if active_rounds > 0 then minor_words /. float_of_int active_rounds else 0.0);
           workers;

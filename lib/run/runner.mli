@@ -14,7 +14,7 @@ type profile = {
           when the job finished — monotone across the jobs of one run, so
           per-job values compare against a baseline only when both runs
           execute the same jobs in the same order (the registry order);
-          [bench compare] gates this against committed ceilings *)
+          {!Bench.gates} holds its limit *)
   rounds_simulated : int;  (** engine rounds across the job's Grid trials *)
   rounds_per_second : float;  (** rounds_simulated / wall_seconds *)
   active_rounds : int;
@@ -22,8 +22,7 @@ type profile = {
           (mode-independent — see {!Engine.result}) *)
   words_per_active_round : float;
       (** [minor_words / active_rounds] (0 when no active rounds): the
-          hot-loop allocation rate that [bench compare] gates against
-          committed [max_words_per_active_round] ceilings *)
+          hot-loop allocation rate; {!Bench.gates} holds its limit *)
   workers : Pool.worker_stat list;
       (** one entry per pool domain: tasks run and exact per-domain
           {!Gc.quick_stat} deltas *)
@@ -63,9 +62,8 @@ val stable_json : outcome -> Json.t
 
 val json_of_outcome : outcome -> Json.t
 (** {!stable_json} plus [wall_seconds] and, when captured, a ["profile"]
-    object (allocation words, rounds simulated, rounds/s).  [bench
-    compare] reads only [id] and [wall_seconds], so both extras are
-    ignored by baseline comparisons. *)
+    object (allocation words, rounds simulated, rounds/s).  {!Bench.gates}
+    names the fields {!Bench.compare} checks. *)
 
 val results_json : scale:Experiment.scale -> jobs:int -> outcome list -> Json.t
 (** The top-level [BENCH_results.json] document ([securebit-bench/1]):

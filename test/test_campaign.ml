@@ -1,6 +1,6 @@
-(* Tests for the scale campaign driver: plan/dry-run agreement with real
-   execution, archived results, config validation, and the bench-compare
-   peak-heap ceiling gate. *)
+(* Tests for the scale campaign driver (plan/dry-run agreement with real
+   execution, archived results, config validation, the peak-heap ceiling)
+   and bench compare's peak-heap gate. *)
 
 (* A campaign small enough to execute in well under a second per run but
    still covering both graph classes and a warm phase. *)
@@ -11,7 +11,7 @@ let tiny config =
     node_counts = [ 60 ];
     densities = [ 8.0 ];
     adversaries = [ "honest" ];
-    classes = Campaign.all_classes;
+    classes = Scale_sweep.all_classes;
     warm = 1;
     message = "1";
   }
@@ -92,7 +92,9 @@ let test_validation () =
   in
   bad "unknown adversary" { (tiny Campaign.default) with Campaign.adversaries = [ "gremlin" ] };
   bad "empty node counts" { (tiny Campaign.default) with Campaign.node_counts = [] };
-  bad "negative warm" { (tiny Campaign.default) with Campaign.warm = -1 }
+  bad "negative warm" { (tiny Campaign.default) with Campaign.warm = -1 };
+  bad "zero round cap" { (tiny Campaign.default) with Campaign.cap = 0 };
+  bad "negative round cap" { (tiny Campaign.default) with Campaign.cap = -5 }
 
 let test_mem_ceiling_fails () =
   (* One word is below any real peak, so the gate must trip. *)
@@ -100,90 +102,61 @@ let test_mem_ceiling_fails () =
   let _, failed = run_exn config in
   Alcotest.(check bool) "one-word ceiling trips" true failed
 
-(* --- bench compare: peak-heap ceilings ---------------------------------- *)
+(* --- bench compare: peak heap ------------------------------------------ *)
 
-let parse s = match Json.of_string s with Ok j -> j | Error m -> Alcotest.fail m
-
-let contains ~affix s =
-  let n = String.length affix and m = String.length s in
-  let rec at i = i + n <= m && (String.sub s i n = affix || at (i + 1)) in
-  at 0
-
-let baseline_with_ceiling =
-  {|{ "schema": "securebit-bench/1",
-      "experiments": [
-        { "id": "e1", "wall_seconds": 1.0, "max_heap_words": 1000 },
-        { "id": "e2", "wall_seconds": 1.0 } ] }|}
-
-let current_with_profile peak =
-  Printf.sprintf
-    {|{ "schema": "securebit-bench/1",
-        "experiments": [
-          { "id": "e1", "wall_seconds": 1.0, "profile": { "top_heap_words": %d } },
-          { "id": "e2", "wall_seconds": 1.0 } ] }|}
-    peak
+open Bench_files
 
 let test_heap_parsing () =
-  Alcotest.(check (list (pair string int)))
-    "ceilings parsed" [ ("e1", 1000) ]
-    (Bench.heap_ceilings_of_results (parse baseline_with_ceiling));
-  Alcotest.(check (list (pair string int)))
-    "peaks parsed" [ ("e1", 2000) ]
-    (Bench.heap_peaks_of_results (parse (current_with_profile 2000)))
+  match
+    compare_entries [ experiment "e1" 1.0 ~heap:6_968_784 ] [ experiment "e1" 1.0 ~heap:2000 ]
+  with
+  | [ _wall; c ] ->
+    Alcotest.(check string) "heap row" ("e1 " ^ heap) (row_name c);
+    Alcotest.(check (option (float 0.0))) "base read" (Some 6_968_784.0) c.Bench.base;
+    Alcotest.(check (option (float 0.0))) "limit derived" (Some 10_500_000.0) c.Bench.limit;
+    Alcotest.(check (option (float 0.0))) "current read" (Some 2000.0) c.Bench.current
+  | checks -> Alcotest.failf "expected a wall and a heap row, got %d rows" (List.length checks)
 
-let with_temp_files base current f =
-  let write contents =
-    let path = Filename.temp_file "bench" ".json" in
-    Out_channel.with_open_text path (fun oc -> output_string oc contents);
-    path
-  in
-  let base_path = write base and current_path = write current in
-  Fun.protect
-    ~finally:(fun () ->
-      Sys.remove base_path;
-      Sys.remove current_path)
-    (fun () -> f base_path current_path)
+let heap_base = [ experiment "e1" 1.0 ~heap:1_000_000; experiment "e2" 1.0 ]
 
 let test_memory_gate_trips () =
-  with_temp_files baseline_with_ceiling (current_with_profile 2000) (fun base current ->
-      match Bench.compare_files ~base ~current () with
-      | Error message -> Alcotest.fail message
-      | Ok (report, failed) ->
-        Alcotest.(check bool) "peak over ceiling fails" true failed;
-        Alcotest.(check bool) "report names the breach" true
-          ((contains ~affix:"OVER CEILING" report)))
+  let checks =
+    compare_entries heap_base [ experiment "e1" 1.0 ~heap:2_000_000; experiment "e2" 1.0 ]
+  in
+  Alcotest.(check (list string))
+    "peak over its limit fails" [ "e1 " ^ heap ] (rows Bench.Over checks);
+  Alcotest.(check bool) "report names the breach" true
+    (contains ~needle:("exceeded: e1 " ^ heap) (Bench.render checks))
 
 let test_memory_gate_passes () =
-  with_temp_files baseline_with_ceiling (current_with_profile 500) (fun base current ->
-      match Bench.compare_files ~base ~current () with
-      | Error message -> Alcotest.fail message
-      | Ok (_, failed) -> Alcotest.(check bool) "peak under ceiling passes" false failed)
+  let checks =
+    compare_entries heap_base [ experiment "e1" 1.0 ~heap:500_000; experiment "e2" 1.0 ]
+  in
+  Alcotest.(check (list string)) "peak under its limit passes" [] (rows Bench.Over checks)
 
 let test_memory_gate_unprofiled_warns () =
-  (* A ceiling the current run did not measure is a warning, not a
-     failure — unprofiled comparisons still gate wall time alone. *)
-  with_temp_files baseline_with_ceiling
-    {|{ "schema": "securebit-bench/1",
-        "experiments": [
-          { "id": "e1", "wall_seconds": 1.0 },
-          { "id": "e2", "wall_seconds": 1.0 } ] }|}
-    (fun base current ->
-      match Bench.compare_files ~base ~current () with
-      | Error message -> Alcotest.fail message
-      | Ok (report, failed) ->
-        Alcotest.(check bool) "unmeasured ceiling does not fail" false failed;
-        Alcotest.(check bool) "report warns" true
-          ((contains ~affix:"not checked" report)))
+  (* A limit the current run did not measure is a warning, not a failure:
+     unprofiled comparisons still gate wall time alone. *)
+  let checks = compare_entries heap_base [ experiment "e1" 1.0; experiment "e2" 1.0 ] in
+  Alcotest.(check (list string)) "unmeasured peak does not fail" [] (rows Bench.Over checks);
+  Alcotest.(check (list string)) "reported as not profiled" [ "e1 " ^ heap ]
+    (rows Bench.Not_profiled checks);
+  Alcotest.(check bool) "report warns" true (contains ~needle:"not checked" (Bench.render checks))
 
-let test_memory_check_semantics () =
+let test_heap_limit_pairing () =
+  (* Limit 1 500 000 words on each; a sits at it, b is one word over, c
+     did not run. *)
   let checks =
-    Bench.memory_checks
-      ~ceilings:[ ("a", 100); ("b", 100); ("c", 100) ]
-      ~peaks:[ ("a", 100); ("b", 101) ]
+    compare_entries
+      [ experiment "a" 1.0 ~heap:1_000_000; experiment "b" 1.0 ~heap:1_000_000;
+        experiment "c" 1.0 ~heap:1_000_000 ]
+      [ experiment "a" 1.0 ~heap:1_500_000; experiment "b" 1.0 ~heap:1_500_001 ]
   in
-  Alcotest.(check (list bool))
-    "exceeded iff peak > ceiling" [ false; true; false ]
-    (List.map Bench.memory_exceeded checks)
+  Alcotest.(check (list string)) "over iff peak > limit" [ "b " ^ heap ] (rows Bench.Over checks);
+  Alcotest.(check (list string)) "at the limit passes" [ "a " ^ wall; "a " ^ heap; "b " ^ wall ]
+    (rows Bench.Within checks);
+  Alcotest.(check (list string))
+    "c not run" [ "c " ^ wall; "c " ^ heap ] (rows Bench.Not_run checks)
 
 let () =
   Alcotest.run "campaign"
@@ -202,6 +175,6 @@ let () =
           Alcotest.test_case "over ceiling fails compare" `Quick test_memory_gate_trips;
           Alcotest.test_case "under ceiling passes" `Quick test_memory_gate_passes;
           Alcotest.test_case "unprofiled ceiling warns" `Quick test_memory_gate_unprofiled_warns;
-          Alcotest.test_case "memory_checks pairing" `Quick test_memory_check_semantics;
+          Alcotest.test_case "heap limit pairing" `Quick test_heap_limit_pairing;
         ] );
     ]

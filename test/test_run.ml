@@ -1,6 +1,8 @@
 (* Tests for the domain-parallel job runner: the worker pool, the
-   experiment registry, and the byte-identity of parallel vs sequential
-   execution of registry jobs. *)
+   experiment registry, bench compare's gates, and the byte-identity of
+   parallel vs sequential execution of registry jobs. *)
+
+open Bench_files
 
 (* --- Pool ---------------------------------------------------------------- *)
 
@@ -96,11 +98,6 @@ let test_registry_find () =
   | None -> Alcotest.fail "Registry.find E8A = None");
   Alcotest.(check bool) "unknown id" true (Registry.find "e99" = None)
 
-let contains ~needle haystack =
-  let n = String.length needle and h = String.length haystack in
-  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
-  go 0
-
 let test_selection () =
   (match Bench.selection [ "a3"; "e1" ] with
   | Ok jobs ->
@@ -114,195 +111,130 @@ let test_selection () =
 
 (* --- bench compare (perf-regression harness) ------------------------------ *)
 
-let results_file times =
-  Json.Obj
-    [
-      ("schema", Json.String "securebit-bench/1");
-      ( "experiments",
-        Json.List
-          (List.map
-             (fun (id, seconds) ->
-               Json.Obj [ ("id", Json.String id); ("wall_seconds", Json.Float seconds) ])
-             times) );
-    ]
-
-let with_temp_results times f =
-  let path = Filename.temp_file "securebit_bench" ".json" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Out_channel.with_open_text path (fun oc ->
-          output_string oc (Json.to_string_pretty (results_file times)));
-      f path)
-
 (* The acceptance bar for the harness: an injected >20% slowdown must come
-   back flagged (callers exit non-zero on [any_regression]). *)
+   back flagged and named (the CLI exits 1 on any [Over] row). *)
 let test_compare_detects_injected_regression () =
-  with_temp_results
-    [ ("e1", 10.0); ("e2", 10.0) ]
-    (fun base ->
-      with_temp_results
-        [ ("e1", 9.0); ("e2", 13.0) ]
-        (fun current ->
-          match Bench.compare_files ~base ~current () with
-          | Error m -> Alcotest.fail m
-          | Ok (report, any_regression) ->
-            Alcotest.(check bool) "regression flagged" true any_regression;
-            Alcotest.(check bool) "report says REGRESSED" true
-              (contains ~needle:"REGRESSED" report);
-            Alcotest.(check bool) "report names e2" true (contains ~needle:"e2" report)))
+  let checks =
+    compare_entries
+      [ experiment "e1" 10.0; experiment "e2" 10.0 ]
+      [ experiment "e1" 9.0; experiment "e2" 13.0 ]
+  in
+  Alcotest.(check (list string)) "e2 flagged" [ "e2 " ^ wall ] (rows Bench.Over checks);
+  Alcotest.(check bool) "report names the row" true
+    (contains ~needle:("1 limit(s) exceeded: e2 " ^ wall) (Bench.render checks))
 
 let test_compare_clean_run_passes () =
-  with_temp_results
-    [ ("e1", 10.0); ("e2", 4.0) ]
-    (fun base ->
-      with_temp_results
-        [ ("e1", 11.5); ("e2", 2.0) ]
-        (fun current ->
-          (* 15% slower is inside the 20% tolerance. *)
-          match Bench.compare_files ~base ~current () with
-          | Error m -> Alcotest.fail m
-          | Ok (report, any_regression) ->
-            Alcotest.(check bool) "no regression" false any_regression;
-            Alcotest.(check bool) "report says clean" true
-              (contains ~needle:"no wall-time regressions" report)))
+  (* 15% slower is inside the 20% tolerance. *)
+  let checks =
+    compare_entries
+      [ experiment "e1" 10.0; experiment "e2" 4.0 ]
+      [ experiment "e1" 11.5; experiment "e2" 2.0 ]
+  in
+  Alcotest.(check (list string)) "nothing flagged" [] (rows Bench.Over checks);
+  Alcotest.(check bool) "report says clean" true
+    (contains ~needle:"no limits exceeded" (Bench.render checks))
 
 let test_compare_semantics () =
-  let cmp base_seconds current_seconds =
-    { Bench.cmp_id = "x"; base_seconds; current_seconds }
+  let flagged base current =
+    rows Bench.Over (compare_entries [ experiment "x" base ] [ experiment "x" current ]) <> []
   in
   (* Exactly at the threshold is not a regression; just beyond is. *)
-  Alcotest.(check bool) "20% exactly passes" false
-    (Bench.regressed (cmp (Some 10.0) (Some 12.0)));
-  Alcotest.(check bool) "beyond 20% fails" true
-    (Bench.regressed (cmp (Some 10.0) (Some 12.01)));
-  Alcotest.(check bool) "custom tolerance" true
-    (Bench.regressed ~tolerance:0.05 (cmp (Some 10.0) (Some 11.0)));
-  (* Sub-noise-floor runs are never flagged, however large the ratio. *)
-  Alcotest.(check bool) "below noise floor" false
-    (Bench.regressed (cmp (Some 0.01) (Some 0.04)));
-  (* Experiments present on only one side are reported, not flagged. *)
-  Alcotest.(check bool) "missing current" false (Bench.regressed (cmp (Some 1.0) None));
-  Alcotest.(check bool) "missing base" false (Bench.regressed (cmp None (Some 1.0)));
-  match Bench.speedup (cmp (Some 10.0) (Some 4.0)) with
-  | Some s -> Alcotest.(check (float 1e-9)) "speedup" 2.5 s
-  | None -> Alcotest.fail "speedup missing"
+  Alcotest.(check bool) "20% exactly passes" false (flagged 10.0 12.0);
+  Alcotest.(check bool) "beyond 20% fails" true (flagged 10.0 12.01);
+  (* Runs under the noise floor on both sides are never flagged, however
+     large the ratio; one side above it is enough to time. *)
+  Alcotest.(check bool) "below noise floor" false (flagged 0.01 0.04);
+  Alcotest.(check (list string))
+    "reported as below the floor" [ "x " ^ wall ]
+    (rows Bench.Below_floor (compare_entries [ experiment "x" 0.01 ] [ experiment "x" 0.04 ]));
+  Alcotest.(check bool) "current above the floor" true (flagged 0.01 0.06)
 
 let test_compare_pairing () =
-  let comparisons =
-    Bench.compare_wall_times
-      ~base:[ ("gone", 1.0); ("e1", 2.0) ]
-      ~current:[ ("e1", 1.5); ("fresh", 0.5) ]
+  let checks =
+    compare_entries
+      [ experiment "gone" 1.0; experiment "e1" 2.0 ]
+      [ experiment "e1" 1.5; experiment "fresh" 0.5 ]
   in
-  Alcotest.(check (list string)) "current order first, removed appended"
-    [ "e1"; "fresh"; "gone" ]
-    (List.map (fun c -> c.Bench.cmp_id) comparisons);
-  let find id = List.find (fun c -> c.Bench.cmp_id = id) comparisons in
-  Alcotest.(check bool) "fresh has no baseline" true ((find "fresh").Bench.base_seconds = None);
-  Alcotest.(check bool) "gone has no current" true ((find "gone").Bench.current_seconds = None)
+  Alcotest.(check (list string))
+    "current order first, baseline-only appended"
+    [ "e1 " ^ wall; "fresh " ^ wall; "gone " ^ wall ]
+    (List.map row_name checks);
+  Alcotest.(check (list string)) "fresh is new" [ "fresh " ^ wall ] (rows Bench.New checks);
+  Alcotest.(check (list string)) "gone was not run" [ "gone " ^ wall ] (rows Bench.Not_run checks);
+  Alcotest.(check (list string)) "one-sided rows never fail" [] (rows Bench.Over checks)
 
 let test_compare_rejects_bad_files () =
-  (match Bench.load_wall_times "/nonexistent/results.json" with
-  | Ok _ -> Alcotest.fail "accepted a missing file"
-  | Error _ -> ());
-  let path = Filename.temp_file "securebit_bench" ".json" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Out_channel.with_open_text path (fun oc -> output_string oc "{\"not\": \"bench\"}");
-      match Bench.load_wall_times path with
-      | Ok _ -> Alcotest.fail "accepted a non-results file"
+  with_file (results_file [ experiment "e1" 1.0 ]) (fun good ->
+      (match Bench.compare ~base:"/nonexistent/results.json" ~current:good with
+      | Ok _ -> Alcotest.fail "accepted a missing file"
       | Error message ->
-        Alcotest.(check bool) "diagnostic mentions experiments" true
-          (contains ~needle:"experiments" message))
+        Alcotest.(check bool) "names the baseline" true (contains ~needle:"baseline" message));
+      with_file "{\"not\": \"bench\"}" (fun bad ->
+          match Bench.compare ~base:good ~current:bad with
+          | Ok _ -> Alcotest.fail "accepted a non-results file"
+          | Error message ->
+            Alcotest.(check bool) "diagnostic mentions experiments" true
+              (contains ~needle:"experiments" message)))
 
-(* --- allocation-rate gate ------------------------------------------------- *)
-
-(* A results file with optional per-experiment words/active-round ceilings
-   and measured rates, for exercising the allocation gate in isolation. *)
-let alloc_results_file entries =
-  Json.Obj
-    [
-      ("schema", Json.String "securebit-bench/1");
-      ( "experiments",
-        Json.List
-          (List.map
-             (fun (id, seconds, ceiling, rate) ->
-               Json.Obj
-                 ([ ("id", Json.String id); ("wall_seconds", Json.Float seconds) ]
-                 @ (match ceiling with
-                   | Some c -> [ ("max_words_per_active_round", Json.Float c) ]
-                   | None -> [])
-                 @
-                 match rate with
-                 | Some r ->
-                   [ ("profile", Json.Obj [ ("words_per_active_round", Json.Float r) ]) ]
-                 | None -> []))
-             entries) );
-    ]
-
-let with_results_json json f =
-  let path = Filename.temp_file "securebit_bench" ".json" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Out_channel.with_open_text path (fun oc -> output_string oc (Json.to_string_pretty json));
-      f path)
-
-(* The acceptance bar for the dynamic half of the allocation gate: an
-   injected words/active-round regression over a committed ceiling must
-   fail the compare. *)
+(* The dynamic half of the allocation gate: a words/active-round rate above
+   1.2x the baseline's own rate fails the compare; at or under it passes,
+   and an unprofiled current run warns without failing. *)
 let test_compare_alloc_gate () =
-  with_results_json
-    (alloc_results_file [ ("e1", 10.0, Some 1000.0, None) ])
-    (fun base ->
-      with_results_json
-        (alloc_results_file [ ("e1", 10.0, None, Some 1500.0) ])
-        (fun current ->
-          match Bench.compare_files ~base ~current () with
-          | Error m -> Alcotest.fail m
-          | Ok (report, failed) ->
-            Alcotest.(check bool) "injected allocation regression flagged" true failed;
-            Alcotest.(check bool) "report says OVER CEILING" true
-              (contains ~needle:"OVER CEILING" report));
-      with_results_json
-        (alloc_results_file [ ("e1", 10.0, None, Some 900.0) ])
-        (fun current ->
-          match Bench.compare_files ~base ~current () with
-          | Error m -> Alcotest.fail m
-          | Ok (report, failed) ->
-            Alcotest.(check bool) "within-ceiling rate passes" false failed;
-            Alcotest.(check bool) "report confirms the gate ran" true
-              (contains ~needle:"no allocation-rate ceilings exceeded" report));
-      (* A ceiling the current run did not measure warns, never fails. *)
-      with_results_json
-        (alloc_results_file [ ("e1", 10.0, None, None) ])
-        (fun current ->
-          match Bench.compare_files ~base ~current () with
-          | Error m -> Alcotest.fail m
-          | Ok (report, failed) ->
-            Alcotest.(check bool) "unmeasured ceiling is not a failure" false failed;
-            Alcotest.(check bool) "reported as not profiled" true
-              (contains ~needle:"not profiled" report)))
+  let base = [ experiment "e1" 10.0 ~rate:1000.0 ] in
+  let with_rate r = compare_entries base [ experiment "e1" 10.0 ?rate:r ] in
+  let over = with_rate (Some 1500.0) in
+  Alcotest.(check (list string)) "over the limit" [ "e1 " ^ rate ] (rows Bench.Over over);
+  Alcotest.(check bool) "report says OVER LIMIT" true
+    (contains ~needle:"OVER LIMIT" (Bench.render over));
+  Alcotest.(check (list string)) "at the limit" [] (rows Bench.Over (with_rate (Some 1200.0)));
+  Alcotest.(check (list string))
+    "under the limit" [ "e1 " ^ wall; "e1 " ^ rate ]
+    (rows Bench.Within (with_rate (Some 900.0)));
+  let unprofiled = with_rate None in
+  Alcotest.(check (list string)) "unmeasured rate is not a failure" [] (rows Bench.Over unprofiled);
+  Alcotest.(check (list string))
+    "reported as not profiled" [ "e1 " ^ rate ]
+    (rows Bench.Not_profiled unprofiled);
+  Alcotest.(check bool) "report warns" true
+    (contains ~needle:"warning: 1 limit(s) not checked" (Bench.render unprofiled))
 
+(* Each limit follows from the baseline's own value by a fixed rule; pinned
+   with e1's numbers from BENCH_baseline.json. *)
 let test_alloc_checks_semantics () =
-  let checks =
-    Bench.alloc_checks
-      ~base_rates:[ ("e1", 2000.0) ]
-      ~ceilings:[ ("e1", 1000.0); ("e2", 500.0) ]
-      ~rates:[ ("e1", 1200.0) ]
-      ()
+  let limit field base =
+    (List.find (fun g -> String.concat "." g.Bench.field = field) Bench.gates).Bench.limit base
   in
-  Alcotest.(check int) "one check per committed ceiling" 2 (List.length checks);
-  Alcotest.(check bool) "measured rate over its ceiling" true
-    (Bench.alloc_exceeded (List.nth checks 0));
-  Alcotest.(check bool) "unmeasured ceiling not exceeded" false
-    (Bench.alloc_exceeded (List.nth checks 1));
-  (match Bench.alloc_delta (List.nth checks 0) with
-  | Some d -> Alcotest.(check (float 1e-9)) "delta vs the baseline's measured rate" (-0.4) d
-  | None -> Alcotest.fail "expected a delta for the profiled pair");
-  Alcotest.(check bool) "no delta without a baseline rate" true
-    (Bench.alloc_delta (List.nth checks 1) = None)
+  Alcotest.(check (option (float 0.0))) "heap: 1.5x, next 100 000 words" (Some 10_500_000.0)
+    (limit heap 6_968_784.0);
+  Alcotest.(check (option (float 0.0))) "rate: 1.2x, rounded up" (Some 472.0)
+    (limit rate 393.3160159136858);
+  Alcotest.(check (option (float 0.0))) "a rate of 0 gets no gate" None (limit rate 0.0);
+  Alcotest.(check (option (float 1e-9))) "wall: 1.2x" (Some 12.0) (limit wall 10.0);
+  Alcotest.(check (list string))
+    "no rate row for a table that never transmits" [ "bounds " ^ wall ]
+    (List.map row_name
+       (compare_entries
+          [ experiment "bounds" 1.0 ~rate:0.0 ]
+          [ experiment "bounds" 1.0 ~rate:5.0 ]))
+
+(* An experiment the current file lacks was not run: neither a warning
+   nor a failure, even when every experiment that did run was profiled
+   (the @alloc cell compares one profiled experiment against the whole
+   baseline). *)
+let test_compare_not_run () =
+  let checks =
+    compare_entries
+      [
+        experiment "e1" 1.0 ~heap:1_000_000 ~rate:100.0;
+        experiment "e2" 1.0 ~heap:1_000_000 ~rate:100.0;
+      ]
+      [ experiment "e2" 1.0 ~heap:1_000_000 ~rate:100.0 ]
+  in
+  Alcotest.(check (list string))
+    "e1's rows read not run" [ "e1 " ^ wall; "e1 " ^ heap; "e1 " ^ rate ]
+    (rows Bench.Not_run checks);
+  Alcotest.(check (list string)) "nothing unprofiled" [] (rows Bench.Not_profiled checks);
+  Alcotest.(check bool) "no warning" false (contains ~needle:"warning" (Bench.render checks))
 
 (* --- Runner byte-identity ------------------------------------------------- *)
 
@@ -388,15 +320,17 @@ let test_profile_counters () =
     (contains ~needle:"rounds_per_second" json);
   Alcotest.(check bool) "per-worker stats embedded in the results JSON" true
     (contains ~needle:"workers" json);
-  (* bench compare only reads id + wall_seconds, so profiled results files
-     remain valid comparison inputs. *)
+  (* A profiled results file is valid compare input, and its profile fields
+     are gated: against itself, every row passes. *)
   let results = Runner.results_json ~scale:Experiment.Quick ~jobs:1 [ profiled ] in
-  match Bench.wall_times_of_results results with
-  | Ok [ (id, seconds) ] ->
-    Alcotest.(check string) "id survives" "e8a" id;
-    Alcotest.(check bool) "wall time read back" true (seconds >= 0.0)
-  | Ok other -> Alcotest.failf "expected one entry, got %d" (List.length other)
-  | Error message -> Alcotest.failf "profiled results rejected by compare: %s" message
+  with_file (Json.to_string_pretty results) (fun path ->
+      match Bench.compare ~base:path ~current:path with
+      | Error message -> Alcotest.failf "profiled results rejected by compare: %s" message
+      | Ok checks ->
+        Alcotest.(check (list string))
+          "every gate checked" [ "e8a " ^ wall; "e8a " ^ heap; "e8a " ^ rate ]
+          (List.map row_name checks);
+        Alcotest.(check (list string)) "nothing flagged" [] (rows Bench.Over checks))
 
 (* Sanitized parallel maps of a pure function agree with List.map for any
    worker count — the sanitizer's sequential re-run never perturbs clean
@@ -441,6 +375,7 @@ let () =
           Alcotest.test_case "injected words/active-round regression detected" `Quick
             test_compare_alloc_gate;
           Alcotest.test_case "allocation-check semantics" `Quick test_alloc_checks_semantics;
+          Alcotest.test_case "experiment not run is no warning" `Quick test_compare_not_run;
         ] );
       ( "runner",
         [
