@@ -456,8 +456,8 @@ let lint_alloc_cmd =
           roots (engine round phases, channel resolution, voting kernels), classify \
           every syntactic allocation site and diff the per-root per-class counts against the \
           committed golden inventory.  A class a hot root did not previously allocate is an \
-          error; count growth is a warning.  Pairs with the dynamic words/active-round gate in \
-          `bench compare`.")
+          error; count growth is a warning.  Pairs with the dynamic words/active-round gate of \
+          `securebit_cli compare`.")
     Term.(
       const run $ json_arg $ baseline_arg $ write_arg $ inventory_arg $ sites_arg
       $ seed_violation_arg $ paths_arg)

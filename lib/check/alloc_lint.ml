@@ -26,7 +26,7 @@
    operator/function spellings are matched), and higher-order calls are
    not followed.  The {!allowlist} records audited sites — each entry
    carries the justification string shown in [--json] — and the dynamic
-   counterpart (the [words_per_active_round] gate in [bench compare])
+   counterpart (the [words_per_active_round] gate of [securebit_cli compare])
    catches whatever the syntax misses. *)
 
 type alloc_class =

@@ -16,8 +16,8 @@
 
     Purely syntactic and documented approximate (no typing, no
     higher-order flow; flambda may eliminate some flagged sites) — the
-    dynamic counterpart is the [words_per_active_round] gate in
-    [bench compare].  The {!allowlist} records audited sites with their
+    dynamic counterpart is the [words_per_active_round] gate of
+    [securebit_cli compare].  The {!allowlist} records audited sites with their
     justification; stale entries are themselves errors pointing at the
     entry's definition line in this module. *)
 

@@ -2,10 +2,10 @@
 
     Benchmark results are serialized with this module so downstream tooling
     can consume `BENCH_results.json` without scraping the ASCII tables, and
-    parsed back by `bench compare` to diff two result files.  Output is
-    deterministic: field order is preserved, floats print as the shortest
-    decimal that round-trips, and non-finite floats (which JSON cannot
-    represent) become [null]. *)
+    parsed back by `securebit_cli compare` to check one against another.
+    Output is deterministic: field order is preserved, floats print as the
+    shortest decimal that round-trips, and non-finite floats (which JSON
+    cannot represent) become [null]. *)
 
 type t =
   | Null

@@ -1,6 +1,6 @@
 (* Tests for the hand-rolled JSON reader/writer: escaping, number
-   formatting, nesting, the pretty printer, and the parser `bench compare`
-   uses to read results files back. *)
+   formatting, nesting, the pretty printer, and the parser
+   `securebit_cli compare` uses to read results files back. *)
 
 let compact v expected () = Alcotest.(check string) "compact" expected (Json.to_string v)
 
