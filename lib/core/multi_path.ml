@@ -266,8 +266,22 @@ let delivered ctx s =
 
 (* --- construction ---------------------------------------------------- *)
 
+(* Payload lengths fail fast, naming both lengths: an [assert] would name
+   only a source line. *)
+let check_payload config role =
+  let fail what message =
+    invalid_arg
+      (Printf.sprintf "Multi_path.machine: %s has %d bits, expected msg_len = %d" what
+         (Bitvec.length message) config.msg_len)
+  in
+  match role with
+  | Source message when Bitvec.length message <> config.msg_len -> fail "Source message" message
+  | Liar message when Bitvec.length message <> config.msg_len -> fail "Liar message" message
+  | Source _ | Liar _ | Relay -> ()
+
 let machine ctx id role =
   let config = ctx.config in
+  check_payload config role;
   let pos = Topology.position ctx.topology id in
   let peers =
     Array.map
@@ -325,14 +339,12 @@ let machine ctx id role =
   begin
     match role with
     | Source message ->
-      assert (Bitvec.length message = config.msg_len);
       Bitvec.fold_left
         (fun () bit ->
           add_committed ctx s bit;
           push_frame ctx s (Frame.Source bit))
         () message
     | Liar message ->
-      assert (Bitvec.length message = config.msg_len);
       Bitvec.fold_left (fun () bit -> commit_bit ctx s bit) () message
     | Relay -> ()
   end;
@@ -349,8 +361,11 @@ let machine ctx id role =
   }
 
 let state_of ctx id what =
+  let n = Array.length ctx.states in
+  if id < 0 || id >= n then
+    invalid_arg (Printf.sprintf "Multi_path.%s: node %d is not in 0..%d" what id (n - 1));
   match ctx.states.(id) with
-  | None -> invalid_arg ("Multi_path." ^ what ^ ": unknown node")
+  | None -> invalid_arg (Printf.sprintf "Multi_path.%s: node %d has no machine" what id)
   | Some s -> s
 
 let committed_bits ctx id =

@@ -40,9 +40,14 @@ val schedule : ctx -> Schedule.t
 type role = Source of Bitvec.t | Relay | Liar of Bitvec.t
 
 val machine : ctx -> Node.id -> role -> Msg.t Engine.machine
+(** The engine machine for one node.  Raises [Invalid_argument] naming
+    both lengths if a [Source] or [Liar] payload's length is not
+    [msg_len]. *)
+
 val committed_bits : ctx -> Node.id -> Bitvec.t
 (** Prefix committed so far by a node built with [machine].  Raises
-    [Invalid_argument] for a node without a machine. *)
+    [Invalid_argument] for an id outside [0, n) or a node without a
+    machine. *)
 
 val stream_counts : ctx -> Node.id -> (Node.id * int) list
 (** [(peer, bits received)] for every sensed peer's 1Hop stream, in

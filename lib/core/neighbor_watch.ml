@@ -128,28 +128,26 @@ let role_receiving = 3
 let role_passive = 4  (* catch-up fired: stay silent for the rest of the interval *)
 
 type state = {
-  id : Node.id;
   send_slot : int;  (** own square's slot; the source sends in slot 0 instead *)
-  listen_by_slot : Vote.stream option array;  (** slot -> provider stream, O(1) *)
   committed : Buffer.t;  (** '0'/'1' chars *)
   mutable sender : One_hop.Sender.t;
-  streams : Vote.stream array;
-  stream_slots : int array;  (** the slot each of [streams] is heard in *)
+  streams : Vote.stream array;  (** the source's first if sensed, then adjacent squares' *)
+  stream_slots : int array;
+      (** the slot each of [streams] is heard in: at most nine, pairwise
+          distinct (see {!stream_in_slot}) *)
   vote : Vote.t;  (** the frontier tally (see {!Vote}) *)
   mutable role : int;  (** one of the [role_*] codes *)
   tb_sender : Two_bit.Sender.t;
   tb_blocker : Two_bit.Blocker.t;
   tb_receiver : Two_bit.Receiver.t;
   mutable send_parity : bool;  (** the parity bit of the current 2Bit send *)
-  mutable rx_stream : Vote.stream option;  (** stream listened to while receiving *)
+  mutable rx : int;  (** index in [streams] listened to while receiving *)
   mutable cur_interval : int;
   mutable needy_from : int;
   mutable needy_at : int;
       (** wake cache: no interval in [\[needy_from, needy_at)] needs a poll,
           and [needy_at] does ([max_int]: none ever does); see {!needy} *)
-  progress : int array;
-      (** the context's per-node progress array; this machine writes only
-          slot [id] *)
+  mutable own_progress : int;  (** this node's share of the context's [progress] *)
   mutable failures : int;
   mutable liar_attempts : int;
       (** [> 0]: a lying device that will abandon its fake message and
@@ -161,9 +159,6 @@ type state = {
           jammer, measured separately).  This matches the paper's stated
           success condition — only squares with no honest member spread the
           fake (Section 6.1). *)
-  msg_len : int;
-  catchup_failures : int;
-  pipelined : bool;
 }
 
 type ctx = {
@@ -172,10 +167,10 @@ type ctx = {
   squares : Squares.t;
   schedule : Schedule.t;
   source : Node.id;
-  states : (Node.id, state) Hashtbl.t;
-  progress : int array;
-      (** per node: committed bits plus stream bits received.  Each
-          machine writes only its own slot. *)
+  states : state option array;  (** by node id: the last machine built for it *)
+  mutable progress : int;
+      (** committed bits plus stream bits received, summed over [states]:
+          each machine adds its own changes in O(1) *)
 }
 
 let make_ctx config ~topology ~source =
@@ -192,8 +187,8 @@ let make_ctx config ~topology ~source =
     squares;
     schedule;
     source;
-    states = Hashtbl.create 64;
-    progress = Array.make (Topology.size topology) 0;
+    states = Array.make (Topology.size topology) None;
+    progress = 0;
   }
 
 let schedule ctx = ctx.schedule
@@ -204,34 +199,49 @@ type role = Source of Bitvec.t | Relay | Liar of Bitvec.t
 let committed_len s = Buffer.length s.committed
 let committed_bit s i = Buffer.nth s.committed i = '1'
 
-let commit_bit s bit =
+let add_progress ctx s delta =
+  s.own_progress <- s.own_progress + delta;
+  ctx.progress <- ctx.progress + delta
+
+let commit_bit ctx s bit =
   Buffer.add_char s.committed (if bit then '1' else '0');
-  s.progress.(s.id) <- s.progress.(s.id) + 1;
+  add_progress ctx s 1;
   (* Committed bits are what the node's square is allowed to forward.  The
      non-pipelined ablation (DESIGN.md) holds bits back until the whole
      message has been committed — the "natural" store-and-forward layering
      whose running time the paper shows to be asymptotically worse. *)
-  if s.pipelined then One_hop.Sender.push s.sender bit
-  else if Buffer.length s.committed = s.msg_len then
+  if ctx.config.pipelined then One_hop.Sender.push s.sender bit
+  else if Buffer.length s.committed = ctx.config.msg_len then
     String.iter (fun c -> One_hop.Sender.push s.sender (c = '1')) (Buffer.contents s.committed)
 
 (* Try to extend the committed prefix; repeats until no rule applies.  The
    frontier decision proper lives in {!Vote.poll}. *)
-let rec try_commit s =
-  if committed_len s < s.msg_len then begin
+let rec try_commit ctx s =
+  if committed_len s < ctx.config.msg_len then begin
     match Vote.poll s.vote ~committed:s.committed s.streams with
     | Some v ->
-      commit_bit s v;
-      try_commit s
+      commit_bit ctx s v;
+      try_commit ctx s
     | None -> ()
   end
 
-let delivered s =
-  if committed_len s >= s.msg_len then
-    Some (Bitvec.init s.msg_len (fun i -> committed_bit s i))
+let delivered ctx s =
+  let msg_len = ctx.config.msg_len in
+  if committed_len s >= msg_len then Some (Bitvec.init msg_len (fun i -> committed_bit s i))
   else None
 
 (* --- interval roles ------------------------------------------------- *)
+
+(* The index of the stream heard in [slot] from [k] on, or -1.  A node
+   listens to at most nine slots, pairwise distinct: the source's slot 0 is
+   reserved, and adjacent squares of one 3x3 block get distinct slots (the
+   schedule's reuse distance k >= 3).  So a scan finds the only match, and
+   costs no cycle-sized table per machine.  The [int] annotation keeps the
+   comparison an integer one, not a polymorphic [compare] call. *)
+let rec stream_in_slot (slots : int array) slot k =
+  if k = Array.length slots then -1
+  else if slots.(k) = slot then k
+  else stream_in_slot slots slot (k + 1)
 
 let setup_interval ctx s interval =
   s.cur_interval <- interval;
@@ -249,35 +259,36 @@ let setup_interval ctx s interval =
     end
   end
   else begin
-    match s.listen_by_slot.(slot) with
-    | Some _ as stream ->
+    let k = stream_in_slot s.stream_slots slot 0 in
+    if k >= 0 then begin
       s.role <- role_receiving;
-      s.rx_stream <- stream;
+      s.rx <- k;
       Two_bit.Receiver.reset s.tb_receiver
-    | None -> s.role <- role_idle
+    end
+    else s.role <- role_idle
   end
 
 (* A detected liar abandons the fake and relays honestly from scratch.  The
    committed prefix restarts, so every stream's agreement state restarts
    with it. *)
-let liar_give_up s =
+let liar_give_up ctx s =
   s.liar_attempts <- 0;
-  s.progress.(s.id) <- s.progress.(s.id) - committed_len s;
+  add_progress ctx s (-committed_len s);
   Buffer.clear s.committed;
   s.sender <- One_hop.Sender.create ();
   s.failures <- 0;
   Array.iter Vote.reset_stream s.streams;
   Vote.reset s.vote;
-  try_commit s
+  try_commit ctx s
 
-let finish_interval s =
+let finish_interval ctx s =
   if s.role = role_sending then begin
     match Two_bit.Sender.outcome s.tb_sender with
     | Some Two_bit.Success ->
       One_hop.Sender.advance s.sender;
       s.failures <- 0
     | Some Two_bit.Failure when s.liar_attempts > 0 ->
-      if s.liar_attempts <= 1 then liar_give_up s
+      if s.liar_attempts <= 1 then liar_give_up ctx s
       else s.liar_attempts <- s.liar_attempts - 1
     | Some Two_bit.Failure ->
       s.failures <- s.failures + 1;
@@ -286,7 +297,8 @@ let finish_interval s =
          moved on, or a jammer is spending a broadcast per interval; skip
          forward rather than deadlock (see DESIGN.md). *)
       let pointer = One_hop.Sender.sent s.sender in
-      if s.failures >= s.catchup_failures && One_hop.Sender.total s.sender > pointer + 1
+      if s.failures >= ctx.config.catchup_failures
+         && One_hop.Sender.total s.sender > pointer + 1
       then begin
         One_hop.Sender.skip_to s.sender (pointer + 1);
         s.failures <- 0
@@ -296,20 +308,17 @@ let finish_interval s =
   else if s.role = role_receiving then begin
     let r = s.tb_receiver in
     if Two_bit.Receiver.finished r && not (Two_bit.Receiver.veto_seen r) then begin
-      match s.rx_stream with
-      | Some stream ->
-        let rx = Vote.receiver stream in
-        let before = One_hop.Receiver.received rx in
-        One_hop.Receiver.push_two_bit rx ~parity:(Two_bit.Receiver.bit1 r)
-          ~data:(Two_bit.Receiver.bit2 r);
-        if One_hop.Receiver.received rx > before then begin
-          s.progress.(s.id) <- s.progress.(s.id) + 1;
-          (* The stream's parity flipped and [try_commit] may queue bits
-             for sending: both decide future wakes (see [needy]). *)
-          s.needy_from <- max_int
-        end;
-        try_commit s
-      | None -> ()
+      let rx = Vote.receiver s.streams.(s.rx) in
+      let before = One_hop.Receiver.received rx in
+      One_hop.Receiver.push_two_bit rx ~parity:(Two_bit.Receiver.bit1 r)
+        ~data:(Two_bit.Receiver.bit2 r);
+      if One_hop.Receiver.received rx > before then begin
+        add_progress ctx s 1;
+        (* The stream's parity flipped and [try_commit] may queue bits for
+           sending: both decide future wakes (see [needy]). *)
+        s.needy_from <- max_int
+      end;
+      try_commit ctx s
     end
   end
 
@@ -346,7 +355,7 @@ let observe_activity ctx s round activity =
   end
   else if s.role = role_receiving then Two_bit.Receiver.observe s.tb_receiver ~phase ~activity
   else if s.role = role_blocking then Two_bit.Blocker.observe s.tb_blocker ~phase ~activity;
-  if phase = Schedule.rounds_per_interval - 1 then finish_interval s
+  if phase = Schedule.rounds_per_interval - 1 then finish_interval ctx s
 
 let observe ctx s round obs = observe_activity ctx s round (Channel.is_activity obs)
 
@@ -406,7 +415,7 @@ let engaged s =
   else if s.role = role_receiving then begin
     let r = s.tb_receiver in
     Two_bit.Receiver.bit1 r || Two_bit.Receiver.bit2 r || Two_bit.Receiver.veto_seen r
-    || match s.rx_stream with Some stream -> odd_stream stream | None -> false
+    || odd_stream s.streams.(s.rx)
   end
   else if s.role = role_blocking then Two_bit.Blocker.saw_data s.tb_blocker
   else false
@@ -425,78 +434,86 @@ let next_active ctx s round =
 
 (* --- construction ---------------------------------------------------- *)
 
+(* Payload lengths fail fast, naming both lengths: an [assert] would name
+   only a source line. *)
+let check_payload config role initial_commit =
+  let fail what bits expected =
+    invalid_arg
+      (Printf.sprintf "Neighbor_watch.machine: %s has %d bits, expected %s %d" what
+         (Bitvec.length bits) expected config.msg_len)
+  in
+  match (role, initial_commit) with
+  | Source message, _ when Bitvec.length message <> config.msg_len ->
+    fail "Source message" message "msg_len ="
+  | Liar message, _ when Bitvec.length message <> config.msg_len ->
+    fail "Liar message" message "msg_len ="
+  | Relay, Some prefix when Bitvec.length prefix > config.msg_len ->
+    fail "initial_commit" prefix "at most msg_len ="
+  | (Source _ | Liar _ | Relay), _ -> ()
+
 let machine ?initial_commit ctx id role =
   let config = ctx.config in
-  let pos = Topology.position ctx.topology id in
-  let my_square = Squares.square_of ctx.squares pos in
+  check_payload config role initial_commit;
+  let my_square = Squares.square_of ctx.squares (Topology.position ctx.topology id) in
   let is_source = id = ctx.source in
   let senses_source =
-    Array.exists (fun { Topology.peer; _ } -> peer = ctx.source) (Topology.sensed ctx.topology).(id)
+    (not is_source)
+    && Array.exists (fun { Topology.peer; _ } -> peer = ctx.source) (Topology.sensed ctx.topology).(id)
   in
-  let adjacent = Squares.neighbors ctx.squares my_square in
-  let listen =
-    let squares_listen =
-      List.map (fun sq -> (Schedule.slot_of ctx.schedule sq, Vote.Sq sq)) adjacent
-    in
-    if (not is_source) && senses_source then (Schedule.source_slot, Vote.Src) :: squares_listen
-    else squares_listen
+  (* Streams in listening order: the source's if sensed, then the adjacent
+     squares' in [Squares.neighbors] order. *)
+  let adjacent = Array.of_list (Squares.neighbors ctx.squares my_square) in
+  let first = if senses_source then 1 else 0 in
+  let count = first + Array.length adjacent in
+  let streams =
+    Array.init count (fun k ->
+        Vote.stream (if k < first then Vote.Src else Vote.Sq adjacent.(k - first)))
   in
-  let streams = List.map (fun (_, provider) -> Vote.stream provider) listen in
-  let stream_arr = Array.of_list streams in
-  (* Adjacent squares of one 3x3 block get pairwise-distinct slots (the
-     schedule's reuse distance k >= 3), so slot -> stream is injective. *)
-  let listen_by_slot = Array.make (Schedule.cycle ctx.schedule) None in
-  List.iter2
-    (fun (slot, _) stream ->
-      match listen_by_slot.(slot) with
-      | None -> listen_by_slot.(slot) <- Some stream
-      | Some _ -> ())
-    listen streams;
-  let my_slot = Schedule.slot_of ctx.schedule my_square in
+  let stream_slots =
+    Array.init count (fun k ->
+        if k < first then Schedule.source_slot
+        else Schedule.slot_of ctx.schedule adjacent.(k - first))
+  in
   let s =
     {
-      id;
-      send_slot = (if is_source then Schedule.source_slot else my_slot);
-      listen_by_slot;
+      send_slot =
+        (if is_source then Schedule.source_slot else Schedule.slot_of ctx.schedule my_square);
       committed = Buffer.create 16;
       sender = One_hop.Sender.create ();
-      streams = stream_arr;
-      stream_slots = Array.of_list (List.map fst listen);
+      streams;
+      stream_slots;
       vote = Vote.create ~votes:config.votes;
       role = role_idle;
       tb_sender = Two_bit.Sender.create ~b1:false ~b2:false;
       tb_blocker = Two_bit.Blocker.create ();
       tb_receiver = Two_bit.Receiver.create ();
       send_parity = false;
-      rx_stream = None;
+      rx = -1;
       cur_interval = -1;
       needy_from = max_int;
       needy_at = max_int;
-      progress = ctx.progress;
+      own_progress = 0;
       failures = 0;
       liar_attempts = (match role with Liar _ -> 3 | Source _ | Relay -> 0);
-      msg_len = config.msg_len;
-      catchup_failures = config.catchup_failures;
-      pipelined = config.pipelined;
     }
   in
-  ctx.progress.(id) <- 0;
+  (* A rebuilt node's previous machine leaves the total. *)
+  (match ctx.states.(id) with
+  | Some old -> ctx.progress <- ctx.progress - old.own_progress
+  | None -> ());
+  ctx.states.(id) <- Some s;
   begin
     match role with
     | Source message | Liar message ->
-      assert (Bitvec.length message = config.msg_len);
-      Bitvec.fold_left (fun () bit -> commit_bit s bit) () message
+      Bitvec.fold_left (fun () bit -> commit_bit ctx s bit) () message
     | Relay -> begin
       (* Bits this node committed in a previous epoch of a mobile run stay
          committed: commitment is a local, already-authenticated fact. *)
       match initial_commit with
-      | Some prefix ->
-        assert (Bitvec.length prefix <= config.msg_len);
-        Bitvec.fold_left (fun () bit -> commit_bit s bit) () prefix
+      | Some prefix -> Bitvec.fold_left (fun () bit -> commit_bit ctx s bit) () prefix
       | None -> ()
     end
   end;
-  Hashtbl.replace ctx.states id s;
   {
     Engine.act = (fun round -> act ctx s round);
     observe = (fun round obs -> observe ctx s round obs);
@@ -504,13 +521,16 @@ let machine ?initial_commit ctx id role =
       Some
         (fun round code _slots ->
           observe_activity ctx s round (Channel.Packed.is_activity code));
-    delivered = (fun () -> delivered s);
+    delivered = (fun () -> delivered ctx s);
     next_active = (fun round -> next_active ctx s round);
   }
 
 let state_of ctx id fn =
-  match Hashtbl.find_opt ctx.states id with
-  | None -> invalid_arg ("Neighbor_watch." ^ fn ^ ": unknown node")
+  let n = Array.length ctx.states in
+  if id < 0 || id >= n then
+    invalid_arg (Printf.sprintf "Neighbor_watch.%s: node %d is not in 0..%d" fn id (n - 1));
+  match ctx.states.(id) with
+  | None -> invalid_arg (Printf.sprintf "Neighbor_watch.%s: node %d has no machine" fn id)
   | Some s -> s
 
 let committed_bits ctx id =
@@ -526,12 +546,6 @@ let unsent_bits ctx id =
   let s = state_of ctx id "unsent_bits" in
   One_hop.Sender.total s.sender - One_hop.Sender.sent s.sender
 
-(* One pass over n ints: the stall detector calls this every
-   [stop_stride] rounds, executed or skipped, so on a large quiet network
-   it is a large share of a run's work. *)
-let progress (ctx : ctx) =
-  let total = ref 0 in
-  for i = 0 to Array.length ctx.progress - 1 do
-    total := !total + ctx.progress.(i)
-  done;
-  !total
+(* The stall detector calls this every [stop_stride] rounds, executed or
+   skipped, so it reads a running total rather than summing n counts. *)
+let progress (ctx : ctx) = ctx.progress

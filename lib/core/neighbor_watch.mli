@@ -109,7 +109,9 @@ val machine : ?initial_commit:Bitvec.t -> ctx -> Node.id -> role -> Msg.t Engine
     [Source]/[Liar] payloads must have length [msg_len].  [initial_commit]
     pre-seeds a [Relay] with a prefix it committed earlier (epoch
     hand-over in mobile runs, see {!Mobile}); commitment is a local fact,
-    so it survives re-clustering.
+    so it survives re-clustering.  It may hold at most [msg_len] bits.  A
+    payload of the wrong length raises [Invalid_argument] naming both
+    lengths.
 
     Wakeup contract (quiet intervals): an interval needs polls only if the
     node sends in it — its own slot, with a bit queued — or listens in it
@@ -121,7 +123,8 @@ val machine : ?initial_commit:Bitvec.t -> ctx -> Node.id -> role -> Msg.t Engine
 
 val committed_bits : ctx -> Node.id -> Bitvec.t
 (** Prefix committed so far by a node built with [machine] (for tests and
-    progress inspection).  Requires that the node's machine exists. *)
+    progress inspection).  Raises [Invalid_argument] for an id outside
+    [0, n) or a node without a machine. *)
 
 val stream_counts : ctx -> Node.id -> (int * int) list
 (** [(slot, bits received)] for every stream a node listens to: one per
@@ -139,5 +142,5 @@ val progress : ctx -> int
     long time the network is wedged (e.g. honest square members
     permanently vetoing liars) and a simulation can be cut short.  Not
     monotone: a liar that gives up clears its committed prefix, which
-    lowers the count.  O(n) over a flat per-node array that each machine
-    updates in O(1) for its own node. *)
+    lowers the count.  O(1): a running total that each machine updates in
+    O(1) as its own count changes. *)

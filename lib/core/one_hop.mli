@@ -63,6 +63,9 @@ module Receiver : sig
 
   val received : t -> int
   val get : t -> int -> bool
+  (** Bit [i] of the stream; raises [Invalid_argument] unless
+      [0 <= i < received]. *)
+
   val bits : t -> Bitvec.t
   (** The whole stream received so far. *)
 

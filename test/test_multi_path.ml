@@ -177,6 +177,53 @@ let progress_oracle_case (label, liar) (mname, mode) =
 
 let progress_specs = [ ("honest", fun _ -> false); ("lying", fun i -> i mod 12 = 5) ]
 
+(* --- bad input: the cause is named ------------------------------------- *)
+
+(* A 5x5 grid context with only the source's machine built. *)
+let bare_ctx () =
+  let deployment = Deployment.grid ~width:5 ~height:5 in
+  let topology = Topology.build deployment (Propagation.disk_linf 2.0) in
+  let source = Deployment.center_node deployment in
+  let config = Multi_path.default_config ~radius:2.0 ~tolerance:1 ~msg_len:(Bitvec.length message) in
+  (Multi_path.make_ctx config ~topology ~source, Topology.size topology, source)
+
+let bad_id_case (label, id_of_n) =
+  Alcotest.test_case label `Quick (fun () ->
+      let ctx, n, source = bare_ctx () in
+      ignore (Multi_path.machine ctx source (Multi_path.Source message));
+      let id = id_of_n n in
+      List.iter
+        (fun (fn, f) ->
+          Alcotest.check_raises fn
+            (Invalid_argument (Printf.sprintf "Multi_path.%s: node %d is not in 0..%d" fn id (n - 1)))
+            (fun () -> f ctx id))
+        [
+          ("committed_bits", fun ctx id -> ignore (Multi_path.committed_bits ctx id));
+          ("stream_counts", fun ctx id -> ignore (Multi_path.stream_counts ctx id));
+        ])
+
+(* Each role payload one bit off: the error names both lengths, and the
+   failed node gets no machine. *)
+let payload_case (label, role, expected) =
+  Alcotest.test_case label `Quick (fun () ->
+      let ctx, _, source = bare_ctx () in
+      Alcotest.check_raises label (Invalid_argument expected) (fun () ->
+          ignore (Multi_path.machine ctx source role));
+      Alcotest.check_raises "no machine left behind"
+        (Invalid_argument
+           (Printf.sprintf "Multi_path.committed_bits: node %d has no machine" source))
+        (fun () -> ignore (Multi_path.committed_bits ctx source)))
+
+let payload_specs =
+  [
+    ( "Source message of 2 bits",
+      Multi_path.Source (Bitvec.of_string "10"),
+      "Multi_path.machine: Source message has 2 bits, expected msg_len = 3" );
+    ( "Liar message of 4 bits",
+      Multi_path.Liar (Bitvec.of_string "0101"),
+      "Multi_path.machine: Liar message has 4 bits, expected msg_len = 3" );
+  ]
+
 let test_sources_beyond_range_need_votes () =
   (* Sanity on the voting path: nodes outside the source's sense range can
      only commit through COMMIT/HEARD quorums, and they do. *)
@@ -219,6 +266,9 @@ let () =
           Alcotest.test_case "t=2 resists light lying" `Quick test_tolerance_resists_light_lying;
           Alcotest.test_case "relay cap reduces traffic" `Quick test_relay_cap_reduces_traffic;
         ] );
+      ( "bad input",
+        List.map bad_id_case [ ("node id -1", fun _ -> -1); ("node id n", fun n -> n) ]
+        @ List.map payload_case payload_specs );
       ( "progress oracle",
         List.concat_map
           (fun spec ->

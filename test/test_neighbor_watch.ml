@@ -160,6 +160,40 @@ let test_committed_bits_and_progress () =
     | None -> Alcotest.fail "grid node did not deliver"
   done
 
+(* Building a node's machine again replaces it in the running total: the
+   old machine's count leaves, the new one's construction commits enter. *)
+let test_progress_after_rebuild () =
+  let msg = Bitvec.of_string "110" in
+  let ctx, topology, source, machines =
+    grid_ctx_and_machines ~side:7 ~radius:2.0 ~msg ~liars:[]
+  in
+  let n = Topology.size topology in
+  let folded () =
+    let total = ref 0 in
+    for i = 0 to n - 1 do
+      total :=
+        !total
+        + Bitvec.length (Neighbor_watch.committed_bits ctx i)
+        + List.fold_left (fun acc (_, count) -> acc + count) 0 (Neighbor_watch.stream_counts ctx i)
+    done;
+    !total
+  in
+  let waiters = Array.init n (fun i -> i <> source) in
+  let _ = Engine.run ~topology ~machines ~waiters ~cap:200_000 () in
+  let relay = if source = 0 then 1 else 0 in
+  Alcotest.(check bool) "the relay heard streams" true
+    (List.exists (fun (_, count) -> count > 0) (Neighbor_watch.stream_counts ctx relay));
+  let check label =
+    Alcotest.(check int) label (folded ()) (Neighbor_watch.progress ctx)
+  in
+  check "after the run";
+  ignore (Neighbor_watch.machine ctx relay Neighbor_watch.Relay);
+  check "relay rebuilt empty";
+  ignore (Neighbor_watch.machine ~initial_commit:(Bitvec.of_string "11") ctx relay Neighbor_watch.Relay);
+  check "relay rebuilt with a carried prefix";
+  ignore (Neighbor_watch.machine ctx source (Neighbor_watch.Source msg));
+  check "source rebuilt"
+
 let test_liar_vetoed_when_square_has_honest_node () =
   (* R = 4 on the grid gives analytic squares of side 2 holding 4 nodes
      each; a single liar per square is always vetoed, so no honest node
@@ -453,7 +487,8 @@ let test_quiet_interval_polls () =
 let measured_polls = 7_449
 let measured_executed_rounds = 636
 
-let test_poll_budget () =
+(* The gated cell's spec, topology and a fresh context. *)
+let budget_cell () =
   let spec =
     Scale_sweep.cell_spec
       ~base:{ Scenario.default with message = Bitvec.of_string "10"; seed = 1 }
@@ -470,7 +505,10 @@ let test_poll_budget () =
   let config =
     Neighbor_watch.default_config ~radius:spec.Scenario.radius ~msg_len:(Bitvec.length msg)
   in
-  let ctx = Neighbor_watch.make_ctx config ~topology ~source in
+  (spec, n, topology, source, msg, Neighbor_watch.make_ctx config ~topology ~source)
+
+let test_poll_budget () =
+  let spec, n, topology, source, msg, ctx = budget_cell () in
   let polls = ref 0 and executed = ref 0 and last = ref (-1) in
   let on_poll _ r =
     incr polls;
@@ -512,6 +550,29 @@ let test_poll_budget () =
   in
   within "polls" measured_polls !polls;
   within "executed rounds" measured_executed_rounds !executed
+
+(* Deterministic allocation gate on the same cell: building a machine
+   costs O(degree) words (its streams, the 2Bit sub-machines, the engine
+   closures), not a table per schedule slot.  The minor-heap count of a
+   seeded construction is exact, so it gates without a clock.  Measured:
+   307 words per machine, where a cycle-sized slot table and a buffer per
+   stream cost 607. *)
+let max_words_per_machine = 350.0
+
+let test_construction_words () =
+  let _, n, _, source, msg, ctx = budget_cell () in
+  let before = Gc.minor_words () in
+  let machines =
+    Array.init n (fun i ->
+        Neighbor_watch.machine ctx i
+          (if i = source then Neighbor_watch.Source msg else Neighbor_watch.Relay))
+  in
+  let per_machine = (Gc.minor_words () -. before) /. float_of_int (Array.length machines) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per machine, at most %.0f" per_machine
+       max_words_per_machine)
+    true
+    (per_machine <= max_words_per_machine)
 
 (* The flat progress array against the fold the library used to run over
    its state table (committed bits plus received stream bits, summed over
@@ -561,6 +622,73 @@ let progress_oracle_case (label, role) (mname, mode) =
         Alcotest.(check bool) "some liar gave up" true !gave_up
       end)
 
+(* --- bad input: the cause is named ------------------------------------- *)
+
+(* A 5x5 grid context with no machine built yet. *)
+let bare_ctx ~msg_len =
+  let deployment = Deployment.grid ~width:5 ~height:5 in
+  let topology = Topology.build deployment (Propagation.disk_linf 2.0) in
+  let source = Deployment.center_node deployment in
+  let config = Neighbor_watch.analytic_config ~radius:2.0 ~msg_len in
+  (Neighbor_watch.make_ctx config ~topology ~source, Topology.size topology, source)
+
+let accessors =
+  [
+    ("committed_bits", fun ctx id -> ignore (Neighbor_watch.committed_bits ctx id));
+    ("stream_counts", fun ctx id -> ignore (Neighbor_watch.stream_counts ctx id));
+    ("unsent_bits", fun ctx id -> ignore (Neighbor_watch.unsent_bits ctx id));
+  ]
+
+let bad_id_case (label, id_of_n) =
+  Alcotest.test_case label `Quick (fun () ->
+      let ctx, n, source = bare_ctx ~msg_len:2 in
+      ignore (Neighbor_watch.machine ctx source (Neighbor_watch.Source (Bitvec.of_string "10")));
+      let id = id_of_n n in
+      List.iter
+        (fun (fn, f) ->
+          Alcotest.check_raises fn
+            (Invalid_argument (Printf.sprintf "Neighbor_watch.%s: node %d is not in 0..%d" fn id (n - 1)))
+            (fun () -> f ctx id))
+        accessors)
+
+let test_node_without_machine () =
+  let ctx, _, _ = bare_ctx ~msg_len:2 in
+  List.iter
+    (fun (fn, f) ->
+      Alcotest.check_raises fn
+        (Invalid_argument (Printf.sprintf "Neighbor_watch.%s: node 3 has no machine" fn))
+        (fun () -> f ctx 3))
+    accessors
+
+(* Each payload a constructor takes, one bit off: the error names both
+   lengths, and the failed node gets no machine. *)
+let payload_case (label, initial_commit, role, message) =
+  Alcotest.test_case label `Quick (fun () ->
+      let ctx, _, source = bare_ctx ~msg_len:4 in
+      let id = match role with Neighbor_watch.Source _ -> source | _ -> 0 in
+      Alcotest.check_raises label (Invalid_argument message) (fun () ->
+          ignore (Neighbor_watch.machine ?initial_commit ctx id role));
+      Alcotest.check_raises "no machine left behind"
+        (Invalid_argument
+           (Printf.sprintf "Neighbor_watch.committed_bits: node %d has no machine" id))
+        (fun () -> ignore (Neighbor_watch.committed_bits ctx id)))
+
+let payload_specs =
+  [
+    ( "Source message of 3 bits",
+      None,
+      Neighbor_watch.Source (Bitvec.of_string "101"),
+      "Neighbor_watch.machine: Source message has 3 bits, expected msg_len = 4" );
+    ( "Liar message of 5 bits",
+      None,
+      Neighbor_watch.Liar (Bitvec.of_string "10110"),
+      "Neighbor_watch.machine: Liar message has 5 bits, expected msg_len = 4" );
+    ( "initial_commit of 5 bits",
+      Some (Bitvec.of_string "10110"),
+      Neighbor_watch.Relay,
+      "Neighbor_watch.machine: initial_commit has 5 bits, expected at most msg_len = 4" );
+  ]
+
 let progress_specs =
   [
     ("honest", fun _ -> `Relay);
@@ -580,6 +708,7 @@ let () =
             test_deliveries_never_fake_without_liars;
           Alcotest.test_case "2-voting conservative" `Quick test_two_voting_requires_two_providers;
           Alcotest.test_case "committed bits and progress" `Quick test_committed_bits_and_progress;
+          Alcotest.test_case "progress after a rebuilt machine" `Quick test_progress_after_rebuild;
         ] );
       ( "faults",
         [
@@ -608,7 +737,12 @@ let () =
           Alcotest.test_case "quiet intervals: who is polled when" `Quick
             test_quiet_interval_polls;
           Alcotest.test_case "poll budget at n = 2000" `Quick test_poll_budget;
+          Alcotest.test_case "construction words at n = 2000" `Quick test_construction_words;
         ] );
+      ( "bad input",
+        List.map bad_id_case [ ("node id -1", fun _ -> -1); ("node id n", fun n -> n) ]
+        @ Alcotest.test_case "node without a machine" `Quick test_node_without_machine
+          :: List.map payload_case payload_specs );
       ( "progress oracle",
         List.concat_map
           (fun spec ->

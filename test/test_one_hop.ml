@@ -65,6 +65,21 @@ let test_silence_is_not_a_bit () =
   One_hop.Receiver.push_two_bit r ~parity:false ~data:false;
   Alcotest.(check int) "silence rejected" 0 (One_hop.Receiver.received r)
 
+let test_get_past_end_raises () =
+  let r = One_hop.Receiver.create () in
+  let past_end label i =
+    Alcotest.check_raises label (Invalid_argument "One_hop.Receiver.get: index out of range")
+      (fun () -> ignore (One_hop.Receiver.get r i))
+  in
+  past_end "empty stream" 0;
+  (* Eight bits: past the first storage size, so the read lands on filler. *)
+  for i = 0 to 7 do
+    One_hop.Receiver.push_two_bit r ~parity:(One_hop.parity_of_index i) ~data:true
+  done;
+  Alcotest.(check int) "eight bits" 8 (One_hop.Receiver.received r);
+  past_end "at received" (One_hop.Receiver.received r);
+  past_end "negative" (-1)
+
 let prop_lossless_transfer =
   QCheck.Test.make ~name:"sender-to-receiver transfer is lossless and ordered" ~count:200
     QCheck.(small_list bool)
@@ -119,7 +134,81 @@ let prop_interleaved_push =
       done;
       Bitvec.to_list (One_hop.Receiver.bits r) = first @ second)
 
-let qtests = [ prop_lossless_transfer; prop_retries_are_harmless; prop_interleaved_push ]
+(* A list model of both stream ends under a random script, long enough to
+   take each end's storage through every growth step up to 1 000 bits.
+   [Deliver (fresh, data)] feeds the receiver a 2Bit result with its
+   expected parity if [fresh], the stale parity otherwise; [Skip_by k]
+   asks for the send pointer [k] past where it is. *)
+type op = Push of bool | Advance | Skip_by of int | Deliver of bool * bool
+
+let show_op = function
+  | Push b -> Printf.sprintf "Push %b" b
+  | Advance -> "Advance"
+  | Skip_by k -> Printf.sprintf "Skip_by %d" k
+  | Deliver (fresh, data) -> Printf.sprintf "Deliver (%b, %b)" fresh data
+
+let arb_script =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map (fun b -> Push b) bool);
+          (4, map2 (fun fresh data -> Deliver (fresh, data)) (frequencyl [ (3, true); (1, false) ]) bool);
+          (1, return Advance);
+          (1, map (fun k -> Skip_by k) (frequency [ (4, int_range (-2) 4); (1, return 5_000) ]));
+        ])
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+    ~shrink:(fun ops -> QCheck.Shrink.list ops)
+    QCheck.Gen.(list_size (int_bound 2_500) op)
+
+let prop_list_model =
+  QCheck.Test.make ~name:"Sender and Receiver match a list model past every growth step" ~count:100
+    arb_script (fun script ->
+      let pushed = Array.of_list (List.filter_map (function Push b -> Some b | _ -> None) script) in
+      let accepted =
+        List.filter_map (function Deliver (true, data) -> Some data | _ -> None) script
+      in
+      let accepted_arr = Array.of_list accepted in
+      let s = One_hop.Sender.create () and r = One_hop.Receiver.create () in
+      let total = ref 0 and sent = ref 0 and received = ref 0 in
+      let read_raises i =
+        match One_hop.Receiver.get r i with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Push b ->
+            One_hop.Sender.push s b;
+            incr total
+          | Advance ->
+            One_hop.Sender.advance s;
+            if !sent < !total then incr sent
+          | Skip_by k ->
+            One_hop.Sender.skip_to s (!sent + k);
+            if k > 0 then sent := min (!sent + k) !total
+          | Deliver (fresh, data) ->
+            let expected = One_hop.parity_of_index !received in
+            One_hop.Receiver.push_two_bit r ~parity:(if fresh then expected else not expected) ~data;
+            if fresh then incr received);
+          One_hop.Sender.total s = !total
+          && One_hop.Sender.sent s = !sent
+          && One_hop.Sender.has_current s = (!sent < !total)
+          && (!sent >= !total
+             || One_hop.Sender.current s = (One_hop.parity_of_index !sent, pushed.(!sent)))
+          && One_hop.Receiver.received r = !received
+          && (!received = 0 || One_hop.Receiver.get r (!received - 1) = accepted_arr.(!received - 1))
+          && read_raises !received)
+        script
+      && Bitvec.to_list (One_hop.Receiver.bits r) = accepted
+      && Bitvec.to_list (One_hop.Receiver.prefix r (!received / 2))
+         = List.filteri (fun i _ -> i < !received / 2) accepted)
+
+let qtests =
+  [ prop_lossless_transfer; prop_retries_are_harmless; prop_interleaved_push; prop_list_model ]
 
 let () =
   Alcotest.run "one_hop"
@@ -132,6 +221,7 @@ let () =
           Alcotest.test_case "receiver assembles" `Quick test_receiver_assembles_stream;
           Alcotest.test_case "retransmissions ignored" `Quick test_receiver_ignores_retransmission;
           Alcotest.test_case "silence is not a bit" `Quick test_silence_is_not_a_bit;
+          Alcotest.test_case "get at received raises" `Quick test_get_past_end_raises;
         ] );
       ("properties", List.map (fun t -> QCheck_alcotest.to_alcotest ~long:false t) qtests);
     ]
