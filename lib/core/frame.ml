@@ -70,36 +70,43 @@ let encode c frame =
           Bitvec.of_int ~width:c.coord_bits (encode_delta c dy);
         ])
 
-let base_length_from_tag c = function
-  | false, false -> Some 3
-  | false, true -> Some (3 + c.index_bits)
-  | true, false -> Some (3 + c.index_bits + (2 * c.coord_bits))
-  | true, true -> None
+(* Unpadded frame length for the tag bits [b0 b1], or -1 for the unused
+   tag.  Ints, not options, so the stream parser allocates nothing. *)
+let base_length c b0 b1 =
+  match (b0, b1) with
+  | false, false -> 3
+  | false, true -> 3 + c.index_bits
+  | true, false -> 3 + c.index_bits + (2 * c.coord_bits)
+  | true, true -> -1
 
-let length_from_tag c tag = Option.map padded (base_length_from_tag c tag)
+let length_of_tag_bits c b0 b1 =
+  let base = base_length c b0 b1 in
+  if base < 0 then -1 else padded base
+
+let length_from_tag c (b0, b1) =
+  let len = length_of_tag_bits c b0 b1 in
+  if len < 0 then None else Some len
 
 let decode c bits =
   if Bitvec.length bits < 3 then None
   else begin
     let b0 = Bitvec.get bits 0 and b1 = Bitvec.get bits 1 in
-    match (base_length_from_tag c (b0, b1), Bitvec.length bits) with
-    | Some base, actual
-      when padded base = actual && (base = actual || Bitvec.get bits (actual - 1)) ->
-      if not (b0 || b1) then Some (Source (Bitvec.get bits 2))
+    let base = base_length c b0 b1 and actual = Bitvec.length bits in
+    if base < 0 || padded base <> actual || (base <> actual && not (Bitvec.get bits (actual - 1)))
+    then None
+    else if not (b0 || b1) then Some (Source (Bitvec.get bits 2))
+    else begin
+      let index = Bitvec.to_int (Bitvec.sub bits ~pos:2 ~len:c.index_bits) in
+      if index >= c.msg_len then None
       else begin
-        let index = Bitvec.to_int (Bitvec.sub bits ~pos:2 ~len:c.index_bits) in
-        if index >= c.msg_len then None
+        let value = Bitvec.get bits (2 + c.index_bits) in
+        if b1 then Some (Commit { index; value })
         else begin
-          let value = Bitvec.get bits (2 + c.index_bits) in
-          if b1 then Some (Commit { index; value })
-          else begin
-            let off = 3 + c.index_bits in
-            let dx = Bitvec.to_int (Bitvec.sub bits ~pos:off ~len:c.coord_bits) in
-            let dy = Bitvec.to_int (Bitvec.sub bits ~pos:(off + c.coord_bits) ~len:c.coord_bits) in
-            Some
-              (Heard { index; value; cause = (decode_delta c dx, decode_delta c dy) })
-          end
+          let off = 3 + c.index_bits in
+          let dx = Bitvec.to_int (Bitvec.sub bits ~pos:off ~len:c.coord_bits) in
+          let dy = Bitvec.to_int (Bitvec.sub bits ~pos:(off + c.coord_bits) ~len:c.coord_bits) in
+          Some (Heard { index; value; cause = (decode_delta c dx, decode_delta c dy) })
         end
       end
-    | _ -> None
+    end
   end

@@ -61,6 +61,10 @@ val length_from_tag : codec -> bool * bool -> int option
 (** Total frame length given the first two stream bits; [None] for the
     unused tag (a malformed stream). *)
 
+val length_of_tag_bits : codec -> bool -> bool -> int
+(** [length_from_tag] without allocating: the total frame length given the
+    first two stream bits, or [-1] for the unused tag. *)
+
 val decode : codec -> Bitvec.t -> t option
 (** Decode a full frame; [None] if the tag is invalid, the length is wrong
     for the tag, or the index is out of range. *)

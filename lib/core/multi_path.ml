@@ -165,25 +165,25 @@ let parse_frames ctx s peer =
     let available = One_hop.Receiver.received peer.stream - peer.parsed in
     if available < 2 then continue := false
     else begin
-      let tag =
-        (One_hop.Receiver.get peer.stream peer.parsed,
-         One_hop.Receiver.get peer.stream (peer.parsed + 1))
+      let len =
+        Frame.length_of_tag_bits ctx.codec
+          (One_hop.Receiver.get peer.stream peer.parsed)
+          (One_hop.Receiver.get peer.stream (peer.parsed + 1))
       in
-      match Frame.length_from_tag ctx.codec tag with
-      | None ->
+      if len < 0 then begin
         (* Gibberish can only come from a Byzantine slot owner; there is no
            way to resynchronise, so stop listening to this peer. *)
         peer.poisoned <- true;
         continue := false
-      | Some len ->
-        if available < len then continue := false
-        else begin
-          let bits = Bitvec.init len (fun i -> One_hop.Receiver.get peer.stream (peer.parsed + i)) in
-          peer.parsed <- peer.parsed + len;
-          match Frame.decode ctx.codec bits with
-          | Some frame -> handle_frame ctx s peer frame
-          | None -> peer.poisoned <- true
-        end
+      end
+      else if available < len then continue := false
+      else begin
+        let bits = Bitvec.init len (fun i -> One_hop.Receiver.get peer.stream (peer.parsed + i)) in
+        peer.parsed <- peer.parsed + len;
+        match Frame.decode ctx.codec bits with
+        | Some frame -> handle_frame ctx s peer frame
+        | None -> peer.poisoned <- true
+      end
     end
   done;
   try_commit ctx s

@@ -361,6 +361,11 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(st
        actually jump ahead go through the calendar.  [stamps] counts the
        stamps for the next round to run; it is reset as a round starts. *)
     let stamps = ref 0 in
+    (* [queued.(i)]: the round of machine [i]'s latest push, or -1.  Every
+       push is for a round after the one being processed, and only keys up
+       to that round have been popped, so that entry is still queued: a
+       touched sleeper re-asking the same wake round pushes nothing. *)
+    let queued = Array.make n (-1) in
     let schedule_machine i q =
       let na = machines.(i).next_active q in
       let na = if na < q then q else na in
@@ -372,7 +377,10 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(st
           set_add sets.(q land 1) i;
           incr stamps
         end
-        else Calendar.add cal na i
+        else if na <> queued.(i) then begin
+          queued.(i) <- na;
+          Calendar.add cal na i
+        end
       end
     in
     for i = 0 to n - 1 do
@@ -453,7 +461,14 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(st
         | Some rows -> fan_out_words rows i payload
         | None -> fan_out i payload)
     in
-    let observe_step i r =
+    (* One pass per polled machine: observe, then completion and the next
+       wakeup.  A poll can change any machine state, so its wakeup is
+       re-asked after every poll — e.g. an epidemic relay that just
+       received the packet now wants its own slot.  [delivered] and
+       [next_active] read only their own machine's state (see {!machine}),
+       so asking them before higher ids observe sees what the dense loop's
+       later Phase 3 sees. *)
+    let poll_step i r =
       let p = obs_packed.(i) in
       obs_packed.(i) <- Channel.Packed.silence;
       if tap <> None then begin
@@ -461,22 +476,18 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(st
         polled.(!n_polled) <- i;
         incr n_polled
       end;
-      match machines.(i).observe_packed with
+      (match machines.(i).observe_packed with
       | Some f -> f r p slots
-      | None -> machines.(i).observe r (observation_of_packed slots p)
-    in
-    (* A poll can change any machine state, so its wakeup is re-asked
-       after every poll — e.g. an epidemic relay that just received the
-       packet now wants its own slot. *)
-    let finish_step i r =
+      | None -> machines.(i).observe r (observation_of_packed slots p));
       check_complete i r;
       schedule_machine i (r + 1)
     in
     let process_round r =
       let cur = sets.(r land 1) in
       stamps := 0;
-      (* Drain this round's wakeups into the word set, which also dedupes
-         multiple calendar entries per machine. *)
+      (* Drain this round's wakeups into the word set, which also absorbs
+         the duplicates [queued] lets through: a non-monotone wake's stale
+         entry, or an entry for a round the machine was also stamped for. *)
       while (not (Calendar.is_empty cal)) && Calendar.min_key cal = r do
         set_add cur (Calendar.pop_min cal)
       done;
@@ -495,8 +506,7 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(st
           set_add cur touched.(k)
         done
       end;
-      drain observe_step ~clear:false cur r;
-      drain finish_step ~clear:true cur r;
+      drain poll_step ~clear:true cur r;
       if r = 0 then
         for i = 0 to n - 1 do
           check_complete i 0

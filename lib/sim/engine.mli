@@ -40,7 +40,8 @@ type 'm machine = {
           the equivalence suite runs every protocol both ways.  [None]
           falls back to [observe]. *)
   delivered : unit -> Bitvec.t option;
-      (** the broadcast payload this node has accepted, once complete *)
+      (** the broadcast payload this node has accepted, once complete;
+          like [next_active], it may read only this machine's own state *)
   next_active : int -> int;
       (** Wakeup contract: [next_active r] is the earliest round [>= r] at
           which the machine may transmit or needs to distinguish the
@@ -51,8 +52,11 @@ type 'm machine = {
           engine then skips both calls.  Transmissions that reach the node
           are always delivered through [observe], whatever the contract
           says, and the contract is re-queried after every poll (so it may
-          depend on state updated by a reception).  Use {!always_active}
-          to opt out of skipping. *)
+          depend on state updated by a reception).  It may read only this
+          machine's own state, or state changed in [act] (a jammer's
+          budget): the sparse loop asks it, and [delivered], right after
+          the machine's own observe, before higher ids observe.  Use
+          {!always_active} to opt out of skipping. *)
 }
 
 val observation_of_packed : 'm slots -> int -> 'm Channel.observation

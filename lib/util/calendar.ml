@@ -1,8 +1,9 @@
 (* Calendar queue for the wakeup-driven engine: an int-keyed binary
    min-heap over parallel arrays, so scheduling and draining wakeups
    allocates nothing once the arrays have grown to their working size.
-   Duplicate (key, value) entries are allowed — the engine dedupes at pop
-   time with a per-round stamp, which is cheaper than a decrease-key. *)
+   Duplicate (key, value) entries are allowed, which is cheaper than a
+   decrease-key: the engine pushes only when a machine's wake round moves,
+   and its per-round word set absorbs the duplicates that remain. *)
 
 type t = { mutable keys : int array; mutable vals : int array; mutable size : int }
 

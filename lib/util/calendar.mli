@@ -2,9 +2,10 @@
 
     Backs the wakeup-driven engine loop ([Engine.run ~mode:`Sparse]): keys
     are round numbers, payloads are machine ids.  The heap tolerates
-    duplicate entries for one payload — consumers dedupe when draining —
-    so a schedule update is a plain O(log n) push, never a decrease-key.
-    Among entries with equal keys the pop order is unspecified. *)
+    duplicate entries for one payload, so a schedule update is a plain
+    O(log n) push, never a decrease-key; the engine pushes only when a
+    machine's wake round moves.  Among entries with equal keys the pop
+    order is unspecified. *)
 
 type t
 

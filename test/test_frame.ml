@@ -48,6 +48,35 @@ let test_lengths_match_tag () =
       Frame.Heard { index = 9; value = true; cause = (1, 1) };
     ]
 
+(* The allocation-free length agrees with [length_from_tag] on every tag,
+   and with the encoded length of every frame kind, across codecs of
+   different index and coordinate widths; the unused tag reads -1. *)
+let test_length_of_tag_bits () =
+  List.iter
+    (fun (msg_len, coord_range, coord_step) ->
+      let c = Frame.codec ~msg_len ~coord_range ~coord_step in
+      List.iter
+        (fun (b0, b1) ->
+          let label = Printf.sprintf "msg_len %d, tag %b%b" msg_len b0 b1 in
+          Alcotest.(check int) label
+            (Option.value ~default:(-1) (Frame.length_from_tag c (b0, b1)))
+            (Frame.length_of_tag_bits c b0 b1))
+        [ (false, false); (false, true); (true, false); (true, true) ];
+      List.iter
+        (fun frame ->
+          let bits = Frame.encode c frame in
+          Alcotest.(check int)
+            (Printf.sprintf "msg_len %d, encoded length" msg_len)
+            (Bitvec.length bits)
+            (Frame.length_of_tag_bits c (Bitvec.get bits 0) (Bitvec.get bits 1)))
+        [
+          Frame.Source false;
+          Frame.Commit { index = msg_len - 1; value = true };
+          Frame.Heard { index = 0; value = false; cause = (1, -1) };
+        ])
+    [ (1, 1.0, 1.0); (4, 2.5, 0.5); (5, 8.0, 0.5); (16, 8.0, 0.5); (100, 3.0, 0.25) ];
+  Alcotest.(check int) "tag 11 invalid" (-1) (Frame.length_of_tag_bits codec true true)
+
 let test_invalid_tag () =
   Alcotest.(check (option int)) "tag 11 invalid" None (Frame.length_from_tag codec (true, true));
   Alcotest.(check (option frame_testable)) "decode tag 11" None
@@ -121,6 +150,7 @@ let () =
           Alcotest.test_case "roundtrip commit" `Quick test_roundtrip_commit;
           Alcotest.test_case "roundtrip heard" `Quick test_roundtrip_heard;
           Alcotest.test_case "self-delimiting lengths" `Quick test_lengths_match_tag;
+          Alcotest.test_case "allocation-free tag length" `Quick test_length_of_tag_bits;
           Alcotest.test_case "invalid tag" `Quick test_invalid_tag;
           Alcotest.test_case "wrong length rejected" `Quick test_wrong_length_rejected;
           Alcotest.test_case "out-of-range index rejected" `Quick

@@ -8,6 +8,10 @@
    - Jamming can delay but never corrupt.
    - Engine accounting invariants. *)
 
+(* 80 uniform nodes on an 8x8 map sometimes leave a node out of the
+   source's reach; such draws must still run, not raise
+   [Scenario.Unreachable] (the check draws no randomness, and the
+   properties read honest deliveries only). *)
 let small_spec ~seed ~protocol ~faults =
   {
     Scenario.default with
@@ -21,6 +25,7 @@ let small_spec ~seed ~protocol ~faults =
     heard_relay_limit = Some 4;
     cap = 400_000;
     seed;
+    allow_unreachable = true;
   }
 
 let deliveries result =
@@ -128,6 +133,20 @@ let prop_determinism =
       let b = Scenario.summarize (Scenario.run spec) in
       a = b)
 
+(* Seed 5714 draws a deployment the source cannot fully reach, which
+   used to raise [Scenario.Unreachable] out of the properties above. *)
+let test_unreachable_draw_runs () =
+  let spec =
+    small_spec ~seed:5714 ~protocol:(Scenario.Neighbor_watch { votes = 1 })
+      ~faults:Scenario.No_faults
+  in
+  let result = Scenario.run spec in
+  let n = Topology.size result.Scenario.topology in
+  Alcotest.(check bool) "some node out of reach" true
+    (Topology.reachable_from result.Scenario.topology result.Scenario.source < n);
+  Alcotest.(check bool) "every delivery is the true message" true
+    (List.for_all (fun bits -> Bitvec.equal bits spec.Scenario.message) (deliveries result))
+
 let qtests =
   [
     prop_nw_lying_never_splices;
@@ -140,4 +159,8 @@ let qtests =
 
 let () =
   Alcotest.run "invariants"
-    [ ("end-to-end", List.map (fun t -> QCheck_alcotest.to_alcotest ~long:false t) qtests) ]
+    [
+      ("end-to-end", List.map (fun t -> QCheck_alcotest.to_alcotest ~long:false t) qtests);
+      ( "fixed seeds",
+        [ Alcotest.test_case "unreachable draw runs" `Quick test_unreachable_draw_runs ] );
+    ]

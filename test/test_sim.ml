@@ -701,6 +701,51 @@ let test_engine_poll_set_contract () =
     result.Engine.completion_round.(deliverer);
   Alcotest.(check int) "ran to the cap" cap result.Engine.rounds_used
 
+(* The sparse loop's calendar holds one entry per (machine, round).  A
+   beacon transmits every round to a sleeper that always asks for the
+   same far wake round, so each round touches the sleeper and re-asks its
+   contract; re-queuing it on every poll would grow the heap by one entry
+   per round.  The machines allocate nothing per round (a preallocated
+   action, packed observers), so the words [Engine.run] allocates may not
+   depend on the run's length. *)
+let test_engine_calendar_growth () =
+  let topology = line_topology 2 1.0 1.5 in
+  let beep = Engine.Transmit 7 in
+  let words_of_run cap =
+    let beacon =
+      {
+        Engine.act = (fun _ -> beep);
+        observe = (fun _ _ -> ());
+        observe_packed = Some (fun _ _ _ -> ());
+        delivered = (fun () -> None);
+        next_active = Engine.always_active;
+      }
+    in
+    let sleeper =
+      {
+        Engine.act = (fun _ -> Engine.Silent);
+        observe = (fun _ _ -> ());
+        observe_packed = Some (fun _ _ _ -> ());
+        delivered = (fun () -> None);
+        next_active = (fun _ -> cap - 1);
+      }
+    in
+    let machines = [| beacon; sleeper |] and waiters = [| false; true |] in
+    let allocated () =
+      let minor, promoted, major = Gc.counters () in
+      minor +. major -. promoted
+    in
+    let before = allocated () in
+    let result = Engine.run ~mode:`Sparse ~topology ~machines ~waiters ~cap () in
+    let words = allocated () -. before in
+    Alcotest.(check int) "ran to the cap" cap result.Engine.rounds_used;
+    words
+  in
+  let short = words_of_run 2_000 and long = words_of_run 20_000 in
+  if long -. short > 1_000.0 then
+    Alcotest.failf "10x the rounds cost %.0f more words (%.0f at cap 2000, %.0f at cap 20000)"
+      (long -. short) short long
+
 (* The engine's flat-aggregate channel resolution must agree with the
    reference Channel.resolve on arbitrary receiver configurations. *)
 let prop_engine_matches_reference =
@@ -804,6 +849,7 @@ let () =
           Alcotest.test_case "sparse mode skips idle rounds" `Quick
             test_engine_sparse_skips_idle_rounds;
           Alcotest.test_case "sparse poll set across words" `Quick test_engine_poll_set_contract;
+          Alcotest.test_case "calendar does not grow with run length" `Quick test_engine_calendar_growth;
         ] );
       ("properties", List.map (fun t -> QCheck_alcotest.to_alcotest ~long:false t) qtests);
     ]
