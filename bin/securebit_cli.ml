@@ -16,11 +16,37 @@ open Cmdliner
 
 (* --- shared options ---------------------------------------------------- *)
 
+(* Converters reject what the simulation cannot run, with the scenario
+   linter's ranges, so a bad value exits 124 naming its option instead of
+   failing inside Deployment or running a degenerate broadcast. *)
+let at_least_one what =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some _ | None -> Error (`Msg (Printf.sprintf "%S is not a %s of at least 1" s what))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+(* NaN fails both comparisons. *)
+let in_unit_interval s =
+  match float_of_string_opt s with Some x when x >= 0.0 && x <= 1.0 -> Some x | _ -> None
+
 let map_arg =
-  Arg.(value & opt float 20.0 & info [ "map" ] ~docv:"UNITS" ~doc:"Square map side length.")
+  let side =
+    let parse s =
+      match float_of_string_opt s with
+      | Some x when x > 0.0 && Float.is_finite x -> Ok x
+      | Some _ | None -> Error (`Msg (Printf.sprintf "%S is not a positive finite length" s))
+    in
+    Arg.conv (parse, Format.pp_print_float)
+  in
+  Arg.(value & opt side 20.0 & info [ "map" ] ~docv:"UNITS" ~doc:"Square map side length.")
 
 let nodes_arg =
-  Arg.(value & opt int 600 & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of devices.")
+  Arg.(
+    value
+    & opt (at_least_one "device count") 600
+    & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of devices.")
 
 let radius_arg =
   Arg.(value & opt float 4.0 & info [ "r"; "radius" ] ~docv:"R" ~doc:"Broadcast range.")
@@ -28,9 +54,16 @@ let radius_arg =
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
 let message_arg =
+  let bits =
+    let parse s =
+      if s <> "" && String.for_all (fun c -> c = '0' || c = '1') s then Ok s
+      else Error (`Msg (Printf.sprintf "%S is not a non-empty pattern of 0s and 1s" s))
+    in
+    Arg.conv (parse, Format.pp_print_string)
+  in
   Arg.(
     value
-    & opt string "1011"
+    & opt bits "1011"
     & info [ "m"; "message" ] ~docv:"BITS" ~doc:"Broadcast message as a bit pattern.")
 
 let protocol_conv =
@@ -65,28 +98,30 @@ let protocol_arg =
     & info [ "p"; "protocol" ] ~docv:"PROTO"
         ~doc:"Protocol: nw (NeighborWatchRB), nw2 (2-voting), mp:<t> (MultiPathRB), epidemic.")
 
+(* Fractions and probabilities lie in [0, 1]; a negative jam budget is
+   legal and means the jammers never run out. *)
 let faults_conv =
   let parse s =
     match String.split_on_char ':' s with
     | [ "none" ] -> Ok Scenario.No_faults
     | [ "crash"; f ] -> (
-      match float_of_string_opt f with
+      match in_unit_interval f with
       | Some fraction -> Ok (Scenario.Crash fraction)
-      | None -> Error (`Msg "crash:<fraction>"))
+      | None -> Error (`Msg "crash:<fraction> needs a fraction in [0, 1]"))
     | [ "lie"; f ] -> (
-      match float_of_string_opt f with
+      match in_unit_interval f with
       | Some fraction -> Ok (Scenario.Lying fraction)
-      | None -> Error (`Msg "lie:<fraction>"))
+      | None -> Error (`Msg "lie:<fraction> needs a fraction in [0, 1]"))
     | [ "jam"; f; b; p ] -> (
-      match (float_of_string_opt f, int_of_string_opt b, float_of_string_opt p) with
+      match (in_unit_interval f, int_of_string_opt b, in_unit_interval p) with
       | Some fraction, Some budget, Some probability ->
         Ok (Scenario.Jamming { fraction; budget; probability })
-      | _ -> Error (`Msg "jam:<fraction>:<budget>:<probability>"))
+      | _ -> Error (`Msg "jam:<fraction>:<budget>:<probability> needs f and p in [0, 1]"))
     | [ "sjam"; f; b; p ] -> (
-      match (float_of_string_opt f, int_of_string_opt b, float_of_string_opt p) with
+      match (in_unit_interval f, int_of_string_opt b, in_unit_interval p) with
       | Some fraction, Some budget, Some probability ->
         Ok (Scenario.Selective_jam { fraction; budget; probability })
-      | _ -> Error (`Msg "sjam:<fraction>:<budget>:<probability>"))
+      | _ -> Error (`Msg "sjam:<fraction>:<budget>:<probability> needs f and p in [0, 1]"))
     | _ -> Error (`Msg "expected none | crash:<f> | lie:<f> | jam:<f>:<b>:<p> | sjam:<f>:<b>:<p>")
   in
   let print fmt = function
@@ -119,7 +154,7 @@ let radio_arg =
 let clusters_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (at_least_one "cluster count")) None
     & info [ "clusters" ] ~docv:"K" ~doc:"Deploy in K normal clusters instead of uniformly.")
 
 let relay_cap_arg =
@@ -175,17 +210,9 @@ let run_cmd =
 (* --- fig ---------------------------------------------------------------- *)
 
 let jobs_arg =
-  let workers =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | Some _ | None -> Error (`Msg (Printf.sprintf "%S is not a worker count of at least 1" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
   Arg.(
     value
-    & opt workers 1
+    & opt (at_least_one "worker count") 1
     & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Run trial cells on N worker domains.")
 
 let scale_arg =

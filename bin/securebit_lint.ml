@@ -6,8 +6,9 @@
                                        concurrency hazards in the sources;
    `securebit_lint lint share`         domain-safety lint: mutable state
                                        reachable from pool tasks;
-   `securebit_lint lint alloc`         hot-path allocation inventory diffed
-                                       against the committed golden file;
+   `securebit_lint lint alloc`         hot-path allocation audit: every
+                                       allocation site a hot root reaches
+                                       must be audited in the allowlist;
    `securebit_lint check twobit`       bounded model checking of the 2Bit
                                        frame and the 1Hop stream;
    `securebit_lint check vote`         exhaustive checking of the multi-hop
@@ -100,10 +101,6 @@ let read paths =
    tree; each reports the files that did not parse. *)
 let source_lint lint (parsed, errors) = Diags (Diagnostics.sort (errors @ lint parsed))
 
-let alloc ~baseline tree =
-  let golden = Alloc_lint.load_golden baseline in
-  source_lint (fun parsed -> Alloc_lint.lint ~golden_name:baseline ~golden parsed) tree
-
 let scenario targets = Diags (List.concat_map (fun (name, spec) -> Lint.lint ~name spec) targets)
 
 let twobit ~impl ~budget ~receivers ~msg_len =
@@ -188,10 +185,12 @@ let json_arg =
           "Emit diagnostics as JSON on stdout instead of text.  Exit status is unchanged: \
            non-zero iff any error-severity finding.")
 
+(* [file] rejects a PATH that does not exist (exit 124, naming it), so a
+   misspelt or renamed directory cannot lint nothing and pass. *)
 let paths_arg =
   Arg.(
     value
-    & pos_all string [ "lib"; "bin"; "bench"; "examples"; "test" ]
+    & pos_all file [ "lib"; "bin"; "bench"; "examples"; "test" ]
     & info [] ~docv:"PATH"
         ~doc:"Files or directories to analyze (default: lib bin bench examples test).")
 
@@ -255,212 +254,65 @@ let lint_scenario_cmd =
           geometry preconditions and parameter sanity.")
     Term.(const run $ all_arg $ strict_arg $ json_arg $ names_arg)
 
-(* --- lint source -------------------------------------------------------- *)
+(* --- lint source / share / alloc ------------------------------------------- *)
 
-let lint_source_cmd =
-  let run json paths =
-    let files = read paths in
+(* The three source lints take the same arguments: [--json], PATHs and,
+   where the analyzer bundles a demo tree, [--seed-violation], which lints
+   the demo files with the demo's lint instead of the PATHs. *)
+let source_cmd name ~analyzer:label ~verb ?seed ~doc lint =
+  let seeded =
+    match seed with None -> Term.const false | Some (doc, _, _) -> seed_violation_arg ~doc
+  in
+  let run json seeded paths =
+    let files, lint =
+      match seed with
+      | Some (_, demo, demo_lint) when seeded -> (demo, demo_lint)
+      | Some _ | None -> (read paths, lint)
+    in
     let n = List.length files in
     report ~json
-      ~summary:(Printf.sprintf "linted %d file(s)" n)
-      ~head:[ analyzer "source-lint"; count "files" n ]
-      (summarize (source_lint Source_lint.lint (Callgraph.parse files)))
+      ~summary:(Printf.sprintf "%s %d file(s)" verb n)
+      ~head:[ analyzer label; count "files" n ]
+      (summarize (source_lint lint (Callgraph.parse files)))
   in
-  Cmd.v
-    (Cmd.info "source"
-       ~doc:
-         "AST-level lint (compiler-libs) flagging determinism and concurrency hazards: Hashtbl \
-          iteration order, polymorphic compare/hash, ambient Random, wall-clock reads and \
-          Domain/Atomic use outside the job pool.")
-    Term.(const run $ json_arg $ paths_arg)
+  Cmd.v (Cmd.info name ~doc) Term.(const run $ json_arg $ seeded $ paths_arg)
 
-(* --- lint share --------------------------------------------------------- *)
-
-let print_inventory ~json ~files (inv : Share_lint.inventory) =
-  if json then
-    print_json
-      [
-        analyzer "share-lint-inventory";
-        count "files" files;
-        ( "globals",
-          Json.List
-            (List.map
-               (fun (g : Share_lint.global) ->
-                 Json.Obj
-                   [
-                     ("module", Json.String g.gmodule);
-                     ("file", Json.String g.gfile);
-                     ("line", Json.Int g.gline);
-                     ("name", Json.String g.gname);
-                     ("kind", Json.String (Share_lint.kind_label g.gkind));
-                   ])
-               inv.globals) );
-        ( "mutable_fields",
-          Json.List
-            (List.map
-               (fun (f : Share_lint.mutable_field) ->
-                 Json.Obj
-                   [
-                     ("module", Json.String f.fmodule);
-                     ("file", Json.String f.ffile);
-                     ("line", Json.Int f.fline);
-                     ("type", Json.String f.ftype);
-                     ("field", Json.String f.ffield);
-                   ])
-               inv.fields) );
-      ]
-  else begin
-    List.iter
-      (fun (g : Share_lint.global) ->
-        Printf.printf "%s:%d: global %s.%s (%s)\n" g.gfile g.gline g.gmodule g.gname
-          (Share_lint.kind_label g.gkind))
-      inv.globals;
-    List.iter
-      (fun (f : Share_lint.mutable_field) ->
-        Printf.printf "%s:%d: mutable field %s.%s.%s\n" f.ffile f.fline f.fmodule f.ftype f.ffield)
-      inv.fields;
-    Printf.printf "inventoried %d file(s): %d mutable global(s), %d mutable field(s)\n" files
-      (List.length inv.globals) (List.length inv.fields)
-  end
+let lint_source_cmd =
+  source_cmd "source" ~analyzer:"source-lint" ~verb:"linted"
+    ~doc:
+      "AST-level lint (compiler-libs) flagging determinism and concurrency hazards: Hashtbl \
+       iteration order, polymorphic compare/hash, ambient Random, wall-clock reads and \
+       Domain/Atomic use outside the job pool."
+    Source_lint.lint
 
 let lint_share_cmd =
-  let seed_violation_arg =
-    seed_violation_arg
-      ~doc:
-        "Analyze a bundled two-module demo that shares a Hashtbl cache, a ref counter and a \
-         captured Buffer across pool tasks, to demonstrate the diagnostics."
-  in
-  let inventory_arg =
-    Arg.(
-      value & flag
-      & info [ "inventory" ]
-          ~doc:
-            "Print the escaping-mutable-state inventory (top-level mutable bindings and mutable \
-             record fields per module) instead of diagnostics.  Always exits 0.")
-  in
-  let run json seed_violation inventory paths =
-    let files = if seed_violation then Share_lint.seed_violation_files else read paths in
-    let n = List.length files in
-    let ((parsed, _) as tree) = Callgraph.parse files in
-    if inventory then print_inventory ~json ~files:n (Share_lint.inventory parsed)
-    else
-      report ~json
-        ~summary:(Printf.sprintf "analyzed %d file(s)" n)
-        ~head:[ analyzer "share-lint"; count "files" n ]
-        (summarize (source_lint Share_lint.lint tree))
-  in
-  Cmd.v
-    (Cmd.info "share"
-       ~doc:
-         "Domain-safety analysis: inventory escaping mutable state per module, then flag tasks \
-          handed to Pool.map_array/Pool.map_list/Domain.spawn that reach top-level mutable \
-          globals or mutate captured state without Atomic, plus any top-level mutable binding in \
-          lib/core or lib/sim.  Pairs with the dynamic Pool.map_array ~sanitize check.")
-    Term.(const run $ json_arg $ seed_violation_arg $ inventory_arg $ paths_arg)
-
-(* --- lint alloc ---------------------------------------------------------- *)
-
-let alloc_allow_json (a : Alloc_lint.allow) =
-  Json.Obj
-    [
-      ("file", Json.String a.al_file);
-      ("class", Json.String a.al_class);
-      ("fn", match a.al_fn with Some f -> Json.String f | None -> Json.Null);
-      ("line", Json.Int a.al_line);
-      ("why", Json.String a.al_why);
-    ]
+  source_cmd "share" ~analyzer:"share-lint" ~verb:"analyzed"
+    ~seed:
+      ( "Analyze a bundled two-module demo that shares a Hashtbl cache, a ref counter and a \
+         captured Buffer across pool tasks, to demonstrate the diagnostics.",
+        Share_lint.seed_violation_files,
+        Share_lint.lint )
+    ~doc:
+      "Domain-safety analysis: collect each module's top-level mutable state, then flag tasks \
+       handed to Pool.map_array/Pool.map_list/Domain.spawn that reach top-level mutable globals \
+       or mutate captured state without Atomic, plus any top-level mutable binding in lib/core \
+       or lib/sim.  Pairs with the dynamic Pool.map_array ~sanitize check."
+    Share_lint.lint
 
 let lint_alloc_cmd =
-  let baseline_arg =
-    Arg.(
-      value
-      & opt string Alloc_lint.default_golden_name
-      & info [ "baseline" ] ~docv:"FILE" ~doc:"Golden allocation inventory to diff against.")
-  in
-  let write_arg =
-    Arg.(
-      value & flag
-      & info [ "write-baseline" ]
-          ~doc:
-            "Refresh: write the current inventory to the baseline file and exit 0.  Review the \
-             diff before committing — every delta must be explained by an intentional hot-path \
-             change.")
-  in
-  let inventory_arg =
-    Arg.(
-      value & flag
-      & info [ "inventory" ]
-          ~doc:"Print the current inventory as JSON instead of diffing.  Always exits 0.")
-  in
-  let sites_arg =
-    Arg.(
-      value & flag
-      & info [ "sites" ]
-          ~doc:
-            "Print every classified allocation site (file:line class root function) instead of \
-             diffing — the per-site audit trail behind an inventory count.  Always exits 0.")
-  in
-  let seed_violation_arg =
-    seed_violation_arg
-      ~doc:
-        "Analyze a bundled fake hot loop that boxes floats, closes over a variable and builds \
-         throwaway lists per round, diffed against an empty golden inventory, to demonstrate \
-         the diagnostics."
-  in
-  let tree_sites paths = Alloc_lint.sites (fst (Callgraph.parse (read paths))) in
-  let run json baseline write inventory sites seed_violation paths =
-    let report_alloc ~files ~baseline outcome =
-      let r = summarize outcome in
-      report ~json
-        ~summary:(Printf.sprintf "analyzed %d file(s) against %s" files baseline)
-        ~head:[ analyzer "alloc-lint"; count "files" files; ("baseline", Json.String baseline) ]
-        ~tail:
-          [
-            count "warnings" r.warnings;
-            ("allowlist", Json.List (List.map alloc_allow_json Alloc_lint.allowlist));
-          ]
-        r
-    in
-    if seed_violation then
-      report_alloc
-        ~files:(List.length Alloc_lint.seed_violation_files)
-        ~baseline:"(empty golden)"
-        (Diags (Alloc_lint.seed_violation ()))
-    else if sites then
-      List.iter
-        (fun (s : Alloc_lint.site) ->
-          Printf.printf "%s:%d: %s %s %s\n" s.site_file s.site_line
-            (Alloc_lint.class_label s.site_class)
-            s.site_root s.site_fn)
-        (tree_sites paths)
-    else if write || inventory then begin
-      let inv = Alloc_lint.inventory_of_sites (tree_sites paths) in
-      let text = Json.to_string_pretty (Alloc_lint.json_of_inventory inv) in
-      if write then begin
-        Out_channel.with_open_text baseline (fun oc ->
-            output_string oc text;
-            output_char oc '\n');
-        Printf.printf "wrote %s (%d hot root(s))\n" baseline (List.length inv)
-      end
-      else print_endline text
-    end
-    else begin
-      let files = read paths in
-      report_alloc ~files:(List.length files) ~baseline (alloc ~baseline (Callgraph.parse files))
-    end
-  in
-  Cmd.v
-    (Cmd.info "alloc"
-       ~doc:
-         "Hot-path allocation inventory: walk the approximate call graph from the annotated hot \
-          roots (engine round phases, channel resolution, voting kernels), classify \
-          every syntactic allocation site and diff the per-root per-class counts against the \
-          committed golden inventory.  A class a hot root did not previously allocate is an \
-          error; count growth is a warning.  Pairs with the dynamic words/active-round gate of \
-          `securebit_cli compare`.")
-    Term.(
-      const run $ json_arg $ baseline_arg $ write_arg $ inventory_arg $ sites_arg
-      $ seed_violation_arg $ paths_arg)
+  source_cmd "alloc" ~analyzer:"alloc-lint" ~verb:"analyzed"
+    ~seed:
+      ( "Analyze a bundled fake hot loop that boxes floats, closes over a variable and builds \
+         throwaway lists per round, to demonstrate the diagnostics.",
+        Alloc_lint.seed_violation_files,
+        Alloc_lint.lint ~roots:Alloc_lint.seed_violation_roots )
+    ~doc:
+      "Hot-path allocation audit: walk the approximate call graph from the annotated hot roots \
+       (engine round phases, channel resolution, voting kernels) and classify every syntactic \
+       allocation site.  Each site is an error coded alloc-<class> unless the allowlist in \
+       lib/check/alloc_lint.ml audits that class for that file.  Pairs with the dynamic \
+       words/active-round gate of `securebit_cli compare`."
+    (fun parsed -> Alloc_lint.lint parsed)
 
 let lint_group =
   Cmd.group
@@ -545,9 +397,18 @@ let check_vote_cmd =
 (* --- check determinism ------------------------------------------------- *)
 
 let check_determinism_cmd =
+  let at_least_one =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok n
+      | Some _ | None -> Error (`Msg (Printf.sprintf "%S is not a round count of at least 1" s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
   let max_rounds_arg =
     Arg.(
-      value & opt int 20_000
+      value
+      & opt at_least_one 20_000
       & info [ "max-rounds" ] ~docv:"N" ~doc:"Cap traced rounds per run (keeps the check cheap).")
   in
   let modes_arg =
@@ -606,14 +467,7 @@ let check_group =
    exhaustive budget-3 model check, radii 1-3 and the dense/sparse
    determinism diff over the presets (80-400 nodes). *)
 let all_cmd =
-  let baseline_arg =
-    Arg.(
-      value
-      & opt string Alloc_lint.default_golden_name
-      & info [ "alloc-baseline" ] ~docv:"FILE"
-          ~doc:"Golden allocation inventory for the alloc analyzer.")
-  in
-  let run json baseline paths =
+  let run json paths =
     let contents = read paths in
     let files = List.length contents in
     let tree = Callgraph.parse contents in
@@ -621,7 +475,7 @@ let all_cmd =
       [
         ("source", fun () -> source_lint Source_lint.lint tree);
         ("share", fun () -> source_lint Share_lint.lint tree);
-        ("alloc", fun () -> alloc ~baseline tree);
+        ("alloc", fun () -> source_lint (fun parsed -> Alloc_lint.lint parsed) tree);
         ("scenario", fun () -> scenario Scenario.presets);
         ( "twobit",
           fun () -> twobit ~impl:Model_check.reference ~budget:3 ~receivers:2 ~msg_len:2 );
@@ -681,7 +535,7 @@ let all_cmd =
           scenario lint over the bundled presets, the quick model-check budget, the voting \
           checker and the dense/sparse determinism diff over the presets — reporting \
           per-analyzer wall times and failing if any analyzer fails.")
-    Term.(const run $ json_arg $ baseline_arg $ paths_arg)
+    Term.(const run $ json_arg $ paths_arg)
 
 let () =
   let doc = "protocol-invariant verifier and scenario linter (static checking)" in

@@ -1,5 +1,5 @@
-(* Hot-path allocation inventory: which allocation sites are reachable
-   from the annotated hot roots, and did the set grow?
+(* Hot-path allocation audit: which allocation sites are reachable from
+   the annotated hot roots, and has each one been audited?
 
    The ROADMAP's zero-allocation goal for the engine's active-round path
    ("bit-packed channel and flat machine") is easy to regress silently: a
@@ -15,19 +15,16 @@
    2. {b classification} — every syntactic allocation in a reachable
       function body is classified (closure / boxed-float / tuple / ref /
       list / array / string / partial-application);
-   3. {b golden diff} — the classified counts are diffed against the
-      committed [ALLOC_baseline.json]: a class a hot root did not
-      previously allocate is an {b error}, growth within a known class a
-      {b warning}, shrinkage an {b info} nudge to refresh the baseline.
+   3. {b per-site audit} — each distinct (file, line, class) site is an
+      error coded [alloc-<class>], located at the site, unless the
+      {!allowlist} audits that code for that file.
 
    Like the other source passes this is purely syntactic and documented
    approximate: flambda may eliminate some flagged sites, float literals
    and unboxed float arithmetic are invisible (only the allocating
    operator/function spellings are matched), and higher-order calls are
-   not followed.  The {!allowlist} records audited sites — each entry
-   carries the justification string shown in [--json] — and the dynamic
-   counterpart (the [words_per_active_round] gate of [securebit_cli compare])
-   catches whatever the syntax misses. *)
+   not followed.  The dynamic counterpart (the [words_per_active_round]
+   gate of [securebit_cli compare]) catches whatever the syntax misses. *)
 
 type alloc_class =
   | Closure
@@ -49,6 +46,8 @@ let class_label = function
   | String_alloc -> "string"
   | Partial_app -> "partial-application"
 
+let code_of cls = "alloc-" ^ class_label cls
+
 type site = {
   site_file : string;
   site_line : int;
@@ -58,22 +57,16 @@ type site = {
 }
 
 let codes =
-  [
-    "new-alloc-class"; "alloc-count-growth"; "alloc-count-shrink"; "baseline-missing";
-    "unused-allowlist"; "parse-error";
-  ]
-
-let severity_of : string -> Diagnostics.severity = function
-  | "alloc-count-growth" -> Warning
-  | "alloc-count-shrink" -> Info
-  | _ -> Error
+  List.map code_of
+    [ Closure; Boxed_float; Tuple; Ref_cell; List_alloc; Array_alloc; String_alloc; Partial_app ]
+  @ [ "unused-allowlist"; "parse-error" ]
 
 (* --- hot roots ----------------------------------------------------------- *)
 
 (* The annotated hot paths: per-active-round work in the engine loop,
    channel resolution, and the per-observation voting kernels.  Root
    names are {!Callgraph.reachable} patterns (qualified suffixes), grouped
-   so the inventory reads per hot path, not per function. *)
+   so a diagnostic names the hot path, not only the function. *)
 let hot_roots =
   [
     ("engine-round", [ "Engine.process_round"; "Engine.fan_out" ]);
@@ -84,29 +77,55 @@ let hot_roots =
 
 (* --- allowlist ----------------------------------------------------------- *)
 
-(* Audited hot-path allocations.  Matching sites are removed before the
-   golden diff; every entry must keep matching at least one site or the
-   stale audit itself becomes an error (pointing here, at [al_line]). *)
-type allow = {
-  al_file : string;  (* repo-relative file the site lives in *)
-  al_class : string;  (* class label the audit covers *)
-  al_fn : string option;  (* qualified function; None = anywhere in the file *)
-  al_why : string;  (* justification, surfaced in --json output *)
-  al_line : int;  (* definition line below, for stale-entry diagnostics *)
-}
-
 let allowlist_file = "lib/check/alloc_lint.ml"
 
-(* Currently empty: the tap-only trace digest that used to be audited here
-   moved off the hot functions entirely (the engine mirrors transmitter ids
-   into a preallocated per-slot array and builds the trace record in the
-   driver loop, which no hot root reaches). *)
-let allowlist : allow list = []
-
-let allow_matches allow site =
-  Diagnostics.path_matches ~entry:allow.al_file site.site_file
-  && allow.al_class = class_label site.site_class
-  && match allow.al_fn with None -> true | Some fn -> fn = site.site_fn
+(* Audited hot-path allocations, one entry per (file, code) pair, each
+   with the audit's reason above it.  An entry covers every site of its
+   class in its file, so audit a pair only when the reason holds for the
+   whole file; a site of an unaudited class, or in an unaudited file, is
+   an error.  Each entry records its definition line, where a stale audit
+   is reported once the last site it covered is gone. *)
+let allowlist =
+  [
+    (* Voting.window_inside tests window bounds built with -. and +. inside
+       float comparisons, which ocamlopt keeps unboxed.  Voting.window_scan
+       boxes [size] once per scan to pass it down the recursive scanners,
+       and Index.decide scans only once the distinct-origin count meets
+       the quorum. *)
+    ("lib/core/voting.ml", "alloc-boxed-float", __LINE__);
+    (* A real per-event allocation: Voting.Index.add conses each new
+       evidence item onto its value's list (3 words per new item; a
+       duplicate returns before it). *)
+    ("lib/core/voting.ml", "alloc-list", __LINE__);
+    (* The same cons cells: [x :: xs] parses as [::] applied to the pair
+       [(x, xs)], which the classifier also counts as a tuple.  No second
+       block is built. *)
+    ("lib/core/voting.ml", "alloc-tuple", __LINE__);
+    (* Channel.resolve_packed subtracts and scales float-array reads inside
+       comparisons, which ocamlopt keeps unboxed.  Channel.resolve_scan
+       boxes its running power sum per sensed transmission, but only the
+       tests call that list-based reference resolution; the engine does
+       not. *)
+    ("lib/radio/channel.ml", "alloc-boxed-float", __LINE__);
+    (* Set-up: Engine.slots_push sizes the payload array once per run, at
+       the first transmission, whose payload fills it. *)
+    ("lib/sim/engine.ml", "alloc-array", __LINE__);
+    (* Engine.fan_out adds each link's power into a float array; the sum is
+       stored unboxed. *)
+    ("lib/sim/engine.ml", "alloc-boxed-float", __LINE__);
+    (* Amortised growth: Calendar.grow doubles the heap arrays when full,
+       and the engine creates its calendar with 2(n + 1) slots. *)
+    ("lib/util/calendar.ml", "alloc-array", __LINE__);
+    (* The sift loops' index refs in Calendar.add and Calendar.pop_min are
+       local and never captured, so ocamlopt turns them into plain local
+       variables. *)
+    ("lib/util/calendar.ml", "alloc-ref", __LINE__);
+    (* A real allocation: Rng.float returns its draw boxed (2 words, next
+       to the 6 words Rng.int64 spends boxing its Int64 state and result).
+       The engine reaches it only through Rng.bernoulli for packet loss, on
+       channels with a positive loss probability. *)
+    ("lib/util/rng.ml", "alloc-boxed-float", __LINE__);
+  ]
 
 (* --- classification ------------------------------------------------------ *)
 
@@ -187,207 +206,63 @@ let sites_of_fn graph ~root (fn : Callgraph.fn_info) =
     body;
   List.rev !acc
 
-(* All classified sites reachable from the roots, allowlist applied;
-   returns the surviving sites and the allowlist entries that fired. *)
-let sites_of_parsed ?(roots = hot_roots) parsed_files =
-  let graph = Callgraph.build parsed_files in
-  let sites =
+(* --- per-site audit ------------------------------------------------------ *)
+
+(* One error per distinct (file, line, class) site reachable from [roots],
+   named by the first root and function that reach it, unless the
+   allowlist audits its code for its file.  Stale entries are judged only
+   for the files of the reached functions: a run that reaches no hot root
+   (say, over lib/util alone) accuses no entry. *)
+let lint ?(roots = hot_roots) parsed =
+  let graph = Callgraph.build parsed in
+  let reached =
     List.concat_map
       (fun (root, patterns) ->
-        let fns = Callgraph.reachable graph ~roots:patterns in
-        List.concat_map (fun fn -> sites_of_fn graph ~root fn) fns)
+        List.map (fun fn -> (root, fn)) (Callgraph.reachable graph ~roots:patterns))
       roots
   in
-  let used = ref [] in
-  let kept =
-    List.filter
-      (fun site ->
-        match List.find_opt (fun a -> allow_matches a site) allowlist with
-        | Some entry ->
-          if not (List.memq entry !used) then used := entry :: !used;
-          false
-        | None -> true)
-      sites
+  let same a b =
+    a.site_file = b.site_file && a.site_line = b.site_line && a.site_class = b.site_class
   in
-  (kept, List.rev !used)
-
-(* --- inventory ----------------------------------------------------------- *)
-
-(* Counts of distinct (file, line, class) sites per root per class,
-   canonically sorted so the JSON is diffable. *)
-let inventory_of_sites sites =
-  let dedup =
-    List.sort_uniq
-      (fun a b ->
-        match String.compare a.site_root b.site_root with
-        | 0 -> (
-          match String.compare a.site_file b.site_file with
-          | 0 -> (
-            match Int.compare a.site_line b.site_line with
-            | 0 -> String.compare (class_label a.site_class) (class_label b.site_class)
-            | c -> c)
-          | c -> c)
-        | c -> c)
-      sites
-  in
-  let roots = List.sort_uniq String.compare (List.map (fun s -> s.site_root) dedup) in
-  List.map
-    (fun root ->
-      let here = List.filter (fun s -> s.site_root = root) dedup in
-      let labels = List.sort_uniq String.compare (List.map (fun s -> class_label s.site_class) here) in
-      ( root,
-        List.map
-          (fun label ->
-            (label, List.length (List.filter (fun s -> class_label s.site_class = label) here)))
-          labels ))
-    roots
-
-let schema = "securebit-alloc/1"
-
-let json_of_inventory inventory =
-  Json.Obj
-    [
-      ("schema", Json.String schema);
-      ( "roots",
-        Json.List
-          (List.map
-             (fun (root, classes) ->
-               Json.Obj
-                 [
-                   ("root", Json.String root);
-                   ("classes", Json.Obj (List.map (fun (label, n) -> (label, Json.Int n)) classes));
-                 ])
-             inventory) );
-    ]
-
-let inventory_of_json json =
-  match Json.member "roots" json |> Option.map Json.to_list_opt with
-  | Some (Some roots) ->
-    let entry e =
-      match (Option.bind (Json.member "root" e) Json.to_string_opt, Json.member "classes" e) with
-      | Some root, Some (Json.Obj fields) ->
-        let classes =
-          List.filter_map
-            (fun (label, v) -> Option.map (fun n -> (label, int_of_float n)) (Json.to_float_opt v))
-            fields
-        in
-        Ok (root, classes)
-      | Some root, _ -> Error (Printf.sprintf "root %s has no classes object" root)
-      | None, _ -> Error "root entry without a name"
-    in
+  let sites =
     List.fold_left
-      (fun acc e ->
-        match (acc, entry e) with
-        | Ok entries, Ok entry -> Ok (entry :: entries)
-        | (Error _ as err), _ | _, (Error _ as err) -> err)
-      (Ok []) roots
-    |> Result.map List.rev
-  | Some None | None -> Error "no \"roots\" list (not a securebit-alloc baseline?)"
-
-(* --- golden diff --------------------------------------------------------- *)
-
-let count_in inventory root label =
-  match List.assoc_opt root inventory with
-  | Some classes -> ( match List.assoc_opt label classes with Some n -> n | None -> 0)
-  | None -> 0
-
-let refresh_hint = "refresh the golden inventory (see README: alloc-baseline refresh) if intended"
-
-(* Diff the current inventory against the committed golden one.  [sites]
-   locates the diagnostics: a new or grown class points at its first
-   surviving site, a shrink at the baseline file itself. *)
-let diff ~golden_name ~golden ~sites current =
-  let diags = ref [] in
-  let emit ~file ~line code message =
-    diags :=
-      { Diagnostics.severity = severity_of code; loc = Line (file, line); code; message } :: !diags
+      (fun seen site -> if List.exists (same site) seen then seen else site :: seen)
+      []
+      (List.concat_map (fun (root, fn) -> sites_of_fn graph ~root fn) reached)
   in
-  let first_site root label =
-    List.find_opt (fun s -> s.site_root = root && class_label s.site_class = label) sites
+  let used = ref [] in
+  let diags =
+    List.filter_map
+      (fun s ->
+        let code = code_of s.site_class in
+        match Diagnostics.allowed allowlist s.site_file code with
+        | Some entry ->
+          if not (List.mem entry !used) then used := entry :: !used;
+          None
+        | None ->
+          Some
+            {
+              Diagnostics.severity = Error;
+              loc = Line (s.site_file, s.site_line);
+              code;
+              message =
+                Printf.sprintf
+                  "%s allocation in %s on hot path %s; keep the path allocation-free or audit \
+                   (%s, %s) in %s"
+                  (class_label s.site_class) s.site_fn s.site_root s.site_file code allowlist_file;
+            })
+      (List.rev sites)
   in
-  List.iter
-    (fun (root, classes) ->
-      List.iter
-        (fun (label, n) ->
-          let was = count_in golden root label in
-          let file, line =
-            match first_site root label with
-            | Some s -> (s.site_file, s.site_line)
-            | None -> (golden_name, 0)
-          in
-          if was = 0 && n > 0 then
-            emit ~file ~line "new-alloc-class"
-              (Printf.sprintf
-                 "hot path %s gained allocation class %s (%d site(s), golden inventory has none); \
-                  keep the active-round path allocation-free or add an audited allowlist entry"
-                 root label n)
-          else if n > was then
-            emit ~file ~line "alloc-count-growth"
-              (Printf.sprintf "hot path %s grew %s allocation sites %d -> %d; %s" root label was n
-                 refresh_hint))
-        classes)
-    current;
-  List.iter
-    (fun (root, classes) ->
-      List.iter
-        (fun (label, was) ->
-          let now = count_in current root label in
-          if now < was then
-            emit ~file:golden_name ~line:0 "alloc-count-shrink"
-              (Printf.sprintf "hot path %s shrank %s allocation sites %d -> %d; %s" root label was
-                 now refresh_hint))
-        classes)
-    golden;
-  List.rev !diags
-
-(* --- whole-tree lint ----------------------------------------------------- *)
-
-let default_golden_name = "ALLOC_baseline.json"
-
-let baseline_missing ~golden_name message =
-  [
-    {
-      Diagnostics.severity = Error;
-      loc = Line (golden_name, 0);
-      code = "baseline-missing";
-      message;
-    };
-  ]
-
-let lint ?roots ?(golden_name = default_golden_name) ~golden parsed =
-  let sites, used = sites_of_parsed ?roots parsed in
-  let entry a = (a.al_file, a.al_class, a.al_line) in
-  let unused =
-    Diagnostics.unused_allowlist ~file:allowlist_file ~linted:(List.map fst parsed)
-      ~used:(List.map entry used) (List.map entry allowlist)
-  in
-  let golden_diags =
-    match golden with
-    | None ->
-      baseline_missing ~golden_name
-        "no golden allocation inventory; generate one with securebit_lint lint alloc \
-         --write-baseline"
-    | Some json -> (
-      match inventory_of_json json with
-      | Ok golden -> diff ~golden_name ~golden ~sites (inventory_of_sites sites)
-      | Error message ->
-        baseline_missing ~golden_name (Printf.sprintf "golden inventory unreadable: %s" message))
-  in
-  Diagnostics.sort (unused @ golden_diags)
-
-let sites ?roots parsed = fst (sites_of_parsed ?roots parsed)
-
-let load_golden path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | contents -> ( match Json.of_string contents with Ok json -> Some json | Error _ -> Some Json.Null)
-  | exception Sys_error _ -> None
+  let linted = List.map (fun (_, fn) -> fn.Callgraph.fn_file) reached in
+  Diagnostics.sort
+    (diags @ Diagnostics.unused_allowlist ~file:allowlist_file ~linted ~used:!used allowlist)
 
 (* --- seed violation ------------------------------------------------------ *)
 
 (* A one-module demo of the regression class this analyzer exists for: a
    fake hot root whose round function boxes floats, builds a closure and
-   a throwaway list per call.  Diffed against an empty golden inventory,
-   every class fires as a new-alloc-class error. *)
+   a throwaway list per call.  No entry audits the demo file, so every
+   site is an error. *)
 let seed_violation_files =
   [
     ( "lib/sim/hot_demo.ml",
@@ -400,9 +275,3 @@ let seed_violation_files =
   ]
 
 let seed_violation_roots = [ ("demo-round", [ "Hot_demo.process_round" ]) ]
-
-let empty_golden = Json.Obj [ ("schema", Json.String schema); ("roots", Json.List []) ]
-
-let seed_violation () =
-  lint ~roots:seed_violation_roots ~golden:(Some empty_golden)
-    (fst (Callgraph.parse seed_violation_files))

@@ -138,12 +138,11 @@ let pattern_var (p : Parsetree.pattern) =
 
 (* --- the shared parse ------------------------------------------------------ *)
 
-(* Dangling paths (an explicitly named file that does not exist) are
-   skipped rather than raised on — editors and scripts pass paths that may
-   have just been deleted. *)
+(* A path that does not exist raises [Sys_error] (from [Sys.is_directory])
+   rather than linting nothing: a misspelt or renamed directory must not
+   drop out of a lint silently. *)
 let rec collect acc path =
-  if not (Sys.file_exists path) then acc
-  else if Sys.is_directory path then
+  if Sys.is_directory path then
     Array.fold_left
       (fun acc entry ->
         if entry = "" || entry.[0] = '_' || entry.[0] = '.' then acc

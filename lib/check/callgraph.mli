@@ -20,7 +20,7 @@
 val source_files : string list -> string list
 (** The [.ml] files under the given files/directories (recursive,
     skipping [_build]-style and hidden directories), in sorted order.
-    Dangling paths are skipped, not raised on. *)
+    @raise Sys_error on a path that does not exist. *)
 
 val parse :
   (string * string) list -> (string * Parsetree.structure) list * Diagnostics.diagnostic list

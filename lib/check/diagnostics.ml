@@ -54,6 +54,7 @@ let in_dir dir path =
   let rec scan i = i + ln <= lp && (String.sub path i ln = needle || scan (i + 1)) in
   scan 0
 
+(* Does an allowlist entry (repo-relative file path) name [path]? *)
 let path_matches ~entry path = path = entry || String.ends_with ~suffix:("/" ^ entry) path
 
 let allowed allowlist path code =

@@ -39,9 +39,6 @@ val in_dir : string -> string -> bool
 (** [in_dir dir path]: is [path] inside [dir] (repo-root relative), under
     both "lib/run/pool.ml" and absolute/sandboxed spellings? *)
 
-val path_matches : entry:string -> string -> bool
-(** Does an allowlist [entry] (repo-relative file path) name [path]? *)
-
 val allowed :
   (string * string * int) list -> string -> string -> (string * string * int) option
 (** [allowed allowlist path code]: the entry suppressing [code] at [path]. *)

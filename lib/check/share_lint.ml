@@ -6,9 +6,8 @@
    unsynchronized mutable state.  This pass answers that question
    statically, on the whole tree at once:
 
-   1. {b inventory} — every module's escaping mutable state: top-level
-      [ref]/[Array.make]/[Hashtbl.create]/[Buffer.create]-style bindings
-      and declared mutable record fields;
+   1. {b globals} — every module's escaping mutable state: top-level
+      [ref]/[Array.make]/[Hashtbl.create]/[Buffer.create]-style bindings;
    2. {b capture analysis} — a conservative intra-file call/capture
       summary: from each task expression handed to a pool primitive, follow
       same-file function references transitively and collect every read of
@@ -25,6 +24,9 @@
    spellings idiomatic code actually uses, and the allowlist records the
    audited exceptions. *)
 
+(* What a top-level mutable binding allocates.  [Atom] ([Atomic.make]) is
+   collected but never flagged: atomics are the sanctioned cross-domain
+   cell. *)
 type kind = Ref | Arr | Tbl | Buf | Byt | Que | Stk | Atom
 
 let kind_label = function
@@ -44,16 +46,6 @@ type global = {
   gkind : kind;
   gline : int;
 }
-
-type mutable_field = {
-  fmodule : string;
-  ffile : string;
-  ftype : string;
-  ffield : string;
-  fline : int;
-}
-
-type inventory = { globals : global list; fields : mutable_field list }
 
 let codes =
   [ "global-mutable-core"; "shared-mutable"; "capture-mutates"; "unused-allowlist"; "parse-error" ]
@@ -123,7 +115,6 @@ type fn_summary = Callgraph.summary = { fn_refs : string list; fn_writes : write
 type facts = {
   fpath : string;
   ftoplevel : global list;
-  ffields : mutable_field list;
   fbindings : (string * fn_summary) list;  (* let-bound functions, any depth *)
   fmutable_lets : (string * kind) list;  (* mutable allocations, any depth *)
   fsites : pool_site list;
@@ -147,7 +138,6 @@ let facts_of_structure ~path structure =
   let bindings = ref [] in
   let mutable_lets = ref [] in
   let sites = ref [] in
-  let fields = ref [] in
   let default = Ast_iterator.default_iterator in
   let iterator =
     {
@@ -182,25 +172,6 @@ let facts_of_structure ~path structure =
             | _ -> ())
           | _ -> ());
           default.expr it e);
-      type_declaration =
-        (fun it (td : Parsetree.type_declaration) ->
-          (match td.ptype_kind with
-          | Parsetree.Ptype_record labels ->
-            List.iter
-              (fun (ld : Parsetree.label_declaration) ->
-                if ld.pld_mutable = Asttypes.Mutable then
-                  fields :=
-                    {
-                      fmodule = gmodule;
-                      ffile = path;
-                      ftype = td.ptype_name.txt;
-                      ffield = ld.pld_name.txt;
-                      fline = line_of ld.pld_loc;
-                    }
-                    :: !fields)
-              labels
-          | _ -> ());
-          default.type_declaration it td);
     }
   in
   iterator.structure iterator structure;
@@ -231,7 +202,6 @@ let facts_of_structure ~path structure =
   {
     fpath = path;
     ftoplevel = toplevel;
-    ffields = List.rev !fields;
     fbindings = !bindings;
     fmutable_lets = !mutable_lets;
     fsites = List.rev !sites;
@@ -363,13 +333,6 @@ let lint parsed_files =
     (!diags
     @ Diagnostics.unused_allowlist ~file:"lib/check/share_lint.ml"
         ~linted:(List.map fst parsed_files) ~used:!used allowlist)
-
-let inventory parsed =
-  let facts = List.map (fun (path, structure) -> facts_of_structure ~path structure) parsed in
-  {
-    globals = List.concat_map (fun f -> f.ftoplevel) facts;
-    fields = List.concat_map (fun f -> f.ffields) facts;
-  }
 
 (* --- seed violation ------------------------------------------------------ *)
 

@@ -7,9 +7,10 @@
     whole tree at once, purely syntactically (compiler-libs parsetree, no
     typing):
 
-    - {b inventory}: per-module escaping mutable state — top-level
+    - {b globals}: per-module escaping mutable state — top-level
       [ref]/[Array.make]/[Hashtbl.create]/[Buffer.create]-style bindings
-      and declared mutable record fields;
+      ([Atomic.make] cells are collected but never flagged: atomics are
+      the sanctioned cross-domain cell);
     - {b capture analysis}: a conservative intra-file call/capture summary
       flags any function reachable from a task expression handed to a pool
       primitive that reads or writes one of those globals (or mutates a
@@ -24,34 +25,6 @@
     caught.  The dynamic counterpart — [Pool.map_array ~sanitize] — covers
     races this pass cannot see. *)
 
-type kind = Ref | Arr | Tbl | Buf | Byt | Que | Stk | Atom
-(** What a mutable binding allocates.  [Atom] ([Atomic.make]) is
-    inventoried but never flagged: atomics are the sanctioned cross-domain
-    cell. *)
-
-val kind_label : kind -> string
-
-type global = {
-  gmodule : string;  (** ["Voting"] for [lib/core/voting.ml] *)
-  gfile : string;
-  gname : string;
-  gkind : kind;
-  gline : int;
-}
-(** A top-level mutable binding: module state reachable from any other
-    module as [M.name]. *)
-
-type mutable_field = {
-  fmodule : string;
-  ffile : string;
-  ftype : string;
-  ffield : string;
-  fline : int;
-}
-(** A [mutable] record field declaration. *)
-
-type inventory = { globals : global list; fields : mutable_field list }
-
 val codes : string list
 (** Every stable code this pass can emit; pinned by a golden test. *)
 
@@ -63,12 +36,9 @@ val allowlist : (string * string * int) list
 
 val lint : (string * Parsetree.structure) list -> Diagnostics.diagnostic list
 (** Lint a whole tree of parsed files (see {!Callgraph.parse}).  The
-    cross-module global inventory is built from exactly these files, so
-    the file set should be the full tree.  Sorted by file, then line. *)
-
-val inventory : (string * Parsetree.structure) list -> inventory
-(** The escaping-mutable-state inventory alone (no capture analysis);
-    [--inventory] output. *)
+    cross-module set of top-level mutable globals is built from exactly
+    these files, so the file set should be the full tree.  Sorted by
+    file, then line. *)
 
 val seed_violation_files : (string * string) list
 (** A bundled two-module demo tree that violates all three rules

@@ -315,9 +315,13 @@ let test_source_lint_parse_error () =
     Alcotest.(check (pair string int)) "located in the file" ("lib/broken.ml", 1) (file_line d)
   | diags -> Alcotest.failf "expected one diagnostic, got %d" (List.length diags)
 
-let test_source_lint_dangling_paths () =
-  Alcotest.(check (list string)) "dangling paths are skipped, not raised on" []
-    (Callgraph.source_files [ "no/such/dir"; "also/missing.ml" ])
+(* A missing path raises instead of linting nothing: a renamed directory
+   must not drop out of a lint silently (securebit_lint rejects it before
+   this, exit 124; see test/cli). *)
+let test_source_lint_missing_paths () =
+  match Callgraph.source_files [ "no/such/dir" ] with
+  | files -> Alcotest.failf "linted %d file(s) of a missing path" (List.length files)
+  | exception Sys_error _ -> ()
 
 (* --- allowlist hygiene ----------------------------------------------------- *)
 
@@ -532,11 +536,7 @@ let test_callgraph_matches_share_lint_verdicts () =
 (* --- alloc lint ----------------------------------------------------------- *)
 
 let alloc_codes diags = List.sort_uniq String.compare (codes diags)
-let alloc_lint ?roots ~golden files =
-  lint_files (fun parsed -> Alloc_lint.lint ?roots ~golden parsed) files
-
-let empty_golden =
-  Json.Obj [ ("schema", Json.String Alloc_lint.schema); ("roots", Json.List []) ]
+let alloc_lint ?roots files = lint_files (fun parsed -> Alloc_lint.lint ?roots parsed) files
 
 let boxy_roots = [ ("boxy-round", [ "Boxy_hot_loop.process_round" ]) ]
 
@@ -546,36 +546,32 @@ let boxy_files () =
       In_channel.with_open_bin "fixtures/boxy_hot_loop.ml" In_channel.input_all );
   ]
 
+(* Is there an error coded alloc-<cls> in the fixture file? *)
+let flags_class diags cls =
+  List.exists
+    (fun (d : Diagnostics.diagnostic) ->
+      let file, line = file_line d in
+      d.severity = Error && d.code = "alloc-" ^ cls && file = "lib/sim/boxy_hot_loop.ml" && line > 0)
+    diags
+
 let test_alloc_seed_violation () =
-  let diags = Alloc_lint.seed_violation () in
+  let diags = alloc_lint ~roots:Alloc_lint.seed_violation_roots Alloc_lint.seed_violation_files in
   Alcotest.(check bool) "the demo fails the lint" true (Diagnostics.has_errors diags);
-  Alcotest.(check (list string)) "every diagnostic is a new hot-path class"
-    [ "new-alloc-class" ] (alloc_codes diags);
-  List.iter
-    (fun cls ->
-      Alcotest.(check bool) (cls ^ " fires on the demo") true
-        (List.exists
-           (fun (d : Diagnostics.diagnostic) -> contains ~affix:("class " ^ cls) d.message)
-           diags))
-    [ "boxed-float"; "closure"; "list"; "tuple" ]
+  Alcotest.(check (list string)) "every class of the demo fires"
+    [ "alloc-boxed-float"; "alloc-closure"; "alloc-list"; "alloc-tuple" ]
+    (alloc_codes diags);
+  (* One error per (line, class) site: the demo's two floats on line 2
+     are one site. *)
+  Alcotest.(check int) "one error per site" 7 (List.length diags)
 
 (* The acceptance bar for the analyzer: an injected hot-path boxed-float
-   allocation (the committed fixture) must come back as a new-alloc-class
-   error, located in the offending file. *)
+   allocation (the committed fixture) must come back as an error located
+   in the offending file. *)
 let test_alloc_boxy_fixture () =
-  let diags = alloc_lint ~roots:boxy_roots ~golden:(Some empty_golden) (boxy_files ()) in
+  let diags = alloc_lint ~roots:boxy_roots (boxy_files ()) in
   Alcotest.(check bool) "the fixture fails the lint" true (Diagnostics.has_errors diags);
   List.iter
-    (fun cls ->
-      Alcotest.(check bool) (cls ^ " flagged as a new class") true
-        (List.exists
-           (fun (d : Diagnostics.diagnostic) ->
-             let file, line = file_line d in
-             d.severity = Error && d.code = "new-alloc-class"
-             && file = "lib/sim/boxy_hot_loop.ml"
-             && line > 0
-             && contains ~affix:("class " ^ cls) d.message)
-           diags))
+    (fun cls -> Alcotest.(check bool) (cls ^ " flagged") true (flags_class diags cls))
     [ "boxed-float"; "closure"; "list" ]
 
 (* The packed-observation regression tripwire: the fixture's old-style
@@ -584,97 +580,60 @@ let test_alloc_boxy_fixture () =
    every class the flat-state engine rewrite eliminated. *)
 let test_alloc_boxy_observe_path () =
   let roots = [ ("boxy-observe", [ "Boxy_hot_loop.observe_boxy" ]) ] in
-  let diags = alloc_lint ~roots ~golden:(Some empty_golden) (boxy_files ()) in
+  let diags = alloc_lint ~roots (boxy_files ()) in
   Alcotest.(check bool) "the observe path fails the lint" true (Diagnostics.has_errors diags);
   List.iter
     (fun cls ->
-      Alcotest.(check bool) (cls ^ " flagged on the observe path") true
-        (List.exists
-           (fun (d : Diagnostics.diagnostic) ->
-             d.severity = Error && d.code = "new-alloc-class"
-             && fst (file_line d) = "lib/sim/boxy_hot_loop.ml"
-             && contains ~affix:("class " ^ cls) d.message)
-           diags))
+      Alcotest.(check bool) (cls ^ " flagged on the observe path") true (flags_class diags cls))
     [ "closure"; "tuple"; "ref"; "list" ]
 
-let test_alloc_inventory_roundtrip_and_diff () =
-  let files = boxy_files () in
-  let inv =
-    Alloc_lint.inventory_of_sites (Alloc_lint.sites ~roots:boxy_roots (fst (Callgraph.parse files)))
+(* Every site is an error unless its (file, class) pair is audited, so a
+   new site of an unaudited class fails where a golden count diff let it
+   pass as growth.  The fake engine.ml uses both of its audited classes;
+   a ref planted in its root function fails with alloc-ref, at the
+   plant. *)
+let test_alloc_growth_fails_unless_audited () =
+  let engine plant =
+    [
+      ( "lib/sim/engine.ml",
+        "let process_round a i p =\n" ^ plant
+        ^ "  a.(i) <- a.(i) +. p;\n  ignore (Array.make 1 p)\n" );
+    ]
   in
-  Alcotest.(check bool) "the fixture has an inventory" true (inv <> []);
-  (* JSON roundtrip is lossless. *)
-  (match Alloc_lint.inventory_of_json (Alloc_lint.json_of_inventory inv) with
-  | Ok roundtrip -> Alcotest.(check bool) "json roundtrip" true (roundtrip = inv)
-  | Error message -> Alcotest.fail message);
-  (* Linted against its own inventory the fixture is clean... *)
-  Alcotest.(check (list string)) "clean against its own inventory" []
-    (alloc_codes
-       (alloc_lint ~roots:boxy_roots ~golden:(Some (Alloc_lint.json_of_inventory inv)) files));
-  let tweak f =
-    List.map
-      (fun (root, classes) ->
-        (root, List.map (fun (cls, n) -> (cls, if cls = "boxed-float" then f n else n)) classes))
-      inv
-  in
-  (* ...a golden one boxed-float site short makes growth a warning, not an
-     error... *)
-  let grown =
-    alloc_lint ~roots:boxy_roots
-      ~golden:(Some (Alloc_lint.json_of_inventory (tweak (fun n -> n - 1))))
-      files
-  in
-  Alcotest.(check (list string)) "count growth is a warning" [ "alloc-count-growth" ]
-    (alloc_codes grown);
-  Alcotest.(check bool) "growth alone does not fail the lint" false
-    (Diagnostics.has_errors grown);
-  (* ...and a golden with one extra site nudges toward a refresh. *)
-  let shrunk =
-    alloc_lint ~roots:boxy_roots
-      ~golden:(Some (Alloc_lint.json_of_inventory (tweak (fun n -> n + 1))))
-      files
-  in
-  Alcotest.(check (list string)) "count shrink is an info nudge" [ "alloc-count-shrink" ]
-    (alloc_codes shrunk);
-  Alcotest.(check bool) "shrink does not fail the lint" false (Diagnostics.has_errors shrunk)
-
-let test_alloc_missing_baseline () =
-  (match alloc_lint ~roots:boxy_roots ~golden:None (boxy_files ()) with
+  Alcotest.(check (list string)) "audited classes pass" [] (codes (alloc_lint (engine "")));
+  match alloc_lint (engine "  let _z = ref 0 in\n") with
   | [ d ] ->
-    Alcotest.(check string) "missing baseline is an error" "baseline-missing" d.code;
-    Alcotest.(check bool) "it is an error" true (d.severity = Error)
-  | diags -> Alcotest.failf "expected one diagnostic, got %d" (List.length diags));
-  match alloc_lint ~roots:boxy_roots ~golden:(Some Json.Null) (boxy_files ()) with
-  | [ d ] -> Alcotest.(check string) "unreadable baseline is an error" "baseline-missing" d.code
+    Alcotest.(check string) "the planted ref fails" "alloc-ref" d.code;
+    Alcotest.(check (pair string int)) "located at the plant" ("lib/sim/engine.ml", 2) (file_line d);
+    Alcotest.(check bool) "it names the function and the root" true
+      (contains ~affix:"Engine.process_round" d.message
+      && contains ~affix:"engine-round" d.message)
   | diags -> Alcotest.failf "expected one diagnostic, got %d" (List.length diags)
 
 let test_alloc_unused_allowlist () =
-  (* The committed allowlist audits Engine.process_round classes in
-     lib/sim/engine.ml; a fake engine.ml without those sites must surface
-     every entry as stale, located at its definition line in the
+  (* A fake engine.ml whose root allocates nothing leaves exactly
+     engine.ml's audits stale, each located at its definition line in the
      allowlist module itself. *)
-  let diags =
-    alloc_lint ~golden:(Some empty_golden) [ ("lib/sim/engine.ml", "let process_round x = x + 1\n") ]
+  let engine_entries =
+    List.filter (fun (file, _, _) -> file = "lib/sim/engine.ml") Alloc_lint.allowlist
   in
-  let stale = List.filter (fun (d : Diagnostics.diagnostic) -> d.code = "unused-allowlist") diags in
-  Alcotest.(check int) "every committed audit is stale on the fake tree"
-    (List.length Alloc_lint.allowlist) (List.length stale);
-  List.iter
-    (fun d ->
-      let file, line = file_line d in
-      Alcotest.(check string) "located in the allowlist module" Alloc_lint.allowlist_file file;
-      Alcotest.(check bool) "at its definition line" true (line > 0))
-    stale;
-  (* Linting a tree that never visits the audited file judges nothing. *)
-  Alcotest.(check (list string)) "unvisited files are not judged" []
-    (alloc_codes
-       (alloc_lint ~golden:(Some empty_golden) [ ("lib/analysis/other.ml", "let x = 1\n") ]))
+  Alcotest.(check bool) "engine.ml has audited entries" true (engine_entries <> []);
+  Alcotest.(check (list (pair string int)))
+    "exactly engine.ml's entries are stale, at their definition lines"
+    (List.map (fun (_, _, line) -> ("lib/check/alloc_lint.ml", line)) engine_entries)
+    (List.map file_line (alloc_lint [ ("lib/sim/engine.ml", "let process_round x = x + 1\n") ]));
+  (* Only the files of reached functions are judged: a tree that reaches
+     no hot root accuses no entry, even an audited file's. *)
+  Alcotest.(check (list string)) "a tree that reaches no root judges nothing" []
+    (codes
+       (alloc_lint
+          [ ("lib/analysis/other.ml", "let x = 1\n"); ("lib/util/calendar.ml", "let add t = t\n") ]))
 
 let test_alloc_parse_error () =
   match
     List.filter
       (fun (d : Diagnostics.diagnostic) -> d.code = "parse-error")
-      (alloc_lint ~roots:boxy_roots ~golden:(Some empty_golden) [ ("lib/broken.ml", "let let let") ])
+      (alloc_lint ~roots:boxy_roots [ ("lib/broken.ml", "let let let") ])
   with
   | [ d ] -> Alcotest.(check string) "parse error located" "lib/broken.ml" (fst (file_line d))
   | diags -> Alcotest.failf "expected one parse error, got %d" (List.length diags)
@@ -708,8 +667,9 @@ let test_golden_codes () =
   Alcotest.(check (list string))
     "alloc lint codes"
     [
-      "new-alloc-class"; "alloc-count-growth"; "alloc-count-shrink"; "baseline-missing";
-      "unused-allowlist"; "parse-error";
+      "alloc-closure"; "alloc-boxed-float"; "alloc-tuple"; "alloc-ref"; "alloc-list";
+      "alloc-array"; "alloc-string"; "alloc-partial-application"; "unused-allowlist";
+      "parse-error";
     ]
     Alloc_lint.codes
 
@@ -864,7 +824,7 @@ let () =
           Alcotest.test_case "Engine.run mode pinning" `Quick test_source_lint_engine_mode;
           Alcotest.test_case "parse errors surface as diagnostics" `Quick
             test_source_lint_parse_error;
-          Alcotest.test_case "dangling paths skipped" `Quick test_source_lint_dangling_paths;
+          Alcotest.test_case "missing paths raise" `Quick test_source_lint_missing_paths;
           Alcotest.test_case "golden diagnostic codes" `Quick test_golden_codes;
         ] );
       ( "allowlist hygiene",
@@ -903,10 +863,8 @@ let () =
             test_alloc_boxy_fixture;
           Alcotest.test_case "old boxy observe path still trips the analyzer" `Quick
             test_alloc_boxy_observe_path;
-          Alcotest.test_case "inventory roundtrip, growth and shrink" `Quick
-            test_alloc_inventory_roundtrip_and_diff;
-          Alcotest.test_case "missing or unreadable baseline is an error" `Quick
-            test_alloc_missing_baseline;
+          Alcotest.test_case "growth fails unless audited" `Quick
+            test_alloc_growth_fails_unless_audited;
           Alcotest.test_case "stale allowlist entries located" `Quick
             test_alloc_unused_allowlist;
           Alcotest.test_case "parse errors surface as diagnostics" `Quick
