@@ -31,16 +31,17 @@ let at_least_one what =
 let in_unit_interval s =
   match float_of_string_opt s with Some x when x >= 0.0 && x <= 1.0 -> Some x | _ -> None
 
-let map_arg =
-  let side =
-    let parse s =
-      match float_of_string_opt s with
-      | Some x when x > 0.0 && Float.is_finite x -> Ok x
-      | Some _ | None -> Error (`Msg (Printf.sprintf "%S is not a positive finite length" s))
-    in
-    Arg.conv (parse, Format.pp_print_float)
+let positive_length =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when x > 0.0 && Float.is_finite x -> Ok x
+    | Some _ | None -> Error (`Msg (Printf.sprintf "%S is not a positive finite length" s))
   in
-  Arg.(value & opt side 20.0 & info [ "map" ] ~docv:"UNITS" ~doc:"Square map side length.")
+  Arg.conv (parse, Format.pp_print_float)
+
+let map_arg =
+  Arg.(
+    value & opt positive_length 20.0 & info [ "map" ] ~docv:"UNITS" ~doc:"Square map side length.")
 
 let nodes_arg =
   Arg.(
@@ -49,7 +50,8 @@ let nodes_arg =
     & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of devices.")
 
 let radius_arg =
-  Arg.(value & opt float 4.0 & info [ "r"; "radius" ] ~docv:"R" ~doc:"Broadcast range.")
+  Arg.(
+    value & opt positive_length 4.0 & info [ "r"; "radius" ] ~docv:"R" ~doc:"Broadcast range.")
 
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
@@ -160,7 +162,7 @@ let clusters_arg =
 let relay_cap_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (at_least_one "relay cap")) None
     & info [ "heard-cap" ] ~docv:"K" ~doc:"Cap MultiPathRB HEARD relays per bit (default: none).")
 
 let build_spec map nodes radius seed message protocol faults radio clusters relay_cap =
@@ -286,19 +288,10 @@ let bench_cmd =
              results JSON, where $(b,compare) gates the heap peak and the words per \
              active round.")
   in
-  let sanitize_arg =
-    Arg.(
-      value & flag
-      & info [ "sanitize" ]
-          ~doc:
-            "Re-run each experiment's trials sequentially after the parallel pass and fail if \
-             any result diverges — the dynamic check of the --jobs N determinism guarantee.  \
-             No-op at --jobs 1.")
-  in
-  let run scale jobs only json_path no_json profile sanitize =
+  let run scale jobs only json_path no_json profile =
     let only = List.concat_map (String.split_on_char ',') only in
     let json_path = if no_json then None else json_path in
-    match Bench.run { Bench.scale; jobs; only; json_path; profile; sanitize } with
+    match Bench.run { Bench.scale; jobs; only; json_path; profile } with
     | Ok _ -> ()
     | Error message ->
       prerr_endline message;
@@ -309,9 +302,7 @@ let bench_cmd =
        ~doc:
          "Run the registered experiments (optionally domain-parallel) and write \
           the JSON results file.")
-    Term.(
-      const run $ scale_arg $ jobs_arg $ only_arg $ json_arg $ no_json_arg $ profile_arg
-      $ sanitize_arg)
+    Term.(const run $ scale_arg $ jobs_arg $ only_arg $ json_arg $ no_json_arg $ profile_arg)
 
 (* --- compare ------------------------------------------------------------ *)
 

@@ -3,9 +3,9 @@
    `securebit_lint lint scenario`      validate scenario specs against the
                                        analytic bounds before simulating;
    `securebit_lint lint source`        AST lint for determinism and
-                                       concurrency hazards in the sources;
-   `securebit_lint lint share`         domain-safety lint: mutable state
-                                       reachable from pool tasks;
+                                       concurrency hazards in the sources,
+                                       top-level mutable state in lib/
+                                       included;
    `securebit_lint lint alloc`         hot-path allocation audit: every
                                        allocation site a hot root reaches
                                        must be audited in the allowlist;
@@ -254,9 +254,9 @@ let lint_scenario_cmd =
           geometry preconditions and parameter sanity.")
     Term.(const run $ all_arg $ strict_arg $ json_arg $ names_arg)
 
-(* --- lint source / share / alloc ------------------------------------------- *)
+(* --- lint source / alloc ---------------------------------------------------- *)
 
-(* The three source lints take the same arguments: [--json], PATHs and,
+(* The two source lints take the same arguments: [--json], PATHs and,
    where the analyzer bundles a demo tree, [--seed-violation], which lints
    the demo files with the demo's lint instead of the PATHs. *)
 let source_cmd name ~analyzer:label ~verb ?seed ~doc lint =
@@ -281,23 +281,9 @@ let lint_source_cmd =
   source_cmd "source" ~analyzer:"source-lint" ~verb:"linted"
     ~doc:
       "AST-level lint (compiler-libs) flagging determinism and concurrency hazards: Hashtbl \
-       iteration order, polymorphic compare/hash, ambient Random, wall-clock reads and \
-       Domain/Atomic use outside the job pool."
+       iteration order, polymorphic compare/hash, ambient Random, wall-clock reads, \
+       Domain/Atomic use outside the job pool and top-level mutable cells in lib/."
     Source_lint.lint
-
-let lint_share_cmd =
-  source_cmd "share" ~analyzer:"share-lint" ~verb:"analyzed"
-    ~seed:
-      ( "Analyze a bundled two-module demo that shares a Hashtbl cache, a ref counter and a \
-         captured Buffer across pool tasks, to demonstrate the diagnostics.",
-        Share_lint.seed_violation_files,
-        Share_lint.lint )
-    ~doc:
-      "Domain-safety analysis: collect each module's top-level mutable state, then flag tasks \
-       handed to Pool.map_array/Pool.map_list/Domain.spawn that reach top-level mutable globals \
-       or mutate captured state without Atomic, plus any top-level mutable binding in lib/core \
-       or lib/sim.  Pairs with the dynamic Pool.map_array ~sanitize check."
-    Share_lint.lint
 
 let lint_alloc_cmd =
   source_cmd "alloc" ~analyzer:"alloc-lint" ~verb:"analyzed"
@@ -317,7 +303,7 @@ let lint_alloc_cmd =
 let lint_group =
   Cmd.group
     (Cmd.info "lint" ~doc:"Static validation of configurations and sources.")
-    [ lint_scenario_cmd; lint_source_cmd; lint_share_cmd; lint_alloc_cmd ]
+    [ lint_scenario_cmd; lint_source_cmd; lint_alloc_cmd ]
 
 (* --- check twobit ------------------------------------------------------ *)
 
@@ -474,7 +460,6 @@ let all_cmd =
     let analyzers =
       [
         ("source", fun () -> source_lint Source_lint.lint tree);
-        ("share", fun () -> source_lint Share_lint.lint tree);
         ("alloc", fun () -> source_lint (fun parsed -> Alloc_lint.lint parsed) tree);
         ("scenario", fun () -> scenario Scenario.presets);
         ( "twobit",
@@ -531,7 +516,7 @@ let all_cmd =
   Cmd.v
     (Cmd.info "all"
        ~doc:
-         "Run every analyzer — source, share and alloc lint behind one shared parse of the tree, \
+         "Run every analyzer — source and alloc lint behind one shared parse of the tree, \
           scenario lint over the bundled presets, the quick model-check budget, the voting \
           checker and the dense/sparse determinism diff over the presets — reporting \
           per-analyzer wall times and failing if any analyzer fails.")

@@ -6,7 +6,7 @@
     syntactic allocation site in the reachable functions.  Each distinct
     (file, line, class) site is one {b error}, coded [alloc-<class>]
     ([alloc-closure], [alloc-boxed-float], [alloc-tuple], [alloc-ref],
-    [alloc-list], [alloc-array], [alloc-string],
+    [alloc-list], [alloc-array], [alloc-string], [alloc-table],
     [alloc-partial-application]), located at the site and naming the
     function and the hot root that reaches it — unless the {!allowlist}
     audits that code for that file.

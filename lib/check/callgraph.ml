@@ -1,18 +1,10 @@
 (* Approximate interprocedural call graph over the repo's Parsetree.
 
-   Factored out of [Share_lint] so the source-level analyzers share one
-   parse of the tree, one vocabulary of expression helpers
-   (reference/write extraction, binding summaries) and one reachability
-   engine:
-
-   - [Share_lint] asks the {e same-file} question: starting from a task
-     expression handed to a pool primitive, which module-level mutable
-     state can transitively be touched?  That is {!reach}, preserved
-     byte-for-byte from the original in-lint implementation (accumulation
-     order included) so the share-lint goldens cannot move.
-   - [Alloc_lint] asks the {e whole-tree} question: which functions are
-     reachable from a set of annotated hot roots ("Engine.process_round",
-     "Voting.Index.add", ...)?  That is {!build}/{!reachable}.
+   The source-level analyzers share one parse of the tree and a few
+   expression helpers from here.  [Alloc_lint] also asks it the
+   whole-tree question: which functions are reachable from a set of
+   annotated hot roots ("Engine.process_round", "Voting.Index.add", ...)?
+   That is {!build}/{!reachable}.
 
    Everything here is purely syntactic (Parsetree, no typing): unqualified
    references resolve to same-file bindings of that name (all of them —
@@ -55,7 +47,7 @@ let refs_of_expr e =
 
 (* Every value name bound anywhere inside an expression: function
    parameters, let patterns, match cases, for-loop indices.  Used to
-   separate a binding's own state from captured state. *)
+   separate a function's own names from the ones it references. *)
 let bound_names_of_expr e =
   let acc = ref [] in
   let default = Ast_iterator.default_iterator in
@@ -79,47 +71,6 @@ let bound_names_of_expr e =
     }
   in
   it.expr it e;
-  !acc
-
-(* Syntactic mutation sites: [x := e], [incr]/[decr], [a.(i) <- v] (the
-   parser spells it [Array.set]), record-field assignment, and the
-   imperative container operations.  The recorded target is the head
-   identifier being mutated. *)
-let writer_heads =
-  [
-    ":="; "incr"; "decr"; "Array.set"; "Array.unsafe_set"; "Array.fill"; "Array.blit"; "Bytes.set";
-    "Bytes.fill"; "Bytes.blit"; "Hashtbl.add"; "Hashtbl.replace"; "Hashtbl.remove"; "Hashtbl.reset";
-    "Hashtbl.clear"; "Buffer.add_string"; "Buffer.add_char"; "Buffer.add_bytes";
-    "Buffer.add_substring"; "Buffer.add_buffer"; "Buffer.clear"; "Buffer.reset"; "Queue.add";
-    "Queue.push"; "Queue.pop"; "Queue.take"; "Queue.clear"; "Queue.transfer"; "Stack.push";
-    "Stack.pop"; "Stack.clear";
-  ]
-
-let is_writer h = List.mem h writer_heads || List.mem h (List.map (( ^ ) "Stdlib.") writer_heads)
-
-type write = { target : string; wline : int }
-
-let writes_of_expr e =
-  let acc = ref [] in
-  iter_expr
-    (fun e ->
-      match e.Parsetree.pexp_desc with
-      | Parsetree.Pexp_setfield (target, _, _) -> (
-        match head_ident target with
-        | Some t -> acc := { target = t; wline = line_of e.Parsetree.pexp_loc } :: !acc
-        | None -> ())
-      | Parsetree.Pexp_apply (f, args) -> (
-        match head_ident f with
-        | Some h when is_writer h -> (
-          match List.find_opt (fun (l, _) -> l = Asttypes.Nolabel) args with
-          | Some (_, a) -> (
-            match head_ident a with
-            | Some t -> acc := { target = t; wline = line_of e.Parsetree.pexp_loc } :: !acc
-            | None -> ())
-          | None -> ())
-        | _ -> ())
-      | _ -> ())
-    e;
   !acc
 
 let is_function e =
@@ -172,49 +123,10 @@ let parse files =
           })
     files
 
-(* --- binding summaries and same-file reachability ------------------------ *)
-
-type summary = { fn_refs : string list; fn_writes : write list }
-
-let summarize e =
+(* What a function references, minus the names it binds itself. *)
+let escaping_refs e =
   let bound = bound_names_of_expr e in
-  let fn_refs = List.filter (fun r -> not (List.mem r bound)) (refs_of_expr e) in
-  let fn_writes = List.filter (fun w -> not (List.mem w.target bound)) (writes_of_expr e) in
-  { fn_refs; fn_writes }
-
-type entry = Body of summary | Binding of string | Opaque
-
-(* Transitive same-file reachability from an entry: the union of all
-   references and escaping writes of the entry and of every same-file
-   function it can call.  Duplicate binding names are unioned, which is
-   conservative in the right direction.  The traversal and accumulation
-   order are exactly [Share_lint]'s original ones (its goldens depend on
-   them). *)
-let reach ~bindings entry =
-  let visited = Hashtbl.create 16 in
-  let refs = ref [] in
-  let writes = ref [] in
-  let rec follow name =
-    if not (Hashtbl.mem visited name) then begin
-      Hashtbl.add visited name ();
-      List.iter
-        (fun (n, summary) ->
-          if n = name then begin
-            refs := summary.fn_refs @ !refs;
-            writes := summary.fn_writes @ !writes;
-            List.iter (fun r -> if not (String.contains r '.') then follow r) summary.fn_refs
-          end)
-        bindings
-    end
-  in
-  (match entry with
-  | Body { fn_refs; fn_writes } ->
-    refs := fn_refs;
-    writes := fn_writes;
-    List.iter (fun r -> if not (String.contains r '.') then follow r) fn_refs
-  | Binding name -> follow name
-  | Opaque -> ());
-  (!refs, !writes)
+  List.filter (fun r -> not (List.mem r bound)) (refs_of_expr e)
 
 (* --- whole-tree function inventory and root reachability ----------------- *)
 
@@ -225,7 +137,7 @@ type fn_info = {
   fn_line : int;
   fn_arity : int;
   fn_body : Parsetree.expression;
-  fn_summary : summary;
+  fn_refs : string list;
 }
 
 type t = { fns : fn_info list }
@@ -272,7 +184,7 @@ let fns_of_structure ~path structure =
                 fn_line = line_of vb.pvb_loc;
                 fn_arity = arity_of vb.pvb_expr;
                 fn_body = vb.pvb_expr;
-                fn_summary = summarize vb.pvb_expr;
+                fn_refs = escaping_refs vb.pvb_expr;
               }
               :: !acc
           | Some _ | None -> ());
@@ -305,9 +217,7 @@ let reachable t ~roots =
     if not (Hashtbl.mem visited k) then begin
       Hashtbl.add visited k ();
       out := fn :: !out;
-      List.iter
-        (fun r -> List.iter visit (resolve t ~file:fn.fn_file r))
-        fn.fn_summary.fn_refs
+      List.iter (fun r -> List.iter visit (resolve t ~file:fn.fn_file r)) fn.fn_refs
     end
   in
   List.iter

@@ -1,11 +1,8 @@
 (** Approximate interprocedural call graph over the repo's Parsetree.
 
     The shared machinery behind the source-level analyzers: the one
-    parse of the tree they all lint, expression helpers (reference and
-    mutation extraction), per-binding capture summaries, the same-file
-    transitive-reachability engine that {!Share_lint}'s task analysis
-    runs on (preserved byte-for-byte from its original in-lint form), and
-    the whole-tree function inventory that {!Alloc_lint} walks from its
+    parse of the tree they all lint, a few expression helpers, and the
+    whole-tree function inventory that {!Alloc_lint} walks from its
     annotated hot roots.
 
     Everything is purely syntactic — [Parse.implementation], no typing.
@@ -31,9 +28,6 @@ val parse :
 
 (** {1 Expression helpers} *)
 
-val module_of_path : string -> string
-(** ["Voting"] for ["lib/core/voting.ml"]. *)
-
 val line_of : Location.t -> int
 
 val peel : Parsetree.expression -> Parsetree.expression
@@ -45,34 +39,6 @@ val head_ident : Parsetree.expression -> string option
 val iter_expr : (Parsetree.expression -> unit) -> Parsetree.expression -> unit
 (** Apply [f] to every subexpression (prefix order). *)
 
-type write = { target : string; wline : int }
-(** One syntactic mutation: the head identifier being mutated and the
-    line of the mutating expression. *)
-
-val is_function : Parsetree.expression -> bool
-(** Is this (after {!peel}) a syntactic function? *)
-
-val pattern_var : Parsetree.pattern -> string option
-(** The variable a simple (possibly constrained) pattern binds. *)
-
-(** {1 Binding summaries and same-file reachability} *)
-
-type summary = { fn_refs : string list; fn_writes : write list }
-(** A binding's escaping references and writes: everything it mentions
-    minus the names it binds itself. *)
-
-val summarize : Parsetree.expression -> summary
-
-type entry = Body of summary | Binding of string | Opaque
-(** Where reachability starts: an inline body already summarized, a named
-    same-file binding, or something the analysis cannot see into. *)
-
-val reach : bindings:(string * summary) list -> entry -> string list * write list
-(** Transitive same-file closure: the union of refs and writes of the
-    entry and of every same-file binding it can reach through unqualified
-    references.  Exactly {!Share_lint}'s original task analysis —
-    accumulation order included — so its diagnostics cannot move. *)
-
 (** {1 Whole-tree function inventory} *)
 
 type fn_info = {
@@ -82,7 +48,7 @@ type fn_info = {
   fn_line : int;
   fn_arity : int;  (** leading syntactic parameters *)
   fn_body : Parsetree.expression;
-  fn_summary : summary;
+  fn_refs : string list;  (** what the body references, minus the names it binds *)
 }
 
 type t

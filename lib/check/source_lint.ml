@@ -1,9 +1,9 @@
 (* AST-level lint for determinism and concurrency hazards, built on
    compiler-libs: parse each .ml file and walk the Parsetree for value and
-   module references that the byte-identical --jobs N guarantee cannot
-   tolerate.  Purely syntactic by design — no type information — so module
-   aliasing can hide a use from it; the rules target the spellings that
-   actually appear in idiomatic code. *)
+   module references, and top-level mutable cells, that the byte-identical
+   --jobs N guarantee cannot tolerate.  Purely syntactic by design — no
+   type information — so module aliasing can hide a use from it; the rules
+   target the spellings that actually appear in idiomatic code. *)
 
 let codes =
   [
@@ -14,6 +14,7 @@ let codes =
     "wall-clock";
     "domain-outside-run";
     "engine-mode";
+    "global-mutable";
     "unused-allowlist";
     "parse-error";
   ]
@@ -21,11 +22,9 @@ let codes =
 (* Audited-sound uses.  Certified_propagation's [progress] counter folds
    a commutative count; the engine's fingerprint hashes an explicit
    canonical encoding; the bench table folds into a list it immediately
-   sorts; the pool's sanitizer digest is compared only against another digest of the same
-   in-memory representation within one process, so representation
-   dependence cannot flip a verdict.  The lint front end times its own
-   analyzers (`securebit_lint all` prints per-analyzer wall seconds),
-   which is reporting, not protocol logic.
+   sorts.  The lint front end times its own analyzers (`securebit_lint
+   all` prints per-analyzer wall seconds), which is reporting, not
+   protocol logic.
 
    Each entry records its own definition line so a stale audit's
    diagnostic can point back here instead of at the audited file. *)
@@ -34,7 +33,6 @@ let allowlist =
     ("lib/core/certified_propagation.ml", "hashtbl-order", __LINE__);
     ("lib/sim/engine.ml", "poly-hash", __LINE__);
     ("bench/main.ml", "hashtbl-order", __LINE__);
-    ("lib/run/pool.ml", "poly-hash", __LINE__);
     ("bin/securebit_lint.ml", "wall-clock", __LINE__);
   ]
 
@@ -82,7 +80,29 @@ let exempt code path =
   | "wall-clock" -> in_dir "lib/run" path || in_dir "bench" path || in_dir "test" path
   | "domain-outside-run" -> in_dir "lib/run" path
   | "engine-mode" -> in_dir "lib/check" path || in_dir "test" path
+  | "global-mutable" -> not (in_dir "lib" path)
   | _ -> false
+
+(* The calls that allocate a mutable cell.  Bound at the top level of a
+   library module, the cell is one piece of state shared by every trial
+   the pool runs, on whichever domain runs it.  [Atomic.make] is not
+   listed: [domain-outside-run] already confines it to lib/run/. *)
+let mutable_allocators =
+  [
+    "ref"; "Array.make"; "Array.init"; "Array.create_float"; "Array.make_matrix";
+    "Hashtbl.create"; "Buffer.create"; "Bytes.create"; "Bytes.make"; "Queue.create";
+    "Stack.create";
+  ]
+
+let mutable_allocator (e : Parsetree.expression) =
+  match (Callgraph.peel e).pexp_desc with
+  | Parsetree.Pexp_apply (f, _) -> (
+    match Callgraph.head_ident f with
+    | Some head
+      when List.exists (fun a -> head = a || head = "Stdlib." ^ a) mutable_allocators ->
+      Some head
+    | Some _ | None -> None)
+  | _ -> None
 
 (* Does this application of [Engine.run] pin the loop variant?  The sparse
    and dense loops are held byte-identical by the equivalence property
@@ -167,6 +187,23 @@ let lint_structure ~path structure =
     }
   in
   iterator.structure iterator structure;
+  List.iter
+    (fun (item : Parsetree.structure_item) ->
+      match item.pstr_desc with
+      | Parsetree.Pstr_value (_, bindings) ->
+        List.iter
+          (fun (vb : Parsetree.value_binding) ->
+            match mutable_allocator vb.pvb_expr with
+            | Some head ->
+              emit "global-mutable"
+                (head
+               ^ " bound at module top level: the cell is shared by every trial the pool \
+                  runs; allocate it per run instead")
+                vb.pvb_loc
+            | None -> ())
+          bindings
+      | _ -> ())
+    structure;
   (List.rev !diags, !used)
 
 let lint parsed =

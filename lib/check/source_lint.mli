@@ -4,7 +4,8 @@
     byte-identical to sequential runs — is easy to break with a single
     innocuous call: iterating a [Hashtbl] into output, comparing protocol
     records with the polymorphic [compare], drawing from the ambient
-    [Random] state, or timestamping protocol decisions.  This pass parses
+    [Random] state, timestamping protocol decisions, or keeping a counter
+    at module top level that every trial bumps.  This pass parses
     every [.ml] file (via compiler-libs) and flags those hazards
     statically, so [dune build @lint] catches them before any simulation
     diverges.
@@ -28,6 +29,12 @@
       loops are held byte-identical by the equivalence test, but
       production call sites must say which loop they mean rather than
       silently follow the default;
+    - [global-mutable]: a top-level binding in a module under [lib/] whose
+      right-hand side allocates a mutable cell ([ref], [Array.make]/
+      [init]/[create_float]/[make_matrix], [Hashtbl]/[Buffer]/[Queue]/
+      [Stack.create], [Bytes.create]/[make], with or without [Stdlib.]) —
+      the cell is shared by every trial the pool runs, on any domain
+      ([Atomic.make] is left to [domain-outside-run]);
     - [unused-allowlist]: an {!allowlist} entry that suppressed no
       diagnostic during a {!lint} run over its file — stale audits are
       themselves errors so they cannot rot in place;
@@ -37,7 +44,8 @@
     Findings at locations listed in {!allowlist} are suppressed: those
     are the audited, order-insensitive uses.  [wall-clock] and
     [engine-mode] are additionally exempt under [test/] (test timers,
-    equivalence fixtures). *)
+    equivalence fixtures), and [global-mutable] applies only under
+    [lib/]. *)
 
 val codes : string list
 (** Every code this pass can emit, for golden tests. *)

@@ -1,5 +1,4 @@
 type 'a observation = Silence | Clear of 'a | Busy
-type 'a tx = { power : float; payload : 'a }
 type params = { capture_ratio : float; loss_prob : float }
 
 let ideal = { capture_ratio = infinity; loss_prob = 0.0 }
@@ -15,73 +14,12 @@ module Packed = struct
   let is_activity p = p <> 0
 end
 
-(* The loss coin: drawn exactly once per decodable candidate, in
-   transmission order, whatever the calling path — the draw sequence is
-   part of the deterministic trace contract. *)
-let draw_loss rng params =
-  match rng with
-  | Some r when params.loss_prob > 0.0 -> Rng.bernoulli r params.loss_prob
-  | Some _ | None ->
-    if params.loss_prob > 0.0 then invalid_arg "Channel.resolve: loss_prob > 0 requires an rng";
-    false
-
-(* Single pass over the transmission list, accumulating the same aggregates
-   the engine's flat fan-out keeps per receiver: sensed count and power sum,
-   decodable count, and the earliest strongest decodable signal (matching
-   the stable strongest-first sort of the old list-based implementation).
-   Top-level and closure-free: this is on the hot-path allocation budget. *)
-let rec resolve_scan rng params sense_threshold txs n_sensed total n_dec best_pow best =
-  match txs with
-  | tx :: rest ->
-    if tx.power < sense_threshold then
-      resolve_scan rng params sense_threshold rest n_sensed total n_dec best_pow best
-    else begin
-      let total = total +. tx.power in
-      let n_sensed = n_sensed + 1 in
-      if tx.power >= 1.0 && not (draw_loss rng params) then
-        if tx.power > best_pow then
-          resolve_scan rng params sense_threshold rest n_sensed total (n_dec + 1) tx.power
-            (Some tx.payload)
-        else resolve_scan rng params sense_threshold rest n_sensed total (n_dec + 1) best_pow best
-      else resolve_scan rng params sense_threshold rest n_sensed total n_dec best_pow best
-    end
-  | [] ->
-    if n_sensed = 0 then Silence
-    else begin
-      match best with
-      | None -> Busy
-      | Some payload ->
-        if n_sensed = 1 then Clear payload
-        else begin
-          let interference = total -. best_pow in
-          if
-            interference <= 0.0
-            || (params.capture_ratio < infinity
-               && best_pow >= params.capture_ratio *. interference)
-          then Clear payload
-          else Busy
-        end
-    end
-
-let resolve ?rng params ~sense_threshold txs =
-  match txs with
-  | [] -> Silence
-  | [ tx ] ->
-    (* Singleton fast path: no collision is possible, so skip the aggregate
-       bookkeeping — but the loss coin is still drawn for a decodable
-       signal, keeping the RNG stream identical to the general path. *)
-    if tx.power < sense_threshold then Silence
-    else if tx.power < 1.0 then Busy
-    else if draw_loss rng params then Busy
-    else Clear tx.payload
-  | txs -> resolve_scan rng params sense_threshold txs 0 0.0 0 0.0 None
-
 (* Packed resolution over the engine's per-receiver flat aggregates: write
    one encoded observation per touched receiver into [out] (untouched
    entries stay [Packed.silence]).  [best_slot.(i)] indexes the round's
-   merged transmissions.  Mirrors [resolve] with the engine's float-noise
-   tolerance on the zero-interference test (per-receiver sums are
-   accumulated incrementally there, not folded from a list). *)
+   merged transmissions.  The zero-interference test tolerates float
+   noise, since the engine's fan-out accumulates the sums one link at a
+   time; test/channel_oracle.ml holds the list-based reference rule. *)
 let resolve_packed params ~touched ~n_touched ~sum_power ~n_decodable ~best_power ~best_slot
     ~out =
   for k = 0 to n_touched - 1 do

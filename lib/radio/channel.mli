@@ -12,10 +12,6 @@ type 'a observation =
   | Clear of 'a  (** exactly one message decoded *)
   | Busy  (** energy sensed but nothing decoded (collision / jam / loss) *)
 
-type 'a tx = { power : float; payload : 'a }
-(** One transmission as seen by a given receiver ([power] is normalised so
-    that 1.0 is the decode threshold). *)
-
 type params = {
   capture_ratio : float;
       (** A signal is captured (decoded despite interference) when its power
@@ -38,11 +34,6 @@ val ideal : params
 
 val realistic : params
 (** Capture ratio 3.0 (≈5 dB) and 1% packet loss: the WSNet-like setup. *)
-
-val resolve : ?rng:Rng.t -> params -> sense_threshold:float -> 'a tx list -> 'a observation
-(** Resolve what one receiver observes in one round given all transmissions
-    that reach it.  [rng] is required whenever [loss_prob > 0].  The empty
-    and singleton transmission lists take allocation-free fast paths. *)
 
 (** Packed observation encoding for the engine's hot path: an observation
     is one int, [tag lor (slot lsl 2)] with tag 0 = silence, 1 = busy,

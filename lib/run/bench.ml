@@ -4,7 +4,6 @@ type options = {
   only : string list;  (* empty = every registered job *)
   json_path : string option;
   profile : bool;
-  sanitize : bool;
 }
 
 let selection only =
@@ -46,8 +45,7 @@ let run options =
       List.map
         (fun job ->
           let outcome =
-            Runner.run_job ~jobs:options.jobs ~profile:options.profile
-              ~sanitize:options.sanitize ~scale:options.scale job
+            Runner.run_job ~jobs:options.jobs ~profile:options.profile ~scale:options.scale job
           in
           print_string (Runner.render outcome);
           Option.iter

@@ -12,10 +12,6 @@ type options = {
       (** record {!Runner.profile} counters (allocation deltas, rounds/s,
           per-worker GC stats) per job, printed after each table and
           embedded in the JSON, where {!compare} gates them *)
-  sanitize : bool;
-      (** re-run each job's trials sequentially after the parallel pass and
-          fail on any divergence ({!Pool.Nondeterministic}); the dynamic
-          [--jobs N] determinism check *)
 }
 
 val selection : string list -> (Experiment.job list, string) result

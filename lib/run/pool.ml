@@ -1,17 +1,3 @@
-let available_cores () = Domain.recommended_domain_count ()
-
-exception Nondeterministic of { index : int; divergent : int }
-
-let () =
-  Printexc.register_printer (function
-    | Nondeterministic { index; divergent } ->
-      Some
-        (Printf.sprintf
-           "Pool.Nondeterministic { index = %d; divergent = %d } — parallel and sequential runs \
-            of the same task array disagree; a task shares mutable state"
-           index divergent)
-    | _ -> None)
-
 type worker_stat = {
   domain_index : int;
   tasks_run : int;
@@ -21,11 +7,19 @@ type worker_stat = {
   top_heap_words : int;
 }
 
-(* Structural digest of one task result, used by [~sanitize] to compare the
-   parallel run against a sequential re-run.  [Hashtbl.hash_param] with a
-   deep meaningful/total budget so large result records (summaries, rows)
-   do not collide on a shallow prefix. *)
-let digest v = Hashtbl.hash_param 256 256 v
+(* One domain's counters between two snapshots it took itself. *)
+let stat ~domain_index ~tasks_run (g0 : Gc.stat) (g1 : Gc.stat) =
+  {
+    domain_index;
+    tasks_run;
+    minor_words = g1.minor_words -. g0.minor_words;
+    major_words = g1.major_words -. g0.major_words;
+    promoted_words = g1.promoted_words -. g0.promoted_words;
+    (* Process-lifetime major-heap high-water mark as this domain saw it
+       when it finished — a peak, not a delta (heap space is shared across
+       domains, so no per-domain subtraction is meaningful). *)
+    top_heap_words = g1.top_heap_words;
+  }
 
 (* Work-stealing-free static pool: workers pull task indices from a shared
    atomic counter and write results into per-index slots, so the output
@@ -38,17 +32,7 @@ let run_parallel ~jobs f xs =
   let results = Array.make n None in
   let next = Atomic.make 0 in
   let failure = Atomic.make None in
-  let stats =
-    Array.init jobs (fun w ->
-        {
-          domain_index = w;
-          tasks_run = 0;
-          minor_words = 0.0;
-          major_words = 0.0;
-          promoted_words = 0.0;
-          top_heap_words = 0;
-        })
-  in
+  let stats = Array.make jobs None in
   (* Each worker owns slot [w] of [stats] and the result slots of the task
      indices it drew — disjoint cells, never two domains on one cell. *)
   let worker w =
@@ -68,19 +52,7 @@ let run_parallel ~jobs f xs =
       end
     in
     loop ();
-    let g1 = Gc.quick_stat () in
-    stats.(w) <-
-      {
-        domain_index = w;
-        tasks_run = !ran;
-        minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
-        major_words = g1.Gc.major_words -. g0.Gc.major_words;
-        promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words;
-        (* Process-lifetime major-heap high-water mark as this domain saw
-           it when it finished — a peak, not a delta (heap space is shared
-           across domains, so no per-domain subtraction is meaningful). *)
-        top_heap_words = g1.Gc.top_heap_words;
-      }
+    stats.(w) <- Some (stat ~domain_index:w ~tasks_run:!ran g0 (Gc.quick_stat ()))
   in
   let spawned = List.init (jobs - 1) (fun k -> Domain.spawn (fun () -> worker (k + 1))) in
   worker 0;
@@ -88,50 +60,14 @@ let run_parallel ~jobs f xs =
   match Atomic.get failure with
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
   | None ->
-    ( Array.map
-        (function Some v -> v | None -> invalid_arg "Pool.map_array: missing result")
-        results,
-      Array.to_list stats )
+    let get = function Some v -> v | None -> invalid_arg "Pool.map_array_stats: missing slot" in
+    (Array.map get results, Array.to_list (Array.map get stats))
 
-let run_sequential f xs =
-  let g0 = Gc.quick_stat () in
-  let results = Array.map f xs in
-  let g1 = Gc.quick_stat () in
-  ( results,
-    [
-      {
-        domain_index = 0;
-        tasks_run = Array.length xs;
-        minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
-        major_words = g1.Gc.major_words -. g0.Gc.major_words;
-        promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words;
-        top_heap_words = g1.Gc.top_heap_words;
-      };
-    ] )
-
-let map_array_stats ?(sanitize = false) ~jobs f xs =
-  let n = Array.length xs in
-  let jobs = max 1 (min jobs n) in
-  if jobs <= 1 then run_sequential f xs
+let map_array_stats ~jobs f xs =
+  let jobs = max 1 (min jobs (Array.length xs)) in
+  if jobs > 1 then run_parallel ~jobs f xs
   else begin
-    let results, stats = run_parallel ~jobs f xs in
-    if sanitize then begin
-      (* Dynamic counterpart of Share_lint: re-run the whole task array on
-         the calling domain and structurally diff the results.  A task that
-         raced on shared mutable state either produced a different value in
-         parallel, or left residue that skews the sequential re-run — both
-         diverge. *)
-      let sequential, _ = run_sequential f xs in
-      let bad = ref [] in
-      for i = n - 1 downto 0 do
-        if digest results.(i) <> digest sequential.(i) then bad := i :: !bad
-      done;
-      match !bad with
-      | [] -> ()
-      | first :: _ -> raise (Nondeterministic { index = first; divergent = List.length !bad })
-    end;
-    (results, stats)
+    let g0 = Gc.quick_stat () in
+    let results = Array.map f xs in
+    (results, [ stat ~domain_index:0 ~tasks_run:(Array.length xs) g0 (Gc.quick_stat ()) ])
   end
-
-let map_array ?sanitize ~jobs f xs = fst (map_array_stats ?sanitize ~jobs f xs)
-let map_list ?sanitize ~jobs f xs = Array.to_list (map_array ?sanitize ~jobs f (Array.of_list xs))

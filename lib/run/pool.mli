@@ -1,26 +1,18 @@
 (** Deterministic domain worker pool.
 
-    [map_array ~jobs f xs] applies [f] to every element of [xs] on up to
-    [jobs] OCaml 5 domains (the calling domain included) and returns the
+    [map_array_stats ~jobs f xs] applies [f] to every element of [xs] on up
+    to [jobs] OCaml 5 domains (the calling domain included) and returns the
     results in input order — workers race only for task indices, never for
     result slots, so the output is independent of scheduling.  Tasks must
     be self-contained: the simulation trials run here each carry their own
     seed and build their own [Rng] and topology, and no module under [lib]
-    keeps global mutable state.  {!Share_lint} checks that property
-    statically; [~sanitize] checks it dynamically.
+    keeps top-level mutable state ({!Source_lint}'s [global-mutable] rule).
+    The runner test that compares [--jobs 4] against [--jobs 1] checks the
+    whole guarantee on registry experiments.
 
     [jobs <= 1] runs sequentially on the calling domain with no spawns.
     If a task raises, one such exception is re-raised after all domains
     have joined, with the backtrace of the original raise site. *)
-
-val available_cores : unit -> int
-(** [Domain.recommended_domain_count ()]. *)
-
-exception Nondeterministic of { index : int; divergent : int }
-(** Raised by [~sanitize:true] when the parallel results differ
-    structurally from a sequential re-run: [index] is the first divergent
-    task index, [divergent] the total number of divergent slots.  The only
-    way a pure task array triggers this is shared mutable state. *)
 
 type worker_stat = {
   domain_index : int;  (** 0 = the calling domain *)
@@ -35,15 +27,6 @@ type worker_stat = {
 (** Per-domain execution counters, exact on every domain (each worker
     snapshots its own GC stats). *)
 
-val map_array : ?sanitize:bool -> jobs:int -> ('a -> 'b) -> 'a array -> 'b array
-(** [sanitize] (default false) re-runs the task array sequentially after
-    the parallel pass and raises {!Nondeterministic} if any result
-    differs — the dynamic race check for tasks {!Share_lint} cannot see
-    through.  Costs one extra sequential pass; a no-op at [jobs <= 1]. *)
-
-val map_list : ?sanitize:bool -> jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-
-val map_array_stats :
-  ?sanitize:bool -> jobs:int -> ('a -> 'b) -> 'a array -> 'b array * worker_stat list
-(** Like {!map_array} but also returns one {!worker_stat} per domain used
-    (a single entry at [jobs <= 1]), for [--profile] reporting. *)
+val map_array_stats : jobs:int -> ('a -> 'b) -> 'a array -> 'b array * worker_stat list
+(** The results, and one {!worker_stat} per domain used (a single entry at
+    [jobs <= 1]), for [--profile] reporting. *)

@@ -37,7 +37,7 @@ let run_task = function
    per spec per seed, thunks one trial each), execute them on the pool,
    then merge strictly in cell order — so the rendered output is
    byte-identical whatever [jobs] is. *)
-let run_job ?(jobs = 1) ?(profile = false) ?(sanitize = false) ~scale (job : Experiment.job) =
+let run_job ?(jobs = 1) ?(profile = false) ~scale (job : Experiment.job) =
   let gc0 = if profile then Some (Gc.quick_stat ()) else None in
   let t0 = Unix.gettimeofday () in
   let cells = job.Experiment.cells scale in
@@ -53,7 +53,7 @@ let run_job ?(jobs = 1) ?(profile = false) ?(sanitize = false) ~scale (job : Exp
         | Experiment.Thunk f -> [ Eval f ])
       cells
   in
-  let results, workers = Pool.map_array_stats ~sanitize ~jobs run_task (Array.of_list tasks) in
+  let results, workers = Pool.map_array_stats ~jobs run_task (Array.of_list tasks) in
   let cursor = ref 0 in
   let take () =
     let r = results.(!cursor) in

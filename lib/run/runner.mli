@@ -45,13 +45,10 @@ type outcome = {
   profile : profile option;  (** [Some] iff requested via [run_job ~profile:true] *)
 }
 
-val run_job :
-  ?jobs:int -> ?profile:bool -> ?sanitize:bool -> scale:Experiment.scale -> Experiment.job -> outcome
+val run_job : ?jobs:int -> ?profile:bool -> scale:Experiment.scale -> Experiment.job -> outcome
 (** Execute every trial of the job ([jobs] defaults to 1 = sequential;
     [profile] defaults to false — when set, the outcome carries allocation
-    and rounds-per-second counters; [sanitize] defaults to false — when
-    set and [jobs > 1], {!Pool.map_array} re-runs the trials sequentially
-    and raises {!Pool.Nondeterministic} on any divergence). *)
+    and rounds-per-second counters). *)
 
 val render : outcome -> string
 (** The ASCII table followed by one line per fit and per note. *)

@@ -143,8 +143,8 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(st
      resolution only needs the sensed power sum, the strongest decodable
      signal, and the signal counts, so the hot loop allocates nothing.
      [Channel.resolve_packed] turns the aggregates into packed codes;
-     equivalence with the reference [Channel.resolve] is covered by a
-     property test.  [obs_packed] holds silence outside a round's
+     equivalence with the list-based reference resolution in
+     test/channel_oracle.ml is covered by a property test.  [obs_packed] holds silence outside a round's
      resolve-to-observe window: observing a code resets it. *)
   let sum_power = Array.make n 0.0 in
   let n_decodable = Array.make n 0 in

@@ -281,9 +281,7 @@ let test_source_lint_exemptions () =
   let atomics = "let counter = Atomic.make 0\n" in
   Alcotest.(check (list string)) "atomics flagged outside lib/run/" [ "domain-outside-run" ]
     (source_codes ~path:"lib/sim/counter.ml" atomics);
-  (* lib/run/pool.ml itself carries a poly-hash audit that this one-line
-     stand-in no longer exercises; the Atomic use is what must pass. *)
-  Alcotest.(check (list string)) "atomics allowed in the job pool" [ "unused-allowlist" ]
+  Alcotest.(check (list string)) "atomics allowed in the job pool" []
     (source_codes ~path:"lib/run/pool.ml" atomics)
 
 let test_source_lint_engine_mode () =
@@ -367,117 +365,77 @@ let test_source_lint_allowlist_use_tracking () =
       (file_line d)
   | diags -> Alcotest.failf "expected one diagnostic, got %d" (List.length diags)
 
-(* --- share lint ------------------------------------------------------------ *)
+(* --- global-mutable -------------------------------------------------------- *)
 
-let share_lint files = lint_files Share_lint.lint files
-let share_codes files = codes (share_lint files)
+(* A top-level mutable cell in a library module is shared by every trial
+   the pool runs, on whichever domain runs it. *)
 
-let test_share_lint_seed_violation () =
-  let diags = share_lint Share_lint.seed_violation_files in
-  Alcotest.(check bool) "the demo fails the lint" true (Diagnostics.has_errors diags);
-  Alcotest.(check (list string))
-    "all three rules fire on the bundled demo"
-    [ "capture-mutates"; "global-mutable-core"; "shared-mutable" ]
-    (List.sort_uniq String.compare (codes diags));
-  (* The cross-module half: the task lives in lib/analysis but reaches the
-     sim-layer cache, so the diagnostic must name the foreign global. *)
-  let contains needle haystack =
-    let n = String.length needle and h = String.length haystack in
-    let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "cross-module capture names the foreign global" true
-    (List.exists
-       (fun (d : Diagnostics.diagnostic) ->
-         d.code = "shared-mutable"
-         && fst (file_line d) = "lib/analysis/seed_sweep.ml"
-         && contains "Seed_cache.cache" d.message)
-       diags)
+let global_mutable ~path contents =
+  List.map
+    (fun (d : Diagnostics.diagnostic) -> (d.code, snd (file_line d)))
+    (source_lint ~path contents)
 
-let test_share_lint_clean_and_atomic () =
-  let clean = "let sweep specs = Pool.map_array ~jobs:4 (fun spec -> 2 * spec) specs\n" in
-  Alcotest.(check (list string)) "a self-contained task is clean" []
-    (share_codes [ ("lib/analysis/sweep.ml", clean) ]);
-  (* Atomics are the sanctioned cross-domain cell: inventoried, never
-     flagged. *)
-  let atomic =
-    "let hits = Atomic.make 0\n\
-     let sweep specs =\n\
-    \  Pool.map_array ~jobs:4 (fun spec -> Atomic.incr hits; 2 * spec) specs\n"
-  in
-  Alcotest.(check (list string)) "an Atomic-mediated counter is clean" []
-    (share_codes [ ("lib/run/sweep.ml", atomic) ])
+let test_global_mutable_fixture () =
+  (* The committed fixture, linted under a library path: its counter is
+     module state that every pool task bumps. *)
+  let contents = In_channel.with_open_bin "fixtures/racy_counter.ml" In_channel.input_all in
+  Alcotest.(check (list (pair string int)))
+    "the racy fixture's counter is flagged" [ ("global-mutable", 8) ]
+    (global_mutable ~path:"lib/analysis/racy_counter.ml" contents);
+  (* Outside lib/ the rule does not apply, so the fixture needs no audit
+     at its committed path. *)
+  Alcotest.(check (list (pair string int)))
+    "clean at its committed path" []
+    (global_mutable ~path:"test/fixtures/racy_counter.ml" contents)
 
-let test_share_lint_global_mutable_core () =
+let test_global_mutable_tables () =
   let cache = "let cache = Hashtbl.create 16\nlet lookup k = Hashtbl.find_opt cache k\n" in
-  (match share_lint [ ("lib/sim/cache.ml", cache) ] with
-  | [ d ] ->
-    Alcotest.(check string) "toplevel mutable state in lib/sim" "global-mutable-core" d.code;
-    Alcotest.(check int) "line of the binding" 1 (snd (file_line d))
-  | diags -> Alcotest.failf "expected one diagnostic, got %d" (List.length diags));
-  (* The same binding outside the state-free layers is inventoried but only
-     an error if a pool task reaches it. *)
-  Alcotest.(check (list string)) "mutable module state outside core/sim is tolerated" []
-    (share_codes [ ("lib/analysis/cache.ml", cache) ]);
-  (* A function that merely allocates a fresh table per call is not module
-     state. *)
-  Alcotest.(check (list string)) "per-call allocation is not a global" []
-    (share_codes [ ("lib/sim/fresh.ml", "let create n = Hashtbl.create n\n") ])
+  List.iter
+    (fun path ->
+      Alcotest.(check (list (pair string int)))
+        ("a top-level table in " ^ path) [ ("global-mutable", 1) ]
+        (global_mutable ~path cache))
+    [ "lib/sim/cache.ml"; "lib/analysis/cache.ml" ];
+  Alcotest.(check (list (pair string int)))
+    "a constrained, Stdlib-qualified buffer" [ ("global-mutable", 1) ]
+    (global_mutable ~path:"lib/core/log.ml" "let log : Buffer.t = Stdlib.Buffer.create 64\n");
+  Alcotest.(check (list (pair string int)))
+    "bench/ and test/ may keep module state" []
+    (global_mutable ~path:"bench/cache.ml" cache @ global_mutable ~path:"test/cache.ml" cache)
 
-let test_share_lint_reaches_named_helpers () =
-  (* The task itself is innocent; the helper it calls mutates module
-     state.  The intra-file call summary must follow the edge. *)
-  let src =
-    "let total = ref 0\n\
-     let bump n = total := !total + n\n\
-     let sweep specs = Pool.map_array ~jobs:2 (fun s -> bump s; s) specs\n"
+let test_global_mutable_per_call () =
+  (* A function that allocates a fresh table per call is not module state,
+     nor is a cell bound inside a function body. *)
+  Alcotest.(check (list (pair string int)))
+    "per-call allocation is clean" []
+    (global_mutable ~path:"lib/sim/fresh.ml"
+       "let create n = Hashtbl.create n\n\
+        let count xs =\n\
+       \  let n = ref 0 in\n\
+       \  List.iter (fun _ -> incr n) xs;\n\
+       \  !n\n");
+  (* Atomics are left to domain-outside-run, which confines them to
+     lib/run/. *)
+  Alcotest.(check (list (pair string int)))
+    "an Atomic counter in the pool's directory is clean" []
+    (global_mutable ~path:"lib/run/sweep.ml" "let hits = Atomic.make 0\n")
+
+(* A real race, planted in the runner: a trial counter that each trial
+   bumps and folds into its seed, so the e8a rows at --jobs 4 differ from
+   --jobs 1 (test_run's byte-identity test fails on it too). *)
+let test_global_mutable_runner_plant () =
+  let plant =
+    "let trials_run = ref 0\n\n\
+     let run_task = function\n\
+    \  | Run spec ->\n\
+    \    incr trials_run;\n\
+    \    Summary (Scenario.summarize (Scenario.run { spec with Scenario.seed = \
+     spec.Scenario.seed + !trials_run }))\n\
+    \  | Eval f -> Row (f ())\n"
   in
-  (match share_lint [ ("lib/analysis/sweep.ml", src) ] with
-  | [ d ] -> Alcotest.(check string) "reached through the helper" "shared-mutable" d.code
-  | diags -> Alcotest.failf "expected one diagnostic, got %d" (List.length diags));
-  (* Same helper handed to the pool by name instead of inside a lambda. *)
-  let named =
-    "let total = ref 0\n\
-     let bump n =\n\
-    \  total := !total + n;\n\
-    \  n\n\
-     let sweep specs = Pool.map_array ~jobs:2 bump specs\n"
-  in
-  Alcotest.(check (list string)) "named task functions are analyzed" [ "shared-mutable" ]
-    (share_codes [ ("lib/analysis/named.ml", named) ])
-
-let test_share_lint_racy_fixture () =
-  (* The committed fixture, linted under a production path so the audited
-     allowlist entry for its real location does not mask the finding. *)
-  let contents =
-    In_channel.with_open_bin "fixtures/racy_counter.ml" In_channel.input_all
-  in
-  Alcotest.(check (list string)) "the racy fixture is flagged statically" [ "shared-mutable" ]
-    (share_codes [ ("lib/analysis/racy_counter.ml", contents) ]);
-  (* At its committed path the entry suppresses the finding — and is
-     therefore used, so no unused-allowlist complaint either. *)
-  Alcotest.(check (list string)) "allowlisted at its committed path" []
-    (share_codes [ ("test/fixtures/racy_counter.ml", contents) ])
-
-let test_share_lint_unused_allowlist () =
-  (* lib/run/pool.ml carries a capture-mutates audit; contents that no
-     longer exercise it must surface the stale entry, at the line that
-     defines it (the line to delete), not in the audited file. *)
-  match share_lint [ ("lib/run/pool.ml", "let x = 1\n") ] with
-  | [ d ] ->
-    Alcotest.(check string) "stale audit is an error" "unused-allowlist" d.code;
-    let file, line = file_line d in
-    Alcotest.(check string) "located in the allowlist module" "lib/check/share_lint.ml" file;
-    Alcotest.(check bool) "at a real line" true (line > 0);
-    Alcotest.(check int) "at the entry's definition"
-      (definition_line Share_lint.allowlist "lib/run/pool.ml" "capture-mutates")
-      line
-  | diags -> Alcotest.failf "expected one diagnostic, got %d" (List.length diags)
-
-let test_share_lint_parse_error () =
-  match share_lint [ ("lib/broken.ml", "let let let") ] with
-  | [ d ] -> Alcotest.(check string) "parse error code" "parse-error" d.code
-  | diags -> Alcotest.failf "expected one diagnostic, got %d" (List.length diags)
+  Alcotest.(check (list (pair string int)))
+    "the runner's trial counter is flagged" [ ("global-mutable", 1) ]
+    (global_mutable ~path:"lib/run/runner.ml" plant)
 
 (* --- callgraph ------------------------------------------------------------ *)
 
@@ -486,52 +444,34 @@ let parse_exn ~path contents =
   | [ (_, structure) ], [] -> structure
   | _ -> Alcotest.failf "%s: fixture does not parse" path
 
-(* A family of programs with the write hidden behind a helper chain of
-   varying depth, handed to the pool either in a lambda or by name.  The
-   property: Share_lint flags the program as shared-mutable exactly when
-   Callgraph's whole-tree reachability from the task function reaches a
-   function whose summary writes the global — the two analyses are built
-   on the same machinery and must give the same verdict. *)
-let chain_program ~named ~writes depth =
+(* A helper chain h(depth-1) -> ... -> h0 below [sweep], which calls the
+   top helper inside a lambda or passes it by name.  Alloc_lint walks its
+   hot roots with this reachability, so every link must be followed and a
+   function nothing calls must stay out. *)
+let chain_program ~named depth =
   let buf = Buffer.create 256 in
-  Buffer.add_string buf "let total = ref 0\n";
-  Buffer.add_string buf
-    (if writes then "let h0 n = total := !total + n; n\n" else "let h0 n = n + 1\n");
+  Buffer.add_string buf "let h0 n = n + 1\nlet unused n = n - 1\n";
   for i = 1 to depth - 1 do
     Buffer.add_string buf (Printf.sprintf "let h%d n = h%d n\n" i (i - 1))
   done;
   let top = Printf.sprintf "h%d" (depth - 1) in
   Buffer.add_string buf
-    (if named then Printf.sprintf "let sweep specs = Pool.map_array ~jobs:2 %s specs\n" top
-     else Printf.sprintf "let sweep specs = Pool.map_array ~jobs:2 (fun s -> %s s) specs\n" top);
+    (if named then Printf.sprintf "let sweep specs = Array.map %s specs\n" top
+     else Printf.sprintf "let sweep specs = Array.map (fun s -> %s s) specs\n" top);
   Buffer.contents buf
 
-let test_callgraph_matches_share_lint_verdicts () =
+let test_callgraph_reaches_helper_chains () =
   List.iter
-    (fun (named, writes, depth) ->
-      let label = Printf.sprintf "named=%b writes=%b depth=%d" named writes depth in
-      let src = chain_program ~named ~writes depth in
+    (fun (named, depth) ->
       let path = "lib/analysis/chain.ml" in
-      let share_flags =
-        List.mem "shared-mutable" (share_codes [ (path, src) ])
-      in
-      let graph = Callgraph.build [ (path, parse_exn ~path src) ] in
-      let reached = Callgraph.reachable graph ~roots:[ "Chain.sweep" ] in
-      let graph_flags =
-        List.exists
-          (fun fn ->
-            List.exists
-              (fun (w : Callgraph.write) -> w.Callgraph.target = "total")
-              fn.Callgraph.fn_summary.Callgraph.fn_writes)
-          reached
-      in
-      Alcotest.(check bool) (label ^ ": sweep itself is reached") true
-        (List.exists (fun fn -> fn.Callgraph.fn_qual = "Chain.sweep") reached);
-      Alcotest.(check bool) (label ^ ": verdicts agree") share_flags graph_flags;
-      Alcotest.(check bool) (label ^ ": expected verdict") writes share_flags)
-    (List.concat_map
-       (fun depth -> [ (false, true, depth); (true, true, depth); (false, false, depth) ])
-       [ 1; 2; 3 ])
+      let graph = Callgraph.build [ (path, parse_exn ~path (chain_program ~named depth)) ] in
+      Alcotest.(check (list string))
+        (Printf.sprintf "named=%b depth=%d: sweep, then the chain top down" named depth)
+        ("Chain.sweep" :: List.init depth (fun i -> Printf.sprintf "Chain.h%d" (depth - 1 - i)))
+        (List.map
+           (fun fn -> fn.Callgraph.fn_qual)
+           (Callgraph.reachable graph ~roots:[ "Chain.sweep" ])))
+    (List.concat_map (fun depth -> [ (false, depth); (true, depth) ]) [ 1; 2; 3 ])
 
 (* --- alloc lint ----------------------------------------------------------- *)
 
@@ -629,6 +569,23 @@ let test_alloc_unused_allowlist () =
        (alloc_lint
           [ ("lib/analysis/other.ml", "let x = 1\n"); ("lib/util/calendar.ml", "let add t = t\n") ]))
 
+(* [x :: xs] parses as [::] applied to the pair [(x, xs)]; it builds one
+   cons cell, so it is one list site and no tuple site, while a real tuple
+   in the same file still fails.  A container built on a hot path is a
+   per-call allocation of its own class. *)
+let test_alloc_cons_tuple_table () =
+  let file =
+    ( "lib/sim/consing.ml",
+      "let push x xs = x :: xs\nlet pair x = (x, x)\nlet table n = Hashtbl.create n\n" )
+  in
+  let lint roots = codes (alloc_lint ~roots:[ ("consing", roots) ] [ file ]) in
+  Alcotest.(check (list string)) "a cons is a list site only" [ "alloc-list" ]
+    (lint [ "Consing.push" ]);
+  Alcotest.(check (list string)) "a real tuple still fails" [ "alloc-list"; "alloc-tuple" ]
+    (lint [ "Consing.push"; "Consing.pair" ]);
+  Alcotest.(check (list string)) "a table is alloc-table" [ "alloc-table" ]
+    (lint [ "Consing.table" ])
+
 let test_alloc_parse_error () =
   match
     List.filter
@@ -657,19 +614,15 @@ let test_golden_codes () =
     "source lint codes"
     [
       "hashtbl-order"; "poly-compare"; "poly-hash"; "ambient-random"; "wall-clock";
-      "domain-outside-run"; "engine-mode"; "unused-allowlist"; "parse-error";
+      "domain-outside-run"; "engine-mode"; "global-mutable"; "unused-allowlist"; "parse-error";
     ]
     Source_lint.codes;
-  Alcotest.(check (list string))
-    "share lint codes"
-    [ "global-mutable-core"; "shared-mutable"; "capture-mutates"; "unused-allowlist"; "parse-error" ]
-    Share_lint.codes;
   Alcotest.(check (list string))
     "alloc lint codes"
     [
       "alloc-closure"; "alloc-boxed-float"; "alloc-tuple"; "alloc-ref"; "alloc-list";
-      "alloc-array"; "alloc-string"; "alloc-partial-application"; "unused-allowlist";
-      "parse-error";
+      "alloc-array"; "alloc-string"; "alloc-table"; "alloc-partial-application";
+      "unused-allowlist"; "parse-error";
     ]
     Alloc_lint.codes
 
@@ -825,6 +778,11 @@ let () =
           Alcotest.test_case "parse errors surface as diagnostics" `Quick
             test_source_lint_parse_error;
           Alcotest.test_case "missing paths raise" `Quick test_source_lint_missing_paths;
+          Alcotest.test_case "global-mutable: racy fixture" `Quick test_global_mutable_fixture;
+          Alcotest.test_case "global-mutable: tables in lib/" `Quick test_global_mutable_tables;
+          Alcotest.test_case "global-mutable: per-call cells" `Quick test_global_mutable_per_call;
+          Alcotest.test_case "global-mutable: Runner plant" `Quick
+            test_global_mutable_runner_plant;
           Alcotest.test_case "golden diagnostic codes" `Quick test_golden_codes;
         ] );
       ( "allowlist hygiene",
@@ -832,28 +790,11 @@ let () =
           Alcotest.test_case "unused entries reported" `Quick test_unused_allowlist_helper;
           Alcotest.test_case "source lint tracks entry use" `Quick
             test_source_lint_allowlist_use_tracking;
-          Alcotest.test_case "share lint flags stale entries" `Quick
-            test_share_lint_unused_allowlist;
-        ] );
-      ( "share lint",
-        [
-          Alcotest.test_case "seed violation fires all rules" `Quick
-            test_share_lint_seed_violation;
-          Alcotest.test_case "clean and Atomic-mediated tasks pass" `Quick
-            test_share_lint_clean_and_atomic;
-          Alcotest.test_case "lib/core and lib/sim are state-free" `Quick
-            test_share_lint_global_mutable_core;
-          Alcotest.test_case "reachability through named helpers" `Quick
-            test_share_lint_reaches_named_helpers;
-          Alcotest.test_case "racy fixture flagged statically" `Quick
-            test_share_lint_racy_fixture;
-          Alcotest.test_case "parse errors surface as diagnostics" `Quick
-            test_share_lint_parse_error;
         ] );
       ( "callgraph",
         [
-          Alcotest.test_case "whole-tree reachability matches share-lint verdicts" `Quick
-            test_callgraph_matches_share_lint_verdicts;
+          Alcotest.test_case "whole-tree reachability matches helper chains" `Quick
+            test_callgraph_reaches_helper_chains;
         ] );
       ( "alloc lint",
         [
@@ -867,6 +808,7 @@ let () =
             test_alloc_growth_fails_unless_audited;
           Alcotest.test_case "stale allowlist entries located" `Quick
             test_alloc_unused_allowlist;
+          Alcotest.test_case "cons, tuple and table sites" `Quick test_alloc_cons_tuple_table;
           Alcotest.test_case "parse errors surface as diagnostics" `Quick
             test_alloc_parse_error;
         ] );

@@ -55,51 +55,53 @@ let prop_friis_monotonic =
 let obs_testable =
   Alcotest.testable (Channel.pp Format.pp_print_int) (Channel.equal Int.equal)
 
-let resolve ?rng params txs = Channel.resolve ?rng params ~sense_threshold:0.3 txs
+let resolve ?rng params txs = Channel_oracle.resolve ?rng params ~sense_threshold:0.3 txs
 
 let test_channel_silence () =
   Alcotest.check obs_testable "no tx" Channel.Silence (resolve Channel.ideal []);
   Alcotest.check obs_testable "below sense floor" Channel.Silence
-    (resolve Channel.ideal [ { Channel.power = 0.2; payload = 1 } ])
+    (resolve Channel.ideal [ { Channel_oracle.power = 0.2; payload = 1 } ])
 
 let test_channel_clear () =
   Alcotest.check obs_testable "single decodable" (Channel.Clear 7)
-    (resolve Channel.ideal [ { Channel.power = 1.5; payload = 7 } ])
+    (resolve Channel.ideal [ { Channel_oracle.power = 1.5; payload = 7 } ])
 
 let test_channel_busy_collision () =
   Alcotest.check obs_testable "two decodable, no capture" Channel.Busy
     (resolve Channel.ideal
-       [ { Channel.power = 1.0; payload = 1 }; { Channel.power = 1.0; payload = 2 } ])
+       [ { Channel_oracle.power = 1.0; payload = 1 }; { Channel_oracle.power = 1.0; payload = 2 } ])
 
 let test_channel_busy_weak () =
   Alcotest.check obs_testable "sensed but undecodable" Channel.Busy
-    (resolve Channel.ideal [ { Channel.power = 0.5; payload = 1 } ])
+    (resolve Channel.ideal [ { Channel_oracle.power = 0.5; payload = 1 } ])
 
 let test_channel_weak_interference_ideal () =
   (* The ideal (no capture) channel treats any co-channel energy as a
      collision. *)
   Alcotest.check obs_testable "weak interferer corrupts" Channel.Busy
     (resolve Channel.ideal
-       [ { Channel.power = 5.0; payload = 1 }; { Channel.power = 0.4; payload = 2 } ])
+       [ { Channel_oracle.power = 5.0; payload = 1 }; { Channel_oracle.power = 0.4; payload = 2 } ])
 
 let test_channel_capture () =
   let params = { Channel.capture_ratio = 3.0; loss_prob = 0.0 } in
   Alcotest.check obs_testable "strong signal captured" (Channel.Clear 1)
-    (resolve params [ { Channel.power = 3.0; payload = 1 }; { Channel.power = 0.9; payload = 2 } ]);
+    (resolve params
+       [ { Channel_oracle.power = 3.0; payload = 1 }; { Channel_oracle.power = 0.9; payload = 2 } ]);
   Alcotest.check obs_testable "not strong enough" Channel.Busy
-    (resolve params [ { Channel.power = 2.0; payload = 1 }; { Channel.power = 0.9; payload = 2 } ])
+    (resolve params
+       [ { Channel_oracle.power = 2.0; payload = 1 }; { Channel_oracle.power = 0.9; payload = 2 } ])
 
 let test_channel_loss () =
   let rng = Rng.create 5 in
   let params = { Channel.capture_ratio = infinity; loss_prob = 1.0 } in
   Alcotest.check obs_testable "always-lost packet still sensed" Channel.Busy
-    (resolve ~rng params [ { Channel.power = 2.0; payload = 1 } ])
+    (resolve ~rng params [ { Channel_oracle.power = 2.0; payload = 1 } ])
 
 let test_channel_loss_requires_rng () =
   let params = { Channel.capture_ratio = infinity; loss_prob = 0.5 } in
   Alcotest.(check bool) "missing rng raises" true
     (try
-       ignore (resolve params [ { Channel.power = 2.0; payload = 1 } ]);
+       ignore (resolve params [ { Channel_oracle.power = 2.0; payload = 1 } ]);
        false
      with Invalid_argument _ -> true)
 
@@ -112,19 +114,19 @@ let prop_resolve_never_invents_payload =
   QCheck.Test.make ~name:"resolve only returns transmitted payloads" ~count:300
     QCheck.(small_list (pair (float_range 0.0 5.0) small_int))
     (fun txs ->
-      let txs = List.map (fun (power, payload) -> { Channel.power; payload }) txs in
+      let txs = List.map (fun (power, payload) -> { Channel_oracle.power; payload }) txs in
       match resolve Channel.ideal txs with
-      | Channel.Clear payload -> List.exists (fun tx -> tx.Channel.payload = payload) txs
+      | Channel.Clear payload -> List.exists (fun tx -> tx.Channel_oracle.payload = payload) txs
       | Channel.Silence | Channel.Busy -> true)
 
 let prop_resolve_single_strong_is_clear =
   QCheck.Test.make ~name:"lone decodable signal is always decoded (ideal)" ~count:200
     QCheck.(float_range 1.0 100.0)
     (fun power ->
-      resolve Channel.ideal [ { Channel.power; payload = 9 } ] = Channel.Clear 9)
+      resolve Channel.ideal [ { Channel_oracle.power; payload = 9 } ] = Channel.Clear 9)
 
 (* The engine's packed fast path must be observation-equivalent to the
-   variant [resolve] (fast paths included).  Rebuild the flat per-receiver
+   variant reference [Channel_oracle.resolve] (fast paths included).  Rebuild the flat per-receiver
    aggregates the engine's fan-out keeps — same sense filter, same loss
    coin order — and check [resolve_packed] decodes to the same observation
    on the same RNG stream. *)
@@ -136,25 +138,25 @@ let prop_resolve_packed_agrees =
         if lossy then { Channel.capture_ratio = 3.0; loss_prob = 0.25 } else Channel.ideal
       in
       let sense_threshold = 0.3 in
-      let txs = List.map (fun (power, payload) -> { Channel.power; payload }) raw in
-      let expected = Channel.resolve ~rng:(Rng.create seed) params ~sense_threshold txs in
+      let txs = List.map (fun (power, payload) -> { Channel_oracle.power; payload }) raw in
+      let expected = Channel_oracle.resolve ~rng:(Rng.create seed) params ~sense_threshold txs in
       let rng = Rng.create seed in
       let sum = ref 0.0 and n_dec = ref 0 and best_pow = ref 0.0 and best = ref 0 in
       let sensed = ref 0 in
       List.iteri
         (fun slot tx ->
-          if tx.Channel.power >= sense_threshold then begin
+          if tx.Channel_oracle.power >= sense_threshold then begin
             incr sensed;
-            sum := !sum +. tx.Channel.power;
+            sum := !sum +. tx.Channel_oracle.power;
             if
-              tx.Channel.power >= 1.0
+              tx.Channel_oracle.power >= 1.0
               && not
                    (params.Channel.loss_prob > 0.0
                    && Rng.bernoulli rng params.Channel.loss_prob)
             then begin
               incr n_dec;
-              if tx.Channel.power > !best_pow then begin
-                best_pow := tx.Channel.power;
+              if tx.Channel_oracle.power > !best_pow then begin
+                best_pow := tx.Channel_oracle.power;
                 best := slot
               end
             end
@@ -168,7 +170,7 @@ let prop_resolve_packed_agrees =
         let p = out.(0) in
         if p = Channel.Packed.silence then Channel.Silence
         else if Channel.Packed.is_clear p then
-          Channel.Clear (List.nth txs (Channel.Packed.slot p)).Channel.payload
+          Channel.Clear (List.nth txs (Channel.Packed.slot p)).Channel_oracle.payload
         else Channel.Busy
       in
       Channel.equal Int.equal expected got)

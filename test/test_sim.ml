@@ -747,7 +747,8 @@ let test_engine_calendar_growth () =
       (long -. short) short long
 
 (* The engine's flat-aggregate channel resolution must agree with the
-   reference Channel.resolve on arbitrary receiver configurations. *)
+   list-based reference resolution (Channel_oracle.resolve) on arbitrary
+   receiver configurations. *)
 let prop_engine_matches_reference =
   QCheck.Test.make ~name:"engine resolution = Channel.resolve" ~count:300
     QCheck.(pair (int_bound 10_000) (int_range 0 6))
@@ -787,9 +788,11 @@ let prop_engine_matches_reference =
       ignore (Engine.run ~topology ~machines ~waiters:(Array.make (k + 1) true) ~cap:1 ());
       let txs =
         Array.to_list (Topology.sensed topology).(0)
-        |> List.map (fun { Topology.peer; power } -> { Channel.power; payload = peer })
+        |> List.map (fun { Topology.peer; power } -> { Channel_oracle.power; payload = peer })
       in
-      let expected = Channel.resolve Channel.ideal ~sense_threshold:(Propagation.sense_threshold prop) txs in
+      let expected =
+        Channel_oracle.resolve Channel.ideal ~sense_threshold:(Propagation.sense_threshold prop) txs
+      in
       match (!observed, expected) with
       | Some got, want -> Channel.equal Int.equal got want
       | None, _ -> false)
