@@ -191,8 +191,7 @@ let spec_term =
 (* --- run --------------------------------------------------------------- *)
 
 let run_cmd =
-  let run spec =
-    let result = Scenario.run spec in
+  let print_summary result =
     let s = Scenario.summarize result in
     let table = Table.create ~title:"broadcast summary" ~columns:[ "metric"; "value" ] in
     Table.add_row table [ "honest nodes"; Table.cell_i s.Scenario.honest_nodes ];
@@ -205,9 +204,21 @@ let run_cmd =
     Table.add_row table [ "hit round cap"; string_of_bool s.Scenario.hit_cap ];
     Table.print table
   in
+  (* A deployment the radius leaves disconnected is a bad command line, not
+     an internal error: exit 124 naming what is unreached and what to change. *)
+  let run spec =
+    match Scenario.run spec with
+    | exception Scenario.Unreachable { unreachable; total } ->
+      `Error
+        ( true,
+          Printf.sprintf
+            "the source cannot reach %d of %d nodes; raise --radius or --nodes, or shrink --map"
+            unreachable total )
+    | result -> `Ok (print_summary result)
+  in
   Cmd.v
     (Cmd.info "run" ~doc:"Simulate one authenticated broadcast and print its metrics.")
-    Term.(const run $ spec_term)
+    Term.(ret (const run $ spec_term))
 
 (* --- fig ---------------------------------------------------------------- *)
 

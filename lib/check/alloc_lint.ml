@@ -102,11 +102,6 @@ let allowlist =
        evidence item onto its value's list (3 words per new item; a
        duplicate returns before it). *)
     ("lib/core/voting.ml", "alloc-list", __LINE__);
-    (* A real per-call allocation: Voting.count_in_window builds a fresh
-       Hashtbl for every candidate window Index.decide scans, so decide
-       spends 344 minor words per call on five items (3 would do).  The
-       ROADMAP item on the voting index removes it. *)
-    ("lib/core/voting.ml", "alloc-table", __LINE__);
     (* Channel.resolve_packed subtracts and scales float-array reads inside
        comparisons, which ocamlopt keeps unboxed. *)
     ("lib/radio/channel.ml", "alloc-boxed-float", __LINE__);
@@ -123,10 +118,10 @@ let allowlist =
        local and never captured, so ocamlopt turns them into plain local
        variables. *)
     ("lib/util/calendar.ml", "alloc-ref", __LINE__);
-    (* A real allocation: Rng.float returns its draw boxed (2 words, next
-       to the 6 words Rng.int64 spends boxing its Int64 state and result).
-       The engine reaches it only through Rng.bernoulli for packet loss, on
-       channels with a positive loss probability. *)
+    (* Rng.float scales its draw with /. and *.; the engine reaches it only
+       through Rng.bernoulli (packet loss), which inlines it and compares
+       the result unboxed, so a loss draw allocates nothing.  Only a direct
+       Rng.float call across a module boundary boxes its result (2 words). *)
     ("lib/util/rng.ml", "alloc-boxed-float", __LINE__);
   ]
 

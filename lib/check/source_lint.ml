@@ -104,6 +104,29 @@ let mutable_allocator (e : Parsetree.expression) =
     | Some _ | None -> None)
   | _ -> None
 
+(* The value bindings evaluated once per program: the file's own, and
+   those of the [struct ... end] modules bound in it, through module-type
+   constraints, [include] and [module rec], at any depth.  A functor body
+   runs per application and a [let module] per evaluation, so neither is
+   entered. *)
+let rec module_level_bindings (structure : Parsetree.structure) =
+  List.concat_map
+    (fun (item : Parsetree.structure_item) ->
+      match item.pstr_desc with
+      | Parsetree.Pstr_value (_, bindings) -> bindings
+      | Parsetree.Pstr_module mb -> bindings_of_module mb.pmb_expr
+      | Parsetree.Pstr_recmodule mbs ->
+        List.concat_map (fun (mb : Parsetree.module_binding) -> bindings_of_module mb.pmb_expr) mbs
+      | Parsetree.Pstr_include incl -> bindings_of_module incl.pincl_mod
+      | _ -> [])
+    structure
+
+and bindings_of_module (m : Parsetree.module_expr) =
+  match m.pmod_desc with
+  | Parsetree.Pmod_structure structure -> module_level_bindings structure
+  | Parsetree.Pmod_constraint (m, _) -> bindings_of_module m
+  | _ -> []
+
 (* Does this application of [Engine.run] pin the loop variant?  The sparse
    and dense loops are held byte-identical by the equivalence property
    test, but a caller that omits [~mode] silently follows whatever the
@@ -188,22 +211,16 @@ let lint_structure ~path structure =
   in
   iterator.structure iterator structure;
   List.iter
-    (fun (item : Parsetree.structure_item) ->
-      match item.pstr_desc with
-      | Parsetree.Pstr_value (_, bindings) ->
-        List.iter
-          (fun (vb : Parsetree.value_binding) ->
-            match mutable_allocator vb.pvb_expr with
-            | Some head ->
-              emit "global-mutable"
-                (head
-               ^ " bound at module top level: the cell is shared by every trial the pool \
-                  runs; allocate it per run instead")
-                vb.pvb_loc
-            | None -> ())
-          bindings
-      | _ -> ())
-    structure;
+    (fun (vb : Parsetree.value_binding) ->
+      match mutable_allocator vb.pvb_expr with
+      | Some head ->
+        emit "global-mutable"
+          (head
+         ^ " bound at module top level: the cell is shared by every trial the pool \
+            runs; allocate it per run instead")
+          vb.pvb_loc
+      | None -> ())
+    (module_level_bindings structure);
   (List.rev !diags, !used)
 
 let lint parsed =

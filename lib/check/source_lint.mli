@@ -34,7 +34,12 @@
       [init]/[create_float]/[make_matrix], [Hashtbl]/[Buffer]/[Queue]/
       [Stack.create], [Bytes.create]/[make], with or without [Stdlib.]) —
       the cell is shared by every trial the pool runs, on any domain
-      ([Atomic.make] is left to [domain-outside-run]);
+      ([Atomic.make] is left to [domain-outside-run]).  Top level means
+      the file's own bindings and those of [struct ... end] modules bound
+      in it, at any depth, through module-type constraints, [include] and
+      [module rec].  Functor bodies and [let module] are out of scope:
+      they run per application or evaluation, and a functor applied at
+      top level is not followed into its body;
     - [unused-allowlist]: an {!allowlist} entry that suppressed no
       diagnostic during a {!lint} run over its file — stale audits are
       themselves errors so they cannot rot in place;

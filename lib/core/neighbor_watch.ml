@@ -128,18 +128,22 @@ let role_receiving = 3
 let role_passive = 4  (* catch-up fired: stay silent for the rest of the interval *)
 
 type state = {
-  send_slot : int;  (** own square's slot; the source sends in slot 0 instead *)
-  committed : Buffer.t;  (** '0'/'1' chars *)
+  id : Node.id;
+  mutable send_slot : int;
+      (** own square's slot (the source sends in slot 0 instead); [-1] until
+          {!build} has run *)
+  mutable committed : Buffer.t;  (** '0'/'1' chars *)
   mutable sender : One_hop.Sender.t;
-  streams : Vote.stream array;  (** the source's first if sensed, then adjacent squares' *)
-  stream_slots : int array;
+  mutable streams : Vote.stream array;
+      (** the source's first if sensed, then adjacent squares' *)
+  mutable stream_slots : int array;
       (** the slot each of [streams] is heard in: at most nine, pairwise
           distinct (see {!stream_in_slot}) *)
-  vote : Vote.t;  (** the frontier tally (see {!Vote}) *)
+  mutable vote : Vote.t;  (** the frontier tally (see {!Vote}) *)
   mutable role : int;  (** one of the [role_*] codes *)
-  tb_sender : Two_bit.Sender.t;
-  tb_blocker : Two_bit.Blocker.t;
-  tb_receiver : Two_bit.Receiver.t;
+  mutable tb_sender : Two_bit.Sender.t;
+  mutable tb_blocker : Two_bit.Blocker.t;
+  mutable tb_receiver : Two_bit.Receiver.t;
   mutable send_parity : bool;  (** the parity bit of the current 2Bit send *)
   mutable rx : int;  (** index in [streams] listened to while receiving *)
   mutable cur_interval : int;
@@ -171,6 +175,11 @@ type ctx = {
   mutable progress : int;
       (** committed bits plus stream bits received, summed over [states]:
           each machine adds its own changes in O(1) *)
+  blank : state;
+      (** what every machine starts as: a fresh relay whose heavy parts are
+          empty placeholders shared by the whole context.  No machine owns
+          it, and {!build} replaces a machine's placeholders before anything
+          could write them. *)
 }
 
 let make_ctx config ~topology ~source =
@@ -181,6 +190,29 @@ let make_ctx config ~topology ~source =
       ~height:(deployment.Deployment.height +. 1e-6)
   in
   let schedule = Schedule.for_squares squares ~radius:config.radius in
+  let blank =
+    {
+      id = -1;
+      send_slot = -1;
+      committed = Buffer.create 0;
+      sender = One_hop.Sender.create ();
+      streams = [||];
+      stream_slots = [||];
+      vote = Vote.create ~votes:config.votes;
+      role = role_idle;
+      tb_sender = Two_bit.Sender.create ~b1:false ~b2:false;
+      tb_blocker = Two_bit.Blocker.create ();
+      tb_receiver = Two_bit.Receiver.create ();
+      send_parity = false;
+      rx = -1;
+      cur_interval = -1;
+      needy_from = max_int;
+      needy_at = max_int;
+      own_progress = 0;
+      failures = 0;
+      liar_attempts = 0;
+    }
+  in
   {
     config;
     topology;
@@ -189,6 +221,7 @@ let make_ctx config ~topology ~source =
     source;
     states = Array.make (Topology.size topology) None;
     progress = 0;
+    blank;
   }
 
 let schedule ctx = ctx.schedule
@@ -230,6 +263,44 @@ let delivered ctx s =
   if committed_len s >= msg_len then Some (Bitvec.init msg_len (fun i -> committed_bit s i))
   else None
 
+(* --- deferred state ------------------------------------------------- *)
+
+(* A machine's heavy state: its streams, committed buffer, 1Hop sender,
+   vote tally and 2Bit sub-machines.  A plain relay builds it at its first
+   interval set-up, since most nodes of a sparse network never act; until
+   then the context's blank placeholders read as a fresh relay's state
+   would (nothing committed or queued, every stream even), which is all
+   [delivered] and [needy] look at. *)
+let built s = s.send_slot >= 0
+
+let build ctx s =
+  let my_square = Squares.square_of ctx.squares (Topology.position ctx.topology s.id) in
+  let is_source = s.id = ctx.source in
+  let senses_source =
+    (not is_source)
+    && Array.exists (fun { Topology.peer; _ } -> peer = ctx.source) (Topology.sensed ctx.topology).(s.id)
+  in
+  (* Streams in listening order: the source's if sensed, then the adjacent
+     squares' in [Squares.neighbors] order. *)
+  let adjacent = Array.of_list (Squares.neighbors ctx.squares my_square) in
+  let first = if senses_source then 1 else 0 in
+  let count = first + Array.length adjacent in
+  s.streams <-
+    Array.init count (fun k ->
+        Vote.stream (if k < first then Vote.Src else Vote.Sq adjacent.(k - first)));
+  s.stream_slots <-
+    Array.init count (fun k ->
+        if k < first then Schedule.source_slot
+        else Schedule.slot_of ctx.schedule adjacent.(k - first));
+  s.committed <- Buffer.create 16;
+  s.sender <- One_hop.Sender.create ();
+  s.vote <- Vote.create ~votes:ctx.config.votes;
+  s.tb_sender <- Two_bit.Sender.create ~b1:false ~b2:false;
+  s.tb_blocker <- Two_bit.Blocker.create ();
+  s.tb_receiver <- Two_bit.Receiver.create ();
+  s.send_slot <-
+    (if is_source then Schedule.source_slot else Schedule.slot_of ctx.schedule my_square)
+
 (* --- interval roles ------------------------------------------------- *)
 
 (* The index of the stream heard in [slot] from [k] on, or -1.  A node
@@ -244,6 +315,7 @@ let rec stream_in_slot (slots : int array) slot k =
   else stream_in_slot slots slot (k + 1)
 
 let setup_interval ctx s interval =
+  if not (built s) then build ctx s;
   s.cur_interval <- interval;
   let slot = Schedule.active_slot ctx.schedule ~interval in
   if slot = s.send_slot then begin
@@ -451,51 +523,16 @@ let check_payload config role initial_commit =
     fail "initial_commit" prefix "at most msg_len ="
   | (Source _ | Liar _ | Relay), _ -> ()
 
+(* Bits committed at construction are queued for sending at once, so they
+   need the heavy state now. *)
+let commit_at_construction ctx s bits =
+  build ctx s;
+  Bitvec.fold_left (fun () bit -> commit_bit ctx s bit) () bits
+
 let machine ?initial_commit ctx id role =
-  let config = ctx.config in
-  check_payload config role initial_commit;
-  let my_square = Squares.square_of ctx.squares (Topology.position ctx.topology id) in
-  let is_source = id = ctx.source in
-  let senses_source =
-    (not is_source)
-    && Array.exists (fun { Topology.peer; _ } -> peer = ctx.source) (Topology.sensed ctx.topology).(id)
-  in
-  (* Streams in listening order: the source's if sensed, then the adjacent
-     squares' in [Squares.neighbors] order. *)
-  let adjacent = Array.of_list (Squares.neighbors ctx.squares my_square) in
-  let first = if senses_source then 1 else 0 in
-  let count = first + Array.length adjacent in
-  let streams =
-    Array.init count (fun k ->
-        Vote.stream (if k < first then Vote.Src else Vote.Sq adjacent.(k - first)))
-  in
-  let stream_slots =
-    Array.init count (fun k ->
-        if k < first then Schedule.source_slot
-        else Schedule.slot_of ctx.schedule adjacent.(k - first))
-  in
+  check_payload ctx.config role initial_commit;
   let s =
-    {
-      send_slot =
-        (if is_source then Schedule.source_slot else Schedule.slot_of ctx.schedule my_square);
-      committed = Buffer.create 16;
-      sender = One_hop.Sender.create ();
-      streams;
-      stream_slots;
-      vote = Vote.create ~votes:config.votes;
-      role = role_idle;
-      tb_sender = Two_bit.Sender.create ~b1:false ~b2:false;
-      tb_blocker = Two_bit.Blocker.create ();
-      tb_receiver = Two_bit.Receiver.create ();
-      send_parity = false;
-      rx = -1;
-      cur_interval = -1;
-      needy_from = max_int;
-      needy_at = max_int;
-      own_progress = 0;
-      failures = 0;
-      liar_attempts = (match role with Liar _ -> 3 | Source _ | Relay -> 0);
-    }
+    { ctx.blank with id; liar_attempts = (match role with Liar _ -> 3 | Source _ | Relay -> 0) }
   in
   (* A rebuilt node's previous machine leaves the total. *)
   (match ctx.states.(id) with
@@ -504,14 +541,13 @@ let machine ?initial_commit ctx id role =
   ctx.states.(id) <- Some s;
   begin
     match role with
-    | Source message | Liar message ->
-      Bitvec.fold_left (fun () bit -> commit_bit ctx s bit) () message
+    | Source message | Liar message -> commit_at_construction ctx s message
     | Relay -> begin
       (* Bits this node committed in a previous epoch of a mobile run stay
          committed: commitment is a local, already-authenticated fact. *)
       match initial_commit with
-      | Some prefix -> Bitvec.fold_left (fun () bit -> commit_bit ctx s bit) () prefix
-      | None -> ()
+      | Some prefix when Bitvec.length prefix > 0 -> commit_at_construction ctx s prefix
+      | Some _ | None -> ()
     end
   end;
   {
@@ -539,6 +575,7 @@ let committed_bits ctx id =
 
 let stream_counts ctx id =
   let s = state_of ctx id "stream_counts" in
+  if not (built s) then build ctx s;
   List.init (Array.length s.streams) (fun k ->
       (s.stream_slots.(k), One_hop.Receiver.received (Vote.receiver s.streams.(k))))
 

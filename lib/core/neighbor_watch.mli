@@ -113,6 +113,18 @@ val machine : ?initial_commit:Bitvec.t -> ctx -> Node.id -> role -> Msg.t Engine
     payload of the wrong length raises [Invalid_argument] naming both
     lengths.
 
+    Deferred state: a [Relay] with no (or an empty) [initial_commit]
+    costs only its state record and the engine closures until its first
+    [act] or [observe] (or a {!stream_counts} read) builds its streams,
+    committed buffer, 1Hop sender, vote tally and 2Bit sub-machines;
+    most nodes of a sparse network never act.  Invariant: until then the
+    relay is observationally identical to a freshly built one (no bits
+    queued, every stream at an even count, nothing committed), which is
+    all [delivered], [next_active], {!committed_bits}, {!unsent_bits} and
+    {!progress} read.  A [Source], a [Liar] and a relay with a non-empty
+    [initial_commit] commit bits at construction and build everything
+    then.
+
     Wakeup contract (quiet intervals): an interval needs polls only if the
     node sends in it — its own slot, with a bit queued — or listens in it
     on a stream whose received count is odd, where a silent interval reads

@@ -17,15 +17,27 @@ let rec all_inside ~x0 ~y0 ~size points =
   | [] -> true
   | p :: rest -> window_inside ~x0 ~y0 ~size p && all_inside ~x0 ~y0 ~size rest
 
-let rec tally_window seen items ~x0 ~y0 ~size =
-  match items with
-  | [] -> Hashtbl.length seen
-  | item :: rest ->
-    if (not (Hashtbl.mem seen item.origin)) && all_inside ~x0 ~y0 ~size item.points then
-      Hashtbl.replace seen item.origin ();
-    tally_window seen rest ~x0 ~y0 ~size
+(* The two ints compared explicitly: polymorphic [=] on the pair would be a
+   [compare] call per test. *)
+let same_origin ((a, b) : origin) ((c, d) : origin) = a = c && b = d
 
-let count_in_window items ~x0 ~y0 ~size = tally_window (Hashtbl.create 16) items ~x0 ~y0 ~size
+let rec fits_later origin items ~x0 ~y0 ~size =
+  match items with
+  | [] -> false
+  | item :: rest ->
+    (same_origin item.origin origin && all_inside ~x0 ~y0 ~size item.points)
+    || fits_later origin rest ~x0 ~y0 ~size
+
+(* Distinct origins with an item inside the window, with no table: an item
+   counts when it fits and no later item of its origin does. *)
+let rec count_in_window items ~x0 ~y0 ~size =
+  match items with
+  | [] -> 0
+  | item :: rest ->
+    let last_fit =
+      all_inside ~x0 ~y0 ~size item.points && not (fits_later item.origin rest ~x0 ~y0 ~size)
+    in
+    (if last_fit then 1 else 0) + count_in_window rest ~x0 ~y0 ~size
 
 (* The candidate anchors walk the evidence points in place — a (points,
    pending items) cursor pair instead of materialized coordinate lists, so

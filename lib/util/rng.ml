@@ -1,37 +1,48 @@
+(* The state is one int64 kept in an 8-byte [Bytes] and read and written
+   with [Bytes.get_int64_le]/[set_int64_le], which ocamlopt compiles
+   unboxed: a [mutable state : int64] field would box it on every draw.
+   [int64] and [float] are inlined into the draws below, so [int], [bool]
+   and [bernoulli] allocate nothing, even when called across a module
+   boundary that the dev profile's [-opaque] keeps from inlining. *)
 type t = {
-  mutable state : int64;
+  state : Bytes.t;
   mutable spare : float option; (* cached second deviate of the polar method *)
 }
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix64 (Int64.of_int seed); spare = None }
+let of_state s =
+  let state = Bytes.create 8 in
+  Bytes.set_int64_le state 0 s;
+  { state; spare = None }
 
-let copy t = { state = t.state; spare = t.spare }
+let create seed = of_state (mix64 (Int64.of_int seed))
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let copy t = { state = Bytes.copy t.state; spare = t.spare }
 
-let split t = { state = int64 t; spare = None }
+let[@inline] int64 t =
+  let s = Int64.add (Bytes.get_int64_le t.state 0) golden_gamma in
+  Bytes.set_int64_le t.state 0 s;
+  mix64 s
+
+let split t = of_state (int64 t)
+
+(* Rejection sampling over the positive-int range to avoid modulo bias. *)
+let rec int_below t n =
+  let raw = Int64.to_int (int64 t) land max_int in
+  let v = raw mod n in
+  if raw - v > max_int - n + 1 then int_below t n else v
 
 let int t n =
   assert (n > 0);
-  (* Rejection sampling over the positive-int range to avoid modulo bias. *)
-  let mask = max_int in
-  let rec loop () =
-    let raw = Int64.to_int (int64 t) land mask in
-    let v = raw mod n in
-    if raw - v > mask - n + 1 then loop () else v
-  in
-  loop ()
+  int_below t n
 
-let float t x =
+let[@inline] float t x =
   (* 53 high bits give a uniform double in [0, 1). *)
   let raw = Int64.shift_right_logical (int64 t) 11 in
   Int64.to_float raw /. 9007199254740992.0 *. x

@@ -18,7 +18,8 @@ val split : t -> t
 (** [split t] advances [t] and returns a statistically independent stream. *)
 
 val int64 : t -> int64
-(** Next raw 64-bit output. *)
+(** Next raw 64-bit output.  [int], [bool] and [bernoulli] draw through it
+    without allocating; [int64] and [float] box only their result. *)
 
 val int : t -> int -> int
 (** [int t n] is uniform in [\[0, n)].  Requires [n > 0]. *)

@@ -420,6 +420,43 @@ let test_global_mutable_per_call () =
     "an Atomic counter in the pool's directory is clean" []
     (global_mutable ~path:"lib/run/sweep.ml" "let hits = Atomic.make 0\n")
 
+(* A module bound at top level is evaluated once, like the file itself, so
+   its cells are module state at any depth. *)
+let test_global_mutable_nested_modules () =
+  List.iter
+    (fun (label, contents) ->
+      Alcotest.(check (list (pair string int)))
+        label [ ("global-mutable", 1) ]
+        (global_mutable ~path:"lib/sim/cache.ml" contents))
+    [
+      ("a table in a submodule", "module Cache = struct let table = Hashtbl.create 16 end\n");
+      ( "through a signature constraint",
+        "module Cache : sig val table : (int, int) Hashtbl.t end = struct\n\
+        \  let table = Hashtbl.create 16\n\
+         end\n"
+        |> String.split_on_char '\n' |> String.concat " " );
+      ("inside include struct", "include struct let hits = ref 0 end\n");
+      ("in a recursive module", "module rec A : sig val t : int ref end = struct let t = ref 0 end\n");
+      ( "two levels down",
+        "module Outer = struct module Inner = struct let log = Buffer.create 8 end end\n" );
+    ]
+
+(* A functor body runs once per application and a [let module] once per
+   evaluation: neither is module state. *)
+let test_global_mutable_functor_body () =
+  Alcotest.(check (list (pair string int)))
+    "functor body and let module are clean" []
+    (global_mutable ~path:"lib/sim/memo.ml"
+       "module Make (K : Hashtbl.HashedType) = struct\n\
+       \  module H = Hashtbl.Make (K)\n\
+       \  let table = H.create 16\n\
+       \  let cache = Hashtbl.create 16\n\
+        end\n\
+        let count xs =\n\
+       \  let module C = struct let n = ref 0 end in\n\
+       \  List.iter (fun _ -> incr C.n) xs;\n\
+       \  !C.n\n")
+
 (* A real race, planted in the runner: a trial counter that each trial
    bumps and folds into its seed, so the e8a rows at --jobs 4 differ from
    --jobs 1 (test_run's byte-identity test fails on it too). *)
@@ -783,6 +820,10 @@ let () =
           Alcotest.test_case "global-mutable: per-call cells" `Quick test_global_mutable_per_call;
           Alcotest.test_case "global-mutable: Runner plant" `Quick
             test_global_mutable_runner_plant;
+          Alcotest.test_case "global-mutable: nested modules" `Quick
+            test_global_mutable_nested_modules;
+          Alcotest.test_case "global-mutable: functor bodies" `Quick
+            test_global_mutable_functor_body;
           Alcotest.test_case "golden diagnostic codes" `Quick test_golden_codes;
         ] );
       ( "allowlist hygiene",

@@ -507,16 +507,11 @@ let budget_cell () =
   in
   (spec, n, topology, source, msg, Neighbor_watch.make_ctx config ~topology ~source)
 
-let test_poll_budget () =
+(* One broadcast on the gated cell under [mode], with Scenario.run's idle
+   cut-off and stall detector; [on_poll] sees every observed (node,
+   round). *)
+let run_budget_cell ?(on_poll = fun _ _ -> ()) mode =
   let spec, n, topology, source, msg, ctx = budget_cell () in
-  let polls = ref 0 and executed = ref 0 and last = ref (-1) in
-  let on_poll _ r =
-    incr polls;
-    if r <> !last then begin
-      last := r;
-      incr executed
-    end
-  in
   let machines =
     Array.init n (fun i ->
         hook_polls ~on_poll i
@@ -538,10 +533,22 @@ let test_poll_budget () =
       !flat >= max 1 (25 * cycle_rounds / 96)
   in
   let _ =
-    Engine.run ~mode:`Sparse ~idle_stop:((3 * cycle_rounds) + 64) ~stop_when ~topology ~machines
+    Engine.run ~mode ~idle_stop:((3 * cycle_rounds) + 64) ~stop_when ~topology ~machines
       ~waiters:(Array.init n (fun i -> i <> source))
       ~cap:spec.Scenario.cap ()
   in
+  (ctx, n, source)
+
+let test_poll_budget () =
+  let polls = ref 0 and executed = ref 0 and last = ref (-1) in
+  let on_poll _ r =
+    incr polls;
+    if r <> !last then begin
+      last := r;
+      incr executed
+    end
+  in
+  let _ = run_budget_cell ~on_poll `Sparse in
   let within what measured actual =
     Alcotest.(check bool)
       (Printf.sprintf "%s %d within 1.2x of the measured %d" what actual measured)
@@ -551,13 +558,55 @@ let test_poll_budget () =
   within "polls" measured_polls !polls;
   within "executed rounds" measured_executed_rounds !executed
 
+(* A relay builds its streams, buffers and 2Bit sub-machines at its first
+   interval.  Dense polls every machine from round 0, so it builds them
+   all; Sparse builds only the few that act.  Every node must end in the
+   same state either way. *)
+let test_deferred_state_dense_sparse () =
+  let dense, n, _ = run_budget_cell `Dense in
+  let sparse, _, _ = run_budget_cell `Sparse in
+  for i = 0 to n - 1 do
+    let label what = Printf.sprintf "node %d %s" i what in
+    Alcotest.(check string)
+      (label "committed_bits")
+      (Bitvec.to_string (Neighbor_watch.committed_bits dense i))
+      (Bitvec.to_string (Neighbor_watch.committed_bits sparse i));
+    Alcotest.(check (list (pair int int)))
+      (label "stream_counts")
+      (Neighbor_watch.stream_counts dense i)
+      (Neighbor_watch.stream_counts sparse i);
+    Alcotest.(check int)
+      (label "unsent_bits")
+      (Neighbor_watch.unsent_bits dense i)
+      (Neighbor_watch.unsent_bits sparse i)
+  done
+
+(* A relay the engine never polled never built its state, and reads as a
+   fresh one: nothing queued, nothing committed, every stream at 0. *)
+let test_unpolled_relay_reads_fresh () =
+  let polled = Hashtbl.create 256 in
+  let ctx, n, source = run_budget_cell ~on_poll:(fun i _ -> Hashtbl.replace polled i ()) `Sparse in
+  let unpolled = List.filter (fun i -> i <> source && not (Hashtbl.mem polled i)) (List.init n Fun.id) in
+  Alcotest.(check bool) "some relay was never polled" true (unpolled <> []);
+  List.iter
+    (fun i ->
+      let label what = Printf.sprintf "node %d %s" i what in
+      Alcotest.(check int) (label "unsent_bits") 0 (Neighbor_watch.unsent_bits ctx i);
+      Alcotest.(check int) (label "committed bits") 0
+        (Bitvec.length (Neighbor_watch.committed_bits ctx i));
+      let counts = Neighbor_watch.stream_counts ctx i in
+      Alcotest.(check bool) (label "listens to some stream") true (counts <> []);
+      List.iter (fun (_, count) -> Alcotest.(check int) (label "stream count") 0 count) counts)
+    unpolled
+
 (* Deterministic allocation gate on the same cell: building a machine
-   costs O(degree) words (its streams, the 2Bit sub-machines, the engine
-   closures), not a table per schedule slot.  The minor-heap count of a
-   seeded construction is exact, so it gates without a clock.  Measured:
-   307 words per machine, where a cycle-sized slot table and a buffer per
-   stream cost 607. *)
-let max_words_per_machine = 350.0
+   costs its state record and the engine closures, a few dozen words; a
+   relay's streams, buffers and 2Bit sub-machines wait for its first
+   interval.  The minor-heap count of a seeded construction is exact, so
+   it gates without a clock.  Measured: 57.1 words per machine, where
+   building every relay's streams and sub-machines at once cost 306.5
+   and a cycle-sized slot table per machine 607. *)
+let max_words_per_machine = 100.0
 
 let test_construction_words () =
   let _, n, _, source, msg, ctx = budget_cell () in
@@ -738,6 +787,9 @@ let () =
             test_quiet_interval_polls;
           Alcotest.test_case "poll budget at n = 2000" `Quick test_poll_budget;
           Alcotest.test_case "construction words at n = 2000" `Quick test_construction_words;
+          Alcotest.test_case "deferred state: Dense and Sparse agree" `Quick
+            test_deferred_state_dense_sparse;
+          Alcotest.test_case "unpolled relay reads fresh" `Quick test_unpolled_relay_reads_fresh;
         ] );
       ( "bad input",
         List.map bad_id_case [ ("node id -1", fun _ -> -1); ("node id n", fun n -> n) ]

@@ -87,6 +87,135 @@ let test_rng_bits_length () =
   let rng = Rng.create 37 in
   Alcotest.(check int) "k bits" 12 (Array.length (Rng.bits rng 12))
 
+(* The first 8 draws of each kind from a fresh generator, recorded while
+   the state was still a boxed [int64] field: keeping it in an 8-byte
+   [Bytes] must not change the stream.  Floats are exact hex literals. *)
+type rng_golden = {
+  seed : int;
+  int64s : int64 list;
+  ints : int list;  (** [Rng.int t 1000] *)
+  floats : float list;  (** [Rng.float t 1.0] *)
+  bools : bool list;
+  bernoullis : bool list;  (** [Rng.bernoulli t 0.3] *)
+  normals : float list;  (** [Rng.normal t ~mean:0.0 ~stddev:1.0] *)
+}
+
+let rng_golden =
+  [
+    {
+      seed = 0;
+      int64s =
+        [
+          -2152535657050944081L; 7960286522194355700L; 487617019471545679L;
+          -537132696929009172L; 1961750202426094747L; 6038094601263162090L;
+          3207296026000306913L; -4214222208109204676L;
+        ];
+      ints = [ 823; 796; 679; 732; 747; 186; 913; 228 ];
+      floats =
+        [
+          0x1.c4415072f63b9p-1; 0x1.b9e279aa86e58p-2; 0x1.b1174620025p-6;
+          0x1.f1177150e499p-1; 0x1.b39896a51a87p-4; 0x1.4f2e7c31d1fa8p-2;
+          0x1.6414d5f0fa298p-3; 0x1.8b082675922d5p-1;
+        ];
+      bools = [ true; false; true; false; true; false; true; false ];
+      bernoullis = [ false; false; true; false; true; false; true; false ];
+      normals =
+        [
+          0x1.f8140ae1026c7p-1; -0x1.682e27f92f3d9p-3; -0x1.6c93ef6b47edap-1;
+          -0x1.3fd7424aef38cp-2; -0x1.3ea8af5f57791p-1; 0x1.0952fc0b82435p-1;
+          -0x1.1ec04905c7d51p-1; 0x1.697dd88a27594p+0;
+        ];
+    };
+    {
+      seed = 1;
+      int64s =
+        [
+          -4616330145664149646L; 6869446166584666695L; 8084911050856847527L;
+          -846397198931878612L; 3727343498630883515L; -7456765501708208026L;
+          8407459800431601144L; 3430088234347965294L;
+        ];
+      ints = [ 162; 791; 623; 292; 515; 782; 240; 294 ];
+      floats =
+        [
+          0x1.7fdf0061bb85ap-1; 0x1.7d54b3920bcaap-2; 0x1.c0cd7f0f6bcf6p-2;
+          0x1.e881fc76c58f3p-1; 0x1.9dd1794f3e0b4p-3; 0x1.31087e915296fp-1;
+          0x1.d2b5309350688p-2; 0x1.7cd0f89b24754p-3;
+        ];
+      bools = [ false; true; true; false; true; false; false; false ];
+      bernoullis = [ false; false; false; false; true; false; false; true ];
+      normals =
+        [
+          0x1.5aaee8a6df8b7p+0; -0x1.6244edacb9c4bp-1; -0x1.4595a95901c39p-4;
+          0x1.2b767d092a17dp-1; -0x1.4da7eb92d69c2p+0; 0x1.acfe14bd71d77p-2;
+          -0x1.8169583bfa14bp-3; -0x1.561221fe9da56p+0;
+        ];
+    };
+    {
+      seed = 42;
+      int64s =
+        [
+          -7450291807549245335L; 2958219263312191191L; 3069497704473277141L;
+          885919558081284366L; -353919125003956057L; 4337243929683858115L;
+          5152897204343404489L; 2820384354626331986L;
+        ];
+      ints = [ 473; 191; 141; 366; 847; 115; 585; 986 ];
+      floats =
+        [
+          0x1.31367e26140c7p-1; 0x1.486da5f92b86cp-3; 0x1.54c85f31d00d8p-3;
+          0x1.896d649de031p-5; 0x1.f62d40dca5d82p-1; 0x1.e187e2fea8348p-3;
+          0x1.1e0b12d313f7cp-2; 0x1.392025051c93p-3;
+        ];
+      bools = [ true; true; true; false; true; true; true; false ];
+      bernoullis = [ false; true; true; true; false; true; true; true ];
+      normals =
+        [
+          0x1.4917f4cf5a8dbp-2; -0x1.22b63a1a5e727p+0; -0x1.e58371f5ac65cp-2;
+          -0x1.7ddd37d887b83p-1; 0x1.98cf37f75f105p-1; -0x1.91c6cee1b45a2p-1;
+          0x1.29348030b1a96p-2; 0x1.b20f65882fa04p-2;
+        ];
+    };
+  ]
+
+let test_rng_golden () =
+  List.iter
+    (fun g ->
+      let first8 f =
+        let t = Rng.create g.seed in
+        List.init 8 (fun _ -> f t)
+      in
+      let name what = Printf.sprintf "seed %d %s" g.seed what in
+      Alcotest.(check (list int64)) (name "int64") g.int64s (first8 Rng.int64);
+      Alcotest.(check (list int)) (name "int") g.ints (first8 (fun t -> Rng.int t 1000));
+      Alcotest.(check (list (float 0.0))) (name "float") g.floats (first8 (fun t -> Rng.float t 1.0));
+      Alcotest.(check (list bool)) (name "bool") g.bools (first8 Rng.bool);
+      Alcotest.(check (list bool)) (name "bernoulli") g.bernoullis
+        (first8 (fun t -> Rng.bernoulli t 0.3));
+      Alcotest.(check (list (float 0.0))) (name "normal") g.normals
+        (first8 (fun t -> Rng.normal t ~mean:0.0 ~stddev:1.0)))
+    rng_golden
+
+(* The draws the engine and the adversaries make per round allocate
+   nothing, across this module boundary too.  10^5 calls must not
+   allocate a single word between them; the two clock reads may. *)
+let test_rng_draws_allocate_nothing () =
+  let t = Rng.create 3 in
+  let words draw =
+    let before = Gc.minor_words () in
+    for _ = 1 to 100_000 do
+      draw ()
+    done;
+    Gc.minor_words () -. before
+  in
+  List.iter
+    (fun (what, draw) ->
+      let w = words draw in
+      Alcotest.(check bool) (Printf.sprintf "%s: %.0f words over 10^5 calls" what w) true (w < 8.0))
+    [
+      ("bernoulli", fun () -> ignore (Rng.bernoulli t 0.5));
+      ("int", fun () -> ignore (Rng.int t 10));
+      ("bool", fun () -> ignore (Rng.bool t));
+    ]
+
 (* --- Stats ----------------------------------------------------------- *)
 
 let test_stats_mean_median () =
@@ -344,6 +473,8 @@ let () =
           Alcotest.test_case "sampling without replacement" `Quick
             test_rng_sample_without_replacement;
           Alcotest.test_case "bits length" `Quick test_rng_bits_length;
+          Alcotest.test_case "golden streams" `Quick test_rng_golden;
+          Alcotest.test_case "draws allocate nothing" `Quick test_rng_draws_allocate_nothing;
         ] );
       ( "stats",
         [
