@@ -319,9 +319,11 @@ let clustered =
 (* E6: varying map size                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* From the spec's topology alone, with [Scenario.run]'s source: no
+   broadcast is needed to read it. *)
 let hop_diameter spec =
-  let result = Scenario.run spec in
-  Topology.hop_diameter_from result.Scenario.topology result.Scenario.source
+  let topology = Scenario.topology spec in
+  Topology.hop_diameter_from topology (Deployment.center_node (Topology.deployment topology))
 
 let map_size =
   Experiment.job ~id:"e6" ~title:"E6 (sec 6.2): scaling with map size (NeighborWatchRB)"

@@ -72,3 +72,8 @@ val ablation_cpa : Experiment.job
 
 val jobs : Experiment.job list
 (** Every job above, in experiment order (E1–E7, then A1–A5). *)
+
+val hop_diameter : Scenario.spec -> int
+(** The hop eccentricity of [Scenario.run]'s source (the deployment's
+    centre node) in the spec's topology, from {!Scenario.topology} alone:
+    E6 and E8b plot rounds against it. *)

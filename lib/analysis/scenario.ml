@@ -150,22 +150,26 @@ let assign_machines ~n ~source ~byzantine ~faults ~fake ~adversary_machine make 
       end
       else make i Role_relay)
 
-let run ?tap ?(mode = (`Sparse : Engine.mode)) ?topology ?(boxed = false) spec =
+(* The deployment draws from the first split of the spec's seed. *)
+let topology spec = build_topology (Rng.split (Rng.create spec.seed)) spec
+
+let run ?tap ?(mode = (`Sparse : Engine.mode)) ?topology:prebuilt ?(boxed = false) spec =
   let rng = Rng.create spec.seed in
   (* The split order is part of the deterministic contract: it must stay
      fixed — and the splits must happen — whether or not a prebuilt
      topology is supplied, or a warm re-run would draw different fault and
-     channel streams than the cold run it repeats. *)
-  let deployment_rng = Rng.split rng in
+     channel streams than the cold run it repeats.  The first split is the
+     deployment's, which [topology] draws afresh. *)
+  let _deployment_rng = Rng.split rng in
   let faults_rng = Rng.split rng in
   let channel_rng = Rng.split rng in
   let topology =
     (* An override must be the topology this spec builds (same seed, same
        deployment) or results are meaningless; campaign warm rounds reuse
        the cold round's topology this way to skip the rebuild. *)
-    match topology with
+    match prebuilt with
     | Some t -> t
-    | None -> build_topology deployment_rng spec
+    | None -> topology spec
   in
   let deployment = Topology.deployment topology in
   let n = Deployment.size deployment in

@@ -88,6 +88,13 @@ type result = {
   engine : Engine.result;
 }
 
+val topology : spec -> Topology.t
+(** The deployment and topology [spec] runs on, built alone: from the
+    first [Rng.split] of [Rng.create spec.seed], exactly as {!run} builds
+    it.  Measurements that need only the graph (hop diameters, set-up
+    timings) take it from here instead of running a broadcast; the
+    result is also what {!run}'s [?topology] expects. *)
+
 val run :
   ?tap:(Engine.round_digest -> unit) ->
   ?mode:Engine.mode ->

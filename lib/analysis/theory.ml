@@ -59,11 +59,7 @@ let diameter_sweep =
           let spec = grid_spec ~side ~message:(Bitvec.of_string "1011") in
           Experiment.Thunk
             (fun () ->
-              let result = Scenario.run spec in
-              let diameter =
-                float_of_int
-                  (Topology.hop_diameter_from result.Scenario.topology result.Scenario.source)
-              in
+              let diameter = float_of_int (Figures.hop_diameter spec) in
               let agg = Experiment.measure config spec in
               Experiment.row
                 ~points:[ ("diameter", (diameter, agg.Experiment.rounds)) ]

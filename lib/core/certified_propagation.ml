@@ -63,11 +63,9 @@ type role = Source of Bitvec.t | Relay | Liar of Bitvec.t
    impersonate anyone else, which is exactly CPA's fault model. *)
 let machine ctx id role =
   let peer_by_slot = Array.make (cycle ctx) None in
-  Array.iter
-    (fun p ->
+  Graph.iter_rx (Topology.graph ctx.topology) id (fun p ->
       let slot = Schedule.slot_of ctx.schedule p in
-      if peer_by_slot.(slot) = None then peer_by_slot.(slot) <- Some p)
-    (Topology.rx ctx.topology).(id);
+      if peer_by_slot.(slot) = None then peer_by_slot.(slot) <- Some p);
   let s =
     {
       my_slot = Schedule.slot_of ctx.schedule id;
@@ -248,8 +246,7 @@ module Reference = struct
         | None -> ()
         | Some value ->
           incr messages;
-          Array.iter
-            (fun receiver ->
+          Graph.iter_rx (Topology.graph topology) sender (fun receiver ->
               (* Direct reception from the source is authenticated by the
                  model itself. *)
               if receiver <> source then begin
@@ -264,7 +261,6 @@ module Reference = struct
                   end
                 end
               end)
-            (Topology.rx topology).(sender)
       done;
       Queue.transfer round_commits pending;
       incr round;

@@ -283,9 +283,12 @@ let machine ctx id role =
   let config = ctx.config in
   check_payload config role;
   let pos = Topology.position ctx.topology id in
+  let { Graph.in_off; in_peer; _ } = Topology.graph ctx.topology in
   let peers =
-    Array.map
-      (fun { Topology.peer; _ } ->
+    Array.init
+      (in_off.(id + 1) - in_off.(id))
+      (fun k ->
+        let peer = in_peer.(in_off.(id) + k) in
         {
           peer_id = peer;
           peer_pos = Topology.position ctx.topology peer;
@@ -293,7 +296,6 @@ let machine ctx id role =
           parsed = 0;
           poisoned = false;
         })
-      (Topology.sensed ctx.topology).(id)
   in
   (* The schedule gives conflicting (hence mutually sensed) nodes distinct
      slots, so this map is injective; first-wins mirrors the defunct assoc

@@ -278,7 +278,7 @@ let build ctx s =
   let is_source = s.id = ctx.source in
   let senses_source =
     (not is_source)
-    && Array.exists (fun { Topology.peer; _ } -> peer = ctx.source) (Topology.sensed ctx.topology).(s.id)
+    && Graph.senses (Topology.graph ctx.topology) ~rx:s.id ~tx:ctx.source
   in
   (* Streams in listening order: the source's if sensed, then the adjacent
      squares' in [Squares.neighbors] order. *)

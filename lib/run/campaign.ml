@@ -111,6 +111,7 @@ let plan config =
 type executed = {
   planned : planned;
   wall_seconds : float;
+  topology_seconds : float;
   rounds : int;
   rounds_per_second : float;
   avg_degree : float;
@@ -140,6 +141,7 @@ let json_of_executed config e =
       ("phase", Json.String (phase_name e.planned.phase));
       ("seed", Json.Int config.seed);
       ("wall_seconds", Json.Float e.wall_seconds);
+      ("topology_seconds", Json.Float e.topology_seconds);
       ("rounds", Json.Int e.rounds);
       ("rounds_per_second", Json.Float e.rounds_per_second);
       ("avg_degree", Json.Float e.avg_degree);
@@ -183,23 +185,27 @@ let archive config executed =
 
 (* --- execution ---------------------------------------------------------- *)
 
-(* One cell: a cold run (builds the deployment and topology) then [warm]
-   runs reusing the cold topology, so the cold/warm delta isolates the
-   deployment-build and CSR-cache cost from the steady-state engine rate. *)
+(* One cell: a cold run (builds the deployment and topology, timed on
+   their own) then [warm] runs reusing the cold topology, so the cold/warm
+   delta isolates the set-up cost from the steady-state engine rate.  The
+   cold run's wall time includes the build. *)
 let execute_cell config cell plans =
   let spec = spec_of_cell config cell in
-  let topology = ref None in
+  let t0 = Unix.gettimeofday () in
+  let topology = Scenario.topology spec in
+  let build_seconds = Unix.gettimeofday () -. t0 in
   List.map
     (fun planned ->
+      let topology_seconds = match planned.phase with Cold -> build_seconds | Warm _ -> 0.0 in
       let t0 = Unix.gettimeofday () in
-      let result = Scenario.run ~mode:`Sparse ?topology:!topology spec in
-      let wall_seconds = Unix.gettimeofday () -. t0 in
-      if !topology = None then topology := Some result.Scenario.topology;
+      let result = Scenario.run ~mode:`Sparse ~topology spec in
+      let wall_seconds = Unix.gettimeofday () -. t0 +. topology_seconds in
       let summary = Scenario.summarize result in
       let peak_heap_words = (Gc.quick_stat ()).Gc.top_heap_words in
       {
         planned;
         wall_seconds;
+        topology_seconds;
         rounds = summary.Scenario.rounds;
         rounds_per_second =
           (if wall_seconds > 0.0 then float_of_int summary.Scenario.rounds /. wall_seconds
@@ -214,7 +220,17 @@ let render executed =
   let table =
     Table.create ~title:"scale campaign"
       ~columns:
-        [ "run"; "deg"; "rounds"; "wall (s)"; "rounds/s"; "peak (Mw)"; "delivered"; "correct" ]
+        [
+          "run";
+          "deg";
+          "rounds";
+          "wall (s)";
+          "topo (s)";
+          "rounds/s";
+          "peak (Mw)";
+          "delivered";
+          "correct";
+        ]
   in
   List.iter
     (fun e ->
@@ -224,6 +240,7 @@ let render executed =
           Table.cell_f ~decimals:1 e.avg_degree;
           Table.cell_i e.rounds;
           Table.cell_f ~decimals:2 e.wall_seconds;
+          Table.cell_f ~decimals:3 e.topology_seconds;
           Table.cell_f ~decimals:0 e.rounds_per_second;
           Table.cell_f ~decimals:1 (float_of_int e.peak_heap_words /. 1e6);
           Table.cell_pct e.summary.Scenario.completion_rate;

@@ -56,7 +56,10 @@ val plan : config -> planned list
 
 type executed = {
   planned : planned;
-  wall_seconds : float;
+  wall_seconds : float;  (** the whole run; a cold run's includes its topology build *)
+  topology_seconds : float;
+      (** deployment + topology build ({!Scenario.topology}) on a cold
+          run; 0 on a warm one, which reuses the cold run's *)
   rounds : int;
   rounds_per_second : float;
   avg_degree : float;  (** measured, vs the cell's target density *)

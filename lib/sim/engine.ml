@@ -126,9 +126,9 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(st
     invalid_arg "Engine.run: loss_prob > 0 requires an rng";
   let broadcasts = Array.make n 0 in
   let completion_round = Array.make n (-1) in
-  (* Outgoing links in CSR form, built once per topology and cached on the
-     graph (receivers descending within each row — see Graph.csr): repeated
-     runs over one topology stop paying the O(links) rebuild. *)
+  (* Outgoing links in CSR form, built once with the graph (receivers
+     descending within each row — see Graph.csr): repeated runs over one
+     topology pay no O(links) rebuild. *)
   let { Graph.out_off; out_rcv; out_pow; words } = Graph.csr (Topology.graph topology) in
   let loss = channel.Channel.loss_prob in
   let pending = ref 0 in

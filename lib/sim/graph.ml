@@ -1,5 +1,3 @@
-type link = { peer : Node.id; power : float }
-
 type words = {
   word_off : int array;
   word_idx : int array;
@@ -14,13 +12,10 @@ type csr = {
   words : words option;
 }
 
-type t = {
-  sensed : link array array;
-  rx : Node.id array array;
-  mutable csr_cache : csr option;
-}
+type t = { in_off : int array; in_peer : Node.id array; in_pow : float array; csr : csr }
 
-let size t = Array.length t.rx
+let size t = Array.length t.in_off - 1
+let csr t = t.csr
 
 (* Outgoing links in CSR form: out_rcv/out_pow.(out_off.(i) ..
    out_off.(i+1) - 1) are the receivers that sense node i and the power
@@ -28,10 +23,9 @@ let size t = Array.length t.rx
    chasing list cells.  Receivers descending within each row — the order
    the engine's former cons-list representation iterated them in — so
    per-link loss draws and capture tie-breaks reproduce the reference
-   results bit for bit.  Built on first demand and cached: repeated
+   results bit for bit.  Built once with the graph: repeated
    [Engine.run] calls over one topology (equivalence captures, warm
-   campaign rounds, mobility epochs re-using a topology) stop paying the
-   O(links) rebuild.
+   campaign rounds, mobility epochs re-using a topology) share it.
 
    The same rows as word entries: each run of a row's receivers that share
    a [Bitvec.bits_per_word]-id word becomes one (word, sensed mask,
@@ -50,163 +44,197 @@ let size t = Array.length t.rx
      and the float rule calls an interference of 1e-12 or less zero, so
      the smallest sensed power must exceed 1e-12 plus d² · p_max · 2^-52
      (the + 2 is slack for the final subtraction's rounding). *)
-let csr t =
-  match t.csr_cache with
-  | Some c -> c
-  | None ->
-    let n = size t and bits = Bitvec.bits_per_word in
-    (* Pass 1: row lengths and entries per row (a row meets its receivers
-       in word order, so an entry starts wherever the word changes). *)
-    let out_off = Array.make (n + 1) 0 and word_off = Array.make (n + 1) 0 in
-    let last_word = Array.make (max 1 n) (-1) in
-    for receiver = 0 to n - 1 do
-      let row = t.sensed.(receiver) and w = receiver / bits in
-      for j = 0 to Array.length row - 1 do
-        let peer = row.(j).peer in
-        out_off.(peer + 1) <- out_off.(peer + 1) + 1;
+let transpose ~in_off ~in_peer ~in_pow =
+  let n = Array.length in_off - 1 and bits = Bitvec.bits_per_word in
+  (* Pass 1: row lengths and entries per row (a row meets its receivers
+     in word order, so an entry starts wherever the word changes). *)
+  let out_off = Array.make (n + 1) 0 and word_off = Array.make (n + 1) 0 in
+  let last_word = Array.make (max 1 n) (-1) in
+  for receiver = 0 to n - 1 do
+    let w = receiver / bits in
+    for k = in_off.(receiver) to in_off.(receiver + 1) - 1 do
+      let peer = in_peer.(k) in
+      out_off.(peer + 1) <- out_off.(peer + 1) + 1;
+      if last_word.(peer) <> w then begin
+        last_word.(peer) <- w;
+        word_off.(peer + 1) <- word_off.(peer + 1) + 1
+      end
+    done
+  done;
+  for i = 1 to n do
+    out_off.(i) <- out_off.(i) + out_off.(i - 1);
+    word_off.(i) <- word_off.(i) + word_off.(i - 1)
+  done;
+  let links = out_off.(n) in
+  let dense = 2 * word_off.(n) <= links in
+  let entries = if dense then word_off.(n) else 0 in
+  (* Pass 2: fill the rows, receivers descending, and the entries where
+     the gate passed. *)
+  let out_rcv = Array.make (max 1 links) 0 in
+  let out_pow = Array.make (max 1 links) 0.0 in
+  let word_idx = Array.make (max 1 entries) 0 in
+  let word_sensed = Array.make (max 1 entries) 0 in
+  let word_dec = Array.make (max 1 entries) 0 in
+  let cursor = Array.sub out_off 0 n in
+  (* [entry.(i)]: the entry of row i being filled. *)
+  let entry = if dense then Array.init n (fun i -> word_off.(i) - 1) else [||] in
+  Array.fill last_word 0 (Array.length last_word) (-1);
+  for receiver = n - 1 downto 0 do
+    let w = receiver / bits and bit = 1 lsl (receiver mod bits) in
+    for j = in_off.(receiver) to in_off.(receiver + 1) - 1 do
+      let peer = in_peer.(j) and power = in_pow.(j) in
+      let k = cursor.(peer) in
+      out_rcv.(k) <- receiver;
+      out_pow.(k) <- power;
+      cursor.(peer) <- k + 1;
+      if dense then begin
         if last_word.(peer) <> w then begin
           last_word.(peer) <- w;
-          word_off.(peer + 1) <- word_off.(peer + 1) + 1
-        end
-      done
+          entry.(peer) <- entry.(peer) + 1;
+          word_idx.(entry.(peer)) <- w
+        end;
+        let e = entry.(peer) in
+        word_sensed.(e) <- word_sensed.(e) lor bit;
+        if power >= 1.0 && power < infinity then word_dec.(e) <- word_dec.(e) lor bit
+      end
+    done
+  done;
+  (* The guard, over the filled powers. *)
+  let exact () =
+    let d = ref 0 in
+    for i = 0 to n - 1 do
+      d := max !d (in_off.(i + 1) - in_off.(i))
     done;
-    for i = 1 to n do
-      out_off.(i) <- out_off.(i) + out_off.(i - 1);
-      word_off.(i) <- word_off.(i) + word_off.(i - 1)
+    let p_min = ref infinity and p_max = ref 0.0 in
+    for k = 0 to links - 1 do
+      let power = out_pow.(k) in
+      if power < !p_min then p_min := power;
+      if power > !p_max && power < infinity then p_max := power
     done;
-    let links = out_off.(n) in
-    let dense = 2 * word_off.(n) <= links in
-    let entries = if dense then word_off.(n) else 0 in
-    (* Pass 2: fill the rows, receivers descending, and the entries where
-       the gate passed. *)
-    let out_rcv = Array.make (max 1 links) 0 in
-    let out_pow = Array.make (max 1 links) 0.0 in
-    let word_idx = Array.make (max 1 entries) 0 in
-    let word_sensed = Array.make (max 1 entries) 0 in
-    let word_dec = Array.make (max 1 entries) 0 in
-    let cursor = Array.init n (fun i -> out_off.(i)) in
-    (* [entry.(i)]: the entry of row i being filled. *)
-    let entry = if dense then Array.init n (fun i -> word_off.(i) - 1) else [||] in
-    Array.fill last_word 0 (Array.length last_word) (-1);
-    for receiver = n - 1 downto 0 do
-      let w = receiver / bits and bit = 1 lsl (receiver mod bits) in
-      let row = t.sensed.(receiver) in
-      for j = 0 to Array.length row - 1 do
-        let { peer; power } = row.(j) in
-        let k = cursor.(peer) in
-        out_rcv.(k) <- receiver;
-        out_pow.(k) <- power;
-        cursor.(peer) <- k + 1;
-        if dense then begin
-          if last_word.(peer) <> w then begin
-            last_word.(peer) <- w;
-            entry.(peer) <- entry.(peer) + 1;
-            word_idx.(entry.(peer)) <- w
-          end;
-          let e = entry.(peer) in
-          word_sensed.(e) <- word_sensed.(e) lor bit;
-          if power >= 1.0 && power < infinity then word_dec.(e) <- word_dec.(e) lor bit
-        end
-      done
-    done;
-    (* The guard, over the filled powers. *)
-    let exact () =
-      let d = Array.fold_left (fun acc row -> max acc (Array.length row)) 0 t.sensed in
-      let p_min = ref infinity and p_max = ref 0.0 in
-      for k = 0 to links - 1 do
-        let power = out_pow.(k) in
-        if power < !p_min then p_min := power;
-        if power > !p_max && power < infinity then p_max := power
-      done;
-      !p_min > 1e-12 +. (float_of_int ((d * d) + 2) *. !p_max *. epsilon_float)
-    in
-    let words =
-      if dense && exact () then Some { word_off; word_idx; word_sensed; word_dec } else None
-    in
-    let c = { out_off; out_rcv; out_pow; words } in
-    t.csr_cache <- Some c;
-    c
+    !p_min > 1e-12 +. (float_of_int ((!d * !d) + 2) *. !p_max *. epsilon_float)
+  in
+  let words =
+    if dense && exact () then Some { word_off; word_idx; word_sensed; word_dec } else None
+  in
+  { out_off; out_rcv; out_pow; words }
 
-(* Rows sorted by peer id: deterministic independent of construction order,
-   and [can_decode] becomes a binary search. *)
-let sort_rows sensed rx =
-  Array.iter (fun row -> Array.sort (fun a b -> Int.compare a.peer b.peer) row) sensed;
-  Array.iter (fun row -> Array.sort Int.compare row) rx
+let of_incoming ~in_off ~in_peer ~in_pow =
+  let n = Array.length in_off - 1 in
+  let links = Array.length in_peer in
+  if n < 0 || in_off.(0) <> 0 || in_off.(n) <> links || Array.length in_pow <> links then
+    invalid_arg "Graph: row offsets disagree with the link arrays";
+  for i = 0 to n - 1 do
+    let first = in_off.(i) and stop = in_off.(i + 1) in
+    if stop < first then invalid_arg "Graph: row offsets disagree with the link arrays";
+    for k = first to stop - 1 do
+      let peer = in_peer.(k) and power = in_pow.(k) in
+      if peer < 0 || peer >= n then invalid_arg "Graph: link peer out of range";
+      if peer = i then invalid_arg "Graph: self-loop";
+      if Float.is_nan power then invalid_arg "Graph: NaN link power";
+      if power <= 0.0 then invalid_arg "Graph: non-positive link power";
+      if k > first && in_peer.(k - 1) = peer then invalid_arg "Graph: duplicate link";
+      if k > first && in_peer.(k - 1) > peer then invalid_arg "Graph: row not ascending"
+    done
+  done;
+  { in_off; in_peer; in_pow; csr = transpose ~in_off ~in_peer ~in_pow }
 
-let validate t =
-  let n = size t in
-  if Array.length t.sensed <> n then invalid_arg "Graph: sensed/rx row count mismatch";
-  let seen = Array.make (max 1 n) (-1) in
+let make rows =
+  let n = Array.length rows in
+  let in_off = Array.make (n + 1) 0 in
+  Array.iteri (fun i row -> in_off.(i + 1) <- in_off.(i) + Array.length row) rows;
+  let in_peer = Array.make in_off.(n) 0 and in_pow = Array.create_float in_off.(n) in
   Array.iteri
     (fun i row ->
-      Array.iter
-        (fun { peer; power } ->
-          if peer < 0 || peer >= n then invalid_arg "Graph: link peer out of range";
-          if peer = i then invalid_arg "Graph: self-loop";
-          if Float.is_nan power then invalid_arg "Graph: NaN link power";
-          if power <= 0.0 then invalid_arg "Graph: non-positive link power";
-          if seen.(peer) = i then invalid_arg "Graph: duplicate link";
-          seen.(peer) <- i)
-        row)
-    t.sensed;
-  (* rx is exactly the power >= 1.0 part of sensed: the engine decodes by
-     power and [can_decode] reads rx, so the two must agree. *)
-  Array.iteri
-    (fun i row ->
-      let links = t.sensed.(i) in
+      let row = Array.copy row in
+      Array.sort (fun (a, _) (b, _) -> Int.compare a b) row;
       Array.iteri
-        (fun k peer ->
-          if k > 0 && row.(k - 1) = peer then invalid_arg "Graph: duplicate rx edge";
-          match Array.find_opt (fun l -> l.peer = peer) links with
-          | None -> invalid_arg "Graph: rx edge missing from sensed"
-          | Some l -> if l.power < 1.0 then invalid_arg "Graph: rx edge below decode power")
-        row;
-      let decodable =
-        Array.fold_left (fun acc l -> if l.power >= 1.0 then acc + 1 else acc) 0 links
-      in
-      if decodable <> Array.length row then invalid_arg "Graph: decodable link missing from rx")
-    t.rx;
-  t
+        (fun k (peer, power) ->
+          in_peer.(in_off.(i) + k) <- peer;
+          in_pow.(in_off.(i) + k) <- power)
+        row)
+    rows;
+  of_incoming ~in_off ~in_peer ~in_pow
 
-let make ~sensed ~rx =
-  let sensed = Array.map Array.copy sensed and rx = Array.map Array.copy rx in
-  sort_rows sensed rx;
-  validate { sensed; rx; csr_cache = None }
-
-(* Decode-only graphs (every generated family): sensing and decoding
-   coincide, at the normalised decode power. *)
-let of_rx rx =
-  let sensed = Array.map (fun row -> Array.map (fun peer -> { peer; power = 1.0 }) row) rx in
-  make ~sensed ~rx
-
+(* Each edge is a link both ways.  The endpoints are counting-sorted into
+   neighbour lists; then senders in ascending order append themselves to
+   their neighbours' rows, so every row comes out ascending with no sort,
+   and a repeated edge shows up as the row's last entry already being the
+   sender. *)
 let of_edges ~n edges =
   if n < 0 then invalid_arg "Graph.of_edges: negative node count";
-  let adj = Array.make (max 1 n) [] in
+  let adj_off = Array.make (n + 1) 0 in
   List.iter
     (fun (u, v) ->
       if u < 0 || u >= n || v < 0 || v >= n then invalid_arg "Graph.of_edges: endpoint out of range";
       if u = v then invalid_arg "Graph.of_edges: self-loop";
-      adj.(u) <- v :: adj.(u);
-      adj.(v) <- u :: adj.(v))
+      adj_off.(u + 1) <- adj_off.(u + 1) + 1;
+      adj_off.(v + 1) <- adj_off.(v + 1) + 1)
     edges;
-  let rx =
-    Array.init n (fun i -> Array.of_list (List.sort_uniq Int.compare adj.(i)))
+  for i = 1 to n do
+    adj_off.(i) <- adj_off.(i) + adj_off.(i - 1)
+  done;
+  let adj = Array.make adj_off.(n) 0 and cursor = Array.sub adj_off 0 n in
+  let add u v =
+    adj.(cursor.(u)) <- v;
+    cursor.(u) <- cursor.(u) + 1
   in
-  of_rx rx
+  List.iter
+    (fun (u, v) ->
+      add u v;
+      add v u)
+    edges;
+  let in_off = Array.make (n + 1) 0 and last = Array.make n (-1) in
+  (* [emit r s] for every distinct link, senders ascending. *)
+  let each_link emit =
+    Array.fill last 0 n (-1);
+    for s = 0 to n - 1 do
+      for k = adj_off.(s) to adj_off.(s + 1) - 1 do
+        let r = adj.(k) in
+        if last.(r) <> s then begin
+          last.(r) <- s;
+          emit r s
+        end
+      done
+    done
+  in
+  each_link (fun r _ -> in_off.(r + 1) <- in_off.(r + 1) + 1);
+  for i = 1 to n do
+    in_off.(i) <- in_off.(i) + in_off.(i - 1)
+  done;
+  let in_peer = Array.make in_off.(n) 0 in
+  Array.blit in_off 0 cursor 0 n;
+  each_link (fun r s ->
+      in_peer.(cursor.(r)) <- s;
+      cursor.(r) <- cursor.(r) + 1);
+  of_incoming ~in_off ~in_peer ~in_pow:(Array.make in_off.(n) 1.0)
 
-(* [rx] rows are sorted ascending, so membership is a binary search. *)
-let can_decode t ~rx:receiver ~tx =
-  let row = t.rx.(receiver) in
-  let rec search lo hi =
-    lo < hi
-    &&
+(* Rows ascend, so membership is a binary search; -1 when absent. *)
+let rec search peers tx lo hi =
+  if lo >= hi then -1
+  else begin
     let mid = (lo + hi) / 2 in
-    let v = row.(mid) in
-    if v = tx then true else if v < tx then search (mid + 1) hi else search lo mid
-  in
-  search 0 (Array.length row)
+    let v = peers.(mid) in
+    if v = tx then mid else if v < tx then search peers tx (mid + 1) hi else search peers tx lo mid
+  end
 
-let degree t i = Array.length t.rx.(i)
+let find t ~rx ~tx = search t.in_peer tx t.in_off.(rx) t.in_off.(rx + 1)
+let senses t ~rx ~tx = find t ~rx ~tx >= 0
+
+let can_decode t ~rx ~tx =
+  let k = find t ~rx ~tx in
+  k >= 0 && t.in_pow.(k) >= 1.0
+
+let iter_rx t i f =
+  for k = t.in_off.(i) to t.in_off.(i + 1) - 1 do
+    if t.in_pow.(k) >= 1.0 then f t.in_peer.(k)
+  done
+
+let degree t i =
+  let d = ref 0 in
+  for k = t.in_off.(i) to t.in_off.(i + 1) - 1 do
+    if t.in_pow.(k) >= 1.0 then incr d
+  done;
+  !d
 
 let hops_from t src =
   let n = size t in
@@ -216,13 +244,11 @@ let hops_from t src =
   Queue.add src queue;
   while not (Queue.is_empty queue) do
     let u = Queue.pop queue in
-    Array.iter
-      (fun v ->
+    iter_rx t u (fun v ->
         if dist.(v) < 0 then begin
           dist.(v) <- dist.(u) + 1;
           Queue.add v queue
         end)
-      t.rx.(u)
   done;
   dist
 
@@ -237,16 +263,23 @@ let avg_degree t =
   let n = size t in
   if n = 0 then 0.0
   else begin
-    let total = Array.fold_left (fun acc a -> acc + Array.length a) 0 t.rx in
-    float_of_int total /. float_of_int n
+    let total = ref 0 in
+    for i = 0 to n - 1 do
+      total := !total + degree t i
+    done;
+    float_of_int !total /. float_of_int n
   end
 
-let max_degree t = Array.fold_left (fun acc row -> max acc (Array.length row)) 0 t.rx
+let max_degree t =
+  let best = ref 0 in
+  for i = 0 to size t - 1 do
+    best := max !best (degree t i)
+  done;
+  !best
 
 let is_symmetric t =
-  let n = size t in
   let ok = ref true in
-  for i = 0 to n - 1 do
-    Array.iter (fun j -> if not (can_decode t ~rx:j ~tx:i) then ok := false) t.rx.(i)
+  for i = 0 to size t - 1 do
+    iter_rx t i (fun j -> if not (can_decode t ~rx:j ~tx:i) then ok := false)
   done;
   !ok

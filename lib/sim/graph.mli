@@ -1,15 +1,20 @@
 (** The abstract decode/sense graph every simulation runs on.
 
-    This is the engine's and the protocols' actual substrate: who can decode
-    whom ([rx]) and who puts detectable energy on whose channel ([sensed]),
-    plus the graph-theoretic measurements the experiments report against.
-    It carries no geometry — {!Topology} pairs a graph with a node embedding
-    and records how the graph was obtained (a radio propagation model, or
-    one of the explicit generated families in {!Graphs}). *)
+    This is the engine's and the protocols' actual substrate: who puts
+    detectable energy on whose channel, at what power, and so who can
+    decode whom, plus the graph-theoretic measurements the experiments
+    report against.  It carries no geometry — {!Topology} pairs a graph
+    with a node embedding and records how the graph was obtained (a radio
+    propagation model, or one of the explicit generated families in
+    {!Graphs}).
 
-type link = { peer : Node.id; power : float }
-(** An incoming link: transmissions of [peer] arrive with the given
-    normalised power (1.0 = decode threshold). *)
+    The graph is one flat incoming CSR: node [i]'s row lists every node
+    whose transmissions [i] senses, ascending by id, with the normalised
+    power each arrives at (1.0 = decode threshold).  A link decodes iff
+    its power is at least 1.0; there is no second store of the decode
+    relation to keep consistent with the powers.  The engine's outgoing
+    form ({!csr}) is derived from the rows once, when the graph is
+    built. *)
 
 type words = {
   word_off : int array;  (** row offsets into the entry arrays, length [size + 1] *)
@@ -46,40 +51,47 @@ type csr = {
     representation, which per-link loss draws and capture tie-breaks
     depend on bit-for-bit. *)
 
-type t = {
-  sensed : link array array;
-      (** [sensed.(i)] lists every node whose transmissions put detectable
-          energy on [i]'s channel, with power, sorted by peer id. *)
-  rx : Node.id array array;
-      (** [rx.(i)] lists nodes that [i] can decode (power ≥ 1.0), sorted
-          ascending — [can_decode] binary-searches these rows. *)
-  mutable csr_cache : csr option;
-      (** private lazily-built cache behind {!csr}; always construct it as
-          [None] and read it only through {!csr} *)
+type t = private {
+  in_off : int array;  (** row offsets, length [size + 1] *)
+  in_peer : Node.id array;
+      (** the nodes [i] senses: slice [in_off.(i) .. in_off.(i+1) - 1],
+          strictly ascending *)
+  in_pow : float array;  (** the power each of them arrives at; it decodes iff [>= 1.0] *)
+  csr : csr;  (** the outgoing transposition, built with the graph *)
 }
 
 val csr : t -> csr
-(** The cached CSR fan-out view of [sensed], with its word entries where
-    they are built, computed on first demand.  Safe to call from exactly
-    one domain at a time. *)
+(** The engine's fan-out view of the rows, with its word entries where
+    they are built. *)
 
-val make : sensed:link array array -> rx:Node.id array array -> t
-(** Copy, sort and validate the rows.  Raises [Invalid_argument] on
-    out-of-range peers, self-loops, duplicate links, NaN or non-positive
-    powers, or an [rx] that is not exactly the power [>= 1.0] part of
-    [sensed] (an [rx] edge absent from [sensed] or below the decode
-    power, a duplicate [rx] edge, a decodable link missing from [rx]). *)
+val of_incoming : in_off:int array -> in_peer:Node.id array -> in_pow:float array -> t
+(** Take a flat incoming CSR as it is (the arrays are not copied) and
+    derive {!csr}.  Raises [Invalid_argument] on offsets that disagree
+    with the link arrays, out-of-range peers, self-loops, NaN or
+    non-positive powers, duplicate links, or a row that does not ascend. *)
 
-val of_rx : Node.id array array -> t
-(** Decode-only graph: [sensed] mirrors [rx] at exactly the decode
-    threshold (the shape every generated graph family uses). *)
+val make : (Node.id * float) array array -> t
+(** [make rows]: row [i] lists [(peer, power)] for every node [i]
+    senses, in any order.  Copies and sorts the rows, then validates them
+    as {!of_incoming} does. *)
 
 val of_edges : n:int -> (Node.id * Node.id) list -> t
-(** Undirected graph from an edge list; duplicate edges are merged. *)
+(** Undirected decode-only graph from an edge list, every link at exactly
+    the decode threshold (the shape every generated graph family uses);
+    duplicate edges are merged. *)
 
 val size : t -> int
+
+val senses : t -> rx:Node.id -> tx:Node.id -> bool
+(** [tx] is in [rx]'s row (a binary search). *)
+
 val can_decode : t -> rx:Node.id -> tx:Node.id -> bool
+
+val iter_rx : t -> Node.id -> (Node.id -> unit) -> unit
+(** [iter_rx t i f] applies [f] to every node [i] can decode, ascending. *)
+
 val degree : t -> Node.id -> int
+(** Number of nodes [i] can decode. *)
 
 val hops_from : t -> Node.id -> int array
 (** BFS hop counts over the decode graph; [-1] marks unreachable nodes. *)

@@ -23,59 +23,40 @@ let for_squares squares ~radius =
   in
   { cycle = (k * k) + 1; slots }
 
-let for_nodes topology ~conflict_range ~source =
-  let deployment = Topology.deployment topology in
-  let nodes = deployment.Deployment.nodes in
-  let n = Array.length nodes in
-  (* Conflict neighbours via a spatial hash of cell size [conflict_range].
-     [floor], not truncation: int_of_float rounds toward zero, which would
-     merge the two cells either side of each axis into one double-width
-     cell and make the neighbour enumeration asymmetric for deployments
-     with negative coordinates (same bug as Topology.build's cell_of). *)
-  let cell_of (p : Point.t) =
-    ( int_of_float (Float.floor (p.x /. conflict_range)),
-      int_of_float (Float.floor (p.y /. conflict_range)) )
-  in
-  let cells = Hashtbl.create (max 16 n) in
-  Array.iter
-    (fun (node : Node.t) ->
-      let key = cell_of node.pos in
-      Hashtbl.replace cells key (node.id :: (try Hashtbl.find cells key with Not_found -> [])))
-    nodes;
-  let conflicts id =
-    let p = nodes.(id).Node.pos in
-    let cx, cy = cell_of p in
-    let acc = ref [] in
-    for dx = -1 to 1 do
-      for dy = -1 to 1 do
-        match Hashtbl.find_opt cells (cx + dx, cy + dy) with
-        | None -> ()
-        | Some ids ->
-          List.iter
-            (fun j ->
-              if j <> id && Point.dist_l2 p nodes.(j).Node.pos <= conflict_range then
-                acc := j :: !acc)
-            ids
-      done
-    done;
-    !acc
-  in
-  let colors = Array.make n (-1) in
+(* Greedy colouring in ascending id order, the source skipped:
+   [conflicts id mark] must call [mark id j] for every node [j] that
+   conflicts with [id] (repeats are harmless).  [taken.(c) = id] marks
+   colour [c] as used by one of them, so no per-node set is built; the
+   slots are the colours shifted past the source's slot 0. *)
+let colour n ~source conflicts =
+  let colors = Array.make n (-1) and taken = Array.make (n + 1) (-1) in
+  let mark id j = if colors.(j) >= 0 then taken.(colors.(j)) <- id in
   let max_color = ref 0 in
   for id = 0 to n - 1 do
     if id <> source then begin
-      let used = List.filter_map (fun j -> if colors.(j) >= 0 then Some colors.(j) else None)
-          (conflicts id)
-      in
-      let rec first_free c = if List.mem c used then first_free (c + 1) else c in
-      let c = first_free 0 in
-      colors.(id) <- c;
-      if c > !max_color then max_color := c
+      conflicts id mark;
+      let c = ref 0 in
+      while taken.(!c) = id do
+        incr c
+      done;
+      colors.(id) <- !c;
+      if !c > !max_color then max_color := !c
     end
   done;
   let slots = Array.map (fun c -> if c < 0 then source_slot else c + 1) colors in
   slots.(source) <- source_slot;
   { cycle = !max_color + 2; slots }
+
+(* Conflict neighbours: the nodes within [conflict_range], found through a
+   cell index of that side. *)
+let for_nodes topology ~conflict_range ~source =
+  let deployment = Topology.deployment topology in
+  let cells = Cell_index.make ~side:conflict_range deployment in
+  let { Cell_index.xs; ys; ids; slot_x; slot_y; _ } = cells in
+  colour (Deployment.size deployment) ~source (fun id mark ->
+      Cell_index.iter_near cells id (fun id k ->
+          let dx = xs.(id) -. slot_x.(k) and dy = ys.(id) -. slot_y.(k) in
+          if sqrt ((dx *. dx) +. (dy *. dy)) <= conflict_range then mark id ids.(k)))
 
 (* Graph analogue of [for_nodes] for topologies with no usable geometry:
    two nodes conflict when they are within THREE hops of each other in
@@ -86,47 +67,38 @@ let for_nodes topology ~conflict_range ~source =
    a same-slot sender — sender–receiver–receiver–sender is a length-3
    path.  This is the graph reading of the geometric 3R rule.  Same
    greedy ascending-id coloring and the same slot-0 reservation for the
-   source, so the two schedulers produce interchangeable cycles. *)
+   source, so the two schedulers produce interchangeable cycles.  Every
+   walk of one to three decode hops is followed; [seen.(j) = id] keeps
+   [id] itself out and each node to one [mark].  Nothing is allocated per
+   node. *)
 let for_graph topology ~source =
-  let rx = Topology.rx topology in
-  let n = Array.length rx in
-  let conflicts id =
-    let acc = ref [] in
-    let seen = Array.make n false in
-    seen.(id) <- true;
-    let add j =
-      if not seen.(j) then begin
-        seen.(j) <- true;
-        acc := j :: !acc
-      end
-    in
-    Array.iter
-      (fun j ->
-        add j;
-        Array.iter
-          (fun k ->
-            add k;
-            Array.iter add rx.(k))
-          rx.(j))
-      rx.(id);
-    !acc
-  in
-  let colors = Array.make n (-1) in
-  let max_color = ref 0 in
-  for id = 0 to n - 1 do
-    if id <> source then begin
-      let used =
-        List.filter_map (fun j -> if colors.(j) >= 0 then Some colors.(j) else None) (conflicts id)
-      in
-      let rec first_free c = if List.mem c used then first_free (c + 1) else c in
-      let c = first_free 0 in
-      colors.(id) <- c;
-      if c > !max_color then max_color := c
+  let g = Topology.graph topology in
+  let n = Graph.size g in
+  let { Graph.in_off; in_peer; in_pow; _ } = g in
+  let seen = Array.make n (-1) in
+  let visit mark id j =
+    if seen.(j) <> id then begin
+      seen.(j) <- id;
+      mark id j
     end
-  done;
-  let slots = Array.map (fun c -> if c < 0 then source_slot else c + 1) colors in
-  slots.(source) <- source_slot;
-  { cycle = !max_color + 2; slots }
+  in
+  colour n ~source (fun id mark ->
+      seen.(id) <- id;
+      for a = in_off.(id) to in_off.(id + 1) - 1 do
+        if in_pow.(a) >= 1.0 then begin
+          let j = in_peer.(a) in
+          visit mark id j;
+          for b = in_off.(j) to in_off.(j + 1) - 1 do
+            if in_pow.(b) >= 1.0 then begin
+              let k = in_peer.(b) in
+              visit mark id k;
+              for c = in_off.(k) to in_off.(k + 1) - 1 do
+                if in_pow.(c) >= 1.0 then visit mark id in_peer.(c)
+              done
+            end
+          done
+        end
+      done)
 
 (* Wakeup arithmetic for the sparse engine: given the set of slots a
    machine cares about (its own sending slot plus the slots it listens

@@ -1,79 +1,68 @@
-type link = Graph.link = { peer : Node.id; power : float }
-
 type kind =
   | Radio of Propagation.t
   | Synthetic of { family : string; coord_range : float }
 
 type t = { deployment : Deployment.t; kind : kind; graph : Graph.t }
 
-(* Spatial hash with cells of the sense range: all neighbours of a node lie
-   in its own or the 8 surrounding cells.  The cell index must be the
-   floor of the scaled coordinate: [int_of_float] truncates toward zero,
-   which would merge (-reach, 0) with [0, reach) into one double-width
-   cell on each axis for deployments that extend into negative
-   coordinates. *)
+(* [Propagation.received_power prop ~src ~dst] with [dx], [dy] the
+   coordinate differences src − dst: the same arithmetic, so the same
+   bits, on flat unboxed coordinates. *)
+let[@inline] received_power prop dx dy =
+  match prop with
+  | Propagation.Friis { rx_range; _ } ->
+    let d = sqrt ((dx *. dx) +. (dy *. dy)) in
+    if d <= 0.0 then infinity
+    else begin
+      let ratio = rx_range /. d in
+      ratio *. ratio
+    end
+  | Propagation.Disk (Point.L2, r) -> if sqrt ((dx *. dx) +. (dy *. dy)) <= r then 1.0 else 0.0
+  | Propagation.Disk (Point.Linf, r) ->
+    let ax = abs_float dx and ay = abs_float dy in
+    if (if ax >= ay then ax else ay) <= r then 1.0 else 0.0
+
+(* Node [s] is in node [r]'s row iff [s]'s power at [r] clears the sensing
+   threshold.  Every such pair lies in neighbouring cells of the sense
+   range, so each pass walks {!Cell_index.iter_near} of every sender:
+   [visit None] counts each receiver's links into [in_off], [visit rows]
+   writes each link at its receiver's cursor.  The counting pass takes
+   senders in slot order (neighbouring senders reuse the cells they
+   read); the filling pass takes them ascending, so a receiver meets its
+   senders in ascending order and every row comes out sorted with no
+   sort.  The flat arrays are the only per-link storage. *)
 let build (deployment : Deployment.t) prop =
-  let nodes = deployment.Deployment.nodes in
-  let n = Array.length nodes in
-  let reach = max 1e-6 (Propagation.sense_range prop) in
-  let cell_of (p : Point.t) =
-    (int_of_float (Float.floor (p.x /. reach)), int_of_float (Float.floor (p.y /. reach)))
-  in
-  (* One lookup per node: buckets are mutated in place instead of a
-     find-then-replace pair of probes. *)
-  let cells : (int * int, Node.id list ref) Hashtbl.t = Hashtbl.create (max 16 n) in
-  Array.iter
-    (fun (node : Node.t) ->
-      let key = cell_of node.pos in
-      match Hashtbl.find_opt cells key with
-      | Some bucket -> bucket := node.id :: !bucket
-      | None -> Hashtbl.add cells key (ref [ node.id ]))
-    nodes;
+  let n = Deployment.size deployment in
+  let cells = Cell_index.make ~side:(max 1e-6 (Propagation.sense_range prop)) deployment in
+  let { Cell_index.xs; ys; ids; slot_x; slot_y; _ } = cells in
   let sense_thr = Propagation.sense_threshold prop in
-  let sensed = Array.make n [||] in
-  let rx = Array.make n [||] in
-  (* Scratch buffers sized for the worst case (everyone in range), reused
-     across nodes so the build allocates only the final per-node arrays. *)
-  let links_buf = Array.make (max 1 (n - 1)) { peer = 0; power = 0.0 } in
-  let rx_buf = Array.make (max 1 (n - 1)) 0 in
-  Array.iter
-    (fun (node : Node.t) ->
-      let cx, cy = cell_of node.pos in
-      let n_links = ref 0 in
-      let n_rx = ref 0 in
-      for dx = -1 to 1 do
-        for dy = -1 to 1 do
-          match Hashtbl.find_opt cells (cx + dx, cy + dy) with
-          | None -> ()
-          | Some bucket ->
-            List.iter
-              (fun j ->
-                if j <> node.id then begin
-                  let power =
-                    Propagation.received_power prop ~src:nodes.(j).Node.pos ~dst:node.pos
-                  in
-                  if power >= sense_thr then begin
-                    links_buf.(!n_links) <- { peer = j; power };
-                    incr n_links;
-                    if power >= 1.0 then begin
-                      rx_buf.(!n_rx) <- j;
-                      incr n_rx
-                    end
-                  end
-                end)
-              !bucket
-        done
-      done;
-      (* Sorted by peer id: deterministic independent of bucket iteration
-         order, and can_decode becomes a binary search. *)
-      let links = Array.sub links_buf 0 !n_links in
-      Array.sort (fun a b -> Int.compare a.peer b.peer) links;
-      let decodable = Array.sub rx_buf 0 !n_rx in
-      Array.sort Int.compare decodable;
-      sensed.(node.id) <- links;
-      rx.(node.id) <- decodable)
-    nodes;
-  { deployment; kind = Radio prop; graph = { Graph.sensed; rx; csr_cache = None } }
+  let in_off = Array.make (n + 1) 0 in
+  let visit rows s k =
+    let power = received_power prop (xs.(s) -. slot_x.(k)) (ys.(s) -. slot_y.(k)) in
+    if power >= sense_thr then begin
+      let r = ids.(k) in
+      match rows with
+      | None -> in_off.(r + 1) <- in_off.(r + 1) + 1
+      | Some (cursor, in_peer, in_pow) ->
+        let j = cursor.(r) in
+        in_peer.(j) <- s;
+        in_pow.(j) <- power;
+        cursor.(r) <- j + 1
+    end
+  in
+  let count s k = visit None s k in
+  for k = 0 to n - 1 do
+    Cell_index.iter_near cells ids.(k) count
+  done;
+  for i = 1 to n do
+    in_off.(i) <- in_off.(i) + in_off.(i - 1)
+  done;
+  let in_peer = Array.make in_off.(n) 0 and in_pow = Array.create_float in_off.(n) in
+  let rows = Some (Array.sub in_off 0 n, in_peer, in_pow) in
+  let fill s k = visit rows s k in
+  for s = 0 to n - 1 do
+    Cell_index.iter_near cells s fill
+  done;
+  { deployment; kind = Radio prop; graph = Graph.of_incoming ~in_off ~in_peer ~in_pow }
 
 let synthetic ~family deployment graph =
   if Deployment.size deployment <> Graph.size graph then
@@ -84,14 +73,11 @@ let synthetic ~family deployment graph =
      decodable peer is within this distance of its receiver. *)
   let nodes = deployment.Deployment.nodes in
   let coord_range = ref 1.0 in
-  Array.iteri
-    (fun i row ->
-      Array.iter
-        (fun j ->
-          let d = Point.dist_l2 nodes.(i).Node.pos nodes.(j).Node.pos in
-          if d > !coord_range then coord_range := d)
-        row)
-    graph.Graph.rx;
+  for i = 0 to Graph.size graph - 1 do
+    Graph.iter_rx graph i (fun j ->
+        let d = Point.dist_l2 nodes.(i).Node.pos nodes.(j).Node.pos in
+        if d > !coord_range then coord_range := d)
+  done;
   { deployment; kind = Synthetic { family; coord_range = !coord_range }; graph }
 
 let graph t = t.graph
@@ -99,8 +85,6 @@ let deployment t = t.deployment
 let kind t = t.kind
 let is_geometric t = match t.kind with Radio _ -> true | Synthetic _ -> false
 let family t = match t.kind with Radio _ -> "radio" | Synthetic { family; _ } -> family
-let sensed t = t.graph.Graph.sensed
-let rx t = t.graph.Graph.rx
 
 (* Range stand-ins for the protocol layers: under a radio model these are
    the propagation ranges; on an explicit graph both collapse to the

@@ -12,8 +12,6 @@
     {!rx_reach}, which a radio topology answers from its propagation model
     and a synthetic one answers with its longest embedded decode edge. *)
 
-type link = Graph.link = { peer : Node.id; power : float }
-
 type kind =
   | Radio of Propagation.t
       (** Edges derived from a propagation model over node positions. *)
@@ -26,10 +24,12 @@ type kind =
 type t
 
 val build : Deployment.t -> Propagation.t -> t
-(** Radio topology via the spatial-hash neighbourhood builder: node [j] is
-    in [sensed i] iff the received power of [j] at [i] clears the sensing
-    threshold, and in [rx i] iff it reaches the (normalised) decode
-    threshold 1.0.  Rows come out sorted by peer id. *)
+(** Radio topology, neighbours found through a {!Cell_index}: node [j]
+    is in node [i]'s row iff the received power of [j] at [i] clears the
+    sensing threshold, and [i] decodes [j] iff that power reaches the
+    (normalised) decode threshold 1.0.  Rows come out sorted by peer id,
+    written straight into the graph's flat form; the build takes time and
+    words linear in nodes plus links, however wide the map. *)
 
 val synthetic : family:string -> Deployment.t -> Graph.t -> t
 (** Wrap an explicitly constructed graph with the embedding used to draw
@@ -56,8 +56,6 @@ val rx_reach : t -> float
 (** Distance within which a transmission is decodable: the propagation rx
     range for radio topologies, [coord_range] for synthetic ones. *)
 
-val sensed : t -> link array array
-val rx : t -> Node.id array array
 val position : t -> Node.id -> Point.t
 val size : t -> int
 val can_decode : t -> rx:Node.id -> tx:Node.id -> bool

@@ -84,6 +84,45 @@ let test_archive () =
       (List.map (fun e -> e.Campaign.planned.Campaign.run_id) executed)
       runs
 
+(* Cold runs time their topology build, within their wall time; warm
+   runs reuse the cold topology and read 0.  The archived record carries
+   the same number. *)
+let test_topology_seconds () =
+  let out_dir = Filename.temp_file "campaign" "" in
+  Sys.remove out_dir;
+  let config = { (tiny Campaign.default) with Campaign.out_dir = Some out_dir } in
+  let executed, _ = run_exn config in
+  let dir = Filename.concat out_dir config.Campaign.label in
+  List.iter
+    (fun e ->
+      let id = e.Campaign.planned.Campaign.run_id in
+      (match e.Campaign.planned.Campaign.phase with
+      | Campaign.Cold ->
+        Alcotest.(check bool)
+          (id ^ ": 0 <= topology <= wall") true
+          (e.Campaign.topology_seconds >= 0.0
+          && e.Campaign.topology_seconds <= e.Campaign.wall_seconds)
+      | Campaign.Warm _ ->
+        Alcotest.(check (float 0.0)) (id ^ ": warm builds nothing") 0.0 e.Campaign.topology_seconds);
+      match
+        Json.of_string (In_channel.with_open_text (Filename.concat dir (id ^ ".json")) In_channel.input_all)
+      with
+      | Error message -> Alcotest.fail message
+      | Ok json ->
+        Alcotest.(check (option (float 0.0)))
+          (id ^ ": archived topology_seconds")
+          (Some e.Campaign.topology_seconds)
+          (Option.bind (Json.member "topology_seconds" json) Json.to_float_opt))
+    executed;
+  Alcotest.(check bool) "the table has the column" true
+    (let table = Campaign.render executed in
+     let column = "topo (s)" in
+     let rec scan i =
+       i + String.length column <= String.length table
+       && (String.sub table i (String.length column) = column || scan (i + 1))
+     in
+     scan 0)
+
 let test_validation () =
   let bad message config =
     match Campaign.run config with
@@ -166,6 +205,7 @@ let () =
           Alcotest.test_case "dry-run preview = execution" `Quick test_dry_run_matches_execution;
           Alcotest.test_case "plan shape and run ids" `Quick test_plan_shape;
           Alcotest.test_case "archived results + manifest" `Quick test_archive;
+          Alcotest.test_case "cold runs time their topology" `Quick test_topology_seconds;
           Alcotest.test_case "config validation" `Quick test_validation;
           Alcotest.test_case "memory ceiling trips" `Quick test_mem_ceiling_fails;
         ] );

@@ -13,6 +13,13 @@ let file_line (d : Diagnostics.diagnostic) =
   | Line (file, line) -> (file, line)
   | Field _ -> Alcotest.fail "expected a file:line location"
 
+(* A file of test/fixtures, which the build copies next to this
+   executable: found from there, so the suite passes from any working
+   directory. *)
+let read_fixture name =
+  let dir = Filename.concat (Filename.dirname Sys.executable_name) "fixtures" in
+  In_channel.with_open_bin (Filename.concat dir name) In_channel.input_all
+
 (* Lint in-memory files through the shared parse, as securebit_lint does. *)
 let lint_files lint files =
   let parsed, errors = Callgraph.parse files in
@@ -378,7 +385,7 @@ let global_mutable ~path contents =
 let test_global_mutable_fixture () =
   (* The committed fixture, linted under a library path: its counter is
      module state that every pool task bumps. *)
-  let contents = In_channel.with_open_bin "fixtures/racy_counter.ml" In_channel.input_all in
+  let contents = read_fixture "racy_counter.ml" in
   Alcotest.(check (list (pair string int)))
     "the racy fixture's counter is flagged" [ ("global-mutable", 8) ]
     (global_mutable ~path:"lib/analysis/racy_counter.ml" contents);
@@ -520,7 +527,7 @@ let boxy_roots = [ ("boxy-round", [ "Boxy_hot_loop.process_round" ]) ]
 let boxy_files () =
   [
     ( "lib/sim/boxy_hot_loop.ml",
-      In_channel.with_open_bin "fixtures/boxy_hot_loop.ml" In_channel.input_all );
+      read_fixture "boxy_hot_loop.ml" );
   ]
 
 (* Is there an error coded alloc-<cls> in the fixture file? *)

@@ -258,28 +258,17 @@ let fingerprint_at (trace : Determinism.trace) ~round ~node =
    senses node 1 by. *)
 let complete_with ~power01 =
   let n = 6 in
-  let sensed =
+  let rows =
     Array.init n (fun i ->
         Array.of_list
           (List.filter_map
-             (fun j ->
-               if j = i then None
-               else Some { Graph.peer = j; power = (if i = 0 && j = 1 then power01 else 1.0) })
+             (fun j -> if j = i then None else Some (j, if i = 0 && j = 1 then power01 else 1.0))
              (List.init n Fun.id)))
-  in
-  let rx =
-    Array.map
-      (fun row ->
-        Array.of_list
-          (List.filter_map
-             (fun { Graph.peer; power } -> if power >= 1.0 then Some peer else None)
-             (Array.to_list row)))
-      sensed
   in
   let nodes = Array.init n (fun i -> Node.make i (Point.make (float_of_int i) 0.0)) in
   Topology.synthetic ~family:"complete"
     { Deployment.width = float_of_int n; height = 1.0; nodes }
-    (Graph.make ~sensed ~rx)
+    (Graph.make rows)
 
 (* A 1e-13 link beside a decodable one: the float rule calls the 1e-13
    interference zero (tolerance 1e-12) and decodes, the count rule would
@@ -308,21 +297,20 @@ let has_words topology = Option.is_some (Graph.csr (Topology.graph topology)).Gr
 
 (* The gate and the guard recomputed from the sensed rows. *)
 let gate_and_guard topology =
-  let sensed = Topology.sensed topology in
-  let n = Array.length sensed in
+  let { Graph.in_off; in_peer; in_pow; _ } = Topology.graph topology in
+  let n = Topology.size topology in
   let words_of = Array.make n [] in
   let links = ref 0 and d = ref 0 and p_min = ref infinity and p_max = ref 0.0 in
-  Array.iteri
-    (fun receiver row ->
-      d := max !d (Array.length row);
-      Array.iter
-        (fun { Graph.peer; power } ->
-          incr links;
-          words_of.(peer) <- (receiver / Bitvec.bits_per_word) :: words_of.(peer);
-          p_min := Float.min !p_min power;
-          if power < infinity then p_max := Float.max !p_max power)
-        row)
-    sensed;
+  for receiver = 0 to n - 1 do
+    d := max !d (in_off.(receiver + 1) - in_off.(receiver));
+    for k = in_off.(receiver) to in_off.(receiver + 1) - 1 do
+      let peer = in_peer.(k) and power = in_pow.(k) in
+      incr links;
+      words_of.(peer) <- (receiver / Bitvec.bits_per_word) :: words_of.(peer);
+      p_min := Float.min !p_min power;
+      if power < infinity then p_max := Float.max !p_max power
+    done
+  done;
   let entries =
     Array.fold_left (fun acc ws -> acc + List.length (List.sort_uniq Int.compare ws)) 0 words_of
   in
@@ -393,10 +381,11 @@ let test_colocated_pair () =
   let n = 40 and twin = 10 in
   let topology = friis_map ~twin ~seed:3 ~n ~side:4.0 () in
   Alcotest.(check bool) "word entries built" true (has_words topology);
+  let { Graph.in_off; in_peer; in_pow; _ } = Topology.graph topology in
   Alcotest.(check bool) "the pair links at infinite power" true
-    (Array.exists
-       (fun { Graph.peer; power } -> peer = twin && power = infinity)
-       (Topology.sensed topology).(twin + 1));
+    (List.exists
+       (fun k -> in_peer.(k) = twin && in_pow.(k) = infinity)
+       (List.init (in_off.(twin + 2) - in_off.(twin + 1)) (fun k -> in_off.(twin + 1) + k)));
   let trace = check_chatter "co-located pair" topology in
   let alone = pair_round n twin twin in
   Alcotest.(check int) "the twin hears a lone infinite link as busy" 1

@@ -17,21 +17,14 @@ let structural name topology =
   (* Synthetic topologies carry no propagation model: the sense graph is
      the decode graph, at exactly the decode threshold. *)
   Array.iteri
-    (fun i row ->
-      let rx = (Topology.rx topology).(i) in
-      if Array.length row <> Array.length rx then
-        QCheck.Test.fail_reportf "%s: sensed row %d differs from rx row" name i;
-      Array.iteri
-        (fun k { Topology.peer; power } ->
-          if peer <> rx.(k) || power <> 1.0 then
-            QCheck.Test.fail_reportf "%s: sensed row %d not rx at power 1.0" name i)
-        row)
-    (Topology.sensed topology);
+    (fun k power ->
+      if power <> 1.0 then
+        QCheck.Test.fail_reportf "%s: link %d (peer %d) not at power 1.0" name k g.Graph.in_peer.(k))
+    g.Graph.in_pow;
   g
 
 let edge_count g =
-  let total = Array.fold_left (fun acc row -> acc + Array.length row) 0 g.Graph.rx in
-  total / 2
+  Array.length g.Graph.in_peer / 2
 
 let prop_grid_holes =
   QCheck.Test.make ~name:"grid-with-holes: connected 4-grid minus at most [holes] nodes"
@@ -96,12 +89,11 @@ let prop_expander =
       let t = Graphs.expander (Rng.create seed) ~n ~degree in
       let g = structural "expander" t in
       if Graph.size g <> n then QCheck.Test.fail_reportf "size %d, expected %d" (Graph.size g) n;
-      Array.iteri
-        (fun i _ ->
-          let d = Graph.degree g i in
-          if d < 2 || d > degree then
-            QCheck.Test.fail_reportf "node %d degree %d outside [2, %d]" i d degree)
-        g.Graph.rx;
+      for i = 0 to n - 1 do
+        let d = Graph.degree g i in
+        if d < 2 || d > degree then
+          QCheck.Test.fail_reportf "node %d degree %d outside [2, %d]" i d degree
+      done;
       true)
 
 let prop_lattice =
@@ -127,8 +119,8 @@ let prop_seed_determinism =
     QCheck.(int_bound 100_000)
     (fun seed ->
       let same_rx a b =
-        let ra = Topology.rx a and rb = Topology.rx b in
-        Array.length ra = Array.length rb && Array.for_all2 (fun x y -> x = y) ra rb
+        let ga = Topology.graph a and gb = Topology.graph b in
+        ga.Graph.in_off = gb.Graph.in_off && ga.Graph.in_peer = gb.Graph.in_peer
       in
       let twice f = same_rx (f (Rng.create seed)) (f (Rng.create seed)) in
       twice (fun rng -> Graphs.grid_with_holes rng ~width:6 ~height:5 ~holes:6)

@@ -72,22 +72,26 @@ let test_subset () =
 let grid_topology ~side ~radius =
   Topology.build (Deployment.grid ~width:side ~height:side) (Propagation.disk_linf radius)
 
+(* Links in node [i]'s row, decodable or not. *)
+let row_length t i =
+  let g = Topology.graph t in
+  g.Graph.in_off.(i + 1) - g.Graph.in_off.(i)
+
 let test_topology_grid_neighbors () =
   let t = grid_topology ~side:7 ~radius:2.0 in
+  let g = Topology.graph t in
   let center = 24 (* (3,3) *) in
-  Alcotest.(check int) "interior degree (2R+1)^2-1" 24 (Array.length (Topology.rx t).(center));
-  Alcotest.(check int) "corner degree" 8 (Array.length (Topology.rx t).(0));
-  Alcotest.(check bool) "disk: rx = sensed" true
-    (Array.length (Topology.sensed t).(center) = Array.length (Topology.rx t).(center))
+  Alcotest.(check int) "interior degree (2R+1)^2-1" 24 (Graph.degree g center);
+  Alcotest.(check int) "corner degree" 8 (Graph.degree g 0);
+  Alcotest.(check bool) "disk: rx = sensed" true (row_length t center = Graph.degree g center)
 
 let test_topology_friis_sense_superset () =
   let d = Deployment.grid ~width:9 ~height:9 in
   let t = Topology.build d (Propagation.friis 2.0) in
-  Array.iteri
-    (fun i rx ->
-      Alcotest.(check bool) "sensed includes rx" true
-        (Array.length (Topology.sensed t).(i) >= Array.length rx))
-    (Topology.rx t)
+  for i = 0 to Topology.size t - 1 do
+    Alcotest.(check bool) "sensed includes rx" true
+      (row_length t i >= Graph.degree (Topology.graph t) i)
+  done
 
 let test_topology_hops () =
   let t = grid_topology ~side:9 ~radius:2.0 in
@@ -150,28 +154,19 @@ let test_topology_can_decode () =
   Alcotest.(check bool) "adjacent" true (Topology.can_decode t ~rx:0 ~tx:1);
   Alcotest.(check bool) "far" false (Topology.can_decode t ~rx:0 ~tx:4)
 
-(* Regression for the sorted link rows: [rx] and [sensed] are sorted by
-   peer id, and the binary-searching [can_decode] agrees with brute-force
-   power computation over every pair of a random deployment. *)
+(* Regression for the sorted link rows: every row ascends by peer id, and
+   the binary-searching [can_decode] agrees with brute-force power
+   computation over every pair of a random deployment. *)
 let test_topology_sorted_rows_and_lookup () =
   let prop = Propagation.friis 3.0 in
   let d = Deployment.uniform (Rng.create 11) ~n:120 ~width:15.0 ~height:15.0 in
   let t = Topology.build d prop in
-  let ascending len get label =
-    for k = 0 to len - 2 do
-      Alcotest.(check bool) label true (get k < get (k + 1))
+  let { Graph.in_off; in_peer; _ } = Topology.graph t in
+  for i = 0 to Topology.size t - 1 do
+    for k = in_off.(i) + 1 to in_off.(i + 1) - 1 do
+      Alcotest.(check bool) (Printf.sprintf "row %d sorted" i) true (in_peer.(k - 1) < in_peer.(k))
     done
-  in
-  Array.iteri
-    (fun i row ->
-      ascending (Array.length row) (fun k -> row.(k)) (Printf.sprintf "rx.(%d) sorted" i))
-    (Topology.rx t);
-  Array.iteri
-    (fun i row ->
-      ascending (Array.length row)
-        (fun k -> row.(k).Topology.peer)
-        (Printf.sprintf "sensed.(%d) sorted" i))
-    (Topology.sensed t);
+  done;
   let n = Deployment.size d in
   for i = 0 to n - 1 do
     for j = 0 to n - 1 do
@@ -189,65 +184,301 @@ let test_topology_sorted_rows_and_lookup () =
     done
   done
 
+(* --- Flat graph vs the reference constructions ------------------------- *)
+
+(* The first difference between a flat graph and the reference rows, if
+   any: every row with the bits of every power, the decodable sets, the
+   engine's CSR rows and its word entries. *)
+let oracle_mismatch (g : Graph.t) (want : Topology_oracle.rows) =
+  let n = Array.length want.Topology_oracle.sensed in
+  let bits = Int64.bits_of_float in
+  let diff = ref None in
+  let fail fmt = Printf.ksprintf (fun m -> if !diff = None then diff := Some m) fmt in
+  if Graph.size g <> n then fail "size %d, expected %d" (Graph.size g) n
+  else begin
+    for i = 0 to n - 1 do
+      let row = want.Topology_oracle.sensed.(i) in
+      let first = g.Graph.in_off.(i) in
+      if g.Graph.in_off.(i + 1) - first <> Array.length row then
+        fail "row %d: %d links, expected %d" i (g.Graph.in_off.(i + 1) - first) (Array.length row)
+      else
+        Array.iteri
+          (fun k { Topology_oracle.peer; power } ->
+            if g.Graph.in_peer.(first + k) <> peer || bits g.Graph.in_pow.(first + k) <> bits power
+            then fail "row %d link %d: (%d, %h), expected (%d, %h)" i k g.Graph.in_peer.(first + k)
+                g.Graph.in_pow.(first + k) peer power)
+          row;
+      let decodable = ref [] in
+      Graph.iter_rx g i (fun j -> decodable := j :: !decodable);
+      if List.rev !decodable <> Array.to_list want.Topology_oracle.rx.(i) then
+        fail "row %d: decodable set differs" i
+    done;
+    let out, entries = Topology_oracle.csr want in
+    let { Graph.out_off; out_rcv; out_pow; words } = Graph.csr g in
+    for i = 0 to n - 1 do
+      let got =
+        List.init (out_off.(i + 1) - out_off.(i)) (fun k ->
+            (out_rcv.(out_off.(i) + k), bits out_pow.(out_off.(i) + k)))
+      in
+      if got <> List.map (fun (r, p) -> (r, bits p)) out.(i) then fail "CSR row %d differs" i
+    done;
+    match (words, entries) with
+    | None, None -> ()
+    | Some _, None -> fail "word entries built, expected none"
+    | None, Some _ -> fail "no word entries, expected some"
+    | Some { Graph.word_off; word_idx; word_sensed; word_dec }, Some entries ->
+      Array.iteri
+        (fun i row ->
+          let got =
+            List.init (word_off.(i + 1) - word_off.(i)) (fun k ->
+                let e = word_off.(i) + k in
+                (word_idx.(e), word_sensed.(e), word_dec.(e)))
+          in
+          if got <> row then fail "word entries of node %d differ" i)
+        entries
+  end;
+  !diff
+
+let check_oracle label g want =
+  match oracle_mismatch g want with None -> () | Some m -> Alcotest.failf "%s: %s" label m
+
+let check_build label deployment prop =
+  check_oracle label
+    (Topology.graph (Topology.build deployment prop))
+    (Topology_oracle.build deployment prop)
+
+let props = [ ("friis", Propagation.friis 3.0); ("disk-l2", Propagation.disk_l2 2.5); ("disk-linf", Propagation.disk_linf 2.0) ]
+
+let oracle_deployment kind seed n =
+  let rng = Rng.create seed in
+  match kind with
+  | 0 -> Deployment.uniform rng ~n ~width:18.0 ~height:12.0
+  | 1 -> Deployment.clustered rng ~n ~clusters:3 ~stddev:2.0 ~width:18.0 ~height:12.0
+  | _ -> Deployment.grid ~width:(1 + (n mod 13)) ~height:(1 + (n / 13))
+
+let prop_build_matches_oracle =
+  QCheck.Test.make ~name:"Topology.build = the reference, bit for bit" ~count:60
+    QCheck.(triple (int_bound 10_000) (int_range 1 180) (pair (int_bound 2) (int_bound 2)))
+    (fun (seed, n, (kind, p)) ->
+      let deployment = oracle_deployment kind seed n in
+      let _, prop = List.nth props p in
+      match
+        oracle_mismatch
+          (Topology.graph (Topology.build deployment prop))
+          (Topology_oracle.build deployment prop)
+      with
+      | None -> true
+      | Some m -> QCheck.Test.fail_reportf "kind %d, prop %d: %s" kind p m)
+
+let shifted (d : Deployment.t) ~dx ~dy =
+  {
+    d with
+    Deployment.nodes =
+      Array.map
+        (fun (n : Node.t) -> Node.make n.Node.id (point (n.Node.pos.Point.x +. dx) (n.Node.pos.Point.y +. dy)))
+        d.Deployment.nodes;
+  }
+
+(* The layouts a random draw seldom produces: a map shifted across both
+   axes, co-located Friis nodes (infinite power), and maps far wider or
+   taller than the range, whose cell numbers wrap. *)
+let test_build_oracle_edge_cases () =
+  let uniform = Deployment.uniform (Rng.create 9) ~n:150 ~width:14.0 ~height:14.0 in
+  List.iter
+    (fun (name, prop) ->
+      check_build ("negative " ^ name) (shifted uniform ~dx:(-7.3) ~dy:(-20.0)) prop;
+      let nodes = Array.copy uniform.Deployment.nodes in
+      List.iter (fun i -> nodes.(i + 1) <- Node.make (i + 1) nodes.(i).Node.pos) [ 3; 40; 41; 90 ];
+      check_build ("co-located " ^ name) { uniform with Deployment.nodes } prop;
+      check_build ("wide " ^ name)
+        (Deployment.uniform (Rng.create 4) ~n:300 ~width:50_000.0 ~height:20.0)
+        prop;
+      check_build ("tall " ^ name)
+        (Deployment.uniform (Rng.create 5) ~n:300 ~width:3.0 ~height:90_000.0)
+        prop)
+    props;
+  (* A sender exactly at the sense range arrives at exactly the sense
+     threshold, and is sensed. *)
+  List.iter
+    (fun (name, prop) ->
+      let reach = Propagation.sense_range prop in
+      let pair =
+        {
+          Deployment.width = reach;
+          height = 1.0;
+          nodes = [| Node.make 0 (point 0.0 0.0); Node.make 1 (point reach 0.0) |];
+        }
+      in
+      check_build ("boundary " ^ name) pair prop;
+      Alcotest.(check bool) ("boundary " ^ name ^ ": sensed") true
+        (Graph.senses (Topology.graph (Topology.build pair prop)) ~rx:1 ~tx:0))
+    props;
+  (* The co-located case is not vacuous: the pair links at infinity. *)
+  let twins = shifted uniform ~dx:0.0 ~dy:0.0 in
+  twins.Deployment.nodes.(8) <- Node.make 8 twins.Deployment.nodes.(7).Node.pos;
+  let g = Topology.graph (Topology.build twins (Propagation.friis 3.0)) in
+  Alcotest.(check bool) "co-located nodes link at infinite power" true
+    (List.exists
+       (fun k -> g.Graph.in_peer.(k) = 7 && g.Graph.in_pow.(k) = infinity)
+       (List.init (g.Graph.in_off.(9) - g.Graph.in_off.(8)) (fun k -> g.Graph.in_off.(8) + k)))
+
+(* The cell table stays O(n) words: a map 10⁵ cells wide wraps its cell
+   numbers onto at most 2n buckets, and a compact one gets at most 8n. *)
+let test_cell_index_size () =
+  let buckets (d : Deployment.t) = Array.length (Cell_index.make ~side:1.0 d).Cell_index.start - 1 in
+  let n = 300 in
+  let wide = Deployment.uniform (Rng.create 4) ~n ~width:100_000.0 ~height:20.0 in
+  let compact = Deployment.uniform (Rng.create 4) ~n ~width:30.0 ~height:30.0 in
+  Alcotest.(check bool) "wide map: at most 2n buckets" true (buckets wide <= 2 * n);
+  Alcotest.(check bool) "compact map: at most 8n buckets" true (buckets compact <= 8 * n)
+
+(* Every generated family: its CSR and word entries against the reference
+   transposition, and [Graph.of_edges] against the reference edge-list
+   construction on the same edges, duplicates and both orientations
+   included. *)
+let families () =
+  [
+    ("grid-holes", Graphs.grid_with_holes (Rng.create 3) ~width:9 ~height:7 ~holes:8);
+    ("corridor", Graphs.corridor ~rooms:3 ~room_w:4 ~room_h:3 ~hall_len:3);
+    ("triangulation", Graphs.triangulation (Rng.create 4) ~cols:8 ~rows:6 ~jitter:0.2);
+    ("expander", Graphs.expander (Rng.create 5) ~n:300 ~degree:8);
+    ("lattice", Graphs.lattice ~width:9 ~height:8);
+  ]
+
+let test_families_oracle () =
+  List.iter
+    (fun (name, topology) ->
+      let g = Topology.graph topology in
+      check_oracle name g (Topology_oracle.rows_of g);
+      let edges = ref [] in
+      for i = 0 to Graph.size g - 1 do
+        Graph.iter_rx g i (fun j -> edges := (i, j) :: (j, i) :: !edges)
+      done;
+      check_oracle (name ^ " of_edges") (Graph.of_edges ~n:(Graph.size g) !edges)
+        (Topology_oracle.of_edges ~n:(Graph.size g) !edges))
+    (families ())
+
+let prop_of_edges_matches_oracle =
+  QCheck.Test.make ~name:"Graph.of_edges = the reference" ~count:100
+    QCheck.(pair (int_range 2 40) (small_list (pair small_nat small_nat)))
+    (fun (n, pairs) ->
+      let edges = List.filter (fun (u, v) -> u <> v) (List.map (fun (u, v) -> (u mod n, v mod n)) pairs) in
+      match oracle_mismatch (Graph.of_edges ~n edges) (Topology_oracle.of_edges ~n edges) with
+      | None -> true
+      | Some m -> QCheck.Test.fail_reportf "%s" m)
+
+let slots schedule n = (Schedule.cycle schedule, Array.init n (Schedule.slot_of schedule))
+
+let test_schedules_oracle () =
+  List.iter
+    (fun (name, topology) ->
+      let g = Topology.graph topology and n = Topology.size topology in
+      Alcotest.(check (pair int (array int)))
+        (name ^ ": for_graph slots")
+        (Topology_oracle.for_graph (Topology_oracle.rows_of g) ~source:(n / 2))
+        (slots (Schedule.for_graph topology ~source:(n / 2)) n))
+    (("radio", Topology.build (Deployment.uniform (Rng.create 6) ~n:200 ~width:12.0 ~height:12.0) (Propagation.friis 2.0))
+    :: families ());
+  List.iter
+    (fun (name, deployment) ->
+      let topology = Topology.build deployment (Propagation.disk_l2 2.0) in
+      let n = Deployment.size deployment in
+      Alcotest.(check (pair int (array int)))
+        (name ^ ": for_nodes slots")
+        (Topology_oracle.for_nodes deployment ~conflict_range:5.0 ~source:0)
+        (slots (Schedule.for_nodes topology ~conflict_range:5.0 ~source:0) n))
+    [
+      ("uniform", Deployment.uniform (Rng.create 7) ~n:250 ~width:30.0 ~height:30.0);
+      ("negative", shifted (Deployment.uniform (Rng.create 8) ~n:250 ~width:30.0 ~height:30.0) ~dx:(-15.0) ~dy:(-40.0));
+      ("wide", Deployment.uniform (Rng.create 10) ~n:250 ~width:20_000.0 ~height:10.0);
+    ]
+
+(* Words allocated, minor and major, not counting promotions twice. *)
+let words () =
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
+
+(* The build keeps only the flat rows and the CSR: at the n = 10^4
+   uniform-disk scale cell (degree 12) it allocates at most twice the
+   words the graph keeps live, and the rows take at most half the 63
+   words per node the link-record rows took. *)
+let test_build_words () =
+  let n = 10_000 and radius = 4.0 in
+  let side = sqrt (float_of_int n *. Float.pi *. radius *. radius /. 12.0) in
+  let deployment = Deployment.uniform (Rng.split (Rng.create 42)) ~n ~width:side ~height:side in
+  let before = words () in
+  let topology = Topology.build deployment (Propagation.disk_l2 radius) in
+  let allocated = words () -. before in
+  let g = Topology.graph topology in
+  let live = Obj.reachable_words (Obj.repr g) in
+  let rows = Obj.reachable_words (Obj.repr (g.Graph.in_off, g.Graph.in_peer, g.Graph.in_pow)) in
+  if allocated > 2.0 *. float_of_int live then
+    Alcotest.failf "allocated %.0f words, more than twice the %d live" allocated live;
+  if float_of_int rows /. float_of_int n > 31.5 then
+    Alcotest.failf "rows take %.1f words per node, over 31.5" (float_of_int rows /. float_of_int n)
+
+(* [Schedule.for_graph] allocates nothing per node: at n = 4 000 on a
+   degree-8 expander the whole colouring takes its four n-slot arrays,
+   about 4 words per node (a fresh n-slot array and list per node took
+   about 6 500). *)
+let test_for_graph_words () =
+  let topology = Graphs.expander (Rng.create 1) ~n:4_000 ~degree:8 in
+  let before = words () in
+  ignore (Schedule.for_graph topology ~source:0);
+  let allocated = words () -. before in
+  if allocated > 5.0 *. 4_000.0 then Alcotest.failf "for_graph allocated %.0f words" allocated
+
 (* --- Schedule ------------------------------------------------------------- *)
 
 (* Graph.make rejects every row set the engine and [can_decode] would
-   read differently, one case per rejection.  [links] are (receiver,
-   sender, power) triples on three nodes; [rx] lists (receiver, sender). *)
-let graph_of ~links ~rx =
-  let n = 3 in
+   misread, one case per rejection.  [links] are (receiver, sender,
+   power) triples on three nodes.  Which links decode is read off the
+   powers, so there is no decode relation to disagree with them. *)
+let graph_of ~links =
   Graph.make
-    ~sensed:
-      (Array.init n (fun i ->
-           Array.of_list
-             (List.filter_map
-                (fun (r, peer, power) -> if r = i then Some { Graph.peer; power } else None)
-                links)))
-    ~rx:
-      (Array.init n (fun i ->
-           Array.of_list (List.filter_map (fun (r, peer) -> if r = i then Some peer else None) rx)))
+    (Array.init 3 (fun i ->
+         Array.of_list
+           (List.filter_map (fun (r, peer, power) -> if r = i then Some (peer, power) else None) links)))
 
 let graph_rejections =
   [
-    ("peer out of range", [ (0, 3, 1.0) ], [ (0, 3) ], "Graph: link peer out of range");
-    ("self-loop", [ (0, 0, 1.0) ], [ (0, 0) ], "Graph: self-loop");
-    ("duplicate link", [ (0, 1, 0.5); (0, 1, 0.5) ], [], "Graph: duplicate link");
-    ("NaN power", [ (0, 1, nan) ], [], "Graph: NaN link power");
-    ("zero power", [ (0, 1, 0.0) ], [], "Graph: non-positive link power");
-    ("negative power", [ (0, 1, -1.0) ], [], "Graph: non-positive link power");
-    ( "rx edge not sensed",
-      [ (0, 1, 1.0) ],
-      [ (0, 1); (0, 2) ],
-      "Graph: rx edge missing from sensed" );
-    ("rx edge at power 0.5", [ (0, 1, 0.5) ], [ (0, 1) ], "Graph: rx edge below decode power");
-    ("duplicate rx edge", [ (0, 1, 1.0) ], [ (0, 1); (0, 1) ], "Graph: duplicate rx edge");
-    ( "power-2.0 link missing from rx",
-      [ (0, 1, 2.0) ],
-      [],
-      "Graph: decodable link missing from rx" );
+    ("peer out of range", [ (0, 3, 1.0) ], "Graph: link peer out of range");
+    ("self-loop", [ (0, 0, 1.0) ], "Graph: self-loop");
+    ("duplicate link", [ (0, 1, 0.5); (0, 1, 0.5) ], "Graph: duplicate link");
+    ("NaN power", [ (0, 1, nan) ], "Graph: NaN link power");
+    ("zero power", [ (0, 1, 0.0) ], "Graph: non-positive link power");
+    ("negative power", [ (0, 1, -1.0) ], "Graph: non-positive link power");
   ]
 
-let graph_rejection_case (label, links, rx, message) =
+let graph_rejection_case (label, links, message) =
   Alcotest.test_case label `Quick (fun () ->
-      Alcotest.check_raises label (Invalid_argument message) (fun () ->
-          ignore (graph_of ~links ~rx)))
+      Alcotest.check_raises label (Invalid_argument message) (fun () -> ignore (graph_of ~links)))
 
-let test_graph_row_count_mismatch () =
-  Alcotest.check_raises "two sensed rows, three rx rows"
-    (Invalid_argument "Graph: sensed/rx row count mismatch") (fun () ->
-      ignore (Graph.make ~sensed:[| [||]; [||] |] ~rx:[| [||]; [||]; [||] |]))
+(* The flat form's own rejections: offsets that disagree with the link
+   arrays, and a row out of order (which [make] sorts away). *)
+let test_graph_flat_rejections () =
+  let offsets = Invalid_argument "Graph: row offsets disagree with the link arrays" in
+  Alcotest.check_raises "last offset past the links" offsets (fun () ->
+      ignore (Graph.of_incoming ~in_off:[| 0; 1; 2 |] ~in_peer:[| 1 |] ~in_pow:[| 1.0 |]));
+  Alcotest.check_raises "powers shorter than peers" offsets (fun () ->
+      ignore (Graph.of_incoming ~in_off:[| 0; 1; 1 |] ~in_peer:[| 1 |] ~in_pow:[||]));
+  Alcotest.check_raises "offsets descend" offsets (fun () ->
+      ignore (Graph.of_incoming ~in_off:[| 0; 1; 0; 1 |] ~in_peer:[| 1 |] ~in_pow:[| 1.0 |]));
+  Alcotest.check_raises "row 0 descends" (Invalid_argument "Graph: row not ascending") (fun () ->
+      ignore
+        (Graph.of_incoming ~in_off:[| 0; 2; 2; 2 |] ~in_peer:[| 2; 1 |] ~in_pow:[| 1.0; 1.0 |]))
 
-(* What the rejections leave: weak sensed links, decodable ones in rx,
-   and co-located nodes' infinite power. *)
+(* What the rejections leave: weak sensed links, decodable ones, and
+   co-located nodes' infinite power. *)
 let test_graph_make_accepts () =
-  let g =
-    graph_of
-      ~links:[ (0, 1, 0.5); (0, 2, 2.0); (1, 0, 1.0); (2, 1, infinity) ]
-      ~rx:[ (0, 2); (1, 0); (2, 1) ]
-  in
+  let g = graph_of ~links:[ (0, 2, 2.0); (0, 1, 0.5); (1, 0, 1.0); (2, 1, infinity) ] in
   Alcotest.(check bool) "decodes the power-2.0 link" true (Graph.can_decode g ~rx:0 ~tx:2);
   Alcotest.(check bool) "only senses the power-0.5 link" false (Graph.can_decode g ~rx:0 ~tx:1);
-  Alcotest.(check bool) "decodes the infinite link" true (Graph.can_decode g ~rx:2 ~tx:1)
+  Alcotest.(check bool) "senses the power-0.5 link" true (Graph.senses g ~rx:0 ~tx:1);
+  Alcotest.(check bool) "senses nothing from node 0" false (Graph.senses g ~rx:2 ~tx:0);
+  Alcotest.(check bool) "decodes the infinite link" true (Graph.can_decode g ~rx:2 ~tx:1);
+  Alcotest.(check (list int)) "row 0 sorted by peer" [ 1; 2 ]
+    (Array.to_list (Array.sub g.Graph.in_peer 0 2))
 
 let test_schedule_phases () =
   Alcotest.(check int) "rounds per interval" 6 Schedule.rounds_per_interval;
@@ -786,9 +1017,10 @@ let prop_engine_matches_reference =
       in
       let machines = Array.init (k + 1) (fun i -> if i = 0 then rx else tx_once_machine i) in
       ignore (Engine.run ~topology ~machines ~waiters:(Array.make (k + 1) true) ~cap:1 ());
+      let { Graph.in_off; in_peer; in_pow; _ } = Topology.graph topology in
       let txs =
-        Array.to_list (Topology.sensed topology).(0)
-        |> List.map (fun { Topology.peer; power } -> { Channel_oracle.power; payload = peer })
+        List.init (in_off.(1) - in_off.(0)) (fun k ->
+            { Channel_oracle.power = in_pow.(k); payload = in_peer.(k) })
       in
       let expected =
         Channel_oracle.resolve Channel.ideal ~sense_threshold:(Propagation.sense_threshold prop) txs
@@ -797,7 +1029,7 @@ let prop_engine_matches_reference =
       | Some got, want -> Channel.equal Int.equal got want
       | None, _ -> false)
 
-let qtests = [ prop_engine_matches_reference ]
+let qtests = [ prop_engine_matches_reference; prop_build_matches_oracle; prop_of_edges_matches_oracle ]
 
 let () =
   Alcotest.run "sim"
@@ -820,9 +1052,18 @@ let () =
           Alcotest.test_case "can_decode" `Quick test_topology_can_decode;
           Alcotest.test_case "sorted rows and lookup" `Quick test_topology_sorted_rows_and_lookup;
         ] );
+      ( "flat graph oracle",
+        [
+          Alcotest.test_case "edge-case layouts" `Quick test_build_oracle_edge_cases;
+          Alcotest.test_case "cell table is O(n)" `Quick test_cell_index_size;
+          Alcotest.test_case "graph families" `Quick test_families_oracle;
+          Alcotest.test_case "schedules" `Quick test_schedules_oracle;
+          Alcotest.test_case "build words at n = 10^4" `Quick test_build_words;
+          Alcotest.test_case "for_graph words at n = 4000" `Quick test_for_graph_words;
+        ] );
       ( "graph",
         Alcotest.test_case "valid rows accepted" `Quick test_graph_make_accepts
-        :: Alcotest.test_case "row count mismatch" `Quick test_graph_row_count_mismatch
+        :: Alcotest.test_case "offsets disagree with links" `Quick test_graph_flat_rejections
         :: List.map graph_rejection_case graph_rejections );
       ( "schedule",
         [
