@@ -1052,7 +1052,7 @@ let () =
           Alcotest.test_case "can_decode" `Quick test_topology_can_decode;
           Alcotest.test_case "sorted rows and lookup" `Quick test_topology_sorted_rows_and_lookup;
         ] );
-      ( "flat graph oracle",
+      ( "csr oracle",
         [
           Alcotest.test_case "edge-case layouts" `Quick test_build_oracle_edge_cases;
           Alcotest.test_case "cell table is O(n)" `Quick test_cell_index_size;
