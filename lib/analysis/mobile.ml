@@ -81,8 +81,8 @@ let run config =
     in
     let waiters = Array.init n (fun i -> (not liars.(i)) && i <> source) in
     let epoch =
-      Engine.run ~mode:`Sparse ~idle_stop:(3 * cycle_rounds) ~topology ~machines ~waiters
-        ~cap:epoch_rounds ()
+      Engine.run ~mode:`Sparse ~idle_stop:(3 * cycle_rounds)
+        ~listeners:(Neighbor_watch.listeners ctx) ~topology ~machines ~waiters ~cap:epoch_rounds ()
     in
     rounds_total := !rounds_total + epoch.Engine.rounds_used;
     for i = 0 to n - 1 do

@@ -153,7 +153,7 @@ let assign_machines ~n ~source ~byzantine ~faults ~fake ~adversary_machine make 
 (* The deployment draws from the first split of the spec's seed. *)
 let topology spec = build_topology (Rng.split (Rng.create spec.seed)) spec
 
-let run ?tap ?(mode = (`Sparse : Engine.mode)) ?topology:prebuilt ?(boxed = false) spec =
+let run ?tap ?(mode = (`Sparse : Engine.mode)) ?topology:prebuilt ?(boxed = false) ?wrap spec =
   let rng = Rng.create spec.seed in
   (* The split order is part of the deterministic contract: it must stay
      fixed — and the splits must happen — whether or not a prebuilt
@@ -221,7 +221,9 @@ let run ?tap ?(mode = (`Sparse : Engine.mode)) ?topology:prebuilt ?(boxed = fals
     assign_machines ~n ~source ~byzantine ~faults:spec.faults ~fake
       ~adversary_machine:(adversary_machine schedule) make
   in
-  let machines, cycle_rounds, progress =
+  (* The schedule-driven protocols also hand the engine their listener
+     sets; Epidemic and CPA keep the default (everyone listens). *)
+  let machines, cycle_rounds, progress, listeners =
     match spec.protocol with
     | Neighbor_watch { votes } ->
       let config =
@@ -242,7 +244,8 @@ let run ?tap ?(mode = (`Sparse : Engine.mode)) ?topology:prebuilt ?(boxed = fals
           | Role_liar fake_msg -> Neighbor_watch.machine ctx i (Neighbor_watch.Liar fake_msg)
           | Role_relay -> Neighbor_watch.machine ctx i Neighbor_watch.Relay),
         Schedule.cycle (Neighbor_watch.schedule ctx) * Schedule.rounds_per_interval,
-        fun () -> Neighbor_watch.progress ctx )
+        (fun () -> Neighbor_watch.progress ctx),
+        Some (Neighbor_watch.listeners ctx) )
     | Multi_path { tolerance } ->
       let config =
         {
@@ -256,7 +259,8 @@ let run ?tap ?(mode = (`Sparse : Engine.mode)) ?topology:prebuilt ?(boxed = fals
           | Role_liar fake_msg -> Multi_path.machine ctx i (Multi_path.Liar fake_msg)
           | Role_relay -> Multi_path.machine ctx i Multi_path.Relay),
         Schedule.cycle (Multi_path.schedule ctx) * Schedule.rounds_per_interval,
-        fun () -> Multi_path.progress ctx )
+        (fun () -> Multi_path.progress ctx),
+        Some (Multi_path.listeners ctx) )
     | Epidemic ->
       let ctx = Epidemic.make_ctx Epidemic.default_config ~topology ~source in
       ( assign ~schedule:(Epidemic.schedule ctx) (fun i -> function
@@ -264,7 +268,8 @@ let run ?tap ?(mode = (`Sparse : Engine.mode)) ?topology:prebuilt ?(boxed = fals
           | Role_liar fake_msg -> Epidemic.machine ctx i (Epidemic.Liar fake_msg)
           | Role_relay -> Epidemic.machine ctx i Epidemic.Relay),
         Epidemic.cycle_rounds ctx,
-        fun () -> 0 )
+        (fun () -> 0),
+        None )
     | Certified { tolerance } ->
       let ctx =
         Certified_propagation.make_ctx
@@ -278,12 +283,14 @@ let run ?tap ?(mode = (`Sparse : Engine.mode)) ?topology:prebuilt ?(boxed = fals
             Certified_propagation.machine ctx i (Certified_propagation.Liar fake_msg)
           | Role_relay -> Certified_propagation.machine ctx i Certified_propagation.Relay),
         Certified_propagation.cycle_rounds ctx,
-        fun () -> Certified_propagation.progress ctx )
+        (fun () -> Certified_propagation.progress ctx),
+        None )
   in
   (* [boxed] strips every packed observer so the engine exercises the
      variant-observation bridge; the equivalence suite holds both paths
      byte-identical. *)
   let machines = if boxed then Array.map Engine.boxed_machine machines else machines in
+  let machines = match wrap with Some f -> f ~listeners machines | None -> machines in
   let waiters = Array.init n (fun i -> honest.(i) && i <> source) in
   (* Three silent schedule cycles mean the run is permanently stuck (one
      cycle can legitimately be silent under all-zero parity/data pairs). *)
@@ -309,7 +316,7 @@ let run ?tap ?(mode = (`Sparse : Engine.mode)) ?topology:prebuilt ?(boxed = fals
       end
   in
   let engine =
-    Engine.run ~mode ~rng:channel_rng ~channel:spec.channel ~idle_stop ~stop_when ?tap
+    Engine.run ~mode ~rng:channel_rng ~channel:spec.channel ~idle_stop ~stop_when ?tap ?listeners
       ~topology ~machines ~waiters ~cap:spec.cap ()
   in
   { spec; topology; source; honest; fake; engine }

@@ -100,6 +100,10 @@ val run :
   ?mode:Engine.mode ->
   ?topology:Topology.t ->
   ?boxed:bool ->
+  ?wrap:
+    (listeners:(int -> int array) option ->
+    Msg.t Engine.machine array ->
+    Msg.t Engine.machine array) ->
   spec ->
   result
 (** [tap] is forwarded to {!Engine.run}: one digest per executed round.
@@ -112,7 +116,13 @@ val run :
     order is unchanged either way, so faults and channel draws are
     identical.  [boxed] (default false) runs every machine through
     {!Engine.boxed_machine}, disabling the packed observation fast path —
-    the equivalence suite holds packed and boxed runs byte-identical. *)
+    the equivalence suite holds packed and boxed runs byte-identical.
+    NeighborWatchRB and MultiPathRB runs pass their listener sets
+    ({!Neighbor_watch.listeners}, {!Multi_path.listeners}) to the engine.
+    [wrap ~listeners machines], if given, replaces the assembled machines
+    just before the engine runs, and sees those sets ([None] for the
+    other protocols): the lever by which the equivalence suite holds the
+    listener contract itself against a [`Dense] run. *)
 
 val presets : (string * spec) list
 (** Named specs mirroring the bundled examples ([examples/<name>.ml]); the

@@ -264,6 +264,32 @@ let delivered ctx s =
     Some (Bitvec.init ctx.config.msg_len (fun i -> committed_bit s i))
   else None
 
+(* --- relevant slots -------------------------------------------------- *)
+
+(* [f slot id] on every slot node [id] acts in: its own, where it sends or
+   blocks, and every sensed peer's, where it receives; repeats are
+   possible.  [setup_interval] leaves it idle in every other slot.
+   [machine]'s wake table and [listeners] both read this, so they cannot
+   drift apart. *)
+let iter_relevant_slots ctx id f =
+  let { Graph.in_off; in_peer; _ } = Topology.graph ctx.topology in
+  f (Schedule.slot_of ctx.schedule id) id;
+  for k = in_off.(id) to in_off.(id + 1) - 1 do
+    f (Schedule.slot_of ctx.schedule in_peer.(k)) id
+  done
+
+(* Node-major, in O(n + links): each node sets its bit in its relevant
+   slots' sets. *)
+let listeners ctx =
+  let n = Topology.size ctx.topology in
+  let sets = Array.init (Schedule.cycle ctx.schedule) (fun _ -> Engine.word_set n) in
+  let add slot i = Engine.set_add sets.(slot) i in
+  for i = 0 to n - 1 do
+    iter_relevant_slots ctx i add
+  done;
+  fun round ->
+    sets.(Schedule.active_slot ctx.schedule ~interval:(Schedule.interval_of_round round))
+
 (* --- construction ---------------------------------------------------- *)
 
 (* Payload lengths fail fast, naming both lengths: an [assert] would name
@@ -312,8 +338,7 @@ let machine ctx id role =
   (* Wakeup contract: active exactly in the intervals of my own slot and
      of my sensed peers' slots; every other interval resolves to [Idle]. *)
   let relevant = Array.make (Schedule.cycle ctx.schedule) false in
-  relevant.(my_slot) <- true;
-  Array.iteri (fun slot p -> if p <> None then relevant.(slot) <- true) peer_by_slot;
+  iter_relevant_slots ctx id (fun slot _ -> relevant.(slot) <- true);
   let next_active = Schedule.next_relevant_round ctx.schedule ~relevant in
   let s =
     {

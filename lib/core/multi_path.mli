@@ -44,6 +44,16 @@ val machine : ctx -> Node.id -> role -> Msg.t Engine.machine
     both lengths if a [Source] or [Liar] payload's length is not
     [msg_len]. *)
 
+val listeners : ctx -> int -> int array
+(** [listeners ctx] builds the context's listener sets for
+    {!Engine.run}'s [listeners], once, in O(n + links) time and
+    [cycle × ⌈n / Bitvec.bits_per_word⌉] words; applied to a round, it
+    returns the set of the round's {!Schedule.active_slot}.  A node hears
+    its own slot and the slot of every sensed peer — exactly the slots its
+    machine's wakeup contract covers; in any other slot's intervals it is
+    idle, so observing anything there changes nothing.  Roles are not
+    consulted, which is safe: a superset. *)
+
 val committed_bits : ctx -> Node.id -> Bitvec.t
 (** Prefix committed so far by a node built with [machine].  Raises
     [Invalid_argument] for an id outside [0, n) or a node without a

@@ -444,7 +444,8 @@ let odd_stream stream = One_hop.Receiver.received (Vote.receiver stream) land 1 
    sub-machine to exactly the state the silent phases would have left, and
    the <0,0> such a receiver would push has the wrong parity, is rejected,
    and makes [try_commit] a no-op.  Those machines wait for a reception,
-   which the engine always delivers.
+   which the engine delivers in every slot they listen to (see
+   [listeners]).
 
    [needy ctx s interval] is the first needy interval >= [interval], or
    [max_int], from a cache so that a call is O(1).  Invariant: the answer
@@ -503,6 +504,41 @@ let next_active ctx s round =
     else if at = max_int then max_int
     else Schedule.first_round_of_interval at
   end
+
+(* --- listener sets ---------------------------------------------------- *)
+
+(* Who a slot's intervals can affect: its owners, who send or block, and
+   every node with a stream in it.  A square's slot reaches the members of
+   its 3x3 block of squares: its own members own it, and the eight
+   adjacent squares' members listen to it.  Slot 0 reaches the source and
+   every node that senses it.  [setup_interval] leaves every other node
+   idle there, and an idle observe changes nothing (Engine.run's listener
+   contract).  Built node-major with [build]'s own square arithmetic, so
+   the sets and the machines agree by construction: each node sets its
+   bit in the slots of its block, allocating nothing per node. *)
+let listeners ctx =
+  let n = Topology.size ctx.topology in
+  let sets = Array.init (Schedule.cycle ctx.schedule) (fun _ -> Engine.word_set n) in
+  let cols = Squares.cols ctx.squares and rows = Squares.rows ctx.squares in
+  for i = 0 to n - 1 do
+    let w = i / Bitvec.bits_per_word and bit = 1 lsl (i mod Bitvec.bits_per_word) in
+    let q = Squares.square_of ctx.squares (Topology.position ctx.topology i) in
+    let cx = q mod cols and cy = q / cols in
+    for y = (if cy > 0 then cy - 1 else 0) to if cy < rows - 1 then cy + 1 else cy do
+      for x = (if cx > 0 then cx - 1 else 0) to if cx < cols - 1 then cx + 1 else cx do
+        let set = sets.(Schedule.slot_of ctx.schedule ((y * cols) + x)) in
+        set.(w) <- set.(w) lor bit
+      done
+    done
+  done;
+  let slot0 = sets.(Schedule.source_slot) in
+  Engine.set_add slot0 ctx.source;
+  let { Graph.out_off; out_rcv; _ } = Graph.csr (Topology.graph ctx.topology) in
+  for k = out_off.(ctx.source) to out_off.(ctx.source + 1) - 1 do
+    Engine.set_add slot0 out_rcv.(k)
+  done;
+  fun round ->
+    sets.(Schedule.active_slot ctx.schedule ~interval:(Schedule.interval_of_round round))
 
 (* --- construction ---------------------------------------------------- *)
 

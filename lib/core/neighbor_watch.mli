@@ -133,6 +133,17 @@ val machine : ?initial_commit:Bitvec.t -> ctx -> Node.id -> role -> Msg.t Engine
     reception; once it has seen activity in an interval it stays awake to
     the interval's end. *)
 
+val listeners : ctx -> int -> int array
+(** [listeners ctx] builds the context's listener sets for
+    {!Engine.run}'s [listeners], once, in O(9n) time and
+    [cycle × ⌈n / Bitvec.bits_per_word⌉] words; applied to a round, it
+    returns the set of the round's {!Schedule.active_slot}.  A square's
+    slot is heard by every member of its 3×3 block of squares, and slot 0
+    by the source and every node that senses it.  Any other node is idle
+    in that slot's intervals, whatever its role or state, so observing
+    anything there changes nothing.  The sets do not depend on roles: a
+    jammer or crashed device in a block is in it too, which is safe. *)
+
 val committed_bits : ctx -> Node.id -> Bitvec.t
 (** Prefix committed so far by a node built with [machine] (for tests and
     progress inspection).  Raises [Invalid_argument] for an id outside

@@ -11,7 +11,9 @@ let count t = t.cols * t.rows
 let cols t = t.cols
 let rows t = t.rows
 
-let clamp lo hi v = max lo (min hi v)
+(* Int-only: [Stdlib.max] and [min] are polymorphic and compare through a
+   C call, once per node in NeighborWatchRB's set-up. *)
+let clamp (lo : int) hi v = if v < lo then lo else if v > hi then hi else v
 
 let square_of t (p : Point.t) =
   let cx = clamp 0 (t.cols - 1) (int_of_float (p.x /. t.side)) in

@@ -115,7 +115,7 @@ let rec write_codes out first base covered clear =
   end
 
 let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(stop_stride = 96)
-    ?idle_stop ?tap ~topology ~machines ~waiters ~cap () =
+    ?idle_stop ?tap ?listeners ~topology ~machines ~waiters ~cap () =
   let n = Topology.size topology in
   if Array.length machines <> n || Array.length waiters <> n then
     invalid_arg "Engine.run: machines/waiters size mismatch";
@@ -164,8 +164,15 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(st
      per observation. *)
   let tap_fp = match tap with None -> [||] | Some _ -> Array.make n 0 in
   let slot_fp = match tap with None -> [||] | Some _ -> Array.make (max 1 n) 0 in
-  let polled = match tap with None -> [||] | Some _ -> Array.make (max 1 n) 0 in
-  let n_polled = ref 0 in
+  (* The ids fingerprinted this round, so the tap can restore the
+     all-silent background after the digest. *)
+  let traced = match tap with None -> [||] | Some _ -> Array.make (max 1 n) 0 in
+  let n_traced = ref 0 in
+  let fingerprint i p =
+    tap_fp.(i) <- fingerprint_packed slot_fp p;
+    traced.(!n_traced) <- i;
+    incr n_traced
+  in
   (* Transmitter ids per slot, mirrored out of [slots] so the trace
      record can be built outside the hot functions without a per-round
      cons list. *)
@@ -287,9 +294,10 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(st
   | `Sparse ->
     (* Wakeup-driven loop.  Invariants tying it to the dense reference:
        - a machine is polled (act + observe) at round r iff its wakeup
-         contract covers r or a transmission reached it; the contract
-         promises that in all other rounds act returns Silent without
-         side effects and observe of the implied Silence is a no-op;
+         contract covers r, or a transmission reached it and it is in
+         r's listener set; the two contracts promise that in all other
+         rounds act returns Silent without side effects and observing
+         the code is a no-op;
        - scheduled machines are processed in ascending id (see [drain]),
          like the dense 0..n-1 sweep, so loss draws, capture ties and tap
          transmitter order are identical;
@@ -350,10 +358,18 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(st
     in
     let cal = Calendar.create ~capacity:(2 * (n + 1)) () in
     (* Word sets by round parity: [sets.(r land 1)] holds round r's
-       scheduled machines, then also its touched receivers; the last
-       drain of the round empties it.  Parity only drifts over skipped
-       rounds, and then both sets are empty. *)
+       scheduled machines, then also its touched receivers that listen;
+       the last drain of the round empties it.  Parity only drifts over
+       skipped rounds, and then both sets are empty. *)
     let sets = [| word_set n; word_set n |] in
+    (* Round r's listener set (see {!run}); every machine by default. *)
+    let listeners =
+      match listeners with
+      | Some f -> f
+      | None ->
+        let everyone = Array.make (Array.length sets.(0)) (-1) in
+        fun _ -> everyone
+    in
     (* Machines stamped directly for the very next round, bypassing the
        heap.  Inside a relevant TDMA interval a machine wakes six rounds
        in a row; paying a pop + push per poll would cost more than the
@@ -438,15 +454,31 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(st
         if fresh <> 0 then stamp_slots best_slot (w * Bitvec.bits_per_word) fresh slot
       done
     in
+    (* A reached receiver that was not scheduled and does not listen in
+       this round is not polled: its code goes back to silence, and a tap
+       still fingerprints it, so traces stay the dense loop's. *)
+    let skip_step i _r =
+      let p = obs_packed.(i) in
+      obs_packed.(i) <- Channel.Packed.silence;
+      if tap <> None then fingerprint i p
+    in
     (* Covered exactly once, through a decodable link: clear; covered at
-       all: busy.  The covered words join the round's drain set. *)
-    let resolve_words cur =
+       all: busy.  The covered receivers that were scheduled or listen
+       join the round's drain set, and only they get a code, unless a tap
+       needs every code fingerprinted. *)
+    let resolve_words cur lst r =
       for k = 0 to !n_words_touched - 1 do
         let w = words_touched.(k) in
         let o = once.(w) in
-        write_codes obs_packed best_slot (w * Bitvec.bits_per_word) o
-          (o land lnot twice.(w) land dec.(w));
-        cur.(w) <- cur.(w) lor o;
+        let clear = o land lnot twice.(w) land dec.(w) in
+        let base = w * Bitvec.bits_per_word in
+        let polled = o land (cur.(w) lor lst.(w)) in
+        if tap = None then write_codes obs_packed best_slot base polled clear
+        else begin
+          write_codes obs_packed best_slot base o clear;
+          drain_word skip_step base (o land lnot polled) r
+        end;
+        cur.(w) <- cur.(w) lor polled;
         once.(w) <- 0;
         twice.(w) <- 0;
         dec.(w) <- 0
@@ -471,11 +503,7 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(st
     let poll_step i r =
       let p = obs_packed.(i) in
       obs_packed.(i) <- Channel.Packed.silence;
-      if tap <> None then begin
-        tap_fp.(i) <- fingerprint_packed slot_fp p;
-        polled.(!n_polled) <- i;
-        incr n_polled
-      end;
+      if tap <> None then fingerprint i p;
       (match machines.(i).observe_packed with
       | Some f -> f r p slots
       | None -> machines.(i).observe r (observation_of_packed slots p));
@@ -494,16 +522,20 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(st
       (* Phase 1 over the scheduled machines only. *)
       drain act_step ~clear:false cur r;
       let any_tx = slots.count > 0 in
-      (* Phases 2 and 3 over scheduled machines and touched receivers;
-         everyone else observes the silence implied by the contract.
-         Round 0 also checks every machine for construction-time
-         deliveries. *)
-      if Option.is_some counted then resolve_words cur
+      (* Phases 2 and 3 over scheduled machines and the touched receivers
+         that listen in this round; everyone else observes the silence
+         implied by the contract.  Round 0 also checks every machine for
+         construction-time deliveries. *)
+      let lst = listeners r in
+      if Option.is_some counted then resolve_words cur lst r
       else begin
         Channel.resolve_packed channel ~touched ~n_touched:!n_touched ~sum_power ~n_decodable
           ~best_power ~best_slot ~out:obs_packed;
         for k = 0 to !n_touched - 1 do
-          set_add cur touched.(k)
+          let i = touched.(k) in
+          let w = i / Bitvec.bits_per_word and bit = 1 lsl (i mod Bitvec.bits_per_word) in
+          if (cur.(w) lor lst.(w)) land bit <> 0 then cur.(w) <- cur.(w) lor bit
+          else skip_step i r
         done
       end;
       drain poll_step ~clear:true cur r;
@@ -528,7 +560,7 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(st
         else begin
           process_round !round;
           (* Tap emission and channel-scratch reset live out here, off
-             the per-round hot path of untraced runs; the polled stack
+             the per-round hot path of untraced runs; the traced stack
              restores the all-silent background the skipped-round
              digests rely on. *)
           (match tap with
@@ -540,10 +572,10 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(st
                 transmitters = List.init slots.count (fun m -> tap_tx.(m));
                 observations = Array.copy tap_fp;
               };
-            for j = 0 to !n_polled - 1 do
-              tap_fp.(polled.(j)) <- 0
+            for j = 0 to !n_traced - 1 do
+              tap_fp.(traced.(j)) <- 0
             done;
-            n_polled := 0);
+            n_traced := 0);
           reset_touched ();
           incr round
         end

@@ -13,7 +13,8 @@
     exploits that with a calendar of machine wakeups (the discrete-event
     trick WSNet itself uses), skipping idle rounds outright and polling
     only the machines whose {!machine.next_active} contract — or an
-    incoming transmission — makes the round meaningful to them.  The
+    incoming transmission in a round they listen to (see [listeners] in
+    {!run}) — makes the round meaningful to them.  The
     [`Dense] loop, which polls everything every round, is kept as the
     executable reference; a property test pins the two byte-identical.
 
@@ -50,8 +51,9 @@ type 'm machine = {
           would return [Silent] without meaningful side effects and that
           [observe]-ing the implied [Silence] is a no-op — the sparse
           engine then skips both calls.  Transmissions that reach the node
-          are always delivered through [observe], whatever the contract
-          says, and the contract is re-queried after every poll (so it may
+          are delivered through [observe] whatever the contract says,
+          except in a round whose [listeners] set (see {!run}) leaves the
+          node out; the contract is re-queried after every poll (so it may
           depend on state updated by a reception).  It may read only this
           machine's own state, or state changed in [act] (a jammer's
           budget): the sparse loop asks it, and [delivered], right after
@@ -78,12 +80,19 @@ val never_active : int -> int
 val silent_machine : 'm machine
 (** A machine that never transmits and never delivers (crashed device). *)
 
+val word_set : int -> int array
+(** An empty word set over [n] ids: ids packed {!Bitvec.bits_per_word} to
+    an int, the format of {!run}'s [listeners]. *)
+
+val set_add : int array -> int -> unit
+(** [set_add set i] adds id [i] to a word set. *)
+
 type mode = [ `Dense | `Sparse ]
 (** [`Sparse] (the default): calendar-driven wakeup loop.  [`Dense]: the
     reference loop polling all machines every round.  Both produce
     byte-identical results — including tap traces — for machines
-    honouring the {!machine.next_active} contract; the mode is purely a
-    performance choice. *)
+    honouring the {!machine.next_active} contract and the [listeners]
+    contract of {!run}; the mode is purely a performance choice. *)
 
 type result = {
   rounds_used : int;  (** rounds executed before stopping *)
@@ -124,6 +133,7 @@ val run :
   ?stop_stride:int ->
   ?idle_stop:int ->
   ?tap:(round_digest -> unit) ->
+  ?listeners:(int -> int array) ->
   topology:Topology.t ->
   machines:'m machine array ->
   waiters:bool array ->
@@ -141,6 +151,19 @@ val run :
     all observations of that round were delivered); rounds the sparse loop
     skips produce all-silent digests, so traces are mode-independent;
     untraced runs pay nothing for the hook.
+    [listeners r] is round [r]'s listener set, called once per executed
+    round, in the loop's own word format: ids packed
+    {!Bitvec.bits_per_word} to an int, [⌈n / bits_per_word⌉] words.  A
+    machine outside it promises that observing any code at [r] changes
+    none of its later actions, deliveries or wake answers.  So the
+    [`Sparse] loop polls a receiver a transmission reaches only if it is
+    in the set or was scheduled for [r] anyway; scheduled machines are
+    polled as before, with their true code.  The filter acts after the
+    channel is resolved, so loss draws are unchanged, no code survives
+    into a later round for a receiver left unpolled, and a [tap] still
+    fingerprints every reached receiver's true code.  A superset is
+    always safe; the default is every machine.  [`Dense] ignores the
+    sets: it is the oracle the equivalence suite holds the filter to.
     [idle_stop], if given, also stops the run after that many consecutive
     rounds in which nobody transmitted: all machines here are
     schedule-driven, so a silent schedule cycle (beyond the one silent

@@ -16,11 +16,14 @@ let for_squares squares ~radius =
   (* Same-slot squares at grid distance k have closest points (k-1)·side
      apart; keep that above 3R. *)
   let k = max 3 (1 + int_of_float (ceil (3.0 *. radius /. side))) in
-  let slots =
-    Array.init (Squares.count squares) (fun id ->
-        let cx, cy = Squares.coords squares id in
-        1 + (cx mod k) + (k * (cy mod k)))
-  in
+  let cols = Squares.cols squares in
+  let slots = Array.make (Squares.count squares) 0 in
+  for cy = 0 to Squares.rows squares - 1 do
+    let row = 1 + (k * (cy mod k)) in
+    for cx = 0 to cols - 1 do
+      slots.((cy * cols) + cx) <- row + (cx mod k)
+    done
+  done;
   { cycle = (k * k) + 1; slots }
 
 (* Greedy colouring in ascending id order, the source skipped:

@@ -425,6 +425,136 @@ let test_word_boundaries () =
         (seen (fun fp -> fp = 1)))
     [ 61; 62; 123; 124 ]
 
+(* --- listener sets ---------------------------------------------------
+
+   NeighborWatchRB and MultiPathRB hand the sparse loop per-round listener
+   sets, and a reached receiver outside them is not polled.  The contract
+   behind that — observing anything outside the set changes nothing — is
+   held here against the dense loop itself: a dense run whose every such
+   observation is replaced by silence must equal the plain dense run. *)
+
+let listens set i = (set.(i / Bitvec.bits_per_word) lsr (i mod Bitvec.bits_per_word)) land 1 = 1
+
+(* Machine [i] with each observation at a round whose set leaves it out
+   replaced by silence; [silenced] counts the replaced non-silent codes. *)
+let silence_outside ~silenced listeners i (m : Msg.t Engine.machine) =
+  let hears r = listens (listeners r) i in
+  {
+    m with
+    Engine.observe =
+      (fun r o ->
+        if hears r then m.Engine.observe r o
+        else begin
+          if o <> Channel.Silence then incr silenced;
+          m.Engine.observe r Channel.Silence
+        end);
+    observe_packed =
+      Option.map
+        (fun f r p slots ->
+          if hears r then f r p slots
+          else begin
+            if p <> Channel.Packed.silence then incr silenced;
+            f r Channel.Packed.silence slots
+          end)
+        m.Engine.observe_packed;
+  }
+
+let check_listener_oracle name spec =
+  let plain_trace, plain = Determinism.capture_spec ~mode:`Dense spec in
+  let silenced = ref 0 in
+  let wrap ~listeners machines =
+    match listeners with
+    | Some l -> Array.mapi (silence_outside ~silenced l) machines
+    | None -> Alcotest.failf "%s: no listener sets" name
+  in
+  let tap, finish = Determinism.collector () in
+  let oracle = Scenario.run ~tap ~mode:`Dense ~wrap spec in
+  Alcotest.(check bool) (name ^ ": some observation was silenced") true (!silenced > 0);
+  check_same_trace name "dense/listeners-only dense" plain_trace (finish ());
+  check_same_results name "dense/listeners-only dense" plain oracle
+
+let listener_protocols =
+  List.filter (fun (name, _) -> List.mem name [ "nw1"; "nw2"; "mp1" ]) protocols
+
+let listener_faults =
+  fault_models
+  @ [ ("selective", Scenario.Selective_jam { fraction = 0.1; budget = 20; probability = 0.5 }) ]
+
+let listener_case (pname, protocol) (fname, faults) (cname, channel) =
+  let name = String.concat "/" [ pname; fname; cname ] in
+  Alcotest.test_case name `Quick (fun () ->
+      let seed = String.fold_left (fun h c -> (h * 131) + Char.code c) 17 name land 0xFFFF in
+      check_listener_oracle name
+        { (small_spec ~protocol ~faults ~seed ~n:100) with Scenario.channel })
+
+let listener_cases =
+  List.concat_map
+    (fun p ->
+      List.concat_map
+        (fun f ->
+          List.map (listener_case p f) [ ("ideal", Channel.ideal); ("realistic", Channel.realistic) ])
+        listener_faults)
+    listener_protocols
+
+(* The jamming (seed, budget) pairs at which NeighborWatchRB delivers a
+   fake message on test_invariants' spec (ROADMAP item 1): the oracle must
+   agree with the plain run on those too. *)
+let test_listener_oracle_fake_jam_pairs () =
+  List.iter
+    (fun (seed, budget) ->
+      check_listener_oracle
+        (Printf.sprintf "nw1 jam seed %d budget %d" seed budget)
+        {
+          Scenario.default with
+          map_w = 8.0;
+          map_h = 8.0;
+          deployment = Scenario.Uniform 80;
+          radius = 2.5;
+          message = Bitvec.of_string "1011";
+          faults = Scenario.Jamming { fraction = 0.1; budget; probability = 0.2 };
+          heard_relay_limit = Some 4;
+          cap = 400_000;
+          seed;
+          allow_unreachable = true;
+        })
+    [ (1456, 56); (3002, 70) ]
+
+(* Dense vs Sparse where the filter skips many reached receivers: MP on a
+   synthetic expander (no geometry; the schedule comes from the graph),
+   and NW on a dense Friis map, average degree above 40, which also takes
+   the collision-count fan-in. *)
+let test_mp_expander_filter () =
+  let spec =
+    {
+      (small_spec ~protocol:(Scenario.Multi_path { tolerance = 1 }) ~faults:Scenario.No_faults
+         ~seed:5 ~n:50)
+      with
+      Scenario.deployment = Scenario.Expander { n = 120; degree = 6 };
+      message = Bitvec.of_string "10";
+      heard_relay_limit = Some 4;
+      cap = 20_000;
+    }
+  in
+  check_equivalent "mp1/expander" spec
+
+let test_nw_dense_friis_filter () =
+  let spec =
+    {
+      (small_spec ~protocol:(Scenario.Neighbor_watch { votes = 1 }) ~faults:(Scenario.Lying 0.05)
+         ~seed:8 ~n:50)
+      with
+      Scenario.map_w = 9.0;
+      map_h = 9.0;
+      deployment = Scenario.Uniform 180;
+      cap = 20_000;
+    }
+  in
+  let topology = Scenario.topology spec in
+  let degree = Graph.avg_degree (Topology.graph topology) in
+  Alcotest.(check bool) (Printf.sprintf "average degree %.1f above 40" degree) true (degree > 40.0);
+  Alcotest.(check bool) "word entries built" true (has_words topology);
+  check_equivalent "nw1/dense Friis" spec
+
 (* Randomized scenarios: any protocol, any fault model, lossy or ideal
    channel, arbitrary seed and deployment size. *)
 let prop_random_scenarios =
@@ -468,6 +598,14 @@ let () =
             (test_guarded_topology ("1e17 spread", wide_spread));
           Alcotest.test_case "realistic channel on a dense map" `Quick test_realistic_dense_map;
           Alcotest.test_case "receivers at word boundaries" `Quick test_word_boundaries;
+        ] );
+      ("listener contract", listener_cases);
+      ( "listener filter",
+        [
+          Alcotest.test_case "oracle on NW's fake-delivering jam pairs" `Quick
+            test_listener_oracle_fake_jam_pairs;
+          Alcotest.test_case "mp1 on an expander" `Quick test_mp_expander_filter;
+          Alcotest.test_case "nw1 on a dense Friis map" `Quick test_nw_dense_friis_filter;
         ] );
       ( "properties",
         List.map

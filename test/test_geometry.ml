@@ -137,6 +137,42 @@ let test_squares_sides () =
   check_float "analytic side R=5" 3.0 (Squares.analytic_side ~radius:5.0);
   check_float "simulation side" (4.0 /. 3.0) (Squares.simulation_side ~radius:4.0)
 
+(* [Squares.square_of] clamps with int comparisons; the definition it
+   replaced clamped with the polymorphic [Stdlib.max] and [min].  Both must
+   agree on every point: random ones inside, outside and below the area,
+   and points exactly on square boundaries and on the area's edges. *)
+let square_of_by_polymorphic_clamp sq (p : Point.t) =
+  let clamp lo hi v = max lo (min hi v) in
+  let side = Squares.side sq in
+  let cx = clamp 0 (Squares.cols sq - 1) (int_of_float (p.x /. side)) in
+  let cy = clamp 0 (Squares.rows sq - 1) (int_of_float (p.y /. side)) in
+  (cy * Squares.cols sq) + cx
+
+let test_square_of_int_clamp () =
+  let rng = Rng.create 77 in
+  let check sq p =
+    Alcotest.(check int)
+      (Printf.sprintf "square of (%g, %g)" p.Point.x p.Point.y)
+      (square_of_by_polymorphic_clamp sq p) (Squares.square_of sq p)
+  in
+  List.iter
+    (fun (side, width, height) ->
+      let sq = Squares.make ~side ~width ~height in
+      for _ = 1 to 2_000 do
+        let coord extent = (Rng.float rng (3.0 *. extent)) -. extent in
+        check sq (point (coord width) (coord height))
+      done;
+      for cx = -2 to Squares.cols sq + 2 do
+        for cy = -2 to Squares.rows sq + 2 do
+          let x = float_of_int cx *. side and y = float_of_int cy *. side in
+          List.iter (fun (dx, dy) -> check sq (point (x +. dx) (y +. dy)))
+            [ (0.0, 0.0); (-1e-9, 0.0); (0.0, -1e-9); (1e-9, 1e-9) ]
+        done
+      done;
+      List.iter (check sq)
+        [ point 0.0 0.0; point width height; point width 0.0; point 0.0 height; point (-0.0) (-0.0) ])
+    [ (2.0, 10.0, 6.0); (4.0 /. 3.0, 20.0, 20.0); (0.7, 5.3, 1.1); (3.0, 1.0, 1.0) ]
+
 let prop_squares_adjacent_communicate =
   (* The defining property of the simulation square size R/3: any two
      points in 8-adjacent squares are within Euclidean distance R. *)
@@ -180,6 +216,8 @@ let () =
           Alcotest.test_case "neighbors" `Quick test_squares_neighbors;
           Alcotest.test_case "center" `Quick test_squares_center;
           Alcotest.test_case "paper sides" `Quick test_squares_sides;
+          Alcotest.test_case "square_of matches the polymorphic clamp" `Quick
+            test_square_of_int_clamp;
         ] );
       ("properties", List.map (fun t -> QCheck_alcotest.to_alcotest ~long:false t) qtests);
     ]

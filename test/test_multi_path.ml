@@ -245,6 +245,63 @@ let test_sources_beyond_range_need_votes () =
   Alcotest.(check bool) "most far nodes committed via voting" true
     (float_of_int !far_delivered >= 0.9 *. float_of_int !far_total)
 
+(* Deterministic work gate, in the style of test_neighbor_watch's poll
+   budget: one honest MultiPathRB broadcast on a seeded degree-8 expander
+   (mp-expander's cell at 300 nodes), run by Scenario.run with its
+   listener sets.  Polls and executed rounds are exact counts of the
+   seeded simulation: either growing past 1.2x its measured value fails.
+   Measured: 2 302 723 polls in 78 582 executed rounds; without the
+   listener sets the loop polled 3 809 291 times, which this ceiling
+   rejects. *)
+let measured_polls = 2_302_723
+let measured_executed_rounds = 78_582
+
+let test_poll_budget () =
+  let spec =
+    {
+      Scenario.default with
+      deployment = Scenario.Expander { n = 300; degree = 8 };
+      message = Bitvec.of_string "10";
+      protocol = Scenario.Multi_path { tolerance = 1 };
+      heard_relay_limit = Some 4;
+      seed = 1;
+    }
+  in
+  let polls = ref 0 and executed = ref 0 and last = ref (-1) in
+  let count r =
+    incr polls;
+    if r <> !last then begin
+      last := r;
+      incr executed
+    end
+  in
+  let hook (m : Msg.t Engine.machine) =
+    {
+      m with
+      Engine.observe =
+        (fun r o ->
+          count r;
+          m.Engine.observe r o);
+      observe_packed =
+        Option.map
+          (fun f r p slots ->
+            count r;
+            f r p slots)
+          m.Engine.observe_packed;
+    }
+  in
+  let result = Scenario.run ~wrap:(fun ~listeners:_ machines -> Array.map hook machines) spec in
+  Alcotest.(check (float 1e-9)) "every honest node delivers the message" 1.0
+    (Scenario.summarize result).Scenario.correct_rate;
+  let within what measured actual =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s %d within 1.2x of the measured %d" what actual measured)
+      true
+      (float_of_int actual <= 1.2 *. float_of_int measured)
+  in
+  within "polls" measured_polls !polls;
+  within "executed rounds" measured_executed_rounds !executed
+
 let () =
   Alcotest.run "multi_path"
     [
@@ -266,6 +323,8 @@ let () =
           Alcotest.test_case "t=2 resists light lying" `Quick test_tolerance_resists_light_lying;
           Alcotest.test_case "relay cap reduces traffic" `Quick test_relay_cap_reduces_traffic;
         ] );
+      ( "wakeup contract",
+        [ Alcotest.test_case "poll budget on an expander" `Quick test_poll_budget ] );
       ( "bad input",
         List.map bad_id_case [ ("node id -1", fun _ -> -1); ("node id n", fun n -> n) ]
         @ List.map payload_case payload_specs );

@@ -404,6 +404,15 @@ let test_quiet_interval_polls () =
     end;
     transmitters := i :: !transmitters
   in
+  (* The listener filter: a node polled in a round whose listener set
+     leaves it out must have been scheduled for that round (its wakeup
+     contract named it), and a reached node outside the set is skipped. *)
+  let listeners = Neighbor_watch.listeners ctx in
+  let hears r i =
+    let set = listeners r in
+    (set.(i / Bitvec.bits_per_word) lsr (i mod Bitvec.bits_per_word)) land 1 = 1
+  in
+  let wakes = Hashtbl.create 4096 and unscheduled = ref [] in
   let quiet i =
     Neighbor_watch.unsent_bits ctx i = 0
     && List.for_all (fun (_, count) -> count land 1 = 0) (Neighbor_watch.stream_counts ctx i)
@@ -422,6 +431,8 @@ let test_quiet_interval_polls () =
           !transmitters
     end;
     Hashtbl.replace polled (i, r) ();
+    if not (hears r i || Hashtbl.mem wakes (i, r) || (i = 0 && r = 0)) then
+      unscheduled := (i, r) :: !unscheduled;
     (* Round 0 always runs node 0 (construction-time deliveries); after
        that, a quiet node not yet reached in this interval has no reason
        to be polled unless something reaches it now. *)
@@ -433,11 +444,29 @@ let test_quiet_interval_polls () =
     if reached.(i) then last_reached.(i) <- r
   in
   let machines = Array.mapi (hook_polls ~on_transmit ~on_poll) machines in
+  (* Every round a wakeup contract names, so a poll there was scheduled. *)
+  let machines =
+    Array.mapi
+      (fun i (m : Msg.t Engine.machine) ->
+        {
+          m with
+          Engine.next_active =
+            (fun q ->
+              let at = m.Engine.next_active q in
+              Hashtbl.replace wakes (i, max q at) ();
+              at);
+        })
+      machines
+  in
   let cycle = Schedule.cycle (Neighbor_watch.schedule ctx) in
   (* Before each interval (at the tap of the round ending the previous
-     one), note every node whose stream on the interval's slot is odd. *)
-  let odd_listeners = ref [] in
+     one), note every node whose stream on the interval's slot is odd;
+     and count the reached nodes a round's listener set leaves out. *)
+  let odd_listeners = ref [] and reached_outside = ref 0 in
   let tap (d : Engine.round_digest) =
+    Array.iteri
+      (fun i fp -> if fp <> 0 && not (hears d.Engine.round i) then incr reached_outside)
+      d.Engine.observations;
     if Schedule.phase_of_round d.Engine.round = Schedule.rounds_per_interval - 1 then begin
       let interval = Schedule.interval_of_round d.Engine.round + 1 in
       let slot = interval mod cycle in
@@ -449,10 +478,17 @@ let test_quiet_interval_polls () =
     end
   in
   let result =
-    Engine.run ~mode:`Sparse ~tap ~idle_stop:((3 * cycle_rounds) + 64) ~topology ~machines
-      ~waiters ~cap:50_000 ()
+    Engine.run ~mode:`Sparse ~tap ~idle_stop:((3 * cycle_rounds) + 64) ~listeners ~topology
+      ~machines ~waiters ~cap:50_000 ()
   in
   let rounds_used = result.Engine.rounds_used in
+  Alcotest.(check bool) "some reached node was outside its round's listener set" true
+    (!reached_outside > 0);
+  (match !unscheduled with
+  | [] -> ()
+  | (i, r) :: _ ->
+    Alcotest.failf "%d poll(s) outside the listener set and not scheduled, e.g. node %d in round %d"
+      (List.length !unscheduled) i r);
   Alcotest.(check bool) "quiet polls were checked" true (!quiet_checked > 0);
   (match !violations with
   | [] -> ()
@@ -479,12 +515,13 @@ let test_quiet_interval_polls () =
 
 (* Deterministic work gate: one honest uniform-disk NW cell at n = 2 000
    and target degree 12 (the S1 campaign's cell shape, as scale-sparse
-   runs it at n = 10^4), with Scenario.run's idle cut-off and stall
-   detector.  Polls and executed rounds are exact counts of the seeded
-   simulation, so they gate without a wall-clock band: either growing past
-   1.2x its measured value fails.  Measured: 7 449 polls in 636 executed
-   rounds of the run's 3 536. *)
-let measured_polls = 7_449
+   runs it at n = 10^4), with Scenario.run's idle cut-off, stall detector
+   and listener sets.  Polls and executed rounds are exact counts of the
+   seeded simulation, so they gate without a wall-clock band: either
+   growing past 1.2x its measured value fails.  Measured: 3 977 polls in
+   636 executed rounds of the run's 3 536; without the listener sets the
+   loop polled 7 449 times, which this ceiling rejects. *)
+let measured_polls = 3_977
 let measured_executed_rounds = 636
 
 (* The gated cell's spec, topology and a fresh context. *)
@@ -508,8 +545,8 @@ let budget_cell () =
   (spec, n, topology, source, msg, Neighbor_watch.make_ctx config ~topology ~source)
 
 (* One broadcast on the gated cell under [mode], with Scenario.run's idle
-   cut-off and stall detector; [on_poll] sees every observed (node,
-   round). *)
+   cut-off, stall detector and listener sets; [on_poll] sees every
+   observed (node, round). *)
 let run_budget_cell ?(on_poll = fun _ _ -> ()) mode =
   let spec, n, topology, source, msg, ctx = budget_cell () in
   let machines =
@@ -533,7 +570,8 @@ let run_budget_cell ?(on_poll = fun _ _ -> ()) mode =
       !flat >= max 1 (25 * cycle_rounds / 96)
   in
   let _ =
-    Engine.run ~mode ~idle_stop:((3 * cycle_rounds) + 64) ~stop_when ~topology ~machines
+    Engine.run ~mode ~idle_stop:((3 * cycle_rounds) + 64) ~stop_when
+      ~listeners:(Neighbor_watch.listeners ctx) ~topology ~machines
       ~waiters:(Array.init n (fun i -> i <> source))
       ~cap:spec.Scenario.cap ()
   in

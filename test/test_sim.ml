@@ -502,6 +502,25 @@ let test_schedule_squares () =
       (Squares.neighbors squares id)
   done
 
+(* The square schedule's slot of square (cx, cy) is 1 + (cx mod k) +
+   k (cy mod k), cycle k^2 + 1; a grid with more columns than rows would
+   catch transposed coordinates. *)
+let test_schedule_squares_pattern () =
+  List.iter
+    (fun (width, height, radius) ->
+      let squares = Squares.make ~side:1.0 ~width ~height in
+      let s = Schedule.for_squares squares ~radius in
+      let k = int_of_float (Float.round (sqrt (float_of_int (Schedule.cycle s - 1)))) in
+      Alcotest.(check int) "cycle is k^2 + 1" ((k * k) + 1) (Schedule.cycle s);
+      for id = 0 to Squares.count squares - 1 do
+        let cx, cy = Squares.coords squares id in
+        Alcotest.(check int)
+          (Printf.sprintf "slot of square (%d, %d)" cx cy)
+          (1 + (cx mod k) + (k * (cy mod k)))
+          (Schedule.slot_of s id)
+      done)
+    [ (12.0, 12.0, 2.0); (17.0, 5.0, 1.0); (3.0, 11.0, 0.5) ]
+
 let test_schedule_squares_reuse_distance () =
   let radius = 2.0 in
   let side = 1.0 in
@@ -1069,6 +1088,7 @@ let () =
         [
           Alcotest.test_case "phases" `Quick test_schedule_phases;
           Alcotest.test_case "squares" `Quick test_schedule_squares;
+          Alcotest.test_case "square slot pattern" `Quick test_schedule_squares_pattern;
           Alcotest.test_case "square reuse distance" `Quick test_schedule_squares_reuse_distance;
           Alcotest.test_case "nodes" `Quick test_schedule_nodes;
           Alcotest.test_case "nodes straddling the origin" `Quick
