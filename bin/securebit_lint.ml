@@ -6,9 +6,6 @@
                                        concurrency hazards in the sources,
                                        top-level mutable state in lib/
                                        included;
-   `securebit_lint lint alloc`         hot-path allocation audit: every
-                                       allocation site a hot root reaches
-                                       must be audited in the allowlist;
    `securebit_lint check twobit`       bounded model checking of the 2Bit
                                        frame and the 1Hop stream;
    `securebit_lint check vote`         exhaustive checking of the multi-hop
@@ -17,8 +14,7 @@
    `securebit_lint check determinism`  run scenarios twice (or once per
                                        engine mode with --modes) and diff
                                        the round-by-round channel traces;
-   `securebit_lint all`                every analyzer above behind one
-                                       shared parse of the tree, with
+   `securebit_lint all`                every analyzer above, with
                                        per-analyzer wall times.
 
    Each analyzer is one function below returning diagnostics or pass/fail
@@ -95,11 +91,13 @@ let report ?(json = false) ?summary ?(head = []) ?(tail = []) r =
 let read paths =
   List.map
     (fun path -> (path, In_channel.with_open_bin path In_channel.input_all))
-    (Callgraph.source_files paths)
+    (Source_lint.source_files paths)
 
-(* A source analyzer over the shared parse ({!Callgraph.parse}) of the
-   tree; each reports the files that did not parse. *)
-let source_lint lint (parsed, errors) = Diags (Diagnostics.sort (errors @ lint parsed))
+(* The source lint over a parse of the files, reporting those that did
+   not parse too. *)
+let source files =
+  let parsed, errors = Source_lint.parse files in
+  Diags (Diagnostics.sort (errors @ Source_lint.lint parsed))
 
 let scenario targets = Diags (List.concat_map (fun (name, spec) -> Lint.lint ~name spec) targets)
 
@@ -254,56 +252,29 @@ let lint_scenario_cmd =
           geometry preconditions and parameter sanity.")
     Term.(const run $ all_arg $ strict_arg $ json_arg $ names_arg)
 
-(* --- lint source / alloc ---------------------------------------------------- *)
-
-(* The two source lints take the same arguments: [--json], PATHs and,
-   where the analyzer bundles a demo tree, [--seed-violation], which lints
-   the demo files with the demo's lint instead of the PATHs. *)
-let source_cmd name ~analyzer:label ~verb ?seed ~doc lint =
-  let seeded =
-    match seed with None -> Term.const false | Some (doc, _, _) -> seed_violation_arg ~doc
-  in
-  let run json seeded paths =
-    let files, lint =
-      match seed with
-      | Some (_, demo, demo_lint) when seeded -> (demo, demo_lint)
-      | Some _ | None -> (read paths, lint)
-    in
-    let n = List.length files in
-    report ~json
-      ~summary:(Printf.sprintf "%s %d file(s)" verb n)
-      ~head:[ analyzer label; count "files" n ]
-      (summarize (source_lint lint (Callgraph.parse files)))
-  in
-  Cmd.v (Cmd.info name ~doc) Term.(const run $ json_arg $ seeded $ paths_arg)
+(* --- lint source ------------------------------------------------------------ *)
 
 let lint_source_cmd =
-  source_cmd "source" ~analyzer:"source-lint" ~verb:"linted"
-    ~doc:
-      "AST-level lint (compiler-libs) flagging determinism and concurrency hazards: Hashtbl \
-       iteration order, polymorphic compare/hash, ambient Random, wall-clock reads, \
-       Domain/Atomic use outside the job pool and top-level mutable cells in lib/."
-    Source_lint.lint
-
-let lint_alloc_cmd =
-  source_cmd "alloc" ~analyzer:"alloc-lint" ~verb:"analyzed"
-    ~seed:
-      ( "Analyze a bundled fake hot loop that boxes floats, closes over a variable and builds \
-         throwaway lists per round, to demonstrate the diagnostics.",
-        Alloc_lint.seed_violation_files,
-        Alloc_lint.lint ~roots:Alloc_lint.seed_violation_roots )
-    ~doc:
-      "Hot-path allocation audit: walk the approximate call graph from the annotated hot roots \
-       (engine round phases, channel resolution, voting kernels) and classify every syntactic \
-       allocation site.  Each site is an error coded alloc-<class> unless the allowlist in \
-       lib/check/alloc_lint.ml audits that class for that file.  Pairs with the dynamic \
-       words/active-round gate of `securebit_cli compare`."
-    (fun parsed -> Alloc_lint.lint parsed)
+  let run json paths =
+    let files = read paths in
+    let n = List.length files in
+    report ~json
+      ~summary:(Printf.sprintf "linted %d file(s)" n)
+      ~head:[ analyzer "source-lint"; count "files" n ]
+      (summarize (source files))
+  in
+  Cmd.v
+    (Cmd.info "source"
+       ~doc:
+         "AST-level lint (compiler-libs) flagging determinism and concurrency hazards: Hashtbl \
+          iteration order, polymorphic compare/hash, ambient Random, wall-clock reads, \
+          Domain/Atomic use outside the job pool and top-level mutable cells in lib/.")
+    Term.(const run $ json_arg $ paths_arg)
 
 let lint_group =
   Cmd.group
     (Cmd.info "lint" ~doc:"Static validation of configurations and sources.")
-    [ lint_scenario_cmd; lint_source_cmd; lint_alloc_cmd ]
+    [ lint_scenario_cmd; lint_source_cmd ]
 
 (* --- check twobit ------------------------------------------------------ *)
 
@@ -447,20 +418,17 @@ let check_group =
 
 (* --- all ----------------------------------------------------------------- *)
 
-(* Every analyzer once, the source ones behind one shared parse of the
-   tree, with each analyzer's wall time so CI logs show where `dune build
-   @lint` spends its budget.  The verifiers run the quick settings: the
-   exhaustive budget-3 model check, radii 1-3 and the dense/sparse
-   determinism diff over the presets (80-400 nodes). *)
+(* Every analyzer once, with each analyzer's wall time so CI logs show
+   where `dune build @lint` spends its budget.  The verifiers run the
+   quick settings: the exhaustive budget-3 model check, radii 1-3 and the
+   dense/sparse determinism diff over the presets (80-400 nodes). *)
 let all_cmd =
   let run json paths =
     let contents = read paths in
     let files = List.length contents in
-    let tree = Callgraph.parse contents in
     let analyzers =
       [
-        ("source", fun () -> source_lint Source_lint.lint tree);
-        ("alloc", fun () -> source_lint (fun parsed -> Alloc_lint.lint parsed) tree);
+        ("source", fun () -> source contents);
         ("scenario", fun () -> scenario Scenario.presets);
         ( "twobit",
           fun () -> twobit ~impl:Model_check.reference ~budget:3 ~receivers:2 ~msg_len:2 );
@@ -516,10 +484,10 @@ let all_cmd =
   Cmd.v
     (Cmd.info "all"
        ~doc:
-         "Run every analyzer — source and alloc lint behind one shared parse of the tree, \
-          scenario lint over the bundled presets, the quick model-check budget, the voting \
-          checker and the dense/sparse determinism diff over the presets — reporting \
-          per-analyzer wall times and failing if any analyzer fails.")
+         "Run every analyzer — source lint over the tree, scenario lint over the bundled \
+          presets, the quick model-check budget, the voting checker and the dense/sparse \
+          determinism diff over the presets — reporting per-analyzer wall times and failing if \
+          any analyzer fails.")
     Term.(const run $ json_arg $ paths_arg)
 
 let () =

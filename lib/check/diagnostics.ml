@@ -1,6 +1,6 @@
 (* One diagnostic record for every analyzer of lib/check, its text and
-   JSON renderings, and the path matching and allowlist hygiene shared by
-   the source-level passes (Source_lint, Alloc_lint). *)
+   JSON renderings, and the path matching and allowlist hygiene of the
+   source-level pass (Source_lint). *)
 
 type severity = Error | Warning | Info
 type location = Line of string * int | Field of string * string

@@ -1,6 +1,5 @@
 (** The one diagnostic shape every analyzer in [lib/check] reports, with
-    its rendering and the allowlist hygiene the source-level passes
-    share.
+    its rendering and the allowlist hygiene of the source-level pass.
 
     A diagnostic is located either in the source tree ([file:line]) or
     in a scenario spec ([scenario.field]).  Its text form is

@@ -38,6 +38,55 @@ let allowlist =
 
 let in_dir = Diagnostics.in_dir
 
+(* --- the parse ------------------------------------------------------------- *)
+
+(* A path that does not exist raises [Sys_error] (from [Sys.is_directory])
+   rather than linting nothing: a misspelt or renamed directory must not
+   drop out of a lint silently. *)
+let rec collect acc path =
+  if Sys.is_directory path then
+    Array.fold_left
+      (fun acc entry ->
+        if entry = "" || entry.[0] = '_' || entry.[0] = '.' then acc
+        else collect acc (Filename.concat path entry))
+      acc (Sys.readdir path)
+  else if Filename.check_suffix path ".ml" then path :: acc
+  else acc
+
+let source_files paths = List.sort String.compare (List.fold_left collect [] paths)
+
+(* The only place a parse-error diagnostic is built. *)
+let parse files =
+  List.partition_map
+    (fun (path, contents) ->
+      let lexbuf = Lexing.from_string contents in
+      Location.init lexbuf path;
+      match Parse.implementation lexbuf with
+      | structure -> Either.Left (path, structure)
+      | exception _ ->
+        Either.Right
+          {
+            Diagnostics.severity = Error;
+            loc = Line (path, lexbuf.Lexing.lex_curr_p.Lexing.pos_lnum);
+            code = "parse-error";
+            message = "file does not parse as an OCaml implementation";
+          })
+    files
+
+(* --- the rules ------------------------------------------------------------- *)
+
+(* Strip type constraints and coercions. *)
+let rec peel (e : Parsetree.expression) =
+  match e.pexp_desc with
+  | Parsetree.Pexp_constraint (e, _) | Parsetree.Pexp_coerce (e, _, _) -> peel e
+  | _ -> e
+
+(* The dotted value path of an identifier expression, if it is one. *)
+let head_ident e =
+  match (peel e).Parsetree.pexp_desc with
+  | Parsetree.Pexp_ident { txt; _ } -> Some (String.concat "." (Longident.flatten txt))
+  | _ -> None
+
 (* The rule table: a referenced value path either is clean or maps to a
    diagnostic.  [exempt] carves out the directories where the construct is
    the harness's business (wall time around runs, the job pool). *)
@@ -95,9 +144,9 @@ let mutable_allocators =
   ]
 
 let mutable_allocator (e : Parsetree.expression) =
-  match (Callgraph.peel e).pexp_desc with
+  match (peel e).pexp_desc with
   | Parsetree.Pexp_apply (f, _) -> (
-    match Callgraph.head_ident f with
+    match head_ident f with
     | Some head
       when List.exists (fun a -> head = a || head = "Stdlib." ^ a) mutable_allocators ->
       Some head

@@ -43,8 +43,7 @@
     - [unused-allowlist]: an {!allowlist} entry that suppressed no
       diagnostic during a {!lint} run over its file — stale audits are
       themselves errors so they cannot rot in place;
-    - [parse-error]: the file failed to parse (reported by the shared
-      {!Callgraph.parse}).
+    - [parse-error]: the file failed to parse (reported by {!parse}).
 
     Findings at locations listed in {!allowlist} are suppressed: those
     are the audited, order-insensitive uses.  [wall-clock] and
@@ -55,6 +54,18 @@
 val codes : string list
 (** Every code this pass can emit, for golden tests. *)
 
+val source_files : string list -> string list
+(** The [.ml] files under the given files/directories (recursive,
+    skipping [_build]-style and hidden directories), in sorted order.
+    @raise Sys_error on a path that does not exist. *)
+
+val parse :
+  (string * string) list -> (string * Parsetree.structure) list * Diagnostics.diagnostic list
+(** Parse [(path, contents)] files (compiler-libs, no typing): the parsed
+    ones in input order, and one [parse-error] diagnostic per file that
+    fails, at the line where parsing stopped.  No other code builds a
+    [parse-error]. *)
+
 val allowlist : (string * string * int) list
 (** [(file suffix, code, definition line)] entries suppressed as
     audited-sound, e.g. commutative [Hashtbl.fold]s and the engine's
@@ -62,7 +73,7 @@ val allowlist : (string * string * int) list
     definition line in [lib/check/source_lint.ml]. *)
 
 val lint : (string * Parsetree.structure) list -> Diagnostics.diagnostic list
-(** Lint parsed files (see {!Callgraph.parse}); path-based exemptions and
+(** Lint parsed files (see {!parse}); path-based exemptions and
     the allowlist apply, and every allowlist entry whose file was linted
     but which suppressed nothing is an [unused-allowlist] error.  Sorted
     by file, then line. *)

@@ -55,7 +55,10 @@ module Vote = struct
     votes : int;
     tally : Voting.Tally.t;  (* square votes at the current frontier *)
     mutable frontier : int;  (* frontier index the tally counts for *)
-    mutable src_vote : bool option;  (* the source stream's frontier bit, if heard *)
+    mutable src_vote : bool option;
+        (* the source stream's frontier bit, if heard: the constant
+           [Some true] or [Some false], so storing and returning it
+           allocates nothing *)
   }
 
   let create ~votes = { votes; tally = Voting.Tally.create (); frontier = -1; src_vote = None }
@@ -102,7 +105,7 @@ module Vote = struct
           st.counted <- c;
           let v = One_hop.Receiver.get st.receiver c in
           match st.provider with
-          | Src -> t.src_vote <- Some v
+          | Src -> t.src_vote <- (if v then Some true else Some false)
           | Sq _ -> Voting.Tally.add t.tally v
         end
       end
@@ -110,7 +113,7 @@ module Vote = struct
     match t.src_vote with
     (* Direct reception from the source is authenticated by Theorem 2
        and needs no corroboration, whatever the voting threshold. *)
-    | Some v -> Some v
+    | Some _ as heard -> heard
     | None ->
       if Voting.Tally.count t.tally ~value:true >= t.votes then Some true
       else if Voting.Tally.count t.tally ~value:false >= t.votes then Some false

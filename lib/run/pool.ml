@@ -7,12 +7,15 @@ type worker_stat = {
   top_heap_words : int;
 }
 
-(* One domain's counters between two snapshots it took itself. *)
-let stat ~domain_index ~tasks_run (g0 : Gc.stat) (g1 : Gc.stat) =
+(* One domain's counters between two snapshots it took itself.  The
+   minor words come from [Gc.minor_words ()], which counts the current
+   minor heap too; [Gc.quick_stat]'s count moves only at a minor
+   collection, a heap (256 k words) at a time. *)
+let stat ~domain_index ~tasks_run ~minor_words (g0 : Gc.stat) (g1 : Gc.stat) =
   {
     domain_index;
     tasks_run;
-    minor_words = g1.minor_words -. g0.minor_words;
+    minor_words;
     major_words = g1.major_words -. g0.major_words;
     promoted_words = g1.promoted_words -. g0.promoted_words;
     (* Process-lifetime major-heap high-water mark as this domain saw it
@@ -37,6 +40,7 @@ let run_parallel ~jobs f xs =
      indices it drew — disjoint cells, never two domains on one cell. *)
   let worker w =
     let g0 = Gc.quick_stat () in
+    let m0 = Gc.minor_words () in
     let ran = ref 0 in
     let rec loop () =
       let i = Atomic.fetch_and_add next 1 in
@@ -52,7 +56,8 @@ let run_parallel ~jobs f xs =
       end
     in
     loop ();
-    stats.(w) <- Some (stat ~domain_index:w ~tasks_run:!ran g0 (Gc.quick_stat ()))
+    let minor_words = Gc.minor_words () -. m0 in
+    stats.(w) <- Some (stat ~domain_index:w ~tasks_run:!ran ~minor_words g0 (Gc.quick_stat ()))
   in
   let spawned = List.init (jobs - 1) (fun k -> Domain.spawn (fun () -> worker (k + 1))) in
   worker 0;
@@ -68,6 +73,9 @@ let map_array_stats ~jobs f xs =
   if jobs > 1 then run_parallel ~jobs f xs
   else begin
     let g0 = Gc.quick_stat () in
+    let m0 = Gc.minor_words () in
     let results = Array.map f xs in
-    (results, [ stat ~domain_index:0 ~tasks_run:(Array.length xs) g0 (Gc.quick_stat ()) ])
+    let minor_words = Gc.minor_words () -. m0 in
+    ( results,
+      [ stat ~domain_index:0 ~tasks_run:(Array.length xs) ~minor_words g0 (Gc.quick_stat ()) ] )
   end

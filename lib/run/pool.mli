@@ -17,7 +17,7 @@
 type worker_stat = {
   domain_index : int;  (** 0 = the calling domain *)
   tasks_run : int;
-  minor_words : float;  (** {!Gc.quick_stat} delta on that domain *)
+  minor_words : float;  (** {!Gc.minor_words} delta on that domain *)
   major_words : float;
   promoted_words : float;
   top_heap_words : int;
@@ -25,7 +25,7 @@ type worker_stat = {
           finished — a peak, not a delta (the major heap is shared) *)
 }
 (** Per-domain execution counters, exact on every domain (each worker
-    snapshots its own GC stats). *)
+    snapshots its own GC stats; the other deltas are {!Gc.quick_stat}'s). *)
 
 val map_array_stats : jobs:int -> ('a -> 'b) -> 'a array -> 'b array * worker_stat list
 (** The results, and one {!worker_stat} per domain used (a single entry at

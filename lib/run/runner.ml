@@ -39,6 +39,7 @@ let run_task = function
    byte-identical whatever [jobs] is. *)
 let run_job ?(jobs = 1) ?(profile = false) ~scale (job : Experiment.job) =
   let gc0 = if profile then Some (Gc.quick_stat ()) else None in
+  let minor0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   let cells = job.Experiment.cells scale in
   let seeds = Experiment.seeds (job.Experiment.config scale) in
@@ -94,13 +95,15 @@ let run_job ?(jobs = 1) ?(profile = false) ~scale (job : Experiment.job) =
   let notes = job.Experiment.notes ~fits ~series in
   let wall_seconds = Unix.gettimeofday () -. t0 in
   let profile =
-    (* Top-level allocation deltas come from [Gc.quick_stat] on the
-       coordinating domain (exact at --jobs 1, coordinator-only above
-       that); [workers] carries exact per-domain deltas from the pool.
-       Rounds/s divides the engine rounds actually simulated (Grid trials
-       only) by the job's wall time. *)
+    (* Top-level allocation deltas are the coordinating domain's (exact
+       at --jobs 1, coordinator-only above that): minor words from
+       [Gc.minor_words], which counts the current minor heap too, the rest
+       from [Gc.quick_stat]; [workers] carries exact per-domain deltas
+       from the pool.  Rounds/s divides the engine rounds actually
+       simulated (Grid trials only) by the job's wall time. *)
     Option.map
       (fun g0 ->
+        let minor_words = Gc.minor_words () -. minor0 in
         let g1 = Gc.quick_stat () in
         let rounds_simulated =
           Array.fold_left
@@ -114,7 +117,6 @@ let run_job ?(jobs = 1) ?(profile = false) ~scale (job : Experiment.job) =
               match result with Summary s -> acc + s.Scenario.active_rounds | Row _ -> acc)
             0 results
         in
-        let minor_words = g1.Gc.minor_words -. g0.Gc.minor_words in
         {
           minor_words;
           major_words = g1.Gc.major_words -. g0.Gc.major_words;

@@ -24,13 +24,13 @@ type profile = {
       (** [minor_words / active_rounds] (0 when no active rounds): the
           hot-loop allocation rate; {!Bench.gates} holds its limit *)
   workers : Pool.worker_stat list;
-      (** one entry per pool domain: tasks run and exact per-domain
-          {!Gc.quick_stat} deltas *)
+      (** one entry per pool domain: tasks run and exact per-domain GC
+          deltas *)
 }
-(** Cheap per-job performance counters (top-level fields are
-    {!Gc.quick_stat} deltas on the coordinating domain — exact at
-    [--jobs 1], coordinator-only above that; [workers] is exact on every
-    domain). *)
+(** Cheap per-job performance counters (top-level fields are deltas on
+    the coordinating domain — [minor_words] from {!Gc.minor_words}, the
+    rest from {!Gc.quick_stat} — exact at [--jobs 1], coordinator-only
+    above that; [workers] is exact on every domain). *)
 
 type outcome = {
   job : Experiment.job;

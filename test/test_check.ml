@@ -20,9 +20,9 @@ let read_fixture name =
   let dir = Filename.concat (Filename.dirname Sys.executable_name) "fixtures" in
   In_channel.with_open_bin (Filename.concat dir name) In_channel.input_all
 
-(* Lint in-memory files through the shared parse, as securebit_lint does. *)
+(* Lint in-memory files through the parse, as securebit_lint does. *)
 let lint_files lint files =
-  let parsed, errors = Callgraph.parse files in
+  let parsed, errors = Source_lint.parse files in
   Diagnostics.sort (errors @ lint parsed)
 
 (* --- model checker: the reference machines satisfy every invariant ------- *)
@@ -311,8 +311,8 @@ let test_source_lint_engine_mode () =
   Alcotest.(check (list string)) "a bare reference is clean" []
     (source_codes ~path:"lib/analysis/driver.ml" "let f = Engine.run\n")
 
-(* The shared parse is the one place a parse-error is built; every source
-   analyzer reports what it found. *)
+(* [Source_lint.parse] is the one place a parse-error is built, and the
+   lint reports it with its own findings. *)
 let test_source_lint_parse_error () =
   match source_lint ~path:"lib/broken.ml" "let let let" with
   | [ d ] ->
@@ -324,7 +324,7 @@ let test_source_lint_parse_error () =
    must not drop out of a lint silently (securebit_lint rejects it before
    this, exit 124; see test/cli). *)
 let test_source_lint_missing_paths () =
-  match Callgraph.source_files [ "no/such/dir" ] with
+  match Source_lint.source_files [ "no/such/dir" ] with
   | files -> Alcotest.failf "linted %d file(s) of a missing path" (List.length files)
   | exception Sys_error _ -> ()
 
@@ -481,164 +481,6 @@ let test_global_mutable_runner_plant () =
     "the runner's trial counter is flagged" [ ("global-mutable", 1) ]
     (global_mutable ~path:"lib/run/runner.ml" plant)
 
-(* --- callgraph ------------------------------------------------------------ *)
-
-let parse_exn ~path contents =
-  match Callgraph.parse [ (path, contents) ] with
-  | [ (_, structure) ], [] -> structure
-  | _ -> Alcotest.failf "%s: fixture does not parse" path
-
-(* A helper chain h(depth-1) -> ... -> h0 below [sweep], which calls the
-   top helper inside a lambda or passes it by name.  Alloc_lint walks its
-   hot roots with this reachability, so every link must be followed and a
-   function nothing calls must stay out. *)
-let chain_program ~named depth =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "let h0 n = n + 1\nlet unused n = n - 1\n";
-  for i = 1 to depth - 1 do
-    Buffer.add_string buf (Printf.sprintf "let h%d n = h%d n\n" i (i - 1))
-  done;
-  let top = Printf.sprintf "h%d" (depth - 1) in
-  Buffer.add_string buf
-    (if named then Printf.sprintf "let sweep specs = Array.map %s specs\n" top
-     else Printf.sprintf "let sweep specs = Array.map (fun s -> %s s) specs\n" top);
-  Buffer.contents buf
-
-let test_callgraph_reaches_helper_chains () =
-  List.iter
-    (fun (named, depth) ->
-      let path = "lib/analysis/chain.ml" in
-      let graph = Callgraph.build [ (path, parse_exn ~path (chain_program ~named depth)) ] in
-      Alcotest.(check (list string))
-        (Printf.sprintf "named=%b depth=%d: sweep, then the chain top down" named depth)
-        ("Chain.sweep" :: List.init depth (fun i -> Printf.sprintf "Chain.h%d" (depth - 1 - i)))
-        (List.map
-           (fun fn -> fn.Callgraph.fn_qual)
-           (Callgraph.reachable graph ~roots:[ "Chain.sweep" ])))
-    (List.concat_map (fun depth -> [ (false, depth); (true, depth) ]) [ 1; 2; 3 ])
-
-(* --- alloc lint ----------------------------------------------------------- *)
-
-let alloc_codes diags = List.sort_uniq String.compare (codes diags)
-let alloc_lint ?roots files = lint_files (fun parsed -> Alloc_lint.lint ?roots parsed) files
-
-let boxy_roots = [ ("boxy-round", [ "Boxy_hot_loop.process_round" ]) ]
-
-let boxy_files () =
-  [
-    ( "lib/sim/boxy_hot_loop.ml",
-      read_fixture "boxy_hot_loop.ml" );
-  ]
-
-(* Is there an error coded alloc-<cls> in the fixture file? *)
-let flags_class diags cls =
-  List.exists
-    (fun (d : Diagnostics.diagnostic) ->
-      let file, line = file_line d in
-      d.severity = Error && d.code = "alloc-" ^ cls && file = "lib/sim/boxy_hot_loop.ml" && line > 0)
-    diags
-
-let test_alloc_seed_violation () =
-  let diags = alloc_lint ~roots:Alloc_lint.seed_violation_roots Alloc_lint.seed_violation_files in
-  Alcotest.(check bool) "the demo fails the lint" true (Diagnostics.has_errors diags);
-  Alcotest.(check (list string)) "every class of the demo fires"
-    [ "alloc-boxed-float"; "alloc-closure"; "alloc-list"; "alloc-tuple" ]
-    (alloc_codes diags);
-  (* One error per (line, class) site: the demo's two floats on line 2
-     are one site. *)
-  Alcotest.(check int) "one error per site" 7 (List.length diags)
-
-(* The acceptance bar for the analyzer: an injected hot-path boxed-float
-   allocation (the committed fixture) must come back as an error located
-   in the offending file. *)
-let test_alloc_boxy_fixture () =
-  let diags = alloc_lint ~roots:boxy_roots (boxy_files ()) in
-  Alcotest.(check bool) "the fixture fails the lint" true (Diagnostics.has_errors diags);
-  List.iter
-    (fun cls -> Alcotest.(check bool) (cls ^ " flagged") true (flags_class diags cls))
-    [ "boxed-float"; "closure"; "list" ]
-
-(* The packed-observation regression tripwire: the fixture's old-style
-   observe path (per-receiver option/tuple boxing, a closure over the
-   round, a throwaway list per call) must keep tripping the analyzer on
-   every class the flat-state engine rewrite eliminated. *)
-let test_alloc_boxy_observe_path () =
-  let roots = [ ("boxy-observe", [ "Boxy_hot_loop.observe_boxy" ]) ] in
-  let diags = alloc_lint ~roots (boxy_files ()) in
-  Alcotest.(check bool) "the observe path fails the lint" true (Diagnostics.has_errors diags);
-  List.iter
-    (fun cls ->
-      Alcotest.(check bool) (cls ^ " flagged on the observe path") true (flags_class diags cls))
-    [ "closure"; "tuple"; "ref"; "list" ]
-
-(* Every site is an error unless its (file, class) pair is audited, so a
-   new site of an unaudited class fails where a golden count diff let it
-   pass as growth.  The fake engine.ml uses both of its audited classes;
-   a ref planted in its root function fails with alloc-ref, at the
-   plant. *)
-let test_alloc_growth_fails_unless_audited () =
-  let engine plant =
-    [
-      ( "lib/sim/engine.ml",
-        "let process_round a i p =\n" ^ plant
-        ^ "  a.(i) <- a.(i) +. p;\n  ignore (Array.make 1 p)\n" );
-    ]
-  in
-  Alcotest.(check (list string)) "audited classes pass" [] (codes (alloc_lint (engine "")));
-  match alloc_lint (engine "  let _z = ref 0 in\n") with
-  | [ d ] ->
-    Alcotest.(check string) "the planted ref fails" "alloc-ref" d.code;
-    Alcotest.(check (pair string int)) "located at the plant" ("lib/sim/engine.ml", 2) (file_line d);
-    Alcotest.(check bool) "it names the function and the root" true
-      (contains ~affix:"Engine.process_round" d.message
-      && contains ~affix:"engine-round" d.message)
-  | diags -> Alcotest.failf "expected one diagnostic, got %d" (List.length diags)
-
-let test_alloc_unused_allowlist () =
-  (* A fake engine.ml whose root allocates nothing leaves exactly
-     engine.ml's audits stale, each located at its definition line in the
-     allowlist module itself. *)
-  let engine_entries =
-    List.filter (fun (file, _, _) -> file = "lib/sim/engine.ml") Alloc_lint.allowlist
-  in
-  Alcotest.(check bool) "engine.ml has audited entries" true (engine_entries <> []);
-  Alcotest.(check (list (pair string int)))
-    "exactly engine.ml's entries are stale, at their definition lines"
-    (List.map (fun (_, _, line) -> ("lib/check/alloc_lint.ml", line)) engine_entries)
-    (List.map file_line (alloc_lint [ ("lib/sim/engine.ml", "let process_round x = x + 1\n") ]));
-  (* Only the files of reached functions are judged: a tree that reaches
-     no hot root accuses no entry, even an audited file's. *)
-  Alcotest.(check (list string)) "a tree that reaches no root judges nothing" []
-    (codes
-       (alloc_lint
-          [ ("lib/analysis/other.ml", "let x = 1\n"); ("lib/util/calendar.ml", "let add t = t\n") ]))
-
-(* [x :: xs] parses as [::] applied to the pair [(x, xs)]; it builds one
-   cons cell, so it is one list site and no tuple site, while a real tuple
-   in the same file still fails.  A container built on a hot path is a
-   per-call allocation of its own class. *)
-let test_alloc_cons_tuple_table () =
-  let file =
-    ( "lib/sim/consing.ml",
-      "let push x xs = x :: xs\nlet pair x = (x, x)\nlet table n = Hashtbl.create n\n" )
-  in
-  let lint roots = codes (alloc_lint ~roots:[ ("consing", roots) ] [ file ]) in
-  Alcotest.(check (list string)) "a cons is a list site only" [ "alloc-list" ]
-    (lint [ "Consing.push" ]);
-  Alcotest.(check (list string)) "a real tuple still fails" [ "alloc-list"; "alloc-tuple" ]
-    (lint [ "Consing.push"; "Consing.pair" ]);
-  Alcotest.(check (list string)) "a table is alloc-table" [ "alloc-table" ]
-    (lint [ "Consing.table" ])
-
-let test_alloc_parse_error () =
-  match
-    List.filter
-      (fun (d : Diagnostics.diagnostic) -> d.code = "parse-error")
-      (alloc_lint ~roots:boxy_roots [ ("lib/broken.ml", "let let let") ])
-  with
-  | [ d ] -> Alcotest.(check string) "parse error located" "lib/broken.ml" (fst (file_line d))
-  | diags -> Alcotest.failf "expected one parse error, got %d" (List.length diags)
-
 (* --- golden diagnostic codes ---------------------------------------------- *)
 
 (* The stable codes are the machine-readable interface of `securebit_lint
@@ -660,15 +502,7 @@ let test_golden_codes () =
       "hashtbl-order"; "poly-compare"; "poly-hash"; "ambient-random"; "wall-clock";
       "domain-outside-run"; "engine-mode"; "global-mutable"; "unused-allowlist"; "parse-error";
     ]
-    Source_lint.codes;
-  Alcotest.(check (list string))
-    "alloc lint codes"
-    [
-      "alloc-closure"; "alloc-boxed-float"; "alloc-tuple"; "alloc-ref"; "alloc-list";
-      "alloc-array"; "alloc-string"; "alloc-table"; "alloc-partial-application";
-      "unused-allowlist"; "parse-error";
-    ]
-    Alloc_lint.codes
+    Source_lint.codes
 
 (* --- determinism checker ------------------------------------------------- *)
 
@@ -838,27 +672,6 @@ let () =
           Alcotest.test_case "unused entries reported" `Quick test_unused_allowlist_helper;
           Alcotest.test_case "source lint tracks entry use" `Quick
             test_source_lint_allowlist_use_tracking;
-        ] );
-      ( "callgraph",
-        [
-          Alcotest.test_case "whole-tree reachability matches helper chains" `Quick
-            test_callgraph_reaches_helper_chains;
-        ] );
-      ( "alloc lint",
-        [
-          Alcotest.test_case "seed violation fires on every class" `Quick
-            test_alloc_seed_violation;
-          Alcotest.test_case "boxy fixture flagged as new hot-path classes" `Quick
-            test_alloc_boxy_fixture;
-          Alcotest.test_case "old boxy observe path still trips the analyzer" `Quick
-            test_alloc_boxy_observe_path;
-          Alcotest.test_case "growth fails unless audited" `Quick
-            test_alloc_growth_fails_unless_audited;
-          Alcotest.test_case "stale allowlist entries located" `Quick
-            test_alloc_unused_allowlist;
-          Alcotest.test_case "cons, tuple and table sites" `Quick test_alloc_cons_tuple_table;
-          Alcotest.test_case "parse errors surface as diagnostics" `Quick
-            test_alloc_parse_error;
         ] );
       ( "determinism",
         [

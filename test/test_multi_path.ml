@@ -302,6 +302,51 @@ let test_poll_budget () =
   within "polls" measured_polls !polls;
   within "executed rounds" measured_executed_rounds !executed
 
+(* Deterministic allocation gate on machine construction, mirroring
+   test_neighbor_watch's: the minor words of building every machine of a
+   seeded mp-expander broadcast (1 000 nodes, degree 8), set up as
+   Scenario.run sets it up.  Measured: 688.8 words per machine at cycle
+   103, of which three cycle-sized arrays per machine (the slot-to-peer
+   table, the relevant-slot flags and the wake delta table) take about
+   3 x 104. *)
+let max_words_per_machine = 689.0
+
+let test_construction_words () =
+  let spec =
+    {
+      Scenario.default with
+      deployment = Scenario.Expander { n = 1000; degree = 8 };
+      message = Bitvec.of_string "10";
+      protocol = Scenario.Multi_path { tolerance = 1 };
+      heard_relay_limit = Some 4;
+      seed = 1;
+    }
+  in
+  let topology = Scenario.topology spec in
+  let source = Deployment.center_node (Topology.deployment topology) in
+  let config =
+    {
+      (Multi_path.default_config ~radius:(Topology.rx_reach topology) ~tolerance:1
+         ~msg_len:(Bitvec.length spec.Scenario.message))
+      with
+      heard_relay_limit = spec.Scenario.heard_relay_limit;
+    }
+  in
+  let ctx = Multi_path.make_ctx config ~topology ~source in
+  let n = Topology.size topology in
+  let before = Gc.minor_words () in
+  let machines =
+    Array.init n (fun i ->
+        Multi_path.machine ctx i
+          (if i = source then Multi_path.Source spec.Scenario.message else Multi_path.Relay))
+  in
+  let per_machine = (Gc.minor_words () -. before) /. float_of_int (Array.length machines) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per machine, at most %.0f" per_machine
+       max_words_per_machine)
+    true
+    (per_machine <= max_words_per_machine)
+
 let () =
   Alcotest.run "multi_path"
     [
@@ -325,6 +370,8 @@ let () =
         ] );
       ( "wakeup contract",
         [ Alcotest.test_case "poll budget on an expander" `Quick test_poll_budget ] );
+      ( "allocation",
+        [ Alcotest.test_case "construction words on an expander" `Quick test_construction_words ] );
       ( "bad input",
         List.map bad_id_case [ ("node id -1", fun _ -> -1); ("node id n", fun n -> n) ]
         @ List.map payload_case payload_specs );

@@ -289,6 +289,39 @@ let test_profile_counters () =
           (List.map row_name checks);
         Alcotest.(check (list string)) "nothing flagged" [] (rows Bench.Over checks))
 
+(* The profile counts minor words exactly: a one-trial job that allocates
+   50 000 refs (100 000 words) into a freshly emptied minor heap reports
+   that count, where a counter that moves only at minor collections reads
+   0 (or 262 144, one whole heap).  The slack covers the runner's own
+   bookkeeping around the trial, 167 words when measured. *)
+let test_profile_minor_words_exact () =
+  let allocated = 100_000.0 and slack = 1_000.0 in
+  let job =
+    Experiment.job ~id:"words" ~title:"words" ~columns:[ "ok" ] (fun _ ->
+        [
+          Experiment.Thunk
+            (fun () ->
+              for _ = 1 to 50_000 do
+                ignore (Sys.opaque_identity (ref 0))
+              done;
+              Experiment.row [ "ok" ]);
+        ])
+  in
+  Gc.minor ();
+  match (Runner.run_job ~profile:true ~scale:Experiment.Quick job).Runner.profile with
+  | None -> Alcotest.fail "profile requested but absent"
+  | Some p ->
+    let near what words =
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f minor words for the %.0f allocated" what words allocated)
+        true
+        (words >= allocated && words <= allocated +. slack)
+    in
+    near "the job" p.Runner.minor_words;
+    List.iter
+      (fun (w : Pool.worker_stat) -> near "its one worker" w.Pool.minor_words)
+      p.Runner.workers
+
 let qtests = [ prop_pool_matches_map ]
 
 let () =
@@ -325,6 +358,7 @@ let () =
         [
           Alcotest.test_case "jobs=4 byte-identical to jobs=1" `Quick test_parallel_identity;
           Alcotest.test_case "profile counters" `Quick test_profile_counters;
+          Alcotest.test_case "profile minor words exact" `Quick test_profile_minor_words_exact;
         ] );
       ("properties", List.map (fun t -> QCheck_alcotest.to_alcotest ~long:false t) qtests);
     ]

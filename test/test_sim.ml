@@ -393,10 +393,14 @@ let test_schedules_oracle () =
       ("wide", Deployment.uniform (Rng.create 10) ~n:250 ~width:20_000.0 ~height:10.0);
     ]
 
-(* Words allocated, minor and major, not counting promotions twice. *)
+(* Words allocated, minor and major, not counting promotions twice.  The
+   minor count comes from [Gc.minor_words ()], which includes the current
+   minor heap; [Gc.counters]' own minor count reads an eighth of it on
+   OCaml 5.1, while its major count includes allocations still
+   pending. *)
 let words () =
-  let minor, promoted, major = Gc.counters () in
-  minor +. major -. promoted
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
 
 (* The build keeps only the flat rows and the CSR: at the n = 10^4
    uniform-disk scale cell (degree 12) it allocates at most twice the
@@ -951,17 +955,27 @@ let test_engine_poll_set_contract () =
     result.Engine.completion_round.(deliverer);
   Alcotest.(check int) "ran to the cap" cap result.Engine.rounds_used
 
-(* The sparse loop's calendar holds one entry per (machine, round).  A
-   beacon transmits every round to a sleeper that always asks for the
-   same far wake round, so each round touches the sleeper and re-asks its
-   contract; re-queuing it on every poll would grow the heap by one entry
-   per round.  The machines allocate nothing per round (a preallocated
-   action, packed observers), so the words [Engine.run] allocates may not
-   depend on the run's length. *)
+(* The sparse loop's calendar holds one entry per (machine, round).  Two
+   beacons transmit every round to sleepers that always ask for the same
+   far wake round, so each round touches the sleepers and re-asks their
+   contract; re-queuing them on every poll would grow the heap by one
+   entry per round.  The machines allocate nothing per round (a
+   preallocated action, packed observers), so the words [Engine.run]
+   allocates may not depend on the run's length: 0 words per extra
+   executed round, untraced, on both fan-in paths (the collision-count
+   words under [Channel.ideal], the per-link power sums with loss draws
+   under [Channel.realistic]) and with and without a listener set. *)
 let test_engine_calendar_growth () =
-  let topology = line_topology 2 1.0 1.5 in
+  let n = 8 in
+  let topology = line_topology n 1.0 2.5 in
+  Alcotest.(check bool) "the line has collision-count word entries" true
+    (Option.is_some (Topology.graph topology).Graph.csr.Graph.words);
   let beep = Engine.Transmit 7 in
-  let words_of_run cap =
+  let odd = Engine.word_set n in
+  for i = 0 to n - 1 do
+    if i land 1 = 1 then Engine.set_add odd i
+  done;
+  let words_of_run ~channel ~listeners cap =
     let beacon =
       {
         Engine.act = (fun _ -> beep);
@@ -980,21 +994,32 @@ let test_engine_calendar_growth () =
         next_active = (fun _ -> cap - 1);
       }
     in
-    let machines = [| beacon; sleeper |] and waiters = [| false; true |] in
-    let allocated () =
-      let minor, promoted, major = Gc.counters () in
-      minor +. major -. promoted
+    let machines = Array.init n (fun i -> if i = 0 || i = 4 then beacon else sleeper) in
+    let waiters = Array.init n (fun i -> i = n - 1) in
+    let listeners = if listeners then Some (fun _ -> odd) else None in
+    let rng = Rng.create 5 in
+    let before = words () in
+    let result =
+      Engine.run ~mode:`Sparse ~rng ~channel ?listeners ~topology ~machines ~waiters ~cap ()
     in
-    let before = allocated () in
-    let result = Engine.run ~mode:`Sparse ~topology ~machines ~waiters ~cap () in
-    let words = allocated () -. before in
+    let allocated = words () -. before in
     Alcotest.(check int) "ran to the cap" cap result.Engine.rounds_used;
-    words
+    allocated
   in
-  let short = words_of_run 2_000 and long = words_of_run 20_000 in
-  if long -. short > 1_000.0 then
-    Alcotest.failf "10x the rounds cost %.0f more words (%.0f at cap 2000, %.0f at cap 20000)"
-      (long -. short) short long
+  List.iter
+    (fun (name, channel) ->
+      List.iter
+        (fun listeners ->
+          let short = words_of_run ~channel ~listeners 2_000 in
+          let long = words_of_run ~channel ~listeners 20_000 in
+          let per_round = (long -. short) /. 18_000.0 in
+          if per_round > 0.0 then
+            Alcotest.failf
+              "%s, listener set %b: %.3f words per extra executed round (%.0f at cap 2000, %.0f \
+               at cap 20000)"
+              name listeners per_round short long)
+        [ false; true ])
+    [ ("ideal", Channel.ideal); ("realistic", Channel.realistic) ]
 
 (* The engine's flat-aggregate channel resolution must agree with the
    list-based reference resolution (Channel_oracle.resolve) on arbitrary
