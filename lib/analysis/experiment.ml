@@ -5,8 +5,22 @@ let paper = { repetitions = 6; base_seed = 1000 }
 
 let seeds config = List.init config.repetitions (fun i -> config.base_seed + (7919 * i))
 
-let run config spec =
-  List.map (fun seed -> Scenario.summarize (Scenario.run { spec with Scenario.seed })) (seeds config)
+type work = { rounds : int; active_rounds : int }
+
+let no_work = { rounds = 0; active_rounds = 0 }
+
+let add_work a b =
+  { rounds = a.rounds + b.rounds; active_rounds = a.active_rounds + b.active_rounds }
+
+let engine_work (e : Engine.result) =
+  { rounds = e.Engine.rounds_used; active_rounds = e.Engine.active_rounds }
+
+let trials config spec =
+  List.map
+    (fun seed () ->
+      let result = Scenario.run { spec with Scenario.seed } in
+      (Scenario.summarize result, engine_work result.Scenario.engine))
+    (seeds config)
 
 type aggregate = {
   completion_rate : float;
@@ -28,8 +42,6 @@ let aggregate summaries =
     broadcasts = trimmed_mean (fun s -> float_of_int s.Scenario.total_broadcasts);
     runs = List.length summaries;
   }
-
-let measure config spec = aggregate (run config spec)
 
 let json_of_aggregate a =
   Json.Obj
@@ -54,45 +66,50 @@ type row = {
   cells : string list;
   points : (string * (float * float)) list;
   values : (string * Json.t) list;
+  aggregates : aggregate list;
 }
 
-let row ?(points = []) ?(values = []) cells = { cells; points; values }
+let row ?(points = []) ?(values = []) cells = { cells; points; values; aggregates = [] }
 
-type cell =
-  | Grid of { specs : Scenario.spec list; render : aggregate list -> row }
-  | Thunk of (unit -> row)
+type cell = Cell : { trials : (unit -> 'a * work) list; render : 'a list -> row } -> cell
 
-let grid1 spec render =
-  Grid
-    {
-      specs = [ spec ];
-      render = (function [ a ] -> render a | _ -> invalid_arg "Experiment.grid1");
-    }
+(* The trials run spec-major, seed-minor, so each spec's summaries are
+   [repetitions] consecutive results. *)
+let grid config specs render =
+  let per_spec = config.repetitions in
+  let render summaries =
+    let summaries = Array.of_list summaries in
+    let aggregates =
+      List.mapi
+        (fun k _ -> aggregate (Array.to_list (Array.sub summaries (k * per_spec) per_spec)))
+        specs
+    in
+    { (render aggregates) with aggregates }
+  in
+  Cell { trials = List.concat_map (trials config) specs; render }
 
-let grid2 spec_a spec_b render =
-  Grid
-    {
-      specs = [ spec_a; spec_b ];
-      render = (function [ a; b ] -> render a b | _ -> invalid_arg "Experiment.grid2");
-    }
+let grid1 config spec render =
+  grid config [ spec ] (function [ a ] -> render a | _ -> invalid_arg "Experiment.grid1")
+
+let grid2 config spec_a spec_b render =
+  grid config [ spec_a; spec_b ] (function
+    | [ a; b ] -> render a b
+    | _ -> invalid_arg "Experiment.grid2")
+
+let single trial render =
+  let render = function [ r ] -> render r | _ -> invalid_arg "Experiment.single" in
+  Cell { trials = [ trial ]; render }
+
+let const row = Cell { trials = []; render = (fun _ -> row) }
 
 type job = {
   id : string;
   title : string;
   columns : string list;
-  config : scale -> config;
   cells : scale -> cell list;
   fits : (string * string) list;
   notes : fits:(string * Stats.fit) list -> series:(string -> (float * float) list) -> string list;
 }
 
-let job ?config ?(fits = []) ?(notes = fun ~fits:_ ~series:_ -> []) ~id ~title ~columns cells =
-  {
-    id;
-    title;
-    columns;
-    config = (match config with Some c -> c | None -> config_of_scale);
-    cells;
-    fits;
-    notes;
-  }
+let job ?(fits = []) ?(notes = fun ~fits:_ ~series:_ -> []) ~id ~title ~columns cells =
+  { id; title; columns; cells; fits; notes }

@@ -1,15 +1,16 @@
 (** Repetition harness and the declarative experiment model.
 
     The paper repeats each experiment 6–20 times with outliers discarded
-    (Section 6, "Methodology"); the first half of this module runs a
+    (Section 6, "Methodology"); the first half of this module expands a
     scenario across seeds and aggregates the per-run summaries the same
     way.
 
-    The second half defines experiments as data: a {!job} is a parameter
-    grid of {!Scenario.spec}s plus per-cell renderers, registered under a
-    stable id in {!Registry}.  Jobs are pure descriptions — {!Runner} (in
-    [lib/run]) executes their trial cells, possibly on a domain pool, and
-    merges deterministically. *)
+    The second half defines experiments as data: a {!job} is a list of
+    {!cell}s, one per table row, each a list of independent trials plus a
+    render over their results, registered under a stable id in
+    {!Registry}.  Jobs are pure descriptions — {!Runner} (in [lib/run])
+    executes every trial, possibly on a domain pool, and renders the rows
+    in cell order. *)
 
 type config = { repetitions : int; base_seed : int }
 
@@ -21,8 +22,17 @@ val paper : config
 
 val seeds : config -> int list
 
-val run : config -> Scenario.spec -> Scenario.summary list
-(** Run the spec once per seed (spec seed replaced). *)
+type work = { rounds : int; active_rounds : int }
+(** The engine work a trial did: executed rounds and transmission-carrying
+    rounds, summed over its engine runs ({!Engine.result}). *)
+
+val no_work : work
+val add_work : work -> work -> work
+
+val engine_work : Engine.result -> work
+
+val trials : config -> Scenario.spec -> (unit -> Scenario.summary * work) list
+(** One trial per seed of [config] ([spec.seed] replaced), in seed order. *)
 
 type aggregate = {
   completion_rate : float;
@@ -34,10 +44,6 @@ type aggregate = {
 }
 
 val aggregate : Scenario.summary list -> aggregate
-
-val measure : config -> Scenario.spec -> aggregate
-(** [aggregate] of [run]. *)
-
 val json_of_aggregate : aggregate -> Json.t
 
 (** {1 Declarative experiments} *)
@@ -54,31 +60,36 @@ type row = {
       (** contributions to named fit series, e.g. [("budget", (b, rounds))] *)
   values : (string * Json.t) list;
       (** extra machine-readable metrics carried into the JSON results *)
+  aggregates : aggregate list;  (** one per spec on {!grid} rows, else empty *)
 }
 
 val row :
   ?points:(string * (float * float)) list -> ?values:(string * Json.t) list -> string list -> row
 
-type cell =
-  | Grid of { specs : Scenario.spec list; render : aggregate list -> row }
-      (** One table row: every spec is run once per seed of the job's
-          config ([spec.seed] replaced); [render] receives one aggregate
-          per spec, in order.  Each (spec, seed) pair is an independent
-          trial the runner may execute on any worker. *)
-  | Thunk of (unit -> row)
-      (** One table row computed by arbitrary code (adaptive scans,
-          derived measurements).  A thunk is a single trial; it must
-          derive all randomness from seeds it owns. *)
+(** One table row: independent trials the runner may execute on any
+    worker, each returning its result and its engine work, and a render
+    over the results in trial order.  A trial must derive all its
+    randomness from seeds it owns. *)
+type cell = Cell : { trials : (unit -> 'a * work) list; render : 'a list -> row } -> cell
 
-val grid1 : Scenario.spec -> (aggregate -> row) -> cell
-val grid2 : Scenario.spec -> Scenario.spec -> (aggregate -> aggregate -> row) -> cell
+val grid : config -> Scenario.spec list -> (aggregate list -> row) -> cell
+(** Every spec run once per seed of [config]; [render] receives one
+    aggregate per spec, in order, and the row carries them. *)
+
+val grid1 : config -> Scenario.spec -> (aggregate -> row) -> cell
+val grid2 : config -> Scenario.spec -> Scenario.spec -> (aggregate -> aggregate -> row) -> cell
+
+val single : (unit -> 'a * work) -> ('a -> row) -> cell
+(** One trial of arbitrary code (an adaptive scan, a composite run). *)
+
+val const : row -> cell
+(** A row with no trial (analytic tables). *)
 
 type job = {
   id : string;  (** stable experiment id, lowercase (["e1"], ["a4"], …) *)
   title : string;  (** printed table title *)
   columns : string list;
-  config : scale -> config;  (** repetitions for [Grid] cells *)
-  cells : scale -> cell list;  (** the parameter grid, one cell per row *)
+  cells : scale -> cell list;  (** one cell per table row *)
   fits : (string * string) list;
       (** derived linear fits: (printed label, point-series name) *)
   notes :
@@ -87,7 +98,6 @@ type job = {
 }
 
 val job :
-  ?config:(scale -> config) ->
   ?fits:(string * string) list ->
   ?notes:
     (fits:(string * Stats.fit) list -> series:(string -> (float * float) list) -> string list) ->
@@ -96,5 +106,4 @@ val job :
   columns:string list ->
   (scale -> cell list) ->
   job
-(** Smart constructor; [config] defaults to {!config_of_scale}, [fits] and
-    [notes] to empty. *)
+(** Smart constructor; [fits] and [notes] default to empty. *)

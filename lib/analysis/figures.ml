@@ -59,7 +59,7 @@ let fig5_crash =
                   heard_relay_limit = relay_limit scale ~tolerance:(tolerance_of protocol);
                 }
               in
-              Experiment.grid1 spec (fun agg ->
+              Experiment.grid1 (Experiment.config_of_scale scale) spec (fun agg ->
                   Experiment.row
                     [
                       protocol_name protocol;
@@ -98,7 +98,7 @@ let jamming =
               faults = Scenario.Jamming { fraction = 0.1; budget; probability = 0.2 };
             }
           in
-          Experiment.grid1 spec (fun agg ->
+          Experiment.grid1 (Experiment.config_of_scale scale) spec (fun agg ->
               Experiment.row
                 ~points:[ ("budget", (float_of_int budget, agg.Experiment.rounds)) ]
                 [
@@ -168,7 +168,7 @@ let fig6_lying =
                   heard_relay_limit = relay_limit scale ~tolerance:(tolerance_of protocol);
                 }
               in
-              Experiment.grid1 spec (fun agg ->
+              Experiment.grid1 (Experiment.config_of_scale scale) spec (fun agg ->
                   Experiment.row
                     [
                       protocol_name protocol;
@@ -215,11 +215,15 @@ let fig7_density =
         | Quick -> { Experiment.quick with repetitions = 2 }
         | Paper -> Experiment.paper
       in
-      let max_tolerated protocol density =
+      (* One trial per row: the sequential probe scan, reporting the
+         engine work of every probe it ran. *)
+      let max_tolerated protocol density () =
         let n = int_of_float (density *. map *. map) in
         (* MultiPathRB at paper scale stops at density 5, as in the paper. *)
-        if (match protocol with Scenario.Multi_path _ -> density > 5.0 | _ -> false) then None
+        if (match protocol with Scenario.Multi_path _ -> density > 5.0 | _ -> false) then
+          (None, Experiment.no_work)
         else begin
+          let work = ref Experiment.no_work in
           let ok fraction =
             let spec =
               {
@@ -235,24 +239,28 @@ let fig7_density =
                 heard_relay_limit = relay_limit scale ~tolerance:(tolerance_of protocol);
               }
             in
-            (Experiment.measure config spec).Experiment.correct_rate >= threshold
+            let summaries, works =
+              List.split (List.map (fun trial -> trial ()) (Experiment.trials config spec))
+            in
+            work := List.fold_left Experiment.add_work !work works;
+            (Experiment.aggregate summaries).Experiment.correct_rate >= threshold
           in
           let rec scan best fraction =
             if fraction > 0.5 then best
             else if ok fraction then scan fraction (fraction +. probe_step)
             else best
           in
-          Some (scan 0.0 0.0)
+          let best = scan 0.0 0.0 in
+          (Some best, !work)
         end
       in
       List.concat_map
         (fun protocol ->
           List.map
             (fun density ->
-              Experiment.Thunk
-                (fun () ->
+              Experiment.single (max_tolerated protocol density) (fun tolerated ->
                   let cell, value =
-                    match max_tolerated protocol density with
+                    match tolerated with
                     | None -> ("-", Json.Null)
                     | Some fraction -> (Table.cell_pct fraction, Json.Float fraction)
                   in
@@ -303,7 +311,7 @@ let clustered =
                   faults;
                 }
               in
-              Experiment.grid1 spec (fun agg ->
+              Experiment.grid1 (Experiment.config_of_scale scale) spec (fun agg ->
                   Experiment.row
                     [
                       dep_name;
@@ -335,7 +343,6 @@ let map_size =
         pick scale ~quick:[ 10.0; 14.0; 18.0; 22.0 ] ~paper:[ 20.0; 30.0; 40.0; 50.0; 60.0 ]
       in
       let density = 1.25 in
-      let config = Experiment.config_of_scale scale in
       List.map
         (fun map ->
           let n = int_of_float (density *. map *. map) in
@@ -350,17 +357,14 @@ let map_size =
               message = Bitvec.of_string "10110";
             }
           in
-          Experiment.Thunk
-            (fun () ->
+          Experiment.grid1 (Experiment.config_of_scale scale) spec (fun agg ->
               let diameter = float_of_int (hop_diameter spec) in
-              let agg = Experiment.measure config spec in
               Experiment.row
                 ~points:
                   [
                     ("rounds", (diameter, agg.Experiment.rounds));
                     ("broadcasts", (diameter, agg.Experiment.broadcasts));
                   ]
-                ~values:[ ("aggregate", Experiment.json_of_aggregate agg) ]
                 [
                   Printf.sprintf "%.0fx%.0f" map map;
                   Table.cell_i n;
@@ -398,7 +402,7 @@ let epidemic_comparison =
               message = Bitvec.of_string "10110";
             }
           in
-          Experiment.grid2 base
+          Experiment.grid2 (Experiment.config_of_scale scale) base
             { base with Scenario.protocol = Scenario.Epidemic }
             (fun nw epi ->
               let slowdown =
@@ -441,7 +445,7 @@ let ablation_pipeline =
               message;
             }
           in
-          Experiment.grid2 base
+          Experiment.grid2 (Experiment.config_of_scale scale) base
             { base with Scenario.pipelined = false }
             (fun piped naive ->
               let ratio =
@@ -490,7 +494,7 @@ let ablation_square =
               square_side = Some side;
             }
           in
-          Experiment.grid1 spec (fun agg ->
+          Experiment.grid1 (Experiment.config_of_scale scale) spec (fun agg ->
               Experiment.row
                 [
                   name;
@@ -524,7 +528,7 @@ let ablation_jamprob =
               faults = Scenario.Jamming { fraction = 0.1; budget; probability };
             }
           in
-          Experiment.grid1 spec (fun agg ->
+          Experiment.grid1 (Experiment.config_of_scale scale) spec (fun agg ->
               Experiment.row
                 [
                   Table.cell_f ~decimals:2 probability;
@@ -560,9 +564,12 @@ let ablation_dualmode =
               faults = Scenario.Lying 0.10;
             }
           in
-          Experiment.Thunk
+          Experiment.single
             (fun () ->
               let result = Dual_mode.run { Dual_mode.base; digest_len } in
+              let work run = Experiment.engine_work run.Scenario.engine in
+              (result, Experiment.add_work (work result.epidemic) (work result.digest)))
+            (fun result ->
               Experiment.row
                 ~values:
                   [
@@ -614,10 +621,9 @@ let ablation_cpa =
               seed;
             }
           in
-          Experiment.Thunk
+          Experiment.single
             (fun () ->
               let mp_result = Scenario.run spec in
-              let mp = Scenario.summarize mp_result in
               let topology = mp_result.Scenario.topology in
               let roles =
                 Array.init (Topology.size topology) (fun i ->
@@ -629,6 +635,9 @@ let ablation_cpa =
                   { Certified_propagation.Reference.radius; tolerance }
                   ~topology ~source:mp_result.Scenario.source ~message ~roles ~max_rounds:10_000
               in
+              let mp = Scenario.summarize mp_result in
+              ((mp, cpa), Experiment.engine_work mp_result.Scenario.engine))
+            (fun (mp, cpa) ->
               let cpa_reached =
                 Array.fold_left
                   (fun acc c -> if c = Some message then acc + 1 else acc)
@@ -649,7 +658,7 @@ let ablation_cpa =
                 [
                   Table.cell_i seed;
                   Table.cell_i cpa.Certified_propagation.Reference.rounds;
-                  Printf.sprintf "%d/%d" cpa_reached (Topology.size topology);
+                  Printf.sprintf "%d/%d" cpa_reached n;
                   Table.cell_i mp.Scenario.rounds;
                   Table.cell_pct mp.Scenario.completion_rate;
                   Table.cell_f ~decimals:0 factor ^ "x";

@@ -71,7 +71,7 @@ let comparison =
                       None);
                 }
               in
-              Experiment.grid1 spec (fun agg ->
+              Experiment.grid1 (Experiment.config_of_scale scale) spec (fun agg ->
                   Experiment.row
                     ~values:
                       [

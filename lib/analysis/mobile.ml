@@ -32,6 +32,7 @@ let scaled_config = function
 type result = {
   epochs_used : int;
   rounds_total : int;
+  active_rounds : int;
   completion_rate : float;
   correct_rate : float;
   mean_displacement : float;
@@ -58,6 +59,7 @@ let run config =
   let carried = Array.make n Bitvec.empty in
   let epochs_used = ref 0 in
   let rounds_total = ref 0 in
+  let active_rounds = ref 0 in
   let all_done = ref false in
   while (not !all_done) && !epochs_used < config.max_epochs do
     incr epochs_used;
@@ -85,6 +87,7 @@ let run config =
         ~listeners:(Neighbor_watch.listeners ctx) ~topology ~machines ~waiters ~cap:epoch_rounds ()
     in
     rounds_total := !rounds_total + epoch.Engine.rounds_used;
+    active_rounds := !active_rounds + epoch.Engine.active_rounds;
     for i = 0 to n - 1 do
       if (not liars.(i)) && i <> source then carried.(i) <- Neighbor_watch.committed_bits ctx i
     done;
@@ -110,6 +113,7 @@ let run config =
   {
     epochs_used = !epochs_used;
     rounds_total = !rounds_total;
+    active_rounds = !active_rounds;
     completion_rate = ratio !completed !honest_total;
     correct_rate = ratio !correct !honest_total;
     mean_displacement = Mobility.displacement mobility initial;

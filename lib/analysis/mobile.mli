@@ -44,6 +44,7 @@ val scaled_config : Experiment.scale -> config
 type result = {
   epochs_used : int;
   rounds_total : int;
+  active_rounds : int;  (** transmission-carrying rounds, summed over epochs *)
   completion_rate : float;  (** honest nodes that delivered *)
   correct_rate : float;  (** honest nodes that delivered the true message *)
   mean_displacement : float;  (** distance travelled per node over the run *)

@@ -6,28 +6,27 @@ let bounds =
     (fun _scale ->
       List.map
         (fun radius ->
-          Experiment.Thunk
-            (fun () ->
-              let nb = Bounds.neighbourhood_size ~radius in
-              let cell t =
-                Printf.sprintf "%d (%.0f%%)" t (100.0 *. float_of_int t /. float_of_int nb)
-              in
-              Experiment.row
-                ~values:
-                  [
-                    ("koo_bound", Json.Int (Bounds.koo_bound ~radius));
-                    ("multi_path_tolerance", Json.Int (Bounds.multi_path_tolerance ~radius));
-                    ("neighbor_watch_tolerance", Json.Int (Bounds.neighbor_watch_tolerance ~radius));
-                    ("two_voting_tolerance", Json.Int (Bounds.two_voting_tolerance ~radius));
-                  ]
+          let nb = Bounds.neighbourhood_size ~radius in
+          let cell t =
+            Printf.sprintf "%d (%.0f%%)" t (100.0 *. float_of_int t /. float_of_int nb)
+          in
+          Experiment.const
+            (Experiment.row
+              ~values:
                 [
-                  Table.cell_i radius;
-                  Table.cell_i nb;
-                  Printf.sprintf ">= %d" (Bounds.koo_bound ~radius);
-                  cell (Bounds.multi_path_tolerance ~radius);
-                  cell (Bounds.neighbor_watch_tolerance ~radius);
-                  cell (Bounds.two_voting_tolerance ~radius);
-                ]))
+                  ("koo_bound", Json.Int (Bounds.koo_bound ~radius));
+                  ("multi_path_tolerance", Json.Int (Bounds.multi_path_tolerance ~radius));
+                  ("neighbor_watch_tolerance", Json.Int (Bounds.neighbor_watch_tolerance ~radius));
+                  ("two_voting_tolerance", Json.Int (Bounds.two_voting_tolerance ~radius));
+                ]
+              [
+                Table.cell_i radius;
+                Table.cell_i nb;
+                Printf.sprintf ">= %d" (Bounds.koo_bound ~radius);
+                cell (Bounds.multi_path_tolerance ~radius);
+                cell (Bounds.neighbor_watch_tolerance ~radius);
+                cell (Bounds.two_voting_tolerance ~radius);
+              ]))
         [ 2; 3; 4; 6; 8 ])
 
 let mobile =
@@ -38,11 +37,17 @@ let mobile =
       let config = Mobile.scaled_config scale in
       List.map
         (fun speed ->
-          Experiment.Thunk
+          Experiment.single
             (fun () ->
               let result =
                 Mobile.run { config with model = { config.Mobile.model with Mobility.speed } }
               in
+              ( result,
+                {
+                  Experiment.rounds = result.Mobile.rounds_total;
+                  active_rounds = result.Mobile.active_rounds;
+                } ))
+            (fun result ->
               Experiment.row
                 ~values:
                   [

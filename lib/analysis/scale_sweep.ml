@@ -71,7 +71,7 @@ let sweep =
                       in
                       let base = { Scenario.default with message; faults } in
                       let spec = cell_spec ~base ~klass ~nodes ~density in
-                      Experiment.grid1 spec (fun agg ->
+                      Experiment.grid1 (Experiment.config_of_scale scale) spec (fun agg ->
                           Experiment.row
                             ~values:
                               [

@@ -153,7 +153,7 @@ let assign_machines ~n ~source ~byzantine ~faults ~fake ~adversary_machine make 
 (* The deployment draws from the first split of the spec's seed. *)
 let topology spec = build_topology (Rng.split (Rng.create spec.seed)) spec
 
-let run ?tap ?(mode = (`Sparse : Engine.mode)) ?topology:prebuilt ?(boxed = false) ?wrap spec =
+let run ?tap ?(mode = (`Sparse : Engine.mode)) ?topology:prebuilt ?wrap spec =
   let rng = Rng.create spec.seed in
   (* The split order is part of the deterministic contract: it must stay
      fixed — and the splits must happen — whether or not a prebuilt
@@ -262,7 +262,7 @@ let run ?tap ?(mode = (`Sparse : Engine.mode)) ?topology:prebuilt ?(boxed = fals
         (fun () -> Multi_path.progress ctx),
         Some (Multi_path.listeners ctx) )
     | Epidemic ->
-      let ctx = Epidemic.make_ctx Epidemic.default_config ~topology ~source in
+      let ctx = Epidemic.make_ctx ~topology ~source in
       ( assign ~schedule:(Epidemic.schedule ctx) (fun i -> function
           | Role_source -> Epidemic.machine ctx i (Epidemic.Source spec.message)
           | Role_liar fake_msg -> Epidemic.machine ctx i (Epidemic.Liar fake_msg)
@@ -271,11 +271,7 @@ let run ?tap ?(mode = (`Sparse : Engine.mode)) ?topology:prebuilt ?(boxed = fals
         (fun () -> 0),
         None )
     | Certified { tolerance } ->
-      let ctx =
-        Certified_propagation.make_ctx
-          (Certified_propagation.default_config ~tolerance)
-          ~topology ~source
-      in
+      let ctx = Certified_propagation.make_ctx ~tolerance ~topology ~source in
       ( assign ~schedule:(Certified_propagation.schedule ctx) (fun i -> function
           | Role_source ->
             Certified_propagation.machine ctx i (Certified_propagation.Source spec.message)
@@ -286,10 +282,6 @@ let run ?tap ?(mode = (`Sparse : Engine.mode)) ?topology:prebuilt ?(boxed = fals
         (fun () -> Certified_propagation.progress ctx),
         None )
   in
-  (* [boxed] strips every packed observer so the engine exercises the
-     variant-observation bridge; the equivalence suite holds both paths
-     byte-identical. *)
-  let machines = if boxed then Array.map Engine.boxed_machine machines else machines in
   let machines = match wrap with Some f -> f ~listeners machines | None -> machines in
   let waiters = Array.init n (fun i -> honest.(i) && i <> source) in
   (* Three silent schedule cycles mean the run is permanently stuck (one

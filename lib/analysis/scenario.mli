@@ -99,7 +99,6 @@ val run :
   ?tap:(Engine.round_digest -> unit) ->
   ?mode:Engine.mode ->
   ?topology:Topology.t ->
-  ?boxed:bool ->
   ?wrap:
     (listeners:(int -> int array) option ->
     Msg.t Engine.machine array ->
@@ -114,15 +113,14 @@ val run :
     supplied topology instead: it must be the very topology this spec
     builds (campaign warm rounds reuse the cold round's); the rng split
     order is unchanged either way, so faults and channel draws are
-    identical.  [boxed] (default false) runs every machine through
-    {!Engine.boxed_machine}, disabling the packed observation fast path —
-    the equivalence suite holds packed and boxed runs byte-identical.
-    NeighborWatchRB and MultiPathRB runs pass their listener sets
-    ({!Neighbor_watch.listeners}, {!Multi_path.listeners}) to the engine.
+    identical.  NeighborWatchRB and MultiPathRB runs pass their listener
+    sets ({!Neighbor_watch.listeners}, {!Multi_path.listeners}) to the
+    engine.
     [wrap ~listeners machines], if given, replaces the assembled machines
     just before the engine runs, and sees those sets ([None] for the
     other protocols): the lever by which the equivalence suite holds the
-    listener contract itself against a [`Dense] run. *)
+    listener contract itself against a [`Dense] run, and packed against
+    boxed observation ({!Engine.boxed_machine}). *)
 
 val presets : (string * spec) list
 (** Named specs mirroring the bundled examples ([examples/<name>.ml]); the

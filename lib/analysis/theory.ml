@@ -33,7 +33,7 @@ let budget_sweep =
                  else Scenario.Jamming { fraction = 0.05; budget; probability = 1.0 });
             }
           in
-          Experiment.grid1 spec (fun agg ->
+          Experiment.grid1 (Experiment.config_of_scale scale) spec (fun agg ->
               Experiment.row
                 ~points:[ ("budget", (float_of_int budget, agg.Experiment.rounds)) ]
                 [
@@ -53,17 +53,13 @@ let diameter_sweep =
         | Experiment.Quick -> [ 7; 11; 15; 19 ]
         | Experiment.Paper -> [ 9; 15; 21; 27; 33 ]
       in
-      let config = Experiment.config_of_scale scale in
       List.map
         (fun side ->
           let spec = grid_spec ~side ~message:(Bitvec.of_string "1011") in
-          Experiment.Thunk
-            (fun () ->
+          Experiment.grid1 (Experiment.config_of_scale scale) spec (fun agg ->
               let diameter = float_of_int (Figures.hop_diameter spec) in
-              let agg = Experiment.measure config spec in
               Experiment.row
                 ~points:[ ("diameter", (diameter, agg.Experiment.rounds)) ]
-                ~values:[ ("aggregate", Experiment.json_of_aggregate agg) ]
                 [
                   Printf.sprintf "%dx%d" side side;
                   Table.cell_f ~decimals:0 diameter;
@@ -87,7 +83,7 @@ let length_sweep =
         (fun len ->
           let message = Bitvec.random (Rng.create (50 + len)) len in
           let spec = grid_spec ~side ~message in
-          Experiment.grid1 spec (fun agg ->
+          Experiment.grid1 (Experiment.config_of_scale scale) spec (fun agg ->
               Experiment.row
                 ~points:[ ("length", (float_of_int len, agg.Experiment.rounds)) ]
                 [

@@ -40,14 +40,14 @@ let diff (first : trace) (second : trace) =
   in
   go 0
 
-let capture_spec ?max_rounds ?mode ?boxed spec =
+let capture_spec ?max_rounds ?mode spec =
   let spec =
     match max_rounds with
     | Some cap -> { spec with Scenario.cap = min spec.Scenario.cap cap }
     | None -> spec
   in
   let tap, finish = collector () in
-  let result = Scenario.run ~tap ?mode ?boxed spec in
+  let result = Scenario.run ~tap ?mode spec in
   (finish (), result)
 
 let check_spec ?max_rounds ?mode spec =

@@ -27,15 +27,12 @@ val diff : trace -> trace -> outcome
 val capture_spec :
   ?max_rounds:int ->
   ?mode:Engine.mode ->
-  ?boxed:bool ->
   Scenario.spec ->
   trace * Scenario.result
 (** One traced run.  [max_rounds] lowers the round cap so that checking
     stays cheap on large scenarios.  [mode] picks the engine loop
     (default sparse); rounds the sparse loop skips appear in the trace as
-    all-silent digests, so traces are comparable across modes.
-    [boxed] disables the machines' packed observation fast path
-    (forwarded to {!Scenario.run}), for packed-vs-variant equivalence. *)
+    all-silent digests, so traces are comparable across modes. *)
 
 val check_spec : ?max_rounds:int -> ?mode:Engine.mode -> Scenario.spec -> outcome
 (** Two traced runs of the same spec, diffed. *)

@@ -21,8 +21,7 @@ let codes =
 
 (* Audited-sound uses.  Certified_propagation's [progress] counter folds
    a commutative count; the engine's fingerprint hashes an explicit
-   canonical encoding; the bench table folds into a list it immediately
-   sorts.  The lint front end times its own analyzers (`securebit_lint
+   canonical encoding.  The lint front end times its own analyzers (`securebit_lint
    all` prints per-analyzer wall seconds), which is reporting, not
    protocol logic.
 
@@ -32,7 +31,6 @@ let allowlist =
   [
     ("lib/core/certified_propagation.ml", "hashtbl-order", __LINE__);
     ("lib/sim/engine.ml", "poly-hash", __LINE__);
-    ("bench/main.ml", "hashtbl-order", __LINE__);
     ("bin/securebit_lint.ml", "wall-clock", __LINE__);
   ]
 

@@ -1,55 +1,41 @@
 (* --- CPA over the radio engine ---------------------------------------- *)
 
-type config = {
-  tolerance : int;
-  repeats : int;
-  conflict_factor : float;
-  slot_rounds : int;
-}
-
-let default_config ~tolerance =
-  { tolerance; repeats = 3; conflict_factor = 3.0; slot_rounds = 6 }
-
 type state = {
-  my_slot : int;
+  announcer : Announcer.t;  (** my committed value, and its announcements *)
   is_liar : bool;
   peer_by_slot : Node.id option array;  (** listening slot -> decodable peer *)
-  mutable committed : Bitvec.t option;
-  mutable sent : int;
-  mutable packet : Msg.t Engine.action;
-      (** the [Transmit] action, allocated once at commitment; [Silent]
-          until then *)
   mutable vouches : (string * Node.id list) list;
       (** candidate value -> distinct vouching neighbours *)
 }
 
 type ctx = {
-  config : config;
+  tolerance : int;
   topology : Topology.t;
   schedule : Schedule.t;
   source : Node.id;
   states : (Node.id, state) Hashtbl.t;
 }
 
-let make_ctx config ~topology ~source =
-  let schedule =
-    if Topology.is_geometric topology then begin
-      let conflict_range = config.conflict_factor *. Topology.rx_reach topology in
-      Schedule.for_nodes topology ~conflict_range ~source
-    end
-    else Schedule.for_graph topology ~source
-  in
-  { config; topology; schedule; source; states = Hashtbl.create 64 }
+let make_ctx ~tolerance ~topology ~source =
+  {
+    tolerance;
+    topology;
+    schedule = Announcer.schedule topology ~source;
+    source;
+    states = Hashtbl.create 64;
+  }
 
 let schedule ctx = ctx.schedule
-let cycle ctx = Schedule.cycle ctx.schedule
-let cycle_rounds ctx = cycle ctx * ctx.config.slot_rounds
+let cycle_rounds ctx = Announcer.cycle_rounds ctx.schedule
+
 (* Derived from the states.  The count includes construction-time
    commitments (source, liars) — a constant offset the stall detector,
    which only watches for change, cannot see.  The fold is a commutative
    count, so table order does not matter. *)
 let progress ctx =
-  Hashtbl.fold (fun _ s acc -> if s.committed <> None then acc + 1 else acc) ctx.states 0
+  Hashtbl.fold
+    (fun _ s acc -> if Announcer.value s.announcer <> None then acc + 1 else acc)
+    ctx.states 0
 
 type role = Source of Bitvec.t | Relay | Liar of Bitvec.t
 
@@ -62,65 +48,40 @@ type role = Source of Bitvec.t | Relay | Liar of Bitvec.t
    Byzantine node can therefore lie about its own commitment but cannot
    impersonate anyone else, which is exactly CPA's fault model. *)
 let machine ctx id role =
-  let peer_by_slot = Array.make (cycle ctx) None in
+  let cyc = Schedule.cycle ctx.schedule in
+  let peer_by_slot = Array.make cyc None in
   Graph.iter_rx (Topology.graph ctx.topology) id (fun p ->
       let slot = Schedule.slot_of ctx.schedule p in
       if peer_by_slot.(slot) = None then peer_by_slot.(slot) <- Some p);
+  let a =
+    Announcer.create ctx.schedule id (match role with Source m | Liar m -> Some m | Relay -> None)
+  in
   let s =
     {
-      my_slot = Schedule.slot_of ctx.schedule id;
+      announcer = a;
       is_liar = (match role with Liar _ -> true | Source _ | Relay -> false);
       peer_by_slot;
-      committed = (match role with Source m | Liar m -> Some m | Relay -> None);
-      sent = 0;
-      packet = Engine.Silent;
       vouches = [];
     }
   in
-  (match s.committed with
-  | Some m -> s.packet <- Engine.Transmit (Msg.Packet m)
-  | None -> ());
   Hashtbl.replace ctx.states id s;
-  let slot_rounds = ctx.config.slot_rounds in
-  let cyc = cycle ctx in
-  let repeats = ctx.config.repeats in
-  let commit value =
-    if s.committed = None then begin
-      s.committed <- Some value;
-      s.packet <- Engine.Transmit (Msg.Packet value)
-    end
-  in
   let vouch voucher value =
     let key = Bitvec.to_string value in
     let entry = match List.assoc_opt key s.vouches with Some e -> e | None -> [] in
     if not (List.mem voucher entry) then begin
       let entry = voucher :: entry in
       s.vouches <- (key, entry) :: List.remove_assoc key s.vouches;
-      if List.length entry >= ctx.config.tolerance + 1 then commit value
+      if List.length entry >= ctx.tolerance + 1 then Announcer.hold a value
     end
   in
-  let act round =
-    match s.packet with
-    | Engine.Silent -> Engine.Silent
-    | Engine.Transmit _ as tx ->
-      if
-        round mod slot_rounds = 0
-        && round / slot_rounds mod cyc = s.my_slot
-        && s.sent < repeats
-      then begin
-        s.sent <- s.sent + 1;
-        tx
-      end
-      else Engine.Silent
-  in
   let on_clear round value =
-    if (not s.is_liar) && s.committed = None && round mod slot_rounds = 0 then begin
-      let slot = round / slot_rounds mod cyc in
+    if (not s.is_liar) && Announcer.value a = None && round mod Announcer.slot_rounds = 0 then begin
+      let slot = round / Announcer.slot_rounds mod cyc in
       (* Attribute by slot ownership; a packet in a slot none of my
          decodable neighbours owns is spoofed air and carries no
          authentication, so it is dropped. *)
       match s.peer_by_slot.(slot) with
-      | Some p when p = ctx.source -> commit value
+      | Some p when p = ctx.source -> Announcer.hold a value
       | Some p -> vouch p value
       | None -> ()
     end
@@ -137,28 +98,12 @@ let machine ctx id role =
       | Msg.Blip -> ()
     end
   in
-  (* Wakeup contract, mirroring Epidemic: an uncommitted node has nothing
-     scheduled (receptions always arrive through the engine's touched set,
-     which re-queries the contract afterwards); a committed one wakes at
-     the first round of each of its own slots until the repeat budget is
-     spent, then never again. *)
-  let next_active round =
-    match s.committed with
-    | None -> max_int
-    | Some _ ->
-      if s.sent >= repeats then max_int
-      else begin
-        let q = (round + slot_rounds - 1) / slot_rounds in
-        let j = q + ((((s.my_slot - q) mod cyc) + cyc) mod cyc) in
-        j * slot_rounds
-      end
-  in
   {
-    Engine.act;
+    Engine.act = Announcer.act a;
     observe;
     observe_packed = Some observe_packed;
-    delivered = (fun () -> s.committed);
-    next_active;
+    delivered = (fun () -> Announcer.value a);
+    next_active = Announcer.next_active a;
   }
 
 (* --- synchronous reference baseline ----------------------------------- *)

@@ -8,11 +8,11 @@
     neighbourhood lie.
 
     The main API runs CPA over the radio {!Engine} as a comparison
-    protocol: announcements occupy whole TDMA slots (as in {!Epidemic}),
-    and the single-hop authentication CPA assumes is realised
-    positionally — each slot has at most one owner among any receiver's
-    decodable neighbours, so a clear packet is attributable to its sender
-    by the slot it arrived in.  What this cannot harden against is
+    protocol: announcements occupy whole TDMA slots ({!Announcer}, as in
+    {!Epidemic}), and the single-hop authentication CPA assumes is
+    realised positionally — each slot has at most one owner among any
+    receiver's decodable neighbours, so a clear packet is attributable to
+    its sender by the slot it arrived in.  What this cannot harden against is
     physical-layer interference (collisions and jamming destroy packets
     silently), which is precisely the gap the paper's bit-level protocols
     close; the graph-class experiments measure that gap.
@@ -21,22 +21,11 @@
     model (reliable, authenticated single-hop delivery, no radio), used by
     the A5 ablation for the idealised round count. *)
 
-type config = {
-  tolerance : int;  (** t: commit quorum is [t + 1] distinct vouchers *)
-  repeats : int;  (** announcements per committed node (default 3) *)
-  conflict_factor : float;
-      (** TDMA conflict range as a multiple of the decode range, for
-          geometric topologies (default 3.0) *)
-  slot_rounds : int;  (** rounds per slot (default 6, one interval) *)
-}
-
-val default_config : tolerance:int -> config
-
 type ctx
 
-val make_ctx : config -> topology:Topology.t -> source:Node.id -> ctx
-(** Build the per-run context: geometric topologies get the spatial
-    conflict colouring, synthetic ones the decode-graph colouring. *)
+val make_ctx : tolerance:int -> topology:Topology.t -> source:Node.id -> ctx
+(** Build the per-run context; [tolerance] is t, so the commit quorum is
+    [t + 1] distinct vouchers.  The schedule is {!Announcer.schedule}'s. *)
 
 val schedule : ctx -> Schedule.t
 val cycle_rounds : ctx -> int
@@ -47,10 +36,8 @@ val progress : ctx -> int
 type role = Source of Bitvec.t | Relay | Liar of Bitvec.t
 
 val machine : ctx -> Node.id -> role -> Msg.t Engine.machine
-(** The CPA state machine, honouring the sparse wakeup contract: an
-    uncommitted node sleeps until a reception re-queries its contract; a
-    committed one wakes only for the first round of its own slots until
-    its repeat budget is spent. *)
+(** The CPA state machine; a committed node announces its value through
+    {!Announcer}, whose wakeup contract it keeps. *)
 
 (** The original synchronous reference in CPA's native friendly model:
     every announcement reaches all decode neighbours reliably in one

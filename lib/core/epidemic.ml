@@ -1,105 +1,30 @@
-type config = { repeats : int; conflict_factor : float; slot_rounds : int }
+type ctx = Schedule.t
 
-let default_config = { repeats = 3; conflict_factor = 3.0; slot_rounds = 6 }
-
-type ctx = {
-  config : config;
-  schedule : Schedule.t;
-  states : (Node.id, state) Hashtbl.t;
-}
-
-and state = {
-  my_slot : int;
-  mutable have : Bitvec.t option;
-  mutable sent : int;
-  mutable packet : Msg.t Engine.action;
-      (** the [Transmit] action, allocated once at adoption; [Silent] until
-          the node has the message *)
-}
-
-let make_ctx config ~topology ~source =
-  let schedule =
-    if Topology.is_geometric topology then begin
-      let conflict_range = config.conflict_factor *. Topology.rx_reach topology in
-      Schedule.for_nodes topology ~conflict_range ~source
-    end
-    else Schedule.for_graph topology ~source
-  in
-  { config; schedule; states = Hashtbl.create 64 }
-
-let schedule ctx = ctx.schedule
-let cycle ctx = Schedule.cycle ctx.schedule
-let cycle_rounds ctx = cycle ctx * ctx.config.slot_rounds
+let make_ctx ~topology ~source = Announcer.schedule topology ~source
+let schedule ctx = ctx
+let cycle ctx = Schedule.cycle ctx
+let cycle_rounds ctx = Announcer.cycle_rounds ctx
 
 type role = Source of Bitvec.t | Relay | Liar of Bitvec.t
 
 let machine ctx id role =
-  let s =
-    {
-      my_slot = Schedule.slot_of ctx.schedule id;
-      have = (match role with Source m | Liar m -> Some m | Relay -> None);
-      sent = 0;
-      packet = Engine.Silent;
-    }
-  in
-  (match s.have with Some m -> s.packet <- Engine.Transmit (Msg.Packet m) | None -> ());
-  Hashtbl.replace ctx.states id s;
-  let slot_rounds = ctx.config.slot_rounds in
-  let cyc = cycle ctx in
-  let repeats = ctx.config.repeats in
-  let adopt message =
-    if s.have = None then begin
-      s.have <- Some message;
-      s.packet <- Engine.Transmit (Msg.Packet message)
-    end
-  in
-  let act round =
-    (* The packet occupies a whole slot; it goes on the air in the slot's
-       first round. *)
-    match s.packet with
-    | Engine.Silent -> Engine.Silent
-    | Engine.Transmit _ as tx ->
-      if
-        round mod slot_rounds = 0
-        && round / slot_rounds mod cyc = s.my_slot
-        && s.sent < repeats
-      then begin
-        s.sent <- s.sent + 1;
-        tx
-      end
-      else Engine.Silent
-  in
+  let a = Announcer.create ctx id (match role with Source m | Liar m -> Some m | Relay -> None) in
   let observe _round obs =
     match obs with
-    | Channel.Clear (Msg.Packet message) -> adopt message
+    | Channel.Clear (Msg.Packet message) -> Announcer.hold a message
     | Channel.Clear Msg.Blip | Channel.Silence | Channel.Busy -> ()
   in
   let observe_packed _round code slots =
     if Channel.Packed.is_clear code then begin
       match slots.Engine.payloads.(Channel.Packed.slot code) with
-      | Msg.Packet message -> adopt message
+      | Msg.Packet message -> Announcer.hold a message
       | Msg.Blip -> ()
     end
   in
-  (* Wakeup contract: nothing to do until the packet arrives (reception
-     happens through the engine's touched set, which re-queries this after
-     every poll); with the packet in hand, wake at the first round of each
-     of my slots until the repeat budget is spent, then never again. *)
-  let next_active round =
-    match s.have with
-    | None -> max_int
-    | Some _ ->
-      if s.sent >= repeats then max_int
-      else begin
-        let q = (round + slot_rounds - 1) / slot_rounds in
-        let j = q + ((((s.my_slot - q) mod cyc) + cyc) mod cyc) in
-        j * slot_rounds
-      end
-  in
   {
-    Engine.act;
+    Engine.act = Announcer.act a;
     observe;
     observe_packed = Some observe_packed;
-    delivered = (fun () -> s.have);
-    next_active;
+    delivered = (fun () -> Announcer.value a);
+    next_active = Announcer.next_active a;
   }

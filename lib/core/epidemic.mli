@@ -9,27 +9,15 @@
     fast channel of the dual-mode scheme.
 
     The baseline runs under the same MAC model as the protocols
-    (Section 3): a fixed TDMA schedule with the 3R conflict rule, and a
-    slot long enough for one packet of a few bits — i.e. one 6-round
-    broadcast interval.  Giving the baseline an idealised 1-round,
-    interference-free schedule instead would overstate the cost of
-    authentication by an order of magnitude (see EXPERIMENTS.md, E7). *)
-
-type config = {
-  repeats : int;  (** rebroadcasts per node (default 3) *)
-  conflict_factor : float;
-      (** TDMA conflict range as a multiple of the decode range (default
-          3.0, the same spatial-reuse rule the protocols use) *)
-  slot_rounds : int;
-      (** rounds per slot — the time to transmit one packet (default 6,
-          one broadcast interval) *)
-}
-
-val default_config : config
+    ({!Announcer}: a fixed TDMA schedule with the 3R conflict rule, one
+    6-round broadcast interval per packet, 3 repeats).  Giving the
+    baseline an idealised 1-round, interference-free schedule instead
+    would overstate the cost of authentication by an order of magnitude
+    (see EXPERIMENTS.md, E7). *)
 
 type ctx
 
-val make_ctx : config -> topology:Topology.t -> source:Node.id -> ctx
+val make_ctx : topology:Topology.t -> source:Node.id -> ctx
 
 val schedule : ctx -> Schedule.t
 (** The TDMA schedule the packets ride on (slot ids are node ids). *)
@@ -38,7 +26,7 @@ val cycle : ctx -> int
 (** Slots per schedule cycle. *)
 
 val cycle_rounds : ctx -> int
-(** Rounds per schedule cycle ([cycle × slot_rounds]). *)
+(** Rounds per schedule cycle ([cycle × Announcer.slot_rounds]). *)
 
 type role = Source of Bitvec.t | Relay | Liar of Bitvec.t
 

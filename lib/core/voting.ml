@@ -8,71 +8,72 @@ let distinct_origins ~value items =
     items;
   Hashtbl.length seen
 
-let window_inside ~x0 ~y0 ~size (p : Point.t) =
-  p.x >= x0 -. 1e-9 && p.x <= x0 +. size +. 1e-9 && p.y >= y0 -. 1e-9
-  && p.y <= y0 +. size +. 1e-9
+(* The window is the [2 radius]-sided square whose left edge is [ax]'s x
+   and whose bottom edge is [ay]'s y.  The anchors travel as the points
+   they come from, and the side is computed here: a float passed to a
+   function that is not inlined is boxed on every call. *)
+let window_inside ~radius ~(ax : Point.t) ~(ay : Point.t) (p : Point.t) =
+  let size = 2.0 *. radius in
+  p.x >= ax.x -. 1e-9 && p.x <= ax.x +. size +. 1e-9 && p.y >= ay.y -. 1e-9
+  && p.y <= ay.y +. size +. 1e-9
 
-let rec all_inside ~x0 ~y0 ~size points =
+let rec all_inside ~radius ~ax ~ay points =
   match points with
   | [] -> true
-  | p :: rest -> window_inside ~x0 ~y0 ~size p && all_inside ~x0 ~y0 ~size rest
+  | p :: rest -> window_inside ~radius ~ax ~ay p && all_inside ~radius ~ax ~ay rest
 
 (* The two ints compared explicitly: polymorphic [=] on the pair would be a
    [compare] call per test. *)
 let same_origin ((a, b) : origin) ((c, d) : origin) = a = c && b = d
 
-let rec fits_later origin items ~x0 ~y0 ~size =
+let rec fits_later origin items ~radius ~ax ~ay =
   match items with
   | [] -> false
   | item :: rest ->
-    (same_origin item.origin origin && all_inside ~x0 ~y0 ~size item.points)
-    || fits_later origin rest ~x0 ~y0 ~size
+    (same_origin item.origin origin && all_inside ~radius ~ax ~ay item.points)
+    || fits_later origin rest ~radius ~ax ~ay
 
 (* Distinct origins with an item inside the window, with no table: an item
    counts when it fits and no later item of its origin does. *)
-let rec count_in_window items ~x0 ~y0 ~size =
+let rec count_in_window items ~radius ~ax ~ay =
   match items with
   | [] -> 0
   | item :: rest ->
     let last_fit =
-      all_inside ~x0 ~y0 ~size item.points && not (fits_later item.origin rest ~x0 ~y0 ~size)
+      all_inside ~radius ~ax ~ay item.points && not (fits_later item.origin rest ~radius ~ax ~ay)
     in
-    (if last_fit then 1 else 0) + count_in_window rest ~x0 ~y0 ~size
+    (if last_fit then 1 else 0) + count_in_window rest ~radius ~ax ~ay
 
 (* The candidate anchors walk the evidence points in place — a (points,
    pending items) cursor pair instead of materialized coordinate lists, so
    the scan allocates nothing.  Duplicate coordinates retest the same
    window; the scan is an [exists], so the result is unaffected. *)
-let rec scan_ys voting ~size ~need ~x0 points pending =
+let rec scan_ys voting ~radius ~need ~ax points pending =
   match points with
-  | (p : Point.t) :: rest ->
-    count_in_window voting ~x0 ~y0:p.y ~size >= need
-    || scan_ys voting ~size ~need ~x0 rest pending
+  | ay :: rest ->
+    count_in_window voting ~radius ~ax ~ay >= need || scan_ys voting ~radius ~need ~ax rest pending
   | [] -> (
     match pending with
     | [] -> false
-    | item :: rest -> scan_ys voting ~size ~need ~x0 item.points rest)
+    | item :: rest -> scan_ys voting ~radius ~need ~ax item.points rest)
 
-let rec scan_xs voting ~size ~need points pending =
+let rec scan_xs voting ~radius ~need points pending =
   match points with
-  | (p : Point.t) :: rest ->
-    scan_ys voting ~size ~need ~x0:p.x [] voting || scan_xs voting ~size ~need rest pending
+  | ax :: rest ->
+    scan_ys voting ~radius ~need ~ax [] voting || scan_xs voting ~radius ~need rest pending
   | [] -> (
     match pending with
     | [] -> false
-    | item :: rest -> scan_xs voting ~size ~need item.points rest)
+    | item :: rest -> scan_xs voting ~radius ~need item.points rest)
 
 (* The window scan proper, over items already filtered to one value.  The
    result does not depend on the order of [voting].  A minimal window has
-   its left edge at some point's x and its top edge at some point's y, so
-   anchoring candidates at every such pair is complete.  The scan is
+   its left edge at some point's x and its bottom edge at some point's y,
+   so anchoring candidates at every such pair is complete.  The scan is
    reachable from the protocol hot path (Voting.Index.decide), so every
-   helper above is a top-level function — nested or anonymous functions
-   here would count as per-call closure allocations against that hot
-   root. *)
-let window_scan ~radius ~need voting =
-  let size = 2.0 *. radius in
-  scan_xs voting ~size ~need [] voting
+   helper above is a top-level function, and test_alloc holds it at 0
+   words per call. *)
+let window_scan ~radius ~need voting = scan_xs voting ~radius ~need [] voting
 
 let quorum ~radius ~need ~value items =
   let voting = List.filter (fun item -> item.value = value) items in

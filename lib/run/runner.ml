@@ -1,11 +1,3 @@
-type task =
-  | Run of Scenario.spec  (* one seeded trial of a Grid cell *)
-  | Eval of (unit -> Experiment.row)
-
-type task_result =
-  | Summary of Scenario.summary
-  | Row of Experiment.row
-
 type profile = {
   minor_words : float;
   major_words : float;
@@ -22,70 +14,39 @@ type outcome = {
   job : Experiment.job;
   scale : Experiment.scale;
   table : Table.t;
-  rows : (Experiment.row * Experiment.aggregate list) list;
+  rows : Experiment.row list;
   fits : (string * Stats.fit) list;
   notes : string list;
   wall_seconds : float;
   profile : profile option;
 }
 
-let run_task = function
-  | Run spec -> Summary (Scenario.summarize (Scenario.run spec))
-  | Eval f -> Row (f ())
+(* A cell's trials as tasks that store each result in the cell's slot for
+   it and return the trial's work, and the render over the filled slots.
+   Every slot has one writer, and the pool joins every domain before the
+   renders read them. *)
+let prepare (Experiment.Cell { trials; render }) =
+  let slots = Array.make (List.length trials) None in
+  let task i trial () =
+    let result, work = trial () in
+    slots.(i) <- Some result;
+    work
+  in
+  (List.mapi task trials, fun () -> render (List.map Option.get (Array.to_list slots)))
 
-(* Flatten a job into independent trials (Grid cells contribute one trial
-   per spec per seed, thunks one trial each), execute them on the pool,
-   then merge strictly in cell order — so the rendered output is
-   byte-identical whatever [jobs] is. *)
+(* Map every trial of the job over the pool, then render strictly in cell
+   order — so the output is byte-identical whatever [jobs] is. *)
 let run_job ?(jobs = 1) ?(profile = false) ~scale (job : Experiment.job) =
   let gc0 = if profile then Some (Gc.quick_stat ()) else None in
   let minor0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
-  let cells = job.Experiment.cells scale in
-  let seeds = Experiment.seeds (job.Experiment.config scale) in
-  let tasks =
-    List.concat_map
-      (fun cell ->
-        match cell with
-        | Experiment.Grid { specs; _ } ->
-          List.concat_map
-            (fun spec -> List.map (fun seed -> Run { spec with Scenario.seed }) seeds)
-            specs
-        | Experiment.Thunk f -> [ Eval f ])
-      cells
-  in
-  let results, workers = Pool.map_array_stats ~jobs run_task (Array.of_list tasks) in
-  let cursor = ref 0 in
-  let take () =
-    let r = results.(!cursor) in
-    incr cursor;
-    r
-  in
-  let take_summary () =
-    match take () with Summary s -> s | Row _ -> invalid_arg "Runner: task order"
-  in
-  let rows =
-    List.map
-      (fun cell ->
-        match cell with
-        | Experiment.Grid { specs; render } ->
-          let aggs =
-            List.map
-              (fun _spec -> Experiment.aggregate (List.map (fun _seed -> take_summary ()) seeds))
-              specs
-          in
-          (render aggs, aggs)
-        | Experiment.Thunk _ -> (
-          match take () with Row r -> (r, []) | Summary _ -> invalid_arg "Runner: task order"))
-      cells
-  in
+  let cells = List.map prepare (job.Experiment.cells scale) in
+  let tasks = Array.of_list (List.concat_map fst cells) in
+  let works, workers = Pool.map_array_stats ~jobs (fun task -> task ()) tasks in
+  let rows = List.map (fun (_, render) -> render ()) cells in
   let table = Table.create ~title:job.Experiment.title ~columns:job.Experiment.columns in
-  List.iter
-    (fun ((row : Experiment.row), _) -> Table.add_row table row.Experiment.cells)
-    rows;
-  let all_points =
-    List.concat_map (fun ((row : Experiment.row), _) -> row.Experiment.points) rows
-  in
+  List.iter (fun (row : Experiment.row) -> Table.add_row table row.Experiment.cells) rows;
+  let all_points = List.concat_map (fun (row : Experiment.row) -> row.Experiment.points) rows in
   let series name =
     List.filter_map (fun (n, point) -> if n = name then Some point else None) all_points
   in
@@ -99,23 +60,14 @@ let run_job ?(jobs = 1) ?(profile = false) ~scale (job : Experiment.job) =
        at --jobs 1, coordinator-only above that): minor words from
        [Gc.minor_words], which counts the current minor heap too, the rest
        from [Gc.quick_stat]; [workers] carries exact per-domain deltas
-       from the pool.  Rounds/s divides the engine rounds actually
-       simulated (Grid trials only) by the job's wall time. *)
+       from the pool.  Rounds/s divides the engine rounds every trial
+       reported by the job's wall time. *)
     Option.map
       (fun g0 ->
         let minor_words = Gc.minor_words () -. minor0 in
         let g1 = Gc.quick_stat () in
-        let rounds_simulated =
-          Array.fold_left
-            (fun acc result ->
-              match result with Summary s -> acc + s.Scenario.rounds | Row _ -> acc)
-            0 results
-        in
-        let active_rounds =
-          Array.fold_left
-            (fun acc result ->
-              match result with Summary s -> acc + s.Scenario.active_rounds | Row _ -> acc)
-            0 results
+        let { Experiment.rounds = rounds_simulated; active_rounds } =
+          Array.fold_left Experiment.add_work Experiment.no_work works
         in
         {
           minor_words;
@@ -152,15 +104,15 @@ let render outcome =
   List.iter (fun note -> Buffer.add_string buf (note ^ "\n")) outcome.notes;
   Buffer.contents buf
 
-let json_of_row columns ((row : Experiment.row), aggs) =
+let json_of_row columns (row : Experiment.row) =
   let cells =
     Json.Obj (List.map2 (fun column cell -> (column, Json.String cell)) columns row.Experiment.cells)
   in
   Json.Obj
     ([ ("cells", cells) ]
-    @ (match aggs with
+    @ (match row.Experiment.aggregates with
       | [] -> []
-      | _ -> [ ("aggregates", Json.List (List.map Experiment.json_of_aggregate aggs)) ])
+      | aggs -> [ ("aggregates", Json.List (List.map Experiment.json_of_aggregate aggs)) ])
     @ match row.Experiment.values with [] -> [] | vs -> [ ("values", Json.Obj vs) ])
 
 let json_of_fit (label, fit) =

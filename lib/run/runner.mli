@@ -1,9 +1,9 @@
 (** Executes declarative {!Experiment.job}s, optionally on a domain pool.
 
-    A job is flattened into independent trials — one per (spec, seed) pair
-    of each [Grid] cell, one per [Thunk] — which {!Pool} distributes over
-    [jobs] domains; the merge then walks the cells in definition order, so
-    tables, fits and notes are byte-identical for every [jobs] value. *)
+    Every trial of every cell of a job goes to {!Pool}, which distributes
+    them over [jobs] domains; each cell then renders its row from its own
+    trials' results, in cell order, so tables, fits and notes are
+    byte-identical for every [jobs] value. *)
 
 type profile = {
   minor_words : float;  (** minor-heap words allocated while the job ran *)
@@ -15,10 +15,10 @@ type profile = {
           per-job values compare against a baseline only when both runs
           execute the same jobs in the same order (the registry order);
           {!Bench.gates} holds its limit *)
-  rounds_simulated : int;  (** engine rounds across the job's Grid trials *)
+  rounds_simulated : int;  (** engine rounds across the job's trials *)
   rounds_per_second : float;  (** rounds_simulated / wall_seconds *)
   active_rounds : int;
-      (** transmission-carrying engine rounds across the job's Grid trials
+      (** transmission-carrying engine rounds across the job's trials
           (mode-independent — see {!Engine.result}) *)
   words_per_active_round : float;
       (** [minor_words / active_rounds] (0 when no active rounds): the
@@ -36,9 +36,7 @@ type outcome = {
   job : Experiment.job;
   scale : Experiment.scale;
   table : Table.t;
-  rows : (Experiment.row * Experiment.aggregate list) list;
-      (** per table row: the rendered row and, for [Grid] cells, one
-          aggregate per spec (empty for [Thunk] rows) *)
+  rows : Experiment.row list;  (** one per cell, in cell order *)
   fits : (string * Stats.fit) list;
   notes : string list;
   wall_seconds : float;

@@ -272,8 +272,8 @@ let test_source_lint_fixtures () =
      deterministic for non-commutative accumulators) unless allowlisted. *)
   Alcotest.(check (list string)) "fold flagged outside the allowlist" [ "hashtbl-order" ]
     (source_codes ~path:"lib/analysis/tally.ml" clean_fixture);
-  Alcotest.(check (list string)) "same text allowlisted in bench/main.ml" []
-    (source_codes ~path:"bench/main.ml" clean_fixture);
+  Alcotest.(check (list string)) "same text allowlisted in certified_propagation.ml" []
+    (source_codes ~path:"lib/core/certified_propagation.ml" clean_fixture);
   Alcotest.(check (list string)) "typed comparators are clean" []
     (source_codes ~path:"lib/core/sorting.ml" "let xs = List.sort Float.compare [ 1.0; 2.0 ]\n")
 
@@ -357,18 +357,20 @@ let definition_line allowlist file code =
   | None -> Alcotest.failf "no allowlist entry (%s, %s)" file code
 
 let test_source_lint_allowlist_use_tracking () =
-  (* bench/main.ml has a hashtbl-order allowlist entry; a fold uses it... *)
+  (* certified_propagation.ml has a hashtbl-order allowlist entry; a fold
+     uses it... *)
+  let path = "lib/core/certified_propagation.ml" in
   let fold = "let t tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []\n" in
   Alcotest.(check (list string)) "suppressed, and the entry counts as used" []
-    (source_codes ~path:"bench/main.ml" fold);
+    (source_codes ~path fold);
   (* ...and clean contents leave it stale, reported where it is defined. *)
-  match source_lint ~path:"bench/main.ml" "let x = 1\n" with
+  match source_lint ~path "let x = 1\n" with
   | [ d ] ->
     Alcotest.(check string) "stale audit is an error" "unused-allowlist" d.code;
     Alcotest.(check (pair string int))
       "located at the entry's definition"
       ( "lib/check/source_lint.ml",
-        definition_line Source_lint.allowlist "bench/main.ml" "hashtbl-order" )
+        definition_line Source_lint.allowlist path "hashtbl-order" )
       (file_line d)
   | diags -> Alcotest.failf "expected one diagnostic, got %d" (List.length diags)
 
@@ -470,12 +472,9 @@ let test_global_mutable_functor_body () =
 let test_global_mutable_runner_plant () =
   let plant =
     "let trials_run = ref 0\n\n\
-     let run_task = function\n\
-    \  | Run spec ->\n\
-    \    incr trials_run;\n\
-    \    Summary (Scenario.summarize (Scenario.run { spec with Scenario.seed = \
-     spec.Scenario.seed + !trials_run }))\n\
-    \  | Eval f -> Row (f ())\n"
+     let seeded spec () =\n\
+    \  incr trials_run;\n\
+    \  Scenario.run { spec with Scenario.seed = spec.Scenario.seed + !trials_run }\n"
   in
   Alcotest.(check (list (pair string int)))
     "the runner's trial counter is flagged" [ ("global-mutable", 1) ]

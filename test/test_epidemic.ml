@@ -64,7 +64,7 @@ let test_repeats_bound_broadcasts () =
   Array.iter
     (fun count ->
       Alcotest.(check bool) "per-node broadcasts <= repeats" true
-        (count <= Epidemic.default_config.Epidemic.repeats))
+        (count <= Announcer.repeats))
     result.Scenario.engine.Engine.broadcasts
 
 let test_crash_can_disconnect () =
@@ -78,7 +78,7 @@ let test_direct_api_machines () =
   let deployment = Deployment.grid ~width:5 ~height:5 in
   let topology = Topology.build deployment (Propagation.disk_linf 2.0) in
   let source = Deployment.center_node deployment in
-  let ctx = Epidemic.make_ctx Epidemic.default_config ~topology ~source in
+  let ctx = Epidemic.make_ctx ~topology ~source in
   Alcotest.(check bool) "cycle bounded by nodes+1" true (Epidemic.cycle ctx <= 26);
   Alcotest.(check int) "cycle_rounds = 6 x cycle" (6 * Epidemic.cycle ctx)
     (Epidemic.cycle_rounds ctx);

@@ -112,8 +112,10 @@ let packed_case (pname, protocol) (mname, mode) =
       let seed = String.fold_left (fun h c -> (h * 131) + Char.code c) 11 name land 0xFFFF in
       let spec = small_spec ~protocol ~faults:(Scenario.Lying 0.15) ~seed ~n:50 in
       let packed_trace, packed = Determinism.capture_spec ~mode spec in
-      let boxed_trace, boxed = Determinism.capture_spec ~mode ~boxed:true spec in
-      check_same_trace name "packed/boxed" packed_trace boxed_trace;
+      let tap, finish = Determinism.collector () in
+      let wrap ~listeners:_ machines = Array.map Engine.boxed_machine machines in
+      let boxed = Scenario.run ~tap ~mode ~wrap spec in
+      check_same_trace name "packed/boxed" packed_trace (finish ());
       check_same_results name "packed/boxed" packed boxed)
 
 (* Loss draws happen during Phase-1 fan-out, so the CSR link order and the

@@ -216,11 +216,12 @@ let test_compare_not_run () =
 
 (* The acceptance bar for the parallel runner: the rendered table, the fits,
    the notes and the stable JSON of `--jobs 4` are byte-identical to
-   `--jobs 1`.  Sampled on the cheap registry jobs (an analytic table, a
-   theory sweep, a small simulation grid).  This is the dynamic check of
-   the `--jobs N` guarantee: a trial that reads or writes state another
-   trial also touches makes the e8a rows differ.  Source_lint's
-   global-mutable rule is the static one. *)
+   `--jobs 1`.  Sampled on the cheap registry jobs: an analytic table, a
+   theory sweep, a small simulation grid, a grid that reads its hop
+   diameter at render time (e8b) and single-trial rows (a4, mobile).
+   This is the dynamic check of the `--jobs N` guarantee: a trial that
+   reads or writes state another trial also touches makes the e8a rows
+   differ.  Source_lint's global-mutable rule is the static one. *)
 let test_parallel_identity () =
   List.iter
     (fun id ->
@@ -238,7 +239,21 @@ let test_parallel_identity () =
         (id ^ ": stable JSON identical")
         (Json.to_string (Runner.stable_json sequential))
         (Json.to_string (Runner.stable_json parallel)))
-    [ "bounds"; "e8a"; "a3" ]
+    [ "bounds"; "e8a"; "a3"; "e8b"; "a4"; "mobile" ]
+
+(* Every row is trials the runner runs and profiles: only the analytic
+   bounds table has none.  The cells are built, not run. *)
+let test_every_row_has_trials () =
+  List.iter
+    (fun (job : Experiment.job) ->
+      List.iteri
+        (fun k (Experiment.Cell { trials; _ }) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s row %d: has trials unless it is bounds" job.Experiment.id k)
+            (job.Experiment.id <> "bounds")
+            (trials <> []))
+        (job.Experiment.cells Experiment.Quick))
+    Registry.all
 
 (* --- Profiling ------------------------------------------------------------ *)
 
@@ -267,6 +282,21 @@ let test_profile_counters () =
       Alcotest.(check int) "single coordinator worker at jobs=1" 0 w.Pool.domain_index;
       Alcotest.(check bool) "worker ran the trials" true (w.Pool.tasks_run > 0)
     | ws -> Alcotest.failf "expected one worker stat at jobs=1, got %d" (List.length ws));
+  (* A trial's declared work is what the profile sums. *)
+  let declared =
+    Experiment.job ~id:"declared" ~title:"declared" ~columns:[ "ok" ] (fun _ ->
+        List.map
+          (fun rounds ->
+            Experiment.single
+              (fun () -> ((), { Experiment.rounds; active_rounds = rounds / 2 }))
+              (fun () -> Experiment.row [ "ok" ]))
+          [ 70; 30 ])
+  in
+  (match (Runner.run_job ~jobs:2 ~profile:true ~scale:Experiment.Quick declared).Runner.profile with
+  | None -> Alcotest.fail "profile requested but absent"
+  | Some p ->
+    Alcotest.(check int) "declared rounds summed" 100 p.Runner.rounds_simulated;
+    Alcotest.(check int) "declared active rounds summed" 50 p.Runner.active_rounds);
   (* The profile rides in the JSON but never perturbs the stable part that
      tables and comparisons are built from. *)
   Alcotest.(check string) "stable JSON unchanged by profiling"
@@ -299,12 +329,13 @@ let test_profile_minor_words_exact () =
   let job =
     Experiment.job ~id:"words" ~title:"words" ~columns:[ "ok" ] (fun _ ->
         [
-          Experiment.Thunk
+          Experiment.single
             (fun () ->
               for _ = 1 to 50_000 do
                 ignore (Sys.opaque_identity (ref 0))
               done;
-              Experiment.row [ "ok" ]);
+              ((), Experiment.no_work))
+            (fun () -> Experiment.row [ "ok" ]);
         ])
   in
   Gc.minor ();
@@ -357,6 +388,7 @@ let () =
       ( "runner",
         [
           Alcotest.test_case "jobs=4 byte-identical to jobs=1" `Quick test_parallel_identity;
+          Alcotest.test_case "every row has trials" `Quick test_every_row_has_trials;
           Alcotest.test_case "profile counters" `Quick test_profile_counters;
           Alcotest.test_case "profile minor words exact" `Quick test_profile_minor_words_exact;
         ] );

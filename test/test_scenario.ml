@@ -142,11 +142,24 @@ let test_experiment_aggregate () =
   Alcotest.(check (float 1e-9)) "mean rounds" 150.0 agg.Experiment.rounds;
   Alcotest.(check int) "runs" 2 agg.Experiment.runs
 
+(* A grid cell runs the spec once per seed, reports each run's engine
+   work, and carries the aggregate on its row. *)
 let test_experiment_measure_runs () =
   let config = { Experiment.repetitions = 2; base_seed = 42 } in
-  let agg = Experiment.measure config base in
-  Alcotest.(check int) "two runs" 2 agg.Experiment.runs;
-  Alcotest.(check bool) "produced rounds" true (agg.Experiment.rounds > 0.0)
+  match Experiment.grid1 config base (fun _ -> Experiment.row [ "x" ]) with
+  | Experiment.Cell { trials; render } ->
+    let results, works = List.split (List.map (fun trial -> trial ()) trials) in
+    Alcotest.(check int) "one trial per seed" 2 (List.length trials);
+    List.iter
+      (fun (w : Experiment.work) ->
+        Alcotest.(check bool) "work reported" true
+          (w.Experiment.rounds > 0 && w.Experiment.active_rounds <= w.Experiment.rounds))
+      works;
+    (match (render results).Experiment.aggregates with
+    | [ agg ] ->
+      Alcotest.(check int) "two runs" 2 agg.Experiment.runs;
+      Alcotest.(check bool) "produced rounds" true (agg.Experiment.rounds > 0.0)
+    | aggs -> Alcotest.failf "expected one aggregate, got %d" (List.length aggs))
 
 let () =
   Alcotest.run "scenario"
