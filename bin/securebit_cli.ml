@@ -451,17 +451,19 @@ let scale_cmd =
 
 let topo_cmd =
   let run spec =
-    (* Statistics, not delivery: a stranded node is exactly the kind of
-       thing this command exists to report, so never fail fast on it. *)
-    let result = Scenario.run { spec with Scenario.cap = 0; allow_unreachable = true } in
-    let topology = result.Scenario.topology in
-    let source = result.Scenario.source in
+    (* Statistics, not delivery: the topology alone, with [Scenario.run]'s
+       source, and no machines built.  A stranded node is exactly the kind
+       of thing this command exists to report, so it never fails on one. *)
+    let topology = Scenario.topology spec in
+    let graph = Topology.graph topology in
+    let deployment = Topology.deployment topology in
+    let source = Deployment.center_node deployment in
     let table = Table.create ~title:"topology" ~columns:[ "metric"; "value" ] in
     Table.add_row table [ "nodes"; Table.cell_i (Topology.size topology) ];
-    Table.add_row table [ "density"; Table.cell_f (Deployment.density (Topology.deployment topology)) ];
-    Table.add_row table [ "average degree"; Table.cell_f (Topology.avg_degree topology) ];
-    Table.add_row table [ "reachable from source"; Table.cell_i (Topology.reachable_from topology source) ];
-    Table.add_row table [ "hop diameter (from source)"; Table.cell_i (Topology.hop_diameter_from topology source) ];
+    Table.add_row table [ "density"; Table.cell_f (Deployment.density deployment) ];
+    Table.add_row table [ "average degree"; Table.cell_f (Graph.avg_degree graph) ];
+    Table.add_row table [ "reachable from source"; Table.cell_i (Graph.reachable_from graph source) ];
+    Table.add_row table [ "hop diameter (from source)"; Table.cell_i (Graph.hop_diameter_from graph source) ];
     Table.print table
   in
   Cmd.v

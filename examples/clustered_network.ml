@@ -32,7 +32,7 @@ let () =
         (fun (fault_name, faults) ->
           let s, result = run deployment faults in
           let reachable =
-            Topology.reachable_from result.Scenario.topology result.Scenario.source
+            Graph.reachable_from (Topology.graph result.Scenario.topology) result.Scenario.source
           in
           Table.add_row table
             [

@@ -10,12 +10,11 @@
 let () =
   print_endline "NeighborWatchRB over a mobile network (random waypoint).";
   print_endline "Epoch-based: locations are re-read between epochs; committed bits survive.\n";
-  let config = { Mobile.default with nodes = 150; epoch_rounds = 2500 } in
-  Table.print (Mobile.table config ~speeds:[ 0.0; 0.001; 0.003; 0.01 ]);
+  print_string (Runner.render (Runner.run_job ~scale:Experiment.Quick Mobile.job));
   print_endline "\nSafety is untouched by movement (every delivered message is authentic);";
   print_endline "what speed costs is per-epoch liveness, and what it buys is ferrying:";
   let sparse =
-    { config with nodes = 60; map = 16.0; epoch_rounds = 3000; max_epochs = 20 }
+    { Mobile.default with nodes = 60; map = 16.0; epoch_rounds = 3000; max_epochs = 20 }
   in
   let static = Mobile.run { sparse with model = { sparse.model with Mobility.speed = 0.0 } } in
   let moving = Mobile.run { sparse with model = { sparse.model with Mobility.speed = 0.01 } } in

@@ -22,9 +22,10 @@ let () =
         (the WSNet-like model of the paper's simulations). *)
   let radio = Propagation.friis spec.Scenario.radius in
   let topology = Topology.build deployment radio in
+  let graph = Topology.graph topology in
   Printf.printf "deployed %d devices, average degree %.1f, hop diameter %d\n"
-    (Deployment.size deployment) (Topology.avg_degree topology)
-    (Topology.hop_diameter_from topology (Deployment.center_node deployment));
+    (Deployment.size deployment) (Graph.avg_degree graph)
+    (Graph.hop_diameter_from graph (Deployment.center_node deployment));
 
   (* 3. The source sits at the centre and broadcasts four bits. *)
   let source = Deployment.center_node deployment in

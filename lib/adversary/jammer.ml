@@ -32,7 +32,4 @@ let veto_jammer ~rng ~budget ~probability =
   machine_of_predicate ~budget ~next_active:veto_phases (fun ~round:_ ~phase ->
       (phase = 4 || phase = 5) && Rng.bernoulli rng probability)
 
-let blanket_jammer ~rng ~budget ~probability =
-  machine_of_predicate ~budget (fun ~round:_ ~phase:_ -> Rng.bernoulli rng probability)
-
 let scripted ?next_active pred ~budget = machine_of_predicate ?next_active pred ~budget

@@ -10,10 +10,6 @@ val veto_jammer : rng:Rng.t -> budget:Budget.t -> probability:float -> Msg.t Eng
 (** Jams phases 4 and 5 (R5/R6) of every interval with the given
     probability per round, while budget remains. *)
 
-val blanket_jammer : rng:Rng.t -> budget:Budget.t -> probability:float -> Msg.t Engine.machine
-(** Jams any round with the given probability — the crude strategy, for
-    ablations. *)
-
 val scripted :
   ?next_active:(int -> int) ->
   (round:int -> phase:int -> bool) ->

@@ -6,20 +6,10 @@
     strongest per-budget jamming strategy against the slotted
     protocols. *)
 
-val slot_jammer :
-  schedule:Schedule.t ->
-  slot:int ->
-  rng:Rng.t ->
-  budget:Budget.t ->
-  probability:float ->
-  Msg.t Engine.machine
-(** Jam every round of every interval owned by [slot], each with the given
-    probability, while budget remains.  The wakeup contract covers exactly
-    the target-slot intervals ({!Schedule.next_relevant_round}), and the
-    RNG is drawn only in covered rounds, so sparse and dense runs stay
-    byte-identical.  Raises [Invalid_argument] if [slot] is outside the
-    schedule's cycle. *)
-
 val source_jammer :
   schedule:Schedule.t -> rng:Rng.t -> budget:Budget.t -> probability:float -> Msg.t Engine.machine
-(** {!slot_jammer} aimed at {!Schedule.source_slot}. *)
+(** Jam every round of every interval owned by {!Schedule.source_slot},
+    each with the given probability, while budget remains.  The wakeup
+    contract covers exactly the source-slot intervals
+    ({!Schedule.next_relevant_round}), and the RNG is drawn only in covered
+    rounds, so sparse and dense runs stay byte-identical. *)

@@ -8,24 +8,33 @@ let neighbor_watch_tolerance ~radius =
 
 let two_voting_tolerance ~radius = (radius * radius / 2) - 1
 
-let summary_table ~radii =
-  let table =
-    Table.create ~title:"per-neighbourhood Byzantine tolerance (analytic bounds)"
-      ~columns:
-        [ "R"; "neighbourhood"; "Koo impossibility"; "MultiPathRB"; "NeighborWatchRB"; "2-vote NW" ]
-  in
-  List.iter
-    (fun radius ->
-      let nb = neighbourhood_size ~radius in
-      let cell t = Printf.sprintf "%d (%.0f%%)" t (100.0 *. float_of_int t /. float_of_int nb) in
-      Table.add_row table
-        [
-          Table.cell_i radius;
-          Table.cell_i nb;
-          Printf.sprintf ">= %d" (koo_bound ~radius);
-          cell (multi_path_tolerance ~radius);
-          cell (neighbor_watch_tolerance ~radius);
-          cell (two_voting_tolerance ~radius);
-        ])
-    radii;
-  table
+let job =
+  Experiment.job ~id:"bounds"
+    ~title:"per-neighbourhood Byzantine tolerance (analytic bounds)"
+    ~columns:
+      [ "R"; "neighbourhood"; "Koo impossibility"; "MultiPathRB"; "NeighborWatchRB"; "2-vote NW" ]
+    (fun _scale ->
+      List.map
+        (fun radius ->
+          let nb = neighbourhood_size ~radius in
+          let cell t =
+            Printf.sprintf "%d (%.0f%%)" t (100.0 *. float_of_int t /. float_of_int nb)
+          in
+          Experiment.const
+            (Experiment.row
+              ~values:
+                [
+                  ("koo_bound", Json.Int (koo_bound ~radius));
+                  ("multi_path_tolerance", Json.Int (multi_path_tolerance ~radius));
+                  ("neighbor_watch_tolerance", Json.Int (neighbor_watch_tolerance ~radius));
+                  ("two_voting_tolerance", Json.Int (two_voting_tolerance ~radius));
+                ]
+              [
+                Table.cell_i radius;
+                Table.cell_i nb;
+                Printf.sprintf ">= %d" (koo_bound ~radius);
+                cell (multi_path_tolerance ~radius);
+                cell (neighbor_watch_tolerance ~radius);
+                cell (two_voting_tolerance ~radius);
+              ]))
+        [ 2; 3; 4; 6; 8 ])

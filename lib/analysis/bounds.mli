@@ -29,6 +29,7 @@ val neighbor_watch_tolerance : radius:int -> int
 val two_voting_tolerance : radius:int -> int
 (** Maximum [t] of the 2-voting variant: [⌊R²/2⌋ - 1]. *)
 
-val summary_table : radii:int list -> Table.t
-(** The bounds side by side, with the fraction of the neighbourhood each
-    represents. *)
+val job : Experiment.job
+(** The [bounds] table: the bounds side by side for R = 2, 3, 4, 6 and 8,
+    with the fraction of the neighbourhood each represents (no
+    simulation). *)

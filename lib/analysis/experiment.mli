@@ -60,7 +60,7 @@ type row = {
       (** contributions to named fit series, e.g. [("budget", (b, rounds))] *)
   values : (string * Json.t) list;
       (** extra machine-readable metrics carried into the JSON results *)
-  aggregates : aggregate list;  (** one per spec on {!grid} rows, else empty *)
+  aggregates : aggregate list;  (** one per spec on {!grid1}/{!grid2} rows, else empty *)
 }
 
 val row :
@@ -72,12 +72,13 @@ val row :
     randomness from seeds it owns. *)
 type cell = Cell : { trials : (unit -> 'a * work) list; render : 'a list -> row } -> cell
 
-val grid : config -> Scenario.spec list -> (aggregate list -> row) -> cell
-(** Every spec run once per seed of [config]; [render] receives one
-    aggregate per spec, in order, and the row carries them. *)
-
 val grid1 : config -> Scenario.spec -> (aggregate -> row) -> cell
+(** The spec run once per seed of [config]; [render] receives the
+    aggregate, and the row carries it. *)
+
 val grid2 : config -> Scenario.spec -> Scenario.spec -> (aggregate -> aggregate -> row) -> cell
+(** {!grid1} over two specs: [render] receives their aggregates in
+    order. *)
 
 val single : (unit -> 'a * work) -> ('a -> row) -> cell
 (** One trial of arbitrary code (an adaptive scan, a composite run). *)

@@ -331,7 +331,8 @@ let clustered =
    broadcast is needed to read it. *)
 let hop_diameter spec =
   let topology = Scenario.topology spec in
-  Topology.hop_diameter_from topology (Deployment.center_node (Topology.deployment topology))
+  Graph.hop_diameter_from (Topology.graph topology)
+    (Deployment.center_node (Topology.deployment topology))
 
 let map_size =
   Experiment.job ~id:"e6" ~title:"E6 (sec 6.2): scaling with map size (NeighborWatchRB)"
@@ -664,19 +665,3 @@ let ablation_cpa =
                   Table.cell_f ~decimals:0 factor ^ "x";
                 ]))
         [ 1; 2; 3 ])
-
-let jobs =
-  [
-    fig5_crash;
-    jamming;
-    fig6_lying;
-    fig7_density;
-    clustered;
-    map_size;
-    epidemic_comparison;
-    ablation_pipeline;
-    ablation_square;
-    ablation_jamprob;
-    ablation_dualmode;
-    ablation_cpa;
-  ]

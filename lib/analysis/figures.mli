@@ -70,9 +70,6 @@ val ablation_cpa : Experiment.job
     authenticated channel vs MultiPathRB on the Byzantine radio, on
     identical topologies — the cost of hardening the radio. *)
 
-val jobs : Experiment.job list
-(** Every job above, in experiment order (E1–E7, then A1–A5). *)
-
 val hop_diameter : Scenario.spec -> int
 (** The hop eccentricity of [Scenario.run]'s source (the deployment's
     centre node) in the spec's topology, from {!Scenario.topology} alone:

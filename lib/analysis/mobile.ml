@@ -119,22 +119,36 @@ let run config =
     mean_displacement = Mobility.displacement mobility initial;
   }
 
-let table config ~speeds =
-  let t =
-    Table.create ~title:"mobile NeighborWatchRB (random waypoint, epoch-based)"
-      ~columns:[ "speed"; "epochs"; "rounds"; "completed"; "correct"; "mean travel" ]
-  in
-  List.iter
-    (fun speed ->
-      let result = run { config with model = { config.model with Mobility.speed } } in
-      Table.add_row t
-        [
-          Printf.sprintf "%g/round" speed;
-          Table.cell_i result.epochs_used;
-          Table.cell_i result.rounds_total;
-          Table.cell_pct result.completion_rate;
-          Table.cell_pct result.correct_rate;
-          Table.cell_f ~decimals:2 result.mean_displacement;
-        ])
-    speeds;
-  t
+let job =
+  Experiment.job ~id:"mobile"
+    ~title:"mobile NeighborWatchRB (random waypoint, epoch-based)"
+    ~columns:[ "speed"; "epochs"; "rounds"; "completed"; "correct"; "mean travel" ]
+    (fun scale ->
+      let config = scaled_config scale in
+      List.map
+        (fun speed ->
+          Experiment.single
+            (fun () ->
+              let result = run { config with model = { config.model with Mobility.speed } } in
+              ( result,
+                { Experiment.rounds = result.rounds_total; active_rounds = result.active_rounds }
+              ))
+            (fun result ->
+              Experiment.row
+                ~values:
+                  [
+                    ("speed", Json.Float speed);
+                    ("epochs", Json.Int result.epochs_used);
+                    ("rounds", Json.Int result.rounds_total);
+                    ("completion_rate", Json.Float result.completion_rate);
+                    ("correct_rate", Json.Float result.correct_rate);
+                  ]
+                [
+                  Printf.sprintf "%g/round" speed;
+                  Table.cell_i result.epochs_used;
+                  Table.cell_i result.rounds_total;
+                  Table.cell_pct result.completion_rate;
+                  Table.cell_pct result.correct_rate;
+                  Table.cell_f ~decimals:2 result.mean_displacement;
+                ]))
+        [ 0.0; 0.003; 0.01 ])

@@ -36,11 +36,6 @@ val default : config
 (** 12×12 map, 200 nodes, R = 3, 4-bit message, 3000-round epochs, speed
     0.002 units/round, no liars. *)
 
-val scaled_config : Experiment.scale -> config
-(** The benchmark configuration per scale: sparse deployments, so the
-    table shows the interesting regime (static partitions that movement
-    ferries the message across). *)
-
 type result = {
   epochs_used : int;
   rounds_total : int;
@@ -52,6 +47,8 @@ type result = {
 
 val run : config -> result
 
-val table : config -> speeds:float list -> Table.t
-(** Completion/correctness vs speed (one row per speed), for the mobile
-    example and bench. *)
+val job : Experiment.job
+(** The [mobile] table: completion and correctness vs waypoint speed (one
+    row per speed, one {!run} each).  Its deployments are sparse, so the
+    table shows the interesting regime: static partitions that movement
+    ferries the message across. *)

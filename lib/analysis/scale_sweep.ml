@@ -44,6 +44,26 @@ let cell_spec ~base ~klass ~nodes ~density =
     let degree = max 3 (int_of_float (Float.round density)) in
     { base with Scenario.deployment = Scenario.Expander { n = nodes; degree } }
 
+type cell = { klass : klass; nodes : int; density : float; adversary : string }
+
+let cells ~classes ~node_counts ~densities ~adversaries =
+  List.concat_map
+    (fun klass ->
+      List.concat_map
+        (fun nodes ->
+          List.concat_map
+            (fun density -> List.map (fun adversary -> { klass; nodes; density; adversary }) adversaries)
+            densities)
+        node_counts)
+    classes
+
+let spec_of_cell ~base cell =
+  match faults_of_adversary cell.adversary with
+  | Some faults ->
+    cell_spec ~base:{ base with Scenario.faults } ~klass:cell.klass ~nodes:cell.nodes
+      ~density:cell.density
+  | None -> invalid_arg (Printf.sprintf "Scale_sweep: unknown adversary %s" cell.adversary)
+
 let pick scale ~quick ~paper = match scale with Experiment.Quick -> quick | Paper -> paper
 
 let sweep =
@@ -55,44 +75,33 @@ let sweep =
       let adversaries =
         pick scale ~quick:[ "honest"; "lying" ] ~paper:[ "honest"; "lying"; "jam" ]
       in
-      let message = pick scale ~quick:(Bitvec.of_string "10") ~paper:(Bitvec.of_string "1011") in
-      List.concat_map
-        (fun klass ->
-          List.concat_map
-            (fun nodes ->
-              List.concat_map
-                (fun density ->
-                  List.map
-                    (fun adversary ->
-                      let faults =
-                        match faults_of_adversary adversary with
-                        | Some faults -> faults
-                        | None -> assert false
-                      in
-                      let base = { Scenario.default with message; faults } in
-                      let spec = cell_spec ~base ~klass ~nodes ~density in
-                      Experiment.grid1 (Experiment.config_of_scale scale) spec (fun agg ->
-                          Experiment.row
-                            ~values:
-                              [
-                                ("graph", Json.String (klass_name klass));
-                                ("nodes", Json.Int nodes);
-                                ("density", Json.Float density);
-                                ("adversary", Json.String adversary);
-                                ("completion_rate", Json.Float agg.Experiment.completion_rate);
-                                ("correct_rate", Json.Float agg.Experiment.correct_rate);
-                                ("rounds", Json.Float agg.Experiment.rounds);
-                              ]
-                            [
-                              klass_name klass;
-                              Table.cell_i nodes;
-                              Table.cell_f ~decimals:0 density;
-                              adversary;
-                              Table.cell_pct agg.Experiment.completion_rate;
-                              Table.cell_pct agg.Experiment.correct_rate;
-                              Table.cell_f ~decimals:0 agg.Experiment.rounds;
-                            ]))
-                    adversaries)
-                densities)
-            node_counts)
-        all_classes)
+      let base =
+        {
+          Scenario.default with
+          message = pick scale ~quick:(Bitvec.of_string "10") ~paper:(Bitvec.of_string "1011");
+        }
+      in
+      List.map
+        (fun ({ klass; nodes; density; adversary } as cell) ->
+          Experiment.grid1 (Experiment.config_of_scale scale) (spec_of_cell ~base cell) (fun agg ->
+              Experiment.row
+                ~values:
+                  [
+                    ("graph", Json.String (klass_name klass));
+                    ("nodes", Json.Int nodes);
+                    ("density", Json.Float density);
+                    ("adversary", Json.String adversary);
+                    ("completion_rate", Json.Float agg.Experiment.completion_rate);
+                    ("correct_rate", Json.Float agg.Experiment.correct_rate);
+                    ("rounds", Json.Float agg.Experiment.rounds);
+                  ]
+                [
+                  klass_name klass;
+                  Table.cell_i nodes;
+                  Table.cell_f ~decimals:0 density;
+                  adversary;
+                  Table.cell_pct agg.Experiment.completion_rate;
+                  Table.cell_pct agg.Experiment.correct_rate;
+                  Table.cell_f ~decimals:0 agg.Experiment.rounds;
+                ]))
+        (cells ~classes:all_classes ~node_counts ~densities ~adversaries))

@@ -1,7 +1,7 @@
 (** S1: the scale sweep — node count × target density × adversary mix
-    over the two graph classes of the scale campaign.  The cell
-    construction here also backs [lib/run/campaign.ml], so a registry row
-    and a campaign run of the same cell simulate the same spec. *)
+    over the two graph classes of the scale campaign.  The cell grid and
+    its construction here also back [lib/run/campaign.ml], so a registry
+    row and a campaign run of the same cell simulate the same spec. *)
 
 type klass = Uniform_radio | Expander_synthetic
 
@@ -21,6 +21,21 @@ val cell_spec :
     faults, cap and seed).  Geometric cells fix the radius at 4.0 and
     size the map for the target degree; expander cells round the density
     to the node degree.  Always sets [allow_unreachable]. *)
+
+type cell = { klass : klass; nodes : int; density : float; adversary : string }
+
+val cells :
+  classes:klass list ->
+  node_counts:int list ->
+  densities:float list ->
+  adversaries:string list ->
+  cell list
+(** Every (class, node count, density, adversary) cell, nested in that
+    order: the row order of S1 and the run order of the scale campaign. *)
+
+val spec_of_cell : base:Scenario.spec -> cell -> Scenario.spec
+(** {!cell_spec} for the cell, with [faults] from {!faults_of_adversary}.
+    Raises [Invalid_argument] on an unknown adversary name. *)
 
 val sweep : Experiment.job
 (** The registered S1 job. *)

@@ -180,7 +180,7 @@ let run ?tap ?(mode = (`Sparse : Engine.mode)) ?topology:prebuilt ?wrap spec =
      measure partial coverage (sparse random deployments, crash faults)
      opt out via [allow_unreachable]. *)
   if not spec.allow_unreachable then begin
-    let unreachable = n - Topology.reachable_from topology source in
+    let unreachable = n - Graph.reachable_from (Topology.graph topology) source in
     if unreachable > 0 then raise (Unreachable { unreachable; total = n })
   end;
   let byzantine =

@@ -13,18 +13,9 @@
     one-variable sweeps.  Each sweep is a declarative {!Experiment.job}
     carrying the corresponding linear fit. *)
 
-val grid_spec : side:int -> message:Bitvec.t -> Scenario.spec
-(** The analytic setting: a [side × side] unit grid under the L∞ disk
-    radio with R = 2 and the ⌈R/2⌉ square sizing. *)
-
-val budget_sweep : Experiment.job
-(** E8a: rounds vs per-jammer budget on a grid. *)
-
-val diameter_sweep : Experiment.job
-(** E8b: rounds vs hop diameter across grid sizes. *)
-
-val length_sweep : Experiment.job
-(** E8c: rounds vs message length on a fixed grid. *)
-
 val jobs : Experiment.job list
-(** [e8a; e8b; e8c]. *)
+(** E8a (rounds vs per-jammer budget on a grid), E8b (rounds vs hop
+    diameter across grid sizes) and E8c (rounds vs message length on a
+    fixed grid), in that order.  Every run is the analytic setting: a
+    [side × side] unit grid under the L∞ disk radio with R = 2 and the
+    ⌈R/2⌉ square sizing. *)

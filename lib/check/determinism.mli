@@ -51,5 +51,4 @@ val check_modes :
     engine's mode-equivalence promise makes any divergence a bug in one
     of the two named loop implementations. *)
 
-val pp_outcome : Format.formatter -> outcome -> unit
 val outcome_to_string : outcome -> string

@@ -89,5 +89,4 @@ val check_one_hop : ?impl:impl -> ?msg_len:int -> budget:int -> unit -> outcome
     against every adversary schedule of at most [budget] broadcasts over
     [msg_len + budget] intervals. *)
 
-val pp_counterexample : Format.formatter -> counterexample -> unit
 val counterexample_to_string : counterexample -> string

@@ -96,5 +96,4 @@ val check_neighbor_watch : ?impl:nw_impl -> votes:int -> radius:int -> unit -> o
 (** Exhaust liar stream patterns for the [votes]-voting protocol variant
     (1 or 2); [radius] selects the tolerance for the arithmetic bound. *)
 
-val pp_counterexample : Format.formatter -> counterexample -> unit
 val counterexample_to_string : counterexample -> string

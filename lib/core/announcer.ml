@@ -1,4 +1,3 @@
-let slot_rounds = 6
 let repeats = 3
 let conflict_factor = 3.0
 
@@ -8,11 +7,11 @@ let schedule topology ~source =
       ~source
   else Schedule.for_graph topology ~source
 
-let cycle_rounds schedule = Schedule.cycle schedule * slot_rounds
+let cycle_rounds schedule = Schedule.cycle schedule * Schedule.rounds_per_interval
 
 type t = {
+  schedule : Schedule.t;
   my_slot : int;
-  cycle : int;
   mutable value : Bitvec.t option;
   mutable sent : int;
   mutable packet : Msg.t Engine.action;
@@ -29,8 +28,8 @@ let hold t value =
 let create schedule id value =
   let t =
     {
+      schedule;
       my_slot = Schedule.slot_of schedule id;
-      cycle = Schedule.cycle schedule;
       value = None;
       sent = 0;
       packet = Engine.Silent;
@@ -47,7 +46,10 @@ let act t round =
   match t.packet with
   | Engine.Silent -> Engine.Silent
   | Engine.Transmit _ as tx ->
-    if round mod slot_rounds = 0 && round / slot_rounds mod t.cycle = t.my_slot && t.sent < repeats
+    if
+      Schedule.phase_of_round round = 0
+      && Schedule.active_slot t.schedule ~interval:(Schedule.interval_of_round round) = t.my_slot
+      && t.sent < repeats
     then begin
       t.sent <- t.sent + 1;
       tx
@@ -60,7 +62,10 @@ let next_active t round =
   | Some _ ->
     if t.sent >= repeats then max_int
     else begin
-      let q = (round + slot_rounds - 1) / slot_rounds in
-      let j = q + ((((t.my_slot - q) mod t.cycle) + t.cycle) mod t.cycle) in
-      j * slot_rounds
+      (* The first interval starting at or after [round], then the first
+         of mine from there. *)
+      let first = Schedule.interval_of_round (round + Schedule.rounds_per_interval - 1) in
+      let cycle = Schedule.cycle t.schedule in
+      let wait = (t.my_slot - Schedule.active_slot t.schedule ~interval:first + cycle) mod cycle in
+      Schedule.first_round_of_interval (first + wait)
     end

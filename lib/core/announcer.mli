@@ -7,9 +7,6 @@
     holds a value sends it in the first round of its slot, [repeats]
     times, then falls silent for good. *)
 
-val slot_rounds : int
-(** Rounds per slot: 6, one broadcast interval. *)
-
 val repeats : int
 (** Announcements per node: 3. *)
 
@@ -19,7 +16,7 @@ val schedule : Topology.t -> source:Node.id -> Schedule.t
     protocols use); synthetic ones the decode-graph colouring. *)
 
 val cycle_rounds : Schedule.t -> int
-(** Rounds per schedule cycle ([Schedule.cycle × slot_rounds]). *)
+(** Rounds per schedule cycle ([Schedule.cycle × Schedule.rounds_per_interval]). *)
 
 type t
 

@@ -75,8 +75,8 @@ let machine ctx id role =
     end
   in
   let on_clear round value =
-    if (not s.is_liar) && Announcer.value a = None && round mod Announcer.slot_rounds = 0 then begin
-      let slot = round / Announcer.slot_rounds mod cyc in
+    if (not s.is_liar) && Announcer.value a = None && Schedule.phase_of_round round = 0 then begin
+      let slot = Schedule.active_slot ctx.schedule ~interval:(Schedule.interval_of_round round) in
       (* Attribute by slot ownership; a packet in a slot none of my
          decodable neighbours owns is spoofed air and carries no
          authentication, so it is dropped. *)

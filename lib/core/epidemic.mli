@@ -26,7 +26,7 @@ val cycle : ctx -> int
 (** Slots per schedule cycle. *)
 
 val cycle_rounds : ctx -> int
-(** Rounds per schedule cycle ([cycle × Announcer.slot_rounds]). *)
+(** Rounds per schedule cycle ([cycle × Schedule.rounds_per_interval]). *)
 
 type role = Source of Bitvec.t | Relay | Liar of Bitvec.t
 

@@ -19,7 +19,6 @@ let codec ~msg_len ~coord_range ~coord_step =
   }
 
 let index_bits c = c.index_bits
-let coord_bits c = c.coord_bits
 
 let snap c (p : Point.t) =
   ( int_of_float (Float.round (p.x /. c.coord_step)),

@@ -46,8 +46,6 @@ val codec : msg_len:int -> coord_range:float -> coord_step:float -> codec
     [coord_step]; indices range over [\[0, msg_len)]. *)
 
 val index_bits : codec -> int
-val coord_bits : codec -> int
-(** Bits per delta coordinate. *)
 
 val snap : codec -> Point.t -> int * int
 (** Canonical lattice cell of a position. *)

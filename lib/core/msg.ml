@@ -1,11 +1,1 @@
 type t = Blip | Packet of Bitvec.t
-
-let equal a b =
-  match (a, b) with
-  | Blip, Blip -> true
-  | Packet x, Packet y -> Bitvec.equal x y
-  | (Blip | Packet _), _ -> false
-
-let pp fmt = function
-  | Blip -> Format.pp_print_string fmt "blip"
-  | Packet bits -> Format.fprintf fmt "packet(%a)" Bitvec.pp bits

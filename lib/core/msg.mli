@@ -11,6 +11,3 @@
 type t =
   | Blip
   | Packet of Bitvec.t
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -43,8 +43,6 @@ module Vote = struct
 
   let receiver st = st.receiver
   let provider st = st.provider
-  let agreed st = st.agreed
-  let disagrees st = st.disagrees
 
   let reset_stream st =
     st.agreed <- 0;
@@ -228,7 +226,6 @@ let make_ctx config ~topology ~source =
   }
 
 let schedule ctx = ctx.schedule
-let squares ctx = ctx.squares
 
 type role = Source of Bitvec.t | Relay | Liar of Bitvec.t
 

@@ -67,16 +67,6 @@ module Vote : sig
 
   val provider : stream -> provider
 
-  val agreed : stream -> int
-  (** Bits verified equal to the committed prefix (monotone). *)
-
-  val disagrees : stream -> bool
-  (** A verified bit differed: the stream is never a candidate again. *)
-
-  val reset_stream : stream -> unit
-  (** Restart agreement state (liar give-up: the committed prefix is
-      cleared, so agreement must be re-established from scratch). *)
-
   type t
 
   val create : votes:int -> t
@@ -84,7 +74,6 @@ module Vote : sig
       ([votes = 2]) protocol variant. *)
 
   val votes : t -> int
-  val reset : t -> unit
 
   val poll : t -> committed:Buffer.t -> stream array -> bool option
   (** One frontier decision at [Buffer.length committed]: advance every
@@ -97,7 +86,6 @@ type ctx
 
 val make_ctx : config -> topology:Topology.t -> source:Node.id -> ctx
 val schedule : ctx -> Schedule.t
-val squares : ctx -> Squares.t
 
 type role =
   | Source of Bitvec.t  (** the broadcast source and its message *)

@@ -10,9 +10,7 @@ let dist_linf a b = max (abs_float (a.x -. b.x)) (abs_float (a.y -. b.y))
 let within_l2 r a b = dist_l2 a b <= r
 let within_linf r a b = dist_linf a b <= r
 let equal a b = a.x = b.x && a.y = b.y
-let pp fmt t = Format.fprintf fmt "(%.2f, %.2f)" t.x t.y
 
 type metric = L2 | Linf
 
-let dist = function L2 -> dist_l2 | Linf -> dist_linf
 let within = function L2 -> within_l2 | Linf -> within_linf

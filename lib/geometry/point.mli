@@ -9,15 +9,10 @@ type t = { x : float; y : float }
 
 val make : float -> float -> t
 val dist_l2 : t -> t -> float
-val dist_linf : t -> t -> float
-val within_l2 : float -> t -> t -> bool
-(** [within_l2 r a b] iff [dist_l2 a b <= r]. *)
-
-val within_linf : float -> t -> t -> bool
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 type metric = L2 | Linf
 
-val dist : metric -> t -> t -> float
 val within : metric -> float -> t -> t -> bool
+(** [within metric r a b] iff [a] and [b] are at most [r] apart under
+    [metric]. *)

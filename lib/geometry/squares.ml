@@ -1,10 +1,10 @@
-type t = { side : float; width : float; height : float; cols : int; rows : int }
+type t = { side : float; cols : int; rows : int }
 
 let make ~side ~width ~height =
   if side <= 0.0 || width <= 0.0 || height <= 0.0 then invalid_arg "Squares.make";
   let cols = max 1 (int_of_float (ceil (width /. side))) in
   let rows = max 1 (int_of_float (ceil (height /. side))) in
-  { side; width; height; cols; rows }
+  { side; cols; rows }
 
 let side t = t.side
 let count t = t.cols * t.rows
@@ -31,12 +31,6 @@ let neighbors t id =
     [ (-1, -1); (0, -1); (1, -1); (-1, 0); (1, 0); (-1, 1); (0, 1); (1, 1) ]
   in
   List.filter_map (fun (dx, dy) -> id_of_coords t (cx + dx, cy + dy)) candidates
-
-let center t id =
-  let cx, cy = coords t id in
-  let x = min t.width ((float_of_int cx +. 0.5) *. t.side) in
-  let y = min t.height ((float_of_int cy +. 0.5) *. t.side) in
-  Point.make x y
 
 let analytic_side ~radius = ceil (radius /. 2.0)
 let simulation_side ~radius = radius /. 3.0

@@ -34,9 +34,6 @@ val id_of_coords : t -> int * int -> int option
 val neighbors : t -> int -> int list
 (** The up-to-8 adjacent squares (excluding the square itself). *)
 
-val center : t -> int -> Point.t
-(** Geometric centre of a square. *)
-
 val analytic_side : radius:float -> float
 (** [⌈R/2⌉], the analytic square side (Section 4). *)
 

@@ -8,7 +8,6 @@ module Packed = struct
   let silence = 0
   let busy = 1
   let clear slot = 2 lor (slot lsl 2)
-  let tag p = p land 3
   let slot p = p lsr 2
   let is_clear p = p land 3 = 2
   let is_activity p = p <> 0

@@ -45,7 +45,6 @@ module Packed : sig
   val clear : int -> int
   (** [clear slot] encodes a decoded message at [slot]. *)
 
-  val tag : int -> int
   val slot : int -> int
   val is_clear : int -> bool
   val is_activity : int -> bool

@@ -37,34 +37,26 @@ type phase = Cold | Warm of int
 
 let phase_name = function Cold -> "cold" | Warm k -> Printf.sprintf "warm%d" k
 
-type cell = { klass : Scale_sweep.klass; nodes : int; density : float; adversary : string }
+type planned = { run_id : string; cell : Scale_sweep.cell; phase : phase }
 
-type planned = { run_id : string; cell : cell; phase : phase }
-
-let run_id_of cell phase =
+let run_id_of (cell : Scale_sweep.cell) phase =
   Printf.sprintf "n%d-d%g-%s-%s-%s" cell.nodes cell.density cell.adversary
     (Scale_sweep.klass_name cell.klass) (phase_name phase)
 
-(* The cell geometry lives in {!Scale_sweep.cell_spec}, shared with the
+(* The cell grid and geometry live in {!Scale_sweep}, shared with the
    registered S1 experiment, so a campaign run and the registry row of
    the same cell simulate the same spec. *)
 let spec_of_cell config cell =
-  let faults =
-    match Scale_sweep.faults_of_adversary cell.adversary with
-    | Some faults -> faults
-    | None -> invalid_arg (Printf.sprintf "Campaign: unknown adversary %s" cell.adversary)
-  in
   let base =
     {
       Scenario.default with
       message = Bitvec.of_string config.message;
       protocol = config.protocol;
-      faults;
       cap = config.cap;
       seed = config.seed;
     }
   in
-  Scale_sweep.cell_spec ~base ~klass:cell.klass ~nodes:cell.nodes ~density:cell.density
+  Scale_sweep.spec_of_cell ~base cell
 
 let validate config =
   if config.warm < 0 then Error "warm rounds must be >= 0"
@@ -86,27 +78,21 @@ let validate config =
            (String.concat " " Scale_sweep.known_adversaries))
   end
 
-(* The full sweep in execution order: every (class, n, density, adversary)
-   cell, each as one cold run followed by [warm] warm runs on the cold
-   run's topology.  [--dry-run] prints exactly this list, so the preview
-   and a real invocation can never disagree (test_campaign holds them
-   equal). *)
-let plan config =
+let cells config =
+  Scale_sweep.cells ~classes:config.classes ~node_counts:config.node_counts
+    ~densities:config.densities ~adversaries:config.adversaries
+
+(* One cell's runs: a cold one followed by [warm] warm runs on the cold
+   run's topology. *)
+let runs_of_cell config cell =
   let phases = Cold :: List.init config.warm (fun k -> Warm (k + 1)) in
-  List.concat_map
-    (fun klass ->
-      List.concat_map
-        (fun nodes ->
-          List.concat_map
-            (fun density ->
-              List.concat_map
-                (fun adversary ->
-                  let cell = { klass; nodes; density; adversary } in
-                  List.map (fun phase -> { run_id = run_id_of cell phase; cell; phase }) phases)
-                config.adversaries)
-            config.densities)
-        config.node_counts)
-    config.classes
+  List.map (fun phase -> { run_id = run_id_of cell phase; cell; phase }) phases
+
+(* The full sweep in execution order: every (class, n, density, adversary)
+   cell's runs.  [--dry-run] prints exactly this list, so the preview and
+   a real invocation can never disagree (test_campaign holds them
+   equal). *)
+let plan config = List.concat_map (runs_of_cell config) (cells config)
 
 type executed = {
   planned : planned;
@@ -210,7 +196,7 @@ let execute_cell config cell plans =
         rounds_per_second =
           (if wall_seconds > 0.0 then float_of_int summary.Scenario.rounds /. wall_seconds
            else 0.0);
-        avg_degree = Topology.avg_degree result.Scenario.topology;
+        avg_degree = Graph.avg_degree (Topology.graph result.Scenario.topology);
         peak_heap_words;
         summary;
       })
@@ -260,28 +246,17 @@ let render_plan config plans =
   List.iter (fun p -> Buffer.add_string buf ("  " ^ p.run_id ^ "\n")) plans;
   Buffer.contents buf
 
-(* Group a plan back into per-cell chunks, preserving order. *)
-let cells_of_plan plans =
-  List.rev
-    (List.fold_left
-       (fun acc p ->
-         match acc with
-         | (cell, runs) :: rest when cell = p.cell -> (cell, runs @ [ p ]) :: rest
-         | _ -> (p.cell, [ p ]) :: acc)
-       [] plans)
-
 let run config =
   match validate config with
   | Error message -> Error message
   | Ok () ->
-    let plans = plan config in
-    print_string (render_plan config plans);
+    print_string (render_plan config (plan config));
     if config.dry_run then Ok ([], false)
     else begin
       let executed =
         List.concat_map
-          (fun (cell, cell_plans) ->
-            let executed = execute_cell config cell cell_plans in
+          (fun cell ->
+            let executed = execute_cell config cell (runs_of_cell config cell) in
             List.iter
               (fun e ->
                 Printf.printf "[%s: %d rounds, %.2fs, %.1fM peak words]\n%!" e.planned.run_id
@@ -289,7 +264,7 @@ let run config =
                   (float_of_int e.peak_heap_words /. 1e6))
               executed;
             executed)
-          (cells_of_plan plans)
+          (cells config)
       in
       print_string (render executed);
       Option.iter (Printf.printf "results archived to %s\n%!") (archive config executed);

@@ -34,25 +34,16 @@ val default : config
 
 type phase = Cold | Warm of int
 
-val phase_name : phase -> string
-
-type cell = { klass : Scale_sweep.klass; nodes : int; density : float; adversary : string }
-
-type planned = { run_id : string; cell : cell; phase : phase }
-
-val run_id_of : cell -> phase -> string
-(** E.g. ["n10000-d4-lying-uniform-cold"]. *)
-
-val spec_of_cell : config -> cell -> Scenario.spec
-(** {!Scale_sweep.cell_spec} on a base built from the config — the same
-    cell construction the registered S1 experiment uses. *)
-
-val validate : config -> (unit, string) result
+type planned = { run_id : string; cell : Scale_sweep.cell; phase : phase }
+(** [run_id] reads e.g. ["n10000-d4-lying-uniform-cold"]. *)
 
 val plan : config -> planned list
-(** The exact runs {!run} executes, in execution order — the [--dry-run]
-    preview prints this list and nothing else, so preview and execution
-    cannot disagree. *)
+(** The exact runs {!run} executes, in execution order: each of
+    {!Scale_sweep.cells}' cells, cold then warm — the [--dry-run] preview
+    prints this list and nothing else, so preview and execution cannot
+    disagree.  Each run simulates {!Scale_sweep.spec_of_cell} on a base
+    built from the config, the same spec the registered S1 experiment
+    uses. *)
 
 type executed = {
   planned : planned;

@@ -37,11 +37,6 @@ let density t =
 
 let size t = Array.length t.nodes
 
-let node_at t p =
-  let found = ref None in
-  Array.iter (fun (n : Node.t) -> if Point.equal n.pos p then found := Some n.id) t.nodes;
-  !found
-
 let closest_to t p =
   assert (Array.length t.nodes > 0);
   let best = ref 0 and best_d = ref infinity in
@@ -56,8 +51,3 @@ let closest_to t p =
   !best
 
 let center_node t = closest_to t (Point.make (t.width /. 2.0) (t.height /. 2.0))
-
-let subset t ~keep =
-  let kept = Array.of_list (List.filter (fun (n : Node.t) -> keep n.id) (Array.to_list t.nodes)) in
-  let nodes = Array.mapi (fun i (n : Node.t) -> Node.make i n.pos) kept in
-  { t with nodes }

@@ -24,16 +24,7 @@ val density : t -> float
 (** Nodes per unit area (the paper's density measure). *)
 
 val size : t -> int
-val node_at : t -> Point.t -> Node.id option
-(** Id of a node at exactly this position, if any (grid deployments). *)
-
-val closest_to : t -> Point.t -> Node.id
-(** Id of the node closest (L2) to a point; the experiments use it to pick
-    the source at the centre of the map.  Requires a non-empty deployment. *)
 
 val center_node : t -> Node.id
-(** [closest_to] the map centre. *)
-
-val subset : t -> keep:(Node.id -> bool) -> t
-(** Restrict to the nodes satisfying [keep]; ids are re-assigned densely in
-    the original order.  Used to crash devices out of a deployment. *)
+(** Id of the node closest (L2) to the map centre; the experiments pick the
+    source there.  Requires a non-empty deployment. *)

@@ -37,7 +37,7 @@ type 'm machine = {
       (** Allocation-free fast path for [observe]: when present, the engine
           calls [f round code slots] with a {!Channel.Packed} code instead
           of materialising the observation variant.  Must be behaviourally
-          identical to [observe round (observation_of_packed slots code)];
+          identical to [observe] on the observation the code decodes to;
           the equivalence suite runs every protocol both ways.  [None]
           falls back to [observe]. *)
   delivered : unit -> Bitvec.t option;
@@ -60,10 +60,6 @@ type 'm machine = {
           the machine's own observe, before higher ids observe.  Use
           {!always_active} to opt out of skipping. *)
 }
-
-val observation_of_packed : 'm slots -> int -> 'm Channel.observation
-(** Decode a packed code against the round's slots — the bridge the engine
-    uses for machines without a packed observer. *)
 
 val boxed_machine : 'm machine -> 'm machine
 (** [boxed_machine m] is [m] with the packed fast path disabled, forcing
@@ -119,11 +115,6 @@ type round_digest = {
     mismatch pinpoints the first divergent round. *)
 
 val fingerprint_observation : 'm Channel.observation -> int
-
-val fingerprint_payload : 'm -> int
-(** The clear-observation fingerprint ([>= 2]) of a payload; the engine
-    computes it once per transmission slot and reuses it for every receiver
-    of that slot. *)
 
 val run :
   ?mode:mode ->

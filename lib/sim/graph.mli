@@ -97,9 +97,17 @@ val hops_from : t -> Node.id -> int array
 (** BFS hop counts over the decode graph; [-1] marks unreachable nodes. *)
 
 val hop_diameter_from : t -> Node.id -> int
+(** Maximum finite hop count from a node (its eccentricity). *)
+
 val reachable_from : t -> Node.id -> int
+(** Number of nodes reachable from a node, including itself. *)
+
 val is_connected : t -> bool
+
 val avg_degree : t -> float
+(** Average decode degree (the paper quotes ≈80 neighbours for its lying
+    experiments). *)
+
 val max_degree : t -> int
 
 val is_symmetric : t -> bool

@@ -2,4 +2,3 @@ type id = int
 type t = { id : id; pos : Point.t }
 
 let make id pos = { id; pos }
-let pp fmt t = Format.fprintf fmt "node %d @ %a" t.id Point.pp t.pos

@@ -11,4 +11,3 @@ type id = int
 type t = { id : id; pos : Point.t }
 
 val make : id -> Point.t -> t
-val pp : Format.formatter -> t -> unit

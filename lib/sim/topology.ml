@@ -101,8 +101,3 @@ let rx_reach t =
 
 let position t id = t.deployment.Deployment.nodes.(id).Node.pos
 let size t = Graph.size t.graph
-let can_decode t ~rx ~tx = Graph.can_decode t.graph ~rx ~tx
-let hops_from t src = Graph.hops_from t.graph src
-let hop_diameter_from t src = Graph.hop_diameter_from t.graph src
-let reachable_from t src = Graph.reachable_from t.graph src
-let avg_degree t = Graph.avg_degree t.graph

@@ -58,17 +58,3 @@ val rx_reach : t -> float
 
 val position : t -> Node.id -> Point.t
 val size : t -> int
-val can_decode : t -> rx:Node.id -> tx:Node.id -> bool
-
-val hops_from : t -> Node.id -> int array
-(** BFS hop counts over the decode graph; [-1] marks unreachable nodes. *)
-
-val hop_diameter_from : t -> Node.id -> int
-(** Maximum finite hop count from a node (its eccentricity). *)
-
-val reachable_from : t -> Node.id -> int
-(** Number of nodes reachable from a node, including itself. *)
-
-val avg_degree : t -> float
-(** Average decode out-degree (the paper quotes ≈80 neighbours for its
-    lying experiments). *)

@@ -102,7 +102,6 @@ let random rng n =
   init n (fun i -> bits.(i))
 
 let empty = { len = 0; words = [||] }
-let snoc t b = append t (init 1 (fun _ -> b))
 
 let fold_left f acc t =
   let acc = ref acc in
@@ -126,8 +125,6 @@ let digest ~size m =
   in
   let acc = acc lxor (acc lsr 31) in
   init size (fun i -> (acc lsr (i mod 61)) land 1 = 1)
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 (* [w land (-w)] isolates the lowest set bit as 2^k with k < 62; the powers
    2^0 .. 2^65 are pairwise distinct mod 67 (2 is a primitive root), so

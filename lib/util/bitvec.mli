@@ -30,9 +30,6 @@ val sub : t -> pos:int -> len:int -> t
 val equal : t -> t -> bool
 val random : Rng.t -> int -> t
 val empty : t
-val snoc : t -> bool -> t
-(** [snoc t b] appends one bit. *)
-
 val fold_left : ('a -> bool -> 'a) -> 'a -> t -> 'a
 
 val digest : size:int -> t -> t
@@ -40,8 +37,6 @@ val digest : size:int -> t -> t
     of [m] (a mixed fold), used by the dual-mode protocol of Section 1
     ("Interpretation"): the full message goes over the fast epidemic channel
     and only this digest over the authenticated channel. *)
-
-val pp : Format.formatter -> t -> unit
 
 (** {2 Word-level helpers}
 

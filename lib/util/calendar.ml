@@ -13,7 +13,6 @@ let create ?(capacity = 16) () =
 
 let is_empty t = t.size = 0
 let size t = t.size
-let clear t = t.size <- 0
 
 let grow t =
   let cap = Array.length t.keys in

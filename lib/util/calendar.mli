@@ -26,4 +26,3 @@ val pop_min : t -> int
 (** Remove one entry with the smallest key and return its payload.
     @raise Invalid_argument when empty. *)
 
-val clear : t -> unit

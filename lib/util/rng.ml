@@ -23,8 +23,6 @@ let of_state s =
 
 let create seed = of_state (mix64 (Int64.of_int seed))
 
-let copy t = { state = Bytes.copy t.state; spare = t.spare }
-
 let[@inline] int64 t =
   let s = Int64.add (Bytes.get_int64_le t.state 0) golden_gamma in
   Bytes.set_int64_le t.state 0 s;

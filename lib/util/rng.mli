@@ -11,9 +11,6 @@ type t
 val create : int -> t
 (** [create seed] makes a fresh generator from an integer seed. *)
 
-val copy : t -> t
-(** [copy t] duplicates the state of [t]; the copies evolve independently. *)
-
 val split : t -> t
 (** [split t] advances [t] and returns a statistically independent stream. *)
 

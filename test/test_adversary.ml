@@ -56,13 +56,6 @@ let test_veto_jammer_probability_zero () =
   let machine = Jammer.veto_jammer ~rng ~budget:(Budget.unlimited ()) ~probability:0.0 in
   Alcotest.(check int) "never jams" 0 (List.fold_left ( + ) 0 (drive machine 120))
 
-let test_blanket_jammer_spends_budget () =
-  let rng = Rng.create 5 in
-  let budget = Budget.create 10 in
-  let machine = Jammer.blanket_jammer ~rng ~budget ~probability:0.5 in
-  ignore (drive machine 200);
-  Alcotest.(check int) "spent exactly its budget" 10 (Budget.spent budget)
-
 (* --- bounds ----------------------------------------------------------- *)
 
 let test_bounds_values () =
@@ -86,10 +79,16 @@ let test_bounds_ordering () =
       Alcotest.(check bool) "MP below Koo" true (mp < Bounds.koo_bound ~radius))
     [ 2; 3; 4; 6; 8 ]
 
+(* The registered table: one row per radius, each carrying the bounds
+   its cells print. *)
 let test_bounds_table () =
-  let table = Bounds.summary_table ~radii:[ 2; 4 ] in
-  let rendered = Table.render table in
-  Alcotest.(check bool) "renders" true (String.length rendered > 0)
+  let outcome = Runner.run_job ~scale:Experiment.Quick Bounds.job in
+  let rows = outcome.Runner.rows in
+  Alcotest.(check int) "one row per radius" 5 (List.length rows);
+  let r4 = List.nth rows 2 in
+  Alcotest.(check (list string)) "R=4 row"
+    [ "4"; "80"; ">= 18"; "17 (21%)"; "3 (4%)"; "7 (9%)" ]
+    r4.Experiment.cells
 
 let () =
   Alcotest.run "adversary"
@@ -105,7 +104,6 @@ let () =
           Alcotest.test_case "scripted" `Quick test_scripted_jammer;
           Alcotest.test_case "veto jammer" `Quick test_veto_jammer_targets_veto_rounds;
           Alcotest.test_case "probability zero" `Quick test_veto_jammer_probability_zero;
-          Alcotest.test_case "blanket spends budget" `Quick test_blanket_jammer_spends_budget;
         ] );
       ( "bounds",
         [

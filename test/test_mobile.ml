@@ -107,9 +107,11 @@ let test_mobile_with_liars_stays_safe () =
     (result.Mobile.correct_rate <= result.Mobile.completion_rate +. 1e-9
     && result.Mobile.correct_rate >= 0.0)
 
+(* The registered table at quick scale: one row per speed. *)
 let test_table_renders () =
-  let t = Mobile.table { base with Mobile.nodes = 60 } ~speeds:[ 0.0 ] in
-  Alcotest.(check bool) "renders" true (String.length (Table.render t) > 0)
+  let outcome = Runner.run_job ~scale:Experiment.Quick Mobile.job in
+  Alcotest.(check int) "one row per speed" 3 (List.length outcome.Runner.rows);
+  Alcotest.(check bool) "renders" true (String.length (Table.render outcome.Runner.table) > 0)
 
 let () =
   Alcotest.run "mobile"

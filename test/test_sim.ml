@@ -10,9 +10,7 @@ let test_grid_deployment () =
   let d = Deployment.grid ~width:4 ~height:3 in
   Alcotest.(check int) "size" 12 (Deployment.size d);
   let n5 = d.Deployment.nodes.(5) in
-  Alcotest.(check bool) "row-major positions" true (Point.equal n5.Node.pos (point 1.0 1.0));
-  Alcotest.(check (option int)) "node_at" (Some 5) (Deployment.node_at d (point 1.0 1.0));
-  Alcotest.(check (option int)) "node_at miss" None (Deployment.node_at d (point 0.5 0.5))
+  Alcotest.(check bool) "row-major positions" true (Point.equal n5.Node.pos (point 1.0 1.0))
 
 let test_uniform_deployment () =
   let rng = Rng.create 1 in
@@ -59,14 +57,6 @@ let test_center_node () =
   let d = Deployment.grid ~width:5 ~height:5 in
   Alcotest.(check int) "center of 5x5 grid" 12 (Deployment.center_node d)
 
-let test_subset () =
-  let d = Deployment.grid ~width:3 ~height:1 in
-  let s = Deployment.subset d ~keep:(fun id -> id <> 1) in
-  Alcotest.(check int) "two left" 2 (Deployment.size s);
-  Alcotest.(check bool) "ids reassigned densely" true
-    (s.Deployment.nodes.(1).Node.id = 1
-    && Point.equal s.Deployment.nodes.(1).Node.pos (point 2.0 0.0))
-
 (* --- Topology ------------------------------------------------------------ *)
 
 let grid_topology ~side ~radius =
@@ -94,14 +84,14 @@ let test_topology_friis_sense_superset () =
   done
 
 let test_topology_hops () =
-  let t = grid_topology ~side:9 ~radius:2.0 in
-  let hops = Topology.hops_from t 0 in
+  let g = Topology.graph (grid_topology ~side:9 ~radius:2.0) in
+  let hops = Graph.hops_from g 0 in
   Alcotest.(check int) "self" 0 hops.(0);
   Alcotest.(check int) "one hop" 1 hops.(2 + (9 * 2));
   (* corner to corner: L-inf distance 8, radius 2 -> 4 hops *)
   Alcotest.(check int) "far corner" 4 hops.((9 * 9) - 1);
-  Alcotest.(check int) "diameter" 4 (Topology.hop_diameter_from t 0);
-  Alcotest.(check int) "all reachable" 81 (Topology.reachable_from t 0)
+  Alcotest.(check int) "diameter" 4 (Graph.hop_diameter_from g 0);
+  Alcotest.(check int) "all reachable" 81 (Graph.reachable_from g 0)
 
 let test_topology_disconnected () =
   (* Two nodes far beyond range. *)
@@ -112,10 +102,10 @@ let test_topology_disconnected () =
       nodes = [| Node.make 0 (point 0.0 0.0); Node.make 1 (point 99.0 0.0) |];
     }
   in
-  let t = Topology.build d (Propagation.disk_l2 2.0) in
-  let hops = Topology.hops_from t 0 in
+  let g = Topology.graph (Topology.build d (Propagation.disk_l2 2.0)) in
+  let hops = Graph.hops_from g 0 in
   Alcotest.(check int) "unreachable marked" (-1) hops.(1);
-  Alcotest.(check int) "reachable count" 1 (Topology.reachable_from t 0)
+  Alcotest.(check int) "reachable count" 1 (Graph.reachable_from g 0)
 
 (* Regression: the spatial hash must floor coordinates into cells rather
    than truncate toward zero — truncation merges (-reach, 0) with
@@ -132,8 +122,8 @@ let test_topology_negative_coords () =
   nodes.(0) <- Node.make 0 (point (-0.5) 3.0);
   nodes.(1) <- Node.make 1 (point 0.5 3.0);
   let d = { Deployment.width = 16.0; height = 16.0; nodes } in
-  let t = Topology.build d prop in
-  Alcotest.(check bool) "axis-straddling pair linked" true (Topology.can_decode t ~rx:0 ~tx:1);
+  let g = Topology.graph (Topology.build d prop) in
+  Alcotest.(check bool) "axis-straddling pair linked" true (Graph.can_decode g ~rx:0 ~tx:1);
   let n = Array.length nodes in
   for i = 0 to n - 1 do
     for j = 0 to n - 1 do
@@ -144,15 +134,15 @@ let test_topology_negative_coords () =
         Alcotest.(check bool)
           (Printf.sprintf "link %d<-%d matches brute force" i j)
           expected
-          (Topology.can_decode t ~rx:i ~tx:j)
+          (Graph.can_decode g ~rx:i ~tx:j)
       end
     done
   done
 
 let test_topology_can_decode () =
-  let t = grid_topology ~side:5 ~radius:1.0 in
-  Alcotest.(check bool) "adjacent" true (Topology.can_decode t ~rx:0 ~tx:1);
-  Alcotest.(check bool) "far" false (Topology.can_decode t ~rx:0 ~tx:4)
+  let g = Topology.graph (grid_topology ~side:5 ~radius:1.0) in
+  Alcotest.(check bool) "adjacent" true (Graph.can_decode g ~rx:0 ~tx:1);
+  Alcotest.(check bool) "far" false (Graph.can_decode g ~rx:0 ~tx:4)
 
 (* Regression for the sorted link rows: every row ascends by peer id, and
    the binary-searching [can_decode] agrees with brute-force power
@@ -179,7 +169,7 @@ let test_topology_sorted_rows_and_lookup () =
         Alcotest.(check bool)
           (Printf.sprintf "can_decode %d<-%d" i j)
           expected
-          (Topology.can_decode t ~rx:i ~tx:j)
+          (Graph.can_decode (Topology.graph t) ~rx:i ~tx:j)
       end
     done
   done
@@ -1084,7 +1074,6 @@ let () =
           Alcotest.test_case "uniform" `Quick test_uniform_deployment;
           Alcotest.test_case "clustered" `Quick test_clustered_deployment;
           Alcotest.test_case "center node" `Quick test_center_node;
-          Alcotest.test_case "subset" `Quick test_subset;
         ] );
       ( "topology",
         [
