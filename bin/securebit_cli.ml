@@ -407,7 +407,10 @@ let scale_cmd =
       value
       & opt (some float) None
       & info [ "mem-ceiling" ] ~docv:"MWORDS"
-          ~doc:"Fail if any run's peak major heap exceeds this many million words.")
+          ~doc:
+            "Fail if the process's major-heap peak, read after each run, exceeds this many \
+             million words. The reading is the peak so far, not the run's own: every run after \
+             the largest reads the largest's peak.")
   in
   let dry_run_arg =
     Arg.(value & flag & info [ "dry-run" ] ~doc:"Print the planned runs and execute nothing.")

@@ -3,31 +3,6 @@
    geometry preconditions (lib/geometry/squares.ml), and plain parameter
    sanity — before a single simulation round runs. *)
 
-(* Every code the linter can emit, in rough emission order.  Pinned by the
-   golden test in test/test_check.ml: renaming or dropping a code is a
-   breaking change for anything filtering [securebit_lint --json] output. *)
-let codes =
-  [
-    "map-dims";
-    "radius";
-    "message";
-    "cap";
-    "deployment";
-    "channel";
-    "votes";
-    "square-geometry";
-    "sparse-squares";
-    "unused-field";
-    "tolerance";
-    "koo-impossibility";
-    "relay-limit";
-    "fraction";
-    "budget";
-    "probability";
-    "byz-tolerance";
-    "non-geometric-bound";
-  ]
-
 (* Nominal device count; for [Grid_holes] an upper-bound estimate (the
    generator may reject some removals to preserve connectivity). *)
 let node_count (spec : Scenario.spec) =

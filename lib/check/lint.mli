@@ -16,10 +16,5 @@
     Each diagnostic is located at [scenario.field] (a
     {!Diagnostics.Field}) and carries a stable short code. *)
 
-val codes : string list
-(** Every stable diagnostic code this linter can emit.  Part of the
-    machine-readable interface ([securebit_lint lint scenario --json]);
-    pinned by a golden test. *)
-
 val lint : name:string -> Scenario.spec -> Diagnostics.diagnostic list
 (** All diagnostics for one spec, in field order. *)

@@ -32,70 +32,19 @@ exception Violation of (string * string)
 (* (invariant, detail): raised mid-simulation, caught by the enumerators
    which attach the setup and the trace. *)
 
-(* --- pluggable honest-role implementations --------------------------- *)
+(* --- the honest parties ------------------------------------------------ *)
 
-type sender = {
-  s_act : int -> bool;
-  s_observe : int -> bool -> unit;
-  s_outcome : unit -> Two_bit.outcome option;
-}
+(* Every honest party is the protocol's own {!Two_bit} machine.  What a
+   receiver senses of a phase's activity is pluggable, so that tests (and
+   the [--seed-violation] CLI flag) can verify the checker catches a
+   broken one. *)
+type impl = int -> bool -> bool
 
-type receiver = {
-  r_act : int -> bool;
-  r_observe : int -> bool -> unit;
-  r_outcome : unit -> (Two_bit.outcome * (bool * bool)) option;
-}
+let reference _phase activity = activity
 
-type impl = {
-  make_sender : b1:bool -> b2:bool -> sender;
-  make_blocker : unit -> sender;
-  make_receiver : unit -> receiver;
-}
-
-let reference =
-  {
-    make_sender =
-      (fun ~b1 ~b2 ->
-        let s = Two_bit.Sender.create ~b1 ~b2 in
-        {
-          s_act = (fun phase -> Two_bit.Sender.act s ~phase);
-          s_observe = (fun phase activity -> Two_bit.Sender.observe s ~phase ~activity);
-          s_outcome = (fun () -> Two_bit.Sender.outcome s);
-        });
-    make_blocker =
-      (fun () ->
-        let b = Two_bit.Blocker.create () in
-        {
-          s_act = (fun phase -> Two_bit.Blocker.act b ~phase);
-          s_observe = (fun phase activity -> Two_bit.Blocker.observe b ~phase ~activity);
-          s_outcome = (fun () -> None);
-        });
-    make_receiver =
-      (fun () ->
-        let r = Two_bit.Receiver.create () in
-        {
-          r_act = (fun phase -> Two_bit.Receiver.act r ~phase);
-          r_observe = (fun phase activity -> Two_bit.Receiver.observe r ~phase ~activity);
-          r_outcome = (fun () -> Two_bit.Receiver.outcome r);
-        });
-  }
-
-let faulty_skip_veto =
-  {
-    reference with
-    make_receiver =
-      (fun () ->
-        let r = Two_bit.Receiver.create () in
-        {
-          r_act = (fun phase -> Two_bit.Receiver.act r ~phase);
-          r_observe =
-            (* The seeded bug: deaf during the veto round R5 — exactly the
-               mistake the protocol's safety argument forbids. *)
-            (fun phase activity ->
-              Two_bit.Receiver.observe r ~phase ~activity:(if phase = 4 then false else activity));
-          r_outcome = (fun () -> Two_bit.Receiver.outcome r);
-        });
-  }
+(* The seeded bug: deaf during the veto round R5 — exactly the mistake the
+   protocol's safety argument forbids. *)
+let faulty_skip_veto phase activity = activity && phase <> 4
 
 (* --- one adversarially scheduled 6-round frame ------------------------ *)
 
@@ -105,11 +54,12 @@ let popcount mask =
 
 (* [jam] is a 6-bit mask: bit p set = the adversary transmits in phase p.
    Every transmission is heard by every other party (clique neighbourhood,
-   half-duplex radios: a transmitter does not sense itself). *)
-let run_frame ~interval sender receivers ~jam trace =
+   half-duplex radios: a transmitter does not sense itself).  The trace
+   records the channel; receivers sense it through [impl]. *)
+let run_frame impl ~interval sender receivers ~jam trace =
   for phase = 0 to 5 do
-    let s_tx = sender.s_act phase in
-    let r_tx = Array.map (fun r -> r.r_act phase) receivers in
+    let s_tx = Two_bit.act sender ~phase in
+    let r_tx = Array.map (fun r -> Two_bit.act r ~phase) receivers in
     let adversary_tx = jam land (1 lsl phase) <> 0 in
     let any_receiver_except i =
       let found = ref false in
@@ -124,53 +74,48 @@ let run_frame ~interval sender receivers ~jam trace =
           else adversary_tx || s_tx || any_receiver_except (q - 1))
     in
     trace := { interval; phase; sender_tx = s_tx; receiver_tx = r_tx; adversary_tx; heard } :: !trace;
-    sender.s_observe phase heard.(0);
-    Array.iteri (fun i r -> r.r_observe phase heard.(i + 1)) receivers
+    Two_bit.observe sender ~phase ~activity:heard.(0);
+    Array.iteri
+      (fun i r -> Two_bit.observe r ~phase ~activity:(impl phase heard.(i + 1)))
+      receivers
   done
 
 (* --- the 2Bit frame checker ------------------------------------------ *)
 
-let bit_pair_to_string (b1, b2) = Printf.sprintf "(%d,%d)" (Bool.to_int b1) (Bool.to_int b2)
+let bit_pair_to_string b1 b2 = Printf.sprintf "(%d,%d)" (Bool.to_int b1) (Bool.to_int b2)
 
 let check_frame_invariants ~b1 ~b2 ~spent sender receivers =
-  let sent = (b1, b2) in
-  (match sender.s_outcome () with
-  | None -> raise (Violation ("sender-outcome-known", "sender has no outcome after phase 5"))
-  | Some _ -> ());
+  if not (Two_bit.finished sender) then
+    raise (Violation ("sender-outcome-known", "sender has no outcome after phase 5"));
   Array.iteri
     (fun i r ->
-      match r.r_outcome () with
-      | None ->
+      if not (Two_bit.finished r) then
         raise
           (Violation
              ("receiver-outcome-known", Printf.sprintf "receiver %d has no outcome after phase 4" i))
-      | Some (Two_bit.Success, estimate) when estimate <> sent ->
+      else if Two_bit.succeeded r && (Two_bit.bit1 r <> b1 || Two_bit.bit2 r <> b2) then
         raise
           (Violation
              ( "receiver-no-forgery",
                Printf.sprintf "receiver %d accepted %s but the sender sent %s" i
-                 (bit_pair_to_string estimate) (bit_pair_to_string sent) ))
-      | Some _ -> ())
+                 (bit_pair_to_string (Two_bit.bit1 r) (Two_bit.bit2 r))
+                 (bit_pair_to_string b1 b2) )))
     receivers;
-  if sender.s_outcome () = Some Two_bit.Success then
+  if Two_bit.succeeded sender then
     Array.iteri
       (fun i r ->
-        match r.r_outcome () with
-        | Some (Two_bit.Success, _) -> ()
-        | Some (Two_bit.Failure, _) | None ->
+        if not (Two_bit.succeeded r) then
           raise
             (Violation
                ( "sender-receiver-agreement",
                  Printf.sprintf "sender reports success but receiver %d failed" i )))
       receivers;
   if spent = 0 then begin
-    if sender.s_outcome () <> Some Two_bit.Success then
+    if not (Two_bit.succeeded sender) then
       raise (Violation ("unattacked-frame-succeeds", "sender failed without any adversary broadcast"));
     Array.iteri
       (fun i r ->
-        match r.r_outcome () with
-        | Some (Two_bit.Success, _) -> ()
-        | Some (Two_bit.Failure, _) | None ->
+        if not (Two_bit.succeeded r) then
           raise
             (Violation
                ( "unattacked-frame-succeeds",
@@ -192,11 +137,17 @@ let check_two_bit ?(impl = reference) ?(receivers = 2) ~budget () =
             let spent = popcount jam in
             if spent <= budget && !failure = None then begin
               incr configurations;
-              let sender = impl.make_sender ~b1 ~b2 in
-              let rs = Array.init receivers (fun _ -> impl.make_receiver ()) in
+              let sender = Two_bit.create () in
+              Two_bit.send sender ~b1 ~b2;
+              let rs =
+                Array.init receivers (fun _ ->
+                    let r = Two_bit.create () in
+                    Two_bit.receive r;
+                    r)
+              in
               let trace = ref [] in
               try
-                run_frame ~interval:0 sender rs ~jam trace;
+                run_frame impl ~interval:0 sender rs ~jam trace;
                 check_frame_invariants ~b1 ~b2 ~spent sender rs
               with Violation (invariant, detail) ->
                 failure :=
@@ -264,51 +215,42 @@ let run_stream impl ~message ~jam ~budget trace =
                    (Bool.to_int bit) )))
       message
   in
+  let sender = Two_bit.create () and receiver = Two_bit.create () in
   for interval = 0 to intervals - 1 do
-    let sending = One_hop.Sender.has_current sender_stream in
-    let bits = if sending then Some (One_hop.Sender.current sender_stream) else None in
-    let frame_sender =
-      match bits with
-      | Some (parity, data) -> impl.make_sender ~b1:parity ~b2:data
-      | None -> impl.make_blocker ()
-    in
-    let receiver = impl.make_receiver () in
-    run_frame ~interval frame_sender [| receiver |] ~jam:jam.(interval) trace;
-    begin
-      match receiver.r_outcome () with
-      | None -> raise (Violation ("receiver-outcome-known", "no outcome after the frame"))
-      | Some (Two_bit.Failure, _) -> ()
-      | Some (Two_bit.Success, (e1, e2)) -> begin
-        begin
-          match bits with
-          | Some (parity, data) ->
-            if (e1, e2) <> (parity, data) then
-              raise
-                (Violation
-                   ( "frame-no-forgery",
-                     Printf.sprintf "interval %d: accepted %s, sent %s" interval
-                       (bit_pair_to_string (e1, e2))
-                       (bit_pair_to_string (parity, data)) ))
-          | None ->
-            (* A blocked (idle-sender) interval: the watch vetoes any
-               injected data, so the only acceptable reading is the silence
-               alias <0,0>. *)
-            if e1 || e2 then
-              raise
-                (Violation
-                   ( "blocked-frame-silent-alias",
-                     Printf.sprintf "interval %d: idle square, yet receiver accepted %s" interval
-                       (bit_pair_to_string (e1, e2)) ))
-        end;
-        One_hop.Receiver.push_two_bit receiver_stream ~parity:e1 ~data:e2
+    (* The sender's own-slot rule, exactly as the protocols run it: the
+       2Bit sender while bits remain, the blocker once the stream is
+       drained. *)
+    One_hop.Sender.arm sender_stream sender;
+    Two_bit.receive receiver;
+    run_frame impl ~interval sender [| receiver |] ~jam:jam.(interval) trace;
+    if not (Two_bit.finished receiver) then
+      raise (Violation ("receiver-outcome-known", "no outcome after the frame"));
+    if Two_bit.succeeded receiver then begin
+      let e1 = Two_bit.bit1 receiver and e2 = Two_bit.bit2 receiver in
+      if Two_bit.sending sender then begin
+        let parity = Two_bit.bit1 sender and data = Two_bit.bit2 sender in
+        if e1 <> parity || e2 <> data then
+          raise
+            (Violation
+               ( "frame-no-forgery",
+                 Printf.sprintf "interval %d: accepted %s, sent %s" interval
+                   (bit_pair_to_string e1 e2) (bit_pair_to_string parity data) ))
       end
+      else if e1 || e2 then
+        (* A blocked (idle-sender) interval: the watch vetoes any injected
+           data, so the only acceptable reading is the silence alias
+           <0,0>. *)
+        raise
+          (Violation
+             ( "blocked-frame-silent-alias",
+               Printf.sprintf "interval %d: idle square, yet receiver accepted %s" interval
+                 (bit_pair_to_string e1 e2) ));
+      One_hop.Receiver.push_two_bit receiver_stream ~parity:e1 ~data:e2
     end;
-    begin
-      match (bits, frame_sender.s_outcome ()) with
-      | Some _, Some Two_bit.Success -> One_hop.Sender.advance sender_stream
-      | Some _, Some Two_bit.Failure -> ()
-      | Some _, None -> raise (Violation ("sender-outcome-known", "no outcome after the frame"))
-      | None, _ -> ()
+    if Two_bit.sending sender then begin
+      if not (Two_bit.finished sender) then
+        raise (Violation ("sender-outcome-known", "no outcome after the frame"));
+      if Two_bit.succeeded sender then One_hop.Sender.advance sender_stream
     end;
     check_prefix ()
   done;

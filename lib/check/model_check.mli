@@ -17,9 +17,10 @@
       {- [*-outcome-known]: every machine resolves by the end of the
          frame.}}
     - [check_one_hop]: a full 1Hop stream of every message of a given
-      length, run for [msg_len + β] intervals (Theorem 2).  The sender
-      plays the 2Bit sender while bits remain and the neighbourhood-watch
-      blocker once the stream is exhausted.  Invariants: [frame-no-forgery]
+      length, run for [msg_len + β] intervals (Theorem 2).  The sender is
+      armed each interval by {!One_hop.Sender.arm}, the rule the protocols
+      run: the 2Bit sender while bits remain, the neighbourhood-watch
+      blocker once the stream is drained.  Invariants: [frame-no-forgery]
       and [blocked-frame-silent-alias] per interval, [stream-prefix]
       (every accepted bit is the source's bit, at the right index) and
       [stream-delivery] (an adversary spending at most β broadcasts cannot
@@ -49,35 +50,18 @@ type counterexample = {
 
 type outcome = Pass of { configurations : int } | Fail of counterexample
 
-(** Honest-role implementations are pluggable so that tests (and the
-    [--seed-violation] CLI flag) can verify the checker catches broken
-    protocol machines. *)
-
-type sender = {
-  s_act : int -> bool;
-  s_observe : int -> bool -> unit;
-  s_outcome : unit -> Two_bit.outcome option;
-}
-
-type receiver = {
-  r_act : int -> bool;
-  r_observe : int -> bool -> unit;
-  r_outcome : unit -> (Two_bit.outcome * (bool * bool)) option;
-}
-
-type impl = {
-  make_sender : b1:bool -> b2:bool -> sender;
-  make_blocker : unit -> sender;
-  make_receiver : unit -> receiver;
-}
+type impl
+(** The honest parties: every one is the protocol's own {!Two_bit.t}; a
+    receiver senses each phase's channel activity through the [impl].
+    Pluggable so that tests (and the [--seed-violation] CLI flag) can
+    verify the checker catches a broken protocol machine. *)
 
 val reference : impl
-(** The real {!Two_bit} machines. *)
+(** Receivers sense every phase, as the protocols run them. *)
 
 val faulty_skip_veto : impl
-(** [reference] with a receiver that is deaf during the veto round R5 —
-    a seeded violation the checker must refute (it accepts bits the sender
-    cancelled). *)
+(** A receiver deaf during the veto round R5 — a seeded violation the
+    checker must refute (it accepts bits the sender cancelled). *)
 
 val check_two_bit : ?impl:impl -> ?receivers:int -> budget:int -> unit -> outcome
 (** Check one 2Bit frame for all 4 bit pairs, [receivers] honest receivers

@@ -5,20 +5,6 @@
    type information — so module aliasing can hide a use from it; the rules
    target the spellings that actually appear in idiomatic code. *)
 
-let codes =
-  [
-    "hashtbl-order";
-    "poly-compare";
-    "poly-hash";
-    "ambient-random";
-    "wall-clock";
-    "domain-outside-run";
-    "engine-mode";
-    "global-mutable";
-    "unused-allowlist";
-    "parse-error";
-  ]
-
 (* Audited-sound uses.  Certified_propagation's [progress] counter folds
    a commutative count; the engine's fingerprint hashes an explicit
    canonical encoding.  The lint front end times its own analyzers (`securebit_lint

@@ -51,9 +51,6 @@
     equivalence fixtures), and [global-mutable] applies only under
     [lib/]. *)
 
-val codes : string list
-(** Every code this pass can emit, for golden tests. *)
-
 val source_files : string list -> string list
 (** The [.ml] files under the given files/directories (recursive,
     skipping [_build]-style and hidden directories), in sorted order.

@@ -82,10 +82,6 @@ let length_of_tag_bits c b0 b1 =
   let base = base_length c b0 b1 in
   if base < 0 then -1 else padded base
 
-let length_from_tag c (b0, b1) =
-  let len = length_of_tag_bits c b0 b1 in
-  if len < 0 then None else Some len
-
 let decode c bits =
   if Bitvec.length bits < 3 then None
   else begin

@@ -55,13 +55,9 @@ val lattice_point : codec -> int * int -> Point.t
 
 val encode : codec -> t -> Bitvec.t
 
-val length_from_tag : codec -> bool * bool -> int option
-(** Total frame length given the first two stream bits; [None] for the
-    unused tag (a malformed stream). *)
-
 val length_of_tag_bits : codec -> bool -> bool -> int
-(** [length_from_tag] without allocating: the total frame length given the
-    first two stream bits, or [-1] for the unused tag. *)
+(** The total frame length given the first two stream bits, or [-1] for
+    the unused tag (a malformed stream).  Allocates nothing. *)
 
 val decode : codec -> Bitvec.t -> t option
 (** Decode a full frame; [None] if the tag is invalid, the length is wrong

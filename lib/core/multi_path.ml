@@ -17,14 +17,6 @@ type peer = {
   mutable poisoned : bool;  (** an invalid frame appeared: stop parsing *)
 }
 
-(* Interval roles as int codes over preallocated sub-machines: the role
-   switch at an interval boundary re-arms the machine's own 2Bit state in
-   place instead of boxing a fresh (role, sub-machine) pair. *)
-let role_idle = 0
-let role_sending = 1
-let role_blocking = 2
-let role_receiving = 3
-
 type state = {
   id : Node.id;
   pos : Point.t;
@@ -38,10 +30,7 @@ type state = {
   source_bits : Buffer.t;  (** bits received directly from the source *)
   heard_relayed : int array;
   enqueue_commits : bool;  (** sources stream SOURCE frames instead *)
-  mutable role : int;  (** one of the [role_*] codes *)
-  tb_sender : Two_bit.Sender.t;
-  tb_blocker : Two_bit.Blocker.t;
-  tb_receiver : Two_bit.Receiver.t;
+  two_bit : Two_bit.t;  (** this interval's part, re-armed in place *)
   mutable rx_peer : peer option;  (** the peer listened to while receiving *)
   mutable cur_interval : int;
 }
@@ -193,45 +182,27 @@ let parse_frames ctx s peer =
 let setup_interval ctx s interval =
   s.cur_interval <- interval;
   let slot = Schedule.active_slot ctx.schedule ~interval in
-  if slot = s.my_slot then begin
-    if One_hop.Sender.has_current s.sender then begin
-      s.role <- role_sending;
-      Two_bit.Sender.reset s.tb_sender
-        ~b1:(One_hop.Sender.current_parity s.sender)
-        ~b2:(One_hop.Sender.current_data s.sender)
-    end
-    else begin
-      s.role <- role_blocking;
-      Two_bit.Blocker.reset s.tb_blocker
-    end
-  end
+  if slot = s.my_slot then One_hop.Sender.arm s.sender s.two_bit
   else begin
     match s.peer_by_slot.(slot) with
     | Some _ as p ->
-      s.role <- role_receiving;
       s.rx_peer <- p;
-      Two_bit.Receiver.reset s.tb_receiver
-    | None -> s.role <- role_idle
+      Two_bit.receive s.two_bit
+    | None -> Two_bit.idle s.two_bit
   end
 
 let finish_interval ctx s =
-  if s.role = role_sending then begin
-    match Two_bit.Sender.outcome s.tb_sender with
-    | Some Two_bit.Success -> One_hop.Sender.advance s.sender
-    | Some Two_bit.Failure | None -> ()
-  end
-  else if s.role = role_receiving then begin
-    let r = s.tb_receiver in
-    if Two_bit.Receiver.finished r && not (Two_bit.Receiver.veto_seen r) then begin
+  let tb = s.two_bit in
+  if Two_bit.succeeded tb then begin
+    if Two_bit.sending tb then One_hop.Sender.advance s.sender
+    else
       match s.rx_peer with
       | Some peer ->
         let before = One_hop.Receiver.received peer.stream in
-        One_hop.Receiver.push_two_bit peer.stream ~parity:(Two_bit.Receiver.bit1 r)
-          ~data:(Two_bit.Receiver.bit2 r);
+        One_hop.Receiver.push_two_bit peer.stream ~parity:(Two_bit.bit1 tb) ~data:(Two_bit.bit2 tb);
         ctx.progress.(s.id) <- ctx.progress.(s.id) + One_hop.Receiver.received peer.stream - before;
         parse_frames ctx s peer
       | None -> ()
-    end
   end
 
 let tx_blip = Engine.Transmit Msg.Blip
@@ -240,21 +211,13 @@ let act ctx s round =
   let interval = Schedule.interval_of_round round in
   let phase = Schedule.phase_of_round round in
   if interval <> s.cur_interval then setup_interval ctx s interval;
-  let transmit =
-    if s.role = role_sending then Two_bit.Sender.act s.tb_sender ~phase
-    else if s.role = role_receiving then Two_bit.Receiver.act s.tb_receiver ~phase
-    else if s.role = role_blocking then Two_bit.Blocker.act s.tb_blocker ~phase
-    else false
-  in
-  if transmit then tx_blip else Engine.Silent
+  if Two_bit.act s.two_bit ~phase then tx_blip else Engine.Silent
 
 let observe_activity ctx s round activity =
   let interval = Schedule.interval_of_round round in
   let phase = Schedule.phase_of_round round in
   if interval <> s.cur_interval then setup_interval ctx s interval;
-  if s.role = role_sending then Two_bit.Sender.observe s.tb_sender ~phase ~activity
-  else if s.role = role_receiving then Two_bit.Receiver.observe s.tb_receiver ~phase ~activity
-  else if s.role = role_blocking then Two_bit.Blocker.observe s.tb_blocker ~phase ~activity;
+  Two_bit.observe s.two_bit ~phase ~activity;
   if phase = Schedule.rounds_per_interval - 1 then finish_interval ctx s
 
 let observe ctx s round obs = observe_activity ctx s round (Channel.is_activity obs)
@@ -354,10 +317,7 @@ let machine ctx id role =
       source_bits = Buffer.create 16;
       heard_relayed = Array.make config.msg_len 0;
       enqueue_commits = (match role with Source _ -> false | Relay | Liar _ -> true);
-      role = role_idle;
-      tb_sender = Two_bit.Sender.create ~b1:false ~b2:false;
-      tb_blocker = Two_bit.Blocker.create ();
-      tb_receiver = Two_bit.Receiver.create ();
+      two_bit = Two_bit.create ();
       rx_peer = None;
       cur_interval = -1;
     }

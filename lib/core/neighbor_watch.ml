@@ -118,16 +118,6 @@ module Vote = struct
       else None
 end
 
-(* Interval roles as int codes over preallocated sub-machines (see
-   Multi_path for the same pattern): the role switch at an interval
-   boundary re-arms 2Bit state in place instead of boxing a fresh
-   (role, sub-machine) pair. *)
-let role_idle = 0
-let role_sending = 1
-let role_blocking = 2
-let role_receiving = 3
-let role_passive = 4  (* catch-up fired: stay silent for the rest of the interval *)
-
 type state = {
   id : Node.id;
   mutable send_slot : int;
@@ -141,12 +131,8 @@ type state = {
       (** the slot each of [streams] is heard in: at most nine, pairwise
           distinct (see {!stream_in_slot}) *)
   mutable vote : Vote.t;  (** the frontier tally (see {!Vote}) *)
-  mutable role : int;  (** one of the [role_*] codes *)
-  mutable tb_sender : Two_bit.Sender.t;
-  mutable tb_blocker : Two_bit.Blocker.t;
-  mutable tb_receiver : Two_bit.Receiver.t;
-  mutable send_parity : bool;  (** the parity bit of the current 2Bit send *)
-  mutable rx : int;  (** index in [streams] listened to while receiving *)
+  mutable two_bit : Two_bit.t;  (** this interval's part, re-armed in place *)
+  mutable rx : int;  (** index in [streams] listened to this interval, or [-1] *)
   mutable cur_interval : int;
   mutable needy_from : int;
   mutable needy_at : int;
@@ -200,11 +186,7 @@ let make_ctx config ~topology ~source =
       streams = [||];
       stream_slots = [||];
       vote = Vote.create ~votes:config.votes;
-      role = role_idle;
-      tb_sender = Two_bit.Sender.create ~b1:false ~b2:false;
-      tb_blocker = Two_bit.Blocker.create ();
-      tb_receiver = Two_bit.Receiver.create ();
-      send_parity = false;
+      two_bit = Two_bit.create ();
       rx = -1;
       cur_interval = -1;
       needy_from = max_int;
@@ -266,7 +248,7 @@ let delivered ctx s =
 (* --- deferred state ------------------------------------------------- *)
 
 (* A machine's heavy state: its streams, committed buffer, 1Hop sender,
-   vote tally and 2Bit sub-machines.  A plain relay builds it at its first
+   vote tally and 2Bit machine.  A plain relay builds it at its first
    interval set-up, since most nodes of a sparse network never act; until
    then the context's blank placeholders read as a fresh relay's state
    would (nothing committed or queued, every stream even), which is all
@@ -295,9 +277,7 @@ let build ctx s =
   s.committed <- Buffer.create 16;
   s.sender <- One_hop.Sender.create ();
   s.vote <- Vote.create ~votes:ctx.config.votes;
-  s.tb_sender <- Two_bit.Sender.create ~b1:false ~b2:false;
-  s.tb_blocker <- Two_bit.Blocker.create ();
-  s.tb_receiver <- Two_bit.Receiver.create ();
+  s.two_bit <- Two_bit.create ();
   s.send_slot <-
     (if is_source then Schedule.source_slot else Schedule.slot_of ctx.schedule my_square)
 
@@ -319,25 +299,12 @@ let setup_interval ctx s interval =
   s.cur_interval <- interval;
   let slot = Schedule.active_slot ctx.schedule ~interval in
   if slot = s.send_slot then begin
-    if One_hop.Sender.has_current s.sender then begin
-      let parity = One_hop.Sender.current_parity s.sender in
-      s.role <- role_sending;
-      s.send_parity <- parity;
-      Two_bit.Sender.reset s.tb_sender ~b1:parity ~b2:(One_hop.Sender.current_data s.sender)
-    end
-    else begin
-      s.role <- role_blocking;
-      Two_bit.Blocker.reset s.tb_blocker
-    end
+    s.rx <- -1;
+    One_hop.Sender.arm s.sender s.two_bit
   end
   else begin
-    let k = stream_in_slot s.stream_slots slot 0 in
-    if k >= 0 then begin
-      s.role <- role_receiving;
-      s.rx <- k;
-      Two_bit.Receiver.reset s.tb_receiver
-    end
-    else s.role <- role_idle
+    s.rx <- stream_in_slot s.stream_slots slot 0;
+    if s.rx >= 0 then Two_bit.receive s.two_bit else Two_bit.idle s.two_bit
   end
 
 (* A detected liar abandons the fake and relays honestly from scratch.  The
@@ -353,16 +320,19 @@ let liar_give_up ctx s =
   Vote.reset s.vote;
   try_commit ctx s
 
+(* Run after phase 5 has been observed, so a sender has finished. *)
 let finish_interval ctx s =
-  if s.role = role_sending then begin
-    match Two_bit.Sender.outcome s.tb_sender with
-    | Some Two_bit.Success ->
+  let tb = s.two_bit in
+  if Two_bit.sending tb then begin
+    if Two_bit.succeeded tb then begin
       One_hop.Sender.advance s.sender;
       s.failures <- 0
-    | Some Two_bit.Failure when s.liar_attempts > 0 ->
+    end
+    else if s.liar_attempts > 0 then begin
       if s.liar_attempts <= 1 then liar_give_up ctx s
       else s.liar_attempts <- s.liar_attempts - 1
-    | Some Two_bit.Failure ->
+    end
+    else begin
       s.failures <- s.failures + 1;
       (* Square catch-up, trigger 2: persistently failing on bit [i] while
          already knowing bit [i+1] means either the rest of the square has
@@ -375,23 +345,19 @@ let finish_interval ctx s =
         One_hop.Sender.skip_to s.sender (pointer + 1);
         s.failures <- 0
       end
-    | None -> ()
-  end
-  else if s.role = role_receiving then begin
-    let r = s.tb_receiver in
-    if Two_bit.Receiver.finished r && not (Two_bit.Receiver.veto_seen r) then begin
-      let rx = Vote.receiver s.streams.(s.rx) in
-      let before = One_hop.Receiver.received rx in
-      One_hop.Receiver.push_two_bit rx ~parity:(Two_bit.Receiver.bit1 r)
-        ~data:(Two_bit.Receiver.bit2 r);
-      if One_hop.Receiver.received rx > before then begin
-        add_progress ctx s 1;
-        (* The stream's parity flipped and [try_commit] may queue bits for
-           sending: both decide future wakes (see [needy]). *)
-        s.needy_from <- max_int
-      end;
-      try_commit ctx s
     end
+  end
+  else if Two_bit.succeeded tb then begin
+    let rx = Vote.receiver s.streams.(s.rx) in
+    let before = One_hop.Receiver.received rx in
+    One_hop.Receiver.push_two_bit rx ~parity:(Two_bit.bit1 tb) ~data:(Two_bit.bit2 tb);
+    if One_hop.Receiver.received rx > before then begin
+      add_progress ctx s 1;
+      (* The stream's parity flipped and [try_commit] may queue bits for
+         sending: both decide future wakes (see [needy]). *)
+      s.needy_from <- max_int
+    end;
+    try_commit ctx s
   end
 
 let tx_blip = Engine.Transmit Msg.Blip
@@ -400,33 +366,24 @@ let act ctx s round =
   let interval = Schedule.interval_of_round round in
   let phase = Schedule.phase_of_round round in
   if interval <> s.cur_interval then setup_interval ctx s interval;
-  let transmit =
-    if s.role = role_sending then Two_bit.Sender.act s.tb_sender ~phase
-    else if s.role = role_receiving then Two_bit.Receiver.act s.tb_receiver ~phase
-    else if s.role = role_blocking then Two_bit.Blocker.act s.tb_blocker ~phase
-    else false
-  in
-  if transmit then tx_blip else Engine.Silent
+  if Two_bit.act s.two_bit ~phase then tx_blip else Engine.Silent
 
 let observe_activity ctx s round activity =
   let interval = Schedule.interval_of_round round in
   let phase = Schedule.phase_of_round round in
   if interval <> s.cur_interval then setup_interval ctx s interval;
-  if s.role = role_sending then begin
-    (* Square catch-up, trigger 1: silent in the parity round but heard
-       parity activity, and the next bit is already committed — the rest
-       of the square is one bit ahead; join them. *)
-    if phase = 0 && (not s.send_parity) && activity
-       && One_hop.Sender.total s.sender > One_hop.Sender.sent s.sender + 1
-    then begin
-      One_hop.Sender.skip_to s.sender (One_hop.Sender.sent s.sender + 1);
-      s.failures <- 0;
-      s.role <- role_passive
-    end
-    else Two_bit.Sender.observe s.tb_sender ~phase ~activity
+  (* Square catch-up, trigger 1: a sender silent in the parity round but
+     hearing parity activity, whose next bit is already committed — the
+     rest of the square is one bit ahead; join them, and stay idle for the
+     rest of the interval. *)
+  if phase = 0 && activity && Two_bit.sending s.two_bit && (not (Two_bit.bit1 s.two_bit))
+     && One_hop.Sender.total s.sender > One_hop.Sender.sent s.sender + 1
+  then begin
+    One_hop.Sender.skip_to s.sender (One_hop.Sender.sent s.sender + 1);
+    s.failures <- 0;
+    Two_bit.idle s.two_bit
   end
-  else if s.role = role_receiving then Two_bit.Receiver.observe s.tb_receiver ~phase ~activity
-  else if s.role = role_blocking then Two_bit.Blocker.observe s.tb_blocker ~phase ~activity;
+  else Two_bit.observe s.two_bit ~phase ~activity;
   if phase = Schedule.rounds_per_interval - 1 then finish_interval ctx s
 
 let observe ctx s round obs = observe_activity ctx s round (Channel.is_activity obs)
@@ -441,7 +398,7 @@ let odd_stream stream = One_hop.Receiver.received (Vote.receiver stream) land 1 
    In every other interval — idle, blocking with nothing to send, receiving
    at an even index — an all-silent interval leaves the machine as it found
    it: [setup_interval], run lazily at the first poll, re-arms the 2Bit
-   sub-machine to exactly the state the silent phases would have left, and
+   machine to exactly the state the silent phases would have left, and
    the <0,0> such a receiver would push has the wrong parity, is rejected,
    and makes [try_commit] a no-op.  Those machines wait for a reception,
    which the engine delivers in every slot they listen to (see
@@ -479,19 +436,10 @@ let needy ctx s interval =
   end;
   s.needy_at
 
-(* Once set up in an interval, the role decides: a sender, or a receiver
-   on an odd stream, runs to the end; a receiver or blocker that has seen
-   activity stays awake to answer it (acks, veto relay, veto) and, for the
-   receiver, to see phase 4 and finish; idle and passive roles do not. *)
-let engaged s =
-  if s.role = role_sending then true
-  else if s.role = role_receiving then begin
-    let r = s.tb_receiver in
-    Two_bit.Receiver.bit1 r || Two_bit.Receiver.bit2 r || Two_bit.Receiver.veto_seen r
-    || odd_stream s.streams.(s.rx)
-  end
-  else if s.role = role_blocking then Two_bit.Blocker.saw_data s.tb_blocker
-  else false
+(* Once set up in an interval, the 2Bit machine decides (see
+   {!Two_bit.engaged}), except that a receiver on an odd stream runs to the
+   end: it must see phase 4 and finish. *)
+let engaged s = Two_bit.engaged s.two_bit || (s.rx >= 0 && odd_stream s.streams.(s.rx))
 
 let next_active ctx s round =
   let interval = Schedule.interval_of_round round in

@@ -104,7 +104,7 @@ val machine : ?initial_commit:Bitvec.t -> ctx -> Node.id -> role -> Msg.t Engine
     Deferred state: a [Relay] with no (or an empty) [initial_commit]
     costs only its state record and the engine closures until its first
     [act] or [observe] (or a {!stream_counts} read) builds its streams,
-    committed buffer, 1Hop sender, vote tally and 2Bit sub-machines;
+    committed buffer, 1Hop sender, vote tally and 2Bit machine;
     most nodes of a sparse network never act.  Invariant: until then the
     relay is observationally identical to a freshly built one (no bits
     queued, every stream at an even count, nothing committed), which is

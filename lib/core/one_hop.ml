@@ -30,11 +30,6 @@ module Sender = struct
   let total t = t.total
   let has_current t = t.pointer < t.total
 
-  let current t =
-    assert (has_current t);
-    (parity_of_index t.pointer, Bytes.get t.queue t.pointer = '1')
-
-  (* Tuple-free projections of [current] for the engine hot path. *)
   let current_parity t =
     assert (has_current t);
     parity_of_index t.pointer
@@ -42,6 +37,11 @@ module Sender = struct
   let current_data t =
     assert (has_current t);
     Bytes.get t.queue t.pointer = '1'
+
+  (* The own-slot rule, beside the stream it reads. *)
+  let arm t tb =
+    if has_current t then Two_bit.send tb ~b1:(current_parity t) ~b2:(current_data t)
+    else Two_bit.block tb
 
   let advance t = if has_current t then t.pointer <- t.pointer + 1
   let skip_to t n = if n > t.pointer then t.pointer <- min n t.total

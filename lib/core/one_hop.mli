@@ -32,12 +32,14 @@ module Sender : sig
   val has_current : t -> bool
   (** Is there an unacknowledged bit to (re)transmit? *)
 
-  val current : t -> bool * bool
-  (** [(parity, data)] of the current bit; requires [has_current]. *)
-
   val current_parity : t -> bool
   val current_data : t -> bool
-  (** Tuple-free projections of [current] for per-interval callers. *)
+  (** The current bit's parity and data; requires [has_current]. *)
+
+  val arm : t -> Two_bit.t -> unit
+  (** The own-slot rule: arm the 2Bit sender with the current
+      [⟨parity, data⟩], or, once the stream is drained, the neighbourhood
+      watch's blocker. *)
 
   val advance : t -> unit
   (** The current bit's 2Bit exchange succeeded. *)

@@ -1,117 +1,86 @@
-type outcome = Success | Failure
+type part = Idle | Sender | Receiver | Blocker
 
-module Sender = struct
-  type t = {
-    mutable b1 : bool;
-    mutable b2 : bool;
-    mutable ack1 : bool;
-    mutable ack2 : bool;
-    mutable veto_sent : bool;
-    mutable result : outcome option;
-  }
+(* One record per node, re-armed in place, so no interval allocates. *)
+type t = {
+  mutable part : part;
+  mutable b1 : bool;
+  mutable b2 : bool;
+      (* the sender's armed pair; a receiver's or blocker's R1/R3 activity *)
+  mutable ack1 : bool;
+  mutable ack2 : bool;  (* the sender's R2/R4 activity *)
+  mutable veto : bool;
+      (* a sender vetoed in R5 or sensed a relayed veto in R6; a receiver
+         sensed a veto in R5 *)
+  mutable finished : bool;
+}
 
-  let create ~b1 ~b2 =
-    { b1; b2; ack1 = false; ack2 = false; veto_sent = false; result = None }
+let create () =
+  { part = Idle; b1 = false; b2 = false; ack1 = false; ack2 = false; veto = false; finished = false }
 
-  (* In-place re-arm for a new interval: callers keep one sender per machine
-     instead of allocating one per interval. *)
-  let reset t ~b1 ~b2 =
-    t.b1 <- b1;
-    t.b2 <- b2;
-    t.ack1 <- false;
-    t.ack2 <- false;
-    t.veto_sent <- false;
-    t.result <- None
+let arm t part ~b1 ~b2 =
+  t.part <- part;
+  t.b1 <- b1;
+  t.b2 <- b2;
+  t.ack1 <- false;
+  t.ack2 <- false;
+  t.veto <- false;
+  t.finished <- false
 
-  let mismatch t = t.ack1 <> t.b1 || t.ack2 <> t.b2
+let send t ~b1 ~b2 = arm t Sender ~b1 ~b2
+let receive t = arm t Receiver ~b1:false ~b2:false
+let block t = arm t Blocker ~b1:false ~b2:false
+let idle t = arm t Idle ~b1:false ~b2:false
 
-  let act t ~phase =
-    match phase with
-    | 0 -> t.b1
-    | 2 -> t.b2
-    | 4 ->
-      let veto = mismatch t in
-      t.veto_sent <- veto;
-      veto
-    | 1 | 3 | 5 -> false
-    | _ -> invalid_arg "Two_bit.Sender.act: bad phase"
+(* Phase-major: one jump on the phase, then the part. *)
+let act t ~phase =
+  match phase with
+  | 0 -> t.part = Sender && t.b1
+  | 1 -> t.part = Receiver && t.b1
+  | 2 -> t.part = Sender && t.b2
+  | 3 -> t.part = Receiver && t.b2
+  | 4 -> begin
+    match t.part with
+    | Sender ->
+      t.veto <- t.ack1 <> t.b1 || t.ack2 <> t.b2;
+      t.veto
+    | Blocker -> t.b1 || t.b2
+    | Receiver | Idle -> false
+  end
+  | 5 -> begin
+    match t.part with
+    | Receiver -> t.veto
+    | Blocker -> t.b1 || t.b2
+    | Sender | Idle -> false
+  end
+  | _ -> invalid_arg "Two_bit.act: bad phase"
 
-  let observe t ~phase ~activity =
-    match phase with
-    | 1 -> t.ack1 <- activity
-    | 3 -> t.ack2 <- activity
-    | 5 -> t.result <- Some (if t.veto_sent || activity then Failure else Success)
-    | 0 | 2 | 4 -> ()
-    | _ -> invalid_arg "Two_bit.Sender.observe: bad phase"
+let observe t ~phase ~activity =
+  match phase with
+  | 0 -> if t.part = Receiver || t.part = Blocker then t.b1 <- activity
+  | 1 -> if t.part = Sender then t.ack1 <- activity
+  | 2 -> if t.part = Receiver || t.part = Blocker then t.b2 <- activity
+  | 3 -> if t.part = Sender then t.ack2 <- activity
+  | 4 ->
+    if t.part = Receiver then begin
+      t.veto <- activity;
+      t.finished <- true
+    end
+  | 5 ->
+    if t.part = Sender then begin
+      t.veto <- t.veto || activity;
+      t.finished <- true
+    end
+  | _ -> invalid_arg "Two_bit.observe: bad phase"
 
-  let outcome t = t.result
-  let vetoed t = t.veto_sent
-end
+let sending t = t.part = Sender
+let finished t = t.finished
+let succeeded t = t.finished && not t.veto
+let bit1 t = t.b1
+let bit2 t = t.b2
 
-module Receiver = struct
-  type t = {
-    mutable act1 : bool;
-    mutable act2 : bool;
-    mutable veto_seen : bool;
-    mutable done_ : bool;
-  }
-
-  let create () = { act1 = false; act2 = false; veto_seen = false; done_ = false }
-
-  let act t ~phase =
-    match phase with
-    | 1 -> t.act1
-    | 3 -> t.act2
-    | 5 -> t.veto_seen
-    | 0 | 2 | 4 -> false
-    | _ -> invalid_arg "Two_bit.Receiver.act: bad phase"
-
-  let observe t ~phase ~activity =
-    match phase with
-    | 0 -> t.act1 <- activity
-    | 2 -> t.act2 <- activity
-    | 4 ->
-      t.veto_seen <- activity;
-      t.done_ <- true
-    | 1 | 3 | 5 -> ()
-    | _ -> invalid_arg "Two_bit.Receiver.observe: bad phase"
-
-  let outcome t : (outcome * (bool * bool)) option =
-    if not t.done_ then None
-    else if t.veto_seen then Some (Failure, (t.act1, t.act2))
-    else Some (Success, (t.act1, t.act2))
-
-  (* Flat accessors for the engine hot path: everything [outcome] reports,
-     without boxing an option of tuples per poll. *)
-  let finished t = t.done_
-  let veto_seen t = t.veto_seen
-  let bit1 t = t.act1
-  let bit2 t = t.act2
-
-  let reset t =
-    t.act1 <- false;
-    t.act2 <- false;
-    t.veto_seen <- false;
-    t.done_ <- false
-end
-
-module Blocker = struct
-  type t = { mutable saw_data : bool }
-
-  let create () = { saw_data = false }
-  let reset t = t.saw_data <- false
-
-  let act t ~phase =
-    match phase with
-    | 4 | 5 -> t.saw_data
-    | 0 | 1 | 2 | 3 -> false
-    | _ -> invalid_arg "Two_bit.Blocker.act: bad phase"
-
-  let observe t ~phase ~activity =
-    match phase with
-    | 0 | 2 -> if activity then t.saw_data <- true
-    | 1 | 3 | 4 | 5 -> ()
-    | _ -> invalid_arg "Two_bit.Blocker.observe: bad phase"
-
-  let saw_data t = t.saw_data
-end
+let engaged t =
+  match t.part with
+  | Sender -> true
+  | Receiver -> t.b1 || t.b2 || t.veto
+  | Blocker -> t.b1 || t.b2
+  | Idle -> false

@@ -12,72 +12,65 @@
     - R6 (phase 5): receivers relay any veto they sensed in R5 back to the
       sender.
 
-    A receiver returns success (with its bit estimates) iff R5 was silent; a
-    sender returns success iff it did not veto and R6 was silent.  The
-    sub-machines here are pure per-interval state machines; the engine
-    adapter drives [act] then [observe] for each phase.  All three ignore
-    observations in a phase where they themselves transmitted (half-duplex
-    radios).
+    A receiver succeeds (with its bit estimates) iff R5 was silent; a
+    sender succeeds iff it did not veto and R6 was silent.
 
-    [Blocker] is the neighbourhood-watch role (Section 4, Level 2): a
+    One {!t} per node plays whichever part the node has in the current
+    interval, re-armed in place at each interval boundary by {!send},
+    {!receive}, {!block} or {!idle}; the engine adapter drives {!act} then
+    {!observe} for each phase.  Every part ignores observations in a phase
+    where it transmitted (half-duplex radios).
+
+    The blocker is the neighbourhood-watch part (Section 4, Level 2): a
     square member with nothing new to send vetoes any transmission it
     detects during its own square's data rounds, so data leaves a square
     only when every member has committed to it. *)
 
-type outcome = Success | Failure
+type t
 
-module Sender : sig
-  type t
+val create : unit -> t
+(** An idle machine. *)
 
-  val create : b1:bool -> b2:bool -> t
-  val reset : t -> b1:bool -> b2:bool -> unit
-  (** In-place re-arm for a new interval, so one sender per machine can be
-      reused instead of allocating one per interval. *)
+val send : t -> b1:bool -> b2:bool -> unit
+(** Arm as the sender of [⟨b1, b2⟩]. *)
 
-  val act : t -> phase:int -> bool
-  (** Whether to transmit in this phase (phases are 0–5). *)
+val receive : t -> unit
+(** Arm as a receiver. *)
 
-  val observe : t -> phase:int -> activity:bool -> unit
-  val outcome : t -> outcome option
-  (** Available after phase 5 has been observed. *)
+val block : t -> unit
+(** Arm as the neighbourhood watch's blocker. *)
 
-  val vetoed : t -> bool
-  (** Whether the sender itself vetoed in R5. *)
-end
+val idle : t -> unit
+(** Take no part: never transmit, ignore every observation, never
+    finish. *)
 
-module Receiver : sig
-  type t
+val act : t -> phase:int -> bool
+(** Whether to transmit in this phase (phases are 0–5).
+    @raise Invalid_argument on any other phase. *)
 
-  val create : unit -> t
-  val act : t -> phase:int -> bool
-  val observe : t -> phase:int -> activity:bool -> unit
+val observe : t -> phase:int -> activity:bool -> unit
+(** @raise Invalid_argument on a phase outside 0–5. *)
 
-  val outcome : t -> (outcome * (bool * bool)) option
-  (** Available after phase 4 has been observed: the result and the
-      estimates of [(b1, b2)]. *)
+(** Flat accessors for per-round callers: nothing is boxed. *)
 
-  (** Flat projections of [outcome] for per-round callers — no boxing. *)
+val sending : t -> bool
+(** Armed by {!send} (and not idled since). *)
 
-  val finished : t -> bool
-  (** Phase 4 has been observed. *)
+val finished : t -> bool
+(** A sender has observed phase 5, a receiver phase 4; a blocker or an
+    idle machine never finishes. *)
 
-  val veto_seen : t -> bool
-  val bit1 : t -> bool
-  val bit2 : t -> bool
+val succeeded : t -> bool
+(** [finished] and no veto: for a receiver, R5 was silent; for a sender,
+    it did not veto and R6 was silent. *)
 
-  val reset : t -> unit
-  (** In-place re-arm for a new interval. *)
-end
+val bit1 : t -> bool
+val bit2 : t -> bool
+(** A sender's armed pair; a receiver's (or blocker's) estimate, the
+    activity it sensed in R1 and R3. *)
 
-module Blocker : sig
-  type t
-
-  val create : unit -> t
-  val reset : t -> unit
-  val act : t -> phase:int -> bool
-  val observe : t -> phase:int -> activity:bool -> unit
-
-  val saw_data : t -> bool
-  (** Whether any activity was detected in the data rounds R1/R3 (i.e. the
-      blocker had something to veto). *)
-end
+val engaged : t -> bool
+(** Whether the rest of the interval may need this machine: always for a
+    sender; for a receiver, once it has sensed data or a veto (it answers
+    with acknowledgements or a relay); for a blocker, once it has sensed
+    data (it vetoes); never when idle. *)

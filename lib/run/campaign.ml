@@ -101,7 +101,7 @@ type executed = {
   rounds : int;
   rounds_per_second : float;
   avg_degree : float;
-  peak_heap_words : int;
+  process_peak_heap_words : int;
   summary : Scenario.summary;
 }
 
@@ -117,7 +117,7 @@ let json_of_executed config e =
   let s = e.summary in
   Json.Obj
     [
-      ("schema", Json.String "securebit-campaign/1");
+      ("schema", Json.String "securebit-campaign/2");
       ("run_id", Json.String e.planned.run_id);
       ("label", Json.String config.label);
       ("class", Json.String (Scale_sweep.klass_name e.planned.cell.klass));
@@ -131,7 +131,7 @@ let json_of_executed config e =
       ("rounds", Json.Int e.rounds);
       ("rounds_per_second", Json.Float e.rounds_per_second);
       ("avg_degree", Json.Float e.avg_degree);
-      ("peak_heap_words", Json.Int e.peak_heap_words);
+      ("process_peak_heap_words", Json.Int e.process_peak_heap_words);
       ( "summary",
         Json.Obj
           [
@@ -187,7 +187,10 @@ let execute_cell config cell plans =
       let result = Scenario.run ~mode:`Sparse ~topology spec in
       let wall_seconds = Unix.gettimeofday () -. t0 +. topology_seconds in
       let summary = Scenario.summarize result in
-      let peak_heap_words = (Gc.quick_stat ()).Gc.top_heap_words in
+      (* The process's major-heap peak so far, not this run's: OCaml never
+         returns major-heap memory, so one process cannot read a later,
+         smaller run's own peak. *)
+      let process_peak_heap_words = (Gc.quick_stat ()).Gc.top_heap_words in
       {
         planned;
         wall_seconds;
@@ -197,7 +200,7 @@ let execute_cell config cell plans =
           (if wall_seconds > 0.0 then float_of_int summary.Scenario.rounds /. wall_seconds
            else 0.0);
         avg_degree = Graph.avg_degree (Topology.graph result.Scenario.topology);
-        peak_heap_words;
+        process_peak_heap_words;
         summary;
       })
     plans
@@ -213,7 +216,7 @@ let render executed =
           "wall (s)";
           "topo (s)";
           "rounds/s";
-          "peak (Mw)";
+          "process peak (Mw)";
           "delivered";
           "correct";
         ]
@@ -228,7 +231,7 @@ let render executed =
           Table.cell_f ~decimals:2 e.wall_seconds;
           Table.cell_f ~decimals:3 e.topology_seconds;
           Table.cell_f ~decimals:0 e.rounds_per_second;
-          Table.cell_f ~decimals:1 (float_of_int e.peak_heap_words /. 1e6);
+          Table.cell_f ~decimals:1 (float_of_int e.process_peak_heap_words /. 1e6);
           Table.cell_pct e.summary.Scenario.completion_rate;
           Table.cell_pct e.summary.Scenario.correct_rate;
         ])
@@ -259,9 +262,9 @@ let run config =
             let executed = execute_cell config cell (runs_of_cell config cell) in
             List.iter
               (fun e ->
-                Printf.printf "[%s: %d rounds, %.2fs, %.1fM peak words]\n%!" e.planned.run_id
-                  e.rounds e.wall_seconds
-                  (float_of_int e.peak_heap_words /. 1e6))
+                Printf.printf "[%s: %d rounds, %.2fs, %.1fM process-peak words]\n%!"
+                  e.planned.run_id e.rounds e.wall_seconds
+                  (float_of_int e.process_peak_heap_words /. 1e6))
               executed;
             executed)
           (cells config)
@@ -271,12 +274,12 @@ let run config =
       let over_ceiling =
         match config.mem_ceiling_words with
         | None -> []
-        | Some ceiling -> List.filter (fun e -> e.peak_heap_words > ceiling) executed
+        | Some ceiling -> List.filter (fun e -> e.process_peak_heap_words > ceiling) executed
       in
       List.iter
         (fun e ->
-          Printf.printf "OVER CEILING: %s peaked at %d words (ceiling %d)\n" e.planned.run_id
-            e.peak_heap_words
+          Printf.printf "OVER CEILING: the process peaked at %d words by the end of %s (ceiling %d)\n"
+            e.process_peak_heap_words e.planned.run_id
             (Option.get config.mem_ceiling_words))
         over_ceiling;
       Ok (executed, over_ceiling <> [])

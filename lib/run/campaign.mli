@@ -7,8 +7,9 @@
     included) and [warm] more times on the cold run's cached topology, so
     the cold/warm delta isolates setup cost from the steady-state engine
     rate.  Results can be archived as one labelled JSON file per run plus
-    a manifest, and a peak-heap ceiling turns memory growth into a
-    failing exit the same way {!Bench.compare} gates the registry. *)
+    a manifest, and a ceiling on the process's major-heap peak turns
+    memory growth into a failing exit the same way {!Bench.compare} gates
+    the registry. *)
 
 type config = {
   label : string;  (** archive subdirectory and report heading *)
@@ -23,8 +24,9 @@ type config = {
   message : string;  (** broadcast payload bits *)
   out_dir : string option;  (** archive under [out_dir/label/], if given *)
   mem_ceiling_words : int option;
-      (** any run peaking above this many major-heap words fails the
-          campaign (reported after the table) *)
+      (** the campaign fails (reported after the table) if the process's
+          major-heap peak, read after each run, exceeds this many words:
+          the first run over it and every run after it are reported *)
   dry_run : bool;  (** print the plan and execute nothing *)
 }
 
@@ -54,9 +56,11 @@ type executed = {
   rounds : int;
   rounds_per_second : float;
   avg_degree : float;  (** measured, vs the cell's target density *)
-  peak_heap_words : int;
-      (** process-lifetime major-heap peak after the run — monotone
-          across a campaign, so the ceiling gates the maximum *)
+  process_peak_heap_words : int;
+      (** the process's major-heap peak so far, read after the run: not
+          this run's own peak.  OCaml never returns major-heap memory, so
+          the reading is monotone across a campaign, and every run after
+          the largest reads the largest's peak. *)
   summary : Scenario.summary;
 }
 
@@ -64,5 +68,5 @@ val render : executed list -> string
 
 val run : config -> (executed list * bool, string) result
 (** Print the plan, execute it (unless [dry_run]), print the table,
-    archive if configured.  [Ok (runs, failed)] where [failed] means some
-    run peaked over [mem_ceiling_words]; [Error] on bad config. *)
+    archive if configured.  [Ok (runs, failed)] where [failed] means the
+    process peaked over [mem_ceiling_words]; [Error] on bad config. *)

@@ -66,8 +66,12 @@ let test_archive () =
       | Error message -> Alcotest.fail message
       | Ok json ->
         Alcotest.(check (option string))
-          "archived schema" (Some "securebit-campaign/1")
-          (Option.bind (Json.member "schema" json) Json.to_string_opt))
+          "archived schema" (Some "securebit-campaign/2")
+          (Option.bind (Json.member "schema" json) Json.to_string_opt);
+        Alcotest.(check (option (float 0.0)))
+          "archived process peak"
+          (Some (float_of_int e.Campaign.process_peak_heap_words))
+          (Option.bind (Json.member "process_peak_heap_words" json) Json.to_float_opt))
     executed;
   match Json.of_string
           (In_channel.with_open_text (Filename.concat dir "manifest.json") In_channel.input_all)
@@ -134,6 +138,29 @@ let test_validation () =
   bad "negative warm" { (tiny Campaign.default) with Campaign.warm = -1 };
   bad "zero round cap" { (tiny Campaign.default) with Campaign.cap = 0 };
   bad "negative round cap" { (tiny Campaign.default) with Campaign.cap = -5 }
+
+(* The heap figure is the process's major-heap peak so far, not the run's
+   own: a small cell run after a big one reads at least the big one's
+   peak, and no reading exceeds the process's peak afterwards. *)
+let test_process_peak_reading () =
+  let config =
+    {
+      (tiny Campaign.default) with
+      Campaign.node_counts = [ 3000; 60 ];
+      classes = [ Scale_sweep.Uniform_radio ];
+      warm = 0;
+    }
+  in
+  match run_exn config with
+  | [ big; small ], _ ->
+    let peak e = e.Campaign.process_peak_heap_words in
+    Alcotest.(check bool)
+      (Printf.sprintf "n=60 after n=3000 reads %d >= %d words" (peak small) (peak big))
+      true
+      (peak small >= peak big);
+    Alcotest.(check bool) "a process figure" true
+      (peak small <= (Gc.quick_stat ()).Gc.top_heap_words)
+  | executed, _ -> Alcotest.failf "expected two runs, got %d" (List.length executed)
 
 let test_mem_ceiling_fails () =
   (* One word is below any real peak, so the gate must trip. *)
@@ -208,6 +235,8 @@ let () =
           Alcotest.test_case "cold runs time their topology" `Quick test_topology_seconds;
           Alcotest.test_case "config validation" `Quick test_validation;
           Alcotest.test_case "memory ceiling trips" `Quick test_mem_ceiling_fails;
+          Alcotest.test_case "heap figure is the process peak so far" `Quick
+            test_process_peak_reading;
         ] );
       ( "bench memory gate",
         [

@@ -112,66 +112,74 @@ let test_lint_default_clean () =
   Alcotest.(check bool) "default spec has no errors" false
     (Diagnostics.has_errors (Lint.lint ~name:"default" Scenario.default))
 
-let test_lint_catches_bad_specs () =
+(* [(label, code, spec)]: linting [spec] must raise [code] as an Error. *)
+let raises_error (label, code, spec) =
+  Alcotest.(check bool) (label ^ " is a " ^ code ^ " error") true
+    (List.exists
+       (fun (d : Diagnostics.diagnostic) -> d.code = code && d.severity = Error)
+       (Lint.lint ~name:"bad" spec))
+
+let bad_specs =
   let d = Scenario.default in
-  let lint spec = Lint.lint ~name:"bad" spec in
-  Alcotest.(check bool) "zero round cap" true (has_code "cap" (lint { d with cap = 0 }));
-  Alcotest.(check bool) "negative radius" true (has_code "radius" (lint { d with radius = -1.0 }));
-  Alcotest.(check bool) "tolerance above Koo's bound" true
-    (has_code "koo-impossibility"
-       (lint { d with protocol = Scenario.Multi_path { tolerance = 999 } }));
-  Alcotest.(check bool) "fault fraction above 1" true
-    (has_code "fraction" (lint { d with faults = Scenario.Lying 1.5 }));
-  Alcotest.(check bool) "oversized watch squares" true
-    (has_code "square-geometry" (lint { d with square_side = Some 10.0 }));
-  Alcotest.(check bool) "relay cap of zero" true
-    (has_code "relay-limit"
-       (lint
-          {
-            d with
-            protocol = Scenario.Multi_path { tolerance = 1 };
-            heard_relay_limit = Some 0;
-          }));
-  (* All of the above are Errors, not mere Warnings. *)
-  Alcotest.(check bool) "cap diagnostic is an error" true
-    (Diagnostics.has_errors (lint { d with cap = 0 }))
+  [
+    ("zero round cap", "cap", { d with cap = 0 });
+    ("negative radius", "radius", { d with radius = -1.0 });
+    ( "tolerance above Koo's bound",
+      "koo-impossibility",
+      { d with protocol = Scenario.Multi_path { tolerance = 999 } } );
+    ("fault fraction above 1", "fraction", { d with faults = Scenario.Lying 1.5 });
+    ("oversized watch squares", "square-geometry", { d with square_side = Some 10.0 });
+    ( "relay cap of zero",
+      "relay-limit",
+      { d with protocol = Scenario.Multi_path { tolerance = 1 }; heard_relay_limit = Some 0 } );
+  ]
+
+let test_lint_catches_bad_specs () = List.iter raises_error bad_specs
 
 (* NaN compares false against everything, so a range check written as
    "below or above" lets it through.  A NaN fault fraction would otherwise
    round to zero Byzantine devices and silently run an honest network. *)
-let test_lint_nan_parameters () =
+let nan_specs =
   let d = Scenario.default in
-  let nan_error name code spec =
-    Alcotest.(check bool) (name ^ " is a " ^ code ^ " error") true
-      (List.exists
-         (fun (d : Diagnostics.diagnostic) -> d.code = code && d.severity = Error)
-         (Lint.lint ~name:"nan" spec))
-  in
-  nan_error "NaN loss_prob" "channel"
-    { d with channel = { Channel.ideal with Channel.loss_prob = nan } };
-  nan_error "NaN capture_ratio" "channel"
-    { d with channel = { Channel.ideal with Channel.capture_ratio = nan } };
-  nan_error "NaN map_w" "map-dims" { d with map_w = nan };
-  nan_error "NaN map_h" "map-dims" { d with map_h = nan };
-  nan_error "NaN radius" "radius" { d with radius = nan };
-  nan_error "NaN square_side" "square-geometry" { d with square_side = Some nan };
-  nan_error "Lying NaN" "fraction" { d with faults = Scenario.Lying nan };
-  nan_error "Crash NaN" "fraction" { d with faults = Scenario.Crash nan };
-  nan_error "NaN jamming probability" "probability"
-    { d with faults = Scenario.Jamming { fraction = 0.1; budget = 5; probability = nan } };
-  nan_error "NaN selective jamming probability" "probability"
-    { d with faults = Scenario.Selective_jam { fraction = 0.1; budget = 5; probability = nan } };
-  nan_error "NaN cluster stddev" "deployment"
-    { d with deployment = Scenario.Clustered { n = 600; clusters = 4; stddev = nan } };
-  nan_error "NaN triangulation jitter" "deployment"
-    { d with deployment = Scenario.Triangulated { cols = 10; rows = 10; jitter = nan } };
+  [
+    ( "NaN loss_prob",
+      "channel",
+      { d with channel = { Channel.ideal with Channel.loss_prob = nan } } );
+    ( "NaN capture_ratio",
+      "channel",
+      { d with channel = { Channel.ideal with Channel.capture_ratio = nan } } );
+    ("NaN map_w", "map-dims", { d with map_w = nan });
+    ("NaN map_h", "map-dims", { d with map_h = nan });
+    ("NaN radius", "radius", { d with radius = nan });
+    ("NaN square_side", "square-geometry", { d with square_side = Some nan });
+    ("Lying NaN", "fraction", { d with faults = Scenario.Lying nan });
+    ("Crash NaN", "fraction", { d with faults = Scenario.Crash nan });
+    ( "NaN jamming probability",
+      "probability",
+      { d with faults = Scenario.Jamming { fraction = 0.1; budget = 5; probability = nan } } );
+    ( "NaN selective jamming probability",
+      "probability",
+      { d with faults = Scenario.Selective_jam { fraction = 0.1; budget = 5; probability = nan } }
+    );
+    ( "NaN cluster stddev",
+      "deployment",
+      { d with deployment = Scenario.Clustered { n = 600; clusters = 4; stddev = nan } } );
+    ( "NaN triangulation jitter",
+      "deployment",
+      { d with deployment = Scenario.Triangulated { cols = 10; rows = 10; jitter = nan } } );
+  ]
+
+let test_lint_nan_parameters () =
+  List.iter raises_error nan_specs;
   Alcotest.(check bool) "the default spec stays clean" false
-    (Diagnostics.has_errors (Lint.lint ~name:"nan" d))
+    (Diagnostics.has_errors (Lint.lint ~name:"nan" Scenario.default))
+
+(* 600 nodes on a 20x20 map with R=4: ~75 devices per neighbourhood, so
+   40% liars vastly exceeds the ceil(R/2)^2 - 1 = 3 bound. *)
+let overrun_spec = { Scenario.default with faults = Scenario.Lying 0.4 }
 
 let test_lint_byz_tolerance_warning () =
-  (* 600 nodes on a 20x20 map with R=4: ~75 devices per neighbourhood, so
-     40% liars vastly exceeds the ceil(R/2)^2 - 1 = 3 bound. *)
-  let diags = Lint.lint ~name:"overrun" { Scenario.default with faults = Scenario.Lying 0.4 } in
+  let diags = Lint.lint ~name:"overrun" overrun_spec in
   Alcotest.(check bool) "byz-tolerance warning fires" true (has_code "byz-tolerance" diags);
   Alcotest.(check bool) "it is a warning, not an error" false (Diagnostics.has_errors diags)
 
@@ -250,13 +258,18 @@ let test_vote_neighbor_watch_seeded () =
 let source_lint ~path contents = lint_files Source_lint.lint [ (path, contents) ]
 let source_codes ~path contents = codes (source_lint ~path contents)
 
+let hashtbl_fixture =
+  "let report tbl =\n  Hashtbl.iter (fun k v -> Printf.printf \"%d %d\\n\" k v) tbl\n"
+
+let random_fixture = "let jitter () = Random.int 10\n"
+let wall_clock_fixture = "let stamp () = Unix.gettimeofday ()\n"
+let atomics_fixture = "let counter = Atomic.make 0\n"
+let bare_engine_run = "let r = Engine.run ~topology ~machines ~waiters ~cap:100 ()\n"
+let broken_fixture = "let let let"
+
 let test_source_lint_fixtures () =
-  let hashtbl_fixture =
-    "let report tbl =\n  Hashtbl.iter (fun k v -> Printf.printf \"%d %d\\n\" k v) tbl\n"
-  in
   Alcotest.(check (list string)) "Hashtbl.iter into output is flagged" [ "hashtbl-order" ]
     (source_codes ~path:"lib/analysis/report.ml" hashtbl_fixture);
-  let random_fixture = "let jitter () = Random.int 10\n" in
   (match source_lint ~path:"lib/core/noise.ml" random_fixture with
   | [ d ] ->
     Alcotest.(check string) "unseeded Random is flagged" "ambient-random" d.code;
@@ -278,21 +291,21 @@ let test_source_lint_fixtures () =
     (source_codes ~path:"lib/core/sorting.ml" "let xs = List.sort Float.compare [ 1.0; 2.0 ]\n")
 
 let test_source_lint_exemptions () =
-  let wall_clock = "let stamp () = Unix.gettimeofday ()\n" in
+  let wall_clock = wall_clock_fixture in
   Alcotest.(check (list string)) "wall clock flagged in protocol code" [ "wall-clock" ]
     (source_codes ~path:"lib/core/clock.ml" wall_clock);
   Alcotest.(check (list string)) "wall clock allowed under lib/run/" []
     (source_codes ~path:"lib/run/wall.ml" wall_clock);
   Alcotest.(check (list string)) "wall clock allowed under bench/" []
     (source_codes ~path:"bench/timing.ml" wall_clock);
-  let atomics = "let counter = Atomic.make 0\n" in
+  let atomics = atomics_fixture in
   Alcotest.(check (list string)) "atomics flagged outside lib/run/" [ "domain-outside-run" ]
     (source_codes ~path:"lib/sim/counter.ml" atomics);
   Alcotest.(check (list string)) "atomics allowed in the job pool" []
     (source_codes ~path:"lib/run/pool.ml" atomics)
 
 let test_source_lint_engine_mode () =
-  let bare = "let r = Engine.run ~topology ~machines ~waiters ~cap:100 ()\n" in
+  let bare = bare_engine_run in
   (match source_lint ~path:"lib/analysis/driver.ml" bare with
   | [ d ] ->
     Alcotest.(check string) "Engine.run without ~mode is flagged" "engine-mode" d.code;
@@ -314,7 +327,7 @@ let test_source_lint_engine_mode () =
 (* [Source_lint.parse] is the one place a parse-error is built, and the
    lint reports it with its own findings. *)
 let test_source_lint_parse_error () =
-  match source_lint ~path:"lib/broken.ml" "let let let" with
+  match source_lint ~path:"lib/broken.ml" broken_fixture with
   | [ d ] ->
     Alcotest.(check string) "parse error code" "parse-error" d.code;
     Alcotest.(check (pair string int)) "located in the file" ("lib/broken.ml", 1) (file_line d)
@@ -483,25 +496,60 @@ let test_global_mutable_runner_plant () =
 (* --- golden diagnostic codes ---------------------------------------------- *)
 
 (* The stable codes are the machine-readable interface of `securebit_lint
-   --json`.  Adding a code extends these lists; renaming or dropping one is
-   a breaking change and must be flagged by review. *)
+   --json`.  Each linter's are collected from what it emits on inputs that
+   between them trigger every code (the bad specs and fixtures above, plus
+   one input per code those miss), so renaming, dropping or adding an
+   emitted code changes the set and must be flagged by review. *)
+
+let emitted lint inputs = List.sort_uniq String.compare (List.concat_map (fun x -> codes (lint x)) inputs)
+let third (_, _, spec) = spec
 
 let test_golden_codes () =
+  let d = Scenario.default in
+  let specs =
+    List.map third bad_specs @ List.map third nan_specs
+    @ [
+        overrun_spec;
+        { d with message = Bitvec.of_string "" };
+        { d with protocol = Scenario.Neighbor_watch { votes = 0 } };
+        (* 20 devices on the 20x20 map: far under one per watch square. *)
+        { d with deployment = Scenario.Uniform 20 };
+        { d with heard_relay_limit = Some 4 };
+        { d with protocol = Scenario.Multi_path { tolerance = -1 } };
+        { d with faults = Scenario.Jamming { fraction = 0.1; budget = -1; probability = 0.5 } };
+        { d with deployment = Scenario.Expander { n = 100; degree = 4 } };
+      ]
+  in
   Alcotest.(check (list string))
     "scenario linter codes"
     [
-      "map-dims"; "radius"; "message"; "cap"; "deployment"; "channel"; "votes"; "square-geometry";
-      "sparse-squares"; "unused-field"; "tolerance"; "koo-impossibility"; "relay-limit"; "fraction";
-      "budget"; "probability"; "byz-tolerance"; "non-geometric-bound";
+      "budget"; "byz-tolerance"; "cap"; "channel"; "deployment"; "fraction"; "koo-impossibility";
+      "map-dims"; "message"; "non-geometric-bound"; "probability"; "radius"; "relay-limit";
+      "sparse-squares"; "square-geometry"; "tolerance"; "unused-field"; "votes";
     ]
-    Lint.codes;
+    (emitted (Lint.lint ~name:"golden") specs);
+  let sources =
+    [
+      ("lib/analysis/report.ml", hashtbl_fixture);
+      ("lib/core/order.ml", "let order xs = List.sort compare xs\n");
+      ("lib/core/bucket.ml", "let bucket x = Hashtbl.hash x\n");
+      ("lib/core/noise.ml", random_fixture);
+      ("lib/core/clock.ml", wall_clock_fixture);
+      ("lib/sim/counter.ml", atomics_fixture);
+      ("lib/analysis/driver.ml", bare_engine_run);
+      ("lib/analysis/racy_counter.ml", read_fixture "racy_counter.ml");
+      (* Clean contents leave this file's allowlist entry stale. *)
+      ("lib/core/certified_propagation.ml", "let x = 1\n");
+      ("lib/broken.ml", broken_fixture);
+    ]
+  in
   Alcotest.(check (list string))
     "source lint codes"
     [
-      "hashtbl-order"; "poly-compare"; "poly-hash"; "ambient-random"; "wall-clock";
-      "domain-outside-run"; "engine-mode"; "global-mutable"; "unused-allowlist"; "parse-error";
+      "ambient-random"; "domain-outside-run"; "engine-mode"; "global-mutable"; "hashtbl-order";
+      "parse-error"; "poly-compare"; "poly-hash"; "unused-allowlist"; "wall-clock";
     ]
-    Source_lint.codes
+    (emitted (fun (path, contents) -> source_lint ~path contents) sources)
 
 (* --- determinism checker ------------------------------------------------- *)
 

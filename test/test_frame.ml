@@ -38,19 +38,17 @@ let test_lengths_match_tag () =
   List.iter
     (fun frame ->
       let bits = Frame.encode codec frame in
-      let tag = (Bitvec.get bits 0, Bitvec.get bits 1) in
-      Alcotest.(check (option int)) "self-delimiting"
-        (Some (Bitvec.length bits))
-        (Frame.length_from_tag codec tag))
+      Alcotest.(check int) "self-delimiting" (Bitvec.length bits)
+        (Frame.length_of_tag_bits codec (Bitvec.get bits 0) (Bitvec.get bits 1)))
     [
       Frame.Source true;
       Frame.Commit { index = 5; value = false };
       Frame.Heard { index = 9; value = true; cause = (1, 1) };
     ]
 
-(* The allocation-free length agrees with [length_from_tag] on every tag,
-   and with the encoded length of every frame kind, across codecs of
-   different index and coordinate widths; the unused tag reads -1. *)
+(* The tag length agrees with the encoded length of every frame kind,
+   across codecs of different index and coordinate widths, and each valid
+   tag's length is even (the padding); the unused tag reads -1. *)
 let test_length_of_tag_bits () =
   List.iter
     (fun (msg_len, coord_range, coord_step) ->
@@ -58,10 +56,12 @@ let test_length_of_tag_bits () =
       List.iter
         (fun (b0, b1) ->
           let label = Printf.sprintf "msg_len %d, tag %b%b" msg_len b0 b1 in
-          Alcotest.(check int) label
-            (Option.value ~default:(-1) (Frame.length_from_tag c (b0, b1)))
-            (Frame.length_of_tag_bits c b0 b1))
-        [ (false, false); (false, true); (true, false); (true, true) ];
+          let len = Frame.length_of_tag_bits c b0 b1 in
+          Alcotest.(check bool) label true (len >= 3 && len mod 2 = 0))
+        [ (false, false); (false, true); (true, false) ];
+      Alcotest.(check int)
+        (Printf.sprintf "msg_len %d, tag 11 invalid" msg_len)
+        (-1) (Frame.length_of_tag_bits c true true);
       List.iter
         (fun frame ->
           let bits = Frame.encode c frame in
@@ -74,11 +74,10 @@ let test_length_of_tag_bits () =
           Frame.Commit { index = msg_len - 1; value = true };
           Frame.Heard { index = 0; value = false; cause = (1, -1) };
         ])
-    [ (1, 1.0, 1.0); (4, 2.5, 0.5); (5, 8.0, 0.5); (16, 8.0, 0.5); (100, 3.0, 0.25) ];
-  Alcotest.(check int) "tag 11 invalid" (-1) (Frame.length_of_tag_bits codec true true)
+    [ (1, 1.0, 1.0); (4, 2.5, 0.5); (5, 8.0, 0.5); (16, 8.0, 0.5); (100, 3.0, 0.25) ]
 
 let test_invalid_tag () =
-  Alcotest.(check (option int)) "tag 11 invalid" None (Frame.length_from_tag codec (true, true));
+  Alcotest.(check int) "tag 11 invalid" (-1) (Frame.length_of_tag_bits codec true true);
   Alcotest.(check (option frame_testable)) "decode tag 11" None
     (Frame.decode codec (Bitvec.of_string "111"))
 

@@ -305,11 +305,11 @@ let test_poll_budget () =
 (* Deterministic allocation gate on machine construction, mirroring
    test_neighbor_watch's: the minor words of building every machine of a
    seeded mp-expander broadcast (1 000 nodes, degree 8), set up as
-   Scenario.run sets it up.  Measured: 688.8 words per machine at cycle
+   Scenario.run sets it up.  Measured: 679.8 words per machine at cycle
    103, of which three cycle-sized arrays per machine (the slot-to-peer
    table, the relevant-slot flags and the wake delta table) take about
-   3 x 104. *)
-let max_words_per_machine = 689.0
+   3 x 104; the gate is that count rounded up. *)
+let max_words_per_machine = 680.0
 
 let test_construction_words () =
   let spec =

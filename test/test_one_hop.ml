@@ -17,10 +17,10 @@ let test_sender_basics () =
   One_hop.Sender.push s false;
   Alcotest.(check int) "two queued" 2 (One_hop.Sender.total s);
   Alcotest.(check bool) "has current" true (One_hop.Sender.has_current s);
-  let parity, data = One_hop.Sender.current s in
+  let parity = One_hop.Sender.current_parity s and data = One_hop.Sender.current_data s in
   Alcotest.(check (pair bool bool)) "first bit with parity 1" (true, true) (parity, data);
   One_hop.Sender.advance s;
-  let parity, data = One_hop.Sender.current s in
+  let parity = One_hop.Sender.current_parity s and data = One_hop.Sender.current_data s in
   Alcotest.(check (pair bool bool)) "second bit with parity 0" (false, false) (parity, data);
   One_hop.Sender.advance s;
   Alcotest.(check bool) "drained" false (One_hop.Sender.has_current s);
@@ -88,7 +88,7 @@ let prop_lossless_transfer =
       let r = One_hop.Receiver.create () in
       List.iter (One_hop.Sender.push s) bits;
       while One_hop.Sender.has_current s do
-        let parity, data = One_hop.Sender.current s in
+        let parity = One_hop.Sender.current_parity s and data = One_hop.Sender.current_data s in
         One_hop.Receiver.push_two_bit r ~parity ~data;
         One_hop.Sender.advance s
       done;
@@ -103,7 +103,7 @@ let prop_retries_are_harmless =
       let r = One_hop.Receiver.create () in
       List.iter (One_hop.Sender.push s) bits;
       while One_hop.Sender.has_current s do
-        let parity, data = One_hop.Sender.current s in
+        let parity = One_hop.Sender.current_parity s and data = One_hop.Sender.current_data s in
         (* The 2Bit exchange may fail for the sender but succeed for the
            receiver (or vice versa): deliver 1 + k copies. *)
         for _ = 0 to Rng.int rng 3 do
@@ -122,7 +122,7 @@ let prop_interleaved_push =
       List.iter (One_hop.Sender.push s) first;
       let step () =
         if One_hop.Sender.has_current s then begin
-          let parity, data = One_hop.Sender.current s in
+          let parity = One_hop.Sender.current_parity s and data = One_hop.Sender.current_data s in
           One_hop.Receiver.push_two_bit r ~parity ~data;
           One_hop.Sender.advance s
         end
@@ -198,7 +198,8 @@ let prop_list_model =
           && One_hop.Sender.sent s = !sent
           && One_hop.Sender.has_current s = (!sent < !total)
           && (!sent >= !total
-             || One_hop.Sender.current s = (One_hop.parity_of_index !sent, pushed.(!sent)))
+             || One_hop.Sender.current_parity s = One_hop.parity_of_index !sent
+                && One_hop.Sender.current_data s = pushed.(!sent))
           && One_hop.Receiver.received r = !received
           && (!received = 0 || One_hop.Receiver.get r (!received - 1) = accepted_arr.(!received - 1))
           && read_raises !received)

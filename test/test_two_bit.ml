@@ -14,39 +14,40 @@
    - Energy: if anyone fails, the adversary was active in at least one
      round. *)
 
+type outcome = Success | Fail
+
+let outcome t =
+  if not (Two_bit.finished t) then Alcotest.fail "outcome missing"
+  else if Two_bit.succeeded t then Success
+  else Fail
+
+let armed arm =
+  let t = Two_bit.create () in
+  arm t;
+  t
+
+let sender ~b1 ~b2 = armed (Two_bit.send ~b1 ~b2)
+
 let drive ~b1 ~b2 ~receivers ~adversary =
-  let sender = Two_bit.Sender.create ~b1 ~b2 in
-  let rxs = List.init receivers (fun _ -> Two_bit.Receiver.create ()) in
+  let sender = sender ~b1 ~b2 in
+  let rxs = List.init receivers (fun _ -> armed Two_bit.receive) in
   for phase = 0 to 5 do
-    let sender_tx = Two_bit.Sender.act sender ~phase in
-    let rx_txs = List.map (fun r -> Two_bit.Receiver.act r ~phase) rxs in
+    let sender_tx = Two_bit.act sender ~phase in
+    let rx_txs = List.map (fun r -> Two_bit.act r ~phase) rxs in
     let adv_tx = adversary phase in
     (* Everyone is mutually in range: activity on the channel is the OR of
        all transmissions; a transmitter does not hear itself. *)
     let any l = List.exists (fun b -> b) l in
     let sender_hears = any rx_txs || adv_tx in
-    Two_bit.Sender.observe sender ~phase ~activity:sender_hears;
+    Two_bit.observe sender ~phase ~activity:sender_hears;
     List.iteri
       (fun i r ->
         let others = List.filteri (fun j _ -> j <> i) rx_txs in
         let hears = sender_tx || any others || adv_tx in
-        Two_bit.Receiver.observe r ~phase ~activity:hears)
+        Two_bit.observe r ~phase ~activity:hears)
       rxs
   done;
-  let sender_outcome =
-    match Two_bit.Sender.outcome sender with
-    | Some o -> o
-    | None -> Alcotest.fail "sender outcome missing"
-  in
-  let receiver_outcomes =
-    List.map
-      (fun r ->
-        match Two_bit.Receiver.outcome r with
-        | Some o -> o
-        | None -> Alcotest.fail "receiver outcome missing")
-      rxs
-  in
-  (sender_outcome, receiver_outcomes)
+  (outcome sender, List.map (fun r -> (outcome r, (Two_bit.bit1 r, Two_bit.bit2 r))) rxs)
 
 let test_clean_exchange () =
   List.iter
@@ -54,10 +55,10 @@ let test_clean_exchange () =
       let sender_outcome, receivers =
         drive ~b1 ~b2 ~receivers:3 ~adversary:(fun _ -> false)
       in
-      Alcotest.(check bool) "sender succeeds" true (sender_outcome = Two_bit.Success);
+      Alcotest.(check bool) "sender succeeds" true (sender_outcome = Success);
       List.iter
         (fun (outcome, bits) ->
-          Alcotest.(check bool) "receiver succeeds" true (outcome = Two_bit.Success);
+          Alcotest.(check bool) "receiver succeeds" true (outcome = Success);
           Alcotest.(check (pair bool bool)) "bits delivered" (b1, b2) bits)
         receivers)
     [ (false, false); (false, true); (true, false); (true, true) ]
@@ -77,23 +78,23 @@ let test_theorem1_exhaustive () =
             (* Authenticity. *)
             List.iter
               (fun (outcome, bits) ->
-                if outcome = Two_bit.Success then
+                if outcome = Success then
                   Alcotest.(check (pair bool bool))
                     (Printf.sprintf "authenticity (mask %d)" adv_mask)
                     (b1, b2) bits)
               receiver_outcomes;
             (* Termination. *)
-            if sender_outcome = Two_bit.Success then
+            if sender_outcome = Success then
               List.iter
                 (fun (outcome, _) ->
                   Alcotest.(check bool)
                     (Printf.sprintf "termination (mask %d)" adv_mask)
-                    true (outcome = Two_bit.Success))
+                    true (outcome = Success))
                 receiver_outcomes;
             (* Energy. *)
             let anyone_failed =
-              sender_outcome = Two_bit.Failure
-              || List.exists (fun (o, _) -> o = Two_bit.Failure) receiver_outcomes
+              sender_outcome = Fail
+              || List.exists (fun (o, _) -> o = Fail) receiver_outcomes
             in
             if anyone_failed then
               Alcotest.(check bool)
@@ -110,68 +111,67 @@ let test_bit_flip_is_never_accepted () =
   let sender_outcome, receivers =
     drive ~b1:false ~b2:false ~receivers:2 ~adversary:(fun phase -> phase = 0)
   in
-  Alcotest.(check bool) "sender vetoes" true (sender_outcome = Two_bit.Failure);
+  Alcotest.(check bool) "sender vetoes" true (sender_outcome = Fail);
   List.iter
     (fun (outcome, _) ->
-      Alcotest.(check bool) "no receiver accepts the flip" true (outcome = Two_bit.Failure))
+      Alcotest.(check bool) "no receiver accepts the flip" true (outcome = Fail))
     receivers
 
 let test_jam_r5_fails_receivers () =
   let _, receivers = drive ~b1:true ~b2:false ~receivers:2 ~adversary:(fun p -> p = 4) in
   List.iter
     (fun (outcome, _) ->
-      Alcotest.(check bool) "R5 jam fails receivers" true (outcome = Two_bit.Failure))
+      Alcotest.(check bool) "R5 jam fails receivers" true (outcome = Fail))
     receivers
 
 let test_jam_r6_fails_sender () =
   let sender_outcome, receivers =
     drive ~b1:true ~b2:true ~receivers:2 ~adversary:(fun p -> p = 5)
   in
-  Alcotest.(check bool) "R6 jam fails sender" true (sender_outcome = Two_bit.Failure);
+  Alcotest.(check bool) "R6 jam fails sender" true (sender_outcome = Fail);
   (* Receivers decided before R6 and keep their (correct) bits. *)
   List.iter
     (fun (outcome, bits) ->
-      Alcotest.(check bool) "receivers already succeeded" true (outcome = Two_bit.Success);
+      Alcotest.(check bool) "receivers already succeeded" true (outcome = Success);
       Alcotest.(check (pair bool bool)) "correct bits" (true, true) bits)
     receivers
 
 let test_sender_vetoed_flag () =
-  let sender = Two_bit.Sender.create ~b1:true ~b2:false in
-  (* No acknowledgements arrive for the sent 1: mismatch. *)
+  let sender = sender ~b1:true ~b2:false in
+  (* No acknowledgements arrive for the sent 1: mismatch, so the sender's
+     R5 transmission is its veto. *)
   for phase = 0 to 5 do
-    ignore (Two_bit.Sender.act sender ~phase);
-    Two_bit.Sender.observe sender ~phase ~activity:false
+    let tx = Two_bit.act sender ~phase in
+    if phase = 4 then Alcotest.(check bool) "vetoed" true tx;
+    Two_bit.observe sender ~phase ~activity:false
   done;
-  Alcotest.(check bool) "vetoed" true (Two_bit.Sender.vetoed sender);
-  Alcotest.(check bool) "failure" true (Two_bit.Sender.outcome sender = Some Two_bit.Failure)
+  Alcotest.(check bool) "failure" true (outcome sender = Fail)
 
 let test_blocker_vetoes_data () =
-  let blocker = Two_bit.Blocker.create () in
-  Alcotest.(check bool) "silent before" false (Two_bit.Blocker.act blocker ~phase:4);
-  Two_bit.Blocker.observe blocker ~phase:0 ~activity:true;
-  Alcotest.(check bool) "saw data" true (Two_bit.Blocker.saw_data blocker);
-  Alcotest.(check bool) "vetoes R5" true (Two_bit.Blocker.act blocker ~phase:4);
-  Alcotest.(check bool) "vetoes R6" true (Two_bit.Blocker.act blocker ~phase:5);
-  Alcotest.(check bool) "never transmits in data rounds" false (Two_bit.Blocker.act blocker ~phase:0)
+  let blocker = armed Two_bit.block in
+  Alcotest.(check bool) "silent before" false (Two_bit.act blocker ~phase:4);
+  Two_bit.observe blocker ~phase:0 ~activity:true;
+  Alcotest.(check bool) "saw data" true (Two_bit.engaged blocker);
+  Alcotest.(check bool) "vetoes R5" true (Two_bit.act blocker ~phase:4);
+  Alcotest.(check bool) "vetoes R6" true (Two_bit.act blocker ~phase:5);
+  Alcotest.(check bool) "never transmits in data rounds" false (Two_bit.act blocker ~phase:0)
 
 let test_blocker_ignores_acks () =
-  let blocker = Two_bit.Blocker.create () in
-  Two_bit.Blocker.observe blocker ~phase:1 ~activity:true;
-  Two_bit.Blocker.observe blocker ~phase:3 ~activity:true;
-  Alcotest.(check bool) "ack rounds are not data" false (Two_bit.Blocker.saw_data blocker);
-  Alcotest.(check bool) "no veto" false (Two_bit.Blocker.act blocker ~phase:4)
+  let blocker = armed Two_bit.block in
+  Two_bit.observe blocker ~phase:1 ~activity:true;
+  Two_bit.observe blocker ~phase:3 ~activity:true;
+  Alcotest.(check bool) "ack rounds are not data" false (Two_bit.engaged blocker);
+  Alcotest.(check bool) "no veto" false (Two_bit.act blocker ~phase:4)
 
 let test_outcome_not_ready_early () =
-  let sender = Two_bit.Sender.create ~b1:true ~b2:true in
-  Alcotest.(check bool) "sender pending" true (Two_bit.Sender.outcome sender = None);
-  let receiver = Two_bit.Receiver.create () in
-  Alcotest.(check bool) "receiver pending" true (Two_bit.Receiver.outcome receiver = None)
+  Alcotest.(check bool) "sender pending" false (Two_bit.finished (sender ~b1:true ~b2:true));
+  Alcotest.(check bool) "receiver pending" false (Two_bit.finished (armed Two_bit.receive))
 
 let test_bad_phase_rejected () =
-  let sender = Two_bit.Sender.create ~b1:true ~b2:true in
+  let sender = sender ~b1:true ~b2:true in
   Alcotest.(check bool) "act phase 6 rejected" true
     (try
-       ignore (Two_bit.Sender.act sender ~phase:6);
+       ignore (Two_bit.act sender ~phase:6);
        false
      with Invalid_argument _ -> true)
 
