@@ -467,6 +467,17 @@ let topo_cmd =
     Table.add_row table [ "average degree"; Table.cell_f (Graph.avg_degree graph) ];
     Table.add_row table [ "reachable from source"; Table.cell_i (Graph.reachable_from graph source) ];
     Table.add_row table [ "hop diameter (from source)"; Table.cell_i (Graph.hop_diameter_from graph source) ];
+    (* The graph's own heap, rows and fan-out form together: about 2 words
+       per link where the rows are symmetric and shared, 4 where the
+       fan-out rows are a transposed copy. *)
+    let links = graph.Graph.in_off.(Graph.size graph) in
+    Table.add_row table [ "sensed links"; Table.cell_i links ];
+    let words = Obj.reachable_words (Obj.repr graph) in
+    Table.add_row table
+      [
+        "graph words per link";
+        (if links = 0 then "-" else Table.cell_f (float_of_int words /. float_of_int links));
+      ];
     Table.print table
   in
   Cmd.v

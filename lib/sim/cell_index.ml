@@ -70,13 +70,11 @@ let make ~side (deployment : Deployment.t) =
   done;
   { xs; ys; key; stride; mask; start; ids; slot_key; slot_x; slot_y }
 
-let iter_near t i f =
-  for dy = -1 to 1 do
-    for dx = -1 to 1 do
-      let key = t.key.(i) + dx + (t.stride * dy) in
-      let b = key land t.mask in
-      for k = t.start.(b) to t.start.(b + 1) - 1 do
-        if t.slot_key.(k) = key && t.ids.(k) <> i then f i k
-      done
-    done
+(* Row-major over the 3x3 block, so the last five offsets are [i]'s own
+   cell and the half of its neighbours that [~half] keeps. *)
+let iter_cells t i ~half f =
+  for c = (if half then 4 else 0) to 8 do
+    let key = t.key.(i) + (c mod 3) - 1 + (t.stride * ((c / 3) - 1)) in
+    let b = key land t.mask in
+    f i key t.start.(b) t.start.(b + 1)
   done

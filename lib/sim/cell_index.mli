@@ -2,7 +2,7 @@
 
     Node [i] lies in cell [(floor (x / side), floor (y / side))].  Every
     node within [side] of [i] (under either metric) lies in [i]'s cell or
-    one of the 8 around it, so {!iter_near} enumerates a superset of
+    one of the 8 around it, so {!iter_cells} hands over a superset of
     [i]'s neighbours that the caller filters by distance.
 
     Cells are numbered row-major over the nodes' bounding box, and the
@@ -33,8 +33,14 @@ val make : side:float -> Deployment.t -> t
 (** Index the deployment's nodes (ids must be their array positions) by
     cells of the given side. *)
 
-val iter_near : t -> Node.id -> (Node.id -> int -> unit) -> unit
-(** [iter_near t i f] calls [f i k] for the slot [k] of every other node
-    in [i]'s cell and the 8 cells around it, each exactly once, in no
-    particular order; [t.ids.(k)] is slot [k]'s node.  [f] gets [i] so
-    that one closure can serve every node. *)
+val iter_cells : t -> Node.id -> half:bool -> (Node.id -> int -> int -> int -> unit) -> unit
+(** [iter_cells t i ~half f] calls [f i key lo hi] for cells around [i]'s:
+    cell [key]'s nodes are the slots [k] in [lo .. hi - 1] with
+    [t.slot_key.(k) = key] (a wrapped bucket may hold other cells too),
+    and [t.ids.(k)] is slot [k]'s node, [i] itself included where [key]
+    is [i]'s own cell.  With [~half:false], [f] gets [i]'s cell and the 8
+    around it; with [~half:true], [i]'s cell and the four at offsets
+    (+1, 0), (-1, +1), (0, +1) and (+1, +1), so that of two distinct
+    neighbouring cells exactly one is handed when the walk starts from
+    the other.  [f] gets [i] so that one closure can serve every node,
+    and scans each slot range itself: no call per candidate. *)

@@ -126,9 +126,9 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(st
     invalid_arg "Engine.run: loss_prob > 0 requires an rng";
   let broadcasts = Array.make n 0 in
   let completion_round = Array.make n (-1) in
-  (* Outgoing links in CSR form, built once with the graph (receivers
-     descending within each row — see Graph.csr): repeated runs over one
-     topology pay no O(links) rebuild. *)
+  (* Outgoing links in CSR form, built once with the graph (see
+     Graph.csr): repeated runs over one topology pay no O(links)
+     rebuild. *)
   let { Graph.out_off; out_rcv; out_pow; words } = Graph.csr (Topology.graph topology) in
   let loss = channel.Channel.loss_prob in
   let pending = ref 0 in
@@ -189,9 +189,12 @@ let run ?(mode : mode = `Sparse) ?rng ?(channel = Channel.ideal) ?stop_when ?(st
     slots_push slots n payload;
     slot
   in
+  (* Rows ascend; walked from the end, they meet receivers in descending
+     order, the order per-link loss draws and [touched] have always
+     taken, so lossy and capture runs reproduce bit for bit. *)
   let fan_out i payload =
     let slot = push_slot i payload in
-    for k = out_off.(i) to out_off.(i + 1) - 1 do
+    for k = out_off.(i + 1) - 1 downto out_off.(i) do
       let receiver = out_rcv.(k) and power = out_pow.(k) in
       if not has_rx.(receiver) then begin
         has_rx.(receiver) <- true;

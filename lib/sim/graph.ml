@@ -17,15 +17,14 @@ type t = { in_off : int array; in_peer : Node.id array; in_pow : float array; cs
 let size t = Array.length t.in_off - 1
 let csr t = t.csr
 
-(* Outgoing links in CSR form: out_rcv/out_pow.(out_off.(i) ..
+(* The engine's fan-out rows: out_rcv/out_pow.(out_off.(i) ..
    out_off.(i+1) - 1) are the receivers that sense node i and the power
-   they receive it at, so engine fan-out walks a flat slice instead of
-   chasing list cells.  Receivers descending within each row — the order
-   the engine's former cons-list representation iterated them in — so
-   per-link loss draws and capture tie-breaks reproduce the reference
-   results bit for bit.  Built once with the graph: repeated
-   [Engine.run] calls over one topology (equivalence captures, warm
-   campaign rounds, mobility epochs re-using a topology) share it.
+   they receive it at, ascending, so engine fan-out walks a flat slice.
+   Built once with the graph: repeated [Engine.run] calls over one
+   topology (equivalence captures, warm campaign rounds, mobility epochs
+   re-using a topology) share it.  Where every link r <- s has its twin
+   s <- r at an equal power, as under any distance-only channel, the
+   rows are their own transposition and are shared, not copied.
 
    The same rows as word entries: each run of a row's receivers that share
    a [Bitvec.bits_per_word]-id word becomes one (word, sensed mask,
@@ -44,10 +43,55 @@ let csr t = t.csr
      and the float rule calls an interference of 1e-12 or less zero, so
      the smallest sensed power must exceed 1e-12 plus d² · p_max · 2^-52
      (the + 2 is slack for the final subtraction's rounding). *)
-let transpose ~in_off ~in_peer ~in_pow =
+
+(* The [entries] entries of symmetric rows, which are their own
+   out-rows: a row's peers ascend, so a new entry starts where a peer
+   passes the current word's end, one division per entry.  An entry's
+   masks are gathered in local variables and stored when it closes. *)
+let word_entries ~in_off ~in_peer ~in_pow entries =
   let n = Array.length in_off - 1 and bits = Bitvec.bits_per_word in
-  (* Pass 1: row lengths and entries per row (a row meets its receivers
-     in word order, so an entry starts wherever the word changes). *)
+  let word_off = Array.make (n + 1) 0 and word_idx = Array.make (max 1 entries) 0 in
+  let word_sensed = Array.make (max 1 entries) 0 and word_dec = Array.make (max 1 entries) 0 in
+  let e = ref (-1) in
+  for i = 0 to n - 1 do
+    let base = ref 0 and stop = ref 0 and sensed = ref 0 and dec = ref 0 in
+    for k = in_off.(i) to in_off.(i + 1) - 1 do
+      let peer = in_peer.(k) and power = in_pow.(k) in
+      if peer >= !stop then begin
+        if !sensed <> 0 then begin
+          word_sensed.(!e) <- !sensed;
+          word_dec.(!e) <- !dec
+        end;
+        let w = peer / bits in
+        incr e;
+        word_idx.(!e) <- w;
+        base := w * bits;
+        stop := !base + bits;
+        sensed := 0;
+        dec := 0
+      end;
+      (* Branch-free: whether a sensed link also decodes is a coin toss
+         to the branch predictor. *)
+      let bit = 1 lsl (peer - !base) in
+      let decodes = Bool.to_int (power >= 1.0) land Bool.to_int (power < infinity) in
+      sensed := !sensed lor bit;
+      dec := !dec lor (bit land -decodes)
+    done;
+    if !sensed <> 0 then begin
+      word_sensed.(!e) <- !sensed;
+      word_dec.(!e) <- !dec
+    end;
+    word_off.(i + 1) <- !e + 1
+  done;
+  { word_off; word_idx; word_sensed; word_dec }
+
+(* Asymmetric rows, transposed: pass 1 sizes the out-rows and their
+   entries (receivers ascending meet each out-row's receivers in word
+   order, so an entry starts wherever the word changes); pass 2 fills
+   them, receivers ascending again, and the entries where the density
+   gate passes and [exact], the exactness guard, holds. *)
+let transpose ~in_off ~in_peer ~in_pow ~exact =
+  let n = Array.length in_off - 1 and bits = Bitvec.bits_per_word in
   let out_off = Array.make (n + 1) 0 and word_off = Array.make (n + 1) 0 in
   let last_word = Array.make (max 1 n) (-1) in
   for receiver = 0 to n - 1 do
@@ -66,20 +110,18 @@ let transpose ~in_off ~in_peer ~in_pow =
     word_off.(i) <- word_off.(i) + word_off.(i - 1)
   done;
   let links = out_off.(n) in
-  let dense = 2 * word_off.(n) <= links in
-  let entries = if dense then word_off.(n) else 0 in
-  (* Pass 2: fill the rows, receivers descending, and the entries where
-     the gate passed. *)
+  let dense = exact && 2 * word_off.(n) <= links in
+  let n_entries = if dense then word_off.(n) else 0 in
   let out_rcv = Array.make (max 1 links) 0 in
   let out_pow = Array.make (max 1 links) 0.0 in
-  let word_idx = Array.make (max 1 entries) 0 in
-  let word_sensed = Array.make (max 1 entries) 0 in
-  let word_dec = Array.make (max 1 entries) 0 in
+  let word_idx = Array.make (max 1 n_entries) 0 in
+  let word_sensed = Array.make (max 1 n_entries) 0 in
+  let word_dec = Array.make (max 1 n_entries) 0 in
   let cursor = Array.sub out_off 0 n in
   (* [entry.(i)]: the entry of row i being filled. *)
   let entry = if dense then Array.init n (fun i -> word_off.(i) - 1) else [||] in
   Array.fill last_word 0 (Array.length last_word) (-1);
-  for receiver = n - 1 downto 0 do
+  for receiver = 0 to n - 1 do
     let w = receiver / bits and bit = 1 lsl (receiver mod bits) in
     for j = in_off.(receiver) to in_off.(receiver + 1) - 1 do
       let peer = in_peer.(j) and power = in_pow.(j) in
@@ -99,44 +141,73 @@ let transpose ~in_off ~in_peer ~in_pow =
       end
     done
   done;
-  (* The guard, over the filled powers. *)
-  let exact () =
-    let d = ref 0 in
-    for i = 0 to n - 1 do
-      d := max !d (in_off.(i + 1) - in_off.(i))
-    done;
-    let p_min = ref infinity and p_max = ref 0.0 in
-    for k = 0 to links - 1 do
-      let power = out_pow.(k) in
-      if power < !p_min then p_min := power;
-      if power > !p_max && power < infinity then p_max := power
-    done;
-    !p_min > 1e-12 +. (float_of_int ((!d * !d) + 2) *. !p_max *. epsilon_float)
-  in
-  let words =
-    if dense && exact () then Some { word_off; word_idx; word_sensed; word_dec } else None
-  in
+  let words = if dense then Some { word_off; word_idx; word_sensed; word_dec } else None in
   { out_off; out_rcv; out_pow; words }
 
+(* One pass over the links validates them, checks that each has an
+   equal-power twin, counts the rows' word entries (the count holds only
+   if the rows are symmetric) and takes the guard's degree and power
+   extremes.  The twin of r <- s is the next unread link of row s:
+   receivers ascending read every row's links in order, so one cursor per
+   row suffices. *)
 let of_incoming ~in_off ~in_peer ~in_pow =
   let n = Array.length in_off - 1 in
   let links = Array.length in_peer in
   if n < 0 || in_off.(0) <> 0 || in_off.(n) <> links || Array.length in_pow <> links then
     invalid_arg "Graph: row offsets disagree with the link arrays";
   for i = 0 to n - 1 do
+    if in_off.(i + 1) < in_off.(i) then
+      invalid_arg "Graph: row offsets disagree with the link arrays"
+  done;
+  let bits = Bitvec.bits_per_word in
+  let cursor = Array.sub in_off 0 n and entries = ref 0 in
+  let symmetric = ref true and d = ref 0 and p_min = ref infinity and p_max = ref 0.0 in
+  for i = 0 to n - 1 do
     let first = in_off.(i) and stop = in_off.(i + 1) in
-    if stop < first then invalid_arg "Graph: row offsets disagree with the link arrays";
+    if stop - first > !d then d := stop - first;
+    (* [prev]: the row's previous peer; [word]: its word.  The entry count
+       adds a comparison, not a branch, per link: sparse rows change word
+       at nearly every link, where a branch would mispredict. *)
+    let prev = ref (-1) and word = ref (-1) in
     for k = first to stop - 1 do
       let peer = in_peer.(k) and power = in_pow.(k) in
       if peer < 0 || peer >= n then invalid_arg "Graph: link peer out of range";
       if peer = i then invalid_arg "Graph: self-loop";
-      if Float.is_nan power then invalid_arg "Graph: NaN link power";
-      if power <= 0.0 then invalid_arg "Graph: non-positive link power";
-      if k > first && in_peer.(k - 1) = peer then invalid_arg "Graph: duplicate link";
-      if k > first && in_peer.(k - 1) > peer then invalid_arg "Graph: row not ascending"
+      if not (power > 0.0) then
+        invalid_arg
+          (if Float.is_nan power then "Graph: NaN link power"
+           else "Graph: non-positive link power");
+      if peer <= !prev then
+        invalid_arg (if peer = !prev then "Graph: duplicate link" else "Graph: row not ascending");
+      prev := peer;
+      if power < !p_min then p_min := power;
+      if power > !p_max && power < infinity then p_max := power;
+      if !symmetric then begin
+        let c = cursor.(peer) in
+        if c < in_off.(peer + 1) && in_peer.(c) = i && in_pow.(c) = power then
+          cursor.(peer) <- c + 1
+        else symmetric := false
+      end;
+      let w = peer / bits in
+      entries := !entries + Bool.to_int (w <> !word);
+      word := w
     done
   done;
-  { in_off; in_peer; in_pow; csr = transpose ~in_off ~in_peer ~in_pow }
+  let exact = !p_min > 1e-12 +. (float_of_int ((!d * !d) + 2) *. !p_max *. epsilon_float) in
+  let csr =
+    if !symmetric then
+      {
+        out_off = in_off;
+        out_rcv = in_peer;
+        out_pow = in_pow;
+        words =
+          (if exact && 2 * !entries <= links then
+             Some (word_entries ~in_off ~in_peer ~in_pow !entries)
+           else None);
+      }
+    else transpose ~in_off ~in_peer ~in_pow ~exact
+  in
+  { in_off; in_peer; in_pow; csr }
 
 let make rows =
   let n = Array.length rows in
@@ -157,55 +228,61 @@ let make rows =
 
 (* Each edge is a link both ways.  The endpoints are counting-sorted into
    neighbour lists; then senders in ascending order append themselves to
-   their neighbours' rows, so every row comes out ascending with no sort,
-   and a repeated edge shows up as the row's last entry already being the
-   sender. *)
+   their neighbours' rows, once to count and once to fill, so every row
+   comes out ascending with no sort, and a repeated edge shows up as the
+   row's last sender already being the sender. *)
 let of_edges ~n edges =
   if n < 0 then invalid_arg "Graph.of_edges: negative node count";
   let adj_off = Array.make (n + 1) 0 in
-  List.iter
-    (fun (u, v) ->
+  let rec count = function
+    | [] -> ()
+    | (u, v) :: rest ->
       if u < 0 || u >= n || v < 0 || v >= n then invalid_arg "Graph.of_edges: endpoint out of range";
       if u = v then invalid_arg "Graph.of_edges: self-loop";
       adj_off.(u + 1) <- adj_off.(u + 1) + 1;
-      adj_off.(v + 1) <- adj_off.(v + 1) + 1)
-    edges;
+      adj_off.(v + 1) <- adj_off.(v + 1) + 1;
+      count rest
+  in
+  count edges;
   for i = 1 to n do
     adj_off.(i) <- adj_off.(i) + adj_off.(i - 1)
   done;
   let adj = Array.make adj_off.(n) 0 and cursor = Array.sub adj_off 0 n in
-  let add u v =
-    adj.(cursor.(u)) <- v;
-    cursor.(u) <- cursor.(u) + 1
+  let rec spread = function
+    | [] -> ()
+    | (u, v) :: rest ->
+      adj.(cursor.(u)) <- v;
+      cursor.(u) <- cursor.(u) + 1;
+      adj.(cursor.(v)) <- u;
+      cursor.(v) <- cursor.(v) + 1;
+      spread rest
   in
-  List.iter
-    (fun (u, v) ->
-      add u v;
-      add v u)
-    edges;
+  spread edges;
   let in_off = Array.make (n + 1) 0 and last = Array.make n (-1) in
-  (* [emit r s] for every distinct link, senders ascending. *)
-  let each_link emit =
-    Array.fill last 0 n (-1);
-    for s = 0 to n - 1 do
-      for k = adj_off.(s) to adj_off.(s + 1) - 1 do
-        let r = adj.(k) in
-        if last.(r) <> s then begin
-          last.(r) <- s;
-          emit r s
-        end
-      done
+  for s = 0 to n - 1 do
+    for k = adj_off.(s) to adj_off.(s + 1) - 1 do
+      let r = adj.(k) in
+      if last.(r) <> s then begin
+        last.(r) <- s;
+        in_off.(r + 1) <- in_off.(r + 1) + 1
+      end
     done
-  in
-  each_link (fun r _ -> in_off.(r + 1) <- in_off.(r + 1) + 1);
+  done;
   for i = 1 to n do
     in_off.(i) <- in_off.(i) + in_off.(i - 1)
   done;
   let in_peer = Array.make in_off.(n) 0 in
   Array.blit in_off 0 cursor 0 n;
-  each_link (fun r s ->
-      in_peer.(cursor.(r)) <- s;
-      cursor.(r) <- cursor.(r) + 1);
+  for s = 0 to n - 1 do
+    for k = adj_off.(s) to adj_off.(s + 1) - 1 do
+      let r = adj.(k) in
+      let j = cursor.(r) in
+      if j = in_off.(r) || in_peer.(j - 1) <> s then begin
+        in_peer.(j) <- s;
+        cursor.(r) <- j + 1
+      end
+    done
+  done;
   of_incoming ~in_off ~in_peer ~in_pow:(Array.make in_off.(n) 1.0)
 
 (* Rows ascend, so membership is a binary search; -1 when absent. *)

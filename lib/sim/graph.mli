@@ -14,7 +14,7 @@
     its power is at least 1.0; there is no second store of the decode
     relation to keep consistent with the powers.  The engine's outgoing
     form ({!csr}) is derived from the rows once, when the graph is
-    built. *)
+    built; where the rows are symmetric it is the rows themselves. *)
 
 type words = {
   word_off : int array;  (** row offsets into the entry arrays, length [size + 1] *)
@@ -46,10 +46,16 @@ type csr = {
             {!Channel.resolve_packed}'s no-capture, no-loss rule. *)
 }
 (** The sense relation transposed into compressed-sparse-row form — the
-    engine's fan-out structure.  Receivers appear {e descending} within each
-    row: the iteration order of the engine's original cons-list
-    representation, which per-link loss draws and capture tie-breaks
-    depend on bit-for-bit. *)
+    engine's fan-out structure.  Receivers ascend within each row.  Where
+    every link r ← s has its twin s ← r at an equal power (every radio
+    topology, whose channel depends on distance alone, and every
+    {!Graphs} family), the rows are their own transposition and
+    [out_off]/[out_rcv]/[out_pow] are physically [in_off]/[in_peer]/
+    [in_pow]; otherwise they are a transposed copy.  [Engine.run]'s
+    per-link fan-out walks each row from its end, so it meets receivers
+    {e descending}: the iteration order of the engine's original
+    cons-list representation, which per-link loss draws and capture
+    tie-breaks depend on bit-for-bit. *)
 
 type t = private {
   in_off : int array;  (** row offsets, length [size + 1] *)
@@ -66,7 +72,8 @@ val csr : t -> csr
 
 val of_incoming : in_off:int array -> in_peer:Node.id array -> in_pow:float array -> t
 (** Take a flat incoming CSR as it is (the arrays are not copied) and
-    derive {!csr}.  Raises [Invalid_argument] on offsets that disagree
+    derive {!csr}: the same arrays if the rows are symmetric, a transposed
+    copy if not.  Raises [Invalid_argument] on offsets that disagree
     with the link arrays, out-of-range peers, self-loops, NaN or
     non-positive powers, duplicate links, or a row that does not ascend. *)
 

@@ -55,11 +55,15 @@ let colour n ~source conflicts =
 let for_nodes topology ~conflict_range ~source =
   let deployment = Topology.deployment topology in
   let cells = Cell_index.make ~side:conflict_range deployment in
-  let { Cell_index.xs; ys; ids; slot_x; slot_y; _ } = cells in
+  let { Cell_index.xs; ys; ids; slot_key; slot_x; slot_y; _ } = cells in
   colour (Deployment.size deployment) ~source (fun id mark ->
-      Cell_index.iter_near cells id (fun id k ->
-          let dx = xs.(id) -. slot_x.(k) and dy = ys.(id) -. slot_y.(k) in
-          if sqrt ((dx *. dx) +. (dy *. dy)) <= conflict_range then mark id ids.(k)))
+      Cell_index.iter_cells cells id ~half:false (fun id cell lo hi ->
+          for k = lo to hi - 1 do
+            if slot_key.(k) = cell && ids.(k) <> id then begin
+              let dx = xs.(id) -. slot_x.(k) and dy = ys.(id) -. slot_y.(k) in
+              if sqrt ((dx *. dx) +. (dy *. dy)) <= conflict_range then mark id ids.(k)
+            end
+          done))
 
 (* Graph analogue of [for_nodes] for topologies with no usable geometry:
    two nodes conflict when they are within THREE hops of each other in

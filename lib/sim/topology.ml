@@ -23,44 +23,77 @@ let[@inline] received_power prop dx dy =
 
 (* Node [s] is in node [r]'s row iff [s]'s power at [r] clears the sensing
    threshold.  Every such pair lies in neighbouring cells of the sense
-   range, so each pass walks {!Cell_index.iter_near} of every sender:
-   [visit None] counts each receiver's links into [in_off], [visit rows]
-   writes each link at its receiver's cursor.  The counting pass takes
-   senders in slot order (neighbouring senders reuse the cells they
-   read); the filling pass takes them ascending, so a receiver meets its
-   senders in ascending order and every row comes out sorted with no
-   sort.  The flat arrays are the only per-link storage. *)
+   range, so both passes scan the slot ranges {!Cell_index.iter_cells}
+   hands over, with no call per candidate.  A pair whose squared distance
+   exceeds [far2], the sense range widened by a relative 1e-9 and
+   squared, is rejected without a square root: its power falls short of
+   the threshold by far more than rounding.  The counting pass, which
+   needs no power, likewise accepts a pair within [near2], the range
+   narrowed by 1e-9.  So every kept power and every decision is the full
+   computation's.  Disk L∞ keeps its max-norm test.  The decision reads
+   only |dx| and |dy|, so it is exactly symmetric: the counting pass
+   takes each unordered pair once, over half of every node's
+   neighbourhood, and counts it in both rows, nodes in slot order
+   (neighbouring nodes reuse the cells they read).  The filling pass
+   takes senders ascending over the whole neighbourhood, so a receiver
+   meets its senders in ascending order and every row comes out sorted
+   with no sort.  The flat arrays are the only per-link storage. *)
 let build (deployment : Deployment.t) prop =
   let n = Deployment.size deployment in
-  let cells = Cell_index.make ~side:(max 1e-6 (Propagation.sense_range prop)) deployment in
-  let { Cell_index.xs; ys; ids; slot_x; slot_y; _ } = cells in
+  let reach = Propagation.sense_range prop in
+  let cells = Cell_index.make ~side:(max 1e-6 reach) deployment in
+  let { Cell_index.xs; ys; key; ids; slot_key; slot_x; slot_y; _ } = cells in
   let sense_thr = Propagation.sense_threshold prop in
-  let in_off = Array.make (n + 1) 0 in
-  let visit rows s k =
-    let power = received_power prop (xs.(s) -. slot_x.(k)) (ys.(s) -. slot_y.(k)) in
-    if power >= sense_thr then begin
-      let r = ids.(k) in
-      match rows with
-      | None -> in_off.(r + 1) <- in_off.(r + 1) + 1
-      | Some (cursor, in_peer, in_pow) ->
-        let j = cursor.(r) in
-        in_peer.(j) <- s;
-        in_pow.(j) <- power;
-        cursor.(r) <- j + 1
-    end
+  let near2, far2 =
+    match prop with
+    | Propagation.Disk (Point.Linf, _) -> (neg_infinity, infinity)
+    | Propagation.Disk (Point.L2, _) | Propagation.Friis _ ->
+      let near = reach *. (1.0 -. 1e-9) and far = reach *. (1.0 +. 1e-9) in
+      (near *. near, far *. far)
   in
-  let count s k = visit None s k in
+  let in_off = Array.make (n + 1) 0 in
+  let count i cell lo hi =
+    let x = xs.(i) and y = ys.(i) and own = cell = key.(i) in
+    for k = lo to hi - 1 do
+      if slot_key.(k) = cell && ((not own) || ids.(k) > i) then begin
+        let dx = x -. slot_x.(k) and dy = y -. slot_y.(k) in
+        let q = (dx *. dx) +. (dy *. dy) in
+        if q <= near2 || ((not (q > far2)) && received_power prop dx dy >= sense_thr) then begin
+          let j = ids.(k) in
+          in_off.(i + 1) <- in_off.(i + 1) + 1;
+          in_off.(j + 1) <- in_off.(j + 1) + 1
+        end
+      end
+    done
+  in
   for k = 0 to n - 1 do
-    Cell_index.iter_near cells ids.(k) count
+    Cell_index.iter_cells cells ids.(k) ~half:true count
   done;
   for i = 1 to n do
     in_off.(i) <- in_off.(i) + in_off.(i - 1)
   done;
   let in_peer = Array.make in_off.(n) 0 and in_pow = Array.create_float in_off.(n) in
-  let rows = Some (Array.sub in_off 0 n, in_peer, in_pow) in
-  let fill s k = visit rows s k in
+  let cursor = Array.sub in_off 0 n in
+  let fill s cell lo hi =
+    let x = xs.(s) and y = ys.(s) in
+    for k = lo to hi - 1 do
+      if slot_key.(k) = cell && ids.(k) <> s then begin
+        let dx = x -. slot_x.(k) and dy = y -. slot_y.(k) in
+        if not ((dx *. dx) +. (dy *. dy) > far2) then begin
+          let power = received_power prop dx dy in
+          if power >= sense_thr then begin
+            let r = ids.(k) in
+            let j = cursor.(r) in
+            in_peer.(j) <- s;
+            in_pow.(j) <- power;
+            cursor.(r) <- j + 1
+          end
+        end
+      end
+    done
+  in
   for s = 0 to n - 1 do
-    Cell_index.iter_near cells s fill
+    Cell_index.iter_cells cells s ~half:false fill
   done;
   { deployment; kind = Radio prop; graph = Graph.of_incoming ~in_off ~in_peer ~in_pow }
 
@@ -70,15 +103,24 @@ let synthetic ~family deployment graph =
   (* The protocols size their geometric structures (voting windows, frame
      coordinate lattices, watch squares) from the radio range; an explicit
      graph has none, so the longest embedded edge stands in for it: every
-     decodable peer is within this distance of its receiver. *)
+     decodable peer is within this distance of its receiver.  The longest
+     squared length takes one square root at the end: [sqrt] is monotone,
+     so that is the same bits as the longest length. *)
   let nodes = deployment.Deployment.nodes in
-  let coord_range = ref 1.0 in
+  let { Graph.in_off; in_peer; in_pow; _ } = graph in
+  let longest2 = ref 1.0 in
   for i = 0 to Graph.size graph - 1 do
-    Graph.iter_rx graph i (fun j ->
-        let d = Point.dist_l2 nodes.(i).Node.pos nodes.(j).Node.pos in
-        if d > !coord_range then coord_range := d)
+    let p = nodes.(i).Node.pos in
+    for k = in_off.(i) to in_off.(i + 1) - 1 do
+      if in_pow.(k) >= 1.0 then begin
+        let q = nodes.(in_peer.(k)).Node.pos in
+        let dx = p.Point.x -. q.Point.x and dy = p.Point.y -. q.Point.y in
+        let d2 = (dx *. dx) +. (dy *. dy) in
+        if d2 > !longest2 then longest2 := d2
+      end
+    done
   done;
-  { deployment; kind = Synthetic { family; coord_range = !coord_range }; graph }
+  { deployment; kind = Synthetic { family; coord_range = sqrt !longest2 }; graph }
 
 let graph t = t.graph
 let deployment t = t.deployment

@@ -28,8 +28,10 @@ val build : Deployment.t -> Propagation.t -> t
     is in node [i]'s row iff the received power of [j] at [i] clears the
     sensing threshold, and [i] decodes [j] iff that power reaches the
     (normalised) decode threshold 1.0.  Rows come out sorted by peer id,
-    written straight into the graph's flat form; the build takes time and
-    words linear in nodes plus links, however wide the map. *)
+    written straight into the graph's flat form, and since the power
+    depends on distance alone they are symmetric, so the graph shares them
+    as its fan-out rows; the build takes time and words linear in nodes
+    plus links, however wide the map. *)
 
 val synthetic : family:string -> Deployment.t -> Graph.t -> t
 (** Wrap an explicitly constructed graph with the embedding used to draw

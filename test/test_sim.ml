@@ -232,10 +232,17 @@ let oracle_mismatch (g : Graph.t) (want : Topology_oracle.rows) =
 let check_oracle label g want =
   match oracle_mismatch g want with None -> () | Some m -> Alcotest.failf "%s: %s" label m
 
+(* Symmetric rows are their own fan-out rows: the graph shares them. *)
+let shares_rows (g : Graph.t) =
+  let { Graph.out_off; out_rcv; out_pow; _ } = Graph.csr g in
+  out_off == g.Graph.in_off && out_rcv == g.Graph.in_peer && out_pow == g.Graph.in_pow
+
+let check_shared label g = Alcotest.(check bool) (label ^ ": rows shared") true (shares_rows g)
+
 let check_build label deployment prop =
-  check_oracle label
-    (Topology.graph (Topology.build deployment prop))
-    (Topology_oracle.build deployment prop)
+  let g = Topology.graph (Topology.build deployment prop) in
+  check_oracle label g (Topology_oracle.build deployment prop);
+  check_shared label g
 
 let props = [ ("friis", Propagation.friis 3.0); ("disk-l2", Propagation.disk_l2 2.5); ("disk-linf", Propagation.disk_linf 2.0) ]
 
@@ -252,12 +259,9 @@ let prop_build_matches_oracle =
     (fun (seed, n, (kind, p)) ->
       let deployment = oracle_deployment kind seed n in
       let _, prop = List.nth props p in
-      match
-        oracle_mismatch
-          (Topology.graph (Topology.build deployment prop))
-          (Topology_oracle.build deployment prop)
-      with
-      | None -> true
+      let g = Topology.graph (Topology.build deployment prop) in
+      match oracle_mismatch g (Topology_oracle.build deployment prop) with
+      | None -> shares_rows g || QCheck.Test.fail_reportf "kind %d, prop %d: rows not shared" kind p
       | Some m -> QCheck.Test.fail_reportf "kind %d, prop %d: %s" kind p m)
 
 let shifted (d : Deployment.t) ~dx ~dy =
@@ -340,12 +344,14 @@ let test_families_oracle () =
     (fun (name, topology) ->
       let g = Topology.graph topology in
       check_oracle name g (Topology_oracle.rows_of g);
+      check_shared name g;
       let edges = ref [] in
       for i = 0 to Graph.size g - 1 do
         Graph.iter_rx g i (fun j -> edges := (i, j) :: (j, i) :: !edges)
       done;
-      check_oracle (name ^ " of_edges") (Graph.of_edges ~n:(Graph.size g) !edges)
-        (Topology_oracle.of_edges ~n:(Graph.size g) !edges))
+      let h = Graph.of_edges ~n:(Graph.size g) !edges in
+      check_oracle (name ^ " of_edges") h (Topology_oracle.of_edges ~n:(Graph.size g) !edges);
+      check_shared (name ^ " of_edges") h)
     (families ())
 
 let prop_of_edges_matches_oracle =
@@ -356,6 +362,72 @@ let prop_of_edges_matches_oracle =
       match oracle_mismatch (Graph.of_edges ~n edges) (Topology_oracle.of_edges ~n edges) with
       | None -> true
       | Some m -> QCheck.Test.fail_reportf "%s" m)
+
+(* Random row sets on up to 40 nodes, powers from a pool that has a
+   sub-1e-12 power (which fails the exactness guard) and an infinite one.
+   Half the draws get every missing twin at its link's power, and some
+   of those then move one twin's power.  [Graph.of_incoming] must share
+   the rows exactly when every link has an equal-power twin, and either
+   way produce the reference's ascending rows and word entries. *)
+let prop_of_incoming_shares_symmetric_rows =
+  let pool = [| 0.5; 1.0; 2.0; infinity; 1e-13 |] in
+  QCheck.Test.make ~name:"Graph.of_incoming shares exactly the symmetric rows" ~count:300
+    QCheck.(
+      quad (int_range 2 40) (small_list (triple small_nat small_nat (int_bound 4))) bool
+        (int_bound 2))
+    (fun (n, draws, symmetrise, perturb) ->
+      (* [power.(r).(s)]: the power of link r <- s, NaN for no link. *)
+      let power = Array.make_matrix n n nan in
+      List.iter
+        (fun (r, s, p) ->
+          let r = r mod n and s = s mod n in
+          if r <> s && Float.is_nan power.(r).(s) then power.(r).(s) <- pool.(p))
+        draws;
+      if symmetrise then begin
+        for r = 0 to n - 1 do
+          for s = r + 1 to n - 1 do
+            let p = if Float.is_nan power.(r).(s) then power.(s).(r) else power.(r).(s) in
+            power.(r).(s) <- p;
+            power.(s).(r) <- p
+          done
+        done;
+        let twin = ref None in
+        Array.iteri
+          (fun r row ->
+            Array.iteri
+              (fun s p -> if Option.is_none !twin && not (Float.is_nan p) then twin := Some (s, r))
+              row)
+          power;
+        match !twin with
+        | Some (s, r) when perturb = 0 -> power.(s).(r) <- power.(s).(r) *. 3.0
+        | Some _ | None -> ()
+      end;
+      let symmetric = ref true in
+      Array.iteri
+        (fun r row ->
+          Array.iteri (fun s p -> if not (Float.equal p power.(s).(r)) then symmetric := false) row)
+        power;
+      let symmetric = !symmetric in
+      let sensed =
+        Array.map
+          (fun row ->
+            Array.of_list
+              (List.filter_map
+                 (fun peer ->
+                   if Float.is_nan row.(peer) then None
+                   else Some { Topology_oracle.peer; power = row.(peer) })
+                 (List.init n Fun.id)))
+          power
+      in
+      let g =
+        Graph.make
+          (Array.map (Array.map (fun { Topology_oracle.peer; power } -> (peer, power))) sensed)
+      in
+      match oracle_mismatch g (Topology_oracle.of_sensed sensed) with
+      | Some m -> QCheck.Test.fail_reportf "%s" m
+      | None ->
+        shares_rows g = symmetric
+        || QCheck.Test.fail_reportf "symmetric %b, shared %b" symmetric (shares_rows g))
 
 let slots schedule n = (Schedule.cycle schedule, Array.init n (Schedule.slot_of schedule))
 
@@ -392,10 +464,13 @@ let words () =
   let _, promoted, major = Gc.counters () in
   Gc.minor_words () +. major -. promoted
 
-(* The build keeps only the flat rows and the CSR: at the n = 10^4
-   uniform-disk scale cell (degree 12) it allocates at most twice the
-   words the graph keeps live, and the rows take at most half the 63
-   words per node the link-record rows took. *)
+(* The build keeps only the flat rows, which a symmetric channel shares
+   as the engine's fan-out rows: at the n = 10^4 uniform-disk scale cell
+   (degree 12) it allocates at most twice the words the graph keeps live,
+   the rows take at most half the 63 words per node the link-record rows
+   took, and the graph holds at most the rows' words, the word entries'
+   and n more: about 2.1 words per link, where a transposed copy of the
+   rows took 4.17. *)
 let test_build_words () =
   let n = 10_000 and radius = 4.0 in
   let side = sqrt (float_of_int n *. Float.pi *. radius *. radius /. 12.0) in
@@ -409,7 +484,14 @@ let test_build_words () =
   if allocated > 2.0 *. float_of_int live then
     Alcotest.failf "allocated %.0f words, more than twice the %d live" allocated live;
   if float_of_int rows /. float_of_int n > 31.5 then
-    Alcotest.failf "rows take %.1f words per node, over 31.5" (float_of_int rows /. float_of_int n)
+    Alcotest.failf "rows take %.1f words per node, over 31.5" (float_of_int rows /. float_of_int n);
+  let entries =
+    match (Graph.csr g).Graph.words with None -> 0 | Some w -> Obj.reachable_words (Obj.repr w)
+  in
+  if live > rows + entries + n then
+    Alcotest.failf "graph holds %d words (%.2f per link), over the rows' %d + entries' %d + n" live
+      (float_of_int live /. float_of_int g.Graph.in_off.(n))
+      rows entries
 
 (* [Schedule.for_graph] allocates nothing per node: at n = 4 000 on a
    degree-8 expander the whole colouring takes its four n-slot arrays,
@@ -472,7 +554,8 @@ let test_graph_make_accepts () =
   Alcotest.(check bool) "senses nothing from node 0" false (Graph.senses g ~rx:2 ~tx:0);
   Alcotest.(check bool) "decodes the infinite link" true (Graph.can_decode g ~rx:2 ~tx:1);
   Alcotest.(check (list int)) "row 0 sorted by peer" [ 1; 2 ]
-    (Array.to_list (Array.sub g.Graph.in_peer 0 2))
+    (Array.to_list (Array.sub g.Graph.in_peer 0 2));
+  Alcotest.(check bool) "asymmetric rows transposed, not shared" false (shares_rows g)
 
 let test_schedule_phases () =
   Alcotest.(check int) "rounds per interval" 6 Schedule.rounds_per_interval;
@@ -690,6 +773,43 @@ let test_engine_collision () =
   let waiters = Array.make 3 true in
   ignore (Engine.run ~topology ~machines ~waiters ~cap:1 ());
   Alcotest.(check bool) "middle observes collision" true (obs_at log 0 = Channel.Busy)
+
+(* Rows are stored ascending, but the fan-out deals its per-link loss
+   coins to receivers descending, the order lossy runs have always drawn
+   them in: one transmitter, twenty receivers on a unit circle, one coin
+   per link, against the same coins dealt from the highest id down. *)
+let test_engine_loss_draw_order () =
+  let m = 20 in
+  let nodes =
+    Array.init (m + 1) (fun i ->
+        let a = 2.0 *. Float.pi *. float_of_int i /. float_of_int m in
+        Node.make i (if i = 0 then point 10.0 10.0 else point (10.0 +. cos a) (10.0 +. sin a)))
+  in
+  let topology =
+    Topology.build { Deployment.width = 20.0; height = 20.0; nodes } (Propagation.friis 4.0)
+  in
+  let channel = { Channel.capture_ratio = infinity; loss_prob = 0.5 } in
+  let coins = Rng.create 7 in
+  let lost = Array.make (m + 1) false in
+  for j = m downto 1 do
+    lost.(j) <- Rng.bernoulli coins 0.5
+  done;
+  List.iter
+    (fun (name, mode) ->
+      let receivers = Array.init (m + 1) (fun _ -> recorder ()) in
+      let machines =
+        Array.mapi (fun i (rx, _) -> if i = 0 then tx_once_machine 5 else rx) receivers
+      in
+      ignore
+        (Engine.run ~mode ~rng:(Rng.create 7) ~channel ~topology ~machines
+           ~waiters:(Array.make (m + 1) true) ~cap:1 ());
+      for j = 1 to m do
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: receiver %d" name j)
+          true
+          (obs_at (snd receivers.(j)) 0 = if lost.(j) then Channel.Busy else Channel.Clear 5)
+      done)
+    [ ("dense", `Dense); ("sparse", `Sparse) ]
 
 let test_engine_out_of_range_silence () =
   let topology = line_topology 3 2.0 1.5 in
@@ -1063,7 +1183,13 @@ let prop_engine_matches_reference =
       | Some got, want -> Channel.equal Int.equal got want
       | None, _ -> false)
 
-let qtests = [ prop_engine_matches_reference; prop_build_matches_oracle; prop_of_edges_matches_oracle ]
+let qtests =
+  [
+    prop_engine_matches_reference;
+    prop_build_matches_oracle;
+    prop_of_edges_matches_oracle;
+    prop_of_incoming_shares_symmetric_rows;
+  ]
 
 let () =
   Alcotest.run "sim"
@@ -1128,6 +1254,7 @@ let () =
             test_engine_sparse_skips_idle_rounds;
           Alcotest.test_case "sparse poll set across words" `Quick test_engine_poll_set_contract;
           Alcotest.test_case "calendar does not grow with run length" `Quick test_engine_calendar_growth;
+          Alcotest.test_case "loss coins dealt descending" `Quick test_engine_loss_draw_order;
         ] );
       ("properties", List.map (fun t -> QCheck_alcotest.to_alcotest ~long:false t) qtests);
     ]

@@ -72,12 +72,12 @@ let of_edges ~n edges =
   let rx = Array.init n (fun i -> Array.of_list (List.sort_uniq Int.compare adj.(i))) in
   { sensed = Array.map (Array.map (fun peer -> { peer; power = 1.0 })) rx; rx }
 
-(* The engine's outgoing rows (receivers descending) and word entries,
+(* The engine's outgoing rows (receivers ascending) and word entries,
    under the same density gate and exactness guard as [Graph.csr]. *)
 let csr { sensed; _ } =
   let n = Array.length sensed and bits = Bitvec.bits_per_word in
   let out = Array.make n [] in
-  for receiver = 0 to n - 1 do
+  for receiver = n - 1 downto 0 do
     Array.iter (fun { peer; power } -> out.(peer) <- (receiver, power) :: out.(peer)) sensed.(receiver)
   done;
   let entries_of row =
@@ -179,15 +179,9 @@ let for_graph { rx; _ } ~source =
         rx.(id);
       !acc)
 
-(* The oracle rows of a flat graph, for comparing constructors that have
-   no oracle of their own. *)
-let rows_of (g : Graph.t) =
-  let row i =
-    Array.init
-      (g.Graph.in_off.(i + 1) - g.Graph.in_off.(i))
-      (fun k -> { peer = g.Graph.in_peer.(g.Graph.in_off.(i) + k); power = g.Graph.in_pow.(g.Graph.in_off.(i) + k) })
-  in
-  let sensed = Array.init (Graph.size g) row in
+(* The oracle rows of sorted sensed rows: the decodable peers are the
+   links at a power of at least 1.0. *)
+let of_sensed sensed =
   {
     sensed;
     rx =
@@ -198,3 +192,13 @@ let rows_of (g : Graph.t) =
                (Array.to_list links)))
         sensed;
   }
+
+(* The oracle rows of a flat graph, for comparing constructors that have
+   no oracle of their own. *)
+let rows_of (g : Graph.t) =
+  let row i =
+    Array.init
+      (g.Graph.in_off.(i + 1) - g.Graph.in_off.(i))
+      (fun k -> { peer = g.Graph.in_peer.(g.Graph.in_off.(i) + k); power = g.Graph.in_pow.(g.Graph.in_off.(i) + k) })
+  in
+  of_sensed (Array.init (Graph.size g) row)
