@@ -44,25 +44,25 @@ let csr t = t.csr
      the smallest sensed power must exceed 1e-12 plus d² · p_max · 2^-52
      (the + 2 is slack for the final subtraction's rounding). *)
 
-(* The [entries] entries of symmetric rows, which are their own
-   out-rows: a row's peers ascend, so a new entry starts where a peer
-   passes the current word's end, one division per entry.  An entry's
-   masks are gathered in local variables and stored when it closes. *)
-let word_entries ~in_off ~in_peer ~in_pow entries =
-  let n = Array.length in_off - 1 and bits = Bitvec.bits_per_word in
+(* The [entries] word entries of ascending out-rows: a new entry starts
+   where a receiver passes the current word's end, one division per
+   entry.  An entry's masks are gathered in local variables and stored
+   when it closes. *)
+let word_entries ~out_off ~out_rcv ~out_pow entries =
+  let n = Array.length out_off - 1 and bits = Bitvec.bits_per_word in
   let word_off = Array.make (n + 1) 0 and word_idx = Array.make (max 1 entries) 0 in
   let word_sensed = Array.make (max 1 entries) 0 and word_dec = Array.make (max 1 entries) 0 in
   let e = ref (-1) in
   for i = 0 to n - 1 do
     let base = ref 0 and stop = ref 0 and sensed = ref 0 and dec = ref 0 in
-    for k = in_off.(i) to in_off.(i + 1) - 1 do
-      let peer = in_peer.(k) and power = in_pow.(k) in
-      if peer >= !stop then begin
+    for k = out_off.(i) to out_off.(i + 1) - 1 do
+      let receiver = out_rcv.(k) and power = out_pow.(k) in
+      if receiver >= !stop then begin
         if !sensed <> 0 then begin
           word_sensed.(!e) <- !sensed;
           word_dec.(!e) <- !dec
         end;
-        let w = peer / bits in
+        let w = receiver / bits in
         incr e;
         word_idx.(!e) <- w;
         base := w * bits;
@@ -72,7 +72,7 @@ let word_entries ~in_off ~in_peer ~in_pow entries =
       end;
       (* Branch-free: whether a sensed link also decodes is a coin toss
          to the branch predictor. *)
-      let bit = 1 lsl (peer - !base) in
+      let bit = 1 lsl (receiver - !base) in
       let decodes = Bool.to_int (power >= 1.0) land Bool.to_int (power < infinity) in
       sensed := !sensed lor bit;
       dec := !dec lor (bit land -decodes)
@@ -85,15 +85,15 @@ let word_entries ~in_off ~in_peer ~in_pow entries =
   done;
   { word_off; word_idx; word_sensed; word_dec }
 
-(* Asymmetric rows, transposed: pass 1 sizes the out-rows and their
-   entries (receivers ascending meet each out-row's receivers in word
-   order, so an entry starts wherever the word changes); pass 2 fills
-   them, receivers ascending again, and the entries where the density
-   gate passes and [exact], the exactness guard, holds. *)
-let transpose ~in_off ~in_peer ~in_pow ~exact =
+(* Asymmetric rows, transposed, with their word-entry count: pass 1
+   sizes the out-rows and counts their entries (receivers ascending meet
+   each out-row's receivers in word order, so an entry starts wherever
+   the word changes); pass 2 fills them, receivers ascending again, so
+   every out-row ascends. *)
+let transpose ~in_off ~in_peer ~in_pow =
   let n = Array.length in_off - 1 and bits = Bitvec.bits_per_word in
-  let out_off = Array.make (n + 1) 0 and word_off = Array.make (n + 1) 0 in
-  let last_word = Array.make (max 1 n) (-1) in
+  let out_off = Array.make (n + 1) 0 and last_word = Array.make (max 1 n) (-1) in
+  let entries = ref 0 in
   for receiver = 0 to n - 1 do
     let w = receiver / bits in
     for k = in_off.(receiver) to in_off.(receiver + 1) - 1 do
@@ -101,55 +101,35 @@ let transpose ~in_off ~in_peer ~in_pow ~exact =
       out_off.(peer + 1) <- out_off.(peer + 1) + 1;
       if last_word.(peer) <> w then begin
         last_word.(peer) <- w;
-        word_off.(peer + 1) <- word_off.(peer + 1) + 1
+        incr entries
       end
     done
   done;
   for i = 1 to n do
-    out_off.(i) <- out_off.(i) + out_off.(i - 1);
-    word_off.(i) <- word_off.(i) + word_off.(i - 1)
+    out_off.(i) <- out_off.(i) + out_off.(i - 1)
   done;
   let links = out_off.(n) in
-  let dense = exact && 2 * word_off.(n) <= links in
-  let n_entries = if dense then word_off.(n) else 0 in
-  let out_rcv = Array.make (max 1 links) 0 in
-  let out_pow = Array.make (max 1 links) 0.0 in
-  let word_idx = Array.make (max 1 n_entries) 0 in
-  let word_sensed = Array.make (max 1 n_entries) 0 in
-  let word_dec = Array.make (max 1 n_entries) 0 in
+  let out_rcv = Array.make (max 1 links) 0 and out_pow = Array.make (max 1 links) 0.0 in
   let cursor = Array.sub out_off 0 n in
-  (* [entry.(i)]: the entry of row i being filled. *)
-  let entry = if dense then Array.init n (fun i -> word_off.(i) - 1) else [||] in
-  Array.fill last_word 0 (Array.length last_word) (-1);
   for receiver = 0 to n - 1 do
-    let w = receiver / bits and bit = 1 lsl (receiver mod bits) in
     for j = in_off.(receiver) to in_off.(receiver + 1) - 1 do
-      let peer = in_peer.(j) and power = in_pow.(j) in
+      let peer = in_peer.(j) in
       let k = cursor.(peer) in
       out_rcv.(k) <- receiver;
-      out_pow.(k) <- power;
-      cursor.(peer) <- k + 1;
-      if dense then begin
-        if last_word.(peer) <> w then begin
-          last_word.(peer) <- w;
-          entry.(peer) <- entry.(peer) + 1;
-          word_idx.(entry.(peer)) <- w
-        end;
-        let e = entry.(peer) in
-        word_sensed.(e) <- word_sensed.(e) lor bit;
-        if power >= 1.0 && power < infinity then word_dec.(e) <- word_dec.(e) lor bit
-      end
+      out_pow.(k) <- in_pow.(j);
+      cursor.(peer) <- k + 1
     done
   done;
-  let words = if dense then Some { word_off; word_idx; word_sensed; word_dec } else None in
-  { out_off; out_rcv; out_pow; words }
+  (out_off, out_rcv, out_pow, !entries)
 
 (* One pass over the links validates them, checks that each has an
    equal-power twin, counts the rows' word entries (the count holds only
    if the rows are symmetric) and takes the guard's degree and power
    extremes.  The twin of r <- s is the next unread link of row s:
    receivers ascending read every row's links in order, so one cursor per
-   row suffices. *)
+   row suffices.  Symmetric rows are their own out-rows; others are
+   transposed.  Either way the word entries are built from the out-rows
+   where the density gate and the exactness guard pass. *)
 let of_incoming ~in_off ~in_peer ~in_pow =
   let n = Array.length in_off - 1 in
   let links = Array.length in_peer in
@@ -194,20 +174,14 @@ let of_incoming ~in_off ~in_peer ~in_pow =
     done
   done;
   let exact = !p_min > 1e-12 +. (float_of_int ((!d * !d) + 2) *. !p_max *. epsilon_float) in
-  let csr =
-    if !symmetric then
-      {
-        out_off = in_off;
-        out_rcv = in_peer;
-        out_pow = in_pow;
-        words =
-          (if exact && 2 * !entries <= links then
-             Some (word_entries ~in_off ~in_peer ~in_pow !entries)
-           else None);
-      }
-    else transpose ~in_off ~in_peer ~in_pow ~exact
+  let out_off, out_rcv, out_pow, entries =
+    if !symmetric then (in_off, in_peer, in_pow, !entries) else transpose ~in_off ~in_peer ~in_pow
   in
-  { in_off; in_peer; in_pow; csr }
+  let words =
+    if exact && 2 * entries <= links then Some (word_entries ~out_off ~out_rcv ~out_pow entries)
+    else None
+  in
+  { in_off; in_peer; in_pow; csr = { out_off; out_rcv; out_pow; words } }
 
 let make rows =
   let n = Array.length rows in

@@ -21,35 +21,40 @@ let[@inline] received_power prop dx dy =
     let ax = abs_float dx and ay = abs_float dy in
     if (if ax >= ay then ax else ay) <= r then 1.0 else 0.0
 
+(* [received_power prop dx dy], or 0 (below every sensing threshold)
+   without a square root where the pair's squared distance exceeds
+   [far2]: the sense range widened by a relative 1e-9 and squared, so
+   such a pair's power falls short of the threshold by far more than
+   rounding, and every kept power and every decision is the full
+   computation's.  Disk L∞ passes [far2 = infinity] and keeps its
+   max-norm test. *)
+let[@inline] sensed_power prop ~far2 dx dy =
+  if (dx *. dx) +. (dy *. dy) > far2 then 0.0 else received_power prop dx dy
+
 (* Node [s] is in node [r]'s row iff [s]'s power at [r] clears the sensing
    threshold.  Every such pair lies in neighbouring cells of the sense
    range, so both passes scan the slot ranges {!Cell_index.iter_cells}
-   hands over, with no call per candidate.  A pair whose squared distance
-   exceeds [far2], the sense range widened by a relative 1e-9 and
-   squared, is rejected without a square root: its power falls short of
-   the threshold by far more than rounding.  The counting pass, which
-   needs no power, likewise accepts a pair within [near2], the range
-   narrowed by 1e-9.  So every kept power and every decision is the full
-   computation's.  Disk L∞ keeps its max-norm test.  The decision reads
-   only |dx| and |dy|, so it is exactly symmetric: the counting pass
-   takes each unordered pair once, over half of every node's
-   neighbourhood, and counts it in both rows, nodes in slot order
-   (neighbouring nodes reuse the cells they read).  The filling pass
-   takes senders ascending over the whole neighbourhood, so a receiver
-   meets its senders in ascending order and every row comes out sorted
-   with no sort.  The flat arrays are the only per-link storage. *)
+   hands over, with no call per candidate, and both decide a pair by
+   {!sensed_power}.  The decision reads only |dx| and |dy|, so it is
+   exactly symmetric: the counting pass takes each unordered pair once,
+   over half of every node's neighbourhood, and counts it in both rows,
+   nodes in slot order (neighbouring nodes reuse the cells they read).
+   The filling pass takes senders ascending over the whole
+   neighbourhood, so a receiver meets its senders in ascending order and
+   every row comes out sorted with no sort.  The flat arrays are the
+   only per-link storage. *)
 let build (deployment : Deployment.t) prop =
   let n = Deployment.size deployment in
   let reach = Propagation.sense_range prop in
   let cells = Cell_index.make ~side:(max 1e-6 reach) deployment in
   let { Cell_index.xs; ys; key; ids; slot_key; slot_x; slot_y; _ } = cells in
   let sense_thr = Propagation.sense_threshold prop in
-  let near2, far2 =
+  let far2 =
     match prop with
-    | Propagation.Disk (Point.Linf, _) -> (neg_infinity, infinity)
+    | Propagation.Disk (Point.Linf, _) -> infinity
     | Propagation.Disk (Point.L2, _) | Propagation.Friis _ ->
-      let near = reach *. (1.0 -. 1e-9) and far = reach *. (1.0 +. 1e-9) in
-      (near *. near, far *. far)
+      let far = reach *. (1.0 +. 1e-9) in
+      far *. far
   in
   let in_off = Array.make (n + 1) 0 in
   let count i cell lo hi =
@@ -57,8 +62,7 @@ let build (deployment : Deployment.t) prop =
     for k = lo to hi - 1 do
       if slot_key.(k) = cell && ((not own) || ids.(k) > i) then begin
         let dx = x -. slot_x.(k) and dy = y -. slot_y.(k) in
-        let q = (dx *. dx) +. (dy *. dy) in
-        if q <= near2 || ((not (q > far2)) && received_power prop dx dy >= sense_thr) then begin
+        if sensed_power prop ~far2 dx dy >= sense_thr then begin
           let j = ids.(k) in
           in_off.(i + 1) <- in_off.(i + 1) + 1;
           in_off.(j + 1) <- in_off.(j + 1) + 1
@@ -78,16 +82,13 @@ let build (deployment : Deployment.t) prop =
     let x = xs.(s) and y = ys.(s) in
     for k = lo to hi - 1 do
       if slot_key.(k) = cell && ids.(k) <> s then begin
-        let dx = x -. slot_x.(k) and dy = y -. slot_y.(k) in
-        if not ((dx *. dx) +. (dy *. dy) > far2) then begin
-          let power = received_power prop dx dy in
-          if power >= sense_thr then begin
-            let r = ids.(k) in
-            let j = cursor.(r) in
-            in_peer.(j) <- s;
-            in_pow.(j) <- power;
-            cursor.(r) <- j + 1
-          end
+        let power = sensed_power prop ~far2 (x -. slot_x.(k)) (y -. slot_y.(k)) in
+        if power >= sense_thr then begin
+          let r = ids.(k) in
+          let j = cursor.(r) in
+          in_peer.(j) <- s;
+          in_pow.(j) <- power;
+          cursor.(r) <- j + 1
         end
       end
     done

@@ -274,8 +274,9 @@ let shifted (d : Deployment.t) ~dx ~dy =
   }
 
 (* The layouts a random draw seldom produces: a map shifted across both
-   axes, co-located Friis nodes (infinite power), and maps far wider or
-   taller than the range, whose cell numbers wrap. *)
+   axes, co-located Friis nodes (infinite power), maps far wider or
+   taller than the range, whose cell numbers wrap, and disk ranges of
+   zero and below. *)
 let test_build_oracle_edge_cases () =
   let uniform = Deployment.uniform (Rng.create 9) ~n:150 ~width:14.0 ~height:14.0 in
   List.iter
@@ -307,6 +308,22 @@ let test_build_oracle_edge_cases () =
       Alcotest.(check bool) ("boundary " ^ name ^ ": sensed") true
         (Graph.senses (Topology.graph (Topology.build pair prop)) ~rx:1 ~tx:0))
     props;
+  (* A disk range of zero links only co-located nodes, and a negative one
+     links none: the counting and filling passes must agree on both. *)
+  let nodes = Array.copy uniform.Deployment.nodes in
+  List.iter (fun i -> nodes.(i + 1) <- Node.make (i + 1) nodes.(i).Node.pos) [ 1; 40; 41 ];
+  let colocated = { uniform with Deployment.nodes } in
+  List.iter
+    (fun (name, prop, links) ->
+      check_build name colocated prop;
+      let g = Topology.graph (Topology.build colocated prop) in
+      Alcotest.(check int) (name ^ ": links") links (Array.length g.Graph.in_peer))
+    [
+      ("zero disk-l2", Propagation.disk_l2 0.0, 8);
+      ("zero disk-linf", Propagation.disk_linf 0.0, 8);
+      ("negative disk-l2", Propagation.disk_l2 (-1.0), 0);
+      ("negative disk-linf", Propagation.disk_linf (-1.0), 0);
+    ];
   (* The co-located case is not vacuous: the pair links at infinity. *)
   let twins = shifted uniform ~dx:0.0 ~dy:0.0 in
   twins.Deployment.nodes.(8) <- Node.make 8 twins.Deployment.nodes.(7).Node.pos;
